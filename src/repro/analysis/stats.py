@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.lineage.records import ModelRecord
 from repro.nas.genome import Genome
@@ -48,8 +47,13 @@ def flops_accuracy_correlation(records: list[ModelRecord]) -> CorrelationResult:
     ]
     if len(pairs) < 3:
         raise ValueError(f"need >= 3 evaluated records, have {len(pairs)}")
+    # imported here, not at module level: scipy.stats adds ~20 MB and a
+    # fifth of the start-up time to every process that imports
+    # repro.analysis, and searching, publishing and resuming never call it
+    from scipy.stats import spearmanr
+
     flops, fitness = map(np.asarray, zip(*pairs))
-    rho, p = sp_stats.spearmanr(flops, fitness)
+    rho, p = spearmanr(flops, fitness)
     return CorrelationResult(rho=float(rho), p_value=float(p), n=len(pairs))
 
 

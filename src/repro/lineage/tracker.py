@@ -80,7 +80,9 @@ class LineageTracker:
             epoch_record.checkpoint = save_checkpoint(
                 network, target, tag=f"epoch_{epoch}"
             )
-        record.epochs.append(epoch_record.to_dict())
+        # the trail stores plain dicts in EpochRecord's field order: the
+        # fresh record's own attribute dict is that entry, no copy needed
+        record.epochs.append(vars(epoch_record))
 
     # -- search callback (per-individual, after evaluation) --------------------
 

@@ -26,7 +26,7 @@ from repro.nn.layers.base import Layer, Parameter
 from repro.nn.network import Network
 from repro.utils.rng import fallback_rng
 
-__all__ = ["PhaseBlock", "DecoderConfig", "decode_genome"]
+__all__ = ["PhaseBlock", "DecoderConfig", "decode_genome", "genome_flops"]
 
 
 class PhaseBlock(Layer):
@@ -380,21 +380,10 @@ def decode_genome(
     rng = rng if rng is not None else fallback_rng()
     if canonical:
         genome = genome.canonical()
-    if genome.n_phases != len(config.channels):
-        raise ValueError(
-            f"genome has {genome.n_phases} phases but decoder config provides "
-            f"{len(config.channels)} channel widths"
-        )
-    c, h, w = config.input_shape
-    min_extent = 2 ** (genome.n_phases - 1)
-    if min(h, w) < min_extent * 2:
-        raise ValueError(
-            f"input {h}x{w} too small for {genome.n_phases} phases "
-            f"(needs >= {min_extent * 2})"
-        )
+    _check_geometry(genome, config)
 
     layers: list = []
-    in_channels = c
+    in_channels = config.input_shape[0]
     for idx, (phase, width) in enumerate(zip(genome.phases, config.channels)):
         layers.append(
             PhaseBlock(
@@ -412,3 +401,52 @@ def decode_genome(
         input_shape=config.input_shape,
         name=name or f"nsga-{genome.key()}",
     )
+
+
+def _check_geometry(genome: Genome, config: DecoderConfig) -> None:
+    """Reject a genome/config pair :func:`decode_genome` cannot build."""
+    if genome.n_phases != len(config.channels):
+        raise ValueError(
+            f"genome has {genome.n_phases} phases but decoder config provides "
+            f"{len(config.channels)} channel widths"
+        )
+    _, h, w = config.input_shape
+    min_extent = 2 ** (genome.n_phases - 1)
+    if min(h, w) < min_extent * 2:
+        raise ValueError(
+            f"input {h}x{w} too small for {genome.n_phases} phases "
+            f"(needs >= {min_extent * 2})"
+        )
+
+
+def genome_flops(
+    genome: Genome, config: DecoderConfig | None = None, *, canonical: bool = False
+) -> int:
+    """``network_flops(decode_genome(genome, config, canonical=canonical))``
+    from shapes alone: no layer is built and no weight drawn.
+
+    Restates the layers' ``flops`` formulas and the routing sums of
+    :meth:`PhaseBlock.flops`; the equality is property-tested.
+    """
+    config = config or DecoderConfig()
+    if canonical:
+        genome = genome.canonical()
+    _check_geometry(genome, config)
+    in_channels, h, w = config.input_shape
+    total = 0
+    for idx, (phase, width) in enumerate(zip(genome.phases, config.channels)):
+        matrix = phase.connection_matrix()
+        # elementwise sums: extra predecessors per node, extra sinks, skip
+        adds = int(np.maximum(matrix.sum(axis=0) - 1, 0).sum())
+        adds += int((~matrix.any(axis=1)).sum()) - 1 + int(phase.skip)
+        # 1x1 adapter, then per node a 3x3 conv (+bias), batch norm (4) and ReLU (1)
+        per_pixel = (2 * in_channels + 1) * width
+        per_pixel += phase.n_nodes * ((2 * 9 * width + 1) * width + 5 * width)
+        total += (per_pixel + adds * width) * h * w
+        in_channels = width
+        if idx < genome.n_phases - 1:
+            h, w = (h - 2) // 2 + 1, (w - 2) // 2 + 1
+            total += 3 * in_channels * h * w  # 2x2 max pooling
+    total += in_channels * h * w  # global average pooling
+    total += (2 * in_channels + 1) * config.n_classes  # dense head (+bias)
+    return total

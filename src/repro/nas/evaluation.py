@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.engine import PredictionEngine
 from repro.core.plugin import run_training_loop
-from repro.nas.decoder import DecoderConfig, decode_genome
+from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops
 from repro.nas.population import Individual
 from repro.nn.dtype import dtype_label
 from repro.nn.flops import network_flops
@@ -217,7 +217,6 @@ class TrainingEvaluator:
         self.rng_keying = validate_rng_keying(rng_keying)
         self.dataset_key = dataset_key or _dataset_fingerprint(dataset)
         self.arena = bool(arena)
-        self._flops_cache: dict[str, int] = {}
 
     def _stream_ident(self, individual: Individual):
         """What keys this individual's RNG streams (see :data:`RNG_KEYINGS`)."""
@@ -226,24 +225,11 @@ class TrainingEvaluator:
         return individual.model_id
 
     def flops_for(self, genome) -> int:
-        """FLOP count of the decoded network, cached per genome key.
-
-        FLOPs depend only on structure, never on weight values, so a
-        throwaway decode with a fixed generator matches what
-        :meth:`evaluate` will report.  The surrogate budget allocator
-        uses this to run its dominance test before any training.
-        """
-        canonical = self.rng_keying == "genome"
-        key = genome.canonical_key() if canonical else genome.key()
-        if key not in self._flops_cache:
-            network = decode_genome(
-                genome,
-                self.decoder_config,
-                rng=np.random.default_rng(0),
-                canonical=canonical,
-            )
-            self._flops_cache[key] = network_flops(network)
-        return self._flops_cache[key]
+        """FLOPs :meth:`evaluate` will report, known before any training
+        (the surrogate budget allocator's dominance test needs them)."""
+        return genome_flops(
+            genome, self.decoder_config, canonical=self.rng_keying == "genome"
+        )
 
     def memo_key(self, individual: Individual) -> tuple | None:
         """Cache key for this evaluation, or ``None`` when not cacheable.

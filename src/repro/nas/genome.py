@@ -15,6 +15,7 @@ phase; three phases give a 21-bit genome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -206,14 +207,22 @@ class Genome:
         form, which is what the evaluation cache and the genome-keyed
         RNG policy key on (see :meth:`PhaseGenome.canonical`).
         """
-        phases = tuple(p.canonical() for p in self.phases)
-        if all(c is p for c, p in zip(phases, self.phases)):
-            return self
-        return Genome(phases)
+        return self._canonical[0]
 
     def canonical_key(self) -> str:
         """:meth:`key` of the canonical form — equal across isomorphic genomes."""
-        return self.canonical().key()
+        return self._canonical[1]
+
+    @cached_property
+    def _canonical(self) -> tuple:
+        # (canonical form, its key): the permutation search runs once per
+        # genome however many cache, RNG and FLOP lookups ask for it.  Not
+        # a dataclass field, so equality, hashing and to_dict ignore it.
+        phases = tuple(p.canonical() for p in self.phases)
+        if all(c is p for c, p in zip(phases, self.phases)):
+            return self, self.key()
+        form = Genome(phases)
+        return form, form.key()
 
     @property
     def n_connections(self) -> int:

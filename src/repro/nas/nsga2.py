@@ -19,6 +19,7 @@ __all__ = [
     "steady_eviction",
     "binary_tournament",
     "pareto_front_mask",
+    "pareto_front_insert",
 ]
 
 
@@ -38,27 +39,39 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def _dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``dom[i, j]`` = row ``a[i]`` dominates row ``b[j]``.
+
+    One 2-D comparison per objective: reducing a stacked ``(n, n, m)``
+    comparison over its short last axis costs ten times the compares.
+    """
+    less_equal = np.ones((len(a), len(b)), dtype=bool)
+    strictly_less = np.zeros((len(a), len(b)), dtype=bool)
+    for k in range(a.shape[1]):
+        mine, theirs = a[:, k, None], b[None, :, k]
+        less_equal &= mine <= theirs
+        strictly_less |= mine < theirs
+    return less_equal & strictly_less
+
+
 def fast_non_dominated_sort(objectives) -> list[np.ndarray]:
     """Deb's fast non-dominated sort.
 
     Returns fronts as index arrays; front 0 is the Pareto-optimal set.
-    Dominance counting is fully vectorized (pairwise comparisons in one
-    broadcasted pass) — O(m·n²) memory-light boolean work instead of a
-    Python triple loop.
+    Dominance is one vectorized ``(n, n)`` boolean matrix — O(m·n²)
+    time, O(n²) memory — instead of a Python triple loop.  Every
+    selection routine below sorts through here, so this is also where
+    their input is validated, once.
     """
     arr = _as_objectives(objectives)
     n = arr.shape[0]
     if n == 0:
         return []
-    # dom[i, j] = i dominates j
-    less_equal = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-    strictly_less = (arr[:, None, :] < arr[None, :, :]).any(axis=2)
-    dom = less_equal & strictly_less
+    dom = _dominance(arr, arr)
 
-    dominated_count = dom.sum(axis=0)  # how many dominate each j
     fronts: list[np.ndarray] = []
     remaining = np.ones(n, dtype=bool)
-    counts = dominated_count.copy()
+    counts = dom.sum(axis=0)  # how many dominate each j
     while remaining.any():
         current = remaining & (counts == 0)
         if not current.any():
@@ -77,7 +90,11 @@ def crowding_distance(objectives) -> np.ndarray:
     accumulate normalized neighbour gaps.  Constant objectives
     contribute nothing.
     """
-    arr = _as_objectives(objectives)
+    return _crowding(_as_objectives(objectives))
+
+
+def _crowding(arr: np.ndarray) -> np.ndarray:
+    """:func:`crowding_distance` of an already validated array."""
     n, m = arr.shape
     distance = np.zeros(n)
     if n <= 2:
@@ -108,18 +125,19 @@ def crowded_compare(rank_a: int, dist_a: float, rank_b: int, dist_b: float) -> b
 
 def environmental_selection(objectives, k: int) -> np.ndarray:
     """Select ``k`` survivor indices by rank, then crowding within the cut front."""
-    arr = _as_objectives(objectives)
+    arr = np.asarray(objectives, dtype=float)
+    fronts = fast_non_dominated_sort(arr)  # validates arr
     if not 0 <= k <= arr.shape[0]:
         raise ValueError(f"k must be in [0, {arr.shape[0]}], got {k}")
     survivors: list[int] = []
-    for front in fast_non_dominated_sort(arr):
+    for front in fronts:
         if len(survivors) + len(front) <= k:
             survivors.extend(front.tolist())
             if len(survivors) == k:
                 break
         else:
             need = k - len(survivors)
-            dist = crowding_distance(arr[front])
+            dist = _crowding(arr[front])
             # most-crowded-last: take the `need` largest distances
             keep = front[np.argsort(-dist, kind="stable")[:need]]
             survivors.extend(keep.tolist())
@@ -137,11 +155,12 @@ def steady_eviction(objectives) -> int:
     keeps precisely the ``n - 1`` survivors
     ``environmental_selection(objectives, n - 1)`` would keep.
     """
-    arr = _as_objectives(objectives)
+    arr = np.asarray(objectives, dtype=float)
+    fronts = fast_non_dominated_sort(arr)  # validates arr
     if arr.shape[0] < 2:
         raise ValueError("steady eviction needs at least two members")
-    last_front = fast_non_dominated_sort(arr)[-1]
-    dist = crowding_distance(arr[last_front])
+    last_front = fronts[-1]
+    dist = _crowding(arr[last_front])
     # mirror environmental_selection's most-crowded-first stable ordering
     return int(last_front[np.argsort(-dist, kind="stable")[-1]])
 
@@ -154,16 +173,16 @@ def binary_tournament(
     Ranks and crowding are computed once over the whole pool; each
     winner comes from an independent random pairing.
     """
-    arr = _as_objectives(objectives)
+    arr = np.asarray(objectives, dtype=float)
+    fronts = fast_non_dominated_sort(arr)  # validates arr
     n = arr.shape[0]
     if n == 0:
         raise ValueError("cannot run a tournament on an empty pool")
-    fronts = fast_non_dominated_sort(arr)
     ranks = np.empty(n, dtype=int)
     distances = np.empty(n)
     for rank, front in enumerate(fronts):
         ranks[front] = rank
-        distances[front] = crowding_distance(arr[front])
+        distances[front] = _crowding(arr[front])
 
     winners = np.empty(n_winners, dtype=int)
     for t in range(n_winners):
@@ -175,7 +194,22 @@ def binary_tournament(
 def pareto_front_mask(objectives) -> np.ndarray:
     """Boolean mask of Pareto-optimal individuals (minimization)."""
     arr = _as_objectives(objectives)
-    mask = np.zeros(arr.shape[0], dtype=bool)
-    if arr.shape[0]:
-        mask[fast_non_dominated_sort(arr)[0]] = True
-    return mask
+    return ~_dominance(arr, arr).any(axis=0)
+
+
+def pareto_front_insert(front, point) -> np.ndarray | None:
+    """One step of an incrementally maintained Pareto front.
+
+    ``front`` is the ``(f, m)`` objectives of a mutually non-dominated
+    set, ``point`` one new ``(m,)`` candidate.  ``None`` when a member
+    dominates ``point`` (the front stands); otherwise the mask of the
+    members ``point`` does *not* dominate — they survive, in order, and
+    ``point`` joins behind them.  Equal points neither dominate nor are
+    dominated, so duplicates accumulate as :func:`pareto_front_mask`
+    keeps them: at every prefix both select the same members.
+    """
+    front = _as_objectives(front)
+    point = _as_objectives(np.asarray(point, dtype=float)[None, :])
+    if _dominance(front, point).any():
+        return None
+    return ~_dominance(point, front)[0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.nas.genome import Genome, random_genome
 from repro.nas.nsga2 import (
     binary_tournament,
     environmental_selection,
+    pareto_front_insert,
     pareto_front_mask,
     steady_eviction,
 )
@@ -42,7 +43,10 @@ __all__ = [
     "SearchState",
     "NSGANet",
     "EvalStream",
+    "SteadyState",
+    "STEADY_START",
     "steady_insert",
+    "replay_steady",
 ]
 
 _LOG = get_logger("nas.search")
@@ -97,22 +101,58 @@ class _InlineStream:
         pass
 
 
-def steady_insert(
-    members: list[Individual], individual: Individual, population_size: int
-) -> list[Individual]:
-    """One-in/one-out environmental selection step.
+class SteadyState(NamedTuple):
+    """What steady-state breeding reads, as of one commit.
 
-    Adds ``individual`` to ``members``; once the population is full,
-    evicts exactly one member (worst rank, least crowded — see
-    :func:`~repro.nas.nsga2.steady_eviction`).  Survivor order is
-    insertion order, which keeps the replayed population byte-stable.
+    The population and the non-dominated front of the whole archive,
+    both in commit order, each beside its ``(n, 2)`` objectives.  Never
+    mutated: :func:`steady_insert` builds the next state, so a candidate
+    bred at commit ``g - lag`` can pin the one it was bred from.
     """
-    combined = list(members) + [individual]
-    if len(combined) <= population_size:
-        return combined
-    objectives = np.array([m.objectives() for m in combined], dtype=float)
-    victim = steady_eviction(objectives)
-    return [m for i, m in enumerate(combined) if i != victim]
+
+    members: list
+    objectives: np.ndarray
+    front: list
+    front_objectives: np.ndarray
+
+
+#: the state before the first commit
+STEADY_START = SteadyState([], np.empty((0, 2)), [], np.empty((0, 2)))
+
+
+def steady_insert(
+    state: SteadyState, individual: Individual, population_size: int
+) -> SteadyState:
+    """Commit one settled individual: the state after it.
+
+    The population takes one in and, once full, puts one out (worst
+    rank, least crowded — :func:`~repro.nas.nsga2.steady_eviction`);
+    survivor order is insertion order, which keeps the replayed
+    population byte-stable.  The front is updated in O(|front|)
+    (:func:`~repro.nas.nsga2.pareto_front_insert`) and so always equals,
+    members and order, ``pareto_front_mask`` over the archive so far.
+    """
+    row = np.array([individual.objectives()], dtype=float)
+    members = state.members + [individual]
+    objectives = np.concatenate((state.objectives, row))
+    if len(members) > population_size:
+        victim = steady_eviction(objectives)
+        del members[victim]
+        objectives = np.delete(objectives, victim, axis=0)
+    front, front_objectives = state.front, state.front_objectives
+    keep = pareto_front_insert(front_objectives, row[0])
+    if keep is not None:
+        front = [m for m, kept in zip(front, keep) if kept] + [individual]
+        front_objectives = np.concatenate((front_objectives[keep], row))
+    return SteadyState(members, objectives, front, front_objectives)
+
+
+def replay_steady(archive_members, population_size: int):
+    """Yield the :class:`SteadyState` after each archived commit, in tick order."""
+    state = STEADY_START
+    for individual in archive_members:
+        state = steady_insert(state, individual, population_size)
+        yield state
 
 
 @dataclass(frozen=True)
@@ -250,6 +290,10 @@ class SearchState:
         Model id the next created individual receives.
     generation_stats:
         Stats of the generations already completed.
+    steady_window:
+        Steady mode: the :class:`SteadyState` after each of the last
+        ``steady_lag`` commits, newest last, for rebreeding the in-flight
+        backlog; given fewer, the search replays the archive itself.
     """
 
     population: Population
@@ -257,6 +301,7 @@ class SearchState:
     next_generation: int
     next_model_id: int
     generation_stats: list = field(default_factory=list)
+    steady_window: list = field(default_factory=list)
 
 
 @dataclass
@@ -479,34 +524,20 @@ class NSGANet:
 
     # -- steady-state mode -------------------------------------------------
 
-    def _steady_pool(
-        self, members: list[Individual], archive_members: list[Individual]
-    ) -> list[Individual]:
-        """Breeding pool: current population plus the non-dominated archive."""
-        pool = list(members)
-        present = {m.model_id for m in pool}
-        if archive_members:
-            objectives = np.array(
-                [m.objectives() for m in archive_members], dtype=float
-            )
-            for member, keep in zip(archive_members, pareto_front_mask(objectives)):
-                if keep and member.model_id not in present:
-                    pool.append(member)
-                    present.add(member.model_id)
-        return pool
-
-    def _breed_steady(
-        self, g: int, members: list[Individual], archive_members: list[Individual]
-    ) -> Individual:
+    def _breed_steady(self, g: int, state: SteadyState) -> Individual:
         """Breed offspring ``g`` from a pinned logical-clock state.
 
-        The RNG is keyed by the candidate's global index, never by wall
-        time or completion order, so breeding is reproducible from the
-        clock alone.
+        The breeding pool is the pinned population plus the archive
+        front's members outside it.  The RNG is keyed by the candidate's
+        global index, never by wall time or completion order, so
+        breeding is reproducible from the clock alone.
         """
         rng = self.rng_stream.generator("steady-variation", g)
-        pool = self._steady_pool(members, archive_members)
-        objectives = np.array([m.objectives() for m in pool], dtype=float)
+        members = state.members
+        present = {m.model_id for m in members}
+        extra = [i for i, m in enumerate(state.front) if m.model_id not in present]
+        pool = members + [state.front[i] for i in extra]
+        objectives = np.concatenate((state.objectives, state.front_objectives[extra]))
         parent_idx = binary_tournament(objectives, rng, n_winners=2)
         a = pool[int(parent_idx[0])].genome
         b = pool[int(parent_idx[1])].genome
@@ -569,7 +600,7 @@ class NSGANet:
                 )
                 for _ in range(population_size)
             ]
-            population = Population([])
+            state = STEADY_START
             archive = Population([])
             generation_stats: list[GenerationStats] = []
             committed = 0
@@ -587,24 +618,18 @@ class NSGANet:
                     f"{committed} members but next_model_id is {resume.next_model_id}"
                 )
             self._next_model_id = resume.next_model_id
-            # Replay the one-in/one-out commits to re-derive the population
-            # states the in-flight window was bred from: offspring g needs
-            # the snapshot after commit g - lag, which for the backlog
-            # g = committed..committed+lag-1 lies in the last `lag` commits.
-            history: dict[int, list[Individual]] = {}
-            members: list[Individual] = []
-            for tick, individual in enumerate(archive.members, start=1):
-                members = steady_insert(members, individual, population_size)
-                if tick > committed - lag:
-                    history[tick] = list(members)
-            population = Population(members)
+            # The in-flight window is rebred from the states it was bred
+            # from: offspring g needs the state after commit g - lag, which
+            # for the backlog g = committed..committed+lag-1 lies in the
+            # last `lag` commits.
+            window = resume.steady_window
+            if len(window) < min(lag, committed):
+                window = deque(replay_steady(archive.members, population_size), maxlen=lag)
+            state = window[-1]
             next_submit = committed
             while next_submit < total and max(1, next_submit - lag + 1) <= committed:
                 pinned = max(1, next_submit - lag + 1)
-                child = self._breed_steady(
-                    next_submit, history[pinned], archive.members[:pinned]
-                )
-                submit(child)
+                submit(self._breed_steady(next_submit, window[pinned - committed - 1]))
                 next_submit += 1
 
         while committed < total:
@@ -621,9 +646,7 @@ class NSGANet:
                 individual = pending.pop(committed)
                 individual.logical_tick = committed
                 archive.append(individual)
-                population.members = steady_insert(
-                    population.members, individual, population_size
-                )
+                state = steady_insert(state, individual, population_size)
                 stream.on_commit(individual)
                 if self.on_individual is not None:
                     self.on_individual(individual)
@@ -639,23 +662,22 @@ class NSGANet:
                         else (committed - population_size) // per_generation
                     )
                     generation_stats.append(
-                        self._record_generation(generation, chunk, population)
+                        self._record_generation(
+                            generation, chunk, Population(state.members)
+                        )
                     )
                     chunk = []
                 # Breed every candidate whose pinned state just became
                 # current; pumping after *each* commit keeps the breeding
                 # state exactly at commit g - lag.
                 while next_submit < total and max(1, next_submit - lag + 1) <= committed:
-                    child = self._breed_steady(
-                        next_submit, population.members, archive.members
-                    )
-                    submit(child)
+                    submit(self._breed_steady(next_submit, state))
                     next_submit += 1
         stream.finish()
 
         return SearchResult(
             archive=archive,
-            population=population,
+            population=Population(state.members),
             generations=generation_stats,
             config=config,
         )

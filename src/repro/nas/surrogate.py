@@ -33,7 +33,8 @@ import numpy as np
 from repro.core.engine import PredictionEngine
 from repro.core.fitting import RidgeFit, ridge_lstsq
 from repro.core.plugin import run_training_loop
-from repro.nas.decoder import DecoderConfig, decode_genome
+# decode_genome is not called here any more; bench_spine wraps it by this name
+from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops  # noqa: F401
 from repro.nas.evaluation import (
     _engine_fingerprint,
     effective_budget,
@@ -42,7 +43,6 @@ from repro.nas.evaluation import (
 )
 from repro.nas.genome import Genome, PhaseGenome, n_connection_bits
 from repro.nas.population import Individual
-from repro.nn.flops import network_flops
 from repro.scheduler.costmodel import EpochCostModel
 from repro.utils.rng import RngStream
 from repro.utils.validation import ValidationError
@@ -260,28 +260,13 @@ class SurrogateEvaluator:
         self.observers = list(observers or [])
         self.regime = regime or REGIMES[intensity]
         self.rng_keying = validate_rng_keying(rng_keying)
-        self._flops_cache: dict[str, int] = {}
 
     def flops_for(self, genome: Genome) -> int:
-        """FLOP count of the decoded network, cached per genome key.
-
-        Public because the surrogate budget allocator needs FLOPs
-        *before* evaluation to run its dominance test.
-        """
-        # canonical keying shares one FLOP count (and one decode) across
-        # an isomorphism class; relabeling preserves FLOPs, so the values
-        # agree with legacy per-raw-genome counting either way
-        canonical = self.rng_keying == "genome"
-        key = genome.canonical_key() if canonical else genome.key()
-        if key not in self._flops_cache:
-            network = decode_genome(
-                genome,
-                self.decoder_config,
-                rng=np.random.default_rng(0),
-                canonical=canonical,
-            )
-            self._flops_cache[key] = network_flops(network)
-        return self._flops_cache[key]
+        """FLOPs of the network the genome decodes to, known before
+        evaluation (the budget allocator's dominance test needs them)."""
+        return genome_flops(
+            genome, self.decoder_config, canonical=self.rng_keying == "genome"
+        )
 
     def _stream_ident(self, individual: Individual):
         if self.rng_keying == "genome":

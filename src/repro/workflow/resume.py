@@ -16,6 +16,8 @@ given the records), and hands the search a
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro.core.plugin import TrainingResult
@@ -25,7 +27,7 @@ from repro.nas.evaluation import effective_budget
 from repro.nas.genome import Genome
 from repro.nas.nsga2 import environmental_selection, pareto_front_mask
 from repro.nas.population import Individual, Population
-from repro.nas.search import GenerationStats, SearchState, steady_insert
+from repro.nas.search import GenerationStats, SearchState, replay_steady
 from repro.utils.logging import get_logger
 
 __all__ = ["individual_from_record", "rebuild_search_state", "resume_workflow"]
@@ -140,6 +142,7 @@ def _rebuild_steady(
     population_size: int,
     offspring_per_generation: int,
     max_epochs: int | None = None,
+    steady_lag: int = 1,
 ) -> SearchState:
     """Steady-mode rebuild: replay one-in/one-out commits in tick order.
 
@@ -147,7 +150,9 @@ def _rebuild_steady(
     prefix is the maximal contiguous run of complete records starting at
     model 0, cut back to a whole stats chunk so pseudo-generation stats
     stay exact.  Models past the cut are re-evaluated identically on
-    resume (the logical clock re-breeds them from the same states).
+    resume (the logical clock re-breeds them from the same states, the
+    last ``steady_lag`` of which travel on the returned state so the
+    search does not replay the archive again).
     """
     ordered = sorted(records, key=lambda r: r.model_id)
     prefix: list[ModelRecord] = []
@@ -166,15 +171,14 @@ def _rebuild_steady(
     usable = population_size + (chunks - 1) * offspring_per_generation
     prefix = prefix[:usable]
 
-    members: list[Individual] = []
-    archive_members: list[Individual] = []
+    archive_members = [individual_from_record(record) for record in prefix]
+    window: deque = deque(maxlen=steady_lag)
     stats: list[GenerationStats] = []
     chunk: list[Individual] = []
-    for tick, record in enumerate(prefix):
-        individual = individual_from_record(record)
+    states = replay_steady(archive_members, population_size)
+    for tick, (individual, state) in enumerate(zip(archive_members, states)):
         individual.logical_tick = tick
-        archive_members.append(individual)
-        members = steady_insert(members, individual, population_size)
+        window.append(state)
         chunk.append(individual)
         committed = tick + 1
         if committed == population_size or (
@@ -186,14 +190,17 @@ def _rebuild_steady(
                 if committed == population_size
                 else (committed - population_size) // offspring_per_generation
             )
-            stats.append(_batch_stats(generation, chunk, Population(members), max_epochs))
+            stats.append(
+                _batch_stats(generation, chunk, Population(state.members), max_epochs)
+            )
             chunk = []
     return SearchState(
-        population=Population(members),
+        population=Population(state.members),
         archive=Population(archive_members),
         next_generation=len(stats),
         next_model_id=usable,
         generation_stats=stats,
+        steady_window=list(window),
     )
 
 
@@ -204,6 +211,7 @@ def rebuild_search_state(
     offspring_per_generation: int,
     evolution: str = "barrier",
     max_epochs: int | None = None,
+    steady_lag: int = 1,
 ) -> SearchState:
     """Rebuild the search state from the complete generations in ``records``.
 
@@ -213,10 +221,12 @@ def rebuild_search_state(
     commits in logical-tick order instead of per-generation batches.
     ``max_epochs`` (the full per-model budget) is needed to rebuild the
     surrogate ``epochs_skipped`` stat; ``None`` reports zero skips.
+    ``steady_lag`` (the run's breeding lag) is how many of the replayed
+    steady states the result carries for rebreeding the in-flight window.
     """
     if evolution == "steady":
         return _rebuild_steady(
-            records, population_size, offspring_per_generation, max_epochs
+            records, population_size, offspring_per_generation, max_epochs, steady_lag
         )
     by_generation: dict[int, list[ModelRecord]] = {}
     for record in records:
@@ -286,12 +296,15 @@ def resume_workflow(commons: DataCommons, run_id: str):
         raise ValueError(f"run {run_id!r} has no stored configuration")
     config = WorkflowConfig.from_dict(run.workflow_config)
     records = commons.load_models(run_id)
+    orchestrator = A4NNOrchestrator(config, commons=commons)
+    nas = orchestrator.effective_nas()
     state = rebuild_search_state(
         records,
         population_size=config.nas.population_size,
         offspring_per_generation=config.nas.offspring_per_generation,
         evolution=config.nas.evolution,
         max_epochs=config.nas.max_epochs,
+        steady_lag=nas.steady_lag or 1,
     )
     _LOG.info(
         "resuming run %s from generation %d (%d models already evaluated)",
@@ -307,7 +320,6 @@ def resume_workflow(commons: DataCommons, run_id: str):
             return record.model_id < state.next_model_id
         return record.generation < state.next_generation
 
-    orchestrator = A4NNOrchestrator(config, commons=commons)
     engine = orchestrator.build_engine()
     tracker = LineageTracker(
         engine_parameters=engine.describe() if engine else None,
@@ -349,7 +361,6 @@ def resume_workflow(commons: DataCommons, run_id: str):
             if orchestrator.memoizer.prime(individual, epoch_trace=trace):
                 primed += 1
         _LOG.info("primed evaluation cache with %d restored evaluations", primed)
-    nas = orchestrator.effective_nas()
     steady = nas.evolution == "steady"
     search = NSGANet(
         nas,

@@ -96,15 +96,18 @@ class TestSurrogateEvaluator:
         evaluator.evaluate(individual)
         assert individual.result.epochs_trained == evaluator.max_epochs
 
-    def test_flops_cached_per_genome(self, rng):
+    def test_flops_are_the_decoded_networks(self, rng):
+        from repro.nas.decoder import decode_genome
+        from repro.nn.flops import network_flops
+
         evaluator = self._evaluator()
         genome = random_genome(rng)
         a = Individual(genome, 0, 0)
         b = Individual(genome, 1, 0)
         evaluator.evaluate(a)
         evaluator.evaluate(b)
-        assert a.flops == b.flops
-        assert len(evaluator._flops_cache) == 1
+        decoded = network_flops(decode_genome(genome, evaluator.decoder_config))
+        assert a.flops == b.flops == evaluator.flops_for(genome) == decoded
 
     def test_observer_called_per_epoch(self, rng):
         calls = []
@@ -445,17 +448,18 @@ class TestSteadySearch:
 
 class TestSteadyInsert:
     def test_grows_until_full(self, rng):
-        from repro.nas.search import steady_insert
+        from repro.nas.search import STEADY_START, steady_insert
 
-        members = []
+        state = STEADY_START
         for i in range(3):
             ind = Individual(random_genome(rng), i, 0, fitness=50.0 + i, flops=100)
-            members = steady_insert(members, ind, population_size=3)
-        assert [m.model_id for m in members] == [0, 1, 2]
+            state = steady_insert(state, ind, population_size=3)
+        assert [m.model_id for m in state.members] == [0, 1, 2]
+        assert state.objectives.tolist() == [list(m.objectives()) for m in state.members]
 
     def test_evicts_exactly_one_preserving_order(self, rng):
         from repro.nas.nsga2 import steady_eviction
-        from repro.nas.search import steady_insert
+        from repro.nas.search import replay_steady
 
         members = [
             Individual(random_genome(rng), i, 0, fitness=50.0 + i, flops=100 * (i + 1))
@@ -465,11 +469,14 @@ class TestSteadyInsert:
         combined = members + [incoming]
         objectives = np.array([m.objectives() for m in combined])
         victim = steady_eviction(objectives)
-        survivors = steady_insert(list(members), incoming, population_size=4)
+        *_, full, after = replay_steady(combined, population_size=4)
+        assert full.members == members
+        survivors = after.members
         assert len(survivors) == 4
         assert [m.model_id for m in survivors] == [
             m.model_id for i, m in enumerate(combined) if i != victim
         ]
+        assert after.objectives.tolist() == [list(m.objectives()) for m in survivors]
 
 
 class TestTrainingEvaluatorIntegration:

@@ -1,0 +1,273 @@
+"""Equivalence tests for the steady-state fast paths.
+
+Each fast path keeps the expression or the loop it replaced as the
+reference, here in the tests: the stacked-broadcast dominance matrix,
+the batch Pareto mask over an archive prefix, the list-based
+one-in/one-out insert, the decoded network's FLOP count,
+``dataclasses.asdict`` and the bytes the parent commit published.
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.lineage import DataCommons
+from repro.lineage.records import EpochRecord, ModelRecord, RunRecord
+from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops
+from repro.nas.genome import Genome, n_connection_bits
+from repro.nas.nsga2 import (
+    _dominance,
+    fast_non_dominated_sort,
+    pareto_front_insert,
+    pareto_front_mask,
+    steady_eviction,
+)
+from repro.nas.population import Individual
+from repro.nas.search import NSGANetConfig, replay_steady
+from repro.nas.surrogate import SurrogateConfig
+from repro.nn.flops import network_flops
+from repro.workflow import resume_workflow, run_workflow
+from repro.workflow.interfaces import WorkflowConfig
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+# -- strategies ---------------------------------------------------------------
+
+# a coarse grid, so ties in one objective and exact duplicates are the norm
+_levels = st.integers(0, 3).map(float)
+
+
+@st.composite
+def objective_arrays(draw, min_rows=0, max_rows=12, widths=(1, 2, 3)):
+    m = draw(st.sampled_from(widths))
+    rows = draw(
+        st.lists(st.tuples(*[_levels] * m), min_size=min_rows, max_size=max_rows)
+    )
+    return np.array(rows, dtype=float).reshape(len(rows), m)
+
+
+@st.composite
+def decodable_genomes(draw):
+    nodes = draw(st.sampled_from((3, 4)))
+    width = (n_connection_bits(nodes) + 1) * 3
+    bits = draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+    return Genome.from_bits(bits, (nodes,) * 3)
+
+
+def broadcast_dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The expression ``_dominance`` replaced: one stacked (n, n, m) compare."""
+    less_equal = (a[:, None, :] <= b[None, :, :]).all(axis=2)
+    strictly_less = (a[:, None, :] < b[None, :, :]).any(axis=2)
+    return less_equal & strictly_less
+
+
+class TestDominanceKernel:
+    @given(objective_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_broadcast_expression(self, arr):
+        assert np.array_equal(_dominance(arr, arr), broadcast_dominance(arr, arr))
+
+    @given(objective_arrays(widths=(2,)), objective_arrays(widths=(2,)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_broadcast_expression_between_two_sets(self, a, b):
+        assert np.array_equal(_dominance(a, b), broadcast_dominance(a, b))
+
+    @given(objective_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_front_mask_is_the_first_front(self, arr):
+        fronts = fast_non_dominated_sort(arr)
+        expected = np.zeros(len(arr), dtype=bool)
+        if fronts:
+            expected[fronts[0]] = True
+        assert np.array_equal(pareto_front_mask(arr), expected)
+
+
+class TestIncrementalFront:
+    @given(objective_arrays(widths=(2, 3)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_batch_mask_at_every_prefix(self, arr):
+        front: list[int] = []
+        for k, point in enumerate(arr):
+            keep = pareto_front_insert(arr[front], point)
+            if keep is not None:
+                front = [i for i, kept in zip(front, keep) if kept] + [k]
+            assert front == np.flatnonzero(pareto_front_mask(arr[: k + 1])).tolist()
+
+    @given(
+        st.lists(st.tuples(st.integers(50, 53), st.integers(1, 4)), max_size=14),
+        st.integers(2, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_steady_states_match_the_batch_replay(self, outcomes, population_size):
+        genome = Genome.from_bits([0] * 21, (4, 4, 4))
+        archive = [
+            Individual(genome, i, 0, fitness=float(fitness), flops=100 * flops)
+            for i, (fitness, flops) in enumerate(outcomes)
+        ]
+        members: list[Individual] = []
+        for k, state in enumerate(replay_steady(archive, population_size)):
+            # the list-based insert the state-based one replaced
+            members = members + [archive[k]]
+            if len(members) > population_size:
+                del members[
+                    steady_eviction(np.array([m.objectives() for m in members]))
+                ]
+            seen = archive[: k + 1]
+            mask = pareto_front_mask(np.array([m.objectives() for m in seen]))
+            assert state.members == members
+            assert state.front == [m for m, kept in zip(seen, mask) if kept]
+            for held, rows in (
+                (state.members, state.objectives),
+                (state.front, state.front_objectives),
+            ):
+                assert rows.tolist() == [list(m.objectives()) for m in held]
+
+
+class TestGenomeFlops:
+    @given(decodable_genomes(), st.booleans(), st.sampled_from((16, 20, 32)))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_decoded_networks_flops(self, genome, canonical, size):
+        config = DecoderConfig(input_shape=(1, size, size), n_classes=2)
+        network = decode_genome(
+            genome, config, rng=np.random.default_rng(0), canonical=canonical
+        )
+        flops = genome_flops(genome, config, canonical=canonical)
+        assert type(flops) is int
+        assert flops == network_flops(network)
+
+
+# -- record serialisation -----------------------------------------------------------
+
+
+def full_record() -> ModelRecord:
+    epochs = [
+        dataclasses.asdict(
+            EpochRecord(
+                epoch=e,
+                validation_accuracy=60.0 + e,
+                train_accuracy=58.5 + e,
+                train_loss=1.0 / e,
+                epoch_seconds=0.25 * e,
+                prediction=None if e < 3 else 90.5,
+                checkpoint={"path": f"model_7/epoch_{e}", "arrays": ["w", "b"]},
+            )
+        )
+        for e in range(1, 5)
+    ]
+    return ModelRecord(
+        model_id=7,
+        generation=2,
+        genome={"nodes_per_phase": [4, 4, 4], "bits": [0, 1] * 10 + [1]},
+        flops=123456,
+        fitness=91.25,
+        measured_fitness=90.0,
+        terminated_early=True,
+        epochs_trained=4,
+        max_epochs=8,
+        fitness_history=[61.0, 62.0, 63.0, 64.0],
+        prediction_history=[None, None, 90.5, 90.5],
+        epochs=epochs,
+        architecture=[
+            {"index": 0, "layer": "PhaseBlock", "config": {"bits": [0, 1], "dims": (8, 8)},
+             "output_shape": [8, 32, 32], "params": 10, "flops": 20}
+        ],
+        engine_parameters={"e_pred": 8, "function": "pow3"},
+        engine_overhead_seconds=0.125,
+        training_parameters={"mode": "surrogate", "max_epochs": 8},
+        fault={"kind": "numerical", "message": "nan in loss", "context": {"layer": 3}},
+        fault_events=[
+            {"attempt": 0, "kind": "crash", "action": "retry", "backoff": 0.5},
+            {"attempt": 1, "kind": "timeout", "action": "quarantine", "backoff": None},
+        ],
+        quarantined=True,
+        cache_hit=True,
+        cache_source=3,
+        logical_tick=7,
+        arena_enabled=True,
+        arena_peak_bytes=4096,
+        predicted_fitness=88.75,
+        predicted_rank=2,
+        budget_assigned=1,
+        skip_reason="predicted_loser",
+    )
+
+
+class TestRecordSerialisation:
+    def test_to_dict_is_asdict_in_value_and_key_order(self):
+        run = RunRecord(
+            run_id="r",
+            intensity="medium",
+            nas_parameters={"population_size": 4},
+            engine_parameters=None,
+            workflow_config={"nas": {"generations": 3}, "n_gpus": [1, 4]},
+            generation_stats=[{"generation": 0, "best_fitness": 90.0}],
+        )
+        for record in (full_record(), run, EpochRecord(epoch=1, validation_accuracy=5.0)):
+            ours, reference = record.to_dict(), dataclasses.asdict(record)
+            assert ours == reference
+            assert list(ours) == list(reference)
+            assert json.dumps(ours) == json.dumps(reference)
+
+    def test_to_dict_shares_nothing_mutable_with_the_record(self):
+        record = full_record()
+        copy = record.to_dict()
+        copy["epochs"][0]["checkpoint"]["arrays"].append("x")
+        copy["fault_events"][0]["kind"] = "edited"
+        copy["architecture"][0]["config"]["bits"].clear()
+        copy["fitness_history"].append(0.0)
+        assert record.to_dict() == dataclasses.asdict(full_record())
+
+
+# -- published bytes ---------------------------------------------------------------
+
+
+def published_digests(root: Path) -> dict:
+    """sha256 of every file a seeded steady search publishes, then republishes
+    after losing its second half and resuming.
+
+    Engine-less surrogate mode has no wall-clock field, so the bytes are a
+    pure function of the seed.  ``tests/fixtures/make_published_digests.py``
+    wrote the fixture from this function at the parent of the commit that
+    replaced ``asdict``.
+    """
+    config = WorkflowConfig(
+        nas=NSGANetConfig(
+            population_size=6,
+            offspring_per_generation=6,
+            generations=5,
+            max_epochs=6,
+            evolution="steady",
+        ),
+        engine=None,
+        mode="surrogate",
+        n_workers=2,
+        surrogate=SurrogateConfig(min_records=4),
+        seed=29,
+        run_id="published-digests",
+    )
+
+    def digests(stage: str) -> dict:
+        return {
+            f"{stage}/{path.relative_to(root)}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*.json"))
+        }
+
+    run_workflow(config, commons_path=root)
+    found = digests("run")
+    for path in (root / "runs" / config.run_id / "models").glob("model_*.json"):
+        if int(path.stem.split("_")[1]) >= config.nas.total_evaluations // 2:
+            path.unlink()
+    resume_workflow(DataCommons(root), config.run_id)
+    found.update(digests("resumed"))
+    return found
+
+
+class TestPublishedBytes:
+    def test_published_run_is_byte_identical_to_the_parent_commits(self, tmp_path):
+        expected = json.loads((FIXTURES / "published_digests.json").read_text())
+        assert published_digests(tmp_path) == expected
