@@ -28,8 +28,8 @@ test:
 bench:
 	$(PYTHON) -m repro bench --compare BENCH_evalpath.json --min-speedup 1.2
 
-# kernel-tier smoke: alloc-vs-arena microbenches only (seconds, not
-# minutes — skips the end-to-end searches); the CI job runs this
+# kernel-tier smoke: kernel microbenches only (seconds, not minutes —
+# skips the end-to-end searches); the CI job runs this
 bench-kernels:
 	$(PYTHON) -m repro bench --kernels-only --repeats 1
 

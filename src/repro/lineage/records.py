@@ -99,8 +99,9 @@ class ModelRecord:
     # this model's result entered the population (equal to model_id by
     # construction); None for barrier-mode and historical records
     logical_tick: int | None = None
-    # whether training ran on the buffer-arena kernel fast path, and the
-    # arena's peak scratch footprint for the evaluation (0 = disabled)
+    # the network arena's peak scratch footprint for the evaluation;
+    # arena_enabled is kept for the published schema and is always
+    # arena_peak_bytes > 0 (False for surrogate-mode models)
     arena_enabled: bool = False
     arena_peak_bytes: int = 0
     # surrogate pre-ranking audit trail: the cross-architecture

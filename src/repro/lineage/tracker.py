@@ -95,8 +95,8 @@ class LineageTracker:
         record.cache_hit = bool(individual.cache_hit)
         record.cache_source = individual.cache_source
         record.logical_tick = individual.logical_tick
-        record.arena_enabled = bool(individual.arena_enabled)
         record.arena_peak_bytes = int(individual.arena_peak_bytes)
+        record.arena_enabled = record.arena_peak_bytes > 0
         record.predicted_fitness = individual.predicted_fitness
         record.predicted_rank = individual.predicted_rank
         record.budget_assigned = individual.budget_assigned

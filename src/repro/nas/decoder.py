@@ -137,11 +137,6 @@ class PhaseBlock(Layer):
         for prefix, layer in self._sublayers():
             layer.bind_arena(arena, f"{self._arena_owner}.{prefix}")
 
-    def unbind_arena(self) -> None:
-        super().unbind_arena()
-        for _, layer in self._sublayers():
-            layer.unbind_arena()
-
     # -- computation -------------------------------------------------------------
 
     def _run_node(self, idx: int, x: np.ndarray, training: bool) -> np.ndarray:
@@ -155,37 +150,8 @@ class PhaseBlock(Layer):
         return grad
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if self._arena is not None:
-            return self._forward_arena(x, training)
-        adapted = self.adapter.forward(x, training=training)
-        outputs: list[np.ndarray] = []
-        n_input_consumers = 0
-        for j in range(self.genome.n_nodes):
-            preds = self._preds[j]
-            if preds:
-                node_in = outputs[preds[0]]
-                for p in preds[1:]:
-                    node_in = node_in + outputs[p]
-            else:
-                node_in = adapted
-                n_input_consumers += 1
-            outputs.append(self._run_node(j, node_in, training=training))
-
-        result = outputs[self._sinks[0]]
-        for j in self._sinks[1:]:
-            result = result + outputs[j]
-        if self.genome.skip:
-            result = result + adapted
-        self._training_mode = training
-        return result
-
-    def _forward_arena(self, x: np.ndarray, training: bool) -> np.ndarray:
-        """The DAG traversal with every elementwise sum in pinned scratch.
-
-        Node outputs live in each node's own arena buffers (distinct
-        owner paths), so they stay valid for the whole phase pass; the
-        sums replicate the legacy left-to-right order bit-for-bit.
-        """
+        # node outputs live in each node's own scratch (distinct owner
+        # paths), so they stay valid for the whole phase pass
         adapted = self.adapter.forward(x, training=training)
         outputs: list[np.ndarray] = []
         for j in range(self.genome.n_nodes):
@@ -217,44 +183,11 @@ class PhaseBlock(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if not getattr(self, "_training_mode", False):
             raise RuntimeError("backward called before a training-mode forward")
-        if self._arena is not None:
-            return self._backward_arena(grad_out)
-        n = self.genome.n_nodes
-        node_grads: list = [None] * n
-        for j in self._sinks:
-            node_grads[j] = grad_out.copy()  # a4nn: noqa(PERF003) -- byte-exact legacy path (float64 replay); the arena path pins these
-        adapted_grad = grad_out.copy() if self.genome.skip else None
-
-        for j in reversed(range(n)):
-            if node_grads[j] is None:
-                # unreachable by construction: every node is a sink or
-                # has successors that already deposited a gradient
-                continue
-            grad_in = self._backprop_node(j, node_grads[j])
-            preds = self._preds[j]
-            if preds:
-                for p in preds:
-                    if node_grads[p] is None:
-                        node_grads[p] = grad_in.copy()  # a4nn: noqa(PERF003) -- byte-exact legacy path (float64 replay)
-                    else:
-                        node_grads[p] += grad_in
-            else:
-                if adapted_grad is None:
-                    adapted_grad = grad_in.copy()  # a4nn: noqa(PERF003) -- byte-exact legacy path (float64 replay)
-                else:
-                    adapted_grad += grad_in
-        return self.adapter.backward(adapted_grad)
-
-    def _backward_arena(self, grad_out: np.ndarray) -> np.ndarray:
-        """Reverse DAG traversal with per-node gradient accumulators pinned.
-
-        Each node's running gradient is copied into its own ``ng{j}``
-        buffer the moment it first arrives (mirroring the legacy
-        ``.copy()``), so later in-place ``+=`` accumulation can never
-        alias an upstream layer's scratch.
-        """
         n = self.genome.n_nodes
         dt = grad_out.dtype
+        # a node's running gradient is copied into its own ``ng{j}``
+        # scratch the moment it first arrives, so the in-place ``+=``
+        # below can never alias the scratch of the layer that produced it
         node_grads: list = [None] * n
         for j in self._sinks:
             buf = self._buf(f"ng{j}", grad_out.shape, dt)
@@ -267,6 +200,8 @@ class PhaseBlock(Layer):
 
         for j in reversed(range(n)):
             if node_grads[j] is None:
+                # unreachable by construction: every node is a sink or
+                # has successors that already deposited a gradient
                 continue
             grad_in = self._backprop_node(j, node_grads[j])
             preds = self._preds[j]

@@ -57,9 +57,7 @@ class CacheEntry:
     epoch_seconds: list
     result: object  # TrainingResult of the source evaluation
     epoch_trace: list  # [(epoch, fitness, prediction), ...] for observer replay
-    # arena provenance of the source evaluation; the memo key carries
-    # the arena flag, so hits can only restore a matching configuration
-    arena_enabled: bool = False
+    # arena scratch footprint of the source evaluation
     arena_peak_bytes: int = 0
 
 
@@ -199,7 +197,6 @@ class MemoizingEvaluator:
         individual.epoch_seconds = list(entry.epoch_seconds)
         individual.cache_hit = True
         individual.cache_source = entry.source_model_id
-        individual.arena_enabled = entry.arena_enabled
         individual.arena_peak_bytes = entry.arena_peak_bytes
         self._replay_observers(individual, entry)
         _LOG.debug(
@@ -234,7 +231,6 @@ class MemoizingEvaluator:
             epoch_seconds=list(individual.epoch_seconds),
             result=copy.deepcopy(individual.result),
             epoch_trace=list(trace),
-            arena_enabled=bool(individual.arena_enabled),
             arena_peak_bytes=int(individual.arena_peak_bytes),
         )
 

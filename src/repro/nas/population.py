@@ -62,12 +62,10 @@ class Individual:
         population (equal to ``model_id`` by construction, since steady
         commits apply in submission order).  ``None`` for barrier-mode
         runs.
-    arena_enabled:
-        Whether training ran on the allocation-free buffer-arena fast
-        path (see :mod:`repro.nn.arena`).
     arena_peak_bytes:
-        Peak scratch footprint of the network's arena for this
-        evaluation (0 when the arena was disabled).
+        Peak scratch footprint of the network's buffer arena
+        (:mod:`repro.nn.arena`) for this evaluation; 0 when nothing was
+        trained (surrogate mode).
     predicted_fitness:
         Cross-architecture surrogate prediction made when this candidate
         was bred (``None`` when the surrogate is off or had not yet
@@ -98,7 +96,6 @@ class Individual:
     cache_hit: bool = False
     cache_source: int | None = None
     logical_tick: int | None = None
-    arena_enabled: bool = False
     arena_peak_bytes: int = 0
     predicted_fitness: float | None = None
     predicted_rank: int | None = None
@@ -130,7 +127,6 @@ class Individual:
             "cache_hit": self.cache_hit,
             "cache_source": self.cache_source,
             "logical_tick": self.logical_tick,
-            "arena_enabled": self.arena_enabled,
             "arena_peak_bytes": self.arena_peak_bytes,
             "predicted_fitness": self.predicted_fitness,
             "predicted_rank": self.predicted_rank,

@@ -1,13 +1,14 @@
 """Per-network buffer arena: preallocated scratch reused across batches.
 
-The training hot loop historically allocated every intermediate array
-fresh — im2col column matrices, layer outputs, gradient images,
-optimizer temporaries — dozens of megabyte-scale ``np.zeros``/
-``ascontiguousarray`` calls per batch.  :class:`BufferArena` replaces
-that with keyed, lazily-allocated, shape-stable storage: a layer asks
-for ``(owner, name, shape, dtype)`` and gets the *same* ndarray back on
-every batch, so after the first epoch the training loop reaches a
-steady state with zero new large allocations.
+Every layer kernel writes its intermediates — im2col column matrices,
+layer outputs, gradient images — with ``out=`` into scratch it requests
+through :meth:`~repro.nn.layers.base.Layer._buf`.  Bound to a
+:class:`BufferArena`, that request is keyed, lazily-allocated,
+shape-stable storage: a layer asks for ``(owner, name, shape, dtype)``
+and gets the *same* ndarray back on every batch, so after the first
+epoch the training loop reaches a steady state with zero new large
+allocations.  :class:`~repro.nn.trainer.Trainer` binds one to the
+network it trains.
 
 Design rules (see DESIGN "The buffer arena"):
 
@@ -18,16 +19,14 @@ Design rules (see DESIGN "The buffer arena"):
 * **Ownership** — every layer instance binds with a unique owner string
   (the network wires ``"<layer-idx>"``, composite layers extend it with
   sublayer paths), so two layers can never alias each other's scratch.
-* **Lifetime** — a buffer's contents are only guaranteed between the
-  owning layer's forward and the matching backward of the *same* batch;
-  the next forward may overwrite everything.
-* **Opt-out** — an unbound layer (``layer.arena is None``) takes the
-  historical allocate-per-call code path, byte-for-byte.  Float64
-  replay of pre-arena runs relies on this.
+* **Lifetime** — a bound layer's output is valid until that layer's
+  next ``forward``, and what it caches for ``backward`` until the
+  matching backward of the *same* batch; the next forward may overwrite
+  everything.  An unbound layer runs the same kernels on fresh arrays
+  and so returns by value.
 
 The arena is deliberately not picklable state: it is rebuilt per
-evaluation (the process backend's :class:`~repro.scheduler.procpool.
-EvalSpec` carries only the ``arena`` *flag*, never buffer contents).
+evaluation, and the process backend ships measurements, never buffers.
 """
 
 from __future__ import annotations

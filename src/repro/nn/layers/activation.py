@@ -13,28 +13,22 @@ class ReLU(Layer):
     """Rectified linear unit, ``max(x, 0)``."""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if self._arena is not None:
-            mask = self._buf("mask", x.shape, np.bool_)
-            np.greater(x, 0, out=mask)
-            out = self._buf("out", x.shape, x.dtype)
-            # zero-fill + masked copy is bitwise np.where(mask, x, 0.0)
-            # (an out= multiply would turn -0.0/inf inputs into -0.0/nan)
-            out[...] = 0.0
-            np.copyto(out, x, where=mask)
-        else:
-            mask = x > 0
-            out = np.where(mask, x, 0.0)
+        mask = self._buf("mask", x.shape, np.bool_)
+        np.greater(x, 0, out=mask)
+        out = self._buf("out", x.shape, x.dtype)
+        # zero-fill + masked copy is bitwise np.where(mask, x, 0.0)
+        # (an out= multiply would turn -0.0/inf inputs into -0.0/nan)
+        out[...] = 0.0
+        np.copyto(out, x, where=mask)
         self._mask = mask if training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before a training-mode forward")
-        if self._arena is not None:
-            grad_in = self._buf("grad_in", grad_out.shape, grad_out.dtype)
-            np.multiply(grad_out, self._mask, out=grad_in)
-            return grad_in
-        return grad_out * self._mask
+        grad_in = self._buf("grad_in", grad_out.shape, grad_out.dtype)
+        np.multiply(grad_out, self._mask, out=grad_in)
+        return grad_in
 
     def flops(self, input_shape: tuple) -> int:
         return int(np.prod(input_shape))
@@ -50,29 +44,21 @@ class LeakyReLU(Layer):
         self.alpha = float(alpha)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if self._arena is not None:
-            mask = self._buf("mask", x.shape, np.bool_)
-            np.greater(x, 0, out=mask)
-            out = self._buf("out", x.shape, x.dtype)
-            np.multiply(x, self.alpha, out=out)
-            np.copyto(out, x, where=mask)
-        else:
-            mask = x > 0
-            out = np.where(mask, x, self.alpha * x)
+        mask = self._buf("mask", x.shape, np.bool_)
+        np.greater(x, 0, out=mask)
+        out = self._buf("out", x.shape, x.dtype)
+        np.multiply(x, self.alpha, out=out)
+        np.copyto(out, x, where=mask)
         self._mask = mask if training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before a training-mode forward")
-        if self._arena is not None:
-            grad_in = self._buf("grad_in", grad_out.shape, grad_out.dtype)
-            np.multiply(grad_out, self.alpha, out=grad_in)
-            np.copyto(grad_in, grad_out, where=self._mask)
-            return grad_in
-        # np.where over array operands preserves dtype; building the
-        # scale factor from python scalars would silently yield float64
-        return np.where(self._mask, grad_out, grad_out * self.alpha)
+        grad_in = self._buf("grad_in", grad_out.shape, grad_out.dtype)
+        np.multiply(grad_out, self.alpha, out=grad_in)
+        np.copyto(grad_in, grad_out, where=self._mask)
+        return grad_in
 
     def flops(self, input_shape: tuple) -> int:
         return 2 * int(np.prod(input_shape))

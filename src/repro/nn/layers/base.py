@@ -8,6 +8,12 @@ gradients by name, reports its output shape and FLOP cost for a given
 input shape, and serializes its configuration.  Convolutional data
 layout is NCHW throughout (batch, channels, height, width) — channel-
 contiguous inner dimensions keep the im2col hot loops cache friendly.
+
+Kernels write their temporaries and results into :meth:`Layer._buf`
+scratch with ``out=``.  A layer bound to a
+:class:`~repro.nn.arena.BufferArena` gets the same pinned arrays every
+batch (its output is valid until its next ``forward``); an unbound
+layer gets fresh ones and so returns by value.
 """
 
 from __future__ import annotations
@@ -60,10 +66,8 @@ class Layer:
 
     def __init__(self) -> None:
         self.params: dict[str, Parameter] = {}
-        # optional BufferArena binding (repro.nn.arena): when set, the
-        # layer's forward/backward take the allocation-free fast path;
-        # when None, the historical allocate-per-call code runs
-        # byte-for-byte (float64 replay relies on this)
+        # optional BufferArena binding (repro.nn.arena): decides only
+        # where _buf scratch lives, never which kernel runs
         self._arena = None
         self._arena_owner: str = ""
 
@@ -83,12 +87,17 @@ class Layer:
         self._arena = arena
         self._arena_owner = owner or type(self).__name__
 
-    def unbind_arena(self) -> None:
-        """Detach the arena; the layer reverts to allocate-per-call."""
-        self._arena = None
+    def _buf(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """Uninitialized scratch for one kernel temporary or result.
 
-    def _buf(self, name: str, shape: tuple, dtype=None) -> np.ndarray:
-        """This layer's pinned scratch buffer (fast path only)."""
+        Bound, it is the arena's pinned buffer for this layer and
+        ``name`` — the same array every batch, valid until the layer's
+        next ``forward``.  Unbound, it is a fresh array, so a bare layer
+        hands out by-value results.  The kernels write every element
+        either way; this is the only place the two cases differ.
+        """
+        if self._arena is None:
+            return np.empty(shape, dtype=dtype)
         return self._arena.buffer(self._arena_owner, name, shape, dtype)
 
     # -- computation ---------------------------------------------------------

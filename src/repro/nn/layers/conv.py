@@ -2,28 +2,21 @@
 
 The im2col transform turns convolution into one large matrix multiply,
 which is the standard way to get BLAS-speed convolutions out of NumPy
-(vectorize the loop, let the optimized GEMM do the work).  Patch
-extraction uses ``sliding_window_view`` so the forward pass allocates no
-per-patch copies beyond the final contiguous column matrix.
+(vectorize the loop, let the optimized GEMM do the work).
 
-Two execution paths share the layer:
+:class:`Conv2D` runs it on *channel-major* columns ``(N, C*k*k, oh*ow)``
+written into :meth:`~repro.nn.layers.base.Layer._buf` scratch in channel
+blocks (the transpose-copy's working set stays cache-sized), with every
+GEMM running ``np.matmul(..., out=...)`` on views: the forward product
+lands directly in NCHW layout (no output transpose), the weight gradient
+is a batched GEMM against the column transpose-view, and the input
+gradient scatters from column space.  1x1/stride-1/unpadded convs skip
+the column copy and the scatter entirely.
 
-* **Legacy (no arena)** — the historical allocate-per-call code,
-  byte-for-byte: sample-major columns ``(N, oh*ow, C*k*k)``, fresh
-  ``ascontiguousarray``/``np.zeros`` every batch, ``einsum`` weight
-  gradient.  Float64 replay of pre-arena runs depends on this path
-  staying bit-identical.
-* **Arena fast path** (:meth:`~repro.nn.layers.base.Layer.bind_arena`)
-  — *channel-major* columns ``(N, C*k*k, oh*ow)`` written into pinned
-  scratch in channel blocks (the transpose-copy's working set stays
-  cache-sized), with every GEMM running ``np.matmul(..., out=...)`` on
-  views: the forward product lands directly in NCHW layout (no output
-  transpose), the weight gradient is a batched GEMM against the column
-  transpose-view, and the input gradient scatters from column space
-  without per-call allocation.  Numerically equivalent to the legacy
-  path at gradcheck tolerance (the reshaped GEMMs may accumulate in a
-  different order than the expressions they replace, so equality is
-  close-to-ulp, not bitwise).
+:func:`im2col` / :func:`col2im` are the textbook sample-major
+formulation ``(N, oh*ow, C*k*k)``.  The layer does not call them; they
+stay public as the reference the tests hold the kernel to (equal at
+dtype tolerance — the reshaped GEMMs accumulate in a different order).
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from repro.utils.rng import fallback_rng
 
 __all__ = ["Conv2D", "im2col", "col2im"]
 
-#: Channel-block width for the arena im2col copy.  Small enough that one
+#: Channel-block width for the im2col copy.  Small enough that one
 #: block's strided transpose fits in cache, and a no-op (single copy)
 #: for the narrow layers the decoder emits.
 _CHANNEL_BLOCK = 16
@@ -173,12 +166,6 @@ class Conv2D(Layer):
             )
         self._cache: tuple | None = None
 
-    def _pad(self, x: np.ndarray) -> np.ndarray:
-        pb, pa = self.pad_before, self.pad_after
-        if pb == 0 and pa == 0:
-            return x
-        return np.pad(x, ((0, 0), (0, 0), (pb, pa), (pb, pa)))
-
     def _out_hw(self, h: int, w: int) -> tuple[int, int]:
         k, s = self.kernel_size, self.stride
         total = self.pad_before + self.pad_after
@@ -198,23 +185,6 @@ class Conv2D(Layer):
             )
         n = x.shape[0]
         oh, ow = self._out_hw(x.shape[2], x.shape[3])
-        if self._arena is not None:
-            return self._forward_arena(x, n, oh, ow, training)
-        padded = self._pad(x)
-        cols = im2col(padded, self.kernel_size, self.kernel_size, self.stride)
-        kernel = self.params["weight"].value.reshape(self.out_channels, -1)
-        # (N, oh*ow, C*k*k) @ (C*k*k, out_c) -> (N, oh*ow, out_c)
-        out = cols @ kernel.T
-        if self.use_bias:
-            out += self.params["bias"].value
-        out = out.transpose(0, 2, 1).reshape(n, self.out_channels, oh, ow)
-        self._cache = (cols, padded.shape, x.shape, False) if training else None
-        return out
-
-    def _forward_arena(
-        self, x: np.ndarray, n: int, oh: int, ow: int, training: bool
-    ) -> np.ndarray:
-        """Allocation-free forward: channel-major columns, in-place GEMM."""
         k, s, c = self.kernel_size, self.stride, self.in_channels
         pb, pa = self.pad_before, self.pad_after
         dt = x.dtype
@@ -250,42 +220,13 @@ class Conv2D(Layer):
         np.matmul(kernel, cols, out=out.reshape(n, self.out_channels, p))
         if self.use_bias:
             out += self.params["bias"].value.reshape(1, -1, 1, 1)
-        self._cache = (cols, padded.shape, x.shape, True) if training else None
+        self._cache = (cols, padded.shape) if training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
-        cols, padded_shape, x_shape, arena_cols = self._cache
-        if arena_cols:
-            return self._backward_arena(grad_out, cols, padded_shape)
-        n, _, oh, ow = grad_out.shape
-        # (N, out_c, oh, ow) -> (N, oh*ow, out_c)
-        grad_flat = grad_out.reshape(n, self.out_channels, oh * ow).transpose(0, 2, 1)
-
-        kernel = self.params["weight"].value.reshape(self.out_channels, -1)
-        # dW: sum over batch of grad_flat^T @ cols
-        grad_kernel = np.einsum("npo,npk->ok", grad_flat, cols)
-        self.params["weight"].grad += grad_kernel.reshape(self.params["weight"].shape)
-        if self.use_bias:
-            self.params["bias"].grad += grad_flat.sum(axis=(0, 1))
-
-        grad_cols = grad_flat @ kernel  # (N, oh*ow, C*k*k)
-        grad_padded = col2im(grad_cols, padded_shape, self.kernel_size, self.kernel_size, self.stride)
-        pb, pa = self.pad_before, self.pad_after
-        if pb or pa:
-            return grad_padded[
-                :,
-                :,
-                pb : grad_padded.shape[2] - pa,
-                pb : grad_padded.shape[3] - pa,
-            ]
-        return grad_padded
-
-    def _backward_arena(
-        self, grad_out: np.ndarray, cols: np.ndarray, padded_shape: tuple
-    ) -> np.ndarray:
-        """Allocation-free backward on the channel-major column layout."""
+        cols, padded_shape = self._cache
         k, s, c = self.kernel_size, self.stride, self.in_channels
         n, oc, oh, ow = grad_out.shape
         p = oh * ow

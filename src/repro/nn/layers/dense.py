@@ -69,11 +69,8 @@ class Dense(Layer):
                 f"Dense expects (batch, {self.in_features}), got {x.shape}"
             )
         self._x = x if training else None
-        if self._arena is not None:
-            out = self._buf("out", (x.shape[0], self.out_features), x.dtype)
-            np.matmul(x, self.params["weight"].value, out=out)
-        else:
-            out = x @ self.params["weight"].value
+        out = self._buf("out", (x.shape[0], self.out_features), x.dtype)
+        np.matmul(x, self.params["weight"].value, out=out)
         if self.use_bias:
             out += self.params["bias"].value
         return out
@@ -81,22 +78,17 @@ class Dense(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before a training-mode forward")
-        if self._arena is not None:
-            dt = grad_out.dtype
-            dw = self._buf("dw", self.params["weight"].shape, dt)
-            np.matmul(self._x.T, grad_out, out=dw)
-            self.params["weight"].grad += dw
-            if self.use_bias:
-                db = self._buf("db", (self.out_features,), dt)
-                np.sum(grad_out, axis=0, out=db)
-                self.params["bias"].grad += db
-            grad_in = self._buf("grad_in", self._x.shape, dt)
-            np.matmul(grad_out, self.params["weight"].value.T, out=grad_in)
-            return grad_in
-        self.params["weight"].grad += self._x.T @ grad_out
+        dt = grad_out.dtype
+        dw = self._buf("dw", self.params["weight"].shape, dt)
+        np.matmul(self._x.T, grad_out, out=dw)
+        self.params["weight"].grad += dw
         if self.use_bias:
-            self.params["bias"].grad += grad_out.sum(axis=0)
-        return grad_out @ self.params["weight"].value.T
+            db = self._buf("db", (self.out_features,), dt)
+            np.sum(grad_out, axis=0, out=db)
+            self.params["bias"].grad += db
+        grad_in = self._buf("grad_in", self._x.shape, dt)
+        np.matmul(grad_out, self.params["weight"].value.T, out=grad_in)
+        return grad_in
 
     def output_shape(self, input_shape: tuple) -> tuple:
         if tuple(input_shape) != (self.in_features,):

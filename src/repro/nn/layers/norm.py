@@ -55,35 +55,10 @@ class _BatchNorm(Layer):
             raise ValueError(
                 f"expected {self.num_features} channels, got input shape {x.shape}"
             )
-        if self._arena is not None:
-            return self._forward_arena(x, training)
         if training:
             mean = x.mean(axis=self._axes)
-            var = x.var(axis=self._axes)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mean, var = self.running_mean, self.running_var
-
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - self._shape_params(mean, x.ndim)) * self._shape_params(inv_std, x.ndim)
-        out = (
-            self._shape_params(self.params["gamma"].value, x.ndim) * x_hat
-            + self._shape_params(self.params["beta"].value, x.ndim)
-        )
-        self._cache = (x_hat, inv_std) if training else None
-        return out
-
-    def _forward_arena(self, x: np.ndarray, training: bool) -> np.ndarray:
-        """Feature-map-sized temporaries pinned; per-channel vectors stay tiny.
-
-        Bit-identical to the legacy expression: ``np.var`` decomposes
-        into the same subtract/square/mean ufunc sequence the scratch
-        version runs, and the remaining rewrites only commute operands
-        or fuse into ``out=`` forms.
-        """
-        if training:
-            mean = x.mean(axis=self._axes)
+            # x.var(axis) spelled out (the same ufunc sequence) so its
+            # feature-map-sized temporary is scratch, not a fresh array
             t = self._buf("var_tmp", x.shape, x.dtype)
             np.subtract(x, self._shape_params(mean, x.ndim), out=t)
             np.multiply(t, t, out=t)
@@ -107,23 +82,6 @@ class _BatchNorm(Layer):
             raise RuntimeError("backward called before a training-mode forward")
         x_hat, inv_std = self._cache
         m = grad_out.size // self.num_features  # elements per channel
-        if self._arena is not None:
-            return self._backward_arena(grad_out, x_hat, inv_std, m)
-
-        self.params["gamma"].grad += (grad_out * x_hat).sum(axis=self._axes)
-        self.params["beta"].grad += grad_out.sum(axis=self._axes)
-
-        gamma = self._shape_params(self.params["gamma"].value, grad_out.ndim)
-        inv = self._shape_params(inv_std, grad_out.ndim)
-        g = grad_out * gamma
-        sum_g = self._shape_params(g.sum(axis=self._axes), grad_out.ndim)
-        sum_gx = self._shape_params((g * x_hat).sum(axis=self._axes), grad_out.ndim)
-        return (inv / m) * (m * g - sum_g - x_hat * sum_gx)
-
-    def _backward_arena(
-        self, grad_out: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarray, m: int
-    ) -> np.ndarray:
-        """The legacy gradient expression on pinned scratch, bit-identical."""
         ndim = grad_out.ndim
         t = self._buf("bwd_tmp", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, x_hat, out=t)

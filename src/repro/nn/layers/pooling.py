@@ -6,9 +6,9 @@ argmax with a *flat* scatter: the static part of every target index
 shape, so the per-call work is two elementwise integer ops plus one
 scatter.  Disjoint windows (``stride >= pool_size`` — the decoder's 2x2
 case) use direct fancy assignment; overlapping windows fall back to
-``np.add.at``.  Bound to a :class:`~repro.nn.arena.BufferArena`, the
-scatter runs entirely in pinned buffers (zero allocations per batch);
-unbound, it allocates per call but computes bit-identical results.
+``np.add.at``.  Index arithmetic and gradients go through
+:meth:`~repro.nn.layers.base.Layer._buf` scratch, so a layer bound to a
+:class:`~repro.nn.arena.BufferArena` allocates nothing per batch.
 """
 
 from __future__ import annotations
@@ -82,21 +82,14 @@ class MaxPool2D(_Pool2D):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         windows = self._windows(x)
         n, c, oh, ow, k, _ = windows.shape
-        if self._arena is not None:
-            # pin the window gather so max/argmax read a contiguous block
-            flat = self._buf("windows", (n, c, oh, ow, k * k), x.dtype)
-            np.copyto(flat.reshape(windows.shape), windows)
-            out = self._buf("out", (n, c, oh, ow), x.dtype)
-            np.max(flat, axis=-1, out=out)
-        else:
-            flat = windows.reshape(n, c, oh, ow, k * k)
-            out = flat.max(axis=-1)
+        # gather the windows once so max/argmax read a contiguous block
+        flat = self._buf("windows", (n, c, oh, ow, k * k), x.dtype)
+        np.copyto(flat.reshape(windows.shape), windows)
+        out = self._buf("out", (n, c, oh, ow), x.dtype)
+        np.max(flat, axis=-1, out=out)
         if training:
-            if self._arena is not None:
-                argmax = self._buf("argmax", (n, c, oh, ow), np.intp)
-                np.argmax(flat, axis=-1, out=argmax)
-            else:
-                argmax = flat.argmax(axis=-1)
+            argmax = self._buf("argmax", (n, c, oh, ow), np.intp)
+            np.argmax(flat, axis=-1, out=argmax)
             self._cache = (x.shape, argmax)
         else:
             self._cache = None
@@ -110,19 +103,15 @@ class MaxPool2D(_Pool2D):
         k, s = self.pool_size, self.stride
         w = x_shape[3]
         base = self._flat_base(x_shape, oh, ow)
-        if self._arena is not None:
-            idx = self._buf("scatter_idx", argmax.shape, np.intp)
-            tmp = self._buf("scatter_tmp", argmax.shape, np.intp)
-            np.floor_divide(argmax, k, out=idx)  # row within window
-            idx *= w
-            np.remainder(argmax, k, out=tmp)  # column within window
-            idx += tmp
-            idx += base
-            grad_x = self._buf("grad_x", x_shape, grad_out.dtype)
-            grad_x[...] = 0.0
-        else:
-            idx = base + (argmax // k) * w + argmax % k
-            grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
+        idx = self._buf("scatter_idx", argmax.shape, np.intp)
+        tmp = self._buf("scatter_tmp", argmax.shape, np.intp)
+        np.floor_divide(argmax, k, out=idx)  # row within window
+        idx *= w
+        np.remainder(argmax, k, out=tmp)  # column within window
+        idx += tmp
+        idx += base
+        grad_x = self._buf("grad_x", x_shape, grad_out.dtype)
+        grad_x[...] = 0.0
         flat = grad_x.reshape(-1)
         if s >= k:
             # disjoint windows: every input cell receives at most one
@@ -143,11 +132,8 @@ class AvgPool2D(_Pool2D):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         windows = self._windows(x)
-        if self._arena is not None:
-            out = self._buf("out", windows.shape[:4], x.dtype)
-            np.mean(windows, axis=(-2, -1), out=out)
-        else:
-            out = windows.mean(axis=(-2, -1))
+        out = self._buf("out", windows.shape[:4], x.dtype)
+        np.mean(windows, axis=(-2, -1), out=out)
         self._cache = x.shape if training else None
         return out
 
@@ -157,14 +143,10 @@ class AvgPool2D(_Pool2D):
         x_shape = self._cache
         k, s = self.pool_size, self.stride
         n, c, oh, ow = grad_out.shape
-        if self._arena is not None:
-            grad_x = self._buf("grad_x", x_shape, grad_out.dtype)
-            grad_x[...] = 0.0
-            share = self._buf("share", grad_out.shape, grad_out.dtype)
-            np.true_divide(grad_out, k * k, out=share)
-        else:
-            grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
-            share = grad_out / (k * k)
+        grad_x = self._buf("grad_x", x_shape, grad_out.dtype)
+        grad_x[...] = 0.0
+        share = self._buf("share", grad_out.shape, grad_out.dtype)
+        np.true_divide(grad_out, k * k, out=share)
         for i in range(k):
             for j in range(k):
                 grad_x[:, :, i : i + oh * s : s, j : j + ow * s : s] += share
@@ -180,25 +162,19 @@ class GlobalAvgPool2D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x.shape if training else None
-        if self._arena is not None:
-            out = self._buf("out", x.shape[:2], x.dtype)
-            np.mean(x, axis=(2, 3), out=out)
-            return out
-        return x.mean(axis=(2, 3))
+        out = self._buf("out", x.shape[:2], x.dtype)
+        np.mean(x, axis=(2, 3), out=out)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
         n, c, h, w = self._cache
-        if self._arena is not None:
-            scaled = self._buf("scaled", (n, c), grad_out.dtype)
-            np.true_divide(grad_out, h * w, out=scaled)
-            grad_x = self._buf("grad_x", (n, c, h, w), grad_out.dtype)
-            grad_x[...] = scaled[:, :, None, None]
-            return grad_x
-        return np.broadcast_to(
-            grad_out[:, :, None, None] / (h * w), (n, c, h, w)
-        ).copy()
+        scaled = self._buf("scaled", (n, c), grad_out.dtype)
+        np.true_divide(grad_out, h * w, out=scaled)
+        grad_x = self._buf("grad_x", (n, c, h, w), grad_out.dtype)
+        grad_x[...] = scaled[:, :, None, None]
+        return grad_x
 
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape

@@ -47,30 +47,26 @@ class Network:
         # opt-in write guard (repro.tooling.sanitizer.WriteGuard): flips
         # borrowed inter-layer tensors read-only around layer calls
         self.write_guard = None
-        # opt-in scratch storage (repro.nn.arena.BufferArena); None keeps
-        # every layer on the historical allocate-per-call path
+        # pinned scratch storage (repro.nn.arena.BufferArena); while None
+        # every layer hands out fresh arrays (see Layer._buf)
         self.arena = None
 
     def add(self, layer: Layer) -> "Network":
         """Append a layer; returns self for chaining."""
         self.layers.append(layer)
-        if self.arena is not None:
-            layer.bind_arena(self.arena, owner=str(len(self.layers) - 1))
+        layer.bind_arena(self.arena, owner=str(len(self.layers) - 1))
         return self
 
     def bind_arena(self, arena) -> "Network":
-        """Route every layer's scratch through ``arena`` (fast path).
+        """Pin every layer's scratch in ``arena``.
 
         Each layer binds under its stack index as the owner key, so no
-        two layers can alias each other's buffers.  Pass ``None`` to
-        unbind and restore allocate-per-call behaviour.
+        two layers can alias each other's buffers.  From here on a
+        layer's output is only valid until that layer's next forward.
         """
         self.arena = arena
         for idx, layer in enumerate(self.layers):
-            if arena is None:
-                layer.unbind_arena()
-            else:
-                layer.bind_arena(arena, owner=str(idx))
+            layer.bind_arena(arena, owner=str(idx))
         return self
 
     # -- computation ---------------------------------------------------------
@@ -108,12 +104,21 @@ class Network:
         return grad
 
     def predict(self, x: np.ndarray, *, batch_size: int = 256) -> np.ndarray:
-        """Inference in eval mode, batched to bound peak memory."""
-        outputs = [
-            self.forward(x[i : i + batch_size], training=False)
-            for i in range(0, len(x), batch_size)
-        ]
-        return np.concatenate(outputs, axis=0)
+        """Inference in eval mode, batched to bound peak memory.
+
+        Each chunk is copied into the result before the next forward
+        runs — a bound head layer returns the same pinned buffer for
+        every chunk — so the result is by value either way.
+        """
+        if len(x) == 0:
+            raise ValueError("predict needs at least one sample")
+        result = None
+        for i in range(0, len(x), batch_size):
+            out = self.forward(x[i : i + batch_size], training=False)
+            if result is None:
+                result = np.empty((len(x),) + out.shape[1:], dtype=out.dtype)
+            result[i : i + len(out)] = out
+        return result
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)

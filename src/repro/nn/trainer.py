@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.nn.arena import BufferArena
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy_percent
 from repro.nn.network import Network
@@ -40,7 +41,9 @@ class Trainer:
     Parameters
     ----------
     network:
-        The model under training.
+        The model under training.  The trainer binds it to a fresh
+        :class:`~repro.nn.arena.BufferArena`, so from here on each
+        layer's output is only valid until that layer's next forward.
     x_train, y_train, x_val, y_val:
         Data splits; images are NCHW float arrays, labels integer.
     optimizer:
@@ -100,6 +103,7 @@ class Trainer:
             self.loss = SoftmaxCrossEntropy()
         if self.rng is None:
             self.rng = fallback_rng()
+        self.network.bind_arena(BufferArena())
 
     @property
     def epoch(self) -> int:
@@ -107,17 +111,9 @@ class Trainer:
         return len(self.history)
 
     def _gather_batch(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize one shuffled mini-batch.
-
-        With the network bound to a :class:`~repro.nn.arena.BufferArena`
-        the gather runs ``np.take(..., out=...)`` into pinned buffers
-        (the ragged last batch keys its own buffer by shape); unbound,
-        it is the historical allocating fancy index.  The gathered
-        values are identical either way, so training math is unaffected.
-        """
+        """Materialize one shuffled mini-batch in pinned buffers (the
+        ragged last batch keys its own buffer by shape)."""
         arena = self.network.arena
-        if arena is None:
-            return self.x_train[batch], self.y_train[batch]
         xb = arena.buffer(
             "trainer", "xb", (len(batch),) + self.x_train.shape[1:], self.x_train.dtype
         )
@@ -166,19 +162,5 @@ class Trainer:
 
     def validate(self) -> float:
         """Validation accuracy in percent — the workflow's fitness."""
-        batch_size = max(self.batch_size, 64)
-        arena = self.network.arena
-        if arena is None:
-            logits = self.network.predict(self.x_val, batch_size=batch_size)
-            return accuracy_percent(logits, self.y_val)
-        # arena inference: each chunk's output lives in the head layer's
-        # pinned buffer, so copy it into a pinned full-split logit table
-        # before the next forward overwrites it
-        n = len(self.x_val)
-        logits = None
-        for i in range(0, n, batch_size):
-            out = self.network.forward(self.x_val[i : i + batch_size], training=False)
-            if logits is None:
-                logits = arena.buffer("trainer", "val_logits", (n,) + out.shape[1:], out.dtype)
-            logits[i : i + out.shape[0]] = out
+        logits = self.network.predict(self.x_val, batch_size=max(self.batch_size, 64))
         return accuracy_percent(logits, self.y_val)

@@ -98,9 +98,6 @@ class EvalSpec:
     batch_size: int = 16
     learning_rate: float = 1e-3
     injection: FaultInjectionConfig | None = None
-    # buffer-arena kernel fast path (repro.nn.arena) — a flag only: each
-    # worker builds its own per-network BufferArena, nothing is pickled
-    arena: bool = False
     factory: object = None
 
 
@@ -142,7 +139,6 @@ class EvalResult:
     trace: tuple = ()
     error: bytes | None = None
     on_fault_fired: bool = False
-    arena_enabled: bool = False
     arena_peak_bytes: int = 0
 
     def exception(self) -> Exception:
@@ -194,7 +190,6 @@ class _WorkerRuntime:
                 rng_keying=spec.rng_keying,
                 dtype=spec.dtype,
                 dataset_key=spec.dataset_key,
-                arena=spec.arena,
             )
         else:
             evaluator = SurrogateEvaluator(
@@ -249,7 +244,6 @@ class _WorkerRuntime:
             result=individual.result,
             epoch_seconds=tuple(individual.epoch_seconds),
             trace=tuple(self.trace),
-            arena_enabled=bool(individual.arena_enabled),
             arena_peak_bytes=int(individual.arena_peak_bytes),
         )
 
@@ -585,7 +579,6 @@ class ProcessWorkerPool:
         individual.flops = result.flops
         individual.result = result.result
         individual.epoch_seconds = list(result.epoch_seconds)
-        individual.arena_enabled = result.arena_enabled
         individual.arena_peak_bytes = result.arena_peak_bytes
         self._finish(job, worker.index, end, timings)
         return 1

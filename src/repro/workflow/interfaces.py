@@ -98,14 +98,6 @@ class WorkflowConfig:
         ``rng_keying="genome"``.  Ignored while fault *injection* is
         active (the injection schedule is keyed per evaluation, so
         deduplication would change which candidates fault).
-    arena:
-        Train every real-mode network on the buffer-arena kernel fast
-        path (:mod:`repro.nn.arena`) — allocation-free im2col GEMMs and
-        pinned scratch.  ``None`` (the default) resolves to "on for
-        float32, off for float64": arena GEMMs match the legacy kernels
-        at gradcheck tolerance but not bitwise, and float64 is the
-        byte-exact replay dtype.  ``from_dict`` defaults *missing* keys
-        to ``False`` so historical run documents replay exactly.
     surrogate:
         Cross-architecture surrogate pre-ranking settings
         (:class:`~repro.nas.surrogate.SurrogateConfig`).  ``None`` (the
@@ -131,7 +123,6 @@ class WorkflowConfig:
     dtype: str = "float32"
     rng_keying: str = "genome"
     eval_cache: bool = True
-    arena: bool | None = None
     surrogate: SurrogateConfig | None = None
 
     def __post_init__(self) -> None:
@@ -156,12 +147,6 @@ class WorkflowConfig:
             validate_rng_keying(self.rng_keying)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
-        if self.arena is None:
-            # auto: fast path for float32, byte-exact legacy kernels for
-            # the float64 replay dtype
-            object.__setattr__(self, "arena", self.dtype == "float32")
-        else:
-            object.__setattr__(self, "arena", bool(self.arena))
         if self.eval_cache and self.rng_keying != "genome":
             raise ValidationError(
                 "eval_cache requires rng_keying='genome': model-keyed "
@@ -236,7 +221,6 @@ class WorkflowConfig:
             "dtype": self.dtype,
             "rng_keying": self.rng_keying,
             "eval_cache": self.eval_cache,
-            "arena": self.arena,
             "surrogate": self.surrogate.to_dict() if self.surrogate else None,
         }
 
@@ -280,7 +264,6 @@ class WorkflowConfig:
             dtype=payload.get("dtype", "float64"),
             rng_keying=payload.get("rng_keying", "model"),
             eval_cache=payload.get("eval_cache", False),
-            arena=payload.get("arena", False),
             surrogate=SurrogateConfig.from_dict(payload["surrogate"])
             if payload.get("surrogate")
             else None,

@@ -6,7 +6,10 @@ The fixture pins the sha256 of every JSON file a small seeded steady
 search publishes (and republishes after a resume), so a change to how
 records are serialised is byte-compared against the commit it was
 written at: the parent of the PR that replaced ``dataclasses.asdict``
-in ``lineage/records.py``.  The run is defined once, in
+in ``lineage/records.py``.  Re-pinned once since, by the PR that removed
+``WorkflowConfig.arena``: the two ``run.json`` entries lost that one
+key, the 60 model files and both manifests kept their digests.  The run
+is defined once, in
 ``tests/test_properties_fastpaths.py::published_digests``.
 """
 

@@ -1,16 +1,18 @@
-"""The buffer-arena kernel fast path (repro.nn.arena).
+"""The buffer arena (repro.nn.arena) and the kernels that write into it.
 
-Three families of guarantees:
+Every layer has one kernel implementation; binding a ``BufferArena``
+only decides whether ``Layer._buf`` scratch is pinned or fresh.  Four
+families of guarantees:
 
-* **Byte-exact layers** — dense, pooling, activations, batch norm, and
-  both optimizers produce bit-identical results with and without a
-  bound arena (their arena rewrites decompose the very same expression
-  trees with ``out=``).
-* **Tolerance-equivalent conv / networks** — the arena conv runs its
-  GEMMs on a different (channel-major) layout, so accumulation order
-  differs; gradients are compared after normalizing by the *global*
-  gradient scale (a conv bias feeding a BatchNorm has a mathematically
-  zero gradient, so per-parameter relative error is meaningless there).
+* **Bound ≡ unbound, bitwise** — outputs, input gradients, parameter
+  gradients and optimizer updates of every layer type, ``PhaseBlock``
+  and a decoded network, in both compute dtypes, over several batches
+  (so the bound twin reuses its buffers while the unbound one cannot).
+* **Conv2D against the reference formulation** — the channel-major
+  kernel vs ``im2col(...) @ W`` / ``col2im`` at a tolerance fixed from
+  the dtype (the reshaped GEMMs accumulate in a different order).
+* **Gradchecks and loop references** — finite differences with the
+  arena bound; max-pool backward vs an explicit per-window loop.
 * **Steady state** — after the first epoch the arena stops growing, and
   repeated epochs allocate no new large arrays.
 """
@@ -20,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.nas.decoder import DecoderConfig, decode_genome
+from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
 from repro.nas.genome import random_genome
 from repro.nn.arena import BufferArena
 from repro.nn.dtype import resolve_dtype
@@ -30,39 +32,63 @@ from repro.nn.layers import (
     BatchNorm2D,
     Conv2D,
     Dense,
+    GlobalAvgPool2D,
     LeakyReLU,
     MaxPool2D,
     ReLU,
 )
 from repro.nn.layers.conv import col2im, im2col
+from repro.nn.network import Network
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.trainer import Trainer
 from tests.test_nn_gradcheck import DTYPE_GRADCHECK, assert_gradients_match
 
-
-def _pair(factory, dtype):
-    """Identical twin layers, the second arena-bound."""
-    legacy = factory(np.random.default_rng(11), dtype)
-    arena = factory(np.random.default_rng(11), dtype)
-    arena.bind_arena(BufferArena(dtype), owner="t")
-    return legacy, arena
+DTYPES = ["float32", "float64"]
+CONV_GRID = [(3, 1, "same"), (3, 1, 0), (3, 2, 1), (2, 1, "same"), (1, 1, 0), (1, 2, 0)]
 
 
-def _roundtrip(layer, x, g):
-    out = layer.forward(x, training=True)
-    grad_in = layer.backward(g)
-    return out, grad_in
+def _bind(model):
+    """Bind a layer or a network to a fresh arena."""
+    if isinstance(model, Network):
+        return model.bind_arena(BufferArena())
+    model.bind_arena(BufferArena(), owner="t")
+    return model
+
+
+def assert_bound_equals_unbound(factory, batches):
+    """Twin models from ``factory(rng)``, one bound: identical to the bit.
+
+    Runs every batch of ``batches`` through a training forward/backward
+    on both twins, then the last batch through an eval forward.
+    """
+    unbound = factory(np.random.default_rng(11))
+    bound = _bind(factory(np.random.default_rng(11)))
+    rng = np.random.default_rng(12)
+    for x in batches:
+        out = unbound.forward(x, training=True)
+        np.testing.assert_array_equal(out, bound.forward(x, training=True))
+        g = rng.normal(size=out.shape).astype(out.dtype)
+        np.testing.assert_array_equal(unbound.backward(g), bound.backward(g.copy()))
+        for (name, pu), (_, pb) in zip(unbound.parameters(), bound.parameters()):
+            np.testing.assert_array_equal(pu.grad, pb.grad, err_msg=name)
+    np.testing.assert_array_equal(
+        unbound.forward(batches[-1], training=False),
+        bound.forward(batches[-1], training=False),
+    )
+    return unbound, bound
+
+
+def _batches(shape, dtype, n=3, seed=2):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=shape).astype(dtype) for _ in range(n)]
 
 
 # -- conv: gradcheck with the arena bound ---------------------------------------
 
 
 class TestConvArenaGradcheck:
-    @pytest.mark.parametrize("label", ["float32", "float64"])
-    @pytest.mark.parametrize(
-        "kernel_size,stride,padding",
-        [(3, 1, "same"), (3, 1, 0), (3, 2, 1), (2, 1, "same"), (1, 1, 0), (1, 2, 0)],
-    )
+    @pytest.mark.parametrize("label", DTYPES)
+    @pytest.mark.parametrize("kernel_size,stride,padding", CONV_GRID)
     def test_conv_arena(self, label, kernel_size, stride, padding):
         dtype = resolve_dtype(label)
         rng = np.random.default_rng(5)
@@ -80,78 +106,134 @@ class TestConvArenaGradcheck:
         assert_gradients_match(layer, x, rng, **DTYPE_GRADCHECK[label])
 
 
-# -- byte-exact layer equivalence -----------------------------------------------
+# -- conv: the kernel against the im2col / col2im reference formulation ---------
+
+
+class TestConvReferenceFormulation:
+    @pytest.mark.parametrize("label", DTYPES)
+    @pytest.mark.parametrize("kernel_size,stride,padding", CONV_GRID)
+    def test_forward_backward_match_im2col_gemm(self, label, kernel_size, stride, padding):
+        dtype = resolve_dtype(label)
+        # fixed from the dtype: each output sums <= 27 products, each
+        # weight gradient <= 72, of O(1) operands
+        tol = 1000 * np.finfo(dtype).eps
+        rng = np.random.default_rng(7)
+        layer = Conv2D(
+            3, 4, kernel_size=kernel_size, stride=stride, padding=padding, rng=rng, dtype=dtype
+        )
+        layer.params["bias"].value[...] = rng.normal(size=4).astype(dtype)
+        x = rng.normal(size=(2, 3, 6, 6)).astype(dtype)
+        out = layer.forward(x, training=True)
+        g = rng.normal(size=out.shape).astype(dtype)
+        grad_x = layer.backward(g)
+
+        k, pb, pa = kernel_size, layer.pad_before, layer.pad_after
+        padded = np.pad(x, ((0, 0), (0, 0), (pb, pa), (pb, pa)))
+        cols = im2col(padded, k, k, stride)  # (N, oh*ow, C*k*k)
+        kernel = layer.params["weight"].value.reshape(4, -1)
+        ref = cols @ kernel.T + layer.params["bias"].value
+        ref = ref.transpose(0, 2, 1).reshape(out.shape)
+        np.testing.assert_allclose(out, ref, rtol=tol, atol=tol)
+
+        g_flat = g.reshape(2, 4, -1).transpose(0, 2, 1)  # (N, oh*ow, out_c)
+        np.testing.assert_allclose(
+            layer.params["weight"].grad.reshape(4, -1),
+            np.einsum("npo,npk->ok", g_flat, cols),
+            rtol=tol,
+            atol=tol,
+        )
+        np.testing.assert_allclose(
+            layer.params["bias"].grad, g_flat.sum(axis=(0, 1)), rtol=tol, atol=tol
+        )
+        ref_gx = col2im(g_flat @ kernel, padded.shape, k, k, stride)
+        ref_gx = ref_gx[:, :, pb : pb + x.shape[2], pb : pb + x.shape[3]]
+        np.testing.assert_allclose(grad_x, ref_gx, rtol=tol, atol=tol)
+
+
+# -- bound ≡ unbound, layer by layer --------------------------------------------
 
 
 class TestByteExactLayers:
-    @pytest.mark.parametrize("label", ["float32", "float64"])
+    @pytest.mark.parametrize("label", DTYPES)
     def test_dense(self, label):
         dtype = resolve_dtype(label)
-        legacy, arena = _pair(
-            lambda r, d: Dense(12, 7, rng=r, dtype=d), dtype
+        assert_bound_equals_unbound(
+            lambda r: Dense(12, 7, rng=r, dtype=dtype), _batches((5, 12), dtype)
         )
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(5, 12)).astype(dtype)
-        g = rng.normal(size=(5, 7)).astype(dtype)
-        (oa, ga), (ob, gb) = _roundtrip(legacy, x, g), _roundtrip(arena, x, g.copy())
-        np.testing.assert_array_equal(oa, ob)
-        np.testing.assert_array_equal(ga, gb)
-        for name in legacy.params:
-            np.testing.assert_array_equal(
-                legacy.params[name].grad, arena.params[name].grad
-            )
 
-    @pytest.mark.parametrize("pool_cls", [MaxPool2D, AvgPool2D])
-    def test_pooling(self, pool_cls):
-        legacy, arena = _pair(lambda r, d: pool_cls(2), np.float32)
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
-        oa = legacy.forward(x, training=True)
-        ob = arena.forward(x, training=True)
-        g = rng.normal(size=oa.shape).astype(np.float32)
-        np.testing.assert_array_equal(oa, ob)
-        np.testing.assert_array_equal(legacy.backward(g), arena.backward(g.copy()))
+    @pytest.mark.parametrize("label", DTYPES)
+    @pytest.mark.parametrize("kernel_size,stride,padding", CONV_GRID)
+    def test_conv(self, label, kernel_size, stride, padding):
+        dtype = resolve_dtype(label)
+        assert_bound_equals_unbound(
+            lambda r: Conv2D(
+                3, 4, kernel_size=kernel_size, stride=stride, padding=padding, rng=r, dtype=dtype
+            ),
+            _batches((2, 3, 6, 6), dtype),
+        )
+
+    @pytest.mark.parametrize(
+        "make_pool",
+        [lambda r: MaxPool2D(2), lambda r: AvgPool2D(2), lambda r: GlobalAvgPool2D()],
+        ids=["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"],
+    )
+    def test_pooling(self, make_pool):
+        for label in DTYPES:
+            assert_bound_equals_unbound(
+                make_pool, _batches((4, 3, 8, 8), resolve_dtype(label))
+            )
 
     @pytest.mark.parametrize("act_cls", [ReLU, LeakyReLU])
     def test_activations(self, act_cls):
-        legacy, arena = _pair(lambda r, d: act_cls(), np.float32)
-        rng = np.random.default_rng(4)
-        # include exact zeros and negative zeros: the arena ReLU must
-        # reproduce x * mask byte-for-byte even at sign-of-zero level
-        x = rng.normal(size=(6, 10)).astype(np.float32)
-        x.ravel()[:3] = [0.0, -0.0, 1e-38]
-        g = rng.normal(size=x.shape).astype(np.float32)
-        (oa, ga), (ob, gb) = _roundtrip(legacy, x, g), _roundtrip(arena, x, g.copy())
-        np.testing.assert_array_equal(oa, ob)
-        np.testing.assert_array_equal(ga, gb)
+        for label in DTYPES:
+            batches = _batches((6, 10), resolve_dtype(label))
+            # exact zeros, negative zeros and a denormal: the masked copy
+            # must agree with itself down to the sign of zero
+            batches[0].ravel()[:3] = [0.0, -0.0, 1e-38]
+            assert_bound_equals_unbound(lambda r: act_cls(), batches)
 
     @pytest.mark.parametrize(
         "bn_cls,shape", [(BatchNorm2D, (4, 5, 3, 3)), (BatchNorm1D, (6, 5))]
     )
     def test_batchnorm_training_eval_and_running_stats(self, bn_cls, shape):
-        legacy, arena = _pair(lambda r, d: bn_cls(5, dtype=d), np.float32)
-        rng = np.random.default_rng(6)
-        for _ in range(3):
-            x = rng.normal(size=shape).astype(np.float32)
-            g = rng.normal(size=shape).astype(np.float32)
-            (oa, ga), (ob, gb) = (
-                _roundtrip(legacy, x, g),
-                _roundtrip(arena, x, g.copy()),
+        for label in DTYPES:
+            dtype = resolve_dtype(label)
+            unbound, bound = assert_bound_equals_unbound(
+                lambda r: bn_cls(5, dtype=dtype), _batches(shape, dtype)
             )
-            np.testing.assert_array_equal(oa, ob)
-            np.testing.assert_array_equal(ga, gb)
-        np.testing.assert_array_equal(legacy.running_mean, arena.running_mean)
-        np.testing.assert_array_equal(legacy.running_var, arena.running_var)
-        x = rng.normal(size=shape).astype(np.float32)
-        np.testing.assert_array_equal(
-            legacy.forward(x, training=False), arena.forward(x, training=False)
+            np.testing.assert_array_equal(unbound.running_mean, bound.running_mean)
+            np.testing.assert_array_equal(unbound.running_var, bound.running_var)
+
+    @pytest.mark.parametrize("label", DTYPES)
+    def test_phase_block(self, label):
+        dtype = resolve_dtype(label)
+        # 4 nodes, fully connected, skip bit set: multi-predecessor sums,
+        # a single sink plus the skip term, and gradient fan-in everywhere
+        assert_bound_equals_unbound(
+            lambda r: PhaseBlock(4, (1,) * 7, 2, 6, rng=r, dtype=dtype),
+            _batches((3, 2, 6, 6), dtype),
         )
 
 
-# -- byte-exact in-place optimizers ---------------------------------------------
+def _build_network(dtype):
+    rng = np.random.default_rng(13)
+    genome = random_genome(rng, n_phases=2, nodes_per_phase=2, density=0.7)
+    return decode_genome(
+        genome,
+        DecoderConfig(input_shape=(1, 12, 12), n_classes=3, channels=(8, 16), dtype=dtype),
+        rng=rng,
+    )
 
 
-@pytest.mark.parametrize("label", ["float32", "float64"])
+@pytest.mark.parametrize("label", DTYPES)
+def test_decoded_network_bound_equals_unbound_bitwise(label):
+    dtype = resolve_dtype(label)
+    assert_bound_equals_unbound(
+        lambda r: _build_network(dtype), _batches((4, 1, 12, 12), dtype)
+    )
+
+
+@pytest.mark.parametrize("label", DTYPES)
 @pytest.mark.parametrize(
     "opt_factory",
     [
@@ -163,99 +245,78 @@ class TestByteExactLayers:
 )
 def test_optimizer_steps_bitwise_equal(label, opt_factory):
     dtype = resolve_dtype(label)
-
-    def build():
-        rng = np.random.default_rng(9)
-        genome = random_genome(rng, n_phases=1, nodes_per_phase=2, density=1.0)
-        return decode_genome(
-            genome,
-            DecoderConfig(input_shape=(1, 8, 8), n_classes=2, channels=(8,), dtype=dtype),
-            rng=rng,
-        )
-
-    net_a, net_b = build(), build()
+    net_a, net_b = _build_network(dtype), _bind(_build_network(dtype))
     opt_a, opt_b = opt_factory(net_a), opt_factory(net_b)
     rng = np.random.default_rng(10)
-    for _ in range(5):
-        for (_, pa), (_, pb) in zip(net_a.parameters(), net_b.parameters()):
-            g = rng.normal(size=pa.shape).astype(dtype)
-            pa.grad[...] = g
-            pb.grad[...] = g
-        opt_a.step()
-        opt_b.step()
+    for x in _batches((4, 1, 12, 12), dtype, n=5):
+        g = rng.normal(size=(4, 3)).astype(dtype)
+        for net, opt in ((net_a, opt_a), (net_b, opt_b)):
+            opt.zero_grad()
+            net.forward(x, training=True)
+            net.backward(g.copy())
+            opt.step()
     for (name, pa), (_, pb) in zip(net_a.parameters(), net_b.parameters()):
         np.testing.assert_array_equal(pa.value, pb.value, err_msg=name)
 
 
-# -- conv + whole-network tolerance equivalence ---------------------------------
+# -- inference on a bound network ------------------------------------------------
 
 
-def _build_network(dtype, arena: bool):
-    rng = np.random.default_rng(13)
-    genome = random_genome(rng, n_phases=2, nodes_per_phase=2, density=0.7)
-    network = decode_genome(
-        genome,
-        DecoderConfig(input_shape=(1, 12, 12), n_classes=3, channels=(8, 16), dtype=dtype),
-        rng=rng,
+def test_predict_on_a_bound_network_copies_every_chunk():
+    # 10 samples in chunks of 4, 4 and a ragged 2: a bound head layer
+    # returns the same pinned buffer for both full chunks
+    x = np.random.default_rng(26).normal(size=(10, 1, 12, 12))
+    unbound, bound = _build_network(np.float64), _bind(_build_network(np.float64))
+    expected = unbound.predict(x, batch_size=4)
+    np.testing.assert_array_equal(expected, unbound.forward(x, training=False))
+    np.testing.assert_array_equal(bound.predict(x, batch_size=4), expected)
+    with pytest.raises(ValueError, match="at least one sample"):
+        bound.predict(x[:0])
+
+
+# -- the trainer binds ------------------------------------------------------------
+
+
+def test_trainer_binds_and_matches_an_unbound_hand_loop():
+    n = 20  # 2 full batches of 8 and a ragged 4
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(n, 1, 12, 12))
+    y = (rng.random(n) * 3).astype(np.int64)
+
+    net = _build_network(np.float64)
+    trainer = Trainer(
+        net, x, y, x[:8], y[:8], optimizer=SGD(net, 0.01), batch_size=8,
+        rng=np.random.default_rng(16),
     )
-    if arena:
-        network.bind_arena(BufferArena(dtype))
-    return network
+    assert isinstance(net.arena, BufferArena)
+    assert all(layer.arena is net.arena for layer in net.layers)
+    losses = [trainer.train().train_loss for _ in range(2)]
 
-
-def test_network_forward_backward_equivalent_at_tolerance():
-    net_a = _build_network(np.float64, arena=False)
-    net_b = _build_network(np.float64, arena=True)
-    rng = np.random.default_rng(14)
-    x = rng.normal(size=(4, 1, 12, 12))
-    out_a = net_a.forward(x, training=True)
-    out_b = net_b.forward(x, training=True)
-    np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
-    g = rng.normal(size=out_a.shape)
-    gx_a = net_a.backward(g)
-    gx_b = net_b.backward(g.copy())
-    np.testing.assert_allclose(gx_a, gx_b, rtol=0, atol=1e-10)
-    # normalize by the global gradient scale: a conv bias feeding a
-    # BatchNorm has an exactly-zero true gradient (BN removes constant
-    # channel shifts), so per-parameter relative error is pure noise
-    grads_a = [p.grad for _, p in net_a.parameters()]
-    scale = max(float(np.abs(g).max()) for g in grads_a) or 1.0
-    for (name, pa), (_, pb) in zip(net_a.parameters(), net_b.parameters()):
-        worst = float(np.abs(pa.grad - pb.grad).max()) / scale
-        assert worst < 1e-10, f"{name}: normalized grad diff {worst}"
-
-
-def test_trainer_histories_track_between_arena_and_legacy():
-    def run(arena: bool):
-        net = _build_network(np.float64, arena=arena)
-        rng = np.random.default_rng(15)
-        n = 20
-        x = rng.normal(size=(n, 1, 12, 12))
-        y = (rng.random(n) * 3).astype(np.int64)
-        trainer = Trainer(
-            net,
-            x,
-            y,
-            x[:8],
-            y[:8],
-            optimizer=Adam(net, 1e-3),
-            batch_size=8,
-            rng=np.random.default_rng(16),
-        )
-        stats = [trainer.train() for _ in range(3)]
-        return [s.train_loss for s in stats], trainer.validate()
-
-    losses_a, acc_a = run(False)
-    losses_b, acc_b = run(True)
-    np.testing.assert_allclose(losses_a, losses_b, rtol=1e-9)
-    assert acc_a == acc_b
+    twin = _build_network(np.float64)
+    optimizer, loss_fn = SGD(twin, 0.01), trainer.loss
+    shuffle = np.random.default_rng(16)
+    expected = []
+    for _ in range(2):
+        order = shuffle.permutation(n)
+        values = []
+        for start in range(0, n, 8):
+            batch = order[start : start + 8]
+            optimizer.zero_grad()
+            value, grad = loss_fn(twin.forward(x[batch], training=True), y[batch])
+            twin.backward(grad)
+            optimizer.step()
+            values.append(value)
+        expected.append(float(np.mean(values)))
+    assert losses == expected
+    assert twin.arena is None
+    np.testing.assert_array_equal(net.predict(x[:8]), twin.predict(x[:8]))
 
 
 # -- steady state ----------------------------------------------------------------
 
 
 def test_arena_reaches_steady_state_and_tracks_peak_bytes():
-    net = _build_network(np.float32, arena=True)
+    net = _build_network(np.float32)
     rng = np.random.default_rng(17)
     n = 20  # ragged last batch: 20 = 2*8 + 4 exercises per-shape keying
     x = rng.normal(size=(n, 1, 12, 12)).astype(np.float32)
@@ -304,21 +365,6 @@ def test_col2im_out_matches_allocating_call():
         col2im(gcols, x.shape, 3, 3, 2, out=np.empty((1, 1)))
 
 
-# -- unbound layers keep allocating (opt-out) ------------------------------------
-
-
-def test_unbind_restores_legacy_path():
-    dtype = np.float64
-    layer = Conv2D(2, 3, kernel_size=3, rng=np.random.default_rng(20), dtype=dtype)
-    x = np.random.default_rng(21).normal(size=(2, 2, 5, 5))
-    baseline = layer.forward(x, training=False)
-    layer.bind_arena(BufferArena(dtype), owner="c")
-    layer.forward(x, training=False)
-    layer.unbind_arena()
-    assert layer.arena is None
-    np.testing.assert_array_equal(layer.forward(x, training=False), baseline)
-
-
 # -- MaxPool vectorized backward vs a loop reference ------------------------------
 
 
@@ -350,56 +396,7 @@ def test_maxpool_backward_matches_loop_reference(pool, stride):
     np.testing.assert_array_equal(grad, expected)
 
 
-# -- workflow wiring: config resolution, memo key, lineage fields ----------------
-
-
-def test_workflow_config_arena_resolution_and_roundtrip():
-    from repro.workflow.interfaces import WorkflowConfig
-
-    assert WorkflowConfig().arena is True  # float32 default
-    assert WorkflowConfig(dtype="float64", rng_keying="model", eval_cache=False).arena is False
-    assert WorkflowConfig(arena=False).arena is False
-    assert (
-        WorkflowConfig(
-            dtype="float64", rng_keying="model", eval_cache=False, arena=True
-        ).arena
-        is True
-    )
-    config = WorkflowConfig(arena=True)
-    assert WorkflowConfig.from_dict(config.to_dict()).arena is True
-    # historical run documents predate the fast path: missing key -> off
-    payload = config.to_dict()
-    del payload["arena"]
-    assert WorkflowConfig.from_dict(payload).arena is False
-
-
-def test_memo_key_separates_arena_from_legacy_evaluations():
-    from repro.nas.evaluation import TrainingEvaluator
-    from repro.nas.population import Individual
-
-    rng = np.random.default_rng(24)
-    genome = random_genome(rng, n_phases=1, nodes_per_phase=2, density=1.0)
-    individual = Individual(genome=genome, model_id="m0", generation=0)
-
-    def evaluator(arena):
-        return TrainingEvaluator(
-            dataset=None,
-            engine=None,
-            max_epochs=1,
-            decoder_config=DecoderConfig(input_shape=(1, 8, 8), n_classes=2, channels=(8,)),
-            rng_keying="genome",
-            dataset_key="test-dataset",
-            arena=arena,
-        )
-
-    key_on = evaluator(True).memo_key(individual)
-    key_off = evaluator(False).memo_key(individual)
-    assert key_on is not None and key_off is not None
-    assert key_on != key_off
-    # the keys differ in exactly one component: the arena flag
-    differing = [i for i, (a, b) in enumerate(zip(key_on, key_off)) if a != b]
-    assert len(differing) == 1
-    assert (key_on[differing[0]], key_off[differing[0]]) == (True, False)
+# -- lineage fields ----------------------------------------------------------------
 
 
 def test_individual_arena_fields_reach_model_record():
@@ -409,16 +406,16 @@ def test_individual_arena_fields_reach_model_record():
 
     rng = np.random.default_rng(25)
     genome = random_genome(rng, n_phases=1, nodes_per_phase=2, density=1.0)
-    individual = Individual(genome=genome, model_id="m1", generation=0)
-    individual.arena_enabled = True
-    individual.arena_peak_bytes = 12345
-    assert individual.to_dict()["arena_enabled"] is True
-    assert individual.to_dict()["arena_peak_bytes"] == 12345
     record = ModelRecord(model_id="m1", generation=0, genome=genome.to_dict())
     assert record.arena_enabled is False and record.arena_peak_bytes == 0
 
+    # the published schema keeps arena_enabled, derived from the footprint
     tracker = LineageTracker()
-    tracker.observe_individual(individual)
-    stored = tracker.records["m1"]
-    assert stored.arena_enabled is True
-    assert stored.arena_peak_bytes == 12345
+    for model_id, peak in (("trained", 12345), ("sampled", 0)):
+        individual = Individual(genome=genome, model_id=model_id, generation=0)
+        individual.arena_peak_bytes = peak
+        assert individual.to_dict()["arena_peak_bytes"] == peak
+        tracker.observe_individual(individual)
+        stored = tracker.records[model_id]
+        assert stored.arena_peak_bytes == peak
+        assert stored.arena_enabled is (peak > 0)

@@ -233,7 +233,8 @@ def published_digests(root: Path) -> dict:
     Engine-less surrogate mode has no wall-clock field, so the bytes are a
     pure function of the seed.  ``tests/fixtures/make_published_digests.py``
     wrote the fixture from this function at the parent of the commit that
-    replaced ``asdict``.
+    replaced ``asdict``; its two ``run.json`` entries were re-pinned when
+    ``WorkflowConfig.to_dict`` lost the ``arena`` key.
     """
     config = WorkflowConfig(
         nas=NSGANetConfig(

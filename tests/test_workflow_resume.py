@@ -1,6 +1,8 @@
 """Tests for resuming interrupted searches from the commons."""
 
 import dataclasses
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.workflow import (
     resume_workflow,
     run_workflow,
 )
+from repro.workflow.interfaces import WorkflowConfig
 
 from tests.test_workflow import small_config
 
@@ -267,3 +270,55 @@ class TestResumeSteadyWorkflow:
         resume_workflow(commons, run_id)
         report = verify_run(commons, run_id)
         assert report.matches, report.summary()
+
+
+LEGACY_COMMONS = Path(__file__).parent / "fixtures" / "legacy_arena_commons"
+
+
+class TestLegacyArenaDocuments:
+    """Documents written while ``WorkflowConfig`` still had an ``arena`` key."""
+
+    @pytest.mark.parametrize("arena", [False, True, "absent"])
+    def test_config_loads_and_drops_the_key(self, arena):
+        payload = small_config().to_dict()
+        payload.update(dtype="float64", rng_keying="model", eval_cache=False)
+        if arena != "absent":
+            payload["arena"] = arena
+        config = WorkflowConfig.from_dict(payload)
+        assert config.dtype == "float64"
+        assert "arena" not in config.to_dict()
+        assert WorkflowConfig.from_dict(config.to_dict()) == config
+
+    def test_commons_published_at_the_parent_commit_resumes(self, tmp_path):
+        # the fixture is a complete float64 real-mode run published by
+        # commit f5b4fa0 with "arena": false, i.e. trained on the
+        # allocate-per-call kernels that no longer exist
+        shutil.copytree(LEGACY_COMMONS, tmp_path / "commons")
+        commons = DataCommons(tmp_path / "commons")
+        run_id = "legacy_float64_real"
+        assert commons.load_run(run_id).workflow_config["arena"] is False
+        published = {r.model_id: r for r in commons.load_models(run_id)}
+        models = commons.root / "runs" / run_id / "models"
+        for record in published.values():
+            if record.generation >= 1:
+                (models / f"model_{record.model_id:05d}.json").unlink()
+
+        resume_workflow(commons, run_id)
+
+        assert "arena" not in commons.load_run(run_id).workflow_config
+        resumed = {r.model_id: r for r in commons.load_models(run_id)}
+        assert sorted(resumed) == sorted(published)
+        for model_id, old in published.items():
+            new = resumed[model_id]
+            assert new.genome == old.genome
+            assert new.fitness_history == old.fitness_history
+            assert new.prediction_history == old.prediction_history
+            assert (new.fitness, new.epochs_trained) == (old.fitness, old.epochs_trained)
+            # the conv GEMMs accumulate in another order than the deleted
+            # kernels did, so the loss agrees to rounding, not to the bit
+            assert [e["train_loss"] for e in new.epochs] == pytest.approx(
+                [e["train_loss"] for e in old.epochs], rel=1e-12
+            )
+            # restored records keep the parent's value; retrained ones
+            # report the arena every trained network now has
+            assert new.arena_enabled is (new.generation >= 1)
