@@ -153,8 +153,8 @@ def _run_entry(
         )
         entry["final_drain_seconds"] = sum(reports[-1].barrier_downtime())
     else:
-        # thread backend at n_workers=1 runs the legacy inline loop with
-        # no pool behind it, so there is nothing to report per worker
+        # thread backend at n_workers=1 evaluates inline with no pool
+        # behind it, so there is nothing to report per worker
         entry["note"] = "inline serial loop (no pool report)"
     return entry
 

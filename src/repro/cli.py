@@ -231,10 +231,10 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         choices=["serial", "thread", "process"],
-        help="generation-execution backend: 'serial' (inline loop), "
-        "'thread' (FIFO thread pool; default), or 'process' (spawned "
-        "workers sharing the dataset through shared memory, with "
-        "hard-kill timeouts)",
+        help="evaluation backend: 'serial' (a one-worker pool, keeps a "
+        "timing report), 'thread' (inline at one worker, a FIFO thread "
+        "pool above; default), or 'process' (spawned workers sharing the "
+        "dataset through shared memory, with hard-kill timeouts)",
     )
     parser.add_argument(
         "--n-workers",

@@ -5,9 +5,10 @@ already evaluated — either bit-identical or isomorphic (same phase DAG
 under node relabeling).  Under the genome-keyed RNG policy
 (``rng_keying="genome"``, see :mod:`repro.nas.evaluation`), evaluation
 is a pure function of (canonical genome, training config, dataset,
-dtype), so re-training such a candidate buys nothing.  The
-:class:`MemoizingEvaluator` wraps the *outermost* evaluation chain and
-reuses the recorded outcome instead.
+dtype), so re-training such a candidate buys nothing.
+:class:`MemoizingStream` sits between the search and the evaluation
+backend on the :class:`~repro.nas.search.EvalStream` seam and reuses the
+recorded outcome instead.
 
 Invariants (also recorded in DESIGN §9):
 
@@ -20,15 +21,11 @@ Invariants (also recorded in DESIGN §9):
   :class:`~repro.lineage.records.ModelRecord`) carries ``cache_hit``
   and the source model id, and the per-epoch observers are replayed
   from the cached trace so history stores and record trails stay
-  populated.
-
-Determinism with parallel workers: :meth:`MemoizingEvaluator.
-evaluate_generation` partitions each generation *before* dispatching —
-the first individual carrying a given key becomes the leader and is
-evaluated; later ones are followers and take the hit after the leaders
-settle.  Hit/miss assignment therefore depends only on submission
-order, never on thread timing, so ``n_workers=1`` and ``n_workers=N``
-produce identical record trails.
+  populated;
+* hit or miss is decided in one place, :meth:`MemoizingStream.submit`
+  and the follower release it triggers, from submission order alone —
+  never from worker timing — so every backend and worker count produces
+  the same record trails and the same :meth:`EvaluationCache.stats`.
 """
 
 from __future__ import annotations
@@ -37,12 +34,11 @@ import copy
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.nas.population import Individual
 from repro.utils.logging import get_logger
 
-__all__ = ["CacheEntry", "EvaluationCache", "MemoizingEvaluator", "MemoizingStream"]
+__all__ = ["CacheEntry", "EvaluationCache", "MemoizingStream"]
 
 _LOG = get_logger("nas.evalcache")
 
@@ -89,25 +85,6 @@ class EvaluationCache:
                 self.hits += 1
             return entry
 
-    def record_hit(self, key: tuple) -> CacheEntry | None:
-        """Count a hit resolved outside :meth:`lookup` (generation path)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-            return entry
-
-    def record_miss(self) -> None:
-        """Count a miss resolved outside :meth:`lookup`.
-
-        The process backend partitions leaders in the parent and
-        evaluates them in worker processes, so :meth:`lookup` never runs
-        for them; :meth:`MemoizingEvaluator.register_remote` calls this
-        to keep the hit/miss statistics identical to the serial path.
-        """
-        with self._lock:
-            self.misses += 1
-
     def put(self, key: tuple, entry: CacheEntry) -> None:
         """Insert an entry; the first writer for a key wins."""
         with self._lock:
@@ -122,58 +99,76 @@ class EvaluationCache:
             }
 
 
-class MemoizingEvaluator:
-    """Outermost evaluation wrapper that reuses duplicate evaluations.
+@dataclass
+class _Lead:
+    """An evaluation in flight whose outcome may prime the cache."""
+
+    key: tuple
+    trace: list = field(default_factory=list)  # [(epoch, fitness, prediction), ...]
+    followers: deque = field(default_factory=deque)  # duplicates waiting on it
+
+
+class MemoizingStream:
+    """The evaluation cache, as a layer of the :class:`~repro.nas.search.
+    EvalStream` seam.
+
+    Wraps an inner stream (the inline loop or a worker pool) that runs
+    the evaluation chain *below* the cache, so whatever that chain
+    settles on is inspected *after* retries and quarantine.  A hit never
+    reaches the inner stream and settles first.  A miss becomes a
+    *lead*: its per-epoch events are captured while it runs (live on
+    threads, during the parent-side replay on the process pool) and a
+    clean outcome primes the cache.
+
+    A duplicate submitted while its lead is still uncommitted is the one
+    thing the evolution modes disagree on, each pinned by recorded
+    lineage:
+
+    * ``wait_for_leader=True`` (barrier): the duplicate waits for the
+      lead to settle and takes the hit; if the lead settled uncacheable
+      (quarantined, faulted, retried) the first waiter is promoted to
+      lead — a fault never silently propagates to other candidates —
+      and the rest wait on it.  The entry is published when the lead
+      settles.  The outcome depends on submission order only.
+    * ``wait_for_leader=False`` (steady): the entry is published when
+      the lead *commits*, a logical-clock event; a duplicate submitted
+      before that finds nothing and re-evaluates for real — under
+      genome-keyed RNG bit-identically, so only wall time is spent.
 
     Parameters
     ----------
-    evaluator:
-        The full evaluation chain a miss runs through (fault injection /
-        fault tolerance / the backend).  Wrapping outermost is what
-        keeps faulty outcomes out of the cache: whatever the chain
-        settles on is inspected *after* retries and quarantine.
     base:
         The innermost backend (:class:`~repro.nas.evaluation.
         TrainingEvaluator` or :class:`~repro.nas.surrogate.
         SurrogateEvaluator`).  It provides ``memo_key`` and the
         ``observers`` list used to capture and replay per-epoch events.
-    cache:
-        Shared :class:`EvaluationCache`; a fresh one by default.
-    executor:
-        Inner generation executor (e.g. ``FifoWorkerPool(self).
-        evaluate_generation``) used by :meth:`evaluate_generation`; a
-        serial loop over :meth:`evaluate` by default.
+    inner:
+        The stream misses are evaluated on.
+    wait_for_leader:
+        The in-flight duplicate rule, see above.
     """
 
-    def __init__(
-        self,
-        evaluator,
-        base,
-        *,
-        cache: EvaluationCache | None = None,
-        executor: Callable[[list[Individual]], list[Individual]] | None = None,
-    ) -> None:
-        self.evaluator = evaluator
+    def __init__(self, base, inner, *, wait_for_leader: bool) -> None:
         self.base = base
-        self.cache = cache or EvaluationCache()
-        self.executor = executor
-        self._trace_lock = threading.Lock()
-        self._traces: dict[int, list] = {}
+        self.inner = inner
+        self.wait_for_leader = wait_for_leader
+        self.cache = EvaluationCache()
+        self._ready: deque[Individual] = deque()
+        self._lock = threading.Lock()
+        self._leads: dict[int, _Lead] = {}  # by model id, until published
+        self._unsettled: dict[tuple, _Lead] = {}  # by key (wait_for_leader only)
+        self._n_inner = 0  # evaluations on the inner stream right now
         # capture per-epoch events of evaluations in flight so a future
         # hit can replay them; runs after the real observers
         self.base.observers.append(self._capture)
 
-    @property
-    def max_epochs(self) -> int:
-        return self.evaluator.max_epochs
-
     # -- capture & replay -------------------------------------------------------
 
     def _capture(self, individual, epoch, fitness, prediction, context) -> None:
-        with self._trace_lock:
-            trace = self._traces.get(individual.model_id)
-        if trace is not None:
-            trace.append((epoch, float(fitness), prediction))
+        with self._lock:
+            lead = self._leads.get(individual.model_id)
+        if lead is not None:
+            lead.trace.append((epoch, float(fitness), prediction))
 
     def _replay_observers(self, individual: Individual, entry: CacheEntry) -> None:
         observers = [o for o in self.base.observers if o is not self._capture]
@@ -188,9 +183,9 @@ class MemoizingEvaluator:
             for observer in observers:
                 observer(individual, epoch, fitness, prediction, context)
 
-    # -- hit/miss machinery -----------------------------------------------------
+    # -- entries ----------------------------------------------------------------
 
-    def _apply_hit(self, individual: Individual, entry: CacheEntry) -> Individual:
+    def _apply_hit(self, individual: Individual, entry: CacheEntry) -> None:
         individual.fitness = entry.fitness
         individual.flops = entry.flops
         individual.result = copy.deepcopy(entry.result)
@@ -204,7 +199,7 @@ class MemoizingEvaluator:
             individual.model_id,
             entry.source_model_id,
         )
-        return individual
+        self._ready.append(individual)
 
     @staticmethod
     def _cacheable(individual: Individual) -> bool:
@@ -247,144 +242,71 @@ class MemoizingEvaluator:
         self.cache.put(key, self._entry_from(individual, epoch_trace or []))
         return True
 
-    def register_remote(self, individual: Individual, epoch_trace: list) -> None:
-        """Account a leader evaluated in a worker process.
+    def _publish(self, individual: Individual) -> _Lead | None:
+        """Prime the cache from a lead's outcome, once; the lead if it was one."""
+        with self._lock:
+            lead = self._leads.pop(individual.model_id, None)
+        if lead is not None and self._cacheable(individual):
+            self.cache.put(lead.key, self._entry_from(individual, lead.trace))
+        return lead
 
-        Wired as :class:`~repro.scheduler.procpool.ProcessWorkerPool`'s
-        ``on_result`` hook.  The leader was dispatched because
-        generation partitioning found no entry for its key — that is the
-        lookup miss :meth:`evaluate` counts on the serial path — and a
-        clean outcome primes the cache with the trace the pool replayed,
-        so followers take hits exactly as they would have locally.
-        """
-        key = self.base.memo_key(individual)
-        if key is None:
-            return
-        self.cache.record_miss()
-        if self._cacheable(individual):
-            self.cache.put(key, self._entry_from(individual, list(epoch_trace)))
+    # -- the stream seam --------------------------------------------------------
 
-    # -- Evaluator protocol -----------------------------------------------------
-
-    def evaluate(self, individual: Individual) -> Individual:
-        key = self.base.memo_key(individual)
-        if key is None:
-            return self.evaluator.evaluate(individual)
-        entry = self.cache.lookup(key)
-        if entry is not None:
-            return self._apply_hit(individual, entry)
-        with self._trace_lock:
-            self._traces[individual.model_id] = []
-        try:
-            self.evaluator.evaluate(individual)
-        finally:
-            with self._trace_lock:
-                trace = self._traces.pop(individual.model_id, [])
-        if self._cacheable(individual):
-            self.cache.put(key, self._entry_from(individual, trace))
-        return individual
-
-    # -- generation executor ----------------------------------------------------
-
-    def _run(self, individuals: list[Individual]) -> None:
-        if not individuals:
-            return
-        if self.executor is not None:
-            self.executor(individuals)
-        else:
-            for individual in individuals:
-                self.evaluate(individual)
-
-    def evaluate_generation(self, individuals: list[Individual]) -> list[Individual]:
-        """Evaluate one generation with deterministic deduplication.
-
-        Partition first, dispatch second: per memo key the first carrier
-        in submission order leads (real evaluation through the inner
-        executor), later carriers follow (hit once the leaders settle).
-        If a leader's outcome turns out uncacheable (quarantined or
-        faulted), its followers are evaluated for real in a second wave
-        — a fault never silently propagates to other candidates.
-        """
-        leaders: list[Individual] = []
-        deferred: list[tuple[Individual, tuple]] = []
-        seen: set[tuple] = set()
-        for individual in individuals:
-            key = self.base.memo_key(individual)
-            if key is None:
-                leaders.append(individual)
-                continue
-            entry = self.cache.record_hit(key)
-            if entry is not None:
-                self._apply_hit(individual, entry)
-            elif key in seen:
-                deferred.append((individual, key))
-            else:
-                seen.add(key)
-                leaders.append(individual)
-        self._run(leaders)
-        second_wave: list[Individual] = []
-        for individual, key in deferred:
-            entry = self.cache.record_hit(key)
-            if entry is not None:
-                self._apply_hit(individual, entry)
-            else:
-                second_wave.append(individual)
-        self._run(second_wave)
-        return individuals
-
-
-class MemoizingStream:
-    """Streaming (steady-state) face of the evaluation cache.
-
-    Satisfies the :class:`~repro.nas.search.EvalStream` seam by wrapping
-    an inner stream (a worker pool).  Hit/miss assignment happens at
-    ``submit`` — in steady mode a deterministic logical-clock event —
-    and priming at ``on_commit``, the point where results re-enter
-    submission order.  Both are driven by the search loop, never by
-    worker timing, so cache behaviour is identical on every backend.
-
-    A duplicate bred while its leader is still inside the in-flight
-    window finds no entry and re-evaluates for real; under genome-keyed
-    RNG the repeat is bit-identical, so only wall time is spent, never
-    determinism.  The inner stream evaluates the chain *below* the
-    memoizer (its own lookup would race with worker timing).
-    """
-
-    def __init__(self, memoizer: MemoizingEvaluator, inner) -> None:
-        self.memoizer = memoizer
-        self.inner = inner
-        self._ready: deque[Individual] = deque()
-
-    def submit(self, individual: Individual) -> None:
-        memoizer = self.memoizer
-        key = memoizer.base.memo_key(individual)
-        if key is not None:
-            entry = memoizer.cache.record_hit(key)
-            if entry is not None:
-                self._ready.append(memoizer._apply_hit(individual, entry))
-                return
-            memoizer.cache.record_miss()
-            # register the trace now so the capture observer collects the
-            # per-epoch events of this in-flight evaluation (thread
-            # backends capture live; the process pool captures during its
-            # parent-side observer replay)
-            with memoizer._trace_lock:
-                memoizer._traces[individual.model_id] = []
+    def _submit_inner(self, individual: Individual) -> None:
+        self._n_inner += 1
         self.inner.submit(individual)
 
+    def _lead(self, individual: Individual, key: tuple, followers=()) -> None:
+        lead = _Lead(key, followers=deque(followers))
+        with self._lock:
+            self._leads[individual.model_id] = lead
+        if self.wait_for_leader:
+            self._unsettled[key] = lead
+        self._submit_inner(individual)
+
+    def _release(self, lead: _Lead) -> None:
+        """A lead is off the inner stream: resolve the duplicates waiting on it."""
+        del self._unsettled[lead.key]
+        followers = lead.followers
+        while followers:
+            follower = followers.popleft()
+            entry = self.cache.lookup(lead.key)
+            if entry is None:
+                self._lead(follower, lead.key, followers)
+                return
+            self._apply_hit(follower, entry)
+
+    def submit(self, individual: Individual) -> None:
+        key = self.base.memo_key(individual)
+        if key is None:
+            self._submit_inner(individual)
+        elif key in self._unsettled:
+            self._unsettled[key].followers.append(individual)
+        elif (entry := self.cache.lookup(key)) is not None:
+            self._apply_hit(individual, entry)
+        else:
+            self._lead(individual, key)
+
     def settled(self) -> Individual:
+        if not self._ready and not self._n_inner:
+            # a lead that raised never settles: nothing is left running,
+            # so whatever still holds followers failed — promote them
+            for lead in list(self._unsettled.values()):
+                self._release(lead)
         if self._ready:
             return self._ready.popleft()
-        return self.inner.settled()
+        if not self._n_inner:
+            raise RuntimeError("no evaluations in flight")
+        self._n_inner -= 1  # returned or raised, one evaluation is off the inner stream
+        individual = self.inner.settled()
+        if self.wait_for_leader:
+            lead = self._publish(individual)
+            if lead is not None:
+                self._release(lead)
+        return individual
 
     def on_commit(self, individual: Individual) -> None:
-        memoizer = self.memoizer
-        with memoizer._trace_lock:
-            trace = memoizer._traces.pop(individual.model_id, [])
-        if not individual.cache_hit:
-            key = memoizer.base.memo_key(individual)
-            if key is not None and memoizer._cacheable(individual):
-                memoizer.cache.put(key, memoizer._entry_from(individual, trace))
+        self._publish(individual)
         self.inner.on_commit(individual)
 
     def finish(self):

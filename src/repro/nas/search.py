@@ -11,6 +11,11 @@ With the paper's Table 2 settings — population 10, 10 offspring per
 generation, 10 generations (the initial population counts as generation
 1) — a run evaluates exactly ``10 + 9 × 10 = 100`` networks, matching
 "each test produces 100 networks in total".
+
+Both evolution modes reach evaluation through one seam,
+:class:`EvalStream`: the generational loop submits a whole generation,
+drains it and closes the episode before it commits; the steady-state
+loop keeps a rolling window in flight and closes once, at the end.
 """
 
 from __future__ import annotations
@@ -43,9 +48,12 @@ __all__ = [
     "SearchState",
     "NSGANet",
     "EvalStream",
+    "InlineStream",
+    "generation_stats",
     "SteadyState",
     "STEADY_START",
     "steady_insert",
+    "steady_chunk_closed",
     "replay_steady",
 ]
 
@@ -58,14 +66,17 @@ _EVOLUTIONS = ("barrier", "steady")
 
 @runtime_checkable
 class EvalStream(Protocol):
-    """Streaming evaluation seam for steady-state evolution.
+    """The one seam between the search and "run these candidates".
 
     ``submit`` hands a candidate to the backend; ``settled`` blocks for
-    the next completed evaluation *in any order*; ``on_commit`` fires
-    when the search folds a result into the population in logical-clock
-    order (the deterministic point for cache priming); ``finish`` flushes
-    end-of-stream bookkeeping (e.g. a :class:`~repro.scheduler.pool.
-    PoolReport` covering the whole run).
+    the next completed evaluation *in any order* and raises that
+    evaluation's error if it failed; ``on_commit`` fires when the search
+    folds a result into the population in submission order (the
+    deterministic point for cache priming); ``finish`` closes the
+    scheduling episode — a pool records one :class:`~repro.scheduler.
+    pool.PoolReport` per episode, so barrier evolution gets one per
+    generation and steady evolution one per run — after which ``submit``
+    opens the next.
     """
 
     def submit(self, individual: Individual) -> None: ...
@@ -77,8 +88,8 @@ class EvalStream(Protocol):
     def finish(self) -> None: ...
 
 
-class _InlineStream:
-    """Serial fallback stream: evaluates lazily, in submission order."""
+class InlineStream:
+    """No pool: evaluates lazily in the caller's thread, in submission order."""
 
     def __init__(self, evaluator: Evaluator) -> None:
         self._evaluator = evaluator
@@ -145,6 +156,16 @@ def steady_insert(
         front = [m for m, kept in zip(front, keep) if kept] + [individual]
         front_objectives = np.concatenate((front_objectives[keep], row))
     return SteadyState(members, objectives, front, front_objectives)
+
+
+def steady_chunk_closed(committed: int, population_size: int, per_generation: int) -> int | None:
+    """The pseudo-generation that steady commit number ``committed`` completes, if any.
+
+    Steady stats are cut into chunks shaped like barrier generations:
+    the first ``population_size`` commits, then every ``per_generation``.
+    """
+    done, partial = divmod(committed - population_size, per_generation)
+    return done if committed >= population_size and not partial else None
 
 
 def replay_steady(archive_members, population_size: int):
@@ -266,6 +287,43 @@ class GenerationStats:
     n_quarantined: int = 0
     n_cache_hits: int = 0
     epochs_skipped: int = 0
+
+
+def generation_stats(
+    generation: int,
+    evaluated: list[Individual],
+    population: Population,
+    max_epochs: int | None = None,
+) -> GenerationStats:
+    """Aggregate one generation's evaluations (live, and on rebuild from records).
+
+    ``max_epochs`` is the full per-model budget the surrogate's skips
+    are measured against; ``None`` reports zero skips.
+    """
+    fitnesses = [float(m.fitness) for m in evaluated]
+    completed = [m.result for m in evaluated if m.result]
+    skipped = 0
+    if max_epochs is not None:
+        skipped = sum(
+            max_epochs - effective_budget(m, max_epochs)
+            for m in evaluated
+            if not m.quarantined
+        )
+    return GenerationStats(
+        generation=generation,
+        n_evaluated=len(evaluated),
+        best_fitness=max(fitnesses),
+        mean_fitness=float(np.mean(fitnesses)),
+        epochs_trained=sum(r.epochs_trained for r in completed),
+        # engine savings are measured inside each evaluation's effective
+        # (surrogate-reduced) budget; the gap up to the full budget is
+        # what the surrogate skipped — the two counters never overlap
+        epochs_saved=sum(r.epochs_saved for r in completed),
+        pareto_size=int(pareto_front_mask(population.objective_array()).sum()),
+        n_quarantined=sum(1 for m in evaluated if m.quarantined),
+        n_cache_hits=sum(1 for m in evaluated if m.cache_hit),
+        epochs_skipped=skipped,
+    )
 
 
 @dataclass
@@ -395,15 +453,10 @@ class NSGANet:
         across backends and replayable on resume.
     on_generation:
         Optional callback with each :class:`GenerationStats`.
-    executor:
-        Optional generation executor ``executor(individuals) ->
-        individuals`` that runs a whole generation's evaluations (e.g.
-        :class:`~repro.scheduler.pool.FifoWorkerPool` for real parallel
-        hardware).  Defaults to serial evaluation through ``evaluator``.
-        Barrier mode only.
     stream:
-        Optional :class:`EvalStream` used by steady-state mode.
-        Defaults to an inline serial stream over ``evaluator``.
+        Optional :class:`EvalStream` every evaluation goes through (a
+        worker pool, the eval cache over one).  Defaults to an
+        :class:`InlineStream` over ``evaluator``.
     """
 
     def __init__(
@@ -415,7 +468,6 @@ class NSGANet:
         on_individual: Callable[[Individual], None] | None = None,
         on_candidate: Callable[[Individual, list, int], None] | None = None,
         on_generation: Callable[[GenerationStats], None] | None = None,
-        executor: Callable[[list], list] | None = None,
         stream: EvalStream | None = None,
     ) -> None:
         self.config = config
@@ -424,8 +476,7 @@ class NSGANet:
         self.on_individual = on_individual
         self.on_candidate = on_candidate
         self.on_generation = on_generation
-        self.executor = executor
-        self.stream = stream
+        self.stream = stream if stream is not None else InlineStream(evaluator)
         self._next_model_id = 0
 
     def _new_individual(self, genome: Genome, generation: int) -> Individual:
@@ -439,59 +490,77 @@ class NSGANet:
         if self.on_candidate is not None:
             self.on_candidate(individual, members, n_committed)
 
-    def _evaluate_all(self, individuals: list[Individual]) -> None:
+    def _initial_population(self) -> list[Individual]:
+        """Generation 0: random genomes, each announced to ``on_candidate``."""
+        config = self.config
+        init_rng = self.rng_stream.generator("init-population")
+        initial = [
+            self._new_individual(
+                random_genome(
+                    init_rng,
+                    n_phases=config.n_phases,
+                    nodes_per_phase=config.nodes_per_phase,
+                    density=config.initial_density,
+                ),
+                generation=0,
+            )
+            for _ in range(config.population_size)
+        ]
+        for individual in initial:
+            self._notify_candidate(individual, [], 0)
+        return initial
+
+    def _run_generation(self, individuals: list[Individual]) -> None:
+        """Barrier mode: submit, drain, close the episode, commit in order.
+
+        Every job settles before any exception propagates — a failure
+        in job *i* never prevents jobs *i+1..n* from being evaluated.
+        One error re-raises as itself; several raise an
+        ``ExceptionGroup``.
+        """
         # zero-budget candidates arrive pre-filled by the surrogate
         # allocator and never reach the evaluation backend
         todo = [m for m in individuals if not m.evaluated]
-        if self.executor is not None:
-            if todo:
-                self.executor(todo)
-        else:
-            for individual in todo:
-                self.evaluator.evaluate(individual)
+        for individual in todo:
+            self.stream.submit(individual)
+        errors: list[Exception] = []
+        for _ in todo:
+            try:
+                self.stream.settled()
+            except Exception as exc:
+                _LOG.error("evaluation failed, settling the rest of the generation: %s", exc)
+                errors.append(exc)
+        self.stream.finish()
+        if len(errors) == 1:
+            raise errors[0]
+        if errors:
+            raise ExceptionGroup(
+                f"{len(errors)} of {len(todo)} evaluations failed", errors
+            )
         for individual in individuals:
-            if not individual.evaluated:
-                raise RuntimeError(
-                    f"model {individual.model_id} was not evaluated by the executor"
-                )
-            if self.on_individual is not None:
-                self.on_individual(individual)
+            self._commit(individual)
+
+    def _commit(self, individual: Individual) -> None:
+        """Tell the stream, then lineage, that a result entered the population."""
+        if not individual.evaluated:
+            raise RuntimeError(
+                f"model {individual.model_id} was not evaluated by the stream"
+            )
+        self.stream.on_commit(individual)
+        if self.on_individual is not None:
+            self.on_individual(individual)
 
     def _record_generation(
         self, generation: int, evaluated: list[Individual], population: Population
     ) -> GenerationStats:
-        fitnesses = [float(m.fitness) for m in evaluated]
-        completed = [m for m in evaluated if m.result]
-        max_epochs = self.config.max_epochs
-        epochs = sum(m.result.epochs_trained for m in completed)
-        # engine savings are measured inside each evaluation's effective
-        # (surrogate-reduced) budget; the gap up to the full budget is
-        # what the surrogate skipped — the two counters never overlap
-        budget = sum(effective_budget(m, max_epochs) for m in completed)
-        skipped = sum(
-            max_epochs - effective_budget(m, max_epochs)
-            for m in evaluated
-            if not m.quarantined
-        )
-        stats = GenerationStats(
-            generation=generation,
-            n_evaluated=len(evaluated),
-            best_fitness=max(fitnesses),
-            mean_fitness=float(np.mean(fitnesses)),
-            epochs_trained=epochs,
-            epochs_saved=budget - epochs,
-            pareto_size=int(pareto_front_mask(population.objective_array()).sum()),
-            n_quarantined=sum(1 for m in evaluated if m.quarantined),
-            n_cache_hits=sum(1 for m in evaluated if m.cache_hit),
-            epochs_skipped=skipped,
-        )
+        stats = generation_stats(generation, evaluated, population, self.config.max_epochs)
         _LOG.info(
             "generation %d: best %.2f%%, mean %.2f%%, epochs %d/%d, quarantined %d, cache hits %d",
             generation,
             stats.best_fitness,
             stats.mean_fitness,
-            epochs,
-            budget,
+            stats.epochs_trained,
+            stats.epochs_trained + stats.epochs_saved,
             stats.n_quarantined,
             stats.n_cache_hits,
         )
@@ -572,7 +641,7 @@ class NSGANet:
         per_generation = config.offspring_per_generation
         total = config.total_evaluations
         lag = config.steady_lag or 1
-        stream = self.stream if self.stream is not None else _InlineStream(self.evaluator)
+        stream = self.stream
 
         pending: dict[int, Individual] = {}
         chunk: list[Individual] = []
@@ -587,30 +656,16 @@ class NSGANet:
                 stream.submit(individual)
 
         if resume is None:
-            init_rng = self.rng_stream.generator("init-population")
-            initial = [
-                self._new_individual(
-                    random_genome(
-                        init_rng,
-                        n_phases=config.n_phases,
-                        nodes_per_phase=config.nodes_per_phase,
-                        density=config.initial_density,
-                    ),
-                    generation=0,
-                )
-                for _ in range(population_size)
-            ]
             state = STEADY_START
             archive = Population([])
-            generation_stats: list[GenerationStats] = []
+            stats: list[GenerationStats] = []
             committed = 0
-            for individual in initial:
-                self._notify_candidate(individual, [], 0)
+            for individual in self._initial_population():
                 submit(individual)
             next_submit = population_size
         else:
             archive = resume.archive
-            generation_stats = list(resume.generation_stats)
+            stats = list(resume.generation_stats)
             committed = len(archive.members)
             if resume.next_model_id != committed:
                 raise ValueError(
@@ -637,31 +692,18 @@ class NSGANet:
                 # the next tick is in flight (commits land in submission
                 # order, so anything not yet pending is on the backend)
                 settled = stream.settled()
-                if not settled.evaluated:
-                    raise RuntimeError(
-                        f"model {settled.model_id} was not evaluated by the stream"
-                    )
                 pending[settled.model_id] = settled
             while committed in pending:
                 individual = pending.pop(committed)
                 individual.logical_tick = committed
+                self._commit(individual)
                 archive.append(individual)
                 state = steady_insert(state, individual, population_size)
-                stream.on_commit(individual)
-                if self.on_individual is not None:
-                    self.on_individual(individual)
                 committed += 1
                 chunk.append(individual)
-                if committed == population_size or (
-                    committed > population_size
-                    and (committed - population_size) % per_generation == 0
-                ):
-                    generation = (
-                        0
-                        if committed == population_size
-                        else (committed - population_size) // per_generation
-                    )
-                    generation_stats.append(
+                generation = steady_chunk_closed(committed, population_size, per_generation)
+                if generation is not None:
+                    stats.append(
                         self._record_generation(
                             generation, chunk, Population(state.members)
                         )
@@ -678,7 +720,7 @@ class NSGANet:
         return SearchResult(
             archive=archive,
             population=Population(state.members),
-            generations=generation_stats,
+            generations=stats,
             config=config,
         )
 
@@ -693,30 +735,16 @@ class NSGANet:
         if config.evolution == "steady":
             return self._run_steady(resume)
         if resume is None:
-            init_rng = self.rng_stream.generator("init-population")
-            initial = [
-                self._new_individual(
-                    random_genome(
-                        init_rng,
-                        n_phases=config.n_phases,
-                        nodes_per_phase=config.nodes_per_phase,
-                        density=config.initial_density,
-                    ),
-                    generation=0,
-                )
-                for _ in range(config.population_size)
-            ]
-            for individual in initial:
-                self._notify_candidate(individual, [], 0)
-            self._evaluate_all(initial)
+            initial = self._initial_population()
+            self._run_generation(initial)
             population = Population(initial)
             archive = Population(list(initial))
-            generation_stats = [self._record_generation(0, initial, population)]
+            stats = [self._record_generation(0, initial, population)]
             start_generation = 1
         else:
             population = resume.population
             archive = resume.archive
-            generation_stats = list(resume.generation_stats)
+            stats = list(resume.generation_stats)
             start_generation = resume.next_generation
             self._next_model_id = resume.next_model_id
             if len(population) != config.population_size:
@@ -729,7 +757,7 @@ class NSGANet:
             offspring = self._make_offspring(
                 population, generation, n_committed=len(archive.members)
             )
-            self._evaluate_all(offspring)
+            self._run_generation(offspring)
             archive.extend(offspring)
 
             combined = Population(population.members + offspring)
@@ -737,13 +765,11 @@ class NSGANet:
                 combined.objective_array(), config.population_size
             )
             population = combined.subset(survivors)
-            generation_stats.append(
-                self._record_generation(generation, offspring, population)
-            )
+            stats.append(self._record_generation(generation, offspring, population))
 
         return SearchResult(
             archive=archive,
             population=population,
-            generations=generation_stats,
+            generations=stats,
             config=config,
         )

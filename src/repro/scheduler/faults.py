@@ -11,10 +11,14 @@ the A4NN stack the same stance:
 * :class:`FaultPolicy` — per-evaluation timeout, bounded retries with
   exponential backoff and re-seeded RNG children, and quarantine
   objectives for candidates that exhaust their attempts.
+* :class:`FaultRouter` — the one place a decision is recorded on the
+  individual; a quarantined individual receives a penalized (fitness,
+  FLOPs) pair, so NSGA-II environmental selection discards it naturally
+  instead of the search dying.
 * :class:`FaultTolerantEvaluator` — wraps any
-  :class:`~repro.nas.evaluation.Evaluator`; a quarantined individual
-  receives a penalized (fitness, FLOPs) pair, so NSGA-II environmental
-  selection discards it naturally instead of the search dying.
+  :class:`~repro.nas.evaluation.Evaluator` in the in-thread retry loop
+  that drives the router (the process pool drives the same router from
+  its dispatch queue).
 * :class:`FaultInjectionConfig` / :class:`FaultInjectingEvaluator` — a
   deterministic fault-injection harness (crash, hang-past-timeout, and
   NaN-loss modes, seeded from the run's RNG stream) used by the tier-1
@@ -40,7 +44,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.nas.population import Individual
 from repro.tooling.sanitizer import NumericalFault
@@ -52,7 +57,9 @@ __all__ = [
     "EvaluationTimeout",
     "InjectedFault",
     "FaultEvent",
+    "FaultDecision",
     "FaultPolicy",
+    "FaultRouter",
     "FaultTolerantEvaluator",
     "FaultInjectionConfig",
     "FaultInjectingEvaluator",
@@ -64,6 +71,9 @@ _LOG = get_logger("scheduler.faults")
 #: be dominated by every real architecture, finite so NSGA-II's sort and
 #: crowding-distance arithmetic stay well-behaved.
 QUARANTINE_FLOPS = 10**15
+
+#: What ``evaluate`` writes onto an individual (everything else is input).
+_EVALUATION_OUTPUTS = ("fitness", "flops", "result", "epoch_seconds", "arena_peak_bytes")
 
 
 class EvaluationTimeout(RuntimeError):
@@ -125,6 +135,23 @@ class FaultEvent:
         }
 
 
+class FaultDecision(NamedTuple):
+    """What a :class:`FaultPolicy` makes of one failed attempt."""
+
+    kind: str  # "crash" | "timeout" | "numerical"
+    detail: dict
+    action: str  # "retry" | "quarantine"
+    backoff_seconds: float
+
+
+def _classify(exc: Exception) -> tuple[str, dict]:
+    if isinstance(exc, EvaluationTimeout):
+        return "timeout", {}
+    if isinstance(exc, NumericalFault):
+        return "numerical", exc.to_dict()
+    return "crash", {"type": type(exc).__name__}
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
     """How the workflow handles failing candidate evaluations.
@@ -182,6 +209,20 @@ class FaultPolicy:
     def backoff_for(self, attempt: int) -> float:
         """Backoff to sleep before re-running after failed ``attempt``."""
         return float(self.backoff_seconds) * (2 ** int(attempt))
+
+    def decide(self, attempt: int, exc: Exception) -> FaultDecision:
+        """What to do about ``exc``, raised by attempt number ``attempt``.
+
+        Pure: the same (attempt, exception) always gets the same
+        decision, whichever driver asks.
+        """
+        kind, detail = _classify(exc)
+        retriable = attempt < self.max_retries and (
+            kind != "numerical" or self.retry_numerical
+        )
+        if retriable:
+            return FaultDecision(kind, detail, "retry", self.backoff_for(attempt))
+        return FaultDecision(kind, detail, "quarantine", 0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -312,6 +353,84 @@ class FaultInjectingEvaluator:
         return self.evaluator.evaluate(individual)
 
 
+class FaultRouter:
+    """Applies a :class:`FaultPolicy`'s decisions and keeps the event trail.
+
+    The one place a failed attempt turns into a :class:`FaultEvent` on
+    the individual (and, once retries are exhausted, into quarantine
+    objectives).  Two drivers call it: the in-thread retry loop of
+    :class:`FaultTolerantEvaluator` and the queue-based dispatcher of
+    :class:`~repro.scheduler.procpool.ProcessWorkerPool`.
+
+    Parameters
+    ----------
+    policy:
+        Retry/timeout/quarantine settings.
+    on_event:
+        Callback ``on_event(individual, event_dict)`` invoked for every
+        fault decision (the orchestrator wires the lineage tracker's
+        :meth:`~repro.lineage.tracker.LineageTracker.observe_fault_event`
+        here).
+    timeouts_leak:
+        Whether a timed-out attempt keeps computing after the verdict:
+        true for the thread driver (threads cannot be killed), false for
+        the process driver (the worker is hard-killed).
+    """
+
+    def __init__(self, policy: FaultPolicy, on_event=None, *, timeouts_leak: bool) -> None:
+        self.policy = policy
+        self.on_event = on_event
+        self.timeouts_leak = timeouts_leak
+        self.events: list[FaultEvent] = []
+
+    def route(self, individual: Individual, attempt: int, exc: Exception) -> float | None:
+        """Record the policy's decision about failed ``attempt``.
+
+        Returns the backoff to wait before the next attempt, or ``None``
+        once the individual has been quarantined.
+        """
+        decision = self.policy.decide(attempt, exc)
+        self._emit(individual, attempt, exc, decision)
+        if decision.action == "quarantine":
+            self._quarantine(individual)
+            return None
+        return decision.backoff_seconds
+
+    def _emit(
+        self, individual: Individual, attempt: int, exc: Exception, decision: FaultDecision
+    ) -> None:
+        event = FaultEvent(
+            model_id=individual.model_id,
+            attempt=attempt,
+            kind=decision.kind,
+            action=decision.action,
+            error=str(exc),
+            backoff_seconds=decision.backoff_seconds,
+            detail=decision.detail,
+            timeout_leaked=self.timeouts_leak and decision.kind == "timeout",
+        )
+        self.events.append(event)
+        individual.fault_events.append(event.to_dict())
+        if self.on_event is not None:
+            self.on_event(individual, event.to_dict())
+        log = _LOG.warning if decision.action == "quarantine" else _LOG.info
+        log(
+            "model %d attempt %d %s fault -> %s: %s",
+            individual.model_id,
+            attempt,
+            decision.kind,
+            decision.action,
+            exc,
+        )
+
+    def _quarantine(self, individual: Individual) -> None:
+        individual.fitness = float(self.policy.quarantine_fitness)
+        individual.flops = int(self.policy.quarantine_flops)
+        individual.result = None
+        individual.epoch_seconds = []
+        individual.quarantined = True
+
+
 class FaultTolerantEvaluator:
     """Evaluator wrapper applying a :class:`FaultPolicy` to every candidate.
 
@@ -330,10 +449,7 @@ class FaultTolerantEvaluator:
     policy:
         Retry/timeout/quarantine settings.
     on_event:
-        Callback ``on_event(individual, event_dict)`` invoked for every
-        fault decision (the orchestrator wires the lineage tracker's
-        :meth:`~repro.lineage.tracker.LineageTracker.observe_fault_event`
-        here).
+        Forwarded to the :class:`FaultRouter` (lineage hook).
     sleep:
         Injection point for the backoff sleep (tests pass a recorder).
     """
@@ -348,18 +464,16 @@ class FaultTolerantEvaluator:
     ) -> None:
         self.evaluator = evaluator
         self.policy = policy or FaultPolicy()
-        self.on_event = on_event
+        self._router = FaultRouter(self.policy, on_event, timeouts_leak=True)
+        self.events = self._router.events
         self._sleep = sleep
         self.max_epochs = evaluator.max_epochs
-        self.events: list[FaultEvent] = []
         #: Shadow threads abandoned by timed-out attempts.  Python
         #: threads cannot be killed, so these keep computing in the
         #: background until they finish on their own; the process
         #: backend is the only one that truly reclaims a hung
         #: evaluation (DESIGN §8).
         self.leaked_threads: list[threading.Thread] = []
-
-    # -- attempt execution ------------------------------------------------------
 
     def _attempt(self, individual: Individual) -> None:
         """Run one evaluation attempt, enforcing the timeout if configured."""
@@ -368,12 +482,11 @@ class FaultTolerantEvaluator:
             self.evaluator.evaluate(individual)
             return
         # Run against a shadow so an abandoned (timed-out) thread can
-        # never mutate the real individual after quarantine.
-        shadow = Individual(
-            genome=individual.genome,
-            model_id=individual.model_id,
-            generation=individual.generation,
-            eval_attempt=individual.eval_attempt,
+        # never mutate the real individual after quarantine.  The shadow
+        # carries every input the evaluator reads (the surrogate's
+        # budget included) and owns its lists.
+        shadow = replace(
+            individual, epoch_seconds=[], fault_events=list(individual.fault_events)
         )
         outcome: dict = {}
 
@@ -398,90 +511,24 @@ class FaultTolerantEvaluator:
             )
         if "error" in outcome:
             raise outcome["error"]
-        individual.fitness = shadow.fitness
-        individual.flops = shadow.flops
-        individual.result = shadow.result
-        individual.epoch_seconds = shadow.epoch_seconds
-
-    # -- fault routing ----------------------------------------------------------
-
-    @staticmethod
-    def _classify(exc: Exception) -> tuple[str, dict]:
-        if isinstance(exc, EvaluationTimeout):
-            return "timeout", {}
-        if isinstance(exc, NumericalFault):
-            return "numerical", exc.to_dict()
-        return "crash", {"type": type(exc).__name__}
+        for name in _EVALUATION_OUTPUTS:
+            setattr(individual, name, getattr(shadow, name))
 
     def n_leaked_threads(self) -> int:
         """Abandoned evaluation threads still running right now."""
         self.leaked_threads = [t for t in self.leaked_threads if t.is_alive()]
         return len(self.leaked_threads)
 
-    def _emit(
-        self,
-        individual: Individual,
-        attempt: int,
-        kind: str,
-        action: str,
-        exc: Exception,
-        backoff: float,
-        detail: dict,
-    ) -> None:
-        event = FaultEvent(
-            model_id=individual.model_id,
-            attempt=attempt,
-            kind=kind,
-            action=action,
-            error=str(exc),
-            backoff_seconds=backoff,
-            detail=detail,
-            # threads cannot be hard-killed: every thread-path timeout
-            # leaves its shadow evaluation running in the background
-            timeout_leaked=kind == "timeout",
-        )
-        self.events.append(event)
-        individual.fault_events.append(event.to_dict())
-        if self.on_event is not None:
-            self.on_event(individual, event.to_dict())
-        log = _LOG.warning if action == "quarantine" else _LOG.info
-        log(
-            "model %d attempt %d %s fault -> %s: %s",
-            individual.model_id,
-            attempt,
-            kind,
-            action,
-            exc,
-        )
-
-    def _quarantine(self, individual: Individual) -> Individual:
-        policy = self.policy
-        individual.fitness = float(policy.quarantine_fitness)
-        individual.flops = int(policy.quarantine_flops)
-        individual.result = None
-        individual.epoch_seconds = []
-        individual.quarantined = True
-        return individual
-
-    # -- the policy loop --------------------------------------------------------
-
     def evaluate(self, individual: Individual) -> Individual:
         """Evaluate with bounded retries; quarantine instead of raising."""
-        policy = self.policy
-        for attempt in range(policy.max_retries + 1):
+        for attempt in range(self.policy.max_retries + 1):
             individual.eval_attempt = attempt
             try:
                 self._attempt(individual)
             except Exception as exc:  # a4nn: noqa(NUM001) -- every fault is classified, logged, and recorded into lineage
-                kind, detail = self._classify(exc)
-                retriable = attempt < policy.max_retries and (
-                    kind != "numerical" or policy.retry_numerical
-                )
-                if not retriable:
-                    self._emit(individual, attempt, kind, "quarantine", exc, 0.0, detail)
-                    return self._quarantine(individual)
-                backoff = policy.backoff_for(attempt)
-                self._emit(individual, attempt, kind, "retry", exc, backoff, detail)
+                backoff = self._router.route(individual, attempt, exc)
+                if backoff is None:
+                    return individual
                 if backoff > 0:
                     self._sleep(backoff)
             else:

@@ -1,12 +1,17 @@
-"""Real concurrent execution of a generation's evaluations.
+"""Real concurrent execution of candidate evaluations.
 
 The discrete-event simulator (:mod:`repro.scheduler.simulator`) answers
 "what would this schedule cost on N GPUs"; this module actually *runs*
-evaluations concurrently on N workers with the same FIFO-within-a-
-generation policy, for users with real parallel hardware.  Worker
-threads stand in for accelerators: each evaluation occupies one worker
-from start to finish, and the generation boundary is a barrier, exactly
-like the simulated policy.
+evaluations concurrently on N workers in FIFO submission order, for
+users with real parallel hardware.  Worker threads stand in for
+accelerators: each evaluation occupies one worker from start to finish.
+
+A pool is an :class:`~repro.nas.search.EvalStream`: ``submit`` queues an
+evaluation, ``settled`` blocks for the next one to complete (in any
+order; a failed one raises there while the jobs behind it keep
+running), ``finish`` closes the scheduling episode and records its
+:class:`PoolReport` — one per generation under barrier evolution, one
+per run under steady evolution.
 
 NumPy releases the GIL inside its kernels, so thread workers give real
 overlap for the BLAS-heavy training inner loops; the pure-Python parts
@@ -15,15 +20,10 @@ serialize.  :class:`~repro.scheduler.procpool.ProcessWorkerPool` is the
 drop-in sibling that sidesteps the GIL entirely — both implement the
 :class:`WorkerPool` protocol and record the same enriched
 :class:`PoolReport` (per-job start/end timestamps, per-worker busy
-seconds), so barrier downtime is computable for every backend.
-
-Failure semantics are identical for the serial (``n_workers == 1``) and
-threaded paths: every job in the generation settles before any error
-propagates, a single error re-raises as itself, and multiple errors
-raise an :class:`ExceptionGroup` carrying all of them.  Give the pool a
-:class:`~repro.scheduler.faults.FaultPolicy` to stop evaluation errors
-from propagating at all: faulty candidates are then retried and, if
-unrecoverable, quarantined with penalized objectives.
+seconds), so barrier downtime is computable for every backend.  Give a
+pool a :class:`~repro.scheduler.faults.FaultPolicy` and faulty
+candidates are retried and, if unrecoverable, quarantined with penalized
+objectives instead of raising.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = ["JobTiming", "PoolReport", "WorkerPool", "FifoWorkerPool"]
 class JobTiming:
     """Measured placement of one evaluation on one worker.
 
-    Timestamps are seconds relative to the generation's dispatch start,
+    Timestamps are seconds relative to the episode's first submission,
     so timings from different backends are directly comparable.  A job
     that was retried keeps one timing spanning every attempt (the worker
     slot was occupied the whole time, as on a real accelerator).
@@ -72,14 +72,14 @@ class JobTiming:
 
 @dataclass(frozen=True)
 class PoolReport:
-    """Measured outcome of one generation executed on a pool.
+    """Measured outcome of one scheduling episode (first ``submit`` to ``finish``).
 
     Attributes
     ----------
     n_workers:
-        Worker slots the generation ran on.
+        Worker slots the episode ran on.
     wall_seconds:
-        Dispatch-to-settle wall time of the whole generation.
+        Submit-to-finish wall time of the whole episode.
     n_jobs:
         Evaluations submitted.
     backend:
@@ -109,7 +109,7 @@ class PoolReport:
 
     @property
     def utilization(self) -> float:
-        """Busy fraction of the pool over the generation."""
+        """Busy fraction of the pool over the episode."""
         capacity = self.n_workers * self.wall_seconds
         return self.busy_seconds / capacity if capacity > 0 else 0.0
 
@@ -154,26 +154,23 @@ class PoolReport:
 
 @runtime_checkable
 class WorkerPool(Protocol):
-    """What the orchestrator requires of a generation executor backend.
+    """What the orchestrator requires of an execution backend.
 
-    Pools additionally expose the streaming seam used by steady-state
-    evolution — ``submit`` / ``settled`` / ``finish`` — next to the batch
-    ``evaluate_generation`` entry point; see
-    :class:`~repro.nas.search.EvalStream`.
+    On top of the :class:`~repro.nas.search.EvalStream` seam the search
+    drives (``submit`` / ``settled`` / ``on_commit`` / ``finish``), a
+    pool keeps the reports of its finished episodes and owns worker
+    resources that must be released.
     """
 
     n_workers: int
     reports: list
-
-    def evaluate_generation(self, individuals: list) -> list:
-        """Run one generation's evaluations; blocks until all settle."""
 
     def close(self) -> None:
         """Release worker resources (idempotent)."""
 
 
 class FifoWorkerPool:
-    """FIFO generation executor over ``n_workers`` parallel worker threads.
+    """FIFO evaluation stream over ``n_workers`` parallel worker threads.
 
     Parameters
     ----------
@@ -186,7 +183,7 @@ class FifoWorkerPool:
         given, the evaluator is wrapped in a
         :class:`~repro.scheduler.faults.FaultTolerantEvaluator` (unless
         it already is one), so evaluation faults quarantine individual
-        candidates instead of failing the generation.
+        candidates instead of raising from ``settled``.
     on_fault_event:
         Forwarded to the fault-tolerant wrapper when ``policy`` is given
         (lineage hook).
@@ -219,101 +216,29 @@ class FifoWorkerPool:
         self.reports: list[PoolReport] = []
         self._stream: _ThreadStreamState | None = None
 
-    def _run_job(
-        self,
-        individual: Individual,
-        clock: Stopwatch,
-        timings: list,
-        slots: dict,
-        busy: list,
-        lock: threading.Lock,
-    ) -> None:
-        """Evaluate one individual, timing it against the generation clock."""
-        with lock:
-            worker = slots.setdefault(threading.get_ident(), len(slots))
-        start = clock.elapsed()
+    def _run_job(self, individual: Individual, state: "_ThreadStreamState") -> None:
+        """Evaluate one individual on a worker thread, timed against the episode clock."""
+        with state.lock:
+            worker = state.slots.setdefault(threading.get_ident(), len(state.slots))
+        start = state.clock.elapsed()
+        error: Exception | None = None
         try:
             self.evaluator.evaluate(individual)
-        finally:
-            end = clock.elapsed()
-            with lock:
-                timings.append(JobTiming(individual.model_id, worker, start, end))
-                busy[worker] += end - start
-
-    def evaluate_generation(self, individuals: list[Individual]) -> list[Individual]:
-        """Evaluate one generation concurrently; blocks until all finish.
-
-        Every job settles before any exception propagates — a failure in
-        job *i* never prevents jobs *i+1..n* from being evaluated.  One
-        error re-raises as itself; several raise an ``ExceptionGroup``.
-        """
-        clock = Stopwatch().start()
-        errors: list[Exception] = []
-        timings: list[JobTiming] = []
-        slots: dict[int, int] = {}
-        busy = [0.0] * self.n_workers
-        lock = threading.Lock()
-        if self.n_workers == 1:
-            for individual in individuals:
-                try:
-                    self._run_job(individual, clock, timings, slots, busy, lock)
-                except Exception as exc:  # a4nn: noqa(NUM001) -- not swallowed: collected and re-raised after the generation settles
-                    errors.append(exc)
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_workers) as executor:
-                futures = [
-                    executor.submit(
-                        self._run_job, individual, clock, timings, slots, busy, lock
-                    )
-                    for individual in individuals
-                ]
-                for future in futures:
-                    try:
-                        future.result()
-                    except Exception as exc:  # a4nn: noqa(NUM001) -- not swallowed: collected and re-raised after the generation settles
-                        errors.append(exc)
-        clock.stop()
-        order = {ind.model_id: i for i, ind in enumerate(individuals)}
-        self.reports.append(
-            PoolReport(
-                n_workers=self.n_workers,
-                wall_seconds=clock.total,
-                n_jobs=len(individuals),
-                backend="serial" if self.n_workers == 1 else "thread",
-                jobs=tuple(
-                    sorted(timings, key=lambda t: order.get(t.job_id, len(order)))
-                ),
-                worker_busy_seconds=tuple(busy),
-            )
-        )
-        if len(errors) == 1:
-            raise errors[0]
-        if errors:
-            raise ExceptionGroup(
-                f"{len(errors)} of {len(individuals)} evaluations failed", errors
-            )
-        return individuals
-
-    # -- streaming seam (steady-state evolution) ---------------------------
+        except Exception as exc:  # a4nn: noqa(NUM001) -- not swallowed: handed to the consumer through settled()
+            error = exc
+        end = state.clock.elapsed()
+        with state.lock:
+            state.timings.append(JobTiming(individual.model_id, worker, start, end))
+            state.busy[worker] += end - start
+        state.results.put((individual, error))
 
     def submit(self, individual: Individual) -> None:
-        """Queue one evaluation on the stream (FIFO dispatch order)."""
+        """Queue one evaluation (FIFO dispatch order); opens an episode if none is."""
         if self._stream is None:
             self._stream = _ThreadStreamState(self.n_workers)
         state = self._stream
         state.n_submitted += 1
-
-        def task(ind: Individual = individual) -> None:
-            error: Exception | None = None
-            try:
-                self._run_job(
-                    ind, state.clock, state.timings, state.slots, state.busy, state.lock
-                )
-            except Exception as exc:  # a4nn: noqa(NUM001) -- not swallowed: handed to the consumer through settled()
-                error = exc
-            state.results.put((ind, error))
-
-        state.executor.submit(task)
+        state.executor.submit(self._run_job, individual, state)
 
     def settled(self) -> Individual:
         """Block for the next completed evaluation, in any order."""
@@ -330,7 +255,7 @@ class FifoWorkerPool:
         """Nothing to do: the pool holds no commit-ordered state."""
 
     def finish(self) -> PoolReport | None:
-        """Close the stream and record one report covering the whole run."""
+        """Close the episode and record its report (``None`` when nothing ran)."""
         state = self._stream
         if state is None:
             return None
@@ -354,12 +279,12 @@ class FifoWorkerPool:
 
     @property
     def total_wall_seconds(self) -> float:
-        """Measured wall time across all generations run so far."""
+        """Measured wall time across all finished episodes."""
         return sum(r.wall_seconds for r in self.reports)
 
 
 class _ThreadStreamState:
-    """Mutable bookkeeping of one open :meth:`FifoWorkerPool.submit` stream."""
+    """Mutable bookkeeping of one open :meth:`FifoWorkerPool.submit` episode."""
 
     def __init__(self, n_workers: int) -> None:
         self.executor = ThreadPoolExecutor(max_workers=n_workers)

@@ -1,12 +1,13 @@
-"""Process-parallel generation executor with hard-kill timeouts.
+"""Process-parallel evaluation stream with hard-kill timeouts.
 
 :class:`ProcessWorkerPool` is the drop-in sibling of
 :class:`~repro.scheduler.pool.FifoWorkerPool` behind the same
-:class:`~repro.scheduler.pool.WorkerPool` protocol, backed by
-``spawn``-context worker *processes* instead of threads.  The thread
-pool only overlaps the GIL-releasing BLAS kernels; worker processes run
-the whole Python training loop concurrently, which is what the paper's
-multi-GPU resource manager assumes.
+:class:`~repro.scheduler.pool.WorkerPool` protocol and the same
+``submit`` / ``settled`` / ``finish`` seam, backed by ``spawn``-context
+worker *processes* instead of threads.  The thread pool only overlaps
+the GIL-releasing BLAS kernels; worker processes run the whole Python
+training loop concurrently, which is what the paper's multi-GPU resource
+manager assumes.
 
 Division of labour (the key to bit-identical results across backends):
 
@@ -17,23 +18,22 @@ Division of labour (the key to bit-identical results across backends):
   :class:`EvalTask`, streaming back an :class:`EvalResult` with the
   measurements and the per-epoch trace.
 * **The parent** owns every side effect: it replays each trace through
-  the real observers (lineage tracker, history store), runs the
-  :class:`~repro.scheduler.faults.FaultPolicy` loop (classify → retry
-  with backoff → quarantine) with the same routing rules as
-  :class:`~repro.scheduler.faults.FaultTolerantEvaluator`, and keeps
-  the eval-cache leader/follower story deterministic by priming the
-  cache through the ``on_result`` hook.
+  the real observers (lineage tracker, history store, the eval cache's
+  trace capture) and drives the same
+  :class:`~repro.scheduler.faults.FaultRouter` as
+  :class:`~repro.scheduler.faults.FaultTolerantEvaluator` from its
+  dispatch queue (retry with backoff → quarantine).
 
 Because attempts run in killable processes, a policy timeout is a *hard
 kill*: the worker is terminated and respawned, so — unlike the
 thread/serial backends, whose abandoned shadow threads keep computing —
 a hung evaluation is truly reclaimed (``FaultEvent.timeout_leaked`` is
 always ``False`` here; see DESIGN §8).  Failure settling matches the
-thread path exactly: every job in the generation settles before any
-error propagates, one error re-raises as itself, several raise an
-``ExceptionGroup``.  Submission order is FIFO: job *i* is dispatched no
-later than job *i+1*, and a retry goes to the *front* of the queue,
-mirroring the serial path's finish-this-candidate-first behaviour.
+thread path: without a policy a failed job raises from the ``settled``
+call that delivers it, and the jobs behind it keep running.  Submission
+order is FIFO: job *i* is dispatched no later than job *i+1*, and a
+retry goes to the *front* of the queue, mirroring the in-thread loop's
+finish-this-candidate-first behaviour.
 """
 
 from __future__ import annotations
@@ -50,11 +50,10 @@ from repro.nas.evaluation import TrainingEvaluator
 from repro.nas.population import Individual
 from repro.scheduler.faults import (
     EvaluationTimeout,
-    FaultEvent,
     FaultInjectingEvaluator,
     FaultInjectionConfig,
     FaultPolicy,
-    FaultTolerantEvaluator,
+    FaultRouter,
 )
 from repro.scheduler.pool import JobTiming, PoolReport
 from repro.utils.logging import get_logger
@@ -272,37 +271,29 @@ class _Job:
     """Parent-side state of one individual's evaluation across attempts."""
 
     __slots__ = ("individual", "order", "attempt", "ready_at", "first_start",
-                 "attempt_start", "deadline", "trace")
+                 "attempt_start", "deadline", "error")
 
     def __init__(self, individual: Individual, order: int) -> None:
         self.individual = individual
         self.order = order
         self.attempt = int(getattr(individual, "eval_attempt", 0))
-        self.ready_at = 0.0        # generation-clock time the next attempt may start
-        self.first_start = None    # generation-clock time of the first dispatch
-        self.attempt_start = 0.0   # generation-clock time of the current dispatch
-        self.deadline = None       # monotonic hard-kill deadline of the attempt
-        self.trace = ()            # final attempt's epoch trace (for on_result)
+        self.ready_at = 0.0        # episode-clock time the next attempt may start
+        self.first_start = None    # episode-clock time of the first dispatch
+        self.attempt_start = 0.0   # episode-clock time of the current dispatch
+        self.deadline = None       # episode-clock hard-kill deadline of the attempt
+        self.error = None          # what settled() raises for it (no fault policy)
 
 
-class _ProcStreamState:
-    """Persistent scheduling state of one open streaming run.
-
-    The streaming seam drives the same ``_dispatch`` /
-    ``_wait_and_settle`` primitives as the batch path, but keeps their
-    state alive across ``submit``/``settled`` calls so the whole
-    steady-state run is one scheduling episode with one
-    :class:`~repro.scheduler.pool.PoolReport`.
-    """
+class _Episode:
+    """Scheduling state of one open episode (first ``submit`` to ``finish``)."""
 
     def __init__(self, n_workers: int) -> None:
         self.clock = Stopwatch().start()
-        self.queue: deque = deque()
-        self.errors: dict[int, Exception] = {}
-        self.timings: dict[int, JobTiming] = {}
+        self.queue: deque = deque()               # jobs waiting for a worker
+        self.settled_jobs: deque = deque()        # jobs waiting for settled()
+        self.timings: dict[int, JobTiming] = {}   # by job order
         self.busy = [0.0] * n_workers
-        self.settled_jobs: deque = deque()
-        self.order = 0
+        self.n_submitted = 0
         self.n_settled = 0
 
 
@@ -335,7 +326,7 @@ class _Worker:
 
 
 class ProcessWorkerPool:
-    """FIFO generation executor over ``n_workers`` spawned worker processes.
+    """FIFO evaluation stream over ``n_workers`` spawned worker processes.
 
     Parameters
     ----------
@@ -345,10 +336,11 @@ class ProcessWorkerPool:
         Concurrent evaluation processes (the paper's GPU count).
     policy:
         Optional :class:`~repro.scheduler.faults.FaultPolicy` applied
-        *in the parent*: crash/NaN classification, bounded retries with
-        backoff, quarantine — same routing as
-        :class:`~repro.scheduler.faults.FaultTolerantEvaluator`, except
-        that timeouts terminate-and-respawn the worker (hard kill).
+        *in the parent* through a
+        :class:`~repro.scheduler.faults.FaultRouter`: the same decisions
+        and events as :class:`~repro.scheduler.faults.
+        FaultTolerantEvaluator`, except that timeouts
+        terminate-and-respawn the worker (hard kill).
     on_fault_event:
         Callback ``(individual, event_dict)`` per fault decision
         (lineage hook, as on the thread pool's wrapper).
@@ -359,10 +351,6 @@ class ProcessWorkerPool:
         Callback ``(individual, fault)`` fired when the worker's base
         evaluator reported a sanitizer fault before raising (mirrors
         ``TrainingEvaluator.on_fault``).
-    on_result:
-        Callback ``(individual, epoch_trace)`` after every dispatched
-        job settles; the orchestrator wires the eval-cache's
-        ``register_remote`` here so leader outcomes prime the cache.
     arena:
         Optional :class:`~repro.xfel.shm.SharedArena` this pool owns;
         released in :meth:`close` after the workers have exited.
@@ -379,7 +367,6 @@ class ProcessWorkerPool:
         on_fault_event=None,
         observers: list | None = None,
         on_fault=None,
-        on_result=None,
         arena: SharedArena | None = None,
         startup_timeout: float = 120.0,
     ) -> None:
@@ -388,19 +375,24 @@ class ProcessWorkerPool:
         self.spec = spec
         self.n_workers = int(n_workers)
         self.policy = policy
-        self.on_fault_event = on_fault_event
+        # the attempts run in killable processes: a timeout terminates
+        # them for real, so nothing keeps computing in the background
+        self._router = (
+            None
+            if policy is None
+            else FaultRouter(policy, on_fault_event, timeouts_leak=False)
+        )
+        self.events = [] if self._router is None else self._router.events
         self.observers = observers if observers is not None else []
         self.on_fault = on_fault
-        self.on_result = on_result
         self.arena = arena
         self.startup_timeout = float(startup_timeout)
         self.reports: list[PoolReport] = []
-        self.events: list[FaultEvent] = []
         self.n_killed = 0
         self._ctx = mp.get_context("spawn")
         self._workers: list[_Worker | None] = [None] * self.n_workers
         self._closed = False
-        self._stream: _ProcStreamState | None = None
+        self._stream: _Episode | None = None
 
     # -- worker lifecycle -------------------------------------------------------
 
@@ -448,8 +440,7 @@ class ProcessWorkerPool:
         """Stop every worker and release the shared-memory arena (idempotent)."""
         if self._closed:
             return
-        if self._stream is not None:
-            self.finish()
+        self.finish()
         self._closed = True
         for slot, worker in enumerate(self._workers):
             if worker is None:
@@ -470,154 +461,83 @@ class ProcessWorkerPool:
         if self.arena is not None:
             self.arena.close()
 
-    # -- parent-side fault routing (mirrors FaultTolerantEvaluator) -------------
-
-    def _emit(self, individual, attempt, kind, action, exc, backoff, detail) -> None:
-        event = FaultEvent(
-            model_id=individual.model_id,
-            attempt=attempt,
-            kind=kind,
-            action=action,
-            error=str(exc),
-            backoff_seconds=backoff,
-            detail=detail,
-            # the attempt ran in a killable process: a timeout terminated
-            # it for real, so nothing keeps computing in the background
-            timeout_leaked=False,
-        )
-        self.events.append(event)
-        individual.fault_events.append(event.to_dict())
-        if self.on_fault_event is not None:
-            self.on_fault_event(individual, event.to_dict())
-        log = _LOG.warning if action == "quarantine" else _LOG.info
-        log(
-            "model %d attempt %d %s fault -> %s: %s",
-            individual.model_id,
-            attempt,
-            kind,
-            action,
-            exc,
-        )
-
-    def _quarantine(self, individual: Individual) -> None:
-        policy = self.policy
-        individual.fitness = float(policy.quarantine_fitness)
-        individual.flops = int(policy.quarantine_flops)
-        individual.result = None
-        individual.epoch_seconds = []
-        individual.quarantined = True
+    # -- settling ---------------------------------------------------------------
 
     def _replay(self, individual: Individual, trace) -> None:
-        """Fire the per-epoch observers as the serial path would have."""
+        """Fire the per-epoch observers as the in-process path would have."""
         for epoch, fitness, prediction, stats in trace:
             context = {"network": None, "trainer": None, "epoch_stats": stats}
             for observer in list(self.observers):
                 observer(individual, epoch, fitness, prediction, context)
 
-    # -- settling ---------------------------------------------------------------
-
-    def _finish(self, job: _Job, worker_index: int, end: float, timings: dict) -> None:
-        timings[job.order] = JobTiming(
-            job.individual.model_id, worker_index, job.first_start, end
-        )
-        if self._stream is not None and timings is self._stream.timings:
-            self._stream.settled_jobs.append(job)
-        if self.on_result is not None:
-            self.on_result(
-                job.individual, [(e, f, p) for e, f, p, _ in job.trace]
-            )
-
-    def _route_fault(
-        self, job, worker_index, exc, end, clock, queue, errors, timings
-    ) -> int:
-        """Apply the policy to a failed attempt; returns 1 when the job settled."""
-        individual = job.individual
-        individual.eval_attempt = job.attempt
-        kind, detail = FaultTolerantEvaluator._classify(exc)
-        if self.policy is None:
-            errors[job.order] = exc
-            self._finish(job, worker_index, end, timings)
-            return 1
-        retriable = job.attempt < self.policy.max_retries and (
-            kind != "numerical" or self.policy.retry_numerical
-        )
-        if not retriable:
-            self._emit(individual, job.attempt, kind, "quarantine", exc, 0.0, detail)
-            self._quarantine(individual)
-            self._finish(job, worker_index, end, timings)
-            return 1
-        backoff = self.policy.backoff_for(job.attempt)
-        self._emit(individual, job.attempt, kind, "retry", exc, backoff, detail)
-        job.attempt += 1
-        job.ready_at = clock.elapsed() + backoff
-        # front of the queue: finish this candidate before starting new
-        # ones, like the serial retry loop
-        queue.appendleft(job)
-        return 0
-
-    def _settle_result(
-        self, worker, result: EvalResult, clock, queue, busy, errors, timings
-    ) -> int:
+    def _release(self, worker: _Worker) -> tuple[_Job, float]:
+        """Take the finished attempt off its worker; the job and its end time."""
+        state = self._stream
         job = worker.job
         worker.job = None
-        end = clock.elapsed()
-        busy[worker.index] += end - job.attempt_start
+        end = state.clock.elapsed()
+        state.busy[worker.index] += end - job.attempt_start
+        return job, end
+
+    def _settle(self, job: _Job, worker_index: int, end: float) -> None:
+        state = self._stream
+        state.timings[job.order] = JobTiming(
+            job.individual.model_id, worker_index, job.first_start, end
+        )
+        state.settled_jobs.append(job)
+        state.n_settled += 1
+
+    def _route_fault(self, job: _Job, worker_index: int, exc: Exception, end: float) -> None:
+        """Settle a failed attempt: raise later (no policy), retry, or quarantine."""
+        state = self._stream
         individual = job.individual
-        job.trace = result.trace
-        # epochs measured before a fault were observed live in the serial
-        # path; replay them before any fault bookkeeping
+        individual.eval_attempt = job.attempt
+        if self._router is None:
+            job.error = exc
+            backoff = None
+        else:
+            backoff = self._router.route(individual, job.attempt, exc)
+        if backoff is None:
+            self._settle(job, worker_index, end)
+            return
+        job.attempt += 1
+        job.ready_at = state.clock.elapsed() + backoff
+        # front of the queue: finish this candidate before starting new
+        # ones, like the in-thread retry loop
+        state.queue.appendleft(job)
+
+    def _settle_result(self, worker: _Worker, result: EvalResult) -> None:
+        job, end = self._release(worker)
+        individual = job.individual
+        # epochs measured before a fault were observed live in the
+        # in-process path; replay them before any fault bookkeeping
         self._replay(individual, result.trace)
         if result.error is not None:
             exc = result.exception()
             if result.on_fault_fired and self.on_fault is not None:
                 self.on_fault(individual, exc)
-            return self._route_fault(
-                job, worker.index, exc, end, clock, queue, errors, timings
-            )
+            self._route_fault(job, worker.index, exc, end)
+            return
         individual.eval_attempt = result.attempt
         individual.fitness = result.fitness
         individual.flops = result.flops
         individual.result = result.result
         individual.epoch_seconds = list(result.epoch_seconds)
         individual.arena_peak_bytes = result.arena_peak_bytes
-        self._finish(job, worker.index, end, timings)
-        return 1
+        self._settle(job, worker.index, end)
 
-    def _settle_timeout(self, worker, clock, queue, busy, errors, timings) -> int:
-        job = worker.job
-        worker.job = None
-        end = clock.elapsed()
-        busy[worker.index] += end - job.attempt_start
-        job.trace = ()
+    def _settle_lost(self, worker: _Worker, exc: Exception) -> None:
+        """The attempt will never deliver (timed out, or its worker died)."""
+        job, end = self._release(worker)
         self._kill(worker)
-        exc = EvaluationTimeout(
-            f"evaluation of model {job.individual.model_id} attempt "
-            f"{job.attempt} exceeded {self.policy.timeout_seconds}s"
-        )
-        return self._route_fault(
-            job, worker.index, exc, end, clock, queue, errors, timings
-        )
-
-    def _settle_death(self, worker, clock, queue, errors, timings, busy) -> int:
-        """A worker died without delivering a result (crash at OS level)."""
-        job = worker.job
-        worker.job = None
-        end = clock.elapsed()
-        busy[worker.index] += end - job.attempt_start
-        job.trace = ()
-        self._kill(worker)
-        exc = RuntimeError(
-            f"worker process died while evaluating model "
-            f"{job.individual.model_id} attempt {job.attempt}"
-        )
-        return self._route_fault(
-            job, worker.index, exc, end, clock, queue, errors, timings
-        )
+        self._route_fault(job, worker.index, exc, end)
 
     # -- dispatch loop ----------------------------------------------------------
 
-    def _dispatch(self, queue, clock) -> None:
+    def _dispatch(self) -> None:
         """Hand ready jobs to free workers, preserving submission order."""
+        state = self._stream
+        queue, clock = state.queue, state.clock
         for slot in range(self.n_workers):
             if not queue:
                 return
@@ -634,9 +554,7 @@ class ProcessWorkerPool:
                 job.first_start = start
             job.attempt_start = start
             timeout = self.policy.timeout_seconds if self.policy else None
-            job.deadline = (
-                None if timeout is None else clock.elapsed() + float(timeout)
-            )
+            job.deadline = None if timeout is None else start + float(timeout)
             worker.job = job
             worker.conn.send(
                 EvalTask(
@@ -648,14 +566,17 @@ class ProcessWorkerPool:
                 )
             )
 
-    def _wait_and_settle(self, queue, clock, busy, errors, timings) -> int:
+    def _wait_and_settle(self) -> None:
+        """Block until an attempt ends, a deadline passes or a backoff elapses."""
+        state = self._stream
+        queue, clock = state.queue, state.clock
         inflight = [
             w for w in self._workers if w is not None and w.job is not None
         ]
         if not inflight:
             if queue:  # head is backing off; sleep toward its ready time
                 time.sleep(min(max(queue[0].ready_at - clock.elapsed(), 0.0), 0.1))
-            return 0
+            return
         waits = [
             max(w.job.deadline - clock.elapsed(), 0.0)
             for w in inflight
@@ -663,86 +584,44 @@ class ProcessWorkerPool:
         ]
         if queue and len(inflight) < self.n_workers:
             waits.append(max(queue[0].ready_at - clock.elapsed(), 0.0))
-        timeout = min(waits) if waits else None
-        ready = connection.wait([w.conn for w in inflight], timeout)
-        settled = 0
+        ready = connection.wait([w.conn for w in inflight], min(waits) if waits else None)
         for conn in ready:
             worker = next(w for w in inflight if w.conn is conn)
             try:
                 payload = conn.recv()
             except (EOFError, ConnectionResetError, OSError):
-                settled += self._settle_death(
-                    worker, clock, queue, errors, timings, busy
+                job = worker.job
+                self._settle_lost(
+                    worker,
+                    RuntimeError(
+                        f"worker process died while evaluating model "
+                        f"{job.individual.model_id} attempt {job.attempt}"
+                    ),
                 )
                 continue
-            settled += self._settle_result(
-                worker, payload, clock, queue, busy, errors, timings
-            )
+            self._settle_result(worker, payload)
         now = clock.elapsed()
         for worker in inflight:
-            if (
-                worker.job is not None
-                and worker.job.deadline is not None
-                and worker.job.deadline <= now
-            ):
-                settled += self._settle_timeout(
-                    worker, clock, queue, busy, errors, timings
+            job = worker.job
+            if job is not None and job.deadline is not None and job.deadline <= now:
+                self._settle_lost(
+                    worker,
+                    EvaluationTimeout(
+                        f"evaluation of model {job.individual.model_id} attempt "
+                        f"{job.attempt} exceeded {self.policy.timeout_seconds}s"
+                    ),
                 )
-        return settled
 
-    def evaluate_generation(self, individuals: list[Individual]) -> list[Individual]:
-        """Evaluate one generation on the worker processes; blocks until settled.
+    def _pump(self) -> None:
+        self._dispatch()
+        self._wait_and_settle()
 
-        Matches :class:`~repro.scheduler.pool.FifoWorkerPool` error
-        semantics: every job settles first, one error re-raises as
-        itself, several raise an ``ExceptionGroup`` (in submission
-        order).  With a :class:`~repro.scheduler.faults.FaultPolicy`,
-        faults retry/quarantine instead of propagating.
-        """
-        if self._closed:
-            raise RuntimeError("ProcessWorkerPool is closed")
-        if self._stream is not None:
-            raise RuntimeError(
-                "a stream is open on this pool; finish() it before batch evaluation"
-            )
-        if not individuals:
-            return individuals
-        self._ensure_workers()
-        clock = Stopwatch().start()
-        queue = deque(_Job(ind, order) for order, ind in enumerate(individuals))
-        errors: dict[int, Exception] = {}
-        timings: dict[int, JobTiming] = {}
-        busy = [0.0] * self.n_workers
-        remaining = len(individuals)
-        while remaining:
-            self._dispatch(queue, clock)
-            remaining -= self._wait_and_settle(queue, clock, busy, errors, timings)
-        clock.stop()
-        self.reports.append(
-            PoolReport(
-                n_workers=self.n_workers,
-                wall_seconds=clock.total,
-                n_jobs=len(individuals),
-                backend="process",
-                jobs=tuple(timings[i] for i in sorted(timings)),
-                worker_busy_seconds=tuple(busy),
-            )
-        )
-        errs = [errors[i] for i in sorted(errors)]
-        if len(errs) == 1:
-            raise errs[0]
-        if errs:
-            raise ExceptionGroup(
-                f"{len(errs)} of {len(individuals)} evaluations failed", errs
-            )
-        return individuals
-
-    # -- streaming seam (steady-state evolution) --------------------------------
+    # -- the stream seam --------------------------------------------------------
 
     def submit(self, individual: Individual) -> None:
-        """Queue one evaluation on the stream (FIFO dispatch order).
+        """Queue one evaluation (FIFO dispatch order).
 
-        Opens the stream lazily on first use; dispatches immediately so
+        Opens an episode lazily on first use; dispatches immediately so
         a free worker picks the job up without waiting for the consumer
         to call :meth:`settled`.
         """
@@ -750,54 +629,47 @@ class ProcessWorkerPool:
             raise RuntimeError("ProcessWorkerPool is closed")
         if self._stream is None:
             self._ensure_workers()
-            self._stream = _ProcStreamState(self.n_workers)
+            self._stream = _Episode(self.n_workers)
         state = self._stream
-        state.queue.append(_Job(individual, state.order))
-        state.order += 1
-        self._dispatch(state.queue, state.clock)
+        state.queue.append(_Job(individual, state.n_submitted))
+        state.n_submitted += 1
+        self._dispatch()
 
     def settled(self) -> Individual:
         """Block for the next completed evaluation, in any order.
 
         Without a :class:`~repro.scheduler.faults.FaultPolicy`, the
         error of a failed job raises here (in settle order); with a
-        policy, faults retry/quarantine exactly as on the batch path.
+        policy, faults retry/quarantine instead.
         """
         state = self._stream
-        while state is not None and not state.settled_jobs:
-            if state.n_settled >= state.order:
-                state = None
-                break
-            self._dispatch(state.queue, state.clock)
-            state.n_settled += self._wait_and_settle(
-                state.queue, state.clock, state.busy, state.errors, state.timings
-            )
-        if state is None:
+        if state is None or (
+            not state.settled_jobs and state.n_settled >= state.n_submitted
+        ):
             raise RuntimeError("no evaluations in flight")
+        while not state.settled_jobs:
+            self._pump()
         job = state.settled_jobs.popleft()
-        if job.order in state.errors:
-            raise state.errors.pop(job.order)
+        if job.error is not None:
+            raise job.error
         return job.individual
 
     def on_commit(self, individual: Individual) -> None:
         """Nothing to do: the pool holds no commit-ordered state."""
 
     def finish(self) -> PoolReport | None:
-        """Drain the stream and record one report covering the whole run."""
+        """Drain the episode and record its report (``None`` when nothing ran)."""
         state = self._stream
         if state is None:
             return None
-        while state.n_settled < state.order:
-            self._dispatch(state.queue, state.clock)
-            state.n_settled += self._wait_and_settle(
-                state.queue, state.clock, state.busy, state.errors, state.timings
-            )
+        while state.n_settled < state.n_submitted:
+            self._pump()
         self._stream = None
         state.clock.stop()
         report = PoolReport(
             n_workers=self.n_workers,
             wall_seconds=state.clock.total,
-            n_jobs=state.order,
+            n_jobs=state.n_submitted,
             backend="process",
             jobs=tuple(state.timings[i] for i in sorted(state.timings)),
             worker_busy_seconds=tuple(state.busy),
@@ -807,5 +679,5 @@ class ProcessWorkerPool:
 
     @property
     def total_wall_seconds(self) -> float:
-        """Measured wall time across all generations run so far."""
+        """Measured wall time across all finished episodes."""
         return sum(r.wall_seconds for r in self.reports)

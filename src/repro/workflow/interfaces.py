@@ -56,9 +56,10 @@ class WorkflowConfig:
         Concurrent evaluations per generation (real parallel execution
         via the FIFO worker pool; 1 = serial).
     backend:
-        Generation-execution backend — ``"serial"`` (in-process loop,
-        requires ``n_workers=1``), ``"thread"`` (FIFO thread pool; the
-        default), or ``"process"`` (spawned worker processes sharing the
+        Evaluation backend — ``"serial"`` (a one-worker pool that keeps
+        a timing report; requires ``n_workers=1``), ``"thread"`` (inline
+        at one worker, a FIFO thread pool above; the default), or
+        ``"process"`` (spawned worker processes sharing the
         dataset through shared memory; hard-kills timed-out
         evaluations).  See DESIGN "Execution backends".
     sanitize:

@@ -17,9 +17,9 @@ from repro.core.engine import PredictionEngine
 from repro.lineage.commons import DataCommons
 from repro.lineage.records import RunRecord
 from repro.lineage.tracker import LineageTracker
-from repro.nas.evalcache import EvaluationCache, MemoizingEvaluator, MemoizingStream
+from repro.nas.evalcache import MemoizingStream
 from repro.nas.evaluation import TrainingEvaluator
-from repro.nas.search import NSGANet, SearchResult
+from repro.nas.search import InlineStream, NSGANet, SearchResult, SearchState
 from repro.nas.surrogate import BudgetAllocator, SurrogateEvaluator
 from repro.scheduler.faults import FaultInjectingEvaluator, FaultTolerantEvaluator
 from repro.scheduler.pool import FifoWorkerPool
@@ -110,9 +110,9 @@ class A4NNOrchestrator:
         self.commons = commons
         self.checkpoint_dir = checkpoint_dir
         self.history_store = HistoryStore()
-        self.memoizer: MemoizingEvaluator | None = None
+        self.memoizer: MemoizingStream | None = None  # the eval cache, when on
         self.allocator: BudgetAllocator | None = None
-        self.pool = None  # WorkerPool behind the executor, when one exists
+        self.pool = None  # WorkerPool under the stream, when one exists
         self.pool_reports: list = []  # PoolReports kept after close_pool()
         self._tracker: LineageTracker | None = None
         self._base = None  # innermost evaluation backend
@@ -125,6 +125,11 @@ class A4NNOrchestrator:
         if self.config.engine is None:
             return None
         return PredictionEngine(self.config.engine)
+
+    @property
+    def _injecting(self) -> bool:
+        injection = self.config.fault_injection
+        return injection is not None and injection.rate > 0
 
     def _history_observer(self, individual, epoch, fitness, prediction, context) -> None:
         self.history_store.for_model(individual.model_id).record_epoch(fitness, prediction)
@@ -168,11 +173,9 @@ class A4NNOrchestrator:
             )
         self._base = base
         evaluator = base
-        injection = self.config.fault_injection
-        injection_active = injection is not None and injection.rate > 0
-        if injection_active:
+        if self._injecting:
             evaluator = FaultInjectingEvaluator(
-                evaluator, injection, rng_stream=stream.child("inject")
+                evaluator, self.config.fault_injection, rng_stream=stream.child("inject")
             )
         if self.config.faults is not None:
             evaluator = FaultTolerantEvaluator(
@@ -180,14 +183,6 @@ class A4NNOrchestrator:
                 self.config.faults,
                 on_event=tracker.observe_fault_event,
             )
-        # memoization wraps outermost so only post-retry, non-quarantined
-        # outcomes are cached; with fault injection active the injection
-        # schedule (keyed per evaluation) must stay undisturbed, so the
-        # cache is bypassed
-        self.memoizer = None
-        if self.config.eval_cache and not injection_active:
-            self.memoizer = MemoizingEvaluator(evaluator, base, cache=EvaluationCache())
-            evaluator = self.memoizer
         # the surrogate pre-ranking allocator scores candidates at breed
         # time against the base evaluator's FLOP counter; its predictor
         # state lives here in the parent only (workers receive budgets
@@ -247,57 +242,36 @@ class A4NNOrchestrator:
             arena=arena,
         )
 
-    def build_executor(self, evaluator):
-        """Generation executor matching the configured backend/cache setup.
-
-        With the cache active the memoizer partitions each generation
-        deterministically (hits/leaders/followers) before dispatching,
-        so serial and pooled execution produce identical record trails.
-        Returns ``None`` when the legacy inline loop suffices (thread
-        backend at ``n_workers=1``); any pool built here is kept on
-        ``self.pool`` so callers can read its reports and so
-        :meth:`close_pool` can release it.
-        """
-        backend = self.config.backend
-        if backend == "process":
-            self.pool = self._build_process_pool()
-            if self.memoizer is not None:
-                self.pool.on_result = self.memoizer.register_remote
-                self.memoizer.executor = self.pool.evaluate_generation
-                return self.memoizer.evaluate_generation
-            return self.pool.evaluate_generation
-        if backend == "serial" or self.config.n_workers > 1:
-            inner = self.memoizer if self.memoizer is not None else evaluator
-            self.pool = FifoWorkerPool(inner, n_workers=self.config.n_workers)
-            if self.memoizer is not None:
-                self.memoizer.executor = self.pool.evaluate_generation
-                return self.memoizer.evaluate_generation
-            return self.pool.evaluate_generation
-        if self.memoizer is not None:
-            return self.memoizer.evaluate_generation
-        return None
-
     def build_stream(self, evaluator):
-        """Streaming evaluation backend for steady-state evolution.
+        """The :class:`~repro.nas.search.EvalStream` every evaluation goes through.
 
-        The returned object satisfies the :class:`~repro.nas.search.
-        EvalStream` seam.  With the cache active the pool runs the chain
-        *below* the memoizer and a :class:`~repro.nas.evalcache.
-        MemoizingStream` resolves hits at submit time and primes at
-        commit time — both logical-clock events, so cache behaviour is
-        identical on every backend.  The pool is kept on ``self.pool``
-        so its report survives :meth:`close_pool`.
+        ``[MemoizingStream(] inner [)]``: the inner stream runs the
+        ``evaluator`` chain — inline for the thread backend at one
+        worker (no pool, no report), on a :class:`~repro.scheduler.pool.
+        FifoWorkerPool` for ``serial`` (one worker) and for threads, on
+        a :class:`~repro.scheduler.procpool.ProcessWorkerPool` for
+        processes — and the eval cache, when on, wraps outermost so only
+        post-retry, non-quarantined outcomes are cached.  Any pool built
+        here is kept on ``self.pool`` so :meth:`close_pool` can release
+        it and keep its reports.
         """
-        if self.config.backend == "process":
-            # no on_result hook here: in steady mode the MemoizingStream
-            # primes the cache at commit, in logical-clock order
+        config = self.config
+        if config.backend == "process":
             self.pool = self._build_process_pool()
-        else:
-            inner = self.memoizer.evaluator if self.memoizer is not None else evaluator
-            self.pool = FifoWorkerPool(inner, n_workers=self.config.n_workers)
-        if self.memoizer is not None:
-            return MemoizingStream(self.memoizer, self.pool)
-        return self.pool
+        elif config.backend == "serial" or config.n_workers > 1:
+            self.pool = FifoWorkerPool(evaluator, n_workers=config.n_workers)
+        inner = self.pool if self.pool is not None else InlineStream(evaluator)
+        # with fault injection active the injection schedule (keyed per
+        # evaluation) must stay undisturbed, so the cache is bypassed
+        self.memoizer = None
+        if config.eval_cache and not self._injecting:
+            # barrier lineage is pinned with in-generation duplicates
+            # waiting for their leader, steady lineage with in-window
+            # duplicates re-evaluating (DESIGN §11)
+            self.memoizer = MemoizingStream(
+                self._base, inner, wait_for_leader=config.nas.evolution == "barrier"
+            )
+        return self.memoizer if self.memoizer is not None else inner
 
     def effective_nas(self):
         """The NAS settings the run actually uses.
@@ -313,7 +287,7 @@ class A4NNOrchestrator:
         return nas
 
     def close_pool(self) -> None:
-        """Release the executor's worker pool (idempotent; no-op without one).
+        """Release the stream's worker pool (idempotent; no-op without one).
 
         For the process backend this stops every worker and unlinks the
         shared-memory dataset, so it must run even when the search
@@ -329,11 +303,11 @@ class A4NNOrchestrator:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self) -> WorkflowResult:
-        """Execute search → lineage → wall-time accounting → publish."""
+    def new_tracker(self) -> LineageTracker:
+        """An empty lineage tracker carrying this run's shared parameters."""
         config = self.config
         engine = self.build_engine()
-        tracker = LineageTracker(
+        return LineageTracker(
             engine_parameters=engine.describe() if engine else None,
             checkpoint_dir=self.checkpoint_dir if config.checkpoint_models else None,
             training_parameters={
@@ -343,18 +317,47 @@ class A4NNOrchestrator:
                 "max_epochs": config.nas.max_epochs,
             },
         )
+
+    def _restore(self, tracker: LineageTracker, state: SearchState) -> None:
+        """Bring allocator and cache to where the interrupted run had them.
+
+        ``tracker`` already holds the restored record trails, ``state``
+        the individuals rebuilt from them.
+        """
+        records = [tracker.records[m.model_id] for m in state.archive]
+        if self.allocator is not None:
+            # replay the allocator's counters and the predictor's training
+            # rows from the restored trails, in commit order (the archive's)
+            # — predictions stored on the records are kept, never recomputed,
+            # so the resumed predictor sees exactly the live run's data
+            self.allocator.restore(records)
+        if self.memoizer is not None:
+            # prime the cache from the restored trails so evaluations the
+            # interrupted run already shared stay shared on resume (faulted
+            # or quarantined records are never primed — same rule as live)
+            primed = sum(
+                self.memoizer.prime(
+                    individual,
+                    epoch_trace=[
+                        (e["epoch"], e["validation_accuracy"], e.get("prediction"))
+                        for e in record.epochs
+                    ],
+                )
+                for individual, record in zip(state.archive, records)
+            )
+            _LOG.info("primed evaluation cache with %d restored evaluations", primed)
+
+    def _search(
+        self,
+        tracker: LineageTracker,
+        state: SearchState | None = None,
+        run_id: str | None = None,
+    ) -> WorkflowResult:
+        """Search (from ``state`` when resuming) → wall-time accounting → publish."""
+        config = self.config
+        engine = self.build_engine()
         evaluator = self.build_evaluator(tracker, engine)
         nas = self.effective_nas()
-        steady = nas.evolution == "steady"
-        search = NSGANet(
-            nas,
-            evaluator,
-            rng_stream=RngStream(config.seed).child("search"),
-            on_individual=self._on_individual,
-            on_candidate=self.allocator.score if self.allocator else None,
-            executor=None if steady else self.build_executor(evaluator),
-            stream=self.build_stream(evaluator) if steady else None,
-        )
         _LOG.info(
             "starting %s run: mode=%s intensity=%s seed=%d",
             "A4NN" if engine else "standalone NAS",
@@ -363,24 +366,37 @@ class A4NNOrchestrator:
             config.seed,
         )
         try:
-            result = search.run()
+            search = NSGANet(
+                nas,
+                evaluator,
+                rng_stream=RngStream(config.seed).child("search"),
+                on_individual=self._on_individual,
+                on_candidate=self.allocator.score if self.allocator else None,
+                stream=self.build_stream(evaluator),
+            )
+            if state is not None:
+                self._restore(tracker, state)
+            result = search.run(resume=state)
         finally:
             self.close_pool()
 
         walltime: dict[int, WallTimeReport] = {
             n: simulate_walltime(result, n) for n in config.n_gpus
         }
-
         workflow_result = WorkflowResult(
             config=config,
             search=result,
             tracker=tracker,
             walltime=walltime,
-            run_id=config.resolved_run_id(),
+            run_id=run_id or config.resolved_run_id(),
         )
         if self.commons is not None:
             self.publish(workflow_result)
         return workflow_result
+
+    def run(self) -> WorkflowResult:
+        """Execute search → lineage → wall-time accounting → publish."""
+        return self._search(self.new_tracker())
 
     def publish(self, result: WorkflowResult) -> None:
         """Push the run's record trails into the data commons."""

@@ -18,16 +18,19 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.core.plugin import TrainingResult
 from repro.lineage.commons import DataCommons
 from repro.lineage.records import ModelRecord
-from repro.nas.evaluation import effective_budget
 from repro.nas.genome import Genome
-from repro.nas.nsga2 import environmental_selection, pareto_front_mask
+from repro.nas.nsga2 import environmental_selection
 from repro.nas.population import Individual, Population
-from repro.nas.search import GenerationStats, SearchState, replay_steady
+from repro.nas.search import (
+    GenerationStats,
+    SearchState,
+    generation_stats,
+    replay_steady,
+    steady_chunk_closed,
+)
 from repro.utils.logging import get_logger
 
 __all__ = ["individual_from_record", "rebuild_search_state", "resume_workflow"]
@@ -106,37 +109,6 @@ def individual_from_record(record: ModelRecord) -> Individual:
     )
 
 
-def _batch_stats(
-    generation: int,
-    evaluated: list[Individual],
-    pop: Population,
-    max_epochs: int | None = None,
-) -> GenerationStats:
-    fitnesses = [float(m.fitness) for m in evaluated]
-    completed = [m for m in evaluated if m.result]
-    epochs = sum(m.result.epochs_trained for m in completed)
-    budget = sum(m.result._max_epochs for m in completed)
-    skipped = 0
-    if max_epochs is not None:
-        skipped = sum(
-            max_epochs - effective_budget(m, max_epochs)
-            for m in evaluated
-            if not m.quarantined
-        )
-    return GenerationStats(
-        generation=generation,
-        n_evaluated=len(evaluated),
-        best_fitness=max(fitnesses),
-        mean_fitness=float(np.mean(fitnesses)),
-        epochs_trained=epochs,
-        epochs_saved=budget - epochs,
-        pareto_size=int(pareto_front_mask(pop.objective_array()).sum()),
-        n_quarantined=sum(1 for m in evaluated if m.quarantined),
-        n_cache_hits=sum(1 for m in evaluated if m.cache_hit),
-        epochs_skipped=skipped,
-    )
-
-
 def _rebuild_steady(
     records: list[ModelRecord],
     population_size: int,
@@ -180,18 +152,10 @@ def _rebuild_steady(
         individual.logical_tick = tick
         window.append(state)
         chunk.append(individual)
-        committed = tick + 1
-        if committed == population_size or (
-            committed > population_size
-            and (committed - population_size) % offspring_per_generation == 0
-        ):
-            generation = (
-                0
-                if committed == population_size
-                else (committed - population_size) // offspring_per_generation
-            )
+        generation = steady_chunk_closed(tick + 1, population_size, offspring_per_generation)
+        if generation is not None:
             stats.append(
-                _batch_stats(generation, chunk, Population(state.members), max_epochs)
+                generation_stats(generation, chunk, Population(state.members), max_epochs)
             )
             chunk = []
     return SearchState(
@@ -255,7 +219,7 @@ def rebuild_search_state(
         [individual_from_record(r) for r in complete[0]]
     )
     archive_members.extend(population.members)
-    stats.append(_batch_stats(0, population.members, population, max_epochs))
+    stats.append(generation_stats(0, population.members, population, max_epochs))
     # replay environmental selection over each completed offspring batch
     for generation, batch in enumerate(complete[1:], start=1):
         offspring = [individual_from_record(r) for r in batch]
@@ -265,7 +229,7 @@ def rebuild_search_state(
             combined.objective_array(), population_size
         )
         population = combined.subset(survivors)
-        stats.append(_batch_stats(generation, offspring, population, max_epochs))
+        stats.append(generation_stats(generation, offspring, population, max_epochs))
 
     next_model_id = max(m.model_id for m in archive_members) + 1
     return SearchState(
@@ -284,12 +248,8 @@ def resume_workflow(commons: DataCommons, run_id: str):
     covering the whole run, and republishes the completed record trails
     under the same run id.
     """
-    from repro.lineage.tracker import LineageTracker
-    from repro.nas.search import NSGANet
-    from repro.scheduler.simulator import simulate_walltime
-    from repro.utils.rng import RngStream
     from repro.workflow.interfaces import WorkflowConfig
-    from repro.workflow.orchestrator import A4NNOrchestrator, WorkflowResult
+    from repro.workflow.orchestrator import A4NNOrchestrator
 
     run = commons.load_run(run_id)
     if run.workflow_config is None:
@@ -297,14 +257,13 @@ def resume_workflow(commons: DataCommons, run_id: str):
     config = WorkflowConfig.from_dict(run.workflow_config)
     records = commons.load_models(run_id)
     orchestrator = A4NNOrchestrator(config, commons=commons)
-    nas = orchestrator.effective_nas()
     state = rebuild_search_state(
         records,
         population_size=config.nas.population_size,
         offspring_per_generation=config.nas.offspring_per_generation,
         evolution=config.nas.evolution,
         max_epochs=config.nas.max_epochs,
-        steady_lag=nas.steady_lag or 1,
+        steady_lag=orchestrator.effective_nas().steady_lag or 1,
     )
     _LOG.info(
         "resuming run %s from generation %d (%d models already evaluated)",
@@ -312,77 +271,9 @@ def resume_workflow(commons: DataCommons, run_id: str):
         state.next_generation,
         len(state.archive),
     )
-
-    def restored(record: ModelRecord) -> bool:
-        # steady mode resumes from a contiguous tick prefix (ticks are
-        # model ids); barrier mode from complete generations
-        if config.nas.evolution == "steady":
-            return record.model_id < state.next_model_id
-        return record.generation < state.next_generation
-
-    engine = orchestrator.build_engine()
-    tracker = LineageTracker(
-        engine_parameters=engine.describe() if engine else None,
-        training_parameters={
-            "mode": config.mode,
-            "intensity": config.intensity.label,
-            "fitness_measurement": "validation_accuracy_percent",
-            "max_epochs": config.nas.max_epochs,
-        },
-    )
-    # seed the tracker with the already-published trails so the
+    # seed the tracker with the trails the state was rebuilt from, so the
     # republished run is complete
-    for record in records:
-        if restored(record):
-            tracker.records[record.model_id] = record
-    evaluator = orchestrator.build_evaluator(tracker, engine)
-    if orchestrator.allocator is not None:
-        # replay the allocator's counters and the predictor's training
-        # rows from the restored trails, in commit (model-id) order —
-        # predictions stored on the records are kept, never recomputed,
-        # so the resumed predictor sees exactly the live run's data
-        orchestrator.allocator.restore(
-            sorted((r for r in records if restored(r)), key=lambda r: r.model_id)
-        )
-    if orchestrator.memoizer is not None:
-        # prime the cache from the restored trails so evaluations the
-        # interrupted run already shared stay shared on resume (faulted
-        # or quarantined records are never primed — same rule as live)
-        restored_by_id = {r.model_id: r for r in records if restored(r)}
-        primed = 0
-        for individual in state.archive:
-            record = restored_by_id.get(individual.model_id)
-            if record is None:
-                continue
-            trace = [
-                (e["epoch"], e["validation_accuracy"], e.get("prediction"))
-                for e in record.epochs
-            ]
-            if orchestrator.memoizer.prime(individual, epoch_trace=trace):
-                primed += 1
-        _LOG.info("primed evaluation cache with %d restored evaluations", primed)
-    steady = nas.evolution == "steady"
-    search = NSGANet(
-        nas,
-        evaluator,
-        rng_stream=RngStream(config.seed).child("search"),
-        on_individual=orchestrator._on_individual,
-        on_candidate=orchestrator.allocator.score if orchestrator.allocator else None,
-        executor=None if steady else orchestrator.build_executor(evaluator),
-        stream=orchestrator.build_stream(evaluator) if steady else None,
-    )
-    try:
-        result = search.run(resume=state)
-    finally:
-        orchestrator.close_pool()
-
-    walltime = {n: simulate_walltime(result, n) for n in config.n_gpus}
-    workflow_result = WorkflowResult(
-        config=config,
-        search=result,
-        tracker=tracker,
-        walltime=walltime,
-        run_id=run_id,
-    )
-    orchestrator.publish(workflow_result)
-    return workflow_result
+    restored = {m.model_id for m in state.archive}
+    tracker = orchestrator.new_tracker()
+    tracker.records.update((r.model_id, r) for r in records if r.model_id in restored)
+    return orchestrator._search(tracker, state, run_id)

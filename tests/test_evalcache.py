@@ -15,12 +15,7 @@ from repro.lineage import DataCommons
 from repro.lineage.replay import verify_run
 from repro.nas import NSGANetConfig, random_genome
 from repro.nas.decoder import DecoderConfig, decode_genome
-from repro.nas.evalcache import (
-    CacheEntry,
-    EvaluationCache,
-    MemoizingEvaluator,
-    MemoizingStream,
-)
+from repro.nas.evalcache import CacheEntry, EvaluationCache, MemoizingStream
 from repro.nas.genome import Genome, PhaseGenome
 from repro.nas.population import Individual
 from repro.nn.dtype import resolve_dtype
@@ -123,14 +118,6 @@ class TestEvaluationCache:
         assert cache.peek(("k",)) is None
         assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
 
-    def test_record_hit_counts_only_hits(self):
-        cache = EvaluationCache()
-        assert cache.record_hit(("k",)) is None
-        cache.put(("k",), CacheEntry(0, 80.0, 100, [], None, []))
-        assert cache.record_hit(("k",)) is not None
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 0
-
     def test_first_writer_wins(self):
         cache = EvaluationCache()
         first = CacheEntry(0, 80.0, 100, [], None, [])
@@ -156,14 +143,17 @@ class FakeBase:
 class FakeChain:
     """Evaluation-chain stand-in that fires per-epoch observers."""
 
-    def __init__(self, base, quarantine_ids=()):
+    def __init__(self, base, quarantine_ids=(), raise_ids=()):
         self.base = base
         self.calls = []
         self.max_epochs = 2
         self.quarantine_ids = set(quarantine_ids)
+        self.raise_ids = set(raise_ids)
 
     def evaluate(self, individual):
         self.calls.append(individual.model_id)
+        if individual.model_id in self.raise_ids:
+            raise RuntimeError(f"boom {individual.model_id}")
         if individual.model_id in self.quarantine_ids:
             individual.quarantined = True
             individual.fitness = 0.0
@@ -185,115 +175,6 @@ def make_individual(model_id, phase=None):
     return Individual(genome=Genome((phase,)), model_id=model_id, generation=0)
 
 
-def make_memoizer(keyed=True, quarantine_ids=()):
-    base = FakeBase(keyed=keyed)
-    chain = FakeChain(base, quarantine_ids=quarantine_ids)
-    return MemoizingEvaluator(chain, base), chain
-
-
-class TestMemoizingEvaluator:
-    def test_miss_then_isomorphic_hit(self):
-        memo, chain = make_memoizer()
-        a, b = iso_phases()
-        first = memo.evaluate(make_individual(0, a))
-        second = memo.evaluate(make_individual(1, b))  # isomorphic duplicate
-        assert chain.calls == [0]
-        assert not first.cache_hit
-        assert second.cache_hit and second.cache_source == 0
-        assert second.fitness == first.fitness
-        assert second.flops == first.flops
-        assert second.epoch_seconds == first.epoch_seconds
-        assert second.result == first.result and second.result is not first.result
-        assert memo.cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
-    def test_hit_replays_observers_with_cache_context(self):
-        memo, _ = make_memoizer()
-        seen = []
-        memo.base.observers.insert(
-            0, lambda ind, e, f, p, ctx: seen.append((ind.model_id, e, f, dict(ctx)))
-        )
-        memo.evaluate(make_individual(0))
-        memo.evaluate(make_individual(1))
-        live = [s for s in seen if s[0] == 0]
-        replayed = [s for s in seen if s[0] == 1]
-        assert [(e, f) for _, e, f, _ in live] == [(e, f) for _, e, f, _ in replayed]
-        assert all(ctx.get("cache_hit") for _, _, _, ctx in replayed)
-        assert all(ctx["source_model_id"] == 0 for _, _, _, ctx in replayed)
-        assert not any(ctx.get("cache_hit") for _, _, _, ctx in live)
-
-    def test_quarantined_outcomes_never_cached(self):
-        memo, chain = make_memoizer(quarantine_ids={0})
-        memo.evaluate(make_individual(0))
-        assert len(memo.cache) == 0
-        follower = memo.evaluate(make_individual(1))
-        assert chain.calls == [0, 1]  # duplicate re-evaluated for real
-        assert not follower.cache_hit and not follower.quarantined
-
-    def test_faulted_and_retried_outcomes_never_cached(self):
-        memo, _ = make_memoizer()
-        faulted = make_individual(0)
-        faulted.fault_events = [{"kind": "nan"}]
-        memo.evaluate(faulted)
-        retried = make_individual(1)
-        retried.eval_attempt = 1
-        memo.evaluate(retried)
-        assert len(memo.cache) == 0
-
-    def test_model_keying_bypasses_cache(self):
-        memo, chain = make_memoizer(keyed=False)
-        memo.evaluate(make_individual(0))
-        second = memo.evaluate(make_individual(1))
-        assert chain.calls == [0, 1]
-        assert len(memo.cache) == 0
-        assert not second.cache_hit
-
-    def test_generation_dedup_is_submission_ordered(self):
-        memo, chain = make_memoizer()
-        a, b = iso_phases()
-        other = PhaseGenome(3, (1, 0, 1, 0))
-        batch = [
-            make_individual(0, a),
-            make_individual(1, b),  # follower of 0
-            make_individual(2, other),
-            make_individual(3, a),  # follower of 0
-        ]
-        memo.evaluate_generation(batch)
-        assert chain.calls == [0, 2]  # leaders only, in submission order
-        assert [i.cache_hit for i in batch] == [False, True, False, True]
-        assert batch[1].cache_source == batch[3].cache_source == 0
-
-    def test_second_wave_when_leader_uncacheable(self):
-        memo, chain = make_memoizer(quarantine_ids={0})
-        a, b = iso_phases()
-        batch = [make_individual(0, a), make_individual(1, b)]
-        memo.evaluate_generation(batch)
-        assert chain.calls == [0, 1]  # follower promoted to a real evaluation
-        assert batch[0].quarantined and not batch[1].quarantined
-        assert not batch[1].cache_hit
-        assert batch[1].fitness == 80.0
-
-    def test_prime_seeds_hits_with_original_attribution(self):
-        memo, chain = make_memoizer()
-        restored = make_individual(4)
-        restored.fitness, restored.flops = 77.0, 99
-        restored.result = {"history": [77.0]}
-        restored.epoch_seconds = [0.3]
-        assert memo.prime(restored, [(1, 77.0, None)])
-        hit = memo.evaluate(make_individual(5))
-        assert chain.calls == []
-        assert hit.cache_hit and hit.cache_source == 4
-
-    def test_prime_rejects_quarantined_and_unevaluated(self):
-        memo, _ = make_memoizer()
-        empty = make_individual(0)
-        assert not memo.prime(empty)
-        bad = make_individual(1)
-        bad.fitness, bad.flops, bad.result = 1.0, 1, {}
-        bad.quarantined = True
-        assert not memo.prime(bad)
-        assert len(memo.cache) == 0
-
-
 class FakeInnerStream:
     """Streaming-seam stand-in: evaluates eagerly at submit, settles FIFO."""
 
@@ -304,10 +185,16 @@ class FakeInnerStream:
         self.finish_calls = 0
 
     def submit(self, individual):
-        self.pending.append(self.chain.evaluate(individual))
+        try:
+            self.pending.append(self.chain.evaluate(individual))
+        except RuntimeError as exc:
+            self.pending.append(exc)
 
     def settled(self):
-        return self.pending.pop(0)
+        outcome = self.pending.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def on_commit(self, individual):
         self.committed.append(individual.model_id)
@@ -317,31 +204,176 @@ class FakeInnerStream:
         return "inner-report"
 
 
-def make_stream(keyed=True, quarantine_ids=()):
-    memo, chain = make_memoizer(keyed=keyed, quarantine_ids=quarantine_ids)
+def make_stream(keyed=True, wait_for_leader=False, **chain_kwargs):
+    base = FakeBase(keyed=keyed)
+    chain = FakeChain(base, **chain_kwargs)
     inner = FakeInnerStream(chain)
-    return MemoizingStream(memo, inner), memo, chain, inner
+    stream = MemoizingStream(base, inner, wait_for_leader=wait_for_leader)
+    return stream, chain, inner
+
+
+def evaluate(stream, individual):
+    """The whole seam for one candidate: submit, settle, commit."""
+    stream.submit(individual)
+    settled = stream.settled()
+    stream.on_commit(settled)
+    return settled
+
+
+def drain(stream, batch):
+    """One barrier generation: submit all, settle all, then commit in order."""
+    for individual in batch:
+        stream.submit(individual)
+    for _ in batch:
+        stream.settled()
+    for individual in batch:
+        stream.on_commit(individual)
+
+
+class TestMemoizingEvaluator:
+    """One candidate at a time, then whole generations, under the barrier
+    rule (in-flight duplicates wait for their leader)."""
+
+    def test_miss_then_isomorphic_hit(self):
+        stream, chain, _ = make_stream(wait_for_leader=True)
+        a, b = iso_phases()
+        first = evaluate(stream, make_individual(0, a))
+        second = evaluate(stream, make_individual(1, b))  # isomorphic duplicate
+        assert chain.calls == [0]
+        assert not first.cache_hit
+        assert second.cache_hit and second.cache_source == 0
+        assert second.fitness == first.fitness
+        assert second.flops == first.flops
+        assert second.epoch_seconds == first.epoch_seconds
+        assert second.result == first.result and second.result is not first.result
+        assert stream.cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+
+    def test_hit_replays_observers_with_cache_context(self):
+        # the follower is released when its leader settles, not at submit
+        stream, _, _ = make_stream(wait_for_leader=True)
+        seen = []
+        stream.base.observers.insert(
+            0, lambda ind, e, f, p, ctx: seen.append((ind.model_id, e, f, dict(ctx)))
+        )
+        drain(stream, [make_individual(0), make_individual(1)])
+        live = [s for s in seen if s[0] == 0]
+        replayed = [s for s in seen if s[0] == 1]
+        assert [(e, f) for _, e, f, _ in live] == [(e, f) for _, e, f, _ in replayed]
+        assert all(ctx.get("cache_hit") for _, _, _, ctx in replayed)
+        assert all(ctx["source_model_id"] == 0 for _, _, _, ctx in replayed)
+        assert not any(ctx.get("cache_hit") for _, _, _, ctx in live)
+
+    def test_quarantined_outcomes_never_cached(self):
+        stream, chain, _ = make_stream(wait_for_leader=True, quarantine_ids={0})
+        evaluate(stream, make_individual(0))
+        assert len(stream.cache) == 0
+        follower = evaluate(stream, make_individual(1))
+        assert chain.calls == [0, 1]  # duplicate re-evaluated for real
+        assert not follower.cache_hit and not follower.quarantined
+
+    def test_faulted_and_retried_outcomes_never_cached(self):
+        stream, _, _ = make_stream(wait_for_leader=True)
+        faulted = make_individual(0)
+        faulted.fault_events = [{"kind": "nan"}]
+        evaluate(stream, faulted)
+        assert len(stream.cache) == 0
+        retried = make_individual(1, PhaseGenome(3, (1, 0, 1, 0)))
+        stream.submit(retried)
+        retried.eval_attempt = 1  # what a fault policy leaves behind
+        stream.on_commit(stream.settled())
+        assert len(stream.cache) == 0
+
+    def test_model_keying_bypasses_cache(self):
+        stream, chain, _ = make_stream(keyed=False, wait_for_leader=True)
+        evaluate(stream, make_individual(0))
+        second = evaluate(stream, make_individual(1))
+        assert chain.calls == [0, 1]
+        assert len(stream.cache) == 0
+        assert not second.cache_hit
+        assert stream.cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
+
+    def test_generation_dedup_is_submission_ordered(self):
+        stream, chain, _ = make_stream(wait_for_leader=True)
+        a, b = iso_phases()
+        other = PhaseGenome(3, (1, 0, 1, 0))
+        batch = [
+            make_individual(0, a),
+            make_individual(1, b),  # follower of 0
+            make_individual(2, other),
+            make_individual(3, a),  # follower of 0
+        ]
+        drain(stream, batch)
+        assert chain.calls == [0, 2]  # leaders only, in submission order
+        assert [i.cache_hit for i in batch] == [False, True, False, True]
+        assert batch[1].cache_source == batch[3].cache_source == 0
+        assert stream.cache.stats() == {"entries": 2, "hits": 2, "misses": 2}
+
+    def test_second_wave_when_leader_uncacheable(self):
+        stream, chain, _ = make_stream(wait_for_leader=True, quarantine_ids={0})
+        a, b = iso_phases()
+        batch = [make_individual(0, a), make_individual(1, b), make_individual(2, a)]
+        drain(stream, batch)
+        # the first follower is promoted to a real evaluation and leads the rest
+        assert chain.calls == [0, 1]
+        assert batch[0].quarantined and not batch[1].quarantined
+        assert [i.cache_hit for i in batch] == [False, False, True]
+        assert batch[1].fitness == 80.0 and batch[2].cache_source == 1
+        assert stream.cache.stats() == {"entries": 1, "hits": 1, "misses": 2}
+
+    def test_followers_of_a_raising_leader_are_evaluated(self):
+        # no fault policy: the leader's error surfaces at settle, and its
+        # followers still settle — by running, as with the cache off
+        stream, chain, _ = make_stream(wait_for_leader=True, raise_ids={0})
+        follower = make_individual(1)
+        stream.submit(make_individual(0))
+        stream.submit(follower)
+        with pytest.raises(RuntimeError, match="boom 0"):
+            stream.settled()
+        assert stream.settled() is follower
+        assert chain.calls == [0, 1] and not follower.cache_hit
+        with pytest.raises(RuntimeError, match="no evaluations in flight"):
+            stream.settled()
+
+    def test_prime_seeds_hits_with_original_attribution(self):
+        stream, chain, _ = make_stream(wait_for_leader=True)
+        restored = make_individual(4)
+        restored.fitness, restored.flops = 77.0, 99
+        restored.result = {"history": [77.0]}
+        restored.epoch_seconds = [0.3]
+        assert stream.prime(restored, [(1, 77.0, None)])
+        hit = evaluate(stream, make_individual(5))
+        assert chain.calls == []
+        assert hit.cache_hit and hit.cache_source == 4
+
+    def test_prime_rejects_quarantined_and_unevaluated(self):
+        stream, _, _ = make_stream(wait_for_leader=True)
+        empty = make_individual(0)
+        assert not stream.prime(empty)
+        bad = make_individual(1)
+        bad.fitness, bad.flops, bad.result = 1.0, 1, {}
+        bad.quarantined = True
+        assert not stream.prime(bad)
+        assert len(stream.cache) == 0
 
 
 class TestMemoizingStream:
+    """The steady rule: entries appear at commit, in-window duplicates re-evaluate."""
+
     def test_hit_decided_at_submit_skips_inner(self):
-        stream, memo, chain, inner = make_stream()
+        stream, chain, inner = make_stream()
         a, b = iso_phases()
-        leader = make_individual(0, a)
-        stream.submit(leader)
-        stream.on_commit(stream.settled())
+        leader = evaluate(stream, make_individual(0, a))
         stream.submit(make_individual(1, b))  # isomorphic, past the window
         assert chain.calls == [0]  # hit never reached the pool
         hit = stream.settled()
         assert hit.cache_hit and hit.cache_source == 0
         assert hit.fitness == leader.fitness
-        assert memo.cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert stream.cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_ready_hits_settle_before_inner_results(self):
-        stream, _, _, inner = make_stream()
+        stream, _, inner = make_stream()
         a, b = iso_phases()
-        stream.submit(make_individual(0, a))
-        stream.on_commit(stream.settled())
+        evaluate(stream, make_individual(0, a))
         stream.submit(make_individual(1, PhaseGenome(3, (1, 0, 1, 0))))  # miss
         stream.submit(make_individual(2, b))  # hit -> queued in _ready
         assert stream.settled().model_id == 2  # hit jumps the queue
@@ -351,64 +383,59 @@ class TestMemoizingStream:
     def test_duplicate_inside_lag_window_reevaluates(self):
         # both submitted before either commits: the follower cannot see
         # the leader's entry yet and must run for real
-        stream, memo, chain, _ = make_stream()
+        stream, chain, _ = make_stream()
         a, b = iso_phases()
         stream.submit(make_individual(0, a))
         stream.submit(make_individual(1, b))
         assert chain.calls == [0, 1]
         stream.on_commit(stream.settled())
         stream.on_commit(stream.settled())
-        assert len(memo.cache) == 1  # first writer wins at commit
+        assert len(stream.cache) == 1  # first writer wins at commit
         stream.submit(make_individual(2, a))  # now past the window: a hit
         assert chain.calls == [0, 1]
         assert stream.settled().cache_source == 0
+        assert stream.cache.stats() == {"entries": 1, "hits": 1, "misses": 2}
 
     def test_priming_waits_for_commit(self):
-        stream, memo, _, inner = make_stream()
+        stream, _, inner = make_stream()
         stream.submit(make_individual(0))
         settled = stream.settled()
-        assert len(memo.cache) == 0  # settle alone must not publish
+        assert len(stream.cache) == 0  # settle alone must not publish
         stream.on_commit(settled)
-        assert len(memo.cache) == 1
+        assert len(stream.cache) == 1
         assert inner.committed == [0]
 
     def test_hit_commit_does_not_overwrite_entry(self):
-        stream, memo, _, _ = make_stream()
+        stream, _, _ = make_stream()
         a, b = iso_phases()
-        stream.submit(make_individual(0, a))
-        stream.on_commit(stream.settled())
-        stream.submit(make_individual(1, b))
-        stream.on_commit(stream.settled())
-        assert len(memo.cache) == 1
-        assert memo.cache.stats()["hits"] == 1
+        evaluate(stream, make_individual(0, a))
+        evaluate(stream, make_individual(1, b))
+        assert len(stream.cache) == 1
+        assert stream.cache.stats()["hits"] == 1
 
     def test_quarantined_outcome_not_primed(self):
-        stream, memo, chain, inner = make_stream(quarantine_ids={0})
-        stream.submit(make_individual(0))
-        stream.on_commit(stream.settled())
-        assert len(memo.cache) == 0
+        stream, chain, inner = make_stream(quarantine_ids={0})
+        evaluate(stream, make_individual(0))
+        assert len(stream.cache) == 0
         assert inner.committed == [0]
         stream.submit(make_individual(1))  # no entry -> real evaluation
         assert chain.calls == [0, 1]
 
     def test_unkeyed_individuals_bypass_cache(self):
-        stream, memo, chain, _ = make_stream(keyed=False)
-        stream.submit(make_individual(0))
-        stream.on_commit(stream.settled())
-        stream.submit(make_individual(1))
-        stream.on_commit(stream.settled())
+        stream, chain, _ = make_stream(keyed=False)
+        evaluate(stream, make_individual(0))
+        evaluate(stream, make_individual(1))
         assert chain.calls == [0, 1]
-        assert len(memo.cache) == 0
+        assert len(stream.cache) == 0
 
     def test_hit_replays_observers_with_cache_context(self):
-        stream, memo, _, _ = make_stream()
+        stream, _, _ = make_stream()
         seen = []
-        memo.base.observers.insert(
+        stream.base.observers.insert(
             0, lambda ind, e, f, p, ctx: seen.append((ind.model_id, e, dict(ctx)))
         )
         a, b = iso_phases()
-        stream.submit(make_individual(0, a))
-        stream.on_commit(stream.settled())
+        evaluate(stream, make_individual(0, a))
         stream.submit(make_individual(1, b))
         stream.settled()
         replayed = [s for s in seen if s[0] == 1]
@@ -416,7 +443,7 @@ class TestMemoizingStream:
         assert all(ctx["cache_hit"] and ctx["source_model_id"] == 0 for _, _, ctx in replayed)
 
     def test_finish_delegates_to_inner(self):
-        stream, _, _, inner = make_stream()
+        stream, _, inner = make_stream()
         assert stream.finish() == "inner-report"
         assert inner.finish_calls == 1
 

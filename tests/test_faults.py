@@ -15,7 +15,7 @@ from repro.core.engine import EngineConfig
 from repro.nas import Individual, random_genome
 from repro.nas.nsga2 import environmental_selection, pareto_front_mask
 from repro.nas.population import Population
-from repro.nas.search import NSGANetConfig
+from repro.nas.search import NSGANet, NSGANetConfig
 from repro.scheduler.faults import (
     EvaluationTimeout,
     FaultInjectingEvaluator,
@@ -35,6 +35,11 @@ def make_individuals(rng, n, generation=0, first_id=0):
     return [
         Individual(random_genome(rng), first_id + i, generation) for i in range(n)
     ]
+
+
+def run_generation(stream, individuals):
+    """One barrier generation through the seam, driven by the search's own code."""
+    NSGANet(NSGANetConfig(), None, stream=stream)._run_generation(individuals)
 
 
 class FlakyEvaluator:
@@ -266,7 +271,7 @@ class TestPoolFailureSemantics:
         pool = FifoWorkerPool(self.NthFails({0}), n_workers=n_workers)
         individuals = make_individuals(rng, 5)
         with pytest.raises(RuntimeError, match="boom 0"):
-            pool.evaluate_generation(individuals)
+            run_generation(pool, individuals)
         # jobs after the failure still ran — identical on both paths
         assert all(ind.evaluated for ind in individuals[1:])
         assert pool.reports[-1].n_jobs == 5
@@ -276,7 +281,7 @@ class TestPoolFailureSemantics:
         pool = FifoWorkerPool(self.NthFails({1, 3}), n_workers=n_workers)
         individuals = make_individuals(rng, 5)
         with pytest.raises(ExceptionGroup) as excinfo:
-            pool.evaluate_generation(individuals)
+            run_generation(pool, individuals)
         messages = sorted(str(e) for e in excinfo.value.exceptions)
         assert messages == ["boom 1", "boom 3"]
 
@@ -286,7 +291,7 @@ class TestPoolFailureSemantics:
             self.NthFails({2}), n_workers=n_workers, policy=FaultPolicy(max_retries=1)
         )
         individuals = make_individuals(rng, 5)
-        pool.evaluate_generation(individuals)  # does not raise
+        run_generation(pool, individuals)  # does not raise
         assert individuals[2].quarantined
         assert all(ind.evaluated for ind in individuals)
 

@@ -121,7 +121,12 @@ class TestWorkerPoolIntegration:
             )
             rng = np.random.default_rng(0)
             individuals = [Individual(random_genome(rng), i, 0) for i in range(6)]
-            FifoWorkerPool(evaluator, n_workers=n).evaluate_generation(individuals)
+            pool = FifoWorkerPool(evaluator, n_workers=n)
+            for individual in individuals:
+                pool.submit(individual)
+            for _ in individuals:
+                pool.settled()
+            pool.close()
             return [(m.fitness, m.flops) for m in individuals]
 
         assert build(1) == build(3)

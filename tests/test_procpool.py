@@ -1,9 +1,9 @@
 """Process-parallel evaluation backend: parity, hard kills, FIFO, shm.
 
-Covers the ISSUE-5 acceptance criteria: the process backend produces
-bit-identical fitness values and lineage records to the serial path on a
-seeded mini search (eval cache on and off), hung candidates are
-hard-killed within the policy timeout with the worker respawned, no
+Covers the ISSUE-5 acceptance criteria: every backend publishes
+bit-identical lineage records and cache statistics on a seeded mini
+search (both evolution modes, eval cache on and off), hung candidates
+are hard-killed within the policy timeout with the worker respawned, no
 worker processes leak past ``close()``, and submission order stays FIFO
 under randomized per-job delays on both the thread and process pools.
 
@@ -13,18 +13,20 @@ boundary) builds a scripted evaluator inside the worker, so the dispatch
 / timeout / retry machinery is exercised without training anything.
 """
 
+import functools
 import json
 import multiprocessing as mp
 import pickle
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig
 from repro.nas import Individual, random_genome
-from repro.nas.evalcache import EvaluationCache, MemoizingEvaluator
-from repro.nas.search import NSGANetConfig
+from repro.nas.evalcache import MemoizingStream
+from repro.nas.search import EvalStream, NSGANet, NSGANetConfig
 from repro.scheduler.faults import (
     FaultInjectionConfig,
     FaultPolicy,
@@ -46,6 +48,11 @@ def make_individuals(rng, n, generation=0, first_id=0):
     ]
 
 
+def run_generation(stream, individuals):
+    """One barrier generation through the seam, driven by the search's own code."""
+    NSGANet(NSGANetConfig(), None, stream=stream)._run_generation(individuals)
+
+
 class ScriptedEvaluator:
     """Deterministic scripted evaluator: delays, hangs, and scripted failures.
 
@@ -55,10 +62,11 @@ class ScriptedEvaluator:
 
     max_epochs = 1
 
-    def __init__(self, hang_ids=(), fail_ids=(), delay_scale=0.0):
+    def __init__(self, hang_ids=(), fail_ids=(), delay_scale=0.0, result=None):
         self.hang_ids = set(hang_ids)
         self.fail_ids = set(fail_ids)
         self.delay_scale = delay_scale
+        self.result = result
 
     def evaluate(self, individual):
         mid = individual.model_id
@@ -71,6 +79,7 @@ class ScriptedEvaluator:
             time.sleep(((mid * 7919) % 5) * self.delay_scale)
         individual.fitness = 50.0 + mid
         individual.flops = 1000 + mid
+        individual.result = self.result
         return individual
 
 
@@ -88,6 +97,11 @@ def flaky_pair_factory():
 
 def flaky_single_factory():
     return ScriptedEvaluator(fail_ids=(2,))
+
+
+def first_fails_factory():
+    """Model 0 crashes on its first attempt; everything else is cacheable."""
+    return ScriptedEvaluator(fail_ids=(0,), delay_scale=0.01, result={"proxy": True})
 
 
 def make_pool(factory, n_workers=2, **kwargs):
@@ -167,15 +181,16 @@ class TestSharedMemory:
 class TestProcessPoolDirect:
     def test_satisfies_worker_pool_protocol(self):
         pool = make_pool(delay_factory)
-        assert isinstance(pool, WorkerPool)
-        assert isinstance(FifoWorkerPool(ScriptedEvaluator()), WorkerPool)
+        thread_pool = FifoWorkerPool(ScriptedEvaluator())
+        assert isinstance(pool, WorkerPool) and isinstance(pool, EvalStream)
+        assert isinstance(thread_pool, WorkerPool) and isinstance(thread_pool, EvalStream)
         pool.close()
 
     def test_generation_evaluates_all_and_reports_fifo(self, rng):
         pool = make_pool(delay_factory, n_workers=2)
         try:
             individuals = make_individuals(rng, 6)
-            pool.evaluate_generation(individuals)
+            run_generation(pool, individuals)
             assert [ind.fitness for ind in individuals] == [
                 50.0 + i for i in range(6)
             ]
@@ -196,19 +211,19 @@ class TestProcessPoolDirect:
 
     def test_close_is_idempotent_and_final(self, rng):
         pool = make_pool(delay_factory, n_workers=1)
-        pool.evaluate_generation(make_individuals(rng, 1))
+        run_generation(pool, make_individuals(rng, 1))
         pool.close()
         pool.close()
         assert pool.alive_workers() == 0
         with pytest.raises(RuntimeError, match="closed"):
-            pool.evaluate_generation(make_individuals(rng, 1))
+            pool.submit(make_individuals(rng, 1)[0])
 
     def test_single_error_reraises_after_generation_settles(self, rng):
         pool = make_pool(flaky_single_factory, n_workers=2)
         try:
             individuals = make_individuals(rng, 5)
             with pytest.raises(RuntimeError, match="boom 2"):
-                pool.evaluate_generation(individuals)
+                run_generation(pool, individuals)
             assert all(
                 ind.evaluated for ind in individuals if ind.model_id != 2
             )
@@ -220,7 +235,7 @@ class TestProcessPoolDirect:
         pool = make_pool(flaky_pair_factory, n_workers=2)
         try:
             with pytest.raises(ExceptionGroup) as excinfo:
-                pool.evaluate_generation(make_individuals(rng, 5))
+                run_generation(pool, make_individuals(rng, 5))
             assert sorted(str(e) for e in excinfo.value.exceptions) == [
                 "boom 1",
                 "boom 3",
@@ -240,7 +255,7 @@ class TestProcessPoolDirect:
         )
         try:
             individuals = make_individuals(rng, 5)
-            pool.evaluate_generation(individuals)  # does not raise
+            run_generation(pool, individuals)  # does not raise
             # the scripted failure clears on attempt 1: retried, not quarantined
             assert all(ind.evaluated and not ind.quarantined for ind in individuals)
             assert sorted(events) == [(1, "crash", "retry"), (3, "crash", "retry")]
@@ -263,7 +278,7 @@ class TestHardKill:
         try:
             individuals = make_individuals(rng, 4)
             start = time.monotonic()
-            pool.evaluate_generation(individuals)
+            run_generation(pool, individuals)
             elapsed = time.monotonic() - start
             # model 0 hangs 60s per attempt; two attempts were reclaimed
             # in well under one hang's duration
@@ -315,7 +330,7 @@ class TestFifoOrderThreadBackend:
     def test_randomized_delays_preserve_submission_order(self, rng, n_workers):
         pool = FifoWorkerPool(ScriptedEvaluator(delay_scale=0.01), n_workers=n_workers)
         individuals = make_individuals(rng, 8)
-        pool.evaluate_generation(individuals)
+        run_generation(pool, individuals)
         [report] = pool.reports
         assert report.backend == "thread"
         assert [j.job_id for j in report.jobs] == [i.model_id for i in individuals]
@@ -365,29 +380,88 @@ def run_trail(result):
     return archive, records
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: thread at one worker is the inline loop: no pool, no report
+BACKENDS = (("thread", 1), ("serial", 1), ("thread", 2), ("process", 2))
+
+
+def baseline_config(evolution, backend, n_workers, eval_cache):
+    """``fixtures/make_pr8_baseline.py``'s search: 2 nodes per phase, so most
+    generations contain duplicates of candidates still in flight."""
+    return WorkflowConfig(
+        nas=NSGANetConfig(
+            population_size=4,
+            offspring_per_generation=4,
+            generations=3,
+            max_epochs=8,
+            nodes_per_phase=2,
+            evolution=evolution,
+            # one logical clock for every worker count
+            steady_lag=2 if evolution == "steady" else None,
+        ),
+        engine=EngineConfig(e_pred=8),
+        mode="surrogate",
+        seed=11,
+        run_id="pr8-baseline",
+        backend=backend,
+        n_workers=n_workers,
+        eval_cache=eval_cache,
+    )
+
+
+PR8_BASELINE = json.loads((FIXTURES / "lineage_pr8_baseline.json").read_text())
+
+
+def without_predictor_keys(trails):
+    """The fixture predates the surrogate allocator's four record fields."""
+    added = ("predicted_fitness", "predicted_rank", "budget_assigned", "skip_reason")
+    return [{k: v for k, v in t.items() if k not in added} for t in trails]
+
+
+@functools.lru_cache(maxsize=None)
+def baseline_run(evolution, backend, n_workers, eval_cache):
+    """(lineage without wall-clock fields, cache stats, report backends)."""
+    orchestrator = A4NNOrchestrator(
+        baseline_config(evolution, backend, n_workers, eval_cache)
+    )
+    result = orchestrator.run()
+    assert orchestrator.pool is None  # closed, reports kept
+    trails = [r.to_dict() for r in result.tracker.all_records()]
+    for trail in trails:
+        trail["engine_overhead_seconds"] = None
+    stats = orchestrator.memoizer.cache.stats() if eval_cache else None
+    return trails, stats, [r.backend for r in orchestrator.pool_reports]
+
+
 class TestBackendParitySurrogate:
-    @pytest.mark.parametrize("eval_cache", [True, False])
-    def test_process_is_bit_identical_to_serial(self, eval_cache):
-        serial = A4NNOrchestrator(surrogate_config("serial", eval_cache=eval_cache))
-        r_serial = serial.run()
-        process = A4NNOrchestrator(
-            surrogate_config("process", 2, eval_cache=eval_cache)
-        )
-        r_process = process.run()
-        assert run_trail(r_process) == run_trail(r_serial)
+    @pytest.mark.parametrize("eval_cache", [True, False], ids=["cache", "nocache"])
+    @pytest.mark.parametrize("backend, n_workers", BACKENDS)
+    @pytest.mark.parametrize("evolution", ["barrier", "steady"])
+    def test_backends_agree(
+        self, evolution, backend, n_workers, eval_cache
+    ):
+        trails, stats, reports = baseline_run(evolution, backend, n_workers, eval_cache)
+        reference, reference_stats, _ = baseline_run(evolution, *BACKENDS[0], eval_cache)
+        assert trails == reference
+        assert stats == reference_stats
         if eval_cache:
-            # leaders evaluated remotely must count misses/prime entries
-            # exactly like local lookups
-            assert (
-                process.memoizer.cache.stats() == serial.memoizer.cache.stats()
-            )
-        # the run closed its pool: reports stashed, workers gone
-        assert process.pool is None
+            assert any(t["cache_hit"] for t in trails)
+            if evolution == "barrier":
+                assert without_predictor_keys(trails) == PR8_BASELINE
+        else:
+            # the cache changes who trains, never what anyone measured
+            cached, _, _ = baseline_run(evolution, *BACKENDS[0], True)
+            unshared = [dict(t, cache_hit=False, cache_source=None) for t in cached]
+            assert trails == unshared
+        # one report per generation behind a barrier, one per steady run,
+        # none without a pool; the run closed its workers
+        label = "serial" if backend == "serial" else backend
+        episodes = 0 if (backend, n_workers) == BACKENDS[0] else 3 if evolution == "barrier" else 1
+        assert reports == [label] * episodes
         assert not [
             p for p in mp.active_children() if p.name.startswith("a4nn-eval-worker")
         ]
-        assert [r.backend for r in process.pool_reports] == ["process"] * 2
-        assert [r.backend for r in serial.pool_reports] == ["serial"] * 2
 
     def test_fault_injection_parity(self):
         def faulty(backend, n_workers):
@@ -454,42 +528,58 @@ class _StubBase:
 
 
 class TestRegisterRemote:
-    def test_record_miss_counts_outside_lookup(self):
-        cache = EvaluationCache()
-        cache.record_miss()
-        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 1}
+    """Leaders evaluated in worker processes count and prime like local ones."""
 
-    def _clean_individual(self, rng, model_id=0):
-        [ind] = make_individuals(rng, 1, first_id=model_id)
-        ind.fitness = 90.0
-        ind.flops = 123
-        ind.result = {"proxy": True}
-        ind.epoch_seconds = [0.1]
-        return ind
+    def _drain(self, rng, n, *, first_id=0, key=("k",), **pool_kwargs):
+        pool = make_pool(first_fails_factory, n_workers=2, **pool_kwargs)
+        memo = MemoizingStream(_StubBase(key), pool, wait_for_leader=True)
+        individuals = make_individuals(rng, n, first_id=first_id)
+        try:
+            run_generation(memo, individuals)
+        finally:
+            pool.close()
+        return memo, individuals
 
     def test_clean_leader_primes_cache_and_counts_miss(self, rng):
-        base = _StubBase()
-        memo = MemoizingEvaluator(base, base)
-        leader = self._clean_individual(rng)
-        memo.register_remote(leader, [(1, 90.0, None)])
-        assert memo.cache.stats() == {"entries": 1, "hits": 0, "misses": 1}
-        entry = memo.cache.peek(base.key)
-        assert entry.source_model_id == leader.model_id
-        assert entry.epoch_trace == [(1, 90.0, None)]
+        memo, (leader, follower) = self._drain(rng, 2, first_id=1)
+        assert memo.cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert memo.cache.peek(("k",)).source_model_id == leader.model_id
+        assert follower.cache_hit and follower.cache_source == leader.model_id
+        assert follower.fitness == leader.fitness
 
     def test_faulted_leader_counts_miss_but_never_caches(self, rng):
-        base = _StubBase()
-        memo = MemoizingEvaluator(base, base)
-        faulted = self._clean_individual(rng)
-        faulted.fault_events.append({"kind": "crash", "action": "retry"})
-        memo.register_remote(faulted, [])
+        memo, (faulted,) = self._drain(rng, 1, policy=FaultPolicy(max_retries=1))
+        assert faulted.evaluated and faulted.eval_attempt == 1
         assert memo.cache.stats() == {"entries": 0, "hits": 0, "misses": 1}
 
     def test_unkeyed_leader_is_ignored(self, rng):
-        base = _StubBase(key=None)
-        memo = MemoizingEvaluator(base, base)
-        memo.register_remote(self._clean_individual(rng), [])
+        memo, _ = self._drain(rng, 2, first_id=1, key=None)
         assert memo.cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
+
+
+class TestSecondWave:
+    """A leader that settles uncacheable promotes its first follower, which
+    leads the rest: the same flags and counters on every backend (the batch
+    memoizer's second wave raced by worker count)."""
+
+    @pytest.mark.parametrize("backend, n_workers", [("thread", 1), ("thread", 2), ("process", 2)])
+    def test_hits_do_not_depend_on_backend_or_worker_count(self, rng, backend, n_workers):
+        policy = FaultPolicy(max_retries=0)  # model 0 is quarantined
+        if backend == "process":
+            pool = make_pool(first_fails_factory, n_workers=n_workers, policy=policy)
+        else:
+            pool = FifoWorkerPool(first_fails_factory(), n_workers=n_workers, policy=policy)
+        memo = MemoizingStream(_StubBase(), pool, wait_for_leader=True)
+        individuals = make_individuals(rng, 3)
+        try:
+            run_generation(memo, individuals)
+        finally:
+            pool.close()
+        assert individuals[0].quarantined
+        assert [i.cache_hit for i in individuals] == [False, False, True]
+        assert [i.cache_source for i in individuals] == [None, None, 1]
+        assert memo.cache.stats() == {"entries": 1, "hits": 1, "misses": 2}
+        assert len(pool.reports) == 1  # the promoted follower joined the open episode
 
 
 class TestWorkflowConfigBackend:
@@ -618,17 +708,6 @@ class TestStreamingSeam:
             assert pool.reports == [report]
             with pytest.raises(RuntimeError, match="no evaluations in flight"):
                 pool.settled()
-        finally:
-            pool.close()
-
-    def test_process_batch_entry_rejected_while_stream_open(self, rng):
-        pool = make_pool(delay_factory, n_workers=2)
-        try:
-            pool.submit(make_individuals(rng, 1)[0])
-            with pytest.raises(RuntimeError, match="stream is open"):
-                pool.evaluate_generation(make_individuals(rng, 2, first_id=5))
-            pool.settled()
-            pool.finish()
         finally:
             pool.close()
 

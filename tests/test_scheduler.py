@@ -201,9 +201,12 @@ class TestFifoWorkerPool:
             individuals = [
                 Individual(random_genome(rng), i, 0) for i in range(7)
             ]
-            pool.evaluate_generation(individuals)
+            for individual in individuals:
+                pool.submit(individual)
+            settled = [pool.settled() for _ in individuals]
+            assert sorted(ind.model_id for ind in settled) == list(range(7))
             assert all(ind.fitness == 50.0 for ind in individuals)
-            assert pool.reports[-1].n_jobs == 7
+            assert pool.finish().n_jobs == 7
             assert pool.total_wall_seconds > 0
 
     def test_exceptions_propagate(self, rng):
@@ -216,10 +219,10 @@ class TestFifoWorkerPool:
                 raise RuntimeError("boom")
 
         pool = FifoWorkerPool(FailingEvaluator(), n_workers=2)
+        pool.submit(Individual(random_genome(rng), 0, 0))
         with pytest.raises(RuntimeError, match="boom"):
-            pool.evaluate_generation(
-                [Individual(random_genome(rng), 0, 0)]
-            )
+            pool.settled()
+        pool.close()
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from repro.nas.surrogate import (
     genome_features,
     phase_depth,
 )
+from repro.scheduler.faults import FaultPolicy
 from repro.scheduler.simulator import simulate_walltime
 from repro.utils.validation import ValidationError
 from repro.workflow import resume_workflow, run_workflow
@@ -393,6 +394,18 @@ class TestCrossBackendDeterminism:
                 )
             )
             assert trails(other) == reference, backend
+
+    def test_policy_timeout_keeps_the_probe_budget(self, serial_barrier):
+        # a per-attempt timeout runs the in-thread attempt on a shadow
+        # individual; it must carry the allocator's budget as the process
+        # worker's copy does, so a timeout that never fires changes nothing
+        reference = trails(serial_barrier)
+        patient = FaultPolicy(timeout_seconds=60.0)
+        for backend, workers in (("thread", 1), ("process", 2)):
+            timed = run_workflow(
+                workflow_config(backend=backend, n_workers=workers, faults=patient)
+            )
+            assert trails(timed) == reference, backend
 
     @pytest.mark.parametrize("fixture", ["serial_barrier", "serial_steady"])
     def test_epoch_accounting_partition(self, fixture, request):
