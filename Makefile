@@ -7,13 +7,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test bench bench-kernels bench-paper bench-scale bench-check faults readme-rules all
+.PHONY: check lint test bench bench-kernels bench-paper bench-scale faults readme-rules all
 
 all: check test
 
-# static-analysis rule catalog over the package source (full semantic
-# engine: file rules + project-scoped flow packs, incremental cache
-# under .a4nn-cache/, baseline from .a4nn-baseline.json)
+# static-analysis rule catalog over the package source
 check:
 	$(PYTHON) -m repro check src
 
@@ -42,11 +40,6 @@ bench-paper:
 # machine-dependent and not compared)
 bench-scale:
 	$(PYTHON) -m repro bench --scaling --compare BENCH_scaling.json
-
-# static-analysis engine benchmark: cold vs warm-cache `a4nn check`
-# timings, diffed against the committed document
-bench-check:
-	$(PYTHON) -m repro bench --check --compare BENCH_check.json
 
 # regenerate the README rule-catalog table from the rule registry
 # (tests/test_tooling_linter.py asserts it is in sync)

@@ -8,11 +8,6 @@ from repro.bench.harness import (
     compare_reports,
     run_bench,
 )
-from repro.bench.checkbench import (
-    CheckBenchReport,
-    compare_checkbench,
-    run_checkbench,
-)
 from repro.bench.scaling import (
     SCALING_GRID,
     SCALING_SCHEMA,
@@ -23,9 +18,6 @@ from repro.bench.scaling import (
 
 __all__ = [
     "BenchReport",
-    "CheckBenchReport",
-    "compare_checkbench",
-    "run_checkbench",
     "bench_evalpath",
     "bench_kernels",
     "bench_predictor",

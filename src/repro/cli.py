@@ -14,7 +14,7 @@ Usage::
     python -m repro verify --commons ./commons
     python -m repro config --intensity low > low.json
     python -m repro run --config low.json
-    python -m repro check src/ --format=json
+    python -m repro check src/
     python -m repro check --list-rules
 """
 
@@ -38,16 +38,6 @@ from repro.analysis import (
 from repro.experiments.reporting import ReportTable
 from repro.lineage import DataCommons, verify_run
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
-from repro.tooling import (
-    all_rules,
-    apply_fixes,
-    markdown_catalog,
-    render_json,
-    render_sarif,
-    render_text,
-    run_check,
-    write_baseline,
-)
 from repro.utils.io import read_json
 from repro.utils.logging import configure_logging
 from repro.utils.timing import format_hours
@@ -384,6 +374,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    # imported here so library users and spawned workers, which import
+    # repro.tooling.sanitizer, never load the linter
+    from repro.tooling.diagnostics import render_text
+    from repro.tooling.linter import run_check
+    from repro.tooling.rules import all_rules, markdown_catalog
+
     if args.list_rules:
         if args.format == "md":
             print(markdown_catalog())
@@ -396,52 +392,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     paths = args.paths or [Path(__file__).parent]
     select = args.select.split(",") if args.select else None
-    ignore = args.ignore.split(",") if args.ignore else None
-    cache_dir = None if args.no_cache else args.cache_dir
-    baseline = None
-    if not args.update_baseline and args.baseline.exists():
-        baseline = args.baseline
-
-    def check() -> "object":
-        return run_check(
-            paths,
-            select=select,
-            ignore=ignore,
-            cache_dir=cache_dir,
-            baseline=baseline,
-            jobs=args.jobs,
-        )
-
     try:
-        result = check()
-        if args.fix:
-            outcome = apply_fixes(result.diagnostics + result.grandfathered)
-            for path, n in sorted(outcome.applied.items()):
-                print(f"fixed {n} finding(s) in {path}")
-            for path, fix, reason in outcome.skipped:
-                print(f"skipped a fix in {path}: {reason}", file=sys.stderr)
-            if outcome.n_applied:
-                result = check()
+        result = run_check(paths, select=select)
     except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.update_baseline:
-        write_baseline(result.diagnostics, args.baseline)
-        print(
-            f"wrote {args.baseline} grandfathering {len(result.diagnostics)} finding(s)"
-        )
-        return 0
-    cache_note = f"cache: {result.n_cache_hits} hit(s), {result.n_analyzed} analyzed"
-    if args.format == "json":
-        print(render_json(result.diagnostics))
-    elif args.format == "sarif":
-        print(render_sarif(result.diagnostics, all_rules()))
-    elif result.diagnostics:
+    if result.diagnostics:
         print(render_text(result.diagnostics))
-        print(f"({cache_note})")
     else:
-        note = f" ({len(result.grandfathered)} grandfathered)" if result.grandfathered else ""
-        print(f"a4nn check: {result.n_files} file(s) clean{note} ({cache_note})")
+        print(f"a4nn check: {result.n_files} file(s) clean")
     return result.exit_code
 
 
@@ -450,8 +409,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.scaling:
         return _cmd_bench_scaling(args)
-    if args.check:
-        return _cmd_bench_check(args)
     report = run_bench(
         seed=args.seed,
         repeats=args.repeats,
@@ -496,26 +453,6 @@ def _cmd_bench_scaling(args: argparse.Namespace) -> int:
     if not report.consistent():
         print(
             "FAIL: search outcome differs across execution backends",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    from repro.bench import CheckBenchReport, compare_checkbench, run_checkbench
-
-    report = run_checkbench(repeats=args.repeats)
-    print(report.summary())
-    if args.output:
-        path = report.save(args.output)
-        print(f"wrote {path}")
-    if args.compare:
-        committed = CheckBenchReport.load(args.compare)
-        print(compare_checkbench(report, committed))
-    if report.warm_seconds >= report.cold_seconds:
-        print(
-            "FAIL: warm-cache analysis is not faster than cold",
             file=sys.stderr,
         )
         return 1
@@ -597,12 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(serial/thread/process × worker counts; BENCH_scaling.json)",
     )
     bench_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="benchmark the static-analysis engine instead: cold vs "
-        "warm-cache 'a4nn check' timings (BENCH_check.json)",
-    )
-    bench_parser.add_argument(
         "--output", type=Path, help="write the bench document (BENCH_evalpath.json)"
     )
     bench_parser.add_argument(
@@ -626,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif", "md"],
+        choices=["text", "md"],
         default="text",
         help="diagnostic format (md is the README rule-catalog table, "
         "only with --list-rules)",
@@ -635,42 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
     check_parser.add_argument("--select", help="comma-separated rule ids to run exclusively")
-    check_parser.add_argument("--ignore", help="comma-separated rule ids to skip")
-    check_parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=Path(".a4nn-cache"),
-        help="incremental analysis cache location (default .a4nn-cache)",
-    )
-    check_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (always re-parse everything)",
-    )
-    check_parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path(".a4nn-baseline.json"),
-        help="baseline of grandfathered findings (applied when the file exists)",
-    )
-    check_parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record the current findings as the new grandfathered baseline",
-    )
-    check_parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply the mechanical autofixes attached to findings, then re-check",
-    )
-    check_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallelize the cold per-file parse/lint stage over N "
-        "processes (0 = one per CPU; cross-file rules stay single-pass)",
-    )
     check_parser.set_defaults(handler=_cmd_check)
 
     return parser

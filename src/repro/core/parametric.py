@@ -107,7 +107,7 @@ FUNCTION_REGISTRY: dict[str, ParametricFunction] = {}
 
 def register_function(func: ParametricFunction) -> ParametricFunction:
     """Add a family to the global registry (overwrites same-name entries)."""
-    FUNCTION_REGISTRY[func.name] = func
+    FUNCTION_REGISTRY[func.name] = func  # a4nn: noqa(CONC001) -- import-time registry: a family registered at run time in the parent does not reach spawned workers, which re-import this module
     return func
 
 

@@ -24,7 +24,7 @@ def clip_grad_norm(network: Network, max_norm: float) -> float:
     Returns the pre-clipping norm.  Standard protection against the
     exploding gradients random NAS architectures occasionally produce.
     """
-    # a4nn: mutates(network) -- gradient clipping rescales grads in place by contract
+    # gradient clipping rescales the network's grads in place by contract
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
@@ -102,7 +102,7 @@ class SGD(Optimizer):
             if self.momentum:
                 vel = self._velocity.get(name)
                 if vel is None:
-                    vel = np.zeros_like(param.value)  # a4nn: noqa(PERF003) -- one-time lazy init of persistent state
+                    vel = np.zeros_like(param.value)  # one-time lazy init of persistent state
                     self._velocity[name] = vel
                 vel *= self.momentum
                 vel += grad
@@ -147,8 +147,8 @@ class Adam(Optimizer):
                 np.multiply(param.value, self.weight_decay, out=s1)
                 s1 += grad
                 grad = s1
-            m = self._m.setdefault(name, np.zeros_like(param.value))  # a4nn: noqa(PERF003) -- allocates once per parameter
-            v = self._v.setdefault(name, np.zeros_like(param.value))  # a4nn: noqa(PERF003) -- allocates once per parameter
+            m = self._m.setdefault(name, np.zeros_like(param.value))  # allocates once per parameter
+            v = self._v.setdefault(name, np.zeros_like(param.value))  # allocates once per parameter
             m *= self.beta1
             np.multiply(grad, 1.0 - self.beta1, out=s2)
             m += s2

@@ -66,7 +66,7 @@ def state_dict(network: Network) -> dict[str, np.ndarray]:
 
 def load_state_dict(network: Network, state: dict[str, np.ndarray]) -> Network:
     """Load arrays into an architecture-compatible network, strictly."""
-    # a4nn: mutates(network) -- restoring a checkpoint rewrites parameters in place by contract
+    # restoring a checkpoint rewrites the network's parameters in place by contract
     remaining = dict(state)
     for name, param in network.parameters():
         if name not in remaining:

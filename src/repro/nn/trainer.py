@@ -120,7 +120,7 @@ class Trainer:
         np.take(self.x_train, batch, axis=0, out=xb)
         yb = arena.buffer("trainer", "yb", (len(batch),), self.y_train.dtype)
         np.take(self.y_train, batch, axis=0, out=yb)
-        return xb, yb  # a4nn: noqa(ALIAS002) -- batch buffers are consumed within the epoch step before the next gather reuses them
+        return xb, yb  # batch buffers are consumed within the epoch step before the next gather reuses them
 
     def train(self) -> EpochStats:
         """Run one full training epoch (shuffle, batch, update)."""

@@ -1,63 +1,18 @@
 """Correctness tooling for the A4NN stack.
 
-Three layers (see README § ``a4nn check``):
+Two independent halves (see README § "Static analysis"):
 
-* a self-hosted AST linter (:mod:`repro.tooling.linter`) with
-  project-specific rules enforcing the determinism, API-contract,
-  numerical-safety, and lineage invariants the workflow relies on;
-* a project-wide semantic engine (:mod:`repro.tooling.graph`,
-  :mod:`repro.tooling.dataflow`) giving cross-file rules an import
-  graph, symbol tables, an approximate call graph, and value tracing —
-  plus an incremental per-file cache (:mod:`repro.tooling.cache`), a
-  grandfathered-findings baseline (:mod:`repro.tooling.baseline`), and
-  span-exact autofixes (:mod:`repro.tooling.fixes`); and
+* a self-hosted per-file AST linter (:mod:`repro.tooling.linter`, rules
+  under :mod:`repro.tooling.rules`) enforcing the determinism,
+  concurrency, fault-visibility, dtype-seam and lineage-schema
+  invariants that no test or runtime guard observes; and
 * an opt-in runtime sanitizer (:mod:`repro.tooling.sanitizer`) that
-  asserts finite activations/gradients/losses and layer shape
-  contracts during real training, raising a structured
+  asserts finite activations/gradients/losses, layer shape contracts
+  and read-only layer inputs during real training, raising a structured
   :class:`~repro.tooling.sanitizer.NumericalFault` recorded into
   lineage.
+
+The package imports neither half: the library (and every spawned
+worker) imports ``repro.tooling.sanitizer`` without paying for the
+linter, and ``a4nn check`` imports ``repro.tooling.linter`` on demand.
 """
-
-from repro.tooling.baseline import apply_baseline, load_baseline, write_baseline
-from repro.tooling.cache import AnalysisCache
-from repro.tooling.diagnostics import (
-    Diagnostic,
-    Fix,
-    RelatedLocation,
-    Severity,
-    render_json,
-    render_sarif,
-    render_text,
-)
-from repro.tooling.fixes import apply_fixes
-from repro.tooling.graph import ProjectGraph, build_graph
-from repro.tooling.linter import CheckResult, Linter, run_check
-from repro.tooling.rules import Rule, all_rules, markdown_catalog, register, rule_ids
-from repro.tooling.sanitizer import NumericalFault, Sanitizer
-
-__all__ = [
-    "AnalysisCache",
-    "CheckResult",
-    "Diagnostic",
-    "Fix",
-    "Linter",
-    "NumericalFault",
-    "ProjectGraph",
-    "RelatedLocation",
-    "Rule",
-    "Sanitizer",
-    "Severity",
-    "all_rules",
-    "apply_baseline",
-    "apply_fixes",
-    "build_graph",
-    "load_baseline",
-    "markdown_catalog",
-    "register",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "rule_ids",
-    "run_check",
-    "write_baseline",
-]

@@ -10,13 +10,12 @@ sources came from disk or from in-memory test fixtures.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["ModuleContext", "ProjectContext", "package_path", "module_name", "content_hash"]
+__all__ = ["ModuleContext", "ProjectContext", "package_path", "module_name"]
 
 _PACKAGE_ROOT = "repro"
 
@@ -36,13 +35,6 @@ def module_name(pkg_path: str) -> str:
     return ".".join(parts)
 
 
-def content_hash(data: str | bytes) -> str:
-    """Stable BLAKE2b digest of file content (the incremental-cache key)."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
 def package_path(path: str | Path) -> str:
     """The path tail starting at the ``repro`` package root, POSIX style.
 
@@ -56,6 +48,16 @@ def package_path(path: str | Path) -> str:
         if parts[i] == _PACKAGE_ROOT:
             return "/".join(parts[i:])
     return posix
+
+
+def _relative_base(mod_name: str, level: int, is_package: bool) -> str:
+    """The package a ``from ...x import y`` (level dots) resolves against."""
+    parts = mod_name.split(".")
+    # a package module (__init__) is its own first parent
+    drop = level - 1 if is_package else level
+    if drop > 0:
+        parts = parts[:-drop] if drop < len(parts) else []
+    return ".".join(parts)
 
 
 @dataclass
@@ -81,6 +83,7 @@ class ModuleContext:
     tree: ast.Module
     project: "ProjectContext | None" = None
     _comments: "list[tuple[int, int, str]] | None" = None
+    _imports: "dict[str, str] | None" = None
 
     @classmethod
     def parse(
@@ -93,23 +96,6 @@ class ModuleContext:
             pkg_path=pkg_path if pkg_path is not None else package_path(display_path),
             source=source,
             tree=tree,
-        )
-
-    @classmethod
-    def from_cache(
-        cls,
-        source: str,
-        display_path: str,
-        tree: ast.Module,
-        comments: list[tuple[int, int, str]],
-    ) -> "ModuleContext":
-        """Rebuild a context from cached artifacts without re-parsing."""
-        return cls(
-            display_path=display_path,
-            pkg_path=package_path(display_path),
-            source=source,
-            tree=tree,
-            _comments=list(comments),
         )
 
     @property
@@ -133,13 +119,58 @@ class ModuleContext:
                 return True
         return False
 
+    def imports(self) -> dict[str, str]:
+        """The module's import table: local name → dotted target.
+
+        ``import numpy as np`` binds ``np`` → ``numpy``; ``from time
+        import perf_counter as pc`` binds ``pc`` → ``time.perf_counter``;
+        relative imports resolve against ``mod_name``.  Imports at any
+        depth count (a function-local import still names the same
+        thing).  Memoized.
+        """
+        if self._imports is not None:
+            return self._imports
+        table: dict[str, str] = {}
+        is_package = self.pkg_path.endswith("/__init__.py")
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    target = alias.name if alias.asname else alias.name.split(".")[0]
+                    table[local] = target
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    prefix = _relative_base(self.mod_name, node.level, is_package)
+                    base = f"{prefix}.{base}" if base and prefix else (prefix or base)
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    local = alias.asname or alias.name
+                    table[local] = f"{base}.{alias.name}" if base else alias.name
+        self._imports = table
+        return table
+
+    def resolve(self, chain: str) -> str:
+        """Canonicalise a dotted reference through this module's imports.
+
+        ``npr.rand`` after ``import numpy.random as npr`` →
+        ``numpy.random.rand``; ``perf_counter`` after ``from time import
+        perf_counter`` → ``time.perf_counter``.  A head that is not an
+        imported name is left as written, except that the conventional
+        ``np`` spelling is read as ``numpy`` so un-imported fixtures and
+        real modules classify alike.
+        """
+        head, _, rest = chain.partition(".")
+        target = self.imports().get(head, "numpy" if head == "np" else head)
+        return f"{target}.{rest}" if rest else target
+
     def comments(self) -> list[tuple[int, int, str]]:
         """All comment tokens as ``(line, col, text)`` triples.
 
         Tokenization failures (which imply the file would not parse
         either) yield an empty list; the parse-error diagnostic is
-        raised separately by the linter.  The result is memoized (and
-        pre-seeded when the module was rebuilt from the analysis cache).
+        raised separately by the linter.  The result is memoized.
         """
         if self._comments is not None:
             return self._comments

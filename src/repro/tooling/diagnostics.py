@@ -1,27 +1,17 @@
 """Diagnostic model shared by the linter and its rules.
 
 A :class:`Diagnostic` is one finding at one source location, carrying a
-stable rule id (``DET001``, ``NUM002``, ...) so findings can be
-suppressed, filtered, and tracked across runs.  Renderers produce the
-two CLI output formats: human ``file:line:col`` text and a JSON document
-for editor/CI integration.
+stable rule id (``DET001``, ``NUM001``, ...) so findings can be
+suppressed and filtered.  :func:`render_text` produces the CLI's
+``file:line:col`` listing.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = [
-    "Severity",
-    "RelatedLocation",
-    "Fix",
-    "Diagnostic",
-    "render_text",
-    "render_json",
-    "render_sarif",
-]
+__all__ = ["Severity", "Diagnostic", "render_text"]
 
 
 class Severity(enum.Enum):
@@ -32,43 +22,6 @@ class Severity(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-@dataclass(frozen=True)
-class RelatedLocation:
-    """The other end of a cross-file flow edge.
-
-    Cross-file rules anchor the primary diagnostic at the *source* site
-    (say, the unseeded RNG call) and attach the *sink* end (the
-    evaluator entry point it flows into) here.  A justified suppression
-    at either end silences the finding.
-    """
-
-    path: str
-    line: int
-    col: int
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "line": self.line, "col": self.col, "note": self.note}
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A mechanical, span-exact autofix for one diagnostic.
-
-    ``start``/``end`` are ``(line, col)`` pairs (1-based line, 0-based
-    col, matching diagnostics); ``replacement`` substitutes the spanned
-    text verbatim.  ``requires_import`` names a top-level import
-    statement the applier must ensure exists (e.g. the ``fallback_rng``
-    import after rewriting a seedless ``default_rng()``).
-    """
-
-    start: tuple[int, int]
-    end: tuple[int, int]
-    replacement: str
-    description: str = ""
-    requires_import: str | None = None
 
 
 @dataclass(frozen=True)
@@ -95,26 +48,9 @@ class Diagnostic:
     rule_id: str
     severity: Severity
     message: str
-    related: RelatedLocation | None = field(default=None, compare=False)
-    fix: Fix | None = field(default=None, compare=False)
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule_id)
-
-    def to_dict(self) -> dict:
-        payload = {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "severity": self.severity.value,
-            "message": self.message,
-        }
-        if self.related is not None:
-            payload["related"] = self.related.to_dict()
-        if self.fix is not None:
-            payload["fixable"] = True
-        return payload
 
     def render(self) -> str:
         return (
@@ -130,85 +66,3 @@ def render_text(diagnostics: list[Diagnostic]) -> str:
     n_warnings = len(diagnostics) - n_errors
     lines.append(f"{n_errors} error(s), {n_warnings} warning(s)")
     return "\n".join(lines)
-
-
-def render_json(diagnostics: list[Diagnostic]) -> str:
-    """A stable JSON document (``--format=json``)."""
-    payload = {
-        "diagnostics": [
-            d.to_dict() for d in sorted(diagnostics, key=Diagnostic.sort_key)
-        ],
-        "n_errors": sum(1 for d in diagnostics if d.severity is Severity.ERROR),
-        "n_warnings": sum(1 for d in diagnostics if d.severity is Severity.WARNING),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-_SARIF_LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
-
-
-def render_sarif(diagnostics: list[Diagnostic], rules: list | None = None) -> str:
-    """A SARIF 2.1.0 document (``--format=sarif``) for CI code-scanning.
-
-    ``rules`` (the registered catalog) populates the tool's rule
-    metadata so viewers can show descriptions; results reference rules
-    by id.  Columns are converted to SARIF's 1-based convention.
-    """
-    rule_meta = [
-        {
-            "id": rule.rule_id,
-            "shortDescription": {"text": rule.description},
-            "properties": {"category": rule.category},
-        }
-        for rule in (rules or [])
-    ]
-    results = []
-    for d in sorted(diagnostics, key=Diagnostic.sort_key):
-        result = {
-            "ruleId": d.rule_id,
-            "level": _SARIF_LEVELS[d.severity],
-            "message": {"text": d.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": d.path},
-                        "region": {"startLine": d.line, "startColumn": d.col + 1},
-                    }
-                }
-            ],
-        }
-        if d.related is not None:
-            result["relatedLocations"] = [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": d.related.path},
-                        "region": {
-                            "startLine": d.related.line,
-                            "startColumn": d.related.col + 1,
-                        },
-                    },
-                    "message": {"text": d.related.note},
-                }
-            ]
-        results.append(result)
-    document = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "a4nn",
-                        "informationUri": "https://github.com/a4nn/a4nn",
-                        "rules": rule_meta,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)

@@ -1,41 +1,27 @@
 """The ``a4nn check`` linter: run the rule catalog over a source tree.
 
-The linter parses every file once (or rehydrates it from the
-incremental cache), runs **file-scoped** rules per module and
-**project-scoped** rules once per invocation, applies the justified-
-``noqa`` suppressions (statement-span aware, and honored at *either*
-end of a cross-file finding), and returns sorted diagnostics.  It is
+The linter parses every file once, runs every rule on every module it
+applies to, drops findings covered by a justified ``noqa``
+(statement-span aware), and returns sorted diagnostics.  It is
 importable (the test suite runs it in-process on ``src/``) and drives
 the ``a4nn check`` CLI subcommand.
-
-Cache discipline: a warm run re-parses only files whose content hash
-changed.  Cache entries store the AST, comment tokens, and the
-*pre-suppression* file-scoped diagnostics — suppressions and
-project-scoped rules are re-evaluated every run, because both can
-legitimately change without the file itself changing.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.tooling.baseline import apply_baseline, load_baseline
-from repro.tooling.cache import AnalysisCache
-from repro.tooling.context import ModuleContext, ProjectContext, content_hash
+from repro.tooling.context import ModuleContext, ProjectContext
 from repro.tooling.diagnostics import Diagnostic, Severity
-from repro.tooling.rules import Rule, all_rules, rule_ids
+from repro.tooling.rules import all_rules, rule_ids
 from repro.tooling.rules.suppressions import suppressed_lines
 
 __all__ = [
     "CheckResult",
     "Linter",
     "collect_files",
-    "resolve_jobs",
     "run_check",
     "PARSE_ERROR_ID",
     "SKIPPED_FILE_ID",
@@ -54,9 +40,6 @@ class CheckResult:
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
     n_files: int = 0
-    n_cache_hits: int = 0  #: files rehydrated from the analysis cache
-    n_analyzed: int = 0  #: files parsed + file-rule-analyzed this run
-    grandfathered: list[Diagnostic] = field(default_factory=list)
 
     @property
     def n_errors(self) -> int:
@@ -66,48 +49,6 @@ class CheckResult:
     def exit_code(self) -> int:
         """0 when clean; 1 when any error-severity diagnostic fired."""
         return 1 if self.n_errors else 0
-
-
-#: Per-process linter rebuilt by the ``--jobs`` pool initializer.
-_WORKER_LINTER: "Linter | None" = None
-
-
-def _init_parallel_worker(file_rule_ids: tuple[str, ...]) -> None:
-    """Build each worker's file-rule-only linter once (spawn context)."""
-    global _WORKER_LINTER
-    _WORKER_LINTER = Linter(select=list(file_rule_ids))
-
-
-def _lint_one_file(item: tuple[str, str]):
-    """Parse + file-rule-lint one source in a pool worker.
-
-    Returns ``(display, tree, comments, file_diags, parse_failure)`` —
-    everything the parent needs to rehydrate the module (the same
-    artifacts a cache entry stores), so project-scoped rules and
-    suppression filtering stay a single pass in the parent process.
-    """
-    display, source = item
-    try:
-        module = ModuleContext.parse(source, display)
-    except SyntaxError as exc:
-        return (display, None, None, [], _parse_failure(display, source, exc))
-    found: list[Diagnostic] = []
-    for rule in _WORKER_LINTER.file_rules:
-        if rule.applies_to(module):
-            found.extend(rule.check(module))
-    return (display, module.tree, module.comments(), found, None)
-
-
-def resolve_jobs(jobs: int | None) -> int | None:
-    """Normalize a ``--jobs`` request: ``0`` means one per CPU."""
-    if jobs is None:
-        return None
-    jobs = int(jobs)
-    if jobs < 0:
-        raise ValueError(f"--jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
 
 
 def _excluded(rel_parts: tuple[str, ...]) -> bool:
@@ -137,204 +78,66 @@ def collect_files(paths: Iterable[str | Path]) -> list[Path]:
 
 
 class Linter:
-    """Run a rule set over a project.
+    """Run the registered rule catalog over a project.
 
     Parameters
     ----------
-    rules:
-        Rules to run; defaults to the full registered catalog.
-    select, ignore:
-        Optional rule-id allowlist / denylist applied on top.
+    select:
+        Optional rule-id allowlist; unknown ids raise ``ValueError``.
     """
 
-    def __init__(
-        self,
-        rules: Iterable[Rule] | None = None,
-        *,
-        select: Iterable[str] | None = None,
-        ignore: Iterable[str] | None = None,
-    ) -> None:
-        chosen = list(rules) if rules is not None else all_rules()
+    def __init__(self, *, select: Iterable[str] | None = None) -> None:
+        chosen = all_rules()
         if select is not None:
             wanted = set(select)
             unknown = wanted - {r.rule_id for r in chosen}
             if unknown:
                 raise ValueError(f"--select names unknown rule id(s): {sorted(unknown)}")
             chosen = [r for r in chosen if r.rule_id in wanted]
-        if ignore is not None:
-            dropped = set(ignore)
-            chosen = [r for r in chosen if r.rule_id not in dropped]
         self.rules = chosen
-        self.file_rules = [r for r in chosen if getattr(r, "scope", "file") == "file"]
-        self.project_rules = [r for r in chosen if getattr(r, "scope", "file") == "project"]
 
     # -- entry points -----------------------------------------------------------
 
-    def lint_paths(
-        self,
-        paths: Iterable[str | Path],
-        *,
-        cache: AnalysisCache | None = None,
-        jobs: int | None = None,
-    ) -> CheckResult:
-        """Lint files/directories from disk, optionally through the cache.
-
-        ``jobs`` > 1 fans the per-file parse + file-rule stage out over a
-        process pool (cache misses only — hits rehydrate in-process, and
-        project-scoped rules plus suppression filtering always run as a
-        single pass in the parent, so results are identical to serial).
-        """
-        project = ProjectContext()
-        pseudo: list[Diagnostic] = []
-        cached_diags: dict[str, list[Diagnostic]] = {}
-        hashes: dict[str, str] = {}
+    def lint_paths(self, paths: Iterable[str | Path]) -> CheckResult:
+        """Lint files/directories from disk."""
         sources: dict[str, str] = {}
-        order: list[str] = []
-        entries: dict[str, object] = {}
-        pending: list[tuple[str, str]] = []
+        skipped: list[Diagnostic] = []
         files = collect_files(paths)
-        n_cache_hits = 0
-        jobs = resolve_jobs(jobs)
-        parallel = jobs is not None and jobs > 1
         for path in files:
-            display = str(path)
             try:
-                raw = path.read_bytes()
-                source = raw.decode("utf-8")
+                sources[str(path)] = path.read_bytes().decode("utf-8")
             except UnicodeDecodeError as exc:
-                pseudo.append(_skip_warning(display, exc))
-                continue
-            digest = content_hash(raw)
-            hashes[display] = digest
-            sources[display] = source
-            order.append(display)
-            entry = cache.lookup(display, digest) if cache is not None else None
-            if entry is not None:
-                entries[display] = entry
-                cached_diags[display] = list(entry.file_diagnostics)
-                n_cache_hits += 1
-            elif parallel:
-                pending.append((display, source))
-        worker_results: dict[str, tuple] = {}
-        if parallel and pending:
-            file_rule_ids = tuple(sorted({r.rule_id for r in self.file_rules}))
-            # fork keeps worker start-up (interpreter + numpy import) off
-            # the critical path; platforms without it pay the spawn cost
-            method = "fork" if "fork" in get_all_start_methods() else "spawn"
-            ctx = get_context(method)
-            chunksize = max(1, len(pending) // (jobs * 4))
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)),
-                mp_context=ctx,
-                initializer=_init_parallel_worker,
-                initargs=(file_rule_ids,),
-            ) as pool:
-                for display, tree, comments, diags, failure in pool.map(
-                    _lint_one_file, pending, chunksize=chunksize
-                ):
-                    worker_results[display] = (tree, comments, diags, failure)
-        for display in order:
-            entry = entries.get(display)
-            if entry is not None:
-                module = ModuleContext.from_cache(
-                    sources[display], display, entry.tree, entry.comments
-                )
-            elif display in worker_results:
-                tree, comments, diags, failure = worker_results[display]
-                if failure is not None:
-                    pseudo.append(failure)
-                    continue
-                module = ModuleContext.from_cache(sources[display], display, tree, comments)
-                cached_diags[display] = diags
-                if cache is not None:
-                    cache.store(display, hashes[display], tree, comments, diags)
-            else:
-                try:
-                    module = ModuleContext.parse(sources[display], display)
-                except SyntaxError as exc:
-                    pseudo.append(_parse_failure(display, sources[display], exc))
-                    continue
-            project.add(module)
-        result = self._lint_project(project, cache=cache, cached_diags=cached_diags, hashes=hashes)
-        result.diagnostics.extend(pseudo)
-        result.diagnostics.sort(key=Diagnostic.sort_key)
-        result.n_files = len(files)
-        result.n_cache_hits = n_cache_hits
-        result.n_analyzed = len(project.modules) - n_cache_hits
-        return result
+                skipped.append(_skip_warning(str(path), exc))
+        return self._lint(sources, n_files=len(files), found=skipped)
 
     def lint_sources(self, sources: Mapping[str, str]) -> CheckResult:
         """Lint in-memory ``{virtual_path: source}`` fixtures (tests)."""
-        project = ProjectContext()
-        pseudo: list[Diagnostic] = []
-        for virtual_path, source in sources.items():
-            try:
-                project.add(ModuleContext.parse(source, virtual_path))
-            except SyntaxError as exc:
-                pseudo.append(_parse_failure(virtual_path, source, exc))
-        result = self._lint_project(project)
-        result.diagnostics.extend(pseudo)
-        result.diagnostics.sort(key=Diagnostic.sort_key)
-        result.n_files = len(sources)
-        result.n_analyzed = len(project.modules)
-        return result
+        return self._lint(sources, n_files=len(sources), found=[])
 
     # -- core -------------------------------------------------------------------
 
-    def _lint_project(
-        self,
-        project: ProjectContext,
-        *,
-        cache: AnalysisCache | None = None,
-        cached_diags: dict[str, list[Diagnostic]] | None = None,
-        hashes: dict[str, str] | None = None,
+    def _lint(
+        self, sources: Mapping[str, str], *, n_files: int, found: list[Diagnostic]
     ) -> CheckResult:
-        cached_diags = cached_diags or {}
-        hashes = hashes or {}
-        found: list[Diagnostic] = []
-
-        for module in project.modules:
-            if module.display_path in cached_diags:
-                found.extend(cached_diags[module.display_path])
-                continue
-            file_found: list[Diagnostic] = []
-            for rule in self.file_rules:
-                if rule.applies_to(module):
-                    file_found.extend(rule.check(module))
-            found.extend(file_found)
-            digest = hashes.get(module.display_path)
-            if cache is not None and digest is not None:
-                cache.store(
-                    module.display_path,
-                    digest,
-                    module.tree,
-                    module.comments(),
-                    file_found,
-                )
-
-        for module in project.modules:
-            for rule in self.project_rules:
-                if rule.applies_to(module):
-                    found.extend(rule.check(module))
-
-        # suppression filtering: statement-span aware, and a cross-file
-        # finding is silenced by a justified noqa at either end
+        # every module is parsed before any rule runs: a rule that reads a
+        # sibling module (LIN001's schema) looks it up on module.project
+        project = ProjectContext()
+        for display, source in sources.items():
+            try:
+                project.add(ModuleContext.parse(source, display))
+            except SyntaxError as exc:
+                found.append(_parse_failure(display, source, exc))
         known = set(rule_ids())
-        effective: dict[str, dict[int, set[str]]] = {}
         for module in project.modules:
-            effective[module.display_path] = suppressed_lines(module, known)
-
-        def is_suppressed(d: Diagnostic) -> bool:
-            if d.rule_id in effective.get(d.path, {}).get(d.line, ()):
-                return True
-            if d.related is not None and d.rule_id in effective.get(
-                d.related.path, {}
-            ).get(d.related.line, ()):
-                return True
-            return False
-
-        diagnostics = [d for d in found if not is_suppressed(d)]
-        return CheckResult(diagnostics=diagnostics, n_files=len(project.modules))
+            suppressed = suppressed_lines(module, known)
+            for rule in self.rules:
+                if not rule.applies_to(module):
+                    continue
+                for d in rule.check(module):
+                    if d.rule_id not in suppressed.get(d.line, ()):
+                        found.append(d)
+        found.sort(key=Diagnostic.sort_key)
+        return CheckResult(diagnostics=found, n_files=n_files)
 
 
 def _parse_failure(path: str, source: str, exc: SyntaxError) -> Diagnostic:
@@ -371,32 +174,7 @@ def _skip_warning(path: str, exc: UnicodeDecodeError) -> Diagnostic:
 
 
 def run_check(
-    paths: Iterable[str | Path],
-    *,
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-    cache_dir: str | Path | None = None,
-    baseline: str | Path | None = None,
-    jobs: int | None = None,
+    paths: Iterable[str | Path], *, select: Iterable[str] | None = None
 ) -> CheckResult:
-    """One-call convenience used by the CLI and the self-check test.
-
-    ``cache_dir`` enables the incremental cache rooted there (``None``
-    disables caching); ``baseline`` subtracts grandfathered findings
-    recorded in the named baseline file from the failure set; ``jobs``
-    parallelizes the cold per-file stage (``0`` = one per CPU).
-    """
-    linter = Linter(select=select, ignore=ignore)
-    cache = None
-    if cache_dir is not None:
-        cache = AnalysisCache(
-            cache_dir, fingerprint=AnalysisCache.ruleset_fingerprint(linter.rules)
-        )
-    result = linter.lint_paths(paths, cache=cache, jobs=jobs)
-    if baseline is not None:
-        fresh, grandfathered = apply_baseline(
-            result.diagnostics, load_baseline(baseline)
-        )
-        result.diagnostics = fresh
-        result.grandfathered = grandfathered
-    return result
+    """One-call convenience used by the CLI and the self-check test."""
+    return Linter(select=select).lint_paths(paths)

@@ -23,7 +23,6 @@ __all__ = [
     "register",
     "all_rules",
     "rule_ids",
-    "get_rule",
     "load_builtin_rules",
     "markdown_catalog",
     "inject_catalog",
@@ -50,19 +49,16 @@ class Rule(Protocol):
 class BaseRule:
     """Convenience base: applies everywhere, error severity, ``diag`` helper.
 
-    ``scope`` drives the incremental cache: ``"file"`` rules see one
-    module at a time, so their diagnostics are cacheable per content
-    hash; ``"project"`` rules read sibling modules (cross-file flow
-    rules, registry checks) and re-run on every invocation against the
-    cached ASTs.  ``doc`` is the README catalog prose — the rule table
-    in README.md is generated from it (``--list-rules --format md``).
+    Rules see one module at a time; one that needs a sibling module
+    (LIN001's record schema) looks it up on ``module.project``.  ``doc``
+    is the README catalog prose — the rule table in README.md is
+    generated from it (``--list-rules --format md``).
     """
 
     rule_id: str = ""
     category: str = ""
     description: str = ""
     doc: str = ""
-    scope: str = "file"
     severity: Severity = Severity.ERROR
 
     def applies_to(self, module: ModuleContext) -> bool:
@@ -99,7 +95,7 @@ def register(rule_cls: type) -> type:
             f"duplicate rule id {rule.rule_id!r}: "
             f"{type(existing).__name__} vs {rule_cls.__name__}"
         )
-    _REGISTRY[rule.rule_id] = rule
+    _REGISTRY[rule.rule_id] = rule  # a4nn: noqa(CONC001) -- import-time registry: a rule registered at run time in the parent does not reach spawned workers; the linter runs in one process
     return rule_cls
 
 
@@ -114,38 +110,27 @@ def rule_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def get_rule(rule_id: str) -> Rule:
-    load_builtin_rules()
-    return _REGISTRY[rule_id]
-
-
 def load_builtin_rules() -> None:
     """Import the built-in rule modules (idempotent)."""
     from repro.tooling.rules import (  # noqa: F401
-        alias_effects,
         concurrency,
-        contracts,
-        det_flow,
         determinism,
         lineage,
-        num_flow,
         perf,
         safety,
         suppressions,
-        tensor_shape,
     )
 
 
-def markdown_catalog(rules: Iterable[Rule] | None = None) -> str:
+def markdown_catalog() -> str:
     """The README rule-catalog table, generated from the registry.
 
     README.md embeds this output verbatim between the
     ``RULE CATALOG`` markers; ``tests/test_tooling_linter.py`` asserts
     the two stay in sync, so a new rule pack cannot drift from docs.
     """
-    chosen = list(rules) if rules is not None else all_rules()
     lines = ["| rule | category | what it enforces |", "|---|---|---|"]
-    for rule in chosen:
+    for rule in all_rules():
         prose = (getattr(rule, "doc", "") or rule.description).strip()
         lines.append(f"| `{rule.rule_id}` | {rule.category} | {prose} |")
     return "\n".join(lines)
@@ -156,7 +141,7 @@ CATALOG_BEGIN = "<!-- a4nn-rule-catalog:begin -->"
 CATALOG_END = "<!-- a4nn-rule-catalog:end -->"
 
 
-def inject_catalog(readme_text: str, rules: Iterable[Rule] | None = None) -> str:
+def inject_catalog(readme_text: str) -> str:
     """Replace the marked README region with the generated catalog.
 
     Raises :class:`ValueError` when the markers are missing or out of
@@ -168,7 +153,7 @@ def inject_catalog(readme_text: str, rules: Iterable[Rule] | None = None) -> str
         raise ValueError("README is missing the a4nn-rule-catalog markers")
     head = readme_text[: begin + len(CATALOG_BEGIN)]
     tail = readme_text[end:]
-    return f"{head}\n{markdown_catalog(rules)}\n{tail}"
+    return f"{head}\n{markdown_catalog()}\n{tail}"
 
 
 def walk_functions(tree: ast.Module) -> Iterator[ast.AST]:

@@ -1,57 +1,33 @@
-"""Concurrency rules: state that must not cross the worker boundary.
+"""Concurrency rule: module state must not be written at run time.
 
 The process backend's contract (DESIGN §10) is that a worker rebuilds
 its entire evaluator chain from a picklable :class:`EvalSpec` and never
-shares Python state with the parent.  PERF002 enforces the syntactic
-half inside the worker-entry modules; these rules use the call graph
-and value tracing to police the *flows*:
+shares Python state with the parent; the thread pool's streaming
+workers run the same evaluator chains concurrently.
 
-* ``CONC001`` — a write to module-level mutable state (a ``global``
-  rebind, or a mutation of a module-level container) in any function
-  transitively reachable from a worker-entry function
-  (``scheduler/procpool.py`` / ``xfel/shm.py``).  Each spawned worker
-  re-imports the module, so such writes silently diverge per process —
-  the parent never sees them, and replay cannot reproduce them.
-* ``CONC002`` — a value with a non-picklable (or contract-breaking)
-  origin flowing into ``EvalSpec(...)`` construction *anywhere in the
-  project*: lambdas, locally-defined closures, generator expressions,
-  open file handles, thread/lock objects — and RNG objects, which
-  pickle fine but violate the "workers re-derive RNG, never receive
-  it" replay contract.  This replaces PERF002's module-local lambda
-  spotting with real dataflow: the construction site can be three
-  modules away from the worker entry and the flow is still caught.
+``CONC001`` — a function-body write to module-level state (a
+``global`` rebind, or a mutation of a module-level container) anywhere
+in the package.  Each spawned worker re-imports the module, so such a
+write silently diverges per process — the parent never sees it, and
+replay cannot reproduce it — and races across the thread pool's
+workers.  The tree has no legitimate run-time use for module state; the
+import-time registries carry a justified suppression saying that
+registration after start-up does not reach spawned workers.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.tooling.context import ModuleContext
-from repro.tooling.dataflow import (
-    MUTABLE_CONSTRUCTORS,
-    RNG_FACTORY_CHAINS,
-    mapping_values,
-    reach_from,
-    render_chain,
-    trace_value,
-)
-from repro.tooling.diagnostics import Diagnostic, RelatedLocation
-from repro.tooling.graph import ProjectGraph, build_graph
-from repro.tooling.rules import BaseRule, dotted_name, register
+from repro.tooling.diagnostics import Diagnostic
+from repro.tooling.rules import BaseRule, dotted_name, register, walk_functions
 
-__all__ = ["WorkerSharedStateRule", "SpecPicklabilityRule", "WORKER_ENTRY_MODULES"]
+__all__ = ["ModuleStateWriteRule"]
 
-#: Worker-entry modules (PERF002's scope, as dotted names).  The thread
-#: pool's streaming seam (``scheduler/pool.py``) is included: its worker
-#: tasks run the same evaluator chains concurrently, so module-state
-#: writes reachable from them race across threads exactly as they
-#: diverge across processes.
-WORKER_ENTRY_MODULES = [
-    "repro.scheduler.procpool",
-    "repro.scheduler.pool",
-    "repro.xfel.shm",
-]
+#: Module-level constructors whose result is mutable shared state.
+_MUTABLE_CONSTRUCTORS = {"dict", "list", "set", "defaultdict", "deque", "OrderedDict", "Counter"}
 
 #: Container-mutating method names (on a module-level name).
 _MUTATOR_METHODS = {
@@ -67,33 +43,31 @@ _MUTATOR_METHODS = {
     "popitem",
 }
 
-#: Call chains whose result cannot (or must not) cross the spawn pickle
-#: boundary inside an EvalSpec.
-_UNPICKLABLE_FACTORIES = {
-    "open": "an open file handle",
-    "threading.Lock": "a thread lock",
-    "threading.RLock": "a thread lock",
-    "threading.Condition": "a condition variable",
-    "threading.Event": "a thread event",
-    "threading.Thread": "a thread object",
-    "socket.socket": "a socket",
-}
+_CONTAINER_LITERALS = (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 
 
-def _is_module_mutable(symbols, name: str) -> bool:
-    value = symbols.module_assigns.get(name)
-    if value is None:
-        return False
-    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(value, ast.Call):
-        chain = dotted_name(value.func)
-        if chain is not None and chain.split(".")[-1] in MUTABLE_CONSTRUCTORS:
-            return True
-    return False
+def _module_containers(tree: ast.Module) -> set[str]:
+    """Names bound at module level to a mutable container."""
+    names: set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        mutable = isinstance(value, _CONTAINER_LITERALS)
+        if isinstance(value, ast.Call):
+            chain = dotted_name(value.func)
+            mutable = chain is not None and chain.split(".")[-1] in _MUTABLE_CONSTRUCTORS
+        if mutable:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
 
 
-def _module_state_writes(symbols, func: ast.AST) -> Iterable[tuple[ast.AST, str]]:
+def _module_state_writes(
+    containers: set[str], func: ast.AST
+) -> Iterator[tuple[ast.AST, str]]:
     """(node, description) for writes to module-level state inside ``func``."""
     declared_global: set[str] = set()
     for node in ast.walk(func):
@@ -109,7 +83,7 @@ def _module_state_writes(symbols, func: ast.AST) -> Iterable[tuple[ast.AST, str]
                     target.value, ast.Name
                 ):
                     name = target.value.id
-                    if _is_module_mutable(symbols, name):
+                    if name in containers:
                         yield node, f"writes into module-level container {name!r}"
         elif isinstance(node, ast.Delete):
             for target in node.targets:
@@ -117,187 +91,43 @@ def _module_state_writes(symbols, func: ast.AST) -> Iterable[tuple[ast.AST, str]
                     target.value, ast.Name
                 ):
                     name = target.value.id
-                    if _is_module_mutable(symbols, name):
+                    if name in containers:
                         yield node, f"deletes from module-level container {name!r}"
         elif isinstance(node, ast.Call):
             chain = dotted_name(node.func)
-            if chain is None or "." not in chain:
+            if chain is None or chain.count(".") != 1:
                 continue
-            head, method = chain.split(".", 1)
-            if "." in method:
-                continue
-            if method in _MUTATOR_METHODS and _is_module_mutable(symbols, head):
+            head, method = chain.split(".")
+            if method in _MUTATOR_METHODS and head in containers:
                 yield node, f"mutates module-level container {head!r} via .{method}()"
 
 
 @register
-class WorkerSharedStateRule(BaseRule):
+class ModuleStateWriteRule(BaseRule):
     rule_id = "CONC001"
     category = "concurrency"
-    scope = "project"
-    description = (
-        "write to module-level mutable state in a function reachable from a "
-        "process-backend worker entry point"
-    )
+    description = "function-body write to module-level mutable state"
     doc = (
-        "no writes to module-level mutable state (`global` rebinds, container "
-        "mutations) in any function transitively reachable from the worker-entry "
-        "functions of `scheduler/procpool.py` / `scheduler/pool.py` / "
-        "`xfel/shm.py` — each spawned worker re-imports the module, so such "
-        "state silently diverges per process (and races across the thread "
-        "pool's streaming workers) and breaks replay"
+        "no function-body writes to module-level state (`global` rebinds, "
+        "module-container mutations) anywhere in the package — each spawned "
+        "worker re-imports the module, so such state silently diverges per "
+        "process, races across the thread pool's workers and breaks replay"
     )
-
-    def applies_to(self, module: ModuleContext) -> bool:
-        return module.project is not None and module.project.modules[0] is module
 
     def check(self, module: ModuleContext) -> Iterable[Diagnostic]:
-        graph = build_graph(module.project)
-        if not any(name in graph.modules for name in WORKER_ENTRY_MODULES):
-            return
-        chains = reach_from(graph, WORKER_ENTRY_MODULES, name_matches=True)
-        seen: set[tuple[str, int, int]] = set()
-        for qualname, chain in sorted(chains.items()):
-            info = graph.functions[qualname]
-            symbols = graph.modules[info.module]
-            owner = symbols.context
-            entry_info = graph.functions[chain[0]]
-            entry_ctx = graph.modules[entry_info.module].context
-            for node, what in _module_state_writes(symbols, info.node):
-                key = (owner.display_path, node.lineno, node.col_offset)
+        containers = _module_containers(module.tree)
+        seen: set[tuple[int, int]] = set()
+        for func in walk_functions(module.tree):
+            for node, what in _module_state_writes(containers, func):
+                # a nested def is walked with its parent and on its own
+                key = (node.lineno, node.col_offset)
                 if key in seen:
                     continue
                 seen.add(key)
-                yield Diagnostic(
-                    path=owner.display_path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule_id=self.rule_id,
-                    severity=self.severity,
-                    message=(
-                        f"{qualname} {what}, and is reachable from worker entry "
-                        f"point {chain[0]} via {render_chain(chain)}; each "
-                        "spawned worker re-imports the module, so this state "
-                        "diverges per process — pass state through EvalSpec or "
-                        "return it to the parent"
-                    ),
-                    related=RelatedLocation(
-                        path=entry_ctx.display_path,
-                        line=entry_info.node.lineno,
-                        col=entry_info.node.col_offset,
-                        note=f"worker entry point {chain[0]}",
-                    ),
-                )
-
-
-_SPEC_NAME = "EvalSpec"
-_SPEC_QUALNAME = "repro.scheduler.procpool.EvalSpec"
-
-
-def _hostile_origin(origin) -> str | None:
-    """Why an origin must not enter an EvalSpec, or ``None`` when fine."""
-    if origin.kind == "lambda":
-        return "a lambda is unpicklable and cannot cross the spawn boundary"
-    if origin.kind == "closure":
-        return (
-            f"locally-defined function {origin.detail!r} closes over its frame "
-            "and cannot cross the spawn boundary; promote it to module level"
-        )
-    if origin.kind == "genexp":
-        return "a generator expression is unpicklable"
-    if origin.kind == "call":
-        tail = origin.detail.split(".")[-1]
-        if origin.detail in _UNPICKLABLE_FACTORIES:
-            return f"{_UNPICKLABLE_FACTORIES[origin.detail]} is unpicklable"
-        if origin.detail in RNG_FACTORY_CHAINS or tail in ("default_rng", "fallback_rng", "derive_rng"):
-            return (
-                "an RNG object must not be shipped to workers — they re-derive "
-                "generators from the seed and genome identity (replay contract)"
-            )
-    return None
-
-
-@register
-class SpecPicklabilityRule(BaseRule):
-    rule_id = "CONC002"
-    category = "concurrency"
-    scope = "project"
-    description = (
-        "non-picklable or contract-breaking value flowing into EvalSpec "
-        "construction"
-    )
-    doc = (
-        "no non-picklable values (lambdas, closures, generator expressions, file "
-        "handles, locks) and no RNG objects flowing into `EvalSpec(...)` "
-        "construction anywhere in the project — traced through assignments and "
-        "`**kwargs` dicts, not just spotted at the call site"
-    )
-
-    def applies_to(self, module: ModuleContext) -> bool:
-        return module.project is not None and module.project.modules[0] is module
-
-    def _spec_calls(self, graph: ProjectGraph):
-        """Every ``EvalSpec(...)`` construction, resolved through imports."""
-        for symbols in graph.modules.values():
-            seen: set[int] = set()
-            for info in symbols.functions.values():
-                if id(info.node) in seen:
-                    continue
-                seen.add(id(info.node))
-                for node in ast.walk(info.node):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    chain = dotted_name(node.func)
-                    if chain is None:
-                        continue
-                    if symbols.resolve(chain) == _SPEC_QUALNAME:
-                        yield symbols, info, node
-
-    def check(self, module: ModuleContext) -> Iterable[Diagnostic]:
-        graph = build_graph(module.project)
-        for symbols, info, call in self._spec_calls(graph):
-            owner = symbols.context
-            flows: list[tuple[str | None, ast.AST]] = []
-            for kw in call.keywords:
-                if kw.arg is None:
-                    flows.extend(mapping_values(symbols, info, kw.value))
-                    # dict.update(...) keywords feed the same mapping
-                    if isinstance(kw.value, ast.Name):
-                        for sub in ast.walk(info.node):
-                            if (
-                                isinstance(sub, ast.Call)
-                                and isinstance(sub.func, ast.Attribute)
-                                and sub.func.attr == "update"
-                                and isinstance(sub.func.value, ast.Name)
-                                and sub.func.value.id == kw.value.id
-                            ):
-                                flows.extend(
-                                    (k.arg, k.value) for k in sub.keywords if k.arg
-                                )
-                else:
-                    flows.append((kw.arg, kw.value))
-            flows.extend((None, arg) for arg in call.args)
-            for field_name, expr in flows:
-                origin = trace_value(symbols, info, expr)
-                why = _hostile_origin(origin)
-                if why is None:
-                    continue
-                anchor = origin.node if origin.node is not None else expr
-                field_txt = f"field {field_name!r}" if field_name else "a positional field"
-                yield Diagnostic(
-                    path=owner.display_path,
-                    line=getattr(anchor, "lineno", call.lineno),
-                    col=getattr(anchor, "col_offset", call.col_offset),
-                    rule_id=self.rule_id,
-                    severity=self.severity,
-                    message=(
-                        f"value flowing into EvalSpec {field_txt} "
-                        f"(constructed in {info.qualname}): {why}"
-                    ),
-                    related=RelatedLocation(
-                        path=owner.display_path,
-                        line=call.lineno,
-                        col=call.col_offset,
-                        note=f"EvalSpec construction in {info.qualname}",
-                    ),
+                yield self.diag(
+                    module,
+                    node,
+                    f"{func.name}() {what}; each spawned worker re-imports the "
+                    "module, so this state diverges per process — pass state "
+                    "through EvalSpec or return it to the parent",
                 )

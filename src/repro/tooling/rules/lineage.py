@@ -68,7 +68,6 @@ def _annotation_name(node: ast.AST | None) -> str | None:
 class RecordSchemaRule(BaseRule):
     rule_id = "LIN001"
     category = "lineage"
-    scope = "project"
     doc = (
         "code writing lineage records only uses fields declared in "
         "`lineage/records.py` — `asdict` drops unknown attributes silently"

@@ -1,4 +1,4 @@
-"""Numerical-safety rules: swallowed errors, unguarded division, dtype mixing.
+"""Numerical-safety rules: swallowed errors, unbounded retries, dtype mixing.
 
 A corrupted learning curve poisons the fitness estimate silently, so
 numeric code must fail loudly or guard explicitly:
@@ -7,13 +7,6 @@ numeric code must fail loudly or guard explicitly:
   neither re-raises nor logs swallows the very faults the prediction
   engine needs to see.  Narrow the type, re-raise, log — or suppress
   with a justified ``# a4nn: noqa(NUM001) -- reason``.
-* ``NUM002`` — in fitting/metrics code, dividing by a bare variable
-  with no visible guard is how NaN/inf enters the history ``H``.
-  Guards recognized: an ``np.where`` whose condition mentions the
-  denominator, an epsilon-named denominator, a prior clamp of the
-  denominator in the same function (``x = np.maximum(x, eps)``), or
-  any non-trivial denominator expression (``x + eps``, ``max(...)``,
-  ``len(...)``).
 * ``NUM003`` — compute precision in ``nn/`` is a *policy*, selected
   once through :mod:`repro.nn.dtype` and threaded through layer/
   initializer ``dtype`` parameters.  Hard-coding ``np.float32`` /
@@ -36,22 +29,10 @@ from repro.tooling.context import ModuleContext
 from repro.tooling.diagnostics import Diagnostic
 from repro.tooling.rules import BaseRule, dotted_name, register
 
-__all__ = [
-    "SwallowedExceptRule",
-    "UnguardedDivisionRule",
-    "NarrowDtypeRule",
-    "UnboundedRetryRule",
-]
+__all__ = ["SwallowedExceptRule", "NarrowDtypeRule", "UnboundedRetryRule"]
 
 _BROAD_TYPES = {"Exception", "BaseException"}
 _LOG_METHODS = {"debug", "info", "warning", "warn", "error", "exception", "critical", "log"}
-
-_NUMERIC_SCOPES = (
-    "core/",
-    "nn/metrics.py",
-    "analysis/stats.py",
-    "analysis/curves.py",
-)
 
 _NARROW_DTYPES = {"float32", "float16", "half", "single"}
 
@@ -104,97 +85,6 @@ class SwallowedExceptRule(BaseRule):
                     f"{caught} swallows errors without re-raise or logging; "
                     "narrow the type, log, or justify with a4nn: noqa(NUM001)",
                 )
-
-
-def _parent_map(tree: ast.Module) -> dict[ast.AST, ast.AST]:
-    parents: dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-    return parents
-
-
-def _where_guarded(node: ast.AST, denom_src: str, parents: dict) -> bool:
-    """Whether the division sits inside np.where(cond, ...) guarding the denominator."""
-    current = parents.get(node)
-    while current is not None:
-        if isinstance(current, ast.Call):
-            chain = dotted_name(current.func)
-            if chain is not None and chain.rsplit(".", 1)[-1] == "where" and current.args:
-                if denom_src in ast.unparse(current.args[0]):
-                    return True
-        current = parents.get(current)
-    return False
-
-
-_CLAMP_CALLS = {"maximum", "clip", "max", "abs", "fmax"}
-
-
-def _clamped_earlier(node: ast.BinOp, denom_src: str, parents: dict) -> bool:
-    """Whether the denominator was re-bound through a clamp before the division.
-
-    Recognizes the codebase's clamp-then-use idiom::
-
-        x = np.maximum(x, _EPS)
-        ... b / x ...
-    """
-    current = parents.get(node)
-    while current is not None and not isinstance(
-        current, (ast.FunctionDef, ast.AsyncFunctionDef)
-    ):
-        current = parents.get(current)
-    if current is None:
-        return False
-    for stmt in ast.walk(current):
-        if (
-            isinstance(stmt, ast.Assign)
-            and stmt.lineno <= node.lineno
-            and any(
-                isinstance(t, (ast.Name, ast.Attribute)) and ast.unparse(t) == denom_src
-                for t in stmt.targets
-            )
-            and isinstance(stmt.value, ast.Call)
-        ):
-            chain = dotted_name(stmt.value.func)
-            if chain is not None and chain.rsplit(".", 1)[-1] in _CLAMP_CALLS:
-                return True
-    return False
-
-
-@register
-class UnguardedDivisionRule(BaseRule):
-    rule_id = "NUM002"
-    category = "numerical-safety"
-    doc = (
-        "divisions in fitting/metrics code need a visible guard (epsilon, clamp, "
-        "or `np.where`)"
-    )
-    description = "division by a bare variable without an epsilon/where guard in numeric code"
-
-    def applies_to(self, module: ModuleContext) -> bool:
-        return module.in_location(*_NUMERIC_SCOPES)
-
-    def check(self, module: ModuleContext) -> Iterable[Diagnostic]:
-        parents = _parent_map(module.tree)
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
-                continue
-            denom = node.right
-            if not isinstance(denom, (ast.Name, ast.Attribute)):
-                continue  # composite denominators carry their own guard
-            denom_src = ast.unparse(denom)
-            if "eps" in denom_src.lower():
-                continue
-            if _where_guarded(node, denom_src, parents):
-                continue
-            if _clamped_earlier(node, denom_src, parents):
-                continue
-            yield self.diag(
-                module,
-                node,
-                f"division by bare {denom_src!r} with no epsilon or np.where guard "
-                "can inject NaN/inf into the fitness pipeline",
-            )
 
 
 def _constant_true(test: ast.AST) -> bool:

@@ -47,10 +47,13 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert "sanitize_writes" not in _fastpath_overrides(args)
 
-    def test_check_jobs_flag(self):
-        args = build_parser().parse_args(["check", "--jobs", "4"])
-        assert args.jobs == 4
-        assert build_parser().parse_args(["check"]).jobs is None
+    def test_check_takes_paths_and_three_options(self):
+        args = build_parser().parse_args(
+            ["check", "src", "--select", "DET001", "--format", "md", "--list-rules"]
+        )
+        assert set(vars(args)) - {"command", "verbose", "handler"} == {
+            "paths", "select", "format", "list_rules",
+        }
 
 
 class TestConfigCommand:

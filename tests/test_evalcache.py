@@ -14,12 +14,14 @@ from repro.core.engine import EngineConfig
 from repro.lineage import DataCommons
 from repro.lineage.replay import verify_run
 from repro.nas import NSGANetConfig, random_genome
-from repro.nas.decoder import DecoderConfig, decode_genome
+from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
 from repro.nas.evalcache import CacheEntry, EvaluationCache, MemoizingStream
 from repro.nas.genome import Genome, PhaseGenome
 from repro.nas.population import Individual
-from repro.nn.dtype import resolve_dtype
+from repro.nn.dtype import SUPPORTED_DTYPES, resolve_dtype
 from repro.nn.flops import network_flops
+from repro.nn.optimizers import Adam
+from repro.nn.trainer import Trainer
 from repro.utils.validation import ValidationError
 from repro.workflow import WorkflowConfig, resume_workflow, run_workflow
 from repro.workflow.orchestrator import A4NNOrchestrator
@@ -553,26 +555,76 @@ class TestReplayAndResume:
         assert resumed_flags == full_flags
 
 
+def _hold_layers_to_dtype(network, dtype):
+    """Wrap ``forward``/``backward`` of every layer — the ones inside a
+    ``PhaseBlock`` included — so each tensor going in or out is checked;
+    returns the wrapped layers and the list the wrappers log their calls to."""
+    calls = []
+
+    def held(layer, method):
+        inner = getattr(layer, method)
+
+        def checked(tensor, **kwargs):
+            result = inner(tensor, **kwargs)
+            assert tensor.dtype == result.dtype == dtype, (type(layer).__name__, method)
+            calls.append((layer, method))
+            return result
+
+        return checked
+
+    layers = list(network.layers)
+    for layer in network.layers:
+        if isinstance(layer, PhaseBlock):
+            layers.extend(sub for _, sub in layer._sublayers())
+    for layer in layers:
+        layer.forward, layer.backward = held(layer, "forward"), held(layer, "backward")
+    return layers, calls
+
+
 class TestDtypePolicy:
     def test_decoded_network_and_dataset_follow_config_dtype(self):
-        config = cached_config()
-        assert config.dtype == "float32"
-        dataset = load_or_generate(config.dataset).astype(config.dtype)
-        assert dataset.x_train.dtype == np.float32
+        """One real training step per supported dtype: nothing the
+        trainer, a kernel, the loss or the optimizer produces leaves the
+        configured width (the run-time form of the deleted
+        NUM005/NUM006/SHAPE002 static rules)."""
+        assert cached_config().dtype == "float32"
         genome = random_genome(np.random.default_rng(0), nodes_per_phase=2)
-        network = decode_genome(
-            genome,
-            DecoderConfig(
-                input_shape=dataset.input_shape,
-                n_classes=dataset.n_classes,
-                dtype=resolve_dtype(config.dtype),
-            ),
-            rng=np.random.default_rng(1),
-        )
-        for _, param in network.parameters():
-            assert param.value.dtype == np.float32
-        out = network.forward(dataset.x_train[:4], training=False)
-        assert out.dtype == np.float32
+        for label in SUPPORTED_DTYPES:
+            config = dataclasses.replace(cached_config(), dtype=label)
+            dtype = resolve_dtype(config.dtype)
+            dataset = load_or_generate(config.dataset).astype(config.dtype)
+            assert dataset.x_train.dtype == dtype
+            network = decode_genome(
+                genome,
+                DecoderConfig(
+                    input_shape=dataset.input_shape,
+                    n_classes=dataset.n_classes,
+                    dtype=dtype,
+                ),
+                rng=np.random.default_rng(1),
+            )
+            for _, param in network.parameters():
+                assert param.value.dtype == dtype
+            assert network.forward(dataset.x_train[:4], training=False).dtype == dtype
+
+            layers, calls = _hold_layers_to_dtype(network, dtype)
+            Trainer(
+                network,
+                dataset.x_train[:8],
+                dataset.y_train[:8],
+                dataset.x_test[:4],
+                dataset.y_test[:4],
+                optimizer=Adam(network),
+                batch_size=8,
+                rng=np.random.default_rng(2),
+            ).train()
+            assert len(layers) > len(network.layers)  # phase internals included
+            assert {(id(l), m) for l, m in calls} == {
+                (id(l), m) for l in layers for m in ("forward", "backward")
+            }
+            for name, param in network.parameters():
+                assert param.grad.dtype == dtype, (label, name)
+                assert param.value.dtype == dtype, (label, name)
 
     def test_cache_requires_genome_keying(self):
         with pytest.raises(ValidationError, match="eval_cache"):

@@ -365,6 +365,53 @@ def test_col2im_out_matches_allocating_call():
         col2im(gcols, x.shape, 3, 3, 2, out=np.empty((1, 1)))
 
 
+# -- numpy's overlap guarantee, for the out= kernels the layers rely on ------------
+
+_ROWS, _COLS = 6, 8
+_OVERLAP_KERNELS = {
+    # name: (out shape, kernel(operand, out, rng))
+    "matmul": (
+        (_ROWS, _COLS),
+        lambda x, out, rng: np.matmul(
+            rng.normal(size=(_ROWS, _ROWS)).astype(x.dtype), x, out=out
+        ),
+    ),
+    "sum": ((_COLS,), lambda x, out, rng: np.sum(x, axis=0, out=out)),
+    "max": ((_COLS,), lambda x, out, rng: np.max(x, axis=0, out=out)),
+    "mean": ((_COLS,), lambda x, out, rng: np.mean(x, axis=0, out=out)),
+    "take": (
+        (_ROWS, _COLS),
+        lambda x, out, rng: np.take(x, rng.permutation(_ROWS), axis=0, out=out),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", DTYPES)
+@pytest.mark.parametrize("overlap", ["full", "partial"])
+@pytest.mark.parametrize("kernel", sorted(_OVERLAP_KERNELS))
+def test_numpy_out_overlapping_an_operand_equals_the_unaliased_result(
+    kernel, overlap, label
+):
+    """No static rule polices ``out=`` aliasing a read operand: numpy
+    (>= 1.13) detects the overlap and computes as if into a fresh array.
+    Pinned here for every non-elementwise kernel ``nn/`` uses with
+    ``out=``, so a numpy that drops the guarantee fails this first."""
+    out_shape, run = _OVERLAP_KERNELS[kernel]
+    size, out_size = _ROWS * _COLS, int(np.prod(out_shape))
+    # "full": out lies wholly inside the operand's memory (for the
+    # operand-sized kernels it *is* the operand); "partial": out
+    # straddles the operand's end
+    offset = size - out_size if overlap == "full" else size - out_size // 2
+    buf = np.random.default_rng(5).normal(size=2 * size).astype(resolve_dtype(label))
+    operand = buf[:size].reshape(_ROWS, _COLS)
+    out = buf[offset : offset + out_size].reshape(out_shape)
+    assert np.shares_memory(operand, out)
+    expected = run(operand.copy(), None, np.random.default_rng(6))
+    result = run(operand, out, np.random.default_rng(6))
+    assert result is out and result.dtype == expected.dtype
+    assert result.tobytes() == expected.tobytes()
+
+
 # -- MaxPool vectorized backward vs a loop reference ------------------------------
 
 

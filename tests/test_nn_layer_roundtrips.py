@@ -14,6 +14,7 @@ from repro.nn.layers import (
     Dropout,
     Flatten,
     GlobalAvgPool2D,
+    Layer,
     LeakyReLU,
     MaxPool2D,
     ReLU,
@@ -71,3 +72,24 @@ def test_all_registered_types_covered():
         type(factory(np.random.default_rng(0))).__name__ for factory, _ in LAYER_CASES
     }
     assert covered == set(LAYER_TYPES)
+
+
+def _layer_subclasses(cls=Layer):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _layer_subclasses(sub)
+
+
+def test_every_concrete_layer_is_registered():
+    """A layer left out of ``LAYER_TYPES`` trains fine and then fails to
+    load from its own checkpoint; read from the live classes, so a new
+    layer module cannot forget the registry."""
+    concrete = {
+        cls
+        for cls in _layer_subclasses()
+        if (cls.__module__.startswith("repro.nn.layers.") or cls is PhaseBlock)
+        and not cls.__name__.startswith("_")
+    }
+    assert len(concrete) >= 14
+    missing = concrete - set(LAYER_TYPES.values())
+    assert not missing, f"not in LAYER_TYPES: {sorted(c.__name__ for c in missing)}"
