@@ -23,8 +23,10 @@ def test_overhead_aggregate(benchmark, emit_report):
 
     # the engine must be negligible: < 1% of a simulated epoch
     assert result.mean_ms / 1e3 < 0.01 * result.mean_epoch_seconds_simulated
-    # and broadly comparable to the paper's 28 ms per interaction
-    assert result.mean_ms < 280.0
+    # and far below the paper's 28 ms per interaction: the projected fit
+    # runs in about 1 ms, the trust-region fit it replaced took 13-16 ms,
+    # so a silent fall-back to it fails here
+    assert result.mean_ms < 4.0
     assert result.n_interactions > 0
     assert "MISMATCH" not in report
 
@@ -42,5 +44,5 @@ def test_overhead_single_interaction(benchmark):
         engine.converged(predictions[-3:])
 
     benchmark(interaction)
-    # per-interaction cost stays in the tens-of-milliseconds regime
-    assert benchmark.stats["mean"] < 0.25
+    # about 1 ms; the trust-region fit this replaced took 13-16 ms
+    assert benchmark.stats["mean"] < 0.004

@@ -10,7 +10,8 @@ Public surface:
 
 * :class:`~repro.core.parametric.ParametricFunction` and the function
   registry (``exp3`` is the paper's ``a - b**(c-x)``).
-* :func:`~repro.core.fitting.fit_curve` — bounded least-squares fitting.
+* :func:`~repro.core.fitting.fit_curve` — bounded least-squares fitting
+  (variable projection for the separable families, the paper's included).
 * :class:`~repro.core.engine.PredictionEngine` /
   :class:`~repro.core.engine.EngineConfig` — predictor + analyzer.
 * :class:`~repro.core.analyzer.ConvergenceAnalyzer` — the stability rule.

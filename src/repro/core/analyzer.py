@@ -106,16 +106,15 @@ class ConvergenceAnalyzer:
         ``predictions`` is the chronological prediction history ``P``;
         only the trailing ``N`` entries are inspected, per the paper.
         """
-        history = np.asarray(list(predictions), dtype=float)
-        if len(history) < self.n_predictions:
+        window = np.asarray(predictions[-self.n_predictions :], dtype=float)
+        if len(window) < self.n_predictions:
             return AnalysisResult(
                 converged=False,
-                reason=f"need {self.n_predictions} predictions, have {len(history)}",
+                reason=f"need {self.n_predictions} predictions, have {len(window)}",
                 spread=float("nan"),
-                window=tuple(history.tolist()),
+                window=tuple(window.tolist()),
             )
 
-        window = history[-self.n_predictions :]
         lo, hi = self.fitness_bounds
         invalid = ~np.isfinite(window) | (window < lo) | (window > hi)
         if np.any(invalid):

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.analyzer import AnalysisResult, ConvergenceAnalyzer
 from repro.core.fitting import CurveFit, fit_curve
 from repro.core.parametric import ParametricFunction, get_function
@@ -120,8 +122,7 @@ class PredictionEngine:
         n = len(fitness_history)
         if n < self.config.c_min:
             return None
-        epochs = range(1, n + 1)
-        return fit_curve(self.function, list(epochs), list(fitness_history))
+        return fit_curve(self.function, np.arange(1.0, n + 1), np.asarray(fitness_history, float))
 
     def predictor(self, epoch: int, fitness_history: Sequence[float]) -> float | None:
         """Algorithm 1 line 7: ``p_e = pred_eng.predictor(e, H)``.

@@ -103,9 +103,10 @@ class EnsemblePredictionEngine:
         if n < self.c_min:
             return {}
         epochs = np.arange(1, n + 1, dtype=float)
+        fitness = np.asarray(fitness_history, dtype=float)
         predictions: dict[str, float] = {}
         for member in self.members:
-            fit = fit_curve(member, epochs, list(fitness_history))
+            fit = fit_curve(member, epochs, fitness)
             if fit is None:
                 continue
             value = float(fit.predict(self.config.e_pred))

@@ -1,11 +1,21 @@
 """Least-squares fitting of parametric functions to partial learning curves.
 
 The paper (§2.1.1): *"We attain the values for the function parameters
-using the least squares regression of the fitting."*  We use bounded
-trust-region least squares (``scipy.optimize.least_squares``), which is
-robust to the short, noisy curves seen early in training, and we treat a
-failed or degenerate fit as "no prediction available this epoch" rather
-than an error — the engine simply lets training continue.
+using the least squares regression of the fitting."*  The fit runs once
+per epoch per model, so it has to be negligible next to training.  A
+family that declares its linear structure
+(:class:`~repro.core.parametric.Separable`: the paper's ``exp3``,
+``pow3``, ``log2``, ``ilog2``) is solved by variable projection — for a
+fixed nonlinear parameter the best bounded linear parameters are closed
+form, which leaves a one-dimensional search evaluated a grid at a time.
+That solve has no starting point and no iteration history: the result
+is a pure function of the curve, which is what keeps a seeded run
+identical across backends, cache states and resume points.  The
+families with two nonlinear parameters fall back to bounded
+trust-region least squares, and ``scipy.optimize`` is imported only
+when one of them is first fitted.  Either way a failed or degenerate
+fit is "no prediction available this epoch" rather than an error — the
+engine simply lets training continue.
 """
 
 from __future__ import annotations
@@ -14,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.core.parametric import ParametricFunction
 
@@ -63,7 +72,6 @@ def fit_curve(
     fitness: Sequence[float],
     *,
     strict: bool = False,
-    max_nfev: int = 200,
 ) -> CurveFit | None:
     """Fit ``function`` to the observed ``(epochs, fitness)`` curve.
 
@@ -78,9 +86,6 @@ def fit_curve(
     strict:
         When true, raise :class:`FitError` instead of returning ``None``
         on failure.
-    max_nfev:
-        Budget of residual evaluations for the optimizer.  The engine is
-        called once per epoch per model, so this bounds its overhead.
 
     Returns
     -------
@@ -106,41 +111,48 @@ def fit_curve(
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         return fail("curve contains non-finite values")
 
-    theta0 = np.asarray(function.guess(x, y), dtype=float)
+    theta = function.guess(x, y)
+    if theta is None:
+        return fail("no finite parameters fit the curve")
+    if function.separable is None:
+        # no linear structure declared: the guess is only a start
+        try:
+            theta = _trust_region(function, x, y, theta)
+        except Exception as exc:  # a4nn: noqa(NUM001) -- scipy's failure surface is unbounded; fail() converts to the engine's explicit no-prediction path (or raises under strict=True)
+            return fail(f"optimizer error: {exc}")
+    if not np.all(np.isfinite(theta)):
+        return fail("solver returned non-finite parameters")
+
+    residual = function.fn(x, *theta) - y
+    if not np.all(np.isfinite(residual)):
+        return fail("fitted curve is non-finite on the data")
+
+    return CurveFit(
+        function=function,
+        theta=tuple(float(t) for t in theta),
+        residual_norm=float(np.linalg.norm(residual)),
+        rmse=float(np.sqrt(np.mean(residual**2))),
+        n_points=len(x),
+    )
+
+
+def _trust_region(function: ParametricFunction, x, y, theta0) -> np.ndarray:
+    """Bounded trust-region refinement of ``theta0`` (families with no projection)."""
+    from scipy.optimize import least_squares  # 0.5 s and 40 MiB: paid by the first such fit, not by every import
 
     def residuals(theta: np.ndarray) -> np.ndarray:
-        pred = function.fn(x, *theta)
-        res = pred - y
+        res = function.fn(x, *theta) - y
         # Penalize non-finite model output heavily but finitely so the
         # trust-region step can recover.
         return np.where(np.isfinite(res), res, 1e6)
 
-    try:
-        solution = least_squares(
-            residuals,
-            theta0,
-            bounds=(np.asarray(function.lower), np.asarray(function.upper)),
-            method="trf",
-            max_nfev=max_nfev,
-        )
-    except Exception as exc:  # a4nn: noqa(NUM001) -- scipy's failure surface is unbounded; fail() converts to the engine's explicit no-prediction path (or raises under strict=True)
-        return fail(f"optimizer error: {exc}")
-
-    if not np.all(np.isfinite(solution.x)):
-        return fail("optimizer returned non-finite parameters")
-
-    fitted = function.fn(x, *solution.x)
-    if not np.all(np.isfinite(fitted)):
-        return fail("fitted curve is non-finite on the data")
-
-    rmse = float(np.sqrt(np.mean((fitted - y) ** 2)))
-    return CurveFit(
-        function=function,
-        theta=tuple(float(t) for t in solution.x),
-        residual_norm=float(np.linalg.norm(solution.fun)),
-        rmse=rmse,
-        n_points=len(x),
-    )
+    return least_squares(
+        residuals,
+        np.asarray(theta0, dtype=float),
+        bounds=(np.asarray(function.lower), np.asarray(function.upper)),
+        method="trf",
+        max_nfev=200,
+    ).x
 
 
 @dataclass(frozen=True)

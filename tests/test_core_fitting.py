@@ -1,5 +1,9 @@
 """Tests for least-squares curve fitting."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,3 +76,19 @@ class TestFitCurve:
         fn = get_function("exp3")
         fit = fit_curve(fn, np.arange(1, 8), make_concave_curve(7))
         assert fit.n_points == 7
+
+
+def test_scipy_optimize_is_imported_by_the_first_trust_region_fit_and_not_before():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    curve = "range(1, 9), [50, 60, 66, 70, 72, 73, 74, 74.5]"
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import repro.workflow.orchestrator, repro.workflow.resume, repro.analysis; "
+        "from repro.core.fitting import fit_curve; "
+        "from repro.core.parametric import get_function; "
+        f"assert fit_curve(get_function('exp3'), {curve}) is not None; "
+        "assert 'scipy.optimize' not in sys.modules, 'a projected fit imported it'; "
+        f"assert fit_curve(get_function('weibull'), {curve}) is not None; "
+        "assert 'scipy.optimize' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True)

@@ -16,6 +16,8 @@ from repro.scheduler.fifo import Job, schedule_run
 from repro.utils.rng import derive_rng
 from repro.xfel.noise import normalize_patterns
 
+from tests.trf_oracle import sse_above, trf_fit
+
 # -- strategies ---------------------------------------------------------------
 
 bit_layouts = st.tuples(st.integers(2, 5), st.integers(1, 4))  # (nodes, phases)
@@ -103,6 +105,92 @@ class TestFittingProperties:
         fit = fit_curve(fn, np.arange(1, len(history) + 1), history)
         if fit is not None:
             assert np.all(np.isfinite(fit.theta))
+
+
+PROJECTED = ("exp3", "pow3", "log2", "ilog2")
+
+
+@st.composite
+def learning_curves(draw):
+    """Rising, flat, falling, noisy and quantised curves of 3-25 points."""
+    n = draw(st.integers(3, 25))
+    x = np.arange(1, n + 1, dtype=float)
+    kind = draw(st.sampled_from(["rising", "flat", "falling", "noisy", "quantised"]))
+    if kind == "flat":
+        return np.full(n, draw(st.floats(0.0, 100.0)))
+    top = draw(st.floats(60.0, 100.0))
+    bottom = draw(st.floats(20.0, 55.0))
+    decay = np.exp(-draw(st.floats(0.05, 1.0)) * x)
+    if kind == "falling":
+        return bottom + (top - bottom) * decay
+    y = top - (top - bottom) * decay
+    if kind != "rising":
+        noise = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        y = np.clip(y + np.asarray(noise), 0.0, 100.0)
+    if kind == "quantised":
+        # real-mode validation accuracy over 8 images moves in steps of 1/8
+        y = np.round(y / 12.5) * 12.5
+    return y
+
+
+def in_bounds(fn, theta) -> bool:
+    return bool(np.all(np.asarray(theta) >= fn.lower) and np.all(np.asarray(theta) <= fn.upper))
+
+
+@pytest.mark.parametrize("name", PROJECTED)
+class TestProjectedFitProperties:
+    """Variable projection against the trust-region fit it replaced."""
+
+    @given(learning_curves())
+    @settings(max_examples=60, deadline=None)
+    def test_in_bounds_and_never_worse_than_the_oracle(self, name, y):
+        fn = get_function(name)
+        x = np.arange(1, len(y) + 1, dtype=float)
+        fit = fit_curve(fn, x, y)
+        assert fit is not None
+        assert in_bounds(fn, fit.theta)
+        assert not sse_above(fit, trf_fit(fn, x, y))
+
+    @given(learning_curves())
+    @settings(max_examples=40, deadline=None)
+    def test_pure_function_of_the_history(self, name, y):
+        fn = get_function(name)
+        x = np.arange(1, len(y) + 1, dtype=float)
+        reference = fit_curve(fn, x, y)
+        for cast in (list, tuple, np.array):
+            again = fit_curve(fn, cast(x.tolist()), cast(y.tolist()))
+            assert again.theta == reference.theta
+            assert again.residual_norm == reference.residual_norm
+
+    @given(st.integers(6, 25), st.floats(60.0, 99.0), st.floats(5.0, 40.0), st.floats(0.1, 0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_recovers_a_noiseless_curve_of_its_own_family(self, name, n, a, drop, shape):
+        fn = get_function(name)
+        # (a, drop, shape) read as each family's own parameters, inside its box
+        truth = {
+            "exp3": (a, 1.0 + shape, np.log(drop) / np.log(1.0 + shape)),
+            "pow3": (a, drop, shape),
+            "log2": (a - drop, drop * shape),
+            "ilog2": (a, drop),
+        }[name]
+        x = np.arange(1, n + 1, dtype=float)
+        fit = fit_curve(fn, x, fn(x, *truth))
+        assert fit is not None
+        assert fit.rmse < 1e-9
+        assert fit.theta == pytest.approx(truth, rel=1e-6, abs=1e-6)
+
+    @given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.integers(3, 12), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_degenerate_histories_never_raise(self, name, level, other, n, data):
+        fn = get_function(name)
+        spike = np.full(n, level)
+        spike[data.draw(st.integers(0, n - 1))] = other
+        for y in (np.full(n, level), np.array([level, other]), spike):
+            fit = fit_curve(fn, np.arange(1, len(y) + 1), y)
+            if fit is not None:
+                assert np.all(np.isfinite(fit.theta))
+                assert in_bounds(fn, fit.theta)
+                assert np.isfinite(fit.predict(25.0))
 
 
 class TestParetoProperties:

@@ -312,8 +312,21 @@ class TestLegacyArenaDocuments:
             new = resumed[model_id]
             assert new.genome == old.genome
             assert new.fitness_history == old.fitness_history
-            assert new.prediction_history == old.prediction_history
-            assert (new.fitness, new.epochs_trained) == (old.fitness, old.epochs_trained)
+            assert (new.epochs_trained, new.terminated_early) == (
+                old.epochs_trained, old.terminated_early
+            )
+            # an old commons must resume under a newer curve-fit solver:
+            # what was measured and decided stays exact, the engine's
+            # predictions (and the fitness of an early stop, which is
+            # one) agree wherever they are valid fitness values.  The
+            # retrained half of this fixture moved by at most 3.9e-8
+            # when variable projection replaced the trust-region fit;
+            # the analyzer's tolerance is 0.5.
+            assert new.fitness == pytest.approx(old.fitness, abs=1e-6)
+            assert len(new.prediction_history) == len(old.prediction_history)
+            for now, was in zip(new.prediction_history, old.prediction_history):
+                if 0.0 <= was <= 100.0 or 0.0 <= now <= 100.0:
+                    assert now == pytest.approx(was, abs=1e-6)
             # the conv GEMMs accumulate in another order than the deleted
             # kernels did, so the loss agrees to rounding, not to the bit
             assert [e["train_loss"] for e in new.epochs] == pytest.approx(
