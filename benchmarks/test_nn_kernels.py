@@ -4,7 +4,13 @@ Not a paper artifact — these track the training substrate's throughput
 (the guide rule: no optimization without measurement).  Groups:
 im2col-based convolution forward/backward, dense GEMM, one full
 training step of a decoded NSGA-Net network, and one engine fit.
+
+The two ratio guards at the end hold an elementwise kernel to a multiple
+of the one memory pass it has to make.  Both sides are timed in the same
+process (best of 40), so the bound does not depend on the host's speed.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +18,7 @@ import pytest
 from repro.core.engine import PredictionEngine
 from repro.nas.decoder import DecoderConfig, decode_genome
 from repro.nas.genome import random_genome
-from repro.nn.layers import Conv2D, Dense
+from repro.nn.layers import Conv2D, Dense, MaxPool2D, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import Adam
 
@@ -88,3 +94,34 @@ def test_engine_fit(benchmark):
     history = list(make_concave_curve(15, noise=0.4, seed=2))
     result = benchmark(lambda: engine.predictor(15, history))
     assert result is not None
+
+
+def _best_seconds(fn, repeats=40):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize(
+    "make_layer,bound",
+    [
+        (ReLU, 4.0),  # maximum + greater: 1.5x; the masked copy was 26x
+        # 2.8x (5.8x on the short rows of (16, 32, 8, 8)); the window gather was 86x
+        (lambda: MaxPool2D(2), 10.0),
+    ],
+    ids=["relu", "maxpool"],
+)
+def test_forward_stays_within_a_multiple_of_one_memory_pass(make_layer, bound):
+    shape = (16, 8, 32, 32)
+    x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+    out = np.empty_like(x)
+    layer = make_layer()
+    one_pass = _best_seconds(lambda: np.maximum(x, 0, out=out))
+    forward = _best_seconds(lambda: layer.forward(x, training=True))
+    assert forward <= bound * one_pass, (
+        f"{type(layer).__name__}.forward took {forward / one_pass:.1f}x one "
+        f"np.maximum pass over {shape} (bound {bound}x)"
+    )

@@ -88,6 +88,7 @@ class PhaseBlock(Layer):
         self._preds = [list(np.flatnonzero(matrix[:, j])) for j in range(n_nodes)]
         has_succ = matrix.any(axis=1)
         self._sinks = [j for j in range(n_nodes) if not has_succ[j]]
+        self._training_mode = False
 
     # -- sub-layer plumbing ----------------------------------------------------
 
@@ -181,7 +182,7 @@ class PhaseBlock(Layer):
         return result
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if not getattr(self, "_training_mode", False):
+        if not self._training_mode:
             raise RuntimeError("backward called before a training-mode forward")
         n = self.genome.n_nodes
         dt = grad_out.dtype

@@ -10,17 +10,26 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
 
 
 class ReLU(Layer):
-    """Rectified linear unit, ``max(x, 0)``."""
+    """Rectified linear unit, ``max(x, 0)``.
+
+    One ``np.maximum`` pass: NaN propagates (a fault upstream stays
+    visible to the sanitizer instead of becoming 0) and a zero output
+    keeps whichever sign the maximum picks — nothing downstream can
+    tell ``-0.0`` from ``+0.0`` (DESIGN §12).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        mask = self._buf("mask", x.shape, np.bool_)
-        np.greater(x, 0, out=mask)
         out = self._buf("out", x.shape, x.dtype)
-        # zero-fill + masked copy is bitwise np.where(mask, x, 0.0)
-        # (an out= multiply would turn -0.0/inf inputs into -0.0/nan)
-        out[...] = 0.0
-        np.copyto(out, x, where=mask)
-        self._mask = mask if training else None
+        np.maximum(x, 0, out=out)
+        if training:
+            self._mask = self._buf("mask", x.shape, np.bool_)
+            np.greater(x, 0, out=self._mask)
+        else:
+            self._mask = None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -42,14 +51,18 @@ class LeakyReLU(Layer):
         if not 0.0 <= alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {alpha}")
         self.alpha = float(alpha)
+        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        mask = self._buf("mask", x.shape, np.bool_)
-        np.greater(x, 0, out=mask)
         out = self._buf("out", x.shape, x.dtype)
         np.multiply(x, self.alpha, out=out)
-        np.copyto(out, x, where=mask)
-        self._mask = mask if training else None
+        # alpha < 1, so alpha * x is the smaller of the two exactly where x > 0
+        np.maximum(x, out, out=out)
+        if training:
+            self._mask = self._buf("mask", x.shape, np.bool_)
+            np.greater(x, 0, out=self._mask)
+        else:
+            self._mask = None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -69,6 +82,10 @@ class LeakyReLU(Layer):
 
 class Sigmoid(Layer):
     """Logistic sigmoid with numerically stable split evaluation."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = np.empty_like(x)
@@ -90,6 +107,10 @@ class Sigmoid(Layer):
 
 class Tanh(Layer):
     """Hyperbolic tangent."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = np.tanh(x)

@@ -27,11 +27,14 @@ class Dropout(Layer):
             raise ValueError(f"rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
         self.rng = rng if rng is not None else fallback_rng()
-        self._mask: np.ndarray | None = None
+        self._mask: np.ndarray | float | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
+        if not training:
             self._mask = None
+            return x
+        if self.rate == 0.0:
+            self._mask = 1.0  # nothing dropped, nothing drawn
             return x
         keep = 1.0 - self.rate
         # cast the boolean mask to the input dtype before scaling: the
@@ -43,8 +46,7 @@ class Dropout(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            # rate == 0 or eval-mode forward: gradient passes through
-            return grad_out
+            raise RuntimeError("backward called before a training-mode forward")
         return grad_out * self._mask
 
     def get_config(self) -> dict:

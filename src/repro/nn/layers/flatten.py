@@ -12,6 +12,10 @@ __all__ = ["Flatten"]
 class Flatten(Layer):
     """Collapse all per-sample dimensions: (N, ...) -> (N, prod(...))."""
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._shape: tuple | None = None
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._shape = x.shape if training else None
         return x.reshape(x.shape[0], -1)

@@ -55,23 +55,21 @@ class _BatchNorm(Layer):
             raise ValueError(
                 f"expected {self.num_features} channels, got input shape {x.shape}"
             )
+        mean = x.mean(axis=self._axes) if training else self.running_mean
+        x_hat = self._buf("x_hat", x.shape, x.dtype)
+        out = self._buf("out", x.shape, x.dtype)
+        np.subtract(x, self._shape_params(mean, x.ndim), out=x_hat)
         if training:
-            mean = x.mean(axis=self._axes)
-            # x.var(axis) spelled out (the same ufunc sequence) so its
-            # feature-map-sized temporary is scratch, not a fresh array
-            t = self._buf("var_tmp", x.shape, x.dtype)
-            np.subtract(x, self._shape_params(mean, x.ndim), out=t)
-            np.multiply(t, t, out=t)
-            var = t.mean(axis=self._axes)
+            # x.var(axis) spelled out (the same ufunc sequence) on the
+            # centred map, squared into the not-yet-written output buffer
+            np.multiply(x_hat, x_hat, out=out)
+            var = out.mean(axis=self._axes)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
-            mean, var = self.running_mean, self.running_var
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = self._buf("x_hat", x.shape, x.dtype)
-        np.subtract(x, self._shape_params(mean, x.ndim), out=x_hat)
         x_hat *= self._shape_params(inv_std, x.ndim)
-        out = self._buf("out", x.shape, x.dtype)
         np.multiply(x_hat, self._shape_params(self.params["gamma"].value, x.ndim), out=out)
         out += self._shape_params(self.params["beta"].value, x.ndim)
         self._cache = (x_hat, inv_std) if training else None

@@ -1,12 +1,10 @@
 """Spatial pooling layers (max and average) and global average pooling.
 
-``MaxPool2D.backward`` routes each output gradient to its window's
-argmax with a *flat* scatter: the static part of every target index
-(batch/channel/window-origin offsets) is precomputed once per input
-shape, so the per-call work is two elementwise integer ops plus one
-scatter.  Disjoint windows (``stride >= pool_size`` — the decoder's 2x2
-case) use direct fancy assignment; overlapping windows fall back to
-``np.add.at``.  Index arithmetic and gradients go through
+``MaxPool2D`` never gathers its windows: cell ``(i, j)`` of every window
+is one strided view of the input (a *tap*), the forward is the running
+``np.maximum`` over the ``k*k`` taps, and the backward re-reads the same
+taps to route each output gradient to the first one equal to its
+window's maximum.  Outputs, routing masks and gradients go through
 :meth:`~repro.nn.layers.base.Layer._buf` scratch, so a layer bound to a
 :class:`~repro.nn.arena.BufferArena` allocates nothing per batch.
 """
@@ -32,6 +30,7 @@ class _Pool2D(Layer):
         self.stride = int(stride) if stride is not None else self.pool_size
         if self.stride <= 0:
             raise ValueError(f"stride must be positive, got {stride}")
+        self._cache: tuple | None = None
 
     def _out_hw(self, h: int, w: int) -> tuple[int, int]:
         k, s = self.pool_size, self.stride
@@ -58,67 +57,65 @@ class _Pool2D(Layer):
 
 
 class MaxPool2D(_Pool2D):
-    """Max pooling; backward routes gradient to each window's argmax."""
+    """Max pooling; backward routes gradient to each window's first maximum.
 
-    def __init__(self, pool_size: int = 2, stride: int | None = None) -> None:
-        super().__init__(pool_size, stride)
-        # static flat-offset tables keyed by input shape: the
-        # batch/channel/window-origin part of every scatter target never
-        # changes for a given geometry, so it is computed exactly once
-        self._flat_bases: dict[tuple, np.ndarray] = {}
+    "First" is row-major within the window, ``np.argmax``'s tie rule.
+    ``backward`` reads the layer's *input* again, so the caller must
+    leave it untouched between the two passes (the lifetime every
+    arena-bound producer already guarantees).
+    """
 
-    def _flat_base(self, x_shape: tuple, oh: int, ow: int) -> np.ndarray:
-        base = self._flat_bases.get(x_shape)
-        if base is None:
-            n, c, h, w = x_shape
-            s = self.stride
-            nc = (np.arange(n * c, dtype=np.intp) * (h * w)).reshape(n, c, 1, 1)
-            oi = (np.arange(oh, dtype=np.intp) * (s * w)).reshape(1, 1, oh, 1)
-            oj = (np.arange(ow, dtype=np.intp) * s).reshape(1, 1, 1, ow)
-            base = nc + oi + oj
-            self._flat_bases[x_shape] = base
-        return base
+    def _taps(self, x: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
+        """Window cell ``(i, j)`` of every window, as ``k*k`` views, row-major."""
+        k, s = self.pool_size, self.stride
+        rows, cols = (oh - 1) * s + 1, (ow - 1) * s + 1
+        return [
+            x[:, :, i : i + rows : s, j : j + cols : s]
+            for i in range(k)
+            for j in range(k)
+        ]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        windows = self._windows(x)
-        n, c, oh, ow, k, _ = windows.shape
-        # gather the windows once so max/argmax read a contiguous block
-        flat = self._buf("windows", (n, c, oh, ow, k * k), x.dtype)
-        np.copyto(flat.reshape(windows.shape), windows)
+        n, c, h, w = x.shape
+        oh, ow = self._out_hw(h, w)
+        taps = self._taps(x, oh, ow)
         out = self._buf("out", (n, c, oh, ow), x.dtype)
-        np.max(flat, axis=-1, out=out)
-        if training:
-            argmax = self._buf("argmax", (n, c, oh, ow), np.intp)
-            np.argmax(flat, axis=-1, out=argmax)
-            self._cache = (x.shape, argmax)
-        else:
-            self._cache = None
+        np.copyto(out, taps[0])
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+        self._cache = (x, out) if training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
-        x_shape, argmax = self._cache
-        n, c, oh, ow = grad_out.shape
+        x, out = self._cache
         k, s = self.pool_size, self.stride
-        w = x_shape[3]
-        base = self._flat_base(x_shape, oh, ow)
-        idx = self._buf("scatter_idx", argmax.shape, np.intp)
-        tmp = self._buf("scatter_tmp", argmax.shape, np.intp)
-        np.floor_divide(argmax, k, out=idx)  # row within window
-        idx *= w
-        np.remainder(argmax, k, out=tmp)  # column within window
-        idx += tmp
-        idx += base
-        grad_x = self._buf("grad_x", x_shape, grad_out.dtype)
+        oh, ow = grad_out.shape[2:]
+        # route[t]: tap t holds its window's maximum and no earlier tap does
+        route = self._buf("route", (k * k, *grad_out.shape), np.bool_)
+        taken = self._buf("taken", grad_out.shape, np.bool_)
+        for t, tap in enumerate(self._taps(x, oh, ow)):
+            np.equal(tap, out, out=route[t])
+            if t == 0:
+                np.copyto(taken, route[0])
+            else:
+                np.greater(route[t], taken, out=route[t])  # and not taken
+                np.logical_or(taken, route[t], out=taken)
+        grad_x = self._buf("grad_x", x.shape, grad_out.dtype)
         grad_x[...] = 0.0
-        flat = grad_x.reshape(-1)
-        if s >= k:
-            # disjoint windows: every input cell receives at most one
-            # gradient, so fancy assignment equals the scatter-add
-            flat[idx] = grad_out
-        else:
-            np.add.at(flat, idx, grad_out)
+        share = self._buf("share", grad_out.shape, grad_out.dtype)
+        grad_taps = self._taps(grad_x, oh, ow)
+        # last tap first: a cell shared by overlapping windows then sums
+        # its gradients in window order, like a loop over the windows
+        for t in reversed(range(k * k)):
+            i, j = divmod(t, k)
+            if i + s < k or j + s < k:
+                # tap (i + s, j) or (i, j + s) already wrote some of these cells
+                np.multiply(grad_out, route[t], out=share)
+                grad_taps[t] += share
+            else:
+                np.multiply(grad_out, route[t], out=grad_taps[t])
         return grad_x
 
     def flops(self, input_shape: tuple) -> int:
@@ -159,6 +156,10 @@ class AvgPool2D(_Pool2D):
 
 class GlobalAvgPool2D(Layer):
     """Collapse each channel's spatial map to its mean: NCHW -> (N, C)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x.shape if training else None

@@ -77,23 +77,27 @@ def diffraction_batch(
 ) -> np.ndarray:
     """Stack of noise-free intensity images, shape ``(n, n_pixels, n_pixels)``.
 
-    Batched over shots with a single einsum per chunk; chunking bounds
-    the ``(shots, atoms, pixels)`` intermediate's memory.
+    Streamed one shot at a time through two ``(1, atoms, pixels)``
+    buffers, so peak memory is one shot's whatever the batch size: the
+    first touch of a ``(shots, atoms, pixels)`` temporary costs more
+    than the arithmetic on it.  Every ufunc sees the operands a whole
+    batch would give it for that shot, so the images are the batched
+    expression's to the bit.
     """
     rotations = np.asarray(rotations, dtype=float)
     if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
         raise ValueError(f"rotations must be (n, 3, 3), got {rotations.shape}")
-    q = detector.q_grid()  # (P, 2)
+    q_t = detector.q_grid().T  # (2, P)
     n_shots = rotations.shape[0]
+    rotated_xy = np.einsum("nij,aj->nai", rotations, protein.coords)[..., :2]
+    form_factors = protein.form_factors + 0j
+    phase = np.empty((1, protein.n_atoms, q_t.shape[1]))
+    wave = np.empty(phase.shape, dtype=complex)
     out = np.empty((n_shots, detector.n_pixels, detector.n_pixels))
-    # memory per chunk ~ chunk * atoms * pixels * 16 bytes
-    chunk = max(1, int(2e7 / max(protein.n_atoms * q.shape[0], 1)))
-    for start in range(0, n_shots, chunk):
-        rot = rotations[start : start + chunk]
-        rotated_xy = np.einsum("nij,aj->nai", rot, protein.coords)[..., :2]
-        phase = rotated_xy @ q.T  # (chunk, atoms, P)
-        factors = np.einsum("a,nap->np", protein.form_factors + 0j, np.exp(1j * phase))
-        out[start : start + chunk] = (np.abs(factors) ** 2).reshape(
-            -1, detector.n_pixels, detector.n_pixels
-        )
+    for shot in range(n_shots):
+        np.matmul(rotated_xy[shot : shot + 1], q_t, out=phase)
+        np.multiply(phase, 1j, out=wave)
+        np.exp(wave, out=wave)
+        factors = np.einsum("a,nap->np", form_factors, wave)
+        out[shot] = (np.abs(factors) ** 2).reshape(detector.n_pixels, detector.n_pixels)
     return out

@@ -1,0 +1,266 @@
+"""The one-pass ``nn`` kernels against the expressions they replaced.
+
+The replaced formulations live here, and only here, as oracles: the
+masked-copy ReLU/LeakyReLU, the window-gather max pool with its
+per-window ``argmax`` routing, and the batch-norm forward that centred
+its input twice.  Those three are held *equal as values* (``-0.0 ==
++0.0``: ReLU no longer normalises the sign of a zero, DESIGN §12), layer
+by layer on one training step of a decoded network and on edge-case
+inputs of their own.
+"""
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
+from repro.nas.genome import random_genome
+from repro.nn.dtype import resolve_dtype
+from repro.nn.layers import BatchNorm1D, BatchNorm2D, LeakyReLU, MaxPool2D, ReLU
+from repro.nn.layers.norm import _BatchNorm
+
+DTYPES = ["float32", "float64"]
+
+
+# -- the replaced expressions ---------------------------------------------------
+
+
+def masked_relu(x, alpha=0.0):
+    """``greater`` + fill + masked ``copyto``: the old (Leaky)ReLU forward."""
+    mask = x > 0
+    out = x * alpha if alpha else np.zeros_like(x)
+    np.copyto(out, x, where=mask)
+    return out, mask
+
+
+def gathered_max(x, k, s):
+    """Max over every window, gathered through ``sliding_window_view``."""
+    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    return windows.max(axis=(-2, -1))
+
+
+def argmax_loop_backward(x, g, k, s):
+    """Per-window scatter-add of ``g`` to the window's ``argmax`` cell."""
+    expected = np.zeros_like(x)
+    n, c, oh, ow = g.shape
+    for ni in range(n):
+        for ci in range(c):
+            for yi in range(oh):
+                for xi in range(ow):
+                    win = x[ni, ci, yi * s : yi * s + k, xi * s : xi * s + k]
+                    dy, dx = np.unravel_index(np.argmax(win), win.shape)
+                    expected[ni, ci, yi * s + dy, xi * s + dx] += g[ni, ci, yi, xi]
+    return expected
+
+
+def two_centring_batchnorm(layer, x, training):
+    """The old ``_BatchNorm.forward``: ``x - mean`` once for the variance
+    and again for ``x_hat``.  Returns ``(out, x_hat, inv_std, running_mean,
+    running_var)`` from the layer's *current* parameters and statistics."""
+
+    def per_channel(v):
+        return layer._shape_params(v, x.ndim)
+
+    mean, var = layer.running_mean, layer.running_var
+    running_mean, running_var = mean, var
+    if training:
+        mean = x.mean(axis=layer._axes)
+        t = x - per_channel(mean)
+        var = (t * t).mean(axis=layer._axes)
+        running_mean = layer.momentum * running_mean + (1 - layer.momentum) * mean
+        running_var = layer.momentum * running_var + (1 - layer.momentum) * var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    x_hat = x - per_channel(mean)
+    x_hat *= per_channel(inv_std)
+    out = x_hat * per_channel(layer.params["gamma"].value)
+    out += per_channel(layer.params["beta"].value)
+    return out, x_hat, inv_std, running_mean, running_var
+
+
+# -- activations ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", DTYPES)
+@pytest.mark.parametrize("alpha", [None, 0.2, 0.0], ids=["relu", "leaky", "leaky0"])
+def test_activation_equals_the_masked_copy_on_finite_inputs(alpha, label):
+    dtype = resolve_dtype(label)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(5, 4, 6, 6)).astype(dtype)
+    x.ravel()[:4] = [0.0, -0.0, np.finfo(dtype).smallest_subnormal, -np.finfo(dtype).tiny]
+    layer = ReLU() if alpha is None else LeakyReLU(alpha)
+    expected, mask = masked_relu(x, alpha or 0.0)
+    np.testing.assert_array_equal(layer.forward(x, training=True), expected)
+    np.testing.assert_array_equal(layer.forward(x, training=False), expected)
+    layer.forward(x, training=True)
+    g = rng.normal(size=x.shape).astype(dtype)
+    np.testing.assert_array_equal(
+        layer.backward(g), np.where(mask, g, g * dtype.type(alpha or 0.0))
+    )
+
+
+@pytest.mark.parametrize("label", DTYPES)
+def test_activations_on_nan_inf_signed_zero_and_a_denormal(label):
+    dtype = resolve_dtype(label)
+    denormal = np.finfo(dtype).smallest_subnormal
+    x = np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, denormal, -denormal, -1.0, 2.0], dtype)
+    for training in (False, True):
+        relu = ReLU().forward(x, training=training)
+        # NaN propagates (the masked copy wrote 0: `nan > 0` is false)
+        assert np.isnan(relu[0])
+        np.testing.assert_array_equal(relu[1:], [0, np.inf, 0, 0, denormal, 0, 0, 2])
+        leaky = LeakyReLU(0.5).forward(x, training=training)
+        assert np.isnan(leaky[0])
+        np.testing.assert_array_equal(
+            leaky[1:], [-np.inf, np.inf, 0, 0, denormal, -denormal * 0.5, -0.5, 2]
+        )
+        assert relu.dtype == leaky.dtype == dtype
+    # alpha == 0 multiplies inf by zero: +inf comes out NaN, still non-finite
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(LeakyReLU(0.0).forward(np.array([np.inf], dtype))[0])
+    # gradients flow where x > 0 only: not through NaN, zeros or -inf
+    layer = ReLU()
+    layer.forward(x, training=True)
+    np.testing.assert_array_equal(
+        layer.backward(np.ones_like(x)), [0, 0, 1, 0, 0, 1, 0, 0, 1]
+    )
+
+
+# -- max pooling ------------------------------------------------------------------
+
+
+def _tied(rng, shape, dtype):
+    """Inputs quantised to one decimal: most windows hold a tie."""
+    return np.round(rng.normal(size=shape), 1).astype(dtype)
+
+
+@pytest.mark.parametrize("label", DTYPES)
+@pytest.mark.parametrize("hw", [(8, 8), (9, 7), (11, 10)])
+@pytest.mark.parametrize("pool,stride", [(2, 2), (3, 3), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1)])
+def test_maxpool_equals_gathered_max_and_argmax_routing_on_ties(pool, stride, hw, label):
+    dtype = resolve_dtype(label)
+    rng = np.random.default_rng(37)
+    x = _tied(rng, (2, 3, *hw), dtype)
+    layer = MaxPool2D(pool, stride=stride)
+    out = layer.forward(x, training=True)
+    np.testing.assert_array_equal(out, gathered_max(x, pool, stride))
+    np.testing.assert_array_equal(layer.forward(x, training=False), out)
+    layer.forward(x, training=True)
+    # small integers: every sum of them is exact, so the comparison is
+    # of the routing alone, whatever order a shared cell is summed in
+    g = rng.integers(-8, 9, size=out.shape).astype(dtype)
+    np.testing.assert_array_equal(layer.backward(g), argmax_loop_backward(x, g, pool, stride))
+
+
+def test_maxpool_rows_no_window_covers_get_zero_gradient():
+    layer = MaxPool2D(2)
+    x = np.arange(2 * 1 * 5 * 5, dtype=np.float64).reshape(2, 1, 5, 5)
+    layer.forward(x, training=True)
+    grad = layer.backward(np.full((2, 1, 2, 2), np.nan))  # poison: must not spread
+    assert np.all(grad[:, :, 4, :] == 0) and np.all(grad[:, :, :, 4] == 0)
+
+
+# -- batch-norm forward -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", DTYPES)
+@pytest.mark.parametrize("bn_cls,shape", [(BatchNorm2D, (6, 5, 4, 4)), (BatchNorm1D, (9, 5))])
+def test_batchnorm_forward_equals_the_two_centring_expression(bn_cls, shape, label):
+    dtype = resolve_dtype(label)
+    rng = np.random.default_rng(41)
+    layer = bn_cls(5, dtype=dtype)
+    layer.params["gamma"].value[...] = rng.normal(size=5).astype(dtype)
+    layer.params["beta"].value[...] = rng.normal(size=5).astype(dtype)
+    for _ in range(3):  # running statistics move between the batches
+        x = (3.0 * rng.normal(size=shape) + 1.5).astype(dtype)
+        expected = two_centring_batchnorm(layer, x, training=True)
+        out = layer.forward(x, training=True)
+        np.testing.assert_array_equal(out, expected[0])
+        x_hat, inv_std = layer._cache
+        np.testing.assert_array_equal(x_hat, expected[1])
+        np.testing.assert_array_equal(inv_std, expected[2])
+        np.testing.assert_array_equal(layer.running_mean, expected[3])
+        np.testing.assert_array_equal(layer.running_var, expected[4])
+        assert layer.running_mean.dtype == layer.running_var.dtype == dtype
+    expected = two_centring_batchnorm(layer, x, training=False)
+    np.testing.assert_array_equal(layer.forward(x, training=False), expected[0])
+    np.testing.assert_array_equal(layer.running_mean, expected[3])
+
+
+# -- one training step of a decoded network, layer by layer --------------------------
+
+
+def _primitive_layers(network):
+    for layer in network.layers:
+        if isinstance(layer, PhaseBlock):
+            yield from (sub for _, sub in layer._sublayers())
+        else:
+            yield layer
+
+
+def _record_one_training_step(network, x, grad):
+    """Run forward/backward once; return ``[(layer, x_in, out, g_out, g_in)]``
+    for every primitive layer, every array copied as the layer saw it."""
+    calls = {}
+    for layer in _primitive_layers(network):
+        record = calls[id(layer)] = {"layer": layer}
+        if isinstance(layer, _BatchNorm):
+            record["expected"] = None  # filled in at forward time, before state moves
+
+        def forward(x_in, training=False, _layer=layer, _record=record):
+            if isinstance(_layer, _BatchNorm):
+                _record["expected"] = two_centring_batchnorm(_layer, x_in, training)
+            _record["x"] = x_in.copy()
+            out = type(_layer).forward(_layer, x_in, training=training)
+            _record["out"] = out.copy()
+            return out
+
+        def backward(g_out, _layer=layer, _record=record):
+            _record["g_out"] = g_out.copy()
+            g_in = type(_layer).backward(_layer, g_out)
+            _record["g_in"] = g_in.copy()
+            return g_in
+
+        layer.forward, layer.backward = forward, backward
+    network.forward(x, training=True)
+    network.backward(grad)
+    return list(calls.values())
+
+
+@pytest.mark.parametrize("label", DTYPES)
+def test_decoded_network_training_step_equals_the_replaced_kernels_layer_by_layer(label):
+    dtype = resolve_dtype(label)
+    rng = np.random.default_rng(43)
+    genome = random_genome(rng, n_phases=3, nodes_per_phase=3, density=0.6)
+    network = decode_genome(
+        genome,
+        DecoderConfig(input_shape=(1, 16, 16), n_classes=2, channels=(4, 6, 8), dtype=dtype),
+        rng=rng,
+    )
+    # quantised pixels put exact ties (and exact zeros after ReLU) into
+    # the pooled maps, where the tie rule is what is being compared
+    x = np.round(rng.normal(size=(6, 1, 16, 16)), 1).astype(dtype)
+    grad = rng.normal(size=(6, 2)).astype(dtype)
+    seen = set()
+    for call in _record_one_training_step(network, x, grad):
+        layer = call["layer"]
+        seen.add(type(layer).__name__)
+        if isinstance(layer, ReLU):
+            expected, mask = masked_relu(call["x"])
+            np.testing.assert_array_equal(call["out"], expected)
+            np.testing.assert_array_equal(call["g_in"], call["g_out"] * mask)
+        elif isinstance(layer, MaxPool2D):
+            np.testing.assert_array_equal(call["out"], gathered_max(call["x"], 2, 2))
+            np.testing.assert_array_equal(
+                call["g_in"], argmax_loop_backward(call["x"], call["g_out"], 2, 2)
+            )
+        elif isinstance(layer, _BatchNorm):
+            out, x_hat, _, running_mean, running_var = call["expected"]
+            np.testing.assert_array_equal(call["out"], out)
+            np.testing.assert_array_equal(layer.running_mean, running_mean)
+            np.testing.assert_array_equal(layer.running_var, running_var)
+            g = call["g_out"]
+            np.testing.assert_array_equal(
+                layer.params["gamma"].grad, (g * x_hat).sum(axis=layer._axes)
+            )
+            np.testing.assert_array_equal(layer.params["beta"].grad, g.sum(axis=layer._axes))
+    assert {"ReLU", "MaxPool2D", "BatchNorm2D", "Conv2D"} <= seen

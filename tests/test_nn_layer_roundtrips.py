@@ -66,6 +66,18 @@ class TestLayerRoundTrips:
         layer = factory(rng)
         assert type(layer).__name__ in repr(layer)
 
+    def test_backward_needs_a_training_mode_forward(self, factory, shape, rng):
+        layer = factory(rng)
+        x = rng.normal(size=(3, *shape))
+        grad = np.ones((3, *layer.output_shape(shape)))
+        with pytest.raises(RuntimeError, match="before a training-mode forward"):
+            layer.backward(grad)  # fresh layer
+        layer.forward(x, training=True)
+        layer.backward(grad)
+        layer.forward(x, training=False)  # an eval pass drops the cache
+        with pytest.raises(RuntimeError, match="before a training-mode forward"):
+            layer.backward(grad)
+
 
 def test_all_registered_types_covered():
     covered = {

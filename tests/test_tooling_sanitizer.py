@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.lineage.tracker import LineageTracker
+from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
 from repro.nas.evaluation import TrainingEvaluator
 from repro.nas.genome import random_genome
 from repro.nas.population import Individual
@@ -95,6 +96,27 @@ class TestSanitizerHooks:
         assert fault.kind == "nonfinite-activation"
         assert fault.epoch == 2
         assert fault.layer == 1
+        assert fault.detail["n_nan"] > 0
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_born_inside_a_phase_reaches_the_phase_output(self, rng, dtype, training):
+        # the sanitizer sees Network-level layers only, so a NaN in a
+        # conv -> bn -> relu node must survive the node to be seen at all;
+        # the masked-copy ReLU turned it into 0 (`nan > 0` is false)
+        net = decode_genome(
+            random_genome(rng), DecoderConfig((1, 16, 16), 2, (4, 6, 8), dtype=dtype), rng=rng
+        )
+        phase = net.layers[0]
+        assert isinstance(phase, PhaseBlock)
+        phase.nodes[0][0].params["weight"].value[0, 0, 1, 1] = np.nan
+        Sanitizer().watch(net)
+        x = rng.normal(size=(4, 1, 16, 16)).astype(dtype)
+        with pytest.raises(NumericalFault) as excinfo:
+            net.forward(x, training=training)
+        fault = excinfo.value
+        assert fault.kind == "nonfinite-activation"
+        assert fault.layer == 0
         assert fault.detail["n_nan"] > 0
 
     def test_nonfinite_parameter_gradient_detected(self, rng):

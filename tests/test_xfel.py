@@ -1,5 +1,7 @@
 """Tests for the XFEL diffraction data simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,32 @@ class TestDiffraction:
         for i in range(3):
             single = diffraction_pattern(protein, rots[i], detector)
             np.testing.assert_allclose(batch[i], single, rtol=1e-9)
+
+    @pytest.mark.parametrize("n_shots", [1, 20, 89, 200])
+    def test_streamed_batch_equals_the_batched_expression(self, n_shots):
+        # the whole-batch formulation the per-shot stream replaced: one
+        # (shots, atoms, pixels) temporary per step (89 shots crossed its
+        # old chunk boundary at the benchmark's 220 atoms x 1024 pixels)
+        protein, _ = make_conformations(n_atoms=60)
+        detector = Detector(n_pixels=12)
+        rots = concentrated_rotations(np.random.default_rng(n_shots), n_shots, 0.35)
+        rotated_xy = np.einsum("nij,aj->nai", rots, protein.coords)[..., :2]
+        phase = rotated_xy @ detector.q_grid().T
+        factors = np.einsum("a,nap->np", protein.form_factors + 0j, np.exp(1j * phase))
+        expected = (np.abs(factors) ** 2).reshape(-1, 12, 12)
+        np.testing.assert_array_equal(diffraction_batch(protein, rots, detector), expected)
+
+    def test_batch_memory_is_one_shot_whatever_the_batch(self):
+        protein, _ = make_conformations(n_atoms=220)
+        detector = Detector(n_pixels=32)
+        rots = concentrated_rotations(np.random.default_rng(5), 40, 0.35)
+        one_complex_buffer = protein.n_atoms * detector.n_pixels**2 * 16
+        tracemalloc.start()
+        diffraction_batch(protein, rots, detector)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # a (40, atoms, pixels) complex temporary would be 40 buffers
+        assert peak < 8 * one_complex_buffer, f"peak {peak} bytes"
 
     def test_orientation_changes_pattern(self, rng):
         protein, _ = make_conformations(n_atoms=60)
