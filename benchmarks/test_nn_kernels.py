@@ -10,7 +10,7 @@ of the one memory pass it has to make.  Both sides are timed in the same
 process (best of 40), so the bound does not depend on the host's speed.
 """
 
-import time
+import timeit
 
 import numpy as np
 import pytest
@@ -96,15 +96,6 @@ def test_engine_fit(benchmark):
     assert result is not None
 
 
-def _best_seconds(fn, repeats=40):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.parametrize(
     "make_layer,bound",
     [
@@ -119,8 +110,8 @@ def test_forward_stays_within_a_multiple_of_one_memory_pass(make_layer, bound):
     x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
     out = np.empty_like(x)
     layer = make_layer()
-    one_pass = _best_seconds(lambda: np.maximum(x, 0, out=out))
-    forward = _best_seconds(lambda: layer.forward(x, training=True))
+    one_pass = min(timeit.repeat(lambda: np.maximum(x, 0, out=out), number=1, repeat=40))
+    forward = min(timeit.repeat(lambda: layer.forward(x, training=True), number=1, repeat=40))
     assert forward <= bound * one_pass, (
         f"{type(layer).__name__}.forward took {forward / one_pass:.1f}x one "
         f"np.maximum pass over {shape} (bound {bound}x)"

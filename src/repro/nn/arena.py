@@ -45,8 +45,8 @@ class BufferArena:
     ----------
     dtype:
         Default element type for buffers requested without an explicit
-        dtype — the network's compute dtype.  Integer/bool buffers
-        (argmax indices, masks) always pass their dtype explicitly.
+        dtype — the network's compute dtype.  Bool buffers (activation
+        and pooling-route masks) always pass their dtype explicitly.
     """
 
     def __init__(self, dtype=None) -> None:
@@ -57,7 +57,7 @@ class BufferArena:
         """The pinned buffer for ``(owner, name, shape, dtype)``.
 
         Allocated with ``np.empty`` on first request (callers that need
-        zeros zero it explicitly — most GEMM/scatter consumers overwrite
+        zeros zero it explicitly — most GEMM/gather consumers overwrite
         every element anyway), then returned as-is forever after.
         """
         dtype = np.dtype(self.dtype if dtype is None else dtype)

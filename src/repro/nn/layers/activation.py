@@ -9,6 +9,13 @@ from repro.nn.layers.base import Layer
 __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
 
 
+def _positive_mask(layer: Layer, x: np.ndarray) -> np.ndarray:
+    """``x > 0`` in ``layer``'s mask scratch: what (Leaky)ReLU's backward needs."""
+    mask = layer._buf("mask", x.shape, np.bool_)
+    np.greater(x, 0, out=mask)
+    return mask
+
+
 class ReLU(Layer):
     """Rectified linear unit, ``max(x, 0)``.
 
@@ -25,11 +32,7 @@ class ReLU(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = self._buf("out", x.shape, x.dtype)
         np.maximum(x, 0, out=out)
-        if training:
-            self._mask = self._buf("mask", x.shape, np.bool_)
-            np.greater(x, 0, out=self._mask)
-        else:
-            self._mask = None
+        self._mask = _positive_mask(self, x) if training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -58,11 +61,7 @@ class LeakyReLU(Layer):
         np.multiply(x, self.alpha, out=out)
         # alpha < 1, so alpha * x is the smaller of the two exactly where x > 0
         np.maximum(x, out, out=out)
-        if training:
-            self._mask = self._buf("mask", x.shape, np.bool_)
-            np.greater(x, 0, out=self._mask)
-        else:
-            self._mask = None
+        self._mask = _positive_mask(self, x) if training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -10,8 +10,11 @@ blocks (the transpose-copy's working set stays cache-sized), with every
 GEMM running ``np.matmul(..., out=...)`` on views: the forward product
 lands directly in NCHW layout (no output transpose), the weight gradient
 is a batched GEMM against the column transpose-view, and the input
-gradient scatters from column space.  1x1/stride-1/unpadded convs skip
-the column copy and the scatter entirely.
+gradient is a second convolution through the same gather and GEMM — the
+output gradient, zero-dilated by the stride and zero-padded, correlated
+with the flipped, channel-transposed kernel (DESIGN §12) — so nothing is
+ever scattered.  1x1/stride-1/unpadded convs skip the column copy in
+both directions.
 
 :func:`im2col` / :func:`col2im` are the textbook sample-major
 formulation ``(N, oh*ow, C*k*k)``.  The layer does not call them; they
@@ -178,6 +181,25 @@ class Conv2D(Layer):
             )
         return oh, ow
 
+    def _columns(
+        self, name: str, padded: np.ndarray, stride: int, oh: int, ow: int
+    ) -> np.ndarray:
+        """Channel-major im2col of ``padded`` into ``name`` scratch.
+
+        ``(N, C, H, W) -> (N, C*k*k, oh*ow)``, viewed ``(N, C, k, k, oh,
+        ow)``: each channel's ``k*k`` taps are contiguous runs of ``ow``
+        output pixels, so the transpose-copy stays sequential.
+        """
+        n, c = padded.shape[:2]
+        k = self.kernel_size
+        cols = self._buf(name, (n, c * k * k, oh * ow), padded.dtype)
+        cols6 = cols.reshape(n, c, k, k, oh, ow)
+        windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        for c0 in range(0, c, _CHANNEL_BLOCK):
+            c1 = min(c0 + _CHANNEL_BLOCK, c)
+            np.copyto(cols6[:, c0:c1], windows[:, c0:c1].transpose(0, 1, 4, 5, 2, 3))
+        return cols
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
@@ -202,17 +224,7 @@ class Conv2D(Layer):
             # the input IS the column matrix — no copy, no scatter later
             cols = x.reshape(n, c, p)
         else:
-            cols = self._buf("cols", (n, c * k * k, p), dt)
-            # channel-major view (N, C, k, k, oh, ow): each channel's k*k
-            # taps are contiguous runs of ow output pixels, so both the
-            # transpose-copy below and the backward scatter stay sequential
-            cols6 = cols.reshape(n, c, k, k, oh, ow)
-            windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-            for c0 in range(0, c, _CHANNEL_BLOCK):
-                c1 = min(c0 + _CHANNEL_BLOCK, c)
-                np.copyto(
-                    cols6[:, c0:c1], windows[:, c0:c1].transpose(0, 1, 4, 5, 2, 3)
-                )
+            cols = self._columns("cols", padded, s, oh, ow)
         kernel = self.params["weight"].value.reshape(self.out_channels, -1)
         out = self._buf("out", (n, self.out_channels, oh, ow), dt)
         # (out_c, C*k*k) @ (N, C*k*k, oh*ow) -> (N, out_c, oh*ow): the
@@ -220,27 +232,19 @@ class Conv2D(Layer):
         np.matmul(kernel, cols, out=out.reshape(n, self.out_channels, p))
         if self.use_bias:
             out += self.params["bias"].value.reshape(1, -1, 1, 1)
-        self._cache = (cols, padded.shape) if training else None
+        self._cache = (cols, x.shape) if training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
-        cols, padded_shape = self._cache
+        cols, x_shape = self._cache
         k, s, c = self.kernel_size, self.stride, self.in_channels
         n, oc, oh, ow = grad_out.shape
-        p = oh * ow
+        h, w = x_shape[2:]
         dt = grad_out.dtype
-        if grad_out.flags.c_contiguous:
-            g3 = grad_out.reshape(n, oc, p)
-        else:
-            # e.g. an interior view of an upstream layer's padded-grad
-            # buffer; compact it once so the GEMMs below get BLAS strides
-            gbuf = self._buf("gout", grad_out.shape, dt)
-            np.copyto(gbuf, grad_out)
-            g3 = gbuf.reshape(n, oc, p)
+        g3 = grad_out.reshape(n, oc, oh * ow)
         weight = self.params["weight"]
-        kernel = weight.value.reshape(oc, -1)
         # dW: (N, out_c, P) @ (N, P, C*k*k) per batch item, reduced over N
         dw_batch = self._buf("dw_batch", (n, oc, c * k * k), dt)
         np.matmul(g3, cols.transpose(0, 2, 1), out=dw_batch)
@@ -251,30 +255,38 @@ class Conv2D(Layer):
             db = self._buf("db", (oc,), dt)
             np.sum(g3, axis=(0, 2), out=db)
             self.params["bias"].grad += db
-        # dX: back to column space, then scatter-add (col2im adjoint on
-        # the channel-major layout — no transposes needed)
-        gcols = self._buf("gcols", (n, c * k * k, p), dt)
-        np.matmul(kernel.T, g3, out=gcols)
         if k == 1 and s == 1 and not (self.pad_before or self.pad_after):
-            # 1x1 conv: column space IS image space, nothing to scatter
-            return gcols.reshape(n, c, oh, ow)
-        g6 = gcols.reshape(n, c, k, k, oh, ow)
-        grad_padded = self._buf("grad_padded", padded_shape, dt)
-        grad_padded[...] = 0.0
-        for i in range(k):
-            for j in range(k):
-                grad_padded[
-                    :, :, i : i + oh * s : s, j : j + ow * s : s
-                ] += g6[:, :, i, j]
-        pb, pa = self.pad_before, self.pad_after
-        if pb or pa:
-            return grad_padded[
-                :,
-                :,
-                pb : grad_padded.shape[2] - pa,
-                pb : grad_padded.shape[3] - pa,
-            ]
-        return grad_padded
+            # 1x1 conv: column space IS image space, dX = W^T g
+            flipped, gcols = weight.value.reshape(oc, c).T, g3
+        else:
+            # dX[a] = sum_i W[i] g[(a + pad - i) / s]: a stride-1 correlation
+            # of the flipped kernel with g laid out on a zero canvas, output
+            # p at row ``first + p * s`` (dilation undoes the stride, the
+            # k - 1 border is the "full" correlation's padding)
+            first = k - 1 - self.pad_before
+            canvas = self._buf("gcanvas", (n, oc, h + k - 1, w + k - 1), dt)
+            canvas[...] = 0.0
+            # padding wider than k - 1 puts outputs that saw only padding
+            # off the canvas: crop them (input rows no window reached stay 0)
+            lo = max(0, -(first // s))
+            hi_h = min(oh, (h + k - 2 - first) // s + 1)
+            hi_w = min(ow, (w + k - 2 - first) // s + 1)
+            if lo < hi_h and lo < hi_w:
+                canvas[
+                    :,
+                    :,
+                    first + lo * s : first + (hi_h - 1) * s + 1 : s,
+                    first + lo * s : first + (hi_w - 1) * s + 1 : s,
+                ] = grad_out[:, :, lo:hi_h, lo:hi_w]
+            gcols = self._columns("gcols", canvas, 1, h, w)
+            flipped = self._buf("wflip", (c, oc * k * k), dt)
+            np.copyto(
+                flipped.reshape(c, oc, k, k),
+                weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+            )
+        grad_in = self._buf("grad_in", x_shape, dt)
+        np.matmul(flipped, gcols, out=grad_in.reshape(n, c, h * w))
+        return grad_in
 
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape

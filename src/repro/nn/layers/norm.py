@@ -83,22 +83,19 @@ class _BatchNorm(Layer):
         ndim = grad_out.ndim
         t = self._buf("bwd_tmp", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, x_hat, out=t)
-        self.params["gamma"].grad += t.sum(axis=self._axes)
-        self.params["beta"].grad += grad_out.sum(axis=self._axes)
-
-        gamma = self._shape_params(self.params["gamma"].value, ndim)
-        inv = self._shape_params(inv_std, ndim)
-        g = self._buf("g", grad_out.shape, grad_out.dtype)
-        np.multiply(grad_out, gamma, out=g)
-        sum_g = self._shape_params(g.sum(axis=self._axes), ndim)
-        np.multiply(g, x_hat, out=t)
-        sum_gx = self._shape_params(t.sum(axis=self._axes), ndim)
+        dgamma = t.sum(axis=self._axes)
+        dbeta = grad_out.sum(axis=self._axes)
+        self.params["gamma"].grad += dgamma
+        self.params["beta"].grad += dbeta
+        # dx = gamma/sigma * (g - mean(g) - x_hat * mean(g * x_hat)), with
+        # gamma, 1/sigma and 1/m folded into per-channel vectors first so
+        # the map itself is only scaled, shifted and subtracted from
+        scale = self.params["gamma"].value * inv_std
+        np.multiply(x_hat, self._shape_params(scale * dgamma / m, ndim), out=t)
         grad_in = self._buf("grad_in", grad_out.shape, grad_out.dtype)
-        np.multiply(x_hat, sum_gx, out=grad_in)  # x_hat * sum_gx
-        np.multiply(g, m, out=g)  # m * g
-        g -= sum_g
-        g -= grad_in  # (m*g - sum_g) - x_hat*sum_gx
-        np.multiply(g, inv / m, out=grad_in)
+        np.multiply(grad_out, self._shape_params(scale, ndim), out=grad_in)
+        grad_in -= self._shape_params(scale * dbeta / m, ndim)
+        grad_in -= t
         return grad_in
 
     def flops(self, input_shape: tuple) -> int:

@@ -47,6 +47,16 @@ class _Pool2D(Layer):
         view = sliding_window_view(x, (self.pool_size, self.pool_size), axis=(2, 3))
         return view[:, :, :: self.stride, :: self.stride, :, :]
 
+    def _taps(self, x: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
+        """Window cell ``(i, j)`` of every window, as ``k*k`` views, row-major."""
+        k, s = self.pool_size, self.stride
+        rows, cols = (oh - 1) * s + 1, (ow - 1) * s + 1
+        return [
+            x[:, :, i : i + rows : s, j : j + cols : s]
+            for i in range(k)
+            for j in range(k)
+        ]
+
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape
         oh, ow = self._out_hw(h, w)
@@ -64,16 +74,6 @@ class MaxPool2D(_Pool2D):
     leave it untouched between the two passes (the lifetime every
     arena-bound producer already guarantees).
     """
-
-    def _taps(self, x: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
-        """Window cell ``(i, j)`` of every window, as ``k*k`` views, row-major."""
-        k, s = self.pool_size, self.stride
-        rows, cols = (oh - 1) * s + 1, (ow - 1) * s + 1
-        return [
-            x[:, :, i : i + rows : s, j : j + cols : s]
-            for i in range(k)
-            for j in range(k)
-        ]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
@@ -138,15 +138,12 @@ class AvgPool2D(_Pool2D):
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
         x_shape = self._cache
-        k, s = self.pool_size, self.stride
-        n, c, oh, ow = grad_out.shape
         grad_x = self._buf("grad_x", x_shape, grad_out.dtype)
         grad_x[...] = 0.0
         share = self._buf("share", grad_out.shape, grad_out.dtype)
-        np.true_divide(grad_out, k * k, out=share)
-        for i in range(k):
-            for j in range(k):
-                grad_x[:, :, i : i + oh * s : s, j : j + ow * s : s] += share
+        np.true_divide(grad_out, self.pool_size**2, out=share)
+        for tap in self._taps(grad_x, *grad_out.shape[2:]):
+            tap += share
         return grad_x
 
     def flops(self, input_shape: tuple) -> int:

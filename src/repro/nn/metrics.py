@@ -42,9 +42,9 @@ def confusion_matrix(predictions: np.ndarray, targets: np.ndarray, n_classes: in
     """Counts matrix ``C[i, j]`` = samples of true class ``i`` predicted ``j``."""
     predicted = _labels_from(predictions)
     targets = np.asarray(targets)
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(matrix, (targets, predicted), 1)
-    return matrix
+    # ravel_multi_index rejects a label outside [0, n_classes)
+    cells = np.ravel_multi_index((targets, predicted), (n_classes, n_classes))
+    return np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def per_class_accuracy(

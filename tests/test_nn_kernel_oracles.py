@@ -1,12 +1,18 @@
 """The one-pass ``nn`` kernels against the expressions they replaced.
 
-The replaced formulations live here, and only here, as oracles: the
-masked-copy ReLU/LeakyReLU, the window-gather max pool with its
-per-window ``argmax`` routing, and the batch-norm forward that centred
-its input twice.  Those three are held *equal as values* (``-0.0 ==
-+0.0``: ReLU no longer normalises the sign of a zero, DESIGN §12), layer
-by layer on one training step of a decoded network and on edge-case
-inputs of their own.
+The replaced formulations live here, and only here, as oracles.  Two
+groups, as the two commits that introduced them:
+
+* **Same values** — the masked-copy ReLU/LeakyReLU, the window-gather max
+  pool with its per-window ``argmax`` routing, and the batch-norm forward
+  that centred its input twice are held *equal as values* (``-0.0 ==
+  +0.0``: ReLU no longer normalises the sign of a zero, DESIGN §12).
+* **Re-associated** — the conv input gradient as ``col2im(W^T g)`` and
+  the twelve-pass batch-norm backward sum the same terms in another
+  order, so they are held at a tolerance fixed from the dtype.
+
+Both on inputs of their own and layer by layer on one training step of a
+decoded network.
 """
 
 import numpy as np
@@ -16,10 +22,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
 from repro.nas.genome import random_genome
 from repro.nn.dtype import resolve_dtype
-from repro.nn.layers import BatchNorm1D, BatchNorm2D, LeakyReLU, MaxPool2D, ReLU
+from repro.nn.layers import BatchNorm1D, BatchNorm2D, Conv2D, LeakyReLU, MaxPool2D, ReLU
+from repro.nn.layers.conv import col2im
 from repro.nn.layers.norm import _BatchNorm
 
 DTYPES = ["float32", "float64"]
+
+
+def _tol(dtype):
+    """Every element here sums at most a few hundred O(1) products."""
+    return 1000 * np.finfo(dtype).eps
 
 
 # -- the replaced expressions ---------------------------------------------------
@@ -75,6 +87,28 @@ def two_centring_batchnorm(layer, x, training):
     out = x_hat * per_channel(layer.params["gamma"].value)
     out += per_channel(layer.params["beta"].value)
     return out, x_hat, inv_std, running_mean, running_var
+
+
+def scattered_conv_input_grad(layer, x_shape, g):
+    """``col2im(W^T g)`` on the padded image, cropped: the old conv dX."""
+    n, _, h, w = x_shape
+    k, pb, pa = layer.kernel_size, layer.pad_before, layer.pad_after
+    kernel = layer.params["weight"].value.reshape(layer.out_channels, -1)
+    g_flat = g.reshape(n, layer.out_channels, -1).transpose(0, 2, 1)  # (N, oh*ow, out_c)
+    padded_shape = (n, layer.in_channels, h + pb + pa, w + pb + pa)
+    grad_padded = col2im(g_flat @ kernel, padded_shape, k, k, layer.stride)
+    return grad_padded[:, :, pb : pb + h, pb : pb + w]
+
+
+def twelve_pass_batchnorm_backward(layer, x_hat, inv_std, g):
+    """``inv/m * (m*gamma*g - sum(gamma*g) - x_hat * sum(gamma*g*x_hat))``."""
+    m = g.size // layer.num_features
+    gamma = layer._shape_params(layer.params["gamma"].value, g.ndim)
+    inv = layer._shape_params(inv_std, g.ndim)
+    gg = g * gamma
+    sum_g = layer._shape_params(gg.sum(axis=layer._axes), g.ndim)
+    sum_gx = layer._shape_params((gg * x_hat).sum(axis=layer._axes), g.ndim)
+    return ((gg * m - sum_g) - x_hat * sum_gx) * (inv / m)
 
 
 # -- activations ------------------------------------------------------------------
@@ -186,6 +220,78 @@ def test_batchnorm_forward_equals_the_two_centring_expression(bn_cls, shape, lab
     np.testing.assert_array_equal(layer.running_mean, expected[3])
 
 
+# -- batch-norm backward ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", DTYPES)
+@pytest.mark.parametrize("bn_cls,shape", [(BatchNorm2D, (6, 5, 4, 4)), (BatchNorm1D, (9, 5))])
+def test_batchnorm_backward_equals_the_twelve_pass_expression(bn_cls, shape, label):
+    dtype = resolve_dtype(label)
+    rng = np.random.default_rng(47)
+    layer = bn_cls(5, dtype=dtype)
+    layer.params["gamma"].value[...] = rng.normal(size=5).astype(dtype)
+    x = (3.0 * rng.normal(size=shape) + 1.5).astype(dtype)
+    layer.forward(x, training=True)
+    x_hat, inv_std = (a.copy() for a in layer._cache)
+    g = rng.normal(size=shape).astype(dtype)
+    grad_in = layer.backward(g)
+    assert grad_in.dtype == dtype
+    np.testing.assert_allclose(
+        grad_in,
+        twelve_pass_batchnorm_backward(layer, x_hat, inv_std, g),
+        rtol=_tol(dtype),
+        atol=_tol(dtype),
+    )
+    np.testing.assert_array_equal(layer._cache[0], x_hat)  # the cache survives backward
+    np.testing.assert_array_equal(layer.params["gamma"].grad, (g * x_hat).sum(axis=layer._axes))
+    np.testing.assert_array_equal(layer.params["beta"].grad, g.sum(axis=layer._axes))
+
+
+# -- conv input gradient ----------------------------------------------------------
+
+# beyond test_nn_arena's CONV_GRID: (kernel, stride, padding, (h, w))
+CONV_EDGE_CASES = [
+    (4, 1, "same", (7, 6)),  # even kernel: asymmetric (1, 2) padding
+    (2, 1, (1, 0), (6, 6)),
+    (3, 2, 0, (8, 8)),  # (h - k) % stride != 0: the last input row feeds no window
+    (3, 2, (1, 0), (7, 9)),
+    (2, 3, 0, (9, 7)),  # stride > kernel: whole rows between the windows
+    (3, 1, 3, (5, 5)),  # padding > k - 1: some outputs saw padding only
+    (3, 2, (4, 5), (4, 6)),
+    (1, 1, 2, (3, 3)),
+    (1, 2, (3, 0), (2, 5)),
+    (5, 1, 2, (3, 4)),  # kernel larger than the input
+]
+
+
+@pytest.mark.parametrize("label", DTYPES)
+@pytest.mark.parametrize("kernel_size,stride,padding,hw", CONV_EDGE_CASES)
+def test_conv_input_grad_equals_the_col2im_scatter(kernel_size, stride, padding, hw, label):
+    dtype = resolve_dtype(label)
+    rng = np.random.default_rng(53)
+    layer = Conv2D(
+        3, 4, kernel_size=kernel_size, stride=stride, padding=padding, rng=rng, dtype=dtype
+    )
+    x = rng.normal(size=(2, 3, *hw)).astype(dtype)
+    out = layer.forward(x, training=True)
+    g = rng.normal(size=out.shape).astype(dtype)
+    grad_x = layer.backward(g)
+    assert grad_x.shape == x.shape and grad_x.dtype == dtype
+    expected = scattered_conv_input_grad(layer, x.shape, g)
+    np.testing.assert_allclose(grad_x, expected, rtol=_tol(dtype), atol=_tol(dtype))
+    # an input cell no window covers gets exactly zero, not a rounding residue
+    assert np.all(grad_x[expected == 0] == 0)
+
+
+def test_conv_input_rows_no_window_reaches_get_exactly_zero():
+    layer = Conv2D(2, 3, kernel_size=3, stride=2, padding=0, rng=np.random.default_rng(59))
+    x = np.random.default_rng(61).normal(size=(2, 2, 8, 8))  # windows cover rows 0..6
+    out = layer.forward(x, training=True)
+    grad_x = layer.backward(np.ones_like(out))
+    assert np.all(grad_x[:, :, 7, :] == 0) and np.all(grad_x[:, :, :, 7] == 0)
+    assert np.all(grad_x[:, :, :7, :7] != 0)
+
+
 # -- one training step of a decoded network, layer by layer --------------------------
 
 
@@ -198,13 +304,14 @@ def _primitive_layers(network):
 
 
 def _record_one_training_step(network, x, grad):
-    """Run forward/backward once; return ``[(layer, x_in, out, g_out, g_in)]``
-    for every primitive layer, every array copied as the layer saw it."""
-    calls = {}
+    """Run forward/backward once; return one ``{layer, x, out, g_out, g_in}``
+    per primitive layer, every array copied as the layer saw it (a batch
+    norm's record also holds the oracle's answer, taken before the
+    forward moved the running statistics)."""
+    records = []
     for layer in _primitive_layers(network):
-        record = calls[id(layer)] = {"layer": layer}
-        if isinstance(layer, _BatchNorm):
-            record["expected"] = None  # filled in at forward time, before state moves
+        record = {"layer": layer}
+        records.append(record)
 
         def forward(x_in, training=False, _layer=layer, _record=record):
             if isinstance(_layer, _BatchNorm):
@@ -223,7 +330,7 @@ def _record_one_training_step(network, x, grad):
         layer.forward, layer.backward = forward, backward
     network.forward(x, training=True)
     network.backward(grad)
-    return list(calls.values())
+    return records
 
 
 @pytest.mark.parametrize("label", DTYPES)
@@ -263,4 +370,17 @@ def test_decoded_network_training_step_equals_the_replaced_kernels_layer_by_laye
                 layer.params["gamma"].grad, (g * x_hat).sum(axis=layer._axes)
             )
             np.testing.assert_array_equal(layer.params["beta"].grad, g.sum(axis=layer._axes))
+            np.testing.assert_allclose(
+                call["g_in"],
+                twelve_pass_batchnorm_backward(layer, x_hat, call["expected"][2], g),
+                rtol=_tol(dtype),
+                atol=_tol(dtype),
+            )
+        elif isinstance(layer, Conv2D):
+            np.testing.assert_allclose(
+                call["g_in"],
+                scattered_conv_input_grad(layer, call["x"].shape, call["g_out"]),
+                rtol=_tol(dtype),
+                atol=_tol(dtype),
+            )
     assert {"ReLU", "MaxPool2D", "BatchNorm2D", "Conv2D"} <= seen

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.nas.decoder import DecoderConfig, decode_genome
 from repro.nas.genome import Genome, n_connection_bits
 from repro.nn import load_state_dict, network_from_config, state_dict
+from repro.nn.layers import Conv2D
 from repro.nn.serialization import architecture_config
 from repro.utils.rng import derive_rng
 
@@ -73,3 +74,48 @@ class TestBackwardShapeProperty:
         grad = network.backward(np.ones_like(out))
         assert grad.shape == x.shape
         assert np.all(np.isfinite(grad))
+
+
+class TestConvAdjointProperty:
+    """``Conv2D.backward``'s input gradient is the adjoint of the forward
+    map: ``<conv(x), g> == <x, dX(g)>`` for every geometry the layer
+    accepts — including strides that leave input rows uncovered and
+    padding wider than the kernel, where the gradient canvas is cropped."""
+
+    @given(
+        kernel_size=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        pad_before=st.integers(0, 5),
+        pad_after=st.integers(0, 5),
+        height=st.integers(1, 9),
+        width=st.integers(1, 9),
+        channels=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_input_gradient_is_the_adjoint_of_forward(
+        self, kernel_size, stride, pad_before, pad_after, height, width, channels, seed
+    ):
+        rng = derive_rng(seed, "conv-adjoint")
+        if min(height, width) + pad_before + pad_after < kernel_size:
+            with pytest.raises(ValueError, match="empty output"):
+                Conv2D(
+                    *channels, kernel_size, stride=stride, padding=(pad_before, pad_after), rng=rng
+                ).forward(np.zeros((1, channels[0], height, width)))
+            return
+        layer = Conv2D(
+            *channels,
+            kernel_size,
+            stride=stride,
+            padding=(pad_before, pad_after),
+            use_bias=False,
+            rng=rng,
+        )
+        x = rng.normal(size=(2, channels[0], height, width))
+        out = layer.forward(x, training=True)
+        g = rng.normal(size=out.shape)
+        grad_x = layer.backward(g)
+        assert grad_x.shape == x.shape
+        lhs, rhs = float(np.sum(out * g)), float(np.sum(x * grad_x))
+        scale = float(np.sum(np.abs(out * g))) + 1.0
+        assert abs(lhs - rhs) <= 1e-10 * scale
