@@ -2,12 +2,13 @@
 #
 # `make check` is the same linter gate pytest runs as a tier-1 test
 # (tests/test_tooling_linter.py::test_repo_source_passes_a4nn_check),
-# exposed directly for fast pre-commit iteration.
+# exposed directly for fast pre-commit iteration.  Speed numbers come
+# from `python bench_spine/bench.py`, not from a target here.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test bench bench-kernels bench-paper bench-scale faults readme-rules all
+.PHONY: check lint test bench-kernels bench-paper faults readme-rules all
 
 all: check test
 
@@ -21,25 +22,15 @@ lint: check
 test:
 	$(PYTHON) -m pytest -x -q
 
-# evaluation fast-path benchmark: kernel microbenches + seeded
-# end-to-end mini search, diffed against the committed document
-bench:
-	$(PYTHON) -m repro bench --compare BENCH_evalpath.json --min-speedup 1.2
-
-# kernel-tier smoke: kernel microbenches only (seconds, not minutes —
-# skips the end-to-end searches); the CI job runs this
+# kernel benchmarks (conv fwd/bwd, dense, a training step, an engine
+# fit under pytest-benchmark) and the memory-pass ratio guards; the CI
+# job of the same name runs this command
 bench-kernels:
-	$(PYTHON) -m repro bench --kernels-only --repeats 1
+	$(PYTHON) -m pytest benchmarks/test_nn_kernels.py -q
 
 # paper-figure benchmark suite (Fig. 8 convergence regimes etc.)
 bench-paper:
 	$(PYTHON) -m pytest benchmarks -q
-
-# execution-backend scaling sweep (serial/thread/process × workers),
-# diffed structurally against the committed document (wall times are
-# machine-dependent and not compared)
-bench-scale:
-	$(PYTHON) -m repro bench --scaling --compare BENCH_scaling.json
 
 # regenerate the README rule-catalog table from the rule registry
 # (tests/test_tooling_linter.py asserts it is in sync)

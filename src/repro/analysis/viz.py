@@ -9,7 +9,6 @@ phase connectivity for downstream graph tooling.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.nas.decoder import PhaseBlock
@@ -57,8 +56,10 @@ def render_network(network: Network) -> str:
     return "\n".join(lines)
 
 
-def phase_graph(genome: Genome) -> nx.DiGraph:
+def phase_graph(genome: Genome) -> "nx.DiGraph":
     """The whole genome as one networkx DAG (nodes tagged by phase)."""
+    import networkx as nx  # kept off the library's import path, as in lineage.provenance
+
     graph = nx.DiGraph()
     for p_idx, phase in enumerate(genome.phases):
         matrix = phase.connection_matrix()

@@ -1,11 +1,6 @@
-"""Comparison baselines: XPSI (autoencoder + kNN) and truncated training."""
+"""Comparison baseline: XPSI (autoencoder + kNN)."""
 
 from repro.baselines.autoencoder import Autoencoder
-from repro.baselines.fixed_training import (
-    TruncationWaste,
-    run_truncated_training,
-    truncation_waste,
-)
 from repro.baselines.knn import KNNClassifier
 from repro.baselines.xpsi import (
     PAPER_XPSI_ACCURACY,
@@ -17,9 +12,6 @@ from repro.baselines.xpsi import (
 
 __all__ = [
     "Autoencoder",
-    "TruncationWaste",
-    "run_truncated_training",
-    "truncation_waste",
     "KNNClassifier",
     "PAPER_XPSI_ACCURACY",
     "PAPER_XPSI_HOURS",

@@ -41,6 +41,7 @@ from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
 from repro.utils.io import read_json
 from repro.utils.logging import configure_logging
 from repro.utils.timing import format_hours
+from repro.utils.validation import ValidationError
 from repro.workflow import WorkflowConfig, run_comparison, run_workflow
 from repro.xfel import BeamIntensity, DatasetConfig
 
@@ -78,27 +79,30 @@ def _fault_settings_from_args(args: argparse.Namespace):
     return policy, injection
 
 
-def _fastpath_overrides(args: argparse.Namespace) -> dict:
-    """Evaluation fast-path / backend settings given explicitly on the CLI."""
-    overrides = {}
-    if args.dtype is not None:
-        overrides["dtype"] = args.dtype
-    if args.rng_keying is not None:
-        overrides["rng_keying"] = args.rng_keying
-    if args.eval_cache is not None:
-        overrides["eval_cache"] = args.eval_cache
+def _flag_overrides(args: argparse.Namespace) -> dict:
+    """Top-level ``WorkflowConfig`` fields given explicitly on the CLI."""
+    overrides = {
+        name: getattr(args, name)
+        for name in (
+            "mode", "seed", "dtype", "rng_keying", "eval_cache", "backend", "n_workers",
+        )
+        if getattr(args, name) is not None
+    }
+    if args.sanitize:
+        overrides["sanitize"] = True
     if args.sanitize_writes:
         overrides["sanitize_writes"] = True
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.n_workers is not None:
-        overrides["n_workers"] = args.n_workers
     if args.surrogate is not None:
         from repro.nas.surrogate import SurrogateConfig
 
         overrides["surrogate"] = (
             SurrogateConfig() if args.surrogate == "rank" else None
         )
+    faults, fault_injection = _fault_settings_from_args(args)
+    if faults is not None:
+        overrides["faults"] = faults
+    if fault_injection is not None:
+        overrides["fault_injection"] = fault_injection
     return overrides
 
 
@@ -113,50 +117,43 @@ def _nas_overrides(args: argparse.Namespace) -> dict:
 
 
 def _config_from_args(args: argparse.Namespace) -> WorkflowConfig:
-    faults, fault_injection = _fault_settings_from_args(args)
-    overrides = _fastpath_overrides(args)
-    nas_overrides = _nas_overrides(args)
+    """The ``--config`` document (or the CLI's defaults) with every given flag on top."""
     if args.config:
         config = WorkflowConfig.from_dict(read_json(args.config))
-        if faults is not None or fault_injection is not None:
-            # CLI fault flags override the document's fault settings
-            config = dataclasses.replace(
-                config,
-                faults=faults if faults is not None else config.faults,
-                fault_injection=fault_injection
-                if fault_injection is not None
-                else config.fault_injection,
-            )
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        if nas_overrides:
-            config = dataclasses.replace(
-                config, nas=dataclasses.replace(config.nas, **nas_overrides)
-            )
-        return config
-    config = WorkflowConfig(
-        dataset=DatasetConfig(intensity=BeamIntensity.from_label(args.intensity)),
-        mode=args.mode,
-        seed=args.seed,
-        sanitize=args.sanitize,
-        faults=faults,
-        fault_injection=fault_injection,
-        **overrides,
-    )
-    if nas_overrides:
-        config = dataclasses.replace(
-            config, nas=dataclasses.replace(config.nas, **nas_overrides)
+    else:
+        # the CLI's medium stays explicit: DatasetConfig alone defaults to high
+        config = WorkflowConfig(
+            dataset=DatasetConfig(intensity=BeamIntensity.MEDIUM),
+            mode="surrogate",
+            seed=42,
         )
-    return config
+    overrides = _flag_overrides(args)
+    if args.intensity is not None:
+        overrides["dataset"] = dataclasses.replace(
+            config.dataset, intensity=BeamIntensity.from_label(args.intensity)
+        )
+    nas_overrides = _nas_overrides(args)
+    if nas_overrides:
+        overrides["nas"] = dataclasses.replace(config.nas, **nas_overrides)
+    # one replace, so the combination is validated as a whole
+    return dataclasses.replace(config, **overrides)
 
 
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON WorkflowConfig document")
     parser.add_argument(
-        "--intensity", default="medium", choices=[m.label for m in BeamIntensity]
+        "--intensity",
+        choices=[m.label for m in BeamIntensity],
+        help="beam intensity (default medium, or the --config document's)",
     )
-    parser.add_argument("--mode", default="surrogate", choices=["surrogate", "real"])
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument(
+        "--mode",
+        choices=["surrogate", "real"],
+        help="default surrogate, or the --config document's",
+    )
+    parser.add_argument(
+        "--seed", type=int, help="root seed (default 42, or the --config document's)"
+    )
     parser.add_argument("--commons", type=Path, help="data-commons directory")
     parser.add_argument(
         "--sanitize",
@@ -404,61 +401,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import BenchReport, compare_reports, run_bench
-
-    if args.scaling:
-        return _cmd_bench_scaling(args)
-    report = run_bench(
-        seed=args.seed,
-        repeats=args.repeats,
-        skip_kernels=args.skip_kernels,
-        kernels_only=args.kernels_only,
-    )
-    print(report.summary())
-    if args.output:
-        path = report.save(args.output)
-        print(f"wrote {path}")
-    if args.compare:
-        committed = BenchReport.load(args.compare)
-        print(compare_reports(report, committed))
-    if (
-        args.min_speedup is not None
-        and report.evalpath
-        and report.speedup < args.min_speedup
-    ):
-        print(
-            f"FAIL: end-to-end speedup {report.speedup:.2f}x is below the "
-            f"required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_scaling(args: argparse.Namespace) -> int:
-    from repro.bench import ScalingReport, compare_scaling, run_scaling
-
-    report = run_scaling(seed=args.seed)
-    print(report.summary())
-    if args.output:
-        path = report.save(args.output)
-        print(f"wrote {path}")
-    if args.compare:
-        committed = ScalingReport.load(args.compare)
-        diff = compare_scaling(report, committed)
-        print(diff)
-        if "DIFF" in diff:
-            return 1
-    if not report.consistent():
-        print(
-            "FAIL: search outcome differs across execution backends",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_config(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     json.dump(config.to_dict(), sys.stdout, indent=2, sort_keys=True)
@@ -511,41 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_flags(config_parser)
     config_parser.set_defaults(handler=_cmd_config)
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="benchmark the evaluation fast path (kernels + end-to-end)"
-    )
-    bench_parser.add_argument("--seed", type=int, default=21)
-    bench_parser.add_argument(
-        "--repeats", type=int, default=5, help="timing repeats per kernel"
-    )
-    bench_parser.add_argument(
-        "--skip-kernels", action="store_true", help="run only the end-to-end benchmark"
-    )
-    bench_parser.add_argument(
-        "--kernels-only",
-        action="store_true",
-        help="run only the kernel tier (skips the slow end-to-end searches; "
-        "the CI smoke job and 'make bench-kernels' use this)",
-    )
-    bench_parser.add_argument(
-        "--scaling",
-        action="store_true",
-        help="run the execution-backend scaling sweep instead "
-        "(serial/thread/process × worker counts; BENCH_scaling.json)",
-    )
-    bench_parser.add_argument(
-        "--output", type=Path, help="write the bench document (BENCH_evalpath.json)"
-    )
-    bench_parser.add_argument(
-        "--compare", type=Path, help="diff against a committed bench document"
-    )
-    bench_parser.add_argument(
-        "--min-speedup",
-        type=float,
-        help="exit nonzero when the end-to-end speedup falls below this factor",
-    )
-    bench_parser.set_defaults(handler=_cmd_bench)
-
     check_parser = subparsers.add_parser(
         "check", help="run the A4NN static-analysis rule catalog over source files"
     )
@@ -576,7 +483,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
         configure_logging()
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ValidationError as exc:
+        # the messages already say which setting to change
+        print(f"a4nn: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

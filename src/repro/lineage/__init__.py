@@ -8,7 +8,6 @@ and analyzed via :class:`~repro.lineage.provenance.ProvenanceGraph`.
 """
 
 from repro.lineage.commons import DataCommons
-from repro.lineage.dataverse import CitationMetadata, export_bundle, import_bundle
 from repro.lineage.provenance import ProvenanceGraph
 from repro.lineage.replay import ReplayReport, replay_run, verify_run
 from repro.lineage.records import EpochRecord, ModelRecord, RunRecord
@@ -16,9 +15,6 @@ from repro.lineage.tracker import LineageTracker
 
 __all__ = [
     "DataCommons",
-    "CitationMetadata",
-    "export_bundle",
-    "import_bundle",
     "ProvenanceGraph",
     "ReplayReport",
     "replay_run",

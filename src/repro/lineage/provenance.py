@@ -8,8 +8,6 @@ Built on :mod:`networkx` so users get its analysis/IO ecosystem.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.lineage.records import ModelRecord
 from repro.nas.genome import Genome
 
@@ -20,6 +18,8 @@ class ProvenanceGraph:
     """A DAG of architecture lineage across generations."""
 
     def __init__(self) -> None:
+        import networkx as nx  # 0.12 s and 20 MiB: paid by whoever builds a graph, not by every import
+
         self.graph = nx.DiGraph()
 
     def add_model(self, record: ModelRecord) -> None:
@@ -63,10 +63,14 @@ class ProvenanceGraph:
 
     def ancestors(self, model_id: int) -> set:
         """All transitive parents of a model."""
+        import networkx as nx
+
         return nx.ancestors(self.graph, model_id)
 
     def descendants(self, model_id: int) -> set:
         """All transitive offspring of a model."""
+        import networkx as nx
+
         return nx.descendants(self.graph, model_id)
 
     def fittest_lineage(self) -> list[int]:

@@ -37,12 +37,6 @@ from repro.scheduler.procpool import (
 )
 from repro.scheduler.resources import Gpu, GpuPool
 from repro.scheduler.simulator import WallTimeReport, jobs_by_generation, simulate_walltime
-from repro.scheduler.trace import (
-    ascii_timeline,
-    chrome_trace,
-    pool_chrome_trace,
-    pool_timeline,
-)
 
 __all__ = [
     "PAPER_TRAIN_IMAGES",
@@ -72,8 +66,4 @@ __all__ = [
     "WallTimeReport",
     "jobs_by_generation",
     "simulate_walltime",
-    "ascii_timeline",
-    "chrome_trace",
-    "pool_chrome_trace",
-    "pool_timeline",
 ]

@@ -213,23 +213,22 @@ _GUARD_TRIP_MARKERS = ("read-only", "read only", "not writeable", "writeable")
 class WriteGuard:
     """Runtime aliasing validator: borrowed tensors become read-only.
 
-    The static ALIAS rules prove arena scratch and ``out=`` targets stay
-    disjoint from live read operands — but only for the calls the
-    abstract interpreter understands.  This guard backstops the rest at
+    Nothing static proves that arena scratch and ``out=`` targets stay
+    disjoint from live read operands, so this guard checks it at
     runtime: around every layer call the borrowed inter-layer tensor is
     flipped read-only (``arr.flags.writeable = False``), so a layer that
-    writes its *input* (the bug class ALIAS001/EFF001 police statically)
-    raises immediately instead of silently corrupting a neighbour's
-    buffer.  The flip touches only flags — never values — so a guarded
-    run that does not trip is byte-identical to an unguarded one.
+    writes its *input* raises immediately instead of silently corrupting
+    a neighbour's buffer.  The flip touches only flags — never values —
+    so a guarded run that does not trip is byte-identical to an
+    unguarded one.
 
     Trips surface as :class:`NumericalFault` (``kind="guarded-write"``)
     and flow through the same fault → lineage path as numerical faults.
 
     Scope: the guard sits at the :class:`~repro.nn.network.Network`
     layer seam; writes *inside* a composite layer (e.g. between a
-    phase block's internal nodes) are not covered — that is the static
-    packs' job (DESIGN §13).
+    phase block's internal nodes) are not covered — the bound ≡ unbound
+    bitwise tests are what catch those (DESIGN §12).
     """
 
     def __init__(self, model: str | None = None) -> None:

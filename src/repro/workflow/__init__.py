@@ -1,8 +1,8 @@
 """Workflow orchestration (paper §2.2, §2.6).
 
-The orchestrator composes the prediction engine, NAS, shared histories,
-lineage tracking, the data commons, and the resource manager from one
-user-facing :class:`~repro.workflow.interfaces.WorkflowConfig`.
+The orchestrator composes the prediction engine, NAS, lineage tracking,
+the data commons, and the resource manager from one user-facing
+:class:`~repro.workflow.interfaces.WorkflowConfig`.
 """
 
 from repro.workflow.driver import (
@@ -11,7 +11,6 @@ from repro.workflow.driver import (
     run_standalone,
     run_workflow,
 )
-from repro.workflow.history import HistoryStore, ModelHistory
 from repro.workflow.interfaces import WorkflowConfig
 from repro.workflow.orchestrator import A4NNOrchestrator, WorkflowResult
 from repro.workflow.resume import individual_from_record, rebuild_search_state, resume_workflow
@@ -21,8 +20,6 @@ __all__ = [
     "run_comparison",
     "run_standalone",
     "run_workflow",
-    "HistoryStore",
-    "ModelHistory",
     "WorkflowConfig",
     "A4NNOrchestrator",
     "WorkflowResult",

@@ -2,10 +2,10 @@
 
 Ties together the components of the paper's Fig. 1: it instantiates the
 prediction engine from user settings, plugs it into the NAS through the
-Algorithm-1 evaluator, routes per-epoch data to the shared history store
-and the lineage tracker, publishes record trails to the data commons,
-and hands the recorded workload to the resource manager for wall-time
-accounting on each requested GPU-pool size.
+Algorithm-1 evaluator, routes per-epoch data to the lineage tracker,
+publishes record trails to the data commons, and hands the recorded
+workload to the resource manager for wall-time accounting on each
+requested GPU-pool size.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.scheduler.procpool import EvalSpec, ProcessWorkerPool
 from repro.scheduler.simulator import WallTimeReport, simulate_walltime
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
-from repro.workflow.history import HistoryStore
 from repro.workflow.interfaces import WorkflowConfig
 from repro.xfel.dataset import load_or_generate
 from repro.xfel.shm import share_dataset
@@ -109,7 +108,6 @@ class A4NNOrchestrator:
         self.config = config
         self.commons = commons
         self.checkpoint_dir = checkpoint_dir
-        self.history_store = HistoryStore()
         self.memoizer: MemoizingStream | None = None  # the eval cache, when on
         self.allocator: BudgetAllocator | None = None
         self.pool = None  # WorkerPool under the stream, when one exists
@@ -131,9 +129,6 @@ class A4NNOrchestrator:
         injection = self.config.fault_injection
         return injection is not None and injection.rate > 0
 
-    def _history_observer(self, individual, epoch, fitness, prediction, context) -> None:
-        self.history_store.for_model(individual.model_id).record_epoch(fitness, prediction)
-
     def build_evaluator(self, tracker: LineageTracker, engine: PredictionEngine | None):
         """The evaluation backend for the configured mode, with observers wired.
 
@@ -143,7 +138,7 @@ class A4NNOrchestrator:
         fault injection (test harness) wraps *inside* the policy so
         injected failures are routed like real ones.
         """
-        observers = [self._history_observer, tracker.observe_epoch]
+        observers = [tracker.observe_epoch]
         stream = RngStream(self.config.seed)
         self._tracker = tracker
         if self.config.mode == "real":
@@ -295,8 +290,8 @@ class A4NNOrchestrator:
         """
         if self.pool is not None:
             # close first (it flushes an interrupted stream's report),
-            # then keep the reports so callers (the scaling bench, the
-            # pool-timeline renderers) can read them after the run
+            # then keep the reports readable after the run (bench_spine
+            # derives its scheduler.* metrics from them)
             self.pool.close()
             self.pool_reports = list(self.pool.reports)
             self.pool = None

@@ -1,4 +1,4 @@
-"""Tests for the XPSI baseline and truncated-training utilities."""
+"""Tests for the XPSI baseline."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,8 @@ from repro.baselines import (
     Autoencoder,
     KNNClassifier,
     XPSIConfig,
-    run_truncated_training,
     run_xpsi,
-    truncation_waste,
 )
-from repro.core.engine import PredictionEngine
-from repro.core.plugin import run_training_loop
-from repro.nas.surrogate import LearningCurveModel
-
-from tests.conftest import make_concave_curve
 
 
 class TestKNN:
@@ -107,19 +100,3 @@ class TestXPSI:
         r1 = run_xpsi(tiny_dataset, config)
         r2 = run_xpsi(tiny_dataset, config)
         assert r1.accuracy == r2.accuracy
-
-
-class TestTruncatedTraining:
-    def test_runs_exact_budget(self):
-        result = run_truncated_training(LearningCurveModel(make_concave_curve(25)), 25)
-        assert result.epochs_trained == 25
-        assert not result.terminated_early
-
-    def test_waste_computation(self):
-        curve = make_concave_curve(25, rate=0.5)
-        baseline = run_truncated_training(LearningCurveModel(curve), 25)
-        engine_run = run_training_loop(LearningCurveModel(curve), PredictionEngine(), 25)
-        waste = truncation_waste(baseline, engine_run)
-        assert waste.baseline_epochs == 25
-        assert waste.epochs_wasted == 25 - engine_run.epochs_trained
-        assert waste.fraction_wasted == pytest.approx(waste.epochs_wasted / 25)

@@ -30,22 +30,28 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_run_defaults(self):
+        # unset flags parse to None ("not given"); the defaults are
+        # applied once, when the config is built
+        from repro.cli import _config_from_args
+
         args = build_parser().parse_args(["run"])
-        assert args.intensity == "medium"
-        assert args.mode == "surrogate"
-        assert args.seed == 42
+        assert (args.intensity, args.mode, args.seed) == (None, None, None)
+        config = _config_from_args(args)
+        assert config.intensity.label == "medium"
+        assert config.mode == "surrogate"
+        assert config.seed == 42
 
     def test_rejects_unknown_intensity(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--intensity", "ultra"])
 
     def test_sanitize_writes_flag_flows_into_overrides(self):
-        from repro.cli import _fastpath_overrides
+        from repro.cli import _flag_overrides
 
         args = build_parser().parse_args(["run", "--sanitize-writes"])
-        assert _fastpath_overrides(args).get("sanitize_writes") is True
+        assert _flag_overrides(args).get("sanitize_writes") is True
         args = build_parser().parse_args(["run"])
-        assert "sanitize_writes" not in _fastpath_overrides(args)
+        assert "sanitize_writes" not in _flag_overrides(args)
 
     def test_check_takes_paths_and_three_options(self):
         args = build_parser().parse_args(
@@ -67,6 +73,69 @@ class TestConfigCommand:
 
         rebuilt = WorkflowConfig.from_dict(payload)
         assert rebuilt.intensity.label == "low"
+
+    # every run flag, with the path into config.to_dict() it must land on
+    # (chosen to differ from both the CLI defaults and the document below)
+    RUN_FLAGS = [
+        (["--intensity", "high"], ("dataset", "intensity"), "high"),
+        (["--mode", "real"], ("mode",), "real"),
+        (["--seed", "7"], ("seed",), 7),
+        (["--sanitize"], ("sanitize",), True),
+        (["--sanitize-writes"], ("sanitize_writes",), True),
+        (["--max-retries", "5"], ("faults", "max_retries"), 5),
+        (["--eval-timeout", "9.5"], ("faults", "timeout_seconds"), 9.5),
+        (["--retry-backoff", "0.25"], ("faults", "backoff_seconds"), 0.25),
+        (["--inject-faults", "0.125"], ("fault_injection", "rate"), 0.125),
+        (
+            ["--inject-faults", "0.125", "--inject-modes", "nan"],
+            ("fault_injection", "modes"),
+            ["nan"],
+        ),
+        (["--dtype", "float64"], ("dtype",), "float64"),
+        (["--rng-keying", "model", "--no-eval-cache"], ("rng_keying",), "model"),
+        (["--no-eval-cache"], ("eval_cache",), False),
+        (["--backend", "process"], ("backend",), "process"),
+        (["--n-workers", "3"], ("n_workers",), 3),
+        (["--surrogate", "rank"], ("surrogate", "probe_epochs"), 1),
+        (["--evolution", "steady"], ("nas", "evolution"), "steady"),
+        (["--steady-lag", "2"], ("nas", "steady_lag"), 2),
+    ]
+
+    def test_run_flag_table_covers_every_run_flag(self):
+        declared = set(vars(build_parser().parse_args(["config"]))) - {
+            "command", "verbose", "handler", "config", "commons",
+        }
+        covered = {
+            flag[2:].replace("-", "_").removeprefix("no_")
+            for flags, _, _ in self.RUN_FLAGS
+            for flag in flags
+            if flag.startswith("--")
+        }
+        assert declared == covered
+
+    @pytest.mark.parametrize("with_document", [False, True])
+    @pytest.mark.parametrize("flags,path,expected", RUN_FLAGS)
+    def test_every_run_flag_lands_in_the_config(
+        self, tmp_path, capsys, flags, path, expected, with_document
+    ):
+        argv = ["config", *flags]
+        if with_document:
+            document = dict(small_config_dict(seed=5), sanitize_writes=False)
+            argv += ["--config", str(atomic_write_json(tmp_path / "cfg.json", document))]
+        assert main(argv) == 0
+        value = json.loads(capsys.readouterr().out)
+        for key in path:
+            value = value[key]
+        assert value == expected
+
+    def test_flags_beside_a_document_leave_the_rest_of_it_alone(self, tmp_path, capsys):
+        path = atomic_write_json(tmp_path / "cfg.json", small_config_dict(seed=5))
+        assert main(["config", "--config", str(path), "--seed", "7"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seed"] == 7
+        assert payload["nas"]["population_size"] == 3
+        assert payload["dataset"]["images_per_class"] == 20
+        assert payload["dataset"]["intensity"] == "medium"
 
 
 class TestRunCommand:
@@ -119,6 +188,20 @@ class TestRunCommand:
 
         args = build_parser().parse_args(["run"])
         assert _fault_settings_from_args(args) == (None, None)
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--rng-keying", "model"], "eval_cache requires rng_keying='genome'"),
+            (["--backend", "serial", "--n-workers", "2"], "requires n_workers=1"),
+        ],
+    )
+    def test_invalid_flag_combination_is_one_error_line(self, capsys, flags, message):
+        assert main(["run", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("a4nn: error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_compare_reports_savings(self, tmp_path, capsys):
         config_path = atomic_write_json(tmp_path / "cfg.json", small_config_dict(seed=0))

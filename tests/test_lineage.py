@@ -203,63 +203,3 @@ class TestProvenance:
         lineage = graph.fittest_lineage()
         best = max(tracker.all_records(), key=lambda r: r.fitness)
         assert lineage[-1] == best.model_id
-
-
-class TestDataverseBundle:
-    def _published(self, tmp_path):
-        from repro.lineage import CitationMetadata
-
-        _, tracker = small_tracked_run()
-        commons = DataCommons(tmp_path / "commons")
-        commons.publish_run(
-            RunRecord(run_id="r1", intensity="medium", nas_parameters={}, engine_parameters=None),
-            tracker,
-        )
-        metadata = CitationMetadata(
-            title="A4NN record trails",
-            authors=("Doe, Jane",),
-            description="medium-intensity test run",
-        )
-        return commons, metadata
-
-    def test_export_import_round_trip(self, tmp_path):
-        from repro.lineage import export_bundle, import_bundle
-
-        commons, metadata = self._published(tmp_path)
-        bundle = export_bundle(commons, tmp_path / "bundle.zip", metadata)
-        assert bundle.exists()
-
-        imported, meta2 = import_bundle(bundle, tmp_path / "imported")
-        assert meta2.title == metadata.title
-        assert meta2.authors == metadata.authors
-        assert imported.run_ids() == ["r1"]
-        originals = commons.load_models("r1")
-        copies = imported.load_models("r1")
-        assert [m.to_dict() for m in originals] == [m.to_dict() for m in copies]
-
-    def test_export_unknown_run_rejected(self, tmp_path):
-        from repro.lineage import export_bundle
-
-        commons, metadata = self._published(tmp_path)
-        with pytest.raises(KeyError):
-            export_bundle(commons, tmp_path / "b.zip", metadata, run_ids=["ghost"])
-
-    def test_import_rejects_non_bundle(self, tmp_path):
-        import zipfile
-
-        from repro.lineage import import_bundle
-
-        fake = tmp_path / "fake.zip"
-        with zipfile.ZipFile(fake, "w") as z:
-            z.writestr("whatever.txt", "hi")
-        with pytest.raises(ValueError, match="not an A4NN bundle"):
-            import_bundle(fake, tmp_path / "out")
-
-    def test_citation_metadata_round_trip(self):
-        from repro.lineage import CitationMetadata
-
-        metadata = CitationMetadata(
-            title="T", authors=("A", "B"), description="D", keywords=("k1",)
-        )
-        rebuilt = CitationMetadata.from_dict(metadata.to_dict())
-        assert rebuilt == metadata

@@ -34,7 +34,6 @@ from repro.scheduler.faults import (
 )
 from repro.scheduler.pool import FifoWorkerPool, JobTiming, PoolReport, WorkerPool
 from repro.scheduler.procpool import EvalResult, EvalSpec, EvalTask, ProcessWorkerPool
-from repro.scheduler.trace import pool_chrome_trace, pool_timeline
 from repro.utils.validation import ValidationError
 from repro.workflow.interfaces import WorkflowConfig
 from repro.workflow.orchestrator import A4NNOrchestrator
@@ -629,26 +628,6 @@ class TestPoolTraceRendering:
         assert payload["barrier_downtime_seconds"] == [3.0, 0.0]
         assert [j["job_id"] for j in payload["jobs"]] == [0, 1, 2]
 
-    def test_pool_timeline_renders_lanes_and_downtime(self):
-        text = pool_timeline(self._report(), width=40)
-        assert "worker0" in text and "worker1" in text
-        assert "backend=process" in text
-        assert "w0=3.00s" in text and "w1=0.00s" in text
-        assert pool_timeline(PoolReport(1, 0.0, 0)) == "(empty pool report)"
-        with pytest.raises(ValueError):
-            pool_timeline(self._report(), width=5)
-
-    def test_pool_chrome_trace_is_loadable_json(self):
-        payload = json.loads(pool_chrome_trace(self._report()))
-        events = payload["traceEvents"]
-        jobs = [e for e in events if e.get("cat") == "eval-process"]
-        assert len(jobs) == 3
-        assert jobs[1]["dur"] == pytest.approx(10.0 * 1e6)
-        barriers = [e for e in events if e.get("cat") == "barrier"]
-        assert [b["tid"] for b in barriers] == [0]  # only worker 0 idles
-        names = [e for e in events if e.get("ph") == "M"]
-        assert len(names) == 2
-
 
 class TestStreamingSeam:
     """The submit/settled/finish seam steady-state evolution runs on."""
@@ -732,109 +711,3 @@ class TestIdleWorkerAccounting:
         assert payload["idle_workers"] == 2
         assert payload["barrier_downtime_seconds"] == [2.0, 0.0, 0.0]
 
-    def test_timeline_marks_idle_workers(self):
-        text = pool_timeline(self._oversized_report(), width=40)
-        assert "w0=2.00s" in text
-        assert "w1=idle" in text and "w2=idle" in text
-        assert "idle workers: 2 never scheduled" in text
-
-    def test_chrome_trace_labels_idle_lanes(self):
-        payload = json.loads(pool_chrome_trace(self._oversized_report()))
-        idle = [e for e in payload["traceEvents"] if e.get("cat") == "idle"]
-        assert sorted(e["tid"] for e in idle) == [1, 2]
-        assert all(e["dur"] == pytest.approx(10.0 * 1e6) for e in idle)
-        barriers = [e for e in payload["traceEvents"] if e.get("cat") == "barrier"]
-        assert [b["tid"] for b in barriers] == [0]
-
-
-class TestScalingReport:
-    def _entry(self, backend, n_workers, best=91.0):
-        return {
-            "backend": backend,
-            "n_workers": n_workers,
-            "wall_seconds": 1.0,
-            "n_models": 10,
-            "best_fitness": best,
-            "epochs_trained": 24,
-            "generations": [],
-        }
-
-    def test_consistency_flags_divergent_outcomes(self):
-        from repro.bench.scaling import ScalingReport
-
-        report = ScalingReport(
-            seed=21,
-            host_cpus=1,
-            entries=[self._entry("serial", 1), self._entry("process", 2)],
-        )
-        assert report.consistent()
-        report.entries.append(self._entry("thread", 2, best=50.0))
-        assert not report.consistent()
-        assert "DETERMINISM BROKEN" in report.summary()
-
-    def test_roundtrip_and_single_core_note(self, tmp_path):
-        from repro.bench.scaling import ScalingReport
-
-        report = ScalingReport(
-            seed=21, host_cpus=1, entries=[self._entry("serial", 1)]
-        )
-        path = report.save(tmp_path / "scaling.json")
-        restored = ScalingReport.load(path)
-        assert restored.entries == report.entries
-        assert "single-core host" in restored.summary()
-
-    def test_consistency_is_per_evolution_mode(self):
-        from repro.bench.scaling import ScalingReport
-
-        # steady and barrier trajectories legitimately differ; the
-        # determinism check must only compare within each mode
-        report = ScalingReport(
-            seed=21,
-            host_cpus=1,
-            entries=[
-                self._entry("serial", 1),
-                self._entry("thread", 2),
-                dict(self._entry("serial", 1, best=77.0), evolution="steady"),
-                dict(self._entry("thread", 4, best=77.0), evolution="steady"),
-            ],
-        )
-        assert report.consistent()
-        report.entries.append(
-            dict(self._entry("process", 4, best=33.0), evolution="steady")
-        )
-        assert not report.consistent()
-        assert "DETERMINISM BROKEN" in report.summary()
-
-    def test_summary_labels_steady_entries(self):
-        from repro.bench.scaling import ScalingReport
-
-        entry = dict(
-            self._entry("thread", 4),
-            evolution="steady",
-            busy_seconds=3.5,
-            idle_seconds=0.5,
-            barrier_downtime_seconds=[[0.0, 0.0, 0.0, 0.25]],
-            mid_run_barrier_downtime_seconds=0.0,
-            final_drain_seconds=0.25,
-        )
-        text = ScalingReport(seed=21, host_cpus=8, entries=[entry]).summary()
-        assert "thread@4/steady" in text
-        assert "mid-run" in text and "drain" in text
-
-    def test_compare_is_structural_only(self):
-        from repro.bench.scaling import ScalingReport, compare_scaling
-
-        fresh = ScalingReport(
-            seed=21, host_cpus=1, entries=[self._entry("serial", 1)]
-        )
-        same = ScalingReport(
-            seed=21,
-            host_cpus=64,
-            entries=[dict(self._entry("serial", 1), wall_seconds=99.0)],
-        )
-        diff = compare_scaling(fresh, same)
-        assert "DIFF" not in diff
-        worse = ScalingReport(
-            seed=21, host_cpus=1, entries=[self._entry("serial", 1, best=12.0)]
-        )
-        assert "DIFF" in compare_scaling(fresh, worse)

@@ -9,6 +9,7 @@ modes, and resume rebuilding the exact predictor state.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -428,6 +429,52 @@ class TestCrossBackendDeterminism:
                 assert trail["epochs_trained"] <= trail["budget_assigned"]
             if trail["skip_reason"] == SKIP_EXPLORE:
                 assert trail["budget_assigned"] is None
+
+
+class TestSavingsNeverMoveTheFront:
+    """Aim 3's contract: the surrogate tier trains fewer epochs, same front.
+
+    A seeded sampled-curve search, so every count is pinned exactly; a
+    skip rule that takes budget from an undominated candidate moves them.
+    """
+
+    def test_surrogate_on_keeps_the_off_front_with_a_third_fewer_epochs(self):
+        config = WorkflowConfig(
+            nas=NSGANetConfig(
+                population_size=8,
+                offspring_per_generation=8,
+                generations=10,
+                max_epochs=16,
+                nodes_per_phase=2,
+            ),
+            engine=EngineConfig(e_pred=16),
+            mode="surrogate",
+            seed=21,
+            n_gpus=(1,),
+        )
+        off = run_workflow(config)
+        on = run_workflow(
+            replace(config, surrogate=SurrogateConfig(band=1.0, explore_every=8))
+        )
+
+        def front(result) -> set:
+            # as objective points: how many copies of a duplicate genome
+            # survive is not part of the front
+            return {(m.fitness, m.flops) for m in result.search.pareto_individuals()}
+
+        assert front(on) == front(off)
+        assert (
+            on.search.population.best_fitness() == off.search.population.best_fitness()
+        )
+        for result, trained, saved, skipped in ((off, 1015, 265, 0), (on, 696, 209, 375)):
+            assert result.search.epoch_budget == 1280 == trained + saved + skipped
+            assert result.total_epochs_trained == trained
+            assert result.search.total_epochs_saved == saved
+            assert result.total_epochs_skipped == skipped
+        skips = skip_report(on.tracker.all_records())
+        assert (skips.n_scored, skips.n_flagged, skips.n_true_losers) == (64, 28, 55)
+        assert skips.precision == 1.0
+        assert skips.recall == 28 / 55
 
 
 class TestResume:

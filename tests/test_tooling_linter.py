@@ -596,10 +596,13 @@ def test_repo_source_passes_a4nn_check():
 
 def test_importing_the_library_does_not_import_the_linter():
     probe = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import repro.workflow; "
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+        "import repro.workflow, repro.lineage, repro.analysis, repro.scheduler; "
         "assert 'repro.tooling.sanitizer' in sys.modules; "
         "loaded = [m for m in sys.modules if m.startswith('repro.tooling.') "
         "and m != 'repro.tooling.sanitizer']; "
+        "loaded += [m for m in ('networkx', 'scipy.optimize', 'scipy.stats') "
+        "if m in sys.modules]; "
         "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", probe], check=True)

@@ -1,4 +1,4 @@
-"""Tests for workflow configuration, history store, and the orchestrator."""
+"""Tests for workflow configuration and the orchestrator."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.nas import NSGANetConfig
 from repro.utils.validation import ValidationError
 from repro.workflow import (
     A4NNOrchestrator,
-    HistoryStore,
     WorkflowConfig,
     run_comparison,
     run_standalone,
@@ -29,20 +28,6 @@ def small_config(intensity=BeamIntensity.MEDIUM, mode="surrogate", seed=5, engin
         n_gpus=(1, 4),
         seed=seed,
     )
-
-
-class TestHistoryStore:
-    def test_shared_per_model(self):
-        store = HistoryStore()
-        history = store.for_model(3)
-        assert store.for_model(3) is history
-        history.record_epoch(50.0, None)
-        history.record_epoch(60.0, 80.0)
-        assert history.fitness == [50.0, 60.0]
-        assert history.predictions == [80.0]
-        assert history.n_epochs == 2
-        assert 3 in store and len(store) == 1
-        assert store.model_ids() == [3]
 
 
 class TestWorkflowConfig:
@@ -110,13 +95,17 @@ class TestOrchestrator:
         assert 0 < result.epochs_saved_fraction() < 1
 
     def test_histories_populated(self):
-        config = small_config()
-        orchestrator = A4NNOrchestrator(config)
-        result = orchestrator.run()
-        assert len(orchestrator.history_store) == len(result.search.archive)
+        # the per-epoch observer trail in each lineage record carries the
+        # same H and P the training loop handed back on the result
+        result = A4NNOrchestrator(small_config()).run()
+        records = {r.model_id: r for r in result.tracker.all_records()}
+        assert len(records) == len(result.search.archive)
         for member in result.search.archive:
-            history = orchestrator.history_store.for_model(member.model_id)
-            assert history.fitness == member.result.fitness_history
+            epochs = records[member.model_id].epochs
+            assert [e["validation_accuracy"] for e in epochs] == member.result.fitness_history
+            assert [
+                e["prediction"] for e in epochs if e["prediction"] is not None
+            ] == member.result.prediction_history
 
     def test_standalone_no_engine_records(self):
         result = run_standalone(small_config())
