@@ -1,9 +1,16 @@
 """Performance benchmarks of the NumPy NN substrate's hot kernels.
 
 Not a paper artifact — these track the training substrate's throughput
-(the guide rule: no optimization without measurement).  Groups:
-im2col-based convolution forward/backward, dense GEMM, one full
-training step of a decoded NSGA-Net network, and one engine fit.
+(the guide rule: no optimization without measurement).  Groups: the
+row-column convolution forward/backward, dense GEMM, one full training
+step of a decoded NSGA-Net network, and one engine fit.
+
+The conv cases are the configuration every workload runs — float32,
+bound to an arena, equal widths, the three shapes the decoder emits at
+batch 16 — plus one float64 case.  A conv timed alone keeps its buffers
+cache-warm; inside a network it does not, so the training step runs
+float32 through a ``Trainer``-bound network and pays the cold cost the
+isolated numbers hide (CHANGES.md, PR 23, has both per call).
 
 The two ratio guards at the end hold an elementwise kernel to a multiple
 of the one memory pass it has to make.  Both sides are timed in the same
@@ -18,9 +25,11 @@ import pytest
 from repro.core.engine import PredictionEngine
 from repro.nas.decoder import DecoderConfig, decode_genome
 from repro.nas.genome import random_genome
+from repro.nn.arena import BufferArena
+from repro.nn.dtype import resolve_dtype
 from repro.nn.layers import Conv2D, Dense, MaxPool2D, ReLU
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import Adam
+from repro.nn.trainer import Trainer
 
 from tests.conftest import make_concave_curve
 
@@ -30,27 +39,34 @@ def kernel_rng():
     return np.random.default_rng(0)
 
 
-@pytest.mark.benchmark(group="nn-kernels")
-def test_conv_forward(benchmark, kernel_rng):
-    layer = Conv2D(8, 16, kernel_size=3, rng=kernel_rng)
-    x = kernel_rng.normal(size=(16, 8, 32, 32))
-    result = benchmark(lambda: layer.forward(x))
-    assert result.shape == (16, 16, 32, 32)
+# (channels, side, dtype): the decoder's three 3x3 shapes, and float64 once
+CONV_CASES = [(8, 32, "float32"), (16, 16, "float32"), (32, 8, "float32"), (8, 32, "float64")]
+CONV_IDS = [f"{c}to{c}at{side}-{label}" for c, side, label in CONV_CASES]
+
+
+def _bound_conv(channels, side, label, rng):
+    dtype = resolve_dtype(label)
+    layer = Conv2D(channels, channels, kernel_size=3, rng=rng, dtype=dtype)
+    layer.bind_arena(BufferArena(dtype), owner="conv")
+    return layer, rng.normal(size=(16, channels, side, side)).astype(dtype)
 
 
 @pytest.mark.benchmark(group="nn-kernels")
-def test_conv_backward(benchmark, kernel_rng):
-    layer = Conv2D(8, 16, kernel_size=3, rng=kernel_rng)
-    x = kernel_rng.normal(size=(16, 8, 32, 32))
+@pytest.mark.parametrize("channels,side,label", CONV_CASES, ids=CONV_IDS)
+def test_conv_forward(benchmark, kernel_rng, channels, side, label):
+    layer, x = _bound_conv(channels, side, label, kernel_rng)
+    result = benchmark(lambda: layer.forward(x, training=True))
+    assert result.shape == x.shape and result.dtype == x.dtype
+
+
+@pytest.mark.benchmark(group="nn-kernels")
+@pytest.mark.parametrize("channels,side,label", CONV_CASES, ids=CONV_IDS)
+def test_conv_backward(benchmark, kernel_rng, channels, side, label):
+    layer, x = _bound_conv(channels, side, label, kernel_rng)
     out = layer.forward(x, training=True)
-    grad = kernel_rng.normal(size=out.shape)
-
-    def run():
-        layer.forward(x, training=True)
-        return layer.backward(grad)
-
-    result = benchmark(run)
-    assert result.shape == x.shape
+    grad = kernel_rng.normal(size=out.shape).astype(x.dtype)
+    result = benchmark(lambda: layer.backward(grad))
+    assert result.shape == x.shape and result.dtype == x.dtype
 
 
 @pytest.mark.benchmark(group="nn-kernels")
@@ -71,21 +87,17 @@ def test_dense_forward_backward(benchmark, kernel_rng):
 def test_full_training_step(benchmark, kernel_rng):
     genome = random_genome(kernel_rng)
     network = decode_genome(
-        genome, DecoderConfig((1, 32, 32), 2, (8, 16, 32)), rng=kernel_rng
+        genome, DecoderConfig((1, 32, 32), 2, (8, 16, 32), dtype=np.float32), rng=kernel_rng
     )
-    optimizer = Adam(network, 1e-3)
-    loss = SoftmaxCrossEntropy()
-    x = kernel_rng.normal(size=(16, 1, 32, 32))
+    x = kernel_rng.normal(size=(16, 1, 32, 32)).astype(np.float32)
     y = kernel_rng.integers(0, 2, 16)
-
-    def step():
-        optimizer.zero_grad()
-        logits = network.forward(x, training=True)
-        _, grad = loss(logits, y)
-        network.backward(grad)
-        optimizer.step()
-
-    benchmark(step)
+    # one batch per epoch: train() is one zero_grad/forward/loss/backward/step
+    trainer = Trainer(
+        network, x, y, x, y, optimizer=Adam(network, 1e-3), batch_size=16, rng=kernel_rng
+    )
+    assert network.arena is not None
+    stats = benchmark(trainer.train)
+    assert np.isfinite(stats.train_loss)
 
 
 @pytest.mark.benchmark(group="nn-kernels")

@@ -1,8 +1,10 @@
 """Per-network buffer arena: preallocated scratch reused across batches.
 
-Every layer kernel writes its intermediates — im2col column matrices,
-layer outputs, gradient images — with ``out=`` into scratch it requests
-through :meth:`~repro.nn.layers.base.Layer._buf`.  Bound to a
+Every layer kernel writes its intermediates — conv row columns, layer
+outputs, gradient images — with ``out=`` into scratch it requests
+through :meth:`~repro.nn.layers.base.Layer._buf` (or, for temporaries
+that die inside the call, :meth:`~repro.nn.layers.base.Layer._tmp`).
+Bound to a
 :class:`BufferArena`, that request is keyed, lazily-allocated,
 shape-stable storage: a layer asks for ``(owner, name, shape, dtype)``
 and gets the *same* ndarray back on every batch, so after the first
@@ -19,11 +21,16 @@ Design rules (see DESIGN "The buffer arena"):
 * **Ownership** — every layer instance binds with a unique owner string
   (the network wires ``"<layer-idx>"``, composite layers extend it with
   sublayer paths), so two layers can never alias each other's scratch.
-* **Lifetime** — a bound layer's output is valid until that layer's
-  next ``forward``, and what it caches for ``backward`` until the
-  matching backward of the *same* batch; the next forward may overwrite
-  everything.  An unbound layer runs the same kernels on fresh arrays
-  and so returns by value.
+* **Lifetime** — three classes.  A bound layer's *output* (and the
+  gradient it returns) is valid until that layer's next ``forward``
+  (``backward``); what it *caches for backward* until the matching
+  backward of the same batch; both are owner-keyed.  A *call-local*
+  temporary (:meth:`BufferArena.scratch`) is keyed by ``(name, shape,
+  dtype)`` alone and shared by every layer of the network, so it is
+  never returned, cached, or live across another layer's call — the
+  nine same-shaped convs of a decoded network reuse one cache-warm
+  block instead of pinning nine cold ones.  An unbound layer runs the
+  same kernels on fresh arrays and so returns by value.
 
 The arena is deliberately not picklable state: it is rebuilt per
 evaluation, and the process backend ships measurements, never buffers.
@@ -67,6 +74,16 @@ class BufferArena:
             buf = np.empty(shape, dtype=dtype)
             self._buffers[key] = buf
         return buf
+
+    def scratch(self, name: str, shape: tuple, dtype=None) -> np.ndarray:
+        """The shared call-local buffer for ``(name, shape, dtype)``.
+
+        No owner in the key: every layer asking for the same name, shape
+        and dtype gets the same array, so it must be dead before the
+        requesting ``forward``/``backward`` returns.  (Stored under the
+        empty owner, which ``Layer.bind_arena`` never hands to a layer.)
+        """
+        return self.buffer("", name, shape, dtype)
 
     @property
     def nbytes(self) -> int:

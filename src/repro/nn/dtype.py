@@ -4,7 +4,7 @@ All dtype decisions in :mod:`repro.nn` flow through this module: layers,
 initializers, and serialization accept an optional ``dtype`` and resolve
 it here instead of hard-coding ``np.float32``/``np.float64``.  That
 single seam is what lets the workflow flip the whole evaluation path to
-float32 (roughly halving BLAS time and memory on the im2col/GEMM hot
+float32 (roughly halving BLAS time and memory on the conv gather/GEMM hot
 loops) while float64 stays available so historical seeded runs replay
 bit-exactly.
 

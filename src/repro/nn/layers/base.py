@@ -7,13 +7,16 @@ its trainable parameters and their
 gradients by name, reports its output shape and FLOP cost for a given
 input shape, and serializes its configuration.  Convolutional data
 layout is NCHW throughout (batch, channels, height, width) — channel-
-contiguous inner dimensions keep the im2col hot loops cache friendly.
+contiguous inner dimensions keep the conv hot loops cache friendly.
 
-Kernels write their temporaries and results into :meth:`Layer._buf`
-scratch with ``out=``.  A layer bound to a
-:class:`~repro.nn.arena.BufferArena` gets the same pinned arrays every
-batch (its output is valid until its next ``forward``); an unbound
-layer gets fresh ones and so returns by value.
+Kernels write their results, and what ``backward`` will read, into
+:meth:`Layer._buf` scratch with ``out=``, and temporaries that die
+before the call returns into :meth:`Layer._tmp` scratch.  A layer bound
+to a :class:`~repro.nn.arena.BufferArena` gets the same pinned arrays
+every batch — its own for ``_buf`` (an output is valid until the
+layer's next ``forward``, a backward cache until the matching
+``backward``), one shared with every other layer for ``_tmp``; an
+unbound layer gets fresh ones and so returns by value.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class Layer:
     def __init__(self) -> None:
         self.params: dict[str, Parameter] = {}
         # optional BufferArena binding (repro.nn.arena): decides only
-        # where _buf scratch lives, never which kernel runs
+        # where _buf/_tmp scratch lives, never which kernel runs
         self._arena = None
         self._arena_owner: str = ""
 
@@ -88,7 +91,7 @@ class Layer:
         self._arena_owner = owner or type(self).__name__
 
     def _buf(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """Uninitialized scratch for one kernel temporary or result.
+        """Uninitialized scratch for a result or a backward cache.
 
         Bound, it is the arena's pinned buffer for this layer and
         ``name`` — the same array every batch, valid until the layer's
@@ -99,6 +102,19 @@ class Layer:
         if self._arena is None:
             return np.empty(shape, dtype=dtype)
         return self._arena.buffer(self._arena_owner, name, shape, dtype)
+
+    def _tmp(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """Uninitialized *call-local* scratch: dead before this call returns.
+
+        Bound, it is one arena block per ``(name, shape, dtype)`` shared
+        by every layer of the network (the same-shaped layers of a phase
+        reuse one cache-warm block instead of pinning one each), so it is
+        never returned, cached for ``backward``, or live across another
+        layer's call.  Unbound, it is a fresh array, like :meth:`_buf`.
+        """
+        if self._arena is None:
+            return np.empty(shape, dtype=dtype)
+        return self._arena.scratch(name, shape, dtype)
 
     # -- computation ---------------------------------------------------------
 

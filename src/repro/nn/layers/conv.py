@@ -1,25 +1,30 @@
-"""2-D convolution via im2col.
+"""2-D convolution as ``k`` GEMMs over row columns.
 
-The im2col transform turns convolution into one large matrix multiply,
-which is the standard way to get BLAS-speed convolutions out of NumPy
-(vectorize the loop, let the optimized GEMM do the work).
-
-:class:`Conv2D` runs it on *channel-major* columns ``(N, C*k*k, oh*ow)``
-written into :meth:`~repro.nn.layers.base.Layer._buf` scratch in channel
-blocks (the transpose-copy's working set stays cache-sized), with every
-GEMM running ``np.matmul(..., out=...)`` on views: the forward product
-lands directly in NCHW layout (no output transpose), the weight gradient
-is a batched GEMM against the column transpose-view, and the input
-gradient is a second convolution through the same gather and GEMM — the
-output gradient, zero-dilated by the stride and zero-padded, correlated
-with the flipped, channel-transposed kernel (DESIGN §12) — so nothing is
-ever scattered.  1x1/stride-1/unpadded convs skip the column copy in
-both directions.
+A ``k x k`` window gather copies every input pixel ``k*k`` times before
+one GEMM can run; at the widths the decoder emits that copy cost more
+than the GEMM.  :class:`Conv2D` copies only the ``k`` *horizontal* taps
+— row columns ``R[n, c, j, r, w] = xpad[n, c, r, w + j]``, written
+straight from ``x`` with the borders zeroed, so there is no padded copy
+either — and reads vertical tap ``i`` as a view of the same buffer: rows
+``i .. i + oh - 1`` of ``R`` are one contiguous run of ``oh*ow`` columns
+per ``(c, j)``, which ``np.matmul`` hands to BLAS uncopied.  Forward is
+``out[n] = sum_i W[:, :, i, :] @ R_i[n]`` (landing directly in NCHW
+layout), the weight gradient is the same ``k`` views transposed against
+the output gradient (one block of ``weight.grad`` per tap), and the
+input gradient is forward's routine again — the output gradient,
+zero-dilated by the stride and behind ``k - 1 - pad`` zeros, against the
+flipped, channel-transposed taps (DESIGN §12) — so nothing is ever
+scattered.  A stride ``s > 1`` splits ``R``'s row axis by residue mod
+``s``, which keeps every tap a contiguous run.  What ``backward`` keeps
+is ``R`` (``k`` times the input); the per-tap partial products, the
+gradient's row columns and the tap-major weight copies are call-local
+(:meth:`~repro.nn.layers.base.Layer._tmp`).  1x1/stride-1/unpadded
+convs skip the copy in both directions: the input is the one tap.
 
 :func:`im2col` / :func:`col2im` are the textbook sample-major
 formulation ``(N, oh*ow, C*k*k)``.  The layer does not call them; they
 stay public as the reference the tests hold the kernel to (equal at
-dtype tolerance — the reshaped GEMMs accumulate in a different order).
+dtype tolerance — ``k`` GEMMs accumulate in a different order than one).
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ from repro.utils.rng import fallback_rng
 
 __all__ = ["Conv2D", "im2col", "col2im"]
 
-#: Channel-block width for the im2col copy.  Small enough that one
-#: block's strided transpose fits in cache, and a no-op (single copy)
-#: for the narrow layers the decoder emits.
-_CHANNEL_BLOCK = 16
+
+def _span(before: int, size: int, stride: int, count: int) -> tuple[int, int]:
+    """``lo <= i < hi`` in ``range(count)`` with ``0 <= i*stride - before < size``."""
+    lo = min(count, max(0, -(-before // stride)))
+    return lo, max(lo, min(count, -(-(before + size) // stride)))
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -181,24 +187,56 @@ class Conv2D(Layer):
             )
         return oh, ow
 
-    def _columns(
-        self, name: str, padded: np.ndarray, stride: int, oh: int, ow: int
-    ) -> np.ndarray:
-        """Channel-major im2col of ``padded`` into ``name`` scratch.
+    def _row_taps(
+        self, alloc, name: str, src: np.ndarray, before: int, stride: int, oh: int, ow: int
+    ) -> list[np.ndarray]:
+        """Gather ``src``'s row columns; return the ``k`` vertical-tap views.
 
-        ``(N, C, H, W) -> (N, C*k*k, oh*ow)``, viewed ``(N, C, k, k, oh,
-        ow)``: each channel's ``k*k`` taps are contiguous runs of ``ow``
-        output pixels, so the transpose-copy stays sequential.
+        ``rows[n, c, j, r % s, r // s, w] = srcpad[n, c, r, w*s + j]`` in
+        ``alloc(name, ...)`` scratch, ``srcpad`` being ``src`` behind
+        ``before`` zeros (a negative ``before`` crops instead): ``k``
+        strided copies per row residue, borders zeroed, nothing else
+        touched.  With the row axis split by residue mod ``s``, tap ``i``
+        — rows ``p*s + i`` — is the run of ``oh*ow`` columns starting at
+        ``((i % s)*Q + i // s) * ow`` of the ``(N, C*k, s*Q*ow)`` view.
         """
-        n, c = padded.shape[:2]
-        k = self.kernel_size
-        cols = self._buf(name, (n, c * k * k, oh * ow), padded.dtype)
-        cols6 = cols.reshape(n, c, k, k, oh, ow)
-        windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-        for c0 in range(0, c, _CHANNEL_BLOCK):
-            c1 = min(c0 + _CHANNEL_BLOCK, c)
-            np.copyto(cols6[:, c0:c1], windows[:, c0:c1].transpose(0, 1, 4, 5, 2, 3))
-        return cols
+        n, c, h, w = src.shape
+        k, s = self.kernel_size, stride
+        residues = min(s, k)  # a residue >= k holds rows no tap reads
+        q = oh - 1 + -(-k // s)
+        rows = alloc(name, (n, c, k, residues, q, ow), src.dtype)
+        for rho in range(residues):
+            q_lo, q_hi = _span(before - rho, h, s, q)
+            rows[:, :, :, rho, :q_lo] = 0.0
+            rows[:, :, :, rho, q_hi:] = 0.0
+            for j in range(k):
+                w_lo, w_hi = _span(before - j, w, s, ow)
+                plane = rows[:, :, j, rho, q_lo:q_hi]
+                plane[..., :w_lo] = 0.0
+                plane[..., w_hi:] = 0.0
+                if q_lo < q_hi and w_lo < w_hi:
+                    r0, c0 = q_lo * s + rho - before, w_lo * s + j - before
+                    r1, c1 = r0 + (q_hi - q_lo - 1) * s + 1, c0 + (w_hi - w_lo - 1) * s + 1
+                    plane[..., w_lo:w_hi] = src[:, :, r0:r1:s, c0:c1:s]
+        flat = rows.reshape(n, c * k, residues * q * ow)
+        starts = [((i % s) * q + i // s) * ow for i in range(k)]
+        return [flat[:, :, a : a + oh * ow] for a in starts]
+
+    def _contract(self, weights, taps, out: np.ndarray) -> None:
+        """``out[n] = sum_i weights[i] @ taps[i][n]``: a batched GEMM per tap.
+
+        NumPy has no accumulating GEMM, so taps after the first go
+        through one call-local partial and an add.
+        """
+        np.matmul(weights[0], taps[0], out=out)
+        if len(taps) > 1:
+            partial = self._tmp("partial", out.shape, out.dtype)
+            for weight, tap in zip(weights[1:], taps[1:]):
+                np.matmul(weight, tap, out=partial)
+                out += partial
+
+    def _pointwise(self) -> bool:
+        return self.kernel_size == 1 and self.stride == 1 and not (self.pad_before or self.pad_after)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -207,85 +245,69 @@ class Conv2D(Layer):
             )
         n = x.shape[0]
         oh, ow = self._out_hw(x.shape[2], x.shape[3])
-        k, s, c = self.kernel_size, self.stride, self.in_channels
-        pb, pa = self.pad_before, self.pad_after
+        k, c, oc = self.kernel_size, self.in_channels, self.out_channels
         dt = x.dtype
-        if pb or pa:
-            padded = self._buf(
-                "padded", (n, c, x.shape[2] + pb + pa, x.shape[3] + pb + pa), dt
-            )
-            padded[...] = 0.0
-            padded[:, :, pb : pb + x.shape[2], pb : pb + x.shape[3]] = x
+        weight = self.params["weight"].value
+        if self._pointwise() and x.flags.c_contiguous:
+            # 1x1 conv: the (N, C, P) view of the input IS the one tap —
+            # no copy, no scatter later
+            taps, weights = [x.reshape(n, c, oh * ow)], weight.reshape(1, oc, c)
         else:
-            padded = x
-        p = oh * ow
-        if k == 1 and s == 1 and not (pb or pa) and x.flags.c_contiguous:
-            # 1x1 conv: im2col is the identity, so the (N, C, P) view of
-            # the input IS the column matrix — no copy, no scatter later
-            cols = x.reshape(n, c, p)
-        else:
-            cols = self._columns("cols", padded, s, oh, ow)
-        kernel = self.params["weight"].value.reshape(self.out_channels, -1)
-        out = self._buf("out", (n, self.out_channels, oh, ow), dt)
-        # (out_c, C*k*k) @ (N, C*k*k, oh*ow) -> (N, out_c, oh*ow): the
-        # product lands directly in NCHW layout, no output transpose
-        np.matmul(kernel, cols, out=out.reshape(n, self.out_channels, p))
+            taps = self._row_taps(self._buf, "rows", x, self.pad_before, self.stride, oh, ow)
+            weights = self._tmp("wtaps", (k, oc, c * k), dt)
+            np.copyto(weights.reshape(k, oc, c, k), weight.transpose(2, 0, 1, 3))
+        out = self._buf("out", (n, oc, oh, ow), dt)
+        # (out_c, C*k) @ (N, C*k, oh*ow) -> (N, out_c, oh*ow) per vertical
+        # tap: the sum lands directly in NCHW layout, no output transpose
+        self._contract(weights, taps, out.reshape(n, oc, oh * ow))
         if self.use_bias:
             out += self.params["bias"].value.reshape(1, -1, 1, 1)
-        self._cache = (cols, x.shape) if training else None
+        self._cache = (taps, x.shape) if training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
-        cols, x_shape = self._cache
+        taps, x_shape = self._cache
         k, s, c = self.kernel_size, self.stride, self.in_channels
         n, oc, oh, ow = grad_out.shape
         h, w = x_shape[2:]
         dt = grad_out.dtype
         g3 = grad_out.reshape(n, oc, oh * ow)
         weight = self.params["weight"]
-        # dW: (N, out_c, P) @ (N, P, C*k*k) per batch item, reduced over N
-        dw_batch = self._buf("dw_batch", (n, oc, c * k * k), dt)
-        np.matmul(g3, cols.transpose(0, 2, 1), out=dw_batch)
-        dw = self._buf("dw", (oc, c * k * k), dt)
-        np.sum(dw_batch, axis=0, out=dw)
-        weight.grad += dw.reshape(weight.shape)
+        # dW, one block per vertical tap: (N, out_c, P) @ (N, P, C*k) per
+        # batch item against the tap's transpose-view, reduced over N
+        dw_batch = self._tmp("dw_batch", (n, oc, taps[0].shape[1]), dt)
+        dw = self._tmp("dw", dw_batch.shape[1:], dt)
+        for i, tap in enumerate(taps):
+            np.matmul(g3, tap.transpose(0, 2, 1), out=dw_batch)
+            np.sum(dw_batch, axis=0, out=dw)
+            weight.grad[:, :, i, :] += dw.reshape(oc, c, -1)
         if self.use_bias:
-            db = self._buf("db", (oc,), dt)
+            db = self._tmp("db", (oc,), dt)
             np.sum(g3, axis=(0, 2), out=db)
             self.params["bias"].grad += db
-        if k == 1 and s == 1 and not (self.pad_before or self.pad_after):
+        if self._pointwise():
             # 1x1 conv: column space IS image space, dX = W^T g
-            flipped, gcols = weight.value.reshape(oc, c).T, g3
+            gtaps, weights = [g3], weight.value.reshape(1, oc, c).transpose(0, 2, 1)
         else:
-            # dX[a] = sum_i W[i] g[(a + pad - i) / s]: a stride-1 correlation
-            # of the flipped kernel with g laid out on a zero canvas, output
-            # p at row ``first + p * s`` (dilation undoes the stride, the
-            # k - 1 border is the "full" correlation's padding)
-            first = k - 1 - self.pad_before
-            canvas = self._buf("gcanvas", (n, oc, h + k - 1, w + k - 1), dt)
-            canvas[...] = 0.0
-            # padding wider than k - 1 puts outputs that saw only padding
-            # off the canvas: crop them (input rows no window reached stay 0)
-            lo = max(0, -(first // s))
-            hi_h = min(oh, (h + k - 2 - first) // s + 1)
-            hi_w = min(ow, (w + k - 2 - first) // s + 1)
-            if lo < hi_h and lo < hi_w:
-                canvas[
-                    :,
-                    :,
-                    first + lo * s : first + (hi_h - 1) * s + 1 : s,
-                    first + lo * s : first + (hi_w - 1) * s + 1 : s,
-                ] = grad_out[:, :, lo:hi_h, lo:hi_w]
-            gcols = self._columns("gcols", canvas, 1, h, w)
-            flipped = self._buf("wflip", (c, oc * k * k), dt)
+            # dX[a] = sum_i W[i] g[(a + pad - i) / s]: forward's routine at
+            # stride 1 on g, zero-dilated to undo the stride and behind
+            # k - 1 - pad zeros, with the flipped, channel-transposed taps
+            if s == 1:
+                dilated = grad_out
+            else:
+                dilated = self._tmp("gdilated", (n, oc, (oh - 1) * s + 1, (ow - 1) * s + 1), dt)
+                dilated[...] = 0.0
+                dilated[:, :, ::s, ::s] = grad_out
+            gtaps = self._row_taps(self._tmp, "grows", dilated, k - 1 - self.pad_before, 1, h, w)
+            weights = self._tmp("wtaps", (k, c, oc * k), dt)
             np.copyto(
-                flipped.reshape(c, oc, k, k),
-                weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                weights.reshape(k, c, oc, k),
+                weight.value[:, :, ::-1, ::-1].transpose(2, 1, 0, 3),
             )
         grad_in = self._buf("grad_in", x_shape, dt)
-        np.matmul(flipped, gcols, out=grad_in.reshape(n, c, h * w))
+        self._contract(weights, gtaps, grad_in.reshape(n, c, h * w))
         return grad_in
 
     def output_shape(self, input_shape: tuple) -> tuple:

@@ -79,11 +79,11 @@ class Dense(Layer):
         if self._x is None:
             raise RuntimeError("backward called before a training-mode forward")
         dt = grad_out.dtype
-        dw = self._buf("dw", self.params["weight"].shape, dt)
+        dw = self._tmp("dw", self.params["weight"].shape, dt)
         np.matmul(self._x.T, grad_out, out=dw)
         self.params["weight"].grad += dw
         if self.use_bias:
-            db = self._buf("db", (self.out_features,), dt)
+            db = self._tmp("db", (self.out_features,), dt)
             np.sum(grad_out, axis=0, out=db)
             self.params["bias"].grad += db
         grad_in = self._buf("grad_in", self._x.shape, dt)

@@ -81,7 +81,7 @@ class _BatchNorm(Layer):
         x_hat, inv_std = self._cache
         m = grad_out.size // self.num_features  # elements per channel
         ndim = grad_out.ndim
-        t = self._buf("bwd_tmp", grad_out.shape, grad_out.dtype)
+        t = self._tmp("bwd_tmp", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, x_hat, out=t)
         dgamma = t.sum(axis=self._axes)
         dbeta = grad_out.sum(axis=self._axes)

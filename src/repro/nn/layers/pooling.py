@@ -4,9 +4,11 @@
 is one strided view of the input (a *tap*), the forward is the running
 ``np.maximum`` over the ``k*k`` taps, and the backward re-reads the same
 taps to route each output gradient to the first one equal to its
-window's maximum.  Outputs, routing masks and gradients go through
-:meth:`~repro.nn.layers.base.Layer._buf` scratch, so a layer bound to a
-:class:`~repro.nn.arena.BufferArena` allocates nothing per batch.
+window's maximum.  Outputs and gradients go through
+:meth:`~repro.nn.layers.base.Layer._buf` scratch and the routing masks
+through call-local :meth:`~repro.nn.layers.base.Layer._tmp` scratch, so
+a layer bound to a :class:`~repro.nn.arena.BufferArena` allocates
+nothing per batch.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ class MaxPool2D(_Pool2D):
         k, s = self.pool_size, self.stride
         oh, ow = grad_out.shape[2:]
         # route[t]: tap t holds its window's maximum and no earlier tap does
-        route = self._buf("route", (k * k, *grad_out.shape), np.bool_)
-        taken = self._buf("taken", grad_out.shape, np.bool_)
+        route = self._tmp("route", (k * k, *grad_out.shape), np.bool_)
+        taken = self._tmp("taken", grad_out.shape, np.bool_)
         for t, tap in enumerate(self._taps(x, oh, ow)):
             np.equal(tap, out, out=route[t])
             if t == 0:
@@ -104,7 +106,7 @@ class MaxPool2D(_Pool2D):
                 np.logical_or(taken, route[t], out=taken)
         grad_x = self._buf("grad_x", x.shape, grad_out.dtype)
         grad_x[...] = 0.0
-        share = self._buf("share", grad_out.shape, grad_out.dtype)
+        share = self._tmp("share", grad_out.shape, grad_out.dtype)
         grad_taps = self._taps(grad_x, oh, ow)
         # last tap first: a cell shared by overlapping windows then sums
         # its gradients in window order, like a loop over the windows
@@ -140,7 +142,7 @@ class AvgPool2D(_Pool2D):
         x_shape = self._cache
         grad_x = self._buf("grad_x", x_shape, grad_out.dtype)
         grad_x[...] = 0.0
-        share = self._buf("share", grad_out.shape, grad_out.dtype)
+        share = self._tmp("share", grad_out.shape, grad_out.dtype)
         np.true_divide(grad_out, self.pool_size**2, out=share)
         for tap in self._taps(grad_x, *grad_out.shape[2:]):
             tap += share
@@ -168,7 +170,7 @@ class GlobalAvgPool2D(Layer):
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
         n, c, h, w = self._cache
-        scaled = self._buf("scaled", (n, c), grad_out.dtype)
+        scaled = self._tmp("scaled", (n, c), grad_out.dtype)
         np.true_divide(grad_out, h * w, out=scaled)
         grad_x = self._buf("grad_x", (n, c, h, w), grad_out.dtype)
         grad_x[...] = scaled[:, :, None, None]

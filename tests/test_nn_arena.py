@@ -1,8 +1,8 @@
 """The buffer arena (repro.nn.arena) and the kernels that write into it.
 
 Every layer has one kernel implementation; binding a ``BufferArena``
-only decides whether ``Layer._buf`` scratch is pinned or fresh.  Four
-families of guarantees:
+only decides whether ``Layer._buf`` / ``Layer._tmp`` scratch is pinned
+or fresh.  Five families of guarantees:
 
 * **Bound ≡ unbound, bitwise** — outputs, input gradients, parameter
   gradients and optimizer updates of every layer type, ``PhaseBlock``
@@ -15,6 +15,10 @@ families of guarantees:
   arena bound; max-pool backward vs an explicit per-window loop.
 * **Steady state** — after the first epoch the arena stops growing, and
   repeated epochs allocate no new large arrays.
+* **Call-local scratch** — ``_tmp`` blocks are shared by every layer of
+  a network: same-shaped layers back to back stay bound ≡ unbound, what
+  a layer returned or cached survives its neighbour's call, the shared
+  block is counted once, and the footprint of a fixed network is pinned.
 """
 
 import tracemalloc
@@ -23,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
-from repro.nas.genome import random_genome
+from repro.nas.genome import Genome, PhaseGenome, random_genome
 from repro.nn.arena import BufferArena
 from repro.nn.dtype import resolve_dtype
 from repro.nn.layers import (
@@ -41,6 +45,7 @@ from repro.nn.layers.conv import col2im, im2col
 from repro.nn.network import Network
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.trainer import Trainer
+from repro.tooling.sanitizer import WriteGuard
 from tests.test_nn_gradcheck import DTYPE_GRADCHECK, assert_gradients_match
 
 DTYPES = ["float32", "float64"]
@@ -231,6 +236,97 @@ def test_decoded_network_bound_equals_unbound_bitwise(label):
     assert_bound_equals_unbound(
         lambda r: _build_network(dtype), _batches((4, 1, 12, 12), dtype)
     )
+
+
+# -- call-local scratch, shared across layers -----------------------------------
+
+
+def _guarded(layers, input_shape):
+    network = Network(layers, input_shape=input_shape)
+    WriteGuard().watch(network)
+    return network
+
+
+@pytest.mark.parametrize("label", DTYPES)
+def test_equal_shape_convs_back_to_back_share_scratch_and_stay_bitwise(label):
+    # no layer between them (PhaseBlock never builds this): all three ask
+    # for the same partial / grows / dw_batch / wtaps blocks
+    dtype = resolve_dtype(label)
+    assert_bound_equals_unbound(
+        lambda r: _guarded([Conv2D(4, 4, 3, rng=r, dtype=dtype) for _ in range(3)], (4, 6, 6)),
+        _batches((3, 4, 6, 6), dtype),
+    )
+
+
+@pytest.mark.parametrize("label", DTYPES)
+def test_phase_block_whose_nodes_all_read_the_adapter_stays_bitwise(label):
+    # no connection bits: three equal-shape conv -> bn -> relu nodes on one
+    # input, every output alive until the sink sum
+    dtype = resolve_dtype(label)
+    assert_bound_equals_unbound(
+        lambda r: _guarded([PhaseBlock(3, (0, 0, 0, 1), 2, 6, rng=r, dtype=dtype)], (2, 6, 6)),
+        _batches((3, 2, 6, 6), dtype),
+    )
+
+
+@pytest.mark.parametrize("label", DTYPES)
+def test_a_neighbours_call_leaves_output_and_backward_cache_alone(label):
+    dtype = resolve_dtype(label)
+    rng = np.random.default_rng(29)
+    arena = BufferArena(dtype)
+    first, second, twin = (
+        Conv2D(4, 4, 3, rng=np.random.default_rng(seed), dtype=dtype) for seed in (30, 31, 30)
+    )
+    first.bind_arena(arena, owner="a")
+    second.bind_arena(arena, owner="b")
+    x = rng.normal(size=(3, 4, 6, 6)).astype(dtype)
+    out = first.forward(x, training=True)
+    kept = out.copy(), [tap.copy() for tap in first._cache[0]]
+    second.backward(second.forward(out, training=True))  # same shapes throughout
+    np.testing.assert_array_equal(out, kept[0])
+    for tap, expected in zip(first._cache[0], kept[1]):
+        np.testing.assert_array_equal(tap, expected)
+    g = rng.normal(size=out.shape).astype(dtype)
+    twin.forward(x, training=True)
+    np.testing.assert_array_equal(first.backward(g), twin.backward(g))
+    np.testing.assert_array_equal(first.params["weight"].grad, twin.params["weight"].grad)
+
+
+def test_shared_scratch_is_one_block_counted_once():
+    arena = BufferArena(np.float32)
+    layers = [ReLU(), ReLU()]
+    for owner, layer in zip("ab", layers):
+        layer.bind_arena(arena, owner=owner)
+    shared = [layer._tmp("t", (4, 8), np.float32) for layer in layers]
+    assert shared[0] is shared[1] is arena.scratch("t", (4, 8), np.float32)
+    assert (arena.n_buffers, arena.nbytes) == (1, 4 * 8 * 4)
+    own = [layer._buf("t", (4, 8), np.float32) for layer in layers]
+    assert own[0] is not own[1] and own[0] is not shared[0]
+    assert (arena.n_buffers, arena.nbytes) == (3, 3 * 4 * 8 * 4)
+    # unbound, call-local scratch is a fresh array like any other
+    assert ReLU()._tmp("t", (2,), np.float32) is not ReLU()._tmp("t", (2,), np.float32)
+
+
+def test_fixed_network_footprint_stays_under_its_ceiling():
+    # deterministic (bytes, not seconds): 105.0 MiB when every conv pinned
+    # its own k*k columns twice, 51.2 MiB with row columns and shared
+    # call-local scratch; the ceiling leaves room for a buffer, not a regression
+    rng = np.random.default_rng(3)
+    genome = Genome(
+        tuple(PhaseGenome(3, bits) for bits in ((1, 1, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0)))
+    )
+    network = decode_genome(
+        genome, DecoderConfig(input_shape=(1, 32, 32), n_classes=2, dtype=np.float32), rng=rng
+    )
+    x = rng.normal(size=(40, 1, 32, 32)).astype(np.float32)
+    y = rng.integers(0, 2, 40)
+    trainer = Trainer(
+        network, x[:32], y[:32], x[32:], y[32:], optimizer=Adam(network, 1e-3),
+        batch_size=16, rng=np.random.default_rng(4),
+    )
+    trainer.train()
+    trainer.validate()
+    assert network.arena.nbytes <= 62 * 2**20, network.arena.nbytes / 2**20
 
 
 @pytest.mark.parametrize("label", DTYPES)

@@ -7,9 +7,10 @@ groups, as the two commits that introduced them:
   pool with its per-window ``argmax`` routing, and the batch-norm forward
   that centred its input twice are held *equal as values* (``-0.0 ==
   +0.0``: ReLU no longer normalises the sign of a zero, DESIGN §12).
-* **Re-associated** — the conv input gradient as ``col2im(W^T g)`` and
-  the twelve-pass batch-norm backward sum the same terms in another
-  order, so they are held at a tolerance fixed from the dtype.
+* **Re-associated** — the conv input gradient as ``col2im(W^T g)``, the
+  whole conv as a ``k*k`` window gather feeding one GEMM (forward, ``dW``
+  and ``dX``), and the twelve-pass batch-norm backward sum the same terms
+  in another order, so they are held at a tolerance fixed from the dtype.
 
 Both on inputs of their own and layer by layer on one training step of a
 decoded network.
@@ -25,6 +26,7 @@ from repro.nn.dtype import resolve_dtype
 from repro.nn.layers import BatchNorm1D, BatchNorm2D, Conv2D, LeakyReLU, MaxPool2D, ReLU
 from repro.nn.layers.conv import col2im
 from repro.nn.layers.norm import _BatchNorm
+from tests.test_nn_arena import CONV_GRID
 
 DTYPES = ["float32", "float64"]
 
@@ -98,6 +100,52 @@ def scattered_conv_input_grad(layer, x_shape, g):
     padded_shape = (n, layer.in_channels, h + pb + pa, w + pb + pa)
     grad_padded = col2im(g_flat @ kernel, padded_shape, k, k, layer.stride)
     return grad_padded[:, :, pb : pb + h, pb : pb + w]
+
+
+def window_columns(padded, k, stride):
+    """Channel-major ``k*k`` window gather ``(N, C, H, W) -> (N, C*k*k,
+    oh*ow)``: the old ``Conv2D._columns``."""
+    n, c = padded.shape[:2]
+    windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = windows.shape[2:4]
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, oh * ow)
+
+
+def window_gather_conv(layer, x, g=None):
+    """The old ``Conv2D``: one window gather and one GEMM for the forward,
+    the same columns transposed for ``dW``, and for ``dX`` a second gather
+    over ``g`` laid out on a zero canvas (dilated by the stride, cropped
+    where padding wider than ``k - 1`` pushes it off), against the
+    flipped, channel-transposed kernel.  Returns ``out`` or, given ``g``,
+    ``(out, dW, db, dX)``."""
+    n, c, h, w = x.shape
+    k, s, pb, pa = layer.kernel_size, layer.stride, layer.pad_before, layer.pad_after
+    weight = layer.params["weight"].value
+    oc = weight.shape[0]
+    cols = window_columns(np.pad(x, ((0, 0), (0, 0), (pb, pa), (pb, pa))), k, s)
+    oh, ow = layer.output_shape(x.shape[1:])[1:]
+    out = np.matmul(weight.reshape(oc, -1), cols).reshape(n, oc, oh, ow)
+    if layer.use_bias:
+        out += layer.params["bias"].value.reshape(1, -1, 1, 1)
+    if g is None:
+        return out
+    g3 = g.reshape(n, oc, oh * ow)
+    dw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+    first = k - 1 - pb
+    canvas = np.zeros((n, oc, h + k - 1, w + k - 1), dtype=g.dtype)
+    lo = max(0, -(first // s))
+    hi_h = min(oh, (h + k - 2 - first) // s + 1)
+    hi_w = min(ow, (w + k - 2 - first) // s + 1)
+    if lo < hi_h and lo < hi_w:
+        canvas[
+            :,
+            :,
+            first + lo * s : first + (hi_h - 1) * s + 1 : s,
+            first + lo * s : first + (hi_w - 1) * s + 1 : s,
+        ] = g[:, :, lo:hi_h, lo:hi_w]
+    flipped = np.ascontiguousarray(weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    dx = np.matmul(flipped.reshape(c, -1), window_columns(canvas, k, 1)).reshape(x.shape)
+    return out, dw, g3.sum(axis=(0, 2)), dx
 
 
 def twelve_pass_batchnorm_backward(layer, x_hat, inv_std, g):
@@ -292,6 +340,35 @@ def test_conv_input_rows_no_window_reaches_get_exactly_zero():
     assert np.all(grad_x[:, :, :7, :7] != 0)
 
 
+# -- conv against the window gather + single GEMM ------------------------------------
+
+
+@pytest.mark.parametrize("label", DTYPES)
+@pytest.mark.parametrize(
+    "kernel_size,stride,padding,hw",
+    [(k, s, p, (6, 6)) for k, s, p in CONV_GRID] + CONV_EDGE_CASES,
+)
+def test_conv_equals_the_window_gather_and_single_gemm(kernel_size, stride, padding, hw, label):
+    dtype = resolve_dtype(label)
+    rng = np.random.default_rng(67)
+    layer = Conv2D(
+        3, 4, kernel_size=kernel_size, stride=stride, padding=padding, rng=rng, dtype=dtype
+    )
+    layer.params["bias"].value[...] = rng.normal(size=4).astype(dtype)
+    x = rng.normal(size=(2, 3, *hw)).astype(dtype)
+    out = layer.forward(x, training=True)
+    g = rng.normal(size=out.shape).astype(dtype)
+    grad_x = layer.backward(g)
+    expected = window_gather_conv(layer, x, g)
+    got = (out, layer.params["weight"].grad, layer.params["bias"].grad, grad_x)
+    for name, a, b in zip(("out", "dW", "db", "dX"), got, expected):
+        assert a.shape == b.shape and a.dtype == dtype, name
+        np.testing.assert_allclose(a, b, rtol=_tol(dtype), atol=_tol(dtype), err_msg=name)
+    np.testing.assert_allclose(
+        layer.forward(x, training=False), expected[0], rtol=_tol(dtype), atol=_tol(dtype)
+    )
+
+
 # -- one training step of a decoded network, layer by layer --------------------------
 
 
@@ -383,4 +460,9 @@ def test_decoded_network_training_step_equals_the_replaced_kernels_layer_by_laye
                 rtol=_tol(dtype),
                 atol=_tol(dtype),
             )
+            # one backward into zeroed accumulators: the gradient is dW itself
+            out, dw, db, _ = window_gather_conv(layer, call["x"], call["g_out"])
+            got = (call["out"], layer.params["weight"].grad, layer.params["bias"].grad)
+            for a, b in zip(got, (out, dw, db)):
+                np.testing.assert_allclose(a, b, rtol=_tol(dtype), atol=_tol(dtype))
     assert {"ReLU", "MaxPool2D", "BatchNorm2D", "Conv2D"} <= seen

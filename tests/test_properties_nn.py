@@ -9,6 +9,7 @@ from repro.nas.decoder import DecoderConfig, decode_genome
 from repro.nas.genome import Genome, n_connection_bits
 from repro.nn import load_state_dict, network_from_config, state_dict
 from repro.nn.layers import Conv2D
+from repro.nn.layers.conv import im2col
 from repro.nn.serialization import architecture_config
 from repro.utils.rng import derive_rng
 
@@ -80,7 +81,8 @@ class TestConvAdjointProperty:
     """``Conv2D.backward``'s input gradient is the adjoint of the forward
     map: ``<conv(x), g> == <x, dX(g)>`` for every geometry the layer
     accepts — including strides that leave input rows uncovered and
-    padding wider than the kernel, where the gradient canvas is cropped."""
+    padding wider than the kernel, where outputs that saw only padding
+    have no input to send their gradient to."""
 
     @given(
         kernel_size=st.integers(1, 4),
@@ -119,3 +121,57 @@ class TestConvAdjointProperty:
         lhs, rhs = float(np.sum(out * g)), float(np.sum(x * grad_x))
         scale = float(np.sum(np.abs(out * g))) + 1.0
         assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+class TestConvReferenceProperty:
+    """``Conv2D`` against the textbook formulation it no longer runs:
+    ``forward == im2col(pad(x)) @ W^T + b`` and ``dW == einsum`` over
+    the same columns, for every drawn geometry — a single sample, a
+    single channel and a kernel taller than the (unpadded) input
+    included."""
+
+    @given(
+        batch=st.integers(1, 3),
+        channels=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        kernel_size=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        pad_before=st.integers(0, 4),
+        pad_after=st.integers(0, 4),
+        height=st.integers(1, 8),
+        width=st.integers(1, 8),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_forward_and_weight_gradient_equal_the_im2col_formulation(
+        self, batch, channels, kernel_size, stride, pad_before, pad_after, height, width, seed
+    ):
+        if min(height, width) + pad_before + pad_after < kernel_size:
+            pad_after += kernel_size  # keep the draw: widen until one window fits
+        rng = derive_rng(seed, "conv-reference")
+        c, oc = channels
+        layer = Conv2D(
+            c, oc, kernel_size, stride=stride, padding=(pad_before, pad_after), rng=rng
+        )
+        layer.params["bias"].value[...] = rng.normal(size=oc)
+        x = rng.normal(size=(batch, c, height, width))
+        out = layer.forward(x, training=True)
+        g = rng.normal(size=out.shape)
+        layer.backward(g)
+
+        tol = 1000 * np.finfo(np.float64).eps  # each element sums <= 100 O(1) products
+        pads = (pad_before, pad_after)
+        cols = im2col(np.pad(x, ((0, 0), (0, 0), pads, pads)), kernel_size, kernel_size, stride)
+        kernel = layer.params["weight"].value.reshape(oc, -1)
+        expected = (cols @ kernel.T + layer.params["bias"].value).transpose(0, 2, 1)
+        np.testing.assert_allclose(out, expected.reshape(out.shape), rtol=tol, atol=tol)
+        np.testing.assert_allclose(layer.forward(x), out, rtol=tol, atol=tol)
+        g_flat = g.reshape(batch, oc, -1)
+        np.testing.assert_allclose(
+            layer.params["weight"].grad.reshape(oc, -1),
+            np.einsum("nop,npk->ok", g_flat, cols),
+            rtol=tol,
+            atol=tol,
+        )
+        np.testing.assert_allclose(
+            layer.params["bias"].grad, g_flat.sum(axis=(0, 2)), rtol=tol, atol=tol
+        )
