@@ -8,7 +8,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test bench-kernels bench-paper faults readme-rules all
+.PHONY: check lint test bench-kernels bench-paper faults readme-rules pairs all
 
 all: check test
 
@@ -42,3 +42,8 @@ readme-rules:
 # process backend's hard-kill path
 faults:
 	$(PYTHON) -m pytest tests/test_faults.py tests/test_procpool.py -q
+
+# a perf PR's evidence: the contract command on alternating parent/change
+# pairs, e.g. `make pairs PARENT=HEAD~1 WORKLOAD=overhead_steady SEEDS=2501-2510`
+pairs:
+	$(PYTHON) tools/pairs.py --parent $(PARENT) --workload $(WORKLOAD) --seeds $(SEEDS)

@@ -119,7 +119,6 @@ def training_matrix(
     cursor = 0
     total_connections = np.zeros(len(eligible))
     total_skips = np.zeros(len(eligible))
-    depth_cache: dict[tuple, float] = {}
     for n_nodes in nodes_per_phase:
         width = n_connection_bits(n_nodes) + 1
         phase_bits = bits[:, cursor : cursor + width]
@@ -127,12 +126,9 @@ def training_matrix(
         connections = phase_bits[:, :-1].sum(axis=1)
         skips = phase_bits[:, -1]
         patterns, inverse = np.unique(phase_bits.astype(int), axis=0, return_inverse=True)
-        depths = np.empty(len(patterns))
-        for i, pattern in enumerate(patterns):
-            key = tuple(pattern)
-            if key not in depth_cache:
-                depth_cache[key] = float(phase_depth(PhaseGenome(n_nodes, key)))
-            depths[i] = depth_cache[key]
+        depths = np.asarray(
+            [phase_depth(PhaseGenome(n_nodes, tuple(p))) for p in patterns], dtype=float
+        )
         columns += [connections, skips, depths[inverse]]
         total_connections += connections
         total_skips += skips

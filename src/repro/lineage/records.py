@@ -76,7 +76,7 @@ class ModelRecord:
     max_epochs: int = 0
     fitness_history: list = field(default_factory=list)
     prediction_history: list = field(default_factory=list)
-    epochs: list = field(default_factory=list)  # list[EpochRecord dicts]
+    epochs: list = field(default_factory=list)  # list[vars(EpochRecord)]
     architecture: list = field(default_factory=list)
     engine_parameters: dict | None = None
     engine_overhead_seconds: float = 0.0
@@ -119,7 +119,17 @@ class ModelRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelRecord":
-        return cls(**payload)
+        """Rebuild a record; its trail is held as a live tracker holds it.
+
+        Each epoch entry becomes the attribute dict of an
+        :class:`EpochRecord`, so the entries of a loaded commons share one
+        key table (a third of the memory of JSON-decoded dicts) and an
+        entry with a key the schema does not have fails here
+        (``TypeError``), not at some later reader.
+        """
+        record = cls(**payload)
+        record.epochs = [vars(EpochRecord(**entry)) for entry in record.epochs]
+        return record
 
     @property
     def epochs_saved(self) -> int:

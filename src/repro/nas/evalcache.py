@@ -33,14 +33,31 @@ from __future__ import annotations
 import copy
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.core.plugin import TrainingResult
 from repro.nas.population import Individual
 from repro.utils.logging import get_logger
 
 __all__ = ["CacheEntry", "EvaluationCache", "MemoizingStream"]
 
 _LOG = get_logger("nas.evalcache")
+
+
+def _copy_result(result):
+    """Independent copy of an evaluation's result.
+
+    A :class:`TrainingResult` is scalars plus two flat lists, so a field
+    copy with fresh lists is as independent as ``deepcopy`` (which a
+    600-model search entered 85k times); anything else still gets one.
+    """
+    if type(result) is TrainingResult:
+        return replace(
+            result,
+            fitness_history=list(result.fitness_history),
+            prediction_history=list(result.prediction_history),
+        )
+    return copy.deepcopy(result)
 
 
 @dataclass
@@ -188,7 +205,7 @@ class MemoizingStream:
     def _apply_hit(self, individual: Individual, entry: CacheEntry) -> None:
         individual.fitness = entry.fitness
         individual.flops = entry.flops
-        individual.result = copy.deepcopy(entry.result)
+        individual.result = _copy_result(entry.result)
         individual.epoch_seconds = list(entry.epoch_seconds)
         individual.cache_hit = True
         individual.cache_source = entry.source_model_id
@@ -224,7 +241,7 @@ class MemoizingStream:
             fitness=float(individual.fitness),
             flops=int(individual.flops),
             epoch_seconds=list(individual.epoch_seconds),
-            result=copy.deepcopy(individual.result),
+            result=_copy_result(individual.result),
             epoch_trace=list(trace),
             arena_peak_bytes=int(individual.arena_peak_bytes),
         )

@@ -15,7 +15,7 @@ phase; three phases give a 21-bit genome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -33,6 +33,33 @@ def n_connection_bits(n_nodes: int) -> int:
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     return n_nodes * (n_nodes - 1) // 2
+
+
+# A memo by value, not per instance: ``Genome.from_bits`` builds a fresh
+# PhaseGenome for every offspring, and a four-node phase has only 2**7
+# values.  Bounded so a wide space churns instead of growing (it holds
+# every phase of up to five nodes).
+@lru_cache(maxsize=4096)
+def _canonical_bits(n_nodes: int, bits: tuple) -> tuple:
+    """Smallest bit tuple over all direction-preserving relabelings.
+
+    The brute-force search behind :meth:`PhaseGenome.canonical`: at most
+    ``n_nodes!`` permutations, walked once per distinct ``(n_nodes,
+    bits)`` value — 24 at the paper's four nodes, 40,320 on the first
+    sight of an eight-node phase.
+    """
+    pairs = [(i, j) for j in range(1, n_nodes) for i in range(j)]  # bit layout
+    edges = [pair for pair, bit in zip(pairs, bits) if bit]
+    best = bits
+    for perm in permutations(range(n_nodes)):
+        # perm[i] is node i's new label; edge direction must survive
+        if any(perm[i] > perm[j] for i, j in edges):
+            continue
+        relabeled = {(perm[i], perm[j]) for i, j in edges}
+        candidate = tuple(int(pair in relabeled) for pair in pairs) + bits[-1:]
+        if candidate < best:
+            best = candidate
+    return best
 
 
 @dataclass(frozen=True)
@@ -110,8 +137,10 @@ class PhaseGenome:
         picks one representative per isomorphism class by brute-forcing
         all direction-preserving node permutations (at most ``n!``;
         the paper's phases have 4 nodes, so 24) and keeping the minimal
-        bit tuple.  The skip bit is routing around the *whole* phase and
-        is unaffected by relabeling.
+        bit tuple — once per distinct phase *value*
+        (:func:`_canonical_bits` is memoised), and returning ``self``
+        when it already is the representative.  The skip bit is routing
+        around the *whole* phase and is unaffected by relabeling.
 
         Dead-edge pruning is intentionally a no-op here: in this
         decoder every node computes (sourceless nodes read the adapted
@@ -119,27 +148,12 @@ class PhaseGenome:
         :meth:`active_nodes`), so the encoding has no dead structure to
         remove; isomorphic relabeling is the only true redundancy.
         """
-        n = self.n_nodes
-        if n > _CANONICAL_MAX_NODES:
+        if self.n_nodes > _CANONICAL_MAX_NODES:
             return self
-        matrix = self.connection_matrix()
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if matrix[i, j]]
-        best = self.bits
-        for perm in permutations(range(n)):
-            # perm[i] is node i's new label; edge direction must survive
-            if any(perm[i] > perm[j] for i, j in edges):
-                continue
-            relabeled = np.zeros((n, n), dtype=bool)
-            for i, j in edges:
-                relabeled[perm[i], perm[j]] = True
-            bits = tuple(
-                int(relabeled[i, j]) for j in range(1, n) for i in range(j)
-            ) + (self.bits[-1],)
-            if bits < best:
-                best = bits
+        best = _canonical_bits(self.n_nodes, self.bits)
         if best == self.bits:
             return self
-        return PhaseGenome(n, best)
+        return PhaseGenome(self.n_nodes, best)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -351,12 +352,17 @@ SKIP_PROBE = "predicted_loser"
 SKIP_EXPLORE = "exploration"
 
 
+@lru_cache(maxsize=4096)
 def phase_depth(phase: PhaseGenome) -> int:
     """Longest input→output path through the phase DAG, in nodes.
 
     Nodes without predecessors read the phase input, so every node starts
     a chain of length 1; an edge ``i -> j`` extends the chain.  This is
     the per-phase "effective depth" feature of the genome featurization.
+    Memoised by *value* (a frozen :class:`PhaseGenome` hashes and compares
+    by ``(n_nodes, bits)``): every offspring is a fresh instance, so a
+    per-instance memo would never hit; the live featurization and
+    ``analysis.training_matrix`` share this one.
     """
     matrix = phase.connection_matrix()
     depth = [1] * phase.n_nodes
@@ -484,21 +490,29 @@ class FitnessPredictor:
     they became visible.  Predictions are made *as of* a commit count, so
     a candidate bred when ``c`` commits were visible is scored against
     exactly those observations — in live runs, on resume, and across
-    backends alike.  Fits are closed-form (:func:`ridge_lstsq`) and
-    cached per visible-prefix length.
+    backends alike.
+
+    Observations live in one C-contiguous float64 matrix (and target
+    vector) that doubles in capacity; a fit is handed the prefix views
+    ``X[:n]``, ``y[:n]``, which have the values, shape and strides of the
+    array :func:`ridge_lstsq` would build from a list of rows, so the fit
+    is the same to the last bit without rebuilding it.  Fits are
+    closed-form and pure in the prefix, and only the last one is kept:
+    steady mode asks for non-decreasing prefixes and a barrier generation
+    for one, so an older prefix is simply fitted again if ever asked for.
     """
 
     def __init__(self, *, ridge: float = 1e-3, sigma_floor: float = 0.5) -> None:
         self.ridge = float(ridge)
         self.sigma_floor = float(sigma_floor)
-        self._rows: list[tuple] = []
-        self._targets: list[float] = []
+        self._x = np.empty((0, 0))  # (capacity, k); the first n_observations rows are live
+        self._y = np.empty(0)
         self._commit_counts: list[int] = []
-        self._fits: dict[int, RidgeFit | None] = {}
+        self._last_fit: tuple[int, RidgeFit | None] = (0, None)  # (prefix, its fit)
 
     @property
     def n_observations(self) -> int:
-        return len(self._rows)
+        return len(self._commit_counts)
 
     def observe(self, features: Sequence[float], fitness: float, commit_count: int) -> None:
         """Add one full-budget outcome, visible from ``commit_count`` on."""
@@ -507,8 +521,19 @@ class FitnessPredictor:
                 f"observations must arrive in commit order, got {commit_count} "
                 f"after {self._commit_counts[-1]}"
             )
-        self._rows.append(tuple(float(f) for f in features))
-        self._targets.append(float(fitness))
+        row = np.asarray(features, dtype=float)
+        n = self.n_observations
+        if not n:
+            self._x, self._y = np.empty((16, row.size)), np.empty(16)
+        elif row.shape != self._x.shape[1:]:
+            raise ValueError(
+                f"feature rows must have {self._x.shape[1]} columns, got {row.shape}"
+            )
+        elif n == len(self._y):
+            self._x = np.concatenate([self._x, np.empty_like(self._x)])
+            self._y = np.concatenate([self._y, np.empty_like(self._y)])
+        self._x[n] = row
+        self._y[n] = fitness
         self._commit_counts.append(int(commit_count))
 
     def visible_rows(self, n_committed: int) -> int:
@@ -516,11 +541,10 @@ class FitnessPredictor:
         return bisect_right(self._commit_counts, n_committed)
 
     def _fit(self, n_rows: int) -> RidgeFit | None:
-        if n_rows not in self._fits:
-            self._fits[n_rows] = ridge_lstsq(
-                self._rows[:n_rows], self._targets[:n_rows], ridge=self.ridge
-            )
-        return self._fits[n_rows]
+        if self._last_fit[0] != n_rows:
+            fit = ridge_lstsq(self._x[:n_rows], self._y[:n_rows], ridge=self.ridge)
+            self._last_fit = (n_rows, fit)
+        return self._last_fit[1]
 
     def predict(
         self, features: Sequence[float], n_committed: int | None = None
@@ -531,7 +555,7 @@ class FitnessPredictor:
         observations, or a degenerate system).
         """
         n_rows = (
-            len(self._rows) if n_committed is None else self.visible_rows(n_committed)
+            self.n_observations if n_committed is None else self.visible_rows(n_committed)
         )
         if n_rows == 0:
             return None
@@ -552,11 +576,12 @@ class FitnessPredictor:
 
     def fingerprint(self) -> tuple:
         """Stable digest of the full observation log (for resume tests)."""
+        n = self.n_observations
         return (
-            len(self._rows),
+            n,
             tuple(self._commit_counts),
-            tuple(self._targets),
-            tuple(self._rows),
+            tuple(self._y[:n].tolist()),
+            tuple(map(tuple, self._x[:n].tolist())),
         )
 
 

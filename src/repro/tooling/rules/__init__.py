@@ -173,3 +173,18 @@ def dotted_name(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def numpy_name(module: ModuleContext, node: ast.AST) -> str | None:
+    """The top-level NumPy name ``node`` refers to, else ``None``.
+
+    ``float32`` for ``np.float32``, for ``xp.float32`` after ``import
+    numpy as xp`` and for a bare ``float32`` after ``from numpy import
+    float32``: the chain's head is resolved through the module's own
+    imports (:meth:`ModuleContext.resolve`), as the DET rules do.
+    """
+    chain = dotted_name(node) if isinstance(node, (ast.Attribute, ast.Name)) else None
+    if chain is None:
+        return None
+    head, _, tail = module.resolve(chain).partition(".")
+    return tail if head == "numpy" and tail else None

@@ -8,10 +8,11 @@ to float64 and quietly throws the speedup away, which is exactly how
 the pre-fast-path losses module defeated float32 training:
 
 * ``PERF001`` — inside ``nn/`` hot-path code, ``dtype=float``,
-  ``np.float64``/``numpy.float64``, and bare ``astype(float)`` /
-  ``astype("float64")`` all force float64 regardless of the configured
-  policy.  Derive the dtype from the data (``targets = np.asarray(t,
-  dtype=predictions.dtype)``) or thread it through
+  ``numpy.float64`` under whatever name the module imported it
+  (``np.float64``, ``xp.double``, ``from numpy import float64``), and
+  bare ``astype(float)`` / ``astype("float64")`` all force float64
+  regardless of the configured policy.  Derive the dtype from the data
+  (``targets = np.asarray(t, dtype=predictions.dtype)``) or thread it through
   :func:`repro.nn.dtype.resolve_dtype`.  ``nn/dtype.py`` itself is
   exempt — the float64 *default* has to be named somewhere, and that
   module is its sanctioned home.
@@ -24,25 +25,18 @@ from typing import Iterable
 
 from repro.tooling.context import ModuleContext
 from repro.tooling.diagnostics import Diagnostic
-from repro.tooling.rules import BaseRule, dotted_name, register
+from repro.tooling.rules import BaseRule, dotted_name, numpy_name, register
 
 __all__ = ["Float64ForcingRule"]
 
-_WIDE_ATTRS = {"np.float64", "numpy.float64", "np.double", "numpy.double"}
-_WIDE_LITERALS = {"float64", "double"}
+_WIDE_NAMES = {"float64", "double"}
 
 
 def _forces_float64(arg: ast.AST) -> str | None:
-    """Human-readable description when ``arg`` pins float64, else ``None``."""
+    """Description when ``arg`` pins float64 without naming NumPy, else ``None``."""
     if isinstance(arg, ast.Name) and arg.id == "float":
         return "builtin float"
-    if isinstance(arg, ast.Attribute) and dotted_name(arg) in _WIDE_ATTRS:
-        return dotted_name(arg)
-    if (
-        isinstance(arg, ast.Constant)
-        and isinstance(arg.value, str)
-        and arg.value in _WIDE_LITERALS
-    ):
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and arg.value in _WIDE_NAMES:
         return repr(arg.value)
     return None
 
@@ -63,16 +57,15 @@ class Float64ForcingRule(BaseRule):
 
     def check(self, module: ModuleContext) -> Iterable[Diagnostic]:
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Attribute):
-                chain = dotted_name(node)
-                if chain in _WIDE_ATTRS:
-                    yield self.diag(
-                        module,
-                        node,
-                        f"{chain} pins float64 regardless of the configured "
-                        "compute dtype; derive the dtype from the data or from "
-                        "repro.nn.dtype.resolve_dtype",
-                    )
+            if numpy_name(module, node) in _WIDE_NAMES:
+                # wherever it stands, a dtype argument included
+                yield self.diag(
+                    module,
+                    node,
+                    f"{dotted_name(node)} pins float64 regardless of the configured "
+                    "compute dtype; derive the dtype from the data or from "
+                    "repro.nn.dtype.resolve_dtype",
+                )
             elif isinstance(node, ast.Call):
                 chain = dotted_name(node.func) or ""
                 is_astype = chain.endswith(".astype")
@@ -83,8 +76,7 @@ class Float64ForcingRule(BaseRule):
                     candidates.extend(node.args)
                 for arg in candidates:
                     what = _forces_float64(arg)
-                    # np.float64 attributes are already reported above
-                    if what is not None and not isinstance(arg, ast.Attribute):
+                    if what is not None:
                         site = f"astype({what})" if is_astype else f"dtype={what}"
                         yield self.diag(
                             module,

@@ -12,7 +12,9 @@ numeric code must fail loudly or guard explicitly:
   initializer ``dtype`` parameters.  Hard-coding ``np.float32`` /
   ``float16`` at a call site silently mixes precision and changes
   training results between code paths; only the policy module may name
-  narrow dtypes.
+  narrow dtypes.  The NumPy name is resolved through the module's
+  imports, so ``xp.float32`` after ``import numpy as xp`` and ``float32``
+  after ``from numpy import float32`` are the same reference.
 * ``NUM004`` — a ``while True`` loop that swallows exceptions and loops
   again is an unbounded retry: on a persistent fault it spins forever
   (the hang the fault policy's timeout exists to catch).  Retry logic
@@ -27,7 +29,7 @@ from typing import Iterable
 
 from repro.tooling.context import ModuleContext
 from repro.tooling.diagnostics import Diagnostic
-from repro.tooling.rules import BaseRule, dotted_name, register
+from repro.tooling.rules import BaseRule, dotted_name, numpy_name, register
 
 __all__ = ["SwallowedExceptRule", "NarrowDtypeRule", "UnboundedRetryRule"]
 
@@ -157,17 +159,13 @@ class NarrowDtypeRule(BaseRule):
 
     def check(self, module: ModuleContext) -> Iterable[Diagnostic]:
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Attribute):
-                chain = dotted_name(node)
-                if chain in {f"np.{d}" for d in _NARROW_DTYPES} | {
-                    f"numpy.{d}" for d in _NARROW_DTYPES
-                }:
-                    yield self.diag(
-                        module,
-                        node,
-                        f"{chain} hard-codes a narrow dtype; thread the compute "
-                        "dtype through repro.nn.dtype.resolve_dtype instead",
-                    )
+            if numpy_name(module, node) in _NARROW_DTYPES:
+                yield self.diag(
+                    module,
+                    node,
+                    f"{dotted_name(node)} hard-codes a narrow dtype; thread the "
+                    "compute dtype through repro.nn.dtype.resolve_dtype instead",
+                )
             elif isinstance(node, ast.Call):
                 chain = dotted_name(node.func) or ""
                 is_dtype_site = chain.endswith(".astype")

@@ -2,7 +2,8 @@
 
 Record trails are the product the lineage tracker ships; partially
 written files would corrupt the commons, so all writes are atomic
-(write to a temporary sibling, then ``os.replace``).
+(write to a temporary sibling, then ``os.replace``); a JSON write whose
+target already holds the same bytes is skipped.
 """
 
 from __future__ import annotations
@@ -49,10 +50,20 @@ def _atomic_replace(path: Path, writer) -> None:
 
 
 def atomic_write_json(path: str | Path, payload: Any, *, indent: int = 2) -> Path:
-    """Serialize ``payload`` to JSON at ``path`` atomically; returns the path."""
+    """Serialize ``payload`` to JSON at ``path`` atomically; returns the path.
+
+    A target that already holds exactly these bytes is left as it is — no
+    temporary, no rename, same inode and mtime — so re-publishing an
+    unchanged record (a resumed run restores hundreds) costs one read.
+    """
     path = Path(path)
-    text = json.dumps(payload, indent=indent, sort_keys=True, cls=JsonEncoder)
-    _atomic_replace(path, lambda fh: fh.write(text.encode("utf-8")))
+    data = json.dumps(payload, indent=indent, sort_keys=True, cls=JsonEncoder).encode("utf-8")
+    try:
+        unchanged = path.read_bytes() == data
+    except OSError:  # missing or unreadable: write it
+        unchanged = False
+    if not unchanged:
+        _atomic_replace(path, lambda fh: fh.write(data))
     return path
 
 

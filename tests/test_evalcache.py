@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig
+from repro.core.plugin import TrainingResult
 from repro.lineage import DataCommons
 from repro.lineage.replay import verify_run
 from repro.nas import NSGANetConfig, random_genome
@@ -448,6 +449,70 @@ class TestMemoizingStream:
         stream, _, inner = make_stream()
         assert stream.finish() == "inner-report"
         assert inner.finish_calls == 1
+
+
+def training_result() -> TrainingResult:
+    result = TrainingResult(
+        fitness=80.5,
+        epochs_trained=3,
+        terminated_early=True,
+        fitness_history=[51.0, 62.0, 71.5],
+        prediction_history=[None, 80.25, 80.5],
+        measured_fitness=71.5,
+        engine_overhead_seconds=0.125,
+        engine_interactions=3,
+    )
+    result._max_epochs = 8
+    return result
+
+
+class TestResultCopies:
+    """A hit, its entry and its leader each own their result (once by
+    ``deepcopy``; a :class:`TrainingResult` now by field copy)."""
+
+    def hit_entry_leader(self):
+        stream, _, _ = make_stream()
+        a, b = iso_phases()
+        leader = make_individual(0, a)
+        leader.fitness, leader.flops, leader.result = 80.5, 123, training_result()
+        assert stream.prime(leader)
+        entry = stream.cache.peek(stream.base.memo_key(leader))
+        hit = make_individual(1, b)
+        stream.submit(hit)
+        assert stream.settled() is hit and hit.cache_hit
+        return hit, entry, leader
+
+    def test_a_hit_restores_every_field(self):
+        hit, entry, leader = self.hit_entry_leader()
+        assert hit.result == entry.result == leader.result == training_result()
+        assert hit.result._max_epochs == entry.result._max_epochs == 8
+        assert hit.result.epochs_saved == 5
+
+    def test_mutating_a_hit_leaves_entry_and_leader_untouched(self):
+        hit, entry, leader = self.hit_entry_leader()
+        hit.result.fitness_history.append(0.0)
+        hit.result.prediction_history.clear()
+        hit.result.fitness = -1.0
+        assert entry.result == leader.result == training_result()
+
+    def test_mutating_entry_or_leader_leaves_the_hit_untouched(self):
+        hit, entry, leader = self.hit_entry_leader()
+        leader.result.fitness_history.clear()
+        leader.result.prediction_history.append(1.0)
+        assert entry.result == hit.result == training_result()
+        entry.result.fitness_history.append(2.0)
+        entry.result.prediction_history[0] = 3.0
+        assert hit.result == training_result()
+
+    def test_any_other_result_is_still_deep_copied(self):
+        stream, _, _ = make_stream()
+        a, b = iso_phases()
+        first = evaluate(stream, make_individual(0, a))  # FakeChain's result is a dict
+        first.result["history"].append(53.0)
+        second = evaluate(stream, make_individual(1, b))
+        assert second.cache_hit and second.result == {"history": [51.0, 52.0]}
+        second.result["history"].clear()
+        assert evaluate(stream, make_individual(2, a)).result == {"history": [51.0, 52.0]}
 
 
 def cached_config(seed=9, mode="surrogate", generations=3):

@@ -4,22 +4,31 @@ Each fast path keeps the expression or the loop it replaced as the
 reference, here in the tests: the stacked-broadcast dominance matrix,
 the batch Pareto mask over an archive prefix, the list-based
 one-in/one-out insert, the decoded network's FLOP count,
-``dataclasses.asdict`` and the bytes the parent commit published.
+``dataclasses.asdict``, the bytes the parent commit published, the
+per-call permutation search behind ``PhaseGenome.canonical``, the
+predictor's list of rows refitted from scratch, and the JSON-decoded
+record a commons used to load.
 """
 
+import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fitting import ridge_lstsq
 from repro.lineage import DataCommons
 from repro.lineage.records import EpochRecord, ModelRecord, RunRecord
+from repro.nas import genome as genome_module
+from repro.nas import surrogate as surrogate_module
 from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops
-from repro.nas.genome import Genome, n_connection_bits
+from repro.nas.genome import Genome, PhaseGenome, n_connection_bits
 from repro.nas.nsga2 import (
     _dominance,
     fast_non_dominated_sort,
@@ -29,10 +38,11 @@ from repro.nas.nsga2 import (
 )
 from repro.nas.population import Individual
 from repro.nas.search import NSGANetConfig, replay_steady
-from repro.nas.surrogate import SurrogateConfig
+from repro.nas.surrogate import FitnessPredictor, SurrogateConfig
 from repro.nn.flops import network_flops
 from repro.workflow import resume_workflow, run_workflow
 from repro.workflow.interfaces import WorkflowConfig
+from repro.workflow.orchestrator import A4NNOrchestrator
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -141,6 +151,168 @@ class TestGenomeFlops:
         assert flops == network_flops(network)
 
 
+# -- canonicalisation as a value memo ------------------------------------------------
+
+
+def permutation_search(phase: PhaseGenome) -> tuple:
+    """What ``PhaseGenome.canonical`` ran on every call before the memo."""
+    n = phase.n_nodes
+    matrix = phase.connection_matrix()
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if matrix[i, j]]
+    best = phase.bits
+    for perm in itertools.permutations(range(n)):
+        if any(perm[i] > perm[j] for i, j in edges):
+            continue
+        relabeled = np.zeros((n, n), dtype=bool)
+        for i, j in edges:
+            relabeled[perm[i], perm[j]] = True
+        bits = tuple(int(relabeled[i, j]) for j in range(1, n) for i in range(j))
+        best = min(best, bits + (phase.bits[-1],))
+    return best
+
+
+def relabelings(phase: PhaseGenome):
+    """Every phase that is ``phase`` with its nodes renamed, edges still forward."""
+    n = phase.n_nodes
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = [pair for pair, bit in zip(pairs, phase.bits) if bit]
+    for perm in itertools.permutations(range(n)):
+        if all(perm[i] < perm[j] for i, j in edges):
+            moved = {(perm[i], perm[j]) for i, j in edges}
+            yield PhaseGenome(n, tuple(int(pair in moved) for pair in pairs) + phase.bits[-1:])
+
+
+@st.composite
+def phases(draw, min_nodes=2, max_nodes=5):
+    nodes = draw(st.integers(min_nodes, max_nodes))
+    width = n_connection_bits(nodes) + 1
+    return PhaseGenome(nodes, draw(st.tuples(*[st.integers(0, 1)] * width)))
+
+
+class TestCanonicalMemo:
+    def test_every_four_node_phase_matches_the_search(self):
+        genome_module._canonical_bits.cache_clear()
+        for bits in itertools.product((0, 1), repeat=7):
+            phase = PhaseGenome(4, bits)
+            assert phase.canonical().bits == permutation_search(phase)
+            assert phase.canonical().bits == permutation_search(phase)  # now a hit
+        info = genome_module._canonical_bits.cache_info()
+        assert (info.misses, info.hits) == (128, 128)
+
+    @given(phases())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_phases_match_the_search(self, phase):
+        canonical = phase.canonical()
+        assert canonical.bits == permutation_search(phase)
+        assert canonical.canonical() is canonical
+        assert (canonical is phase) == (canonical.bits == phase.bits)
+
+    @given(phases())
+    @settings(max_examples=100, deadline=None)
+    def test_every_relabeling_shares_one_canonical_key(self, phase):
+        key = Genome((phase,)).canonical_key()
+        assert {Genome((other,)).canonical_key() for other in relabelings(phase)} == {key}
+
+    @given(phases())
+    @settings(max_examples=100, deadline=None)
+    def test_depth_memo_is_the_longest_chain(self, phase):
+        matrix = phase.connection_matrix()
+        longest = [1] * phase.n_nodes
+        for j in range(phase.n_nodes):
+            for i in range(j):
+                if matrix[i, j]:
+                    longest[j] = max(longest[j], longest[i] + 1)
+        assert surrogate_module.phase_depth(phase) == max(longest)
+        assert surrogate_module.phase_depth(PhaseGenome(phase.n_nodes, phase.bits)) == max(longest)
+
+
+# -- the predictor's growing matrix ---------------------------------------------------
+
+
+class TestPredictorStorage:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    @settings(max_examples=6, deadline=None)
+    def test_every_prefix_fit_is_the_list_built_fit(self, seed, width):
+        rng = np.random.default_rng(seed)
+        predictor = FitnessPredictor(ridge=1e-3)
+        rows, targets, capacities = [], [], set()
+        for n in range(1, 201):
+            # structural counts on a coarse grid plus one real column, like genome_features
+            row = (1.0, *map(float, rng.integers(0, 7, width - 1)), float(rng.normal()))
+            rows.append(row)
+            targets.append(float(rng.uniform(40.0, 100.0)))
+            predictor.observe(row, targets[-1], commit_count=n)
+            capacities.add(len(predictor._y))
+            reference = ridge_lstsq(rows[:n], targets[:n], ridge=1e-3)
+            fit = predictor._fit(n)
+            assert fit == reference  # frozen dataclass of floats and tuples: bitwise
+            if reference is not None:
+                assert (fit.theta, fit.rmse, fit.gram_inv) == (
+                    reference.theta, reference.rmse, reference.gram_inv
+                )
+        assert len(capacities) >= 3  # at least two doublings
+        assert predictor._x.flags.c_contiguous and predictor._x.dtype == np.float64
+        assert predictor.fingerprint() == (
+            200, tuple(range(1, 201)), tuple(targets), tuple(rows)
+        )
+
+    def test_an_older_prefix_is_fitted_again_to_the_same_fit(self):
+        rng = np.random.default_rng(5)
+        predictor = FitnessPredictor()
+        rows = [(1.0, float(rng.integers(0, 5)), float(rng.normal())) for _ in range(40)]
+        targets = [float(rng.uniform(40.0, 100.0)) for _ in rows]
+        for i, (row, target) in enumerate(zip(rows, targets)):
+            predictor.observe(row, target, commit_count=i + 1)
+        fits = [predictor._fit(n) for n in (20, 23, 20)]
+        assert fits[0] == fits[2] == ridge_lstsq(rows[:20], targets[:20])
+        assert fits[1] == ridge_lstsq(rows[:23], targets[:23])
+        assert predictor._last_fit == (20, fits[2])  # one entry, the last prefix fitted
+
+    def test_a_row_of_another_width_is_refused(self):
+        predictor = FitnessPredictor()
+        predictor.observe((1.0, 2.0), 3.0, 1)
+        with pytest.raises(ValueError, match="2 columns"):
+            predictor.observe((1.0, 2.0, 3.0), 3.0, 2)
+
+
+def steady_config(models: int, run_id: str, surrogate: SurrogateConfig) -> WorkflowConfig:
+    return WorkflowConfig(
+        nas=NSGANetConfig(
+            population_size=models // 6,
+            offspring_per_generation=models // 6,
+            generations=6,
+            max_epochs=6,
+            evolution="steady",
+        ),
+        engine=None,
+        mode="surrogate",
+        n_workers=2,
+        surrogate=surrogate,
+        seed=29,
+        run_id=run_id,
+    )
+
+
+class TestComputeOnce:
+    def test_a_steady_search_searches_and_fits_each_value_once(self, monkeypatch):
+        prefixes = collections.Counter()
+
+        def counting_ridge(features, targets, **kwargs):
+            prefixes[len(targets)] += 1
+            return ridge_lstsq(features, targets, **kwargs)
+
+        monkeypatch.setattr(surrogate_module, "ridge_lstsq", counting_ridge)
+        genome_module._canonical_bits.cache_clear()
+        orchestrator = A4NNOrchestrator(steady_config(120, "compute-once", SurrogateConfig()))
+        result = orchestrator.run()
+        assert len(result.tracker.all_records()) == 120
+        searches = genome_module._canonical_bits.cache_info()
+        assert 0 < searches.misses <= 128 < searches.hits
+        assert prefixes and set(prefixes.values()) == {1}
+        predictor = orchestrator.allocator.predictor
+        assert predictor._last_fit[0] == max(prefixes)  # the one fit it holds
+
+
 # -- record serialisation -----------------------------------------------------------
 
 
@@ -221,6 +393,49 @@ class TestRecordSerialisation:
         copy["architecture"][0]["config"]["bits"].clear()
         copy["fitness_history"].append(0.0)
         assert record.to_dict() == dataclasses.asdict(full_record())
+
+
+def commons_bytes(payload: dict) -> str:
+    """The text ``atomic_write_json`` puts in a model file."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+class TestLoadedRecords:
+    """``ModelRecord.from_dict`` holds a trail as the live tracker does."""
+
+    def assert_round_trips(self, payload: dict) -> None:
+        before = commons_bytes(payload)
+        record = ModelRecord.from_dict(payload)
+        assert record.to_dict() == payload
+        assert commons_bytes(record.to_dict()) == before
+        assert commons_bytes(payload) == before  # the payload is not edited
+        fields = list(EpochRecord.__dataclass_fields__)
+        assert all(list(entry) == fields for entry in record.epochs)
+
+    def test_legacy_commons_round_trips(self):
+        files = sorted((FIXTURES / "legacy_arena_commons").rglob("model_*.json"))
+        assert files
+        for path in files:
+            self.assert_round_trips(json.loads(path.read_text()))
+
+    def test_a_fresh_steady_run_round_trips(self, tmp_path):
+        config = steady_config(36, "loaded-records", SurrogateConfig(min_records=4))
+        result = run_workflow(config, commons_path=tmp_path)
+        live = {r.model_id: r for r in result.tracker.all_records()}
+        files = sorted(tmp_path.rglob("model_*.json"))
+        assert len(files) == 36
+        for path in files:
+            payload = json.loads(path.read_text())
+            self.assert_round_trips(payload)
+            loaded = ModelRecord.from_dict(payload)
+            assert loaded == live[loaded.model_id]
+            assert [list(e) for e in loaded.epochs] == [list(e) for e in live[loaded.model_id].epochs]
+
+    def test_an_unknown_epoch_key_fails_at_load(self):
+        payload = full_record().to_dict()
+        payload["epochs"][1]["learning_rate"] = 0.1
+        with pytest.raises(TypeError, match="learning_rate"):
+            ModelRecord.from_dict(payload)
 
 
 # -- published bytes ---------------------------------------------------------------

@@ -262,6 +262,50 @@ def test_perf001_accepts_policy_module_and_data_derived_dtypes():
     assert rule_hits(diags, "PERF001") == []
 
 
+# -- NUM003/PERF001: the NumPy name resolves through the module's own imports -----
+
+
+@pytest.mark.parametrize(
+    "rule_id, source",
+    [
+        ("NUM003", "import numpy as xp\nNARROW = xp.float32\n"),
+        ("NUM003", "from numpy import float16\ndef f(x):\n    return x.astype(float16)\n"),
+        ("NUM003", "from numpy import single as s\nimport numpy as np\nz = np.zeros(3, dtype=s)\n"),
+        ("PERF001", "import numpy as xp\ndef f(x):\n    return x.astype(xp.float64)\n"),
+        ("PERF001", "from numpy import float64\nWIDE = float64\n"),
+        ("PERF001", "import numpy\nimport numpy as xp\nz = numpy.zeros(3, dtype=xp.double)\n"),
+    ],
+    ids=["xp.float32", "from-float16", "single-as", "astype-xp.float64", "from-float64", "xp.double"],
+)
+def test_dtype_rules_see_through_import_aliases(rule_id, source):
+    diags = lint({"repro/nn/aliased.py": source})
+    assert [d.rule_id for d in diags] == [rule_id]
+
+
+def test_dtype_rules_keep_the_policy_spellings_clean():
+    diags = lint({
+        "repro/nn/dtype.py": """
+            import numpy as xp
+            from numpy import float32, float64
+            SUPPORTED = (xp.dtype(float32), xp.dtype(float64), xp.double)
+        """,
+        "repro/nn/ok.py": """
+            import numpy as xp
+            from repro.nn.dtype import resolve_dtype
+            def f(x, float64=None, dtype=None):
+                # a local that merely shares a NumPy name is not NumPy's
+                wide = float64
+                return xp.asarray(x, dtype=resolve_dtype(dtype)), x.astype(x.dtype), wide
+        """,
+        "repro/xfel/elsewhere.py": """
+            from numpy import float32, float64
+            def f(x):
+                return x.astype(float32), x.astype(float64)
+        """,
+    })
+    assert diags == []
+
+
 # -- NUM004: unbounded retry loops ---------------------------------------------
 
 
