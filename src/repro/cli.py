@@ -217,11 +217,10 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
-        help="evaluation backend: 'serial' (a one-worker pool, keeps a "
-        "timing report), 'thread' (inline at one worker, a FIFO thread "
-        "pool above; default), or 'process' (spawned workers sharing the "
-        "dataset through shared memory, with hard-kill timeouts)",
+        choices=["thread", "process"],
+        help="evaluation backend: 'thread' (inline at one worker, a FIFO "
+        "thread pool above; default) or 'process' (spawned workers sharing "
+        "the dataset through shared memory, with hard-kill timeouts)",
     )
     parser.add_argument(
         "--n-workers",
@@ -260,7 +259,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"networks evaluated: {len(result.search.archive)}")
     if config.faults is not None:
         print(f"quarantined       : {result.search.n_quarantined}")
-    if config.eval_cache:
+    if config.caches_evaluations:
         hits = sum(g.n_cache_hits for g in result.search.generations)
         print(f"cache hits        : {hits}")
     print(

@@ -43,8 +43,11 @@ class DataCommons:
         """Store one search run and all of its model record trails.
 
         Returns the run directory.  Re-publishing the same ``run_id``
-        overwrites it (runs are immutable-by-convention, replayable by
-        seed).
+        replaces it (runs are immutable-by-convention, replayable by
+        seed): the new trails are written first, then every model file
+        of the earlier publish that is not among them is deleted, so an
+        interrupted publish never leaves fewer trails than either
+        version.
         """
         if isinstance(records, LineageTracker):
             records = records.all_records()
@@ -55,11 +58,16 @@ class DataCommons:
 
         run_dir = self.root / "runs" / run.run_id
         atomic_write_json(run_dir / "run.json", run.to_dict())
+        written = set()
         for record in records:
-            atomic_write_json(
-                run_dir / "models" / f"model_{record.model_id:05d}.json",
-                record.to_dict(),
+            written.add(
+                atomic_write_json(
+                    run_dir / "models" / f"model_{record.model_id:05d}.json",
+                    record.to_dict(),
+                )
             )
+        for stale in set((run_dir / "models").glob("model_*.json")) - written:
+            stale.unlink()
         self._update_manifest(run)
         return run_dir
 

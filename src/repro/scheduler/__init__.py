@@ -29,12 +29,7 @@ from repro.scheduler.fifo import (
     schedule_run,
 )
 from repro.scheduler.pool import FifoWorkerPool, JobTiming, PoolReport, WorkerPool
-from repro.scheduler.procpool import (
-    EvalResult,
-    EvalSpec,
-    EvalTask,
-    ProcessWorkerPool,
-)
+from repro.scheduler.procpool import EvalResult, EvalTask, ProcessWorkerPool
 from repro.scheduler.resources import Gpu, GpuPool
 from repro.scheduler.simulator import WallTimeReport, jobs_by_generation, simulate_walltime
 
@@ -58,7 +53,6 @@ __all__ = [
     "PoolReport",
     "WorkerPool",
     "EvalResult",
-    "EvalSpec",
     "EvalTask",
     "ProcessWorkerPool",
     "Gpu",

@@ -106,8 +106,8 @@ class FaultEvent:
     """One fault-handling decision for one evaluation attempt.
 
     ``timeout_leaked`` records whether the timed-out attempt's
-    computation is still running somewhere: the thread/serial backends
-    cannot kill a Python thread, so their abandoned attempts keep
+    computation is still running somewhere: the thread backend
+    cannot kill a Python thread, so its abandoned attempts keep
     computing in the background (leaked) until they finish on their
     own.  Only the process backend hard-kills the worker, so only there
     is a timeout event guaranteed non-leaking (see DESIGN §8).

@@ -20,8 +20,10 @@ serialize.  :class:`~repro.scheduler.procpool.ProcessWorkerPool` is the
 drop-in sibling that sidesteps the GIL entirely — both implement the
 :class:`WorkerPool` protocol and record the same enriched
 :class:`PoolReport` (per-job start/end timestamps, per-worker busy
-seconds), so barrier downtime is computable for every backend.  Give a
-pool a :class:`~repro.scheduler.faults.FaultPolicy` and faulty
+seconds), so barrier downtime is computable for every backend.  A thread
+pool runs whatever evaluator it is given: wrap it in a
+:class:`~repro.scheduler.faults.FaultTolerantEvaluator` (the
+orchestrator does, when the config carries a fault policy) and faulty
 candidates are retried and, if unrecoverable, quarantined with penalized
 objectives instead of raising.
 """
@@ -31,12 +33,11 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.nas.evaluation import Evaluator
 from repro.nas.population import Individual
-from repro.scheduler.faults import FaultPolicy, FaultTolerantEvaluator
 from repro.utils.timing import Stopwatch
 
 __all__ = ["JobTiming", "PoolReport", "WorkerPool", "FifoWorkerPool"]
@@ -83,7 +84,7 @@ class PoolReport:
     n_jobs:
         Evaluations submitted.
     backend:
-        ``"serial"``, ``"thread"``, or ``"process"``.
+        ``"thread"`` or ``"process"``.
     jobs:
         Per-job :class:`JobTiming` entries in submission order.
     worker_busy_seconds:
@@ -178,15 +179,6 @@ class FifoWorkerPool:
         Backend whose ``evaluate`` runs one individual to completion.
     n_workers:
         Concurrent evaluations (the paper's GPU count).
-    policy:
-        Optional :class:`~repro.scheduler.faults.FaultPolicy`; when
-        given, the evaluator is wrapped in a
-        :class:`~repro.scheduler.faults.FaultTolerantEvaluator` (unless
-        it already is one), so evaluation faults quarantine individual
-        candidates instead of raising from ``settled``.
-    on_fault_event:
-        Forwarded to the fault-tolerant wrapper when ``policy`` is given
-        (lineage hook).
 
     Notes
     -----
@@ -197,20 +189,9 @@ class FifoWorkerPool:
 
     backend = "thread"
 
-    def __init__(
-        self,
-        evaluator: Evaluator,
-        n_workers: int = 1,
-        *,
-        policy: FaultPolicy | None = None,
-        on_fault_event=None,
-    ) -> None:
+    def __init__(self, evaluator: Evaluator, n_workers: int = 1) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if policy is not None and not isinstance(evaluator, FaultTolerantEvaluator):
-            evaluator = FaultTolerantEvaluator(
-                evaluator, policy, on_event=on_fault_event
-            )
         self.evaluator = evaluator
         self.n_workers = int(n_workers)
         self.reports: list[PoolReport] = []
@@ -266,7 +247,7 @@ class FifoWorkerPool:
             n_workers=self.n_workers,
             wall_seconds=state.clock.total,
             n_jobs=state.n_submitted,
-            backend="serial" if self.n_workers == 1 else "thread",
+            backend="thread",
             jobs=tuple(sorted(state.timings, key=lambda t: t.job_id)),
             worker_busy_seconds=tuple(state.busy),
         )

@@ -11,12 +11,14 @@ manager assumes.
 
 Division of labour (the key to bit-identical results across backends):
 
-* **Workers** rebuild the evaluation chain once from a picklable
-  :class:`EvalSpec` — dataset attached zero-copy through
-  :mod:`repro.xfel.shm`, RNG streams re-derived from the run's root
-  seed — and then run exactly *one* evaluation attempt per dispatched
-  :class:`EvalTask`, streaming back an :class:`EvalResult` with the
-  measurements and the per-epoch trace.
+* **Workers** build their evaluator once by calling the pool's picklable
+  *factory* — the workflow hands over
+  :func:`~repro.workflow.orchestrator.evaluation_chain` bound to the
+  run's :class:`~repro.workflow.interfaces.WorkflowConfig`, the same
+  recipe the parent uses, with the dataset attached zero-copy through
+  :mod:`repro.xfel.shm` — and then run exactly *one* evaluation attempt
+  per dispatched :class:`EvalTask`, streaming back an
+  :class:`EvalResult` with the measurements and the per-epoch trace.
 * **The parent** owns every side effect: it replays each trace through
   the real observers (lineage tracker, history store, the eval cache's
   trace capture) and drives the same
@@ -25,8 +27,8 @@ Division of labour (the key to bit-identical results across backends):
   dispatch queue (retry with backoff → quarantine).
 
 Because attempts run in killable processes, a policy timeout is a *hard
-kill*: the worker is terminated and respawned, so — unlike the
-thread/serial backends, whose abandoned shadow threads keep computing —
+kill*: the worker is terminated and respawned, so — unlike the thread
+backend, whose abandoned shadow threads keep computing —
 a hung evaluation is truly reclaimed (``FaultEvent.timeout_leaked`` is
 always ``False`` here; see DESIGN §8).  Failure settling matches the
 thread path: without a policy a failed job raises from the ``settled``
@@ -45,59 +47,16 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
 
-from repro.core.engine import EngineConfig, PredictionEngine
-from repro.nas.evaluation import TrainingEvaluator
 from repro.nas.population import Individual
-from repro.scheduler.faults import (
-    EvaluationTimeout,
-    FaultInjectingEvaluator,
-    FaultInjectionConfig,
-    FaultPolicy,
-    FaultRouter,
-)
+from repro.scheduler.faults import EvaluationTimeout, FaultPolicy, FaultRouter
 from repro.scheduler.pool import JobTiming, PoolReport
 from repro.utils.logging import get_logger
-from repro.utils.rng import RngStream
 from repro.utils.timing import Stopwatch
-from repro.xfel.intensity import BeamIntensity
 from repro.xfel.shm import SharedArena, SharedDatasetSpec, attach_dataset
 
-__all__ = ["EvalSpec", "EvalTask", "EvalResult", "ProcessWorkerPool"]
+__all__ = ["EvalTask", "EvalResult", "ProcessWorkerPool"]
 
 _LOG = get_logger("scheduler.procpool")
-
-
-@dataclass(frozen=True)
-class EvalSpec:
-    """Picklable recipe a spawned worker uses to rebuild its evaluator chain.
-
-    Carries configuration only — the dataset payload travels through
-    shared memory (:class:`~repro.xfel.shm.SharedDatasetSpec`), and RNG
-    state is never shipped: workers re-derive the exact generators the
-    serial path would use from ``seed`` and the genome/model identity,
-    which is what makes process evaluation bit-identical to serial.
-
-    ``factory``, when set, overrides everything else: it must be a
-    picklable zero-argument callable (a module-level function) returning
-    an object with ``evaluate(individual)``; the test suite uses it to
-    run delay/hang evaluators under the real dispatch machinery.
-    """
-
-    mode: str = "surrogate"
-    seed: int = 0
-    max_epochs: int = 25
-    engine: EngineConfig | None = None
-    intensity_label: str = "medium"
-    dataset: SharedDatasetSpec | None = None
-    dataset_key: str | None = None
-    sanitize: bool = False
-    sanitize_writes: bool = False
-    rng_keying: str = "genome"
-    dtype: str | None = None
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    injection: FaultInjectionConfig | None = None
-    factory: object = None
 
 
 @dataclass(frozen=True)
@@ -122,9 +81,9 @@ class EvalResult:
 
     ``trace`` holds ``(epoch, fitness, prediction, epoch_stats)`` tuples
     — everything the parent needs to replay the per-epoch observers
-    (history store, lineage tracker) exactly as the serial path fired
-    them, including the trainer's :class:`~repro.nn.trainer.EpochStats`
-    (``None`` in surrogate mode, as in the serial context).  A failed
+    (history store, lineage tracker) exactly as the in-process path
+    fired them, including the trainer's :class:`~repro.nn.trainer.EpochStats`
+    (``None`` in surrogate mode, as in process).  A failed
     attempt carries the epochs measured *before* the fault plus the
     pickled exception in ``error``.
     """
@@ -156,54 +115,16 @@ def _encode_error(exc: BaseException) -> bytes:
 
 
 class _WorkerRuntime:
-    """Worker-process side: the evaluator chain plus trace capture."""
+    """Worker-process side: the factory's evaluator plus trace capture."""
 
-    def __init__(self, spec: EvalSpec) -> None:
+    def __init__(self, factory, dataset: SharedDatasetSpec | None) -> None:
         self.trace: list = []
         self.fault_fired = False
         self._shm_handles: list = []
-        if spec.factory is not None:
-            self.evaluator = spec.factory()
-            return
-        # Imported lazily: repro.nas.surrogate itself imports
-        # repro.scheduler.costmodel, so a module-level import here would
-        # close the nas -> scheduler -> procpool -> nas cycle and fail
-        # whenever repro.nas initializes first.
-        from repro.nas.surrogate import SurrogateEvaluator
-        engine = PredictionEngine(spec.engine) if spec.engine is not None else None
-        stream = RngStream(spec.seed)
-        observers = [self._observe]
-        if spec.mode == "real":
-            dataset, self._shm_handles = attach_dataset(spec.dataset)
-            evaluator = TrainingEvaluator(
-                dataset,
-                engine,
-                max_epochs=spec.max_epochs,
-                batch_size=spec.batch_size,
-                learning_rate=spec.learning_rate,
-                rng_stream=stream.child("eval"),
-                observers=observers,
-                sanitize=spec.sanitize,
-                sanitize_writes=spec.sanitize_writes,
-                on_fault=self._on_fault,
-                rng_keying=spec.rng_keying,
-                dtype=spec.dtype,
-                dataset_key=spec.dataset_key,
-            )
-        else:
-            evaluator = SurrogateEvaluator(
-                BeamIntensity.from_label(spec.intensity_label),
-                engine,
-                max_epochs=spec.max_epochs,
-                rng_stream=stream.child("eval"),
-                observers=observers,
-                rng_keying=spec.rng_keying,
-            )
-        if spec.injection is not None and spec.injection.rate > 0:
-            evaluator = FaultInjectingEvaluator(
-                evaluator, spec.injection, rng_stream=stream.child("inject")
-            )
-        self.evaluator = evaluator
+        attached = None
+        if dataset is not None:
+            attached, self._shm_handles = attach_dataset(dataset)
+        self.evaluator = factory(attached, [self._observe], self._on_fault)
 
     def _observe(self, individual, epoch, fitness, prediction, context) -> None:
         self.trace.append(
@@ -247,10 +168,10 @@ class _WorkerRuntime:
         )
 
 
-def _worker_main(conn, spec: EvalSpec) -> None:
+def _worker_main(conn, factory, dataset: SharedDatasetSpec | None) -> None:
     """Worker-process entry: handshake, then serve tasks until EOF/sentinel."""
     try:
-        runtime = _WorkerRuntime(spec)
+        runtime = _WorkerRuntime(factory, dataset)
     except BaseException as exc:  # a4nn: noqa(NUM001) -- reported to the parent through the init handshake
         conn.send(("init_error", f"{type(exc).__name__}: {exc}"))
         conn.close()
@@ -300,11 +221,11 @@ class _Episode:
 class _Worker:
     """Parent-side handle to one spawned worker process."""
 
-    def __init__(self, ctx, spec: EvalSpec, index: int) -> None:
+    def __init__(self, ctx, factory, dataset: SharedDatasetSpec | None, index: int) -> None:
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, spec),
+            args=(child_conn, factory, dataset),
             name=f"a4nn-eval-worker-{index}",
             daemon=True,
         )
@@ -330,10 +251,18 @@ class ProcessWorkerPool:
 
     Parameters
     ----------
-    spec:
-        The :class:`EvalSpec` every worker rebuilds its evaluator from.
+    factory:
+        Picklable callable every worker calls once as ``factory(dataset,
+        observers, on_fault)`` to build its evaluator (anything with
+        ``evaluate(individual)``): ``dataset`` is the attached shared
+        dataset or ``None``, and the two hooks capture the per-epoch
+        trace and sanitizer faults for the parent.  The workflow passes
+        ``functools.partial(evaluation_chain, config)``.
     n_workers:
         Concurrent evaluation processes (the paper's GPU count).
+    dataset:
+        Optional :class:`~repro.xfel.shm.SharedDatasetSpec` each worker
+        attaches before calling ``factory``.
     policy:
         Optional :class:`~repro.scheduler.faults.FaultPolicy` applied
         *in the parent* through a
@@ -360,9 +289,10 @@ class ProcessWorkerPool:
 
     def __init__(
         self,
-        spec: EvalSpec,
+        factory,
         n_workers: int = 1,
         *,
+        dataset: SharedDatasetSpec | None = None,
         policy: FaultPolicy | None = None,
         on_fault_event=None,
         observers: list | None = None,
@@ -372,7 +302,8 @@ class ProcessWorkerPool:
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.spec = spec
+        self.factory = factory
+        self.dataset = dataset
         self.n_workers = int(n_workers)
         self.policy = policy
         # the attempts run in killable processes: a timeout terminates
@@ -397,7 +328,7 @@ class ProcessWorkerPool:
     # -- worker lifecycle -------------------------------------------------------
 
     def _respawn(self, slot: int) -> _Worker:
-        worker = _Worker(self._ctx, self.spec, slot)
+        worker = _Worker(self._ctx, self.factory, self.dataset, slot)
         worker.await_ready(self.startup_timeout)
         self._workers[slot] = worker
         return worker
@@ -407,7 +338,7 @@ class ProcessWorkerPool:
         for slot in range(self.n_workers):
             worker = self._workers[slot]
             if worker is None or not worker.process.is_alive():
-                fresh.append(_Worker(self._ctx, self.spec, slot))
+                fresh.append(_Worker(self._ctx, self.factory, self.dataset, slot))
                 self._workers[slot] = fresh[-1]
         budget = Stopwatch().start()
         for worker in fresh:

@@ -1,9 +1,10 @@
 """Concurrency rule: module state must not be written at run time.
 
-The process backend's contract (DESIGN §10) is that a worker rebuilds
-its entire evaluator chain from a picklable :class:`EvalSpec` and never
-shares Python state with the parent; the thread pool's streaming
-workers run the same evaluator chains concurrently.
+The process backend's contract (DESIGN §10) is that a worker builds its
+entire evaluator chain from the run's picklable ``WorkflowConfig`` (the
+orchestrator's own ``evaluation_chain``) and never shares Python state
+with the parent; the thread pool's streaming workers run the same
+evaluator chains concurrently.
 
 ``CONC001`` — a function-body write to module-level state (a
 ``global`` rebind, or a mutation of a module-level container) anywhere
@@ -129,5 +130,5 @@ class ModuleStateWriteRule(BaseRule):
                     node,
                     f"{func.name}() {what}; each spawned worker re-imports the "
                     "module, so this state diverges per process — pass state "
-                    "through EvalSpec or return it to the parent",
+                    "through the WorkflowConfig or return it to the parent",
                 )

@@ -24,7 +24,7 @@ from repro.xfel.intensity import BeamIntensity
 __all__ = ["WorkflowConfig"]
 
 _MODES = ("real", "surrogate")
-_BACKENDS = ("serial", "thread", "process")
+_BACKENDS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,10 @@ class WorkflowConfig:
         Concurrent evaluations per generation (real parallel execution
         via the FIFO worker pool; 1 = serial).
     backend:
-        Evaluation backend — ``"serial"`` (a one-worker pool that keeps
-        a timing report; requires ``n_workers=1``), ``"thread"`` (inline
-        at one worker, a FIFO thread pool above; the default), or
-        ``"process"`` (spawned worker processes sharing the
-        dataset through shared memory; hard-kills timed-out
-        evaluations).  See DESIGN "Execution backends".
+        Evaluation backend — ``"thread"`` (inline at one worker, a FIFO
+        thread pool above; the default) or ``"process"`` (spawned worker
+        processes sharing the dataset through shared memory; hard-kills
+        timed-out evaluations).  See DESIGN "Execution backends".
     sanitize:
         Attach the runtime numerical sanitizer to every trained network
         (real mode): non-finite losses/activations/gradients raise
@@ -97,8 +95,7 @@ class WorkflowConfig:
     eval_cache:
         Memoize evaluations of duplicate (isomorphic) genomes.  Requires
         ``rng_keying="genome"``.  Ignored while fault *injection* is
-        active (the injection schedule is keyed per evaluation, so
-        deduplication would change which candidates fault).
+        active; :attr:`caches_evaluations` is what a run actually does.
     surrogate:
         Cross-architecture surrogate pre-ranking settings
         (:class:`~repro.nas.surrogate.SurrogateConfig`).  ``None`` (the
@@ -133,15 +130,11 @@ class WorkflowConfig:
             raise ValidationError(
                 f"backend must be one of {_BACKENDS}, got {self.backend!r}"
             )
-        if self.backend == "serial" and int(self.n_workers) != 1:
-            raise ValidationError(
-                f"backend='serial' requires n_workers=1, got {self.n_workers}"
-            )
         if self.backend == "process" and self.checkpoint_models:
             raise ValidationError(
                 "backend='process' cannot checkpoint per-epoch model state: "
                 "trained networks live in the worker processes and only "
-                "measurements travel back; use the thread or serial backend"
+                "measurements travel back; use the thread backend"
             )
         try:
             object.__setattr__(self, "dtype", dtype_label(self.dtype))
@@ -154,11 +147,7 @@ class WorkflowConfig:
                 "evaluations are not pure functions of the genome, so "
                 "sharing their results would change the run"
             )
-        if (
-            self.fault_injection is not None
-            and self.fault_injection.rate > 0
-            and self.faults is None
-        ):
+        if self.injecting and self.faults is None:
             raise ValidationError(
                 "fault_injection without a fault policy would abort the run "
                 "on the first injected fault; set faults=FaultPolicy(...)"
@@ -179,6 +168,20 @@ class WorkflowConfig:
     @property
     def intensity(self) -> BeamIntensity:
         return self.dataset.intensity
+
+    @property
+    def injecting(self) -> bool:
+        """Whether fault injection can sabotage any evaluation attempt."""
+        return self.fault_injection is not None and self.fault_injection.rate > 0
+
+    @property
+    def caches_evaluations(self) -> bool:
+        """Whether the run memoizes evaluations: ``eval_cache`` unless injecting.
+
+        The injection schedule is keyed per evaluation, so deduplicating
+        evaluations would change which candidates fault.
+        """
+        return self.eval_cache and not self.injecting
 
     def resolved_run_id(self) -> str:
         """The commons run id, derived when not set explicitly."""
@@ -233,6 +236,11 @@ class WorkflowConfig:
                 dataset_payload["intensity"]
             )
         engine_payload = payload.get("engine")
+        backend = payload.get("backend", "thread")
+        if backend == "serial":
+            # a one-worker thread pool, removed; lineage never depended
+            # on the backend, so stored documents run on threads
+            backend = "thread"
         return cls(
             nas=NSGANetConfig(**payload.get("nas", {})),
             engine=None
@@ -250,7 +258,7 @@ class WorkflowConfig:
             run_id=payload.get("run_id", ""),
             checkpoint_models=payload.get("checkpoint_models", False),
             n_workers=payload.get("n_workers", 1),
-            backend=payload.get("backend", "thread"),
+            backend=backend,
             sanitize=payload.get("sanitize", False),
             sanitize_writes=payload.get("sanitize_writes", False),
             faults=FaultPolicy.from_dict(payload["faults"])

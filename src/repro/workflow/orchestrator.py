@@ -10,6 +10,7 @@ requested GPU-pool size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from repro.nas.search import InlineStream, NSGANet, SearchResult, SearchState
 from repro.nas.surrogate import BudgetAllocator, SurrogateEvaluator
 from repro.scheduler.faults import FaultInjectingEvaluator, FaultTolerantEvaluator
 from repro.scheduler.pool import FifoWorkerPool
-from repro.scheduler.procpool import EvalSpec, ProcessWorkerPool
+from repro.scheduler.procpool import ProcessWorkerPool
 from repro.scheduler.simulator import WallTimeReport, simulate_walltime
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
@@ -31,9 +32,54 @@ from repro.workflow.interfaces import WorkflowConfig
 from repro.xfel.dataset import load_or_generate
 from repro.xfel.shm import share_dataset
 
-__all__ = ["WorkflowResult", "A4NNOrchestrator"]
+__all__ = ["WorkflowResult", "A4NNOrchestrator", "evaluation_chain"]
 
 _LOG = get_logger("workflow.orchestrator")
+
+
+def evaluation_chain(config: WorkflowConfig, dataset, observers: list, on_fault):
+    """The evaluator ``config`` asks for, with configured fault injection.
+
+    The one recipe for an evaluation: the orchestrator calls it in
+    process, and every process-pool worker calls it once with the
+    dataset it attached from shared memory (``dataset`` is ``None`` in
+    surrogate mode).  Evaluation RNG derives from ``config.seed`` alone,
+    so both sides build the same generators.  ``observers`` and
+    ``on_fault`` are the per-epoch and sanitizer-fault hooks of the base
+    evaluator; fault *policy* is the caller's, because the thread path
+    retries in an evaluator wrapper and the process pool from its
+    dispatch queue.
+    """
+    stream = RngStream(config.seed)
+    engine = PredictionEngine(config.engine) if config.engine is not None else None
+    if config.mode == "real":
+        evaluator = TrainingEvaluator(
+            dataset,
+            engine,
+            max_epochs=config.nas.max_epochs,
+            rng_stream=stream.child("eval"),
+            observers=observers,
+            sanitize=config.sanitize,
+            sanitize_writes=config.sanitize_writes,
+            on_fault=on_fault,
+            rng_keying=config.rng_keying,
+            dtype=config.dtype,
+            dataset_key=config.dataset.cache_key(),
+        )
+    else:
+        evaluator = SurrogateEvaluator(
+            config.intensity,
+            engine,
+            max_epochs=config.nas.max_epochs,
+            rng_stream=stream.child("eval"),
+            observers=observers,
+            rng_keying=config.rng_keying,
+        )
+    if config.injecting:
+        evaluator = FaultInjectingEvaluator(
+            evaluator, config.fault_injection, rng_stream=stream.child("inject")
+        )
+    return evaluator
 
 
 @dataclass
@@ -118,60 +164,22 @@ class A4NNOrchestrator:
 
     # -- assembly ---------------------------------------------------------------
 
-    def build_engine(self) -> PredictionEngine | None:
-        """The prediction engine, or ``None`` for standalone baselines."""
-        if self.config.engine is None:
-            return None
-        return PredictionEngine(self.config.engine)
-
-    @property
-    def _injecting(self) -> bool:
-        injection = self.config.fault_injection
-        return injection is not None and injection.rate > 0
-
-    def build_evaluator(self, tracker: LineageTracker, engine: PredictionEngine | None):
+    def build_evaluator(self, tracker: LineageTracker):
         """The evaluation backend for the configured mode, with observers wired.
 
-        When the config carries a :class:`~repro.scheduler.faults.
-        FaultPolicy`, the backend is wrapped so evaluation faults retry
-        and then quarantine instead of aborting the search; configured
-        fault injection (test harness) wraps *inside* the policy so
-        injected failures are routed like real ones.
+        :func:`evaluation_chain` builds it; when the config carries a
+        :class:`~repro.scheduler.faults.FaultPolicy`, the chain is
+        wrapped so evaluation faults retry and then quarantine instead
+        of aborting the search (configured fault injection sits *inside*
+        the policy, so injected failures are routed like real ones).
         """
-        observers = [tracker.observe_epoch]
-        stream = RngStream(self.config.seed)
         self._tracker = tracker
         if self.config.mode == "real":
-            dataset = load_or_generate(self.config.dataset).astype(self.config.dtype)
-            self._dataset = dataset
-            base = TrainingEvaluator(
-                dataset,
-                engine,
-                max_epochs=self.config.nas.max_epochs,
-                rng_stream=stream.child("eval"),
-                observers=observers,
-                sanitize=self.config.sanitize,
-                sanitize_writes=self.config.sanitize_writes,
-                on_fault=tracker.observe_fault,
-                rng_keying=self.config.rng_keying,
-                dtype=self.config.dtype,
-                dataset_key=self.config.dataset.cache_key(),
-            )
-        else:
-            base = SurrogateEvaluator(
-                self.config.intensity,
-                engine,
-                max_epochs=self.config.nas.max_epochs,
-                rng_stream=stream.child("eval"),
-                observers=observers,
-                rng_keying=self.config.rng_keying,
-            )
-        self._base = base
-        evaluator = base
-        if self._injecting:
-            evaluator = FaultInjectingEvaluator(
-                evaluator, self.config.fault_injection, rng_stream=stream.child("inject")
-            )
+            self._dataset = load_or_generate(self.config.dataset).astype(self.config.dtype)
+        evaluator = evaluation_chain(
+            self.config, self._dataset, [tracker.observe_epoch], tracker.observe_fault
+        )
+        self._base = evaluator.evaluator if self.config.injecting else evaluator
         if self.config.faults is not None:
             evaluator = FaultTolerantEvaluator(
                 evaluator,
@@ -187,7 +195,7 @@ class A4NNOrchestrator:
             self.allocator = BudgetAllocator(
                 self.config.surrogate,
                 max_epochs=self.config.nas.max_epochs,
-                flops_fn=base.flops_for,
+                flops_fn=self._base.flops_for,
             )
         return evaluator
 
@@ -198,38 +206,24 @@ class A4NNOrchestrator:
             self.allocator.observe(individual)
 
     def _build_process_pool(self) -> ProcessWorkerPool:
-        """Assemble the spawned-worker backend from the built evaluator chain.
+        """The spawned-worker backend: each worker runs :func:`evaluation_chain`.
 
         The dataset (real mode) is published into shared memory first so
         workers attach zero-copy; the pool owns the arena and unlinks it
         in :meth:`close_pool`.  Requires :meth:`build_evaluator` to have
-        run (it wires the tracker and the live observers list the pool
-        replays worker traces through).
+        run (it loads the dataset and wires the tracker and the live
+        observers list the pool replays worker traces through).
         """
         if self._base is None or self._tracker is None:
             raise RuntimeError("build_evaluator must run before the process pool")
         config = self.config
-        spec_kwargs = dict(
-            mode=config.mode,
-            seed=config.seed,
-            max_epochs=config.nas.max_epochs,
-            engine=config.engine,
-            intensity_label=config.intensity.label,
-            sanitize=config.sanitize,
-            sanitize_writes=config.sanitize_writes,
-            rng_keying=config.rng_keying,
-            dtype=config.dtype,
-            injection=config.fault_injection,
-        )
-        arena = None
+        dataset = arena = None
         if config.mode == "real":
-            dataset_spec, arena = share_dataset(self._dataset)
-            spec_kwargs.update(
-                dataset=dataset_spec, dataset_key=config.dataset.cache_key()
-            )
+            dataset, arena = share_dataset(self._dataset)
         return ProcessWorkerPool(
-            EvalSpec(**spec_kwargs),
+            functools.partial(evaluation_chain, config),
             n_workers=config.n_workers,
+            dataset=dataset,
             policy=config.faults,
             on_fault_event=self._tracker.observe_fault_event,
             observers=self._base.observers,
@@ -243,8 +237,8 @@ class A4NNOrchestrator:
         ``[MemoizingStream(] inner [)]``: the inner stream runs the
         ``evaluator`` chain — inline for the thread backend at one
         worker (no pool, no report), on a :class:`~repro.scheduler.pool.
-        FifoWorkerPool` for ``serial`` (one worker) and for threads, on
-        a :class:`~repro.scheduler.procpool.ProcessWorkerPool` for
+        FifoWorkerPool` for more threads, on a
+        :class:`~repro.scheduler.procpool.ProcessWorkerPool` for
         processes — and the eval cache, when on, wraps outermost so only
         post-retry, non-quarantined outcomes are cached.  Any pool built
         here is kept on ``self.pool`` so :meth:`close_pool` can release
@@ -253,13 +247,11 @@ class A4NNOrchestrator:
         config = self.config
         if config.backend == "process":
             self.pool = self._build_process_pool()
-        elif config.backend == "serial" or config.n_workers > 1:
+        elif config.n_workers > 1:
             self.pool = FifoWorkerPool(evaluator, n_workers=config.n_workers)
         inner = self.pool if self.pool is not None else InlineStream(evaluator)
-        # with fault injection active the injection schedule (keyed per
-        # evaluation) must stay undisturbed, so the cache is bypassed
         self.memoizer = None
-        if config.eval_cache and not self._injecting:
+        if config.caches_evaluations:
             # barrier lineage is pinned with in-generation duplicates
             # waiting for their leader, steady lineage with in-window
             # duplicates re-evaluating (DESIGN §11)
@@ -301,9 +293,10 @@ class A4NNOrchestrator:
     def new_tracker(self) -> LineageTracker:
         """An empty lineage tracker carrying this run's shared parameters."""
         config = self.config
-        engine = self.build_engine()
         return LineageTracker(
-            engine_parameters=engine.describe() if engine else None,
+            engine_parameters=PredictionEngine(config.engine).describe()
+            if config.engine is not None
+            else None,
             checkpoint_dir=self.checkpoint_dir if config.checkpoint_models else None,
             training_parameters={
                 "mode": config.mode,
@@ -350,12 +343,11 @@ class A4NNOrchestrator:
     ) -> WorkflowResult:
         """Search (from ``state`` when resuming) → wall-time accounting → publish."""
         config = self.config
-        engine = self.build_engine()
-        evaluator = self.build_evaluator(tracker, engine)
+        evaluator = self.build_evaluator(tracker)
         nas = self.effective_nas()
         _LOG.info(
             "starting %s run: mode=%s intensity=%s seed=%d",
-            "A4NN" if engine else "standalone NAS",
+            "A4NN" if config.engine is not None else "standalone NAS",
             config.mode,
             config.intensity.label,
             config.seed,

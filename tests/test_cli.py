@@ -168,6 +168,17 @@ class TestRunCommand:
         assert code == 0
         assert "quarantined" in out
 
+    @pytest.mark.parametrize("inject", [False, True], ids=["plain", "injecting"])
+    def test_cache_line_only_when_the_cache_runs(self, tmp_path, capsys, inject):
+        # fault injection bypasses the cache, so a hit count would be a lie
+        config_path = atomic_write_json(tmp_path / "cfg.json", small_config_dict(seed=3))
+        flags = ["--rng-keying", "genome", "--eval-cache"]
+        flags += ["--inject-faults", "0.3"] if inject else []
+        assert main(["run", "--config", str(config_path), *flags]) == 0
+        out = capsys.readouterr().out
+        assert ("cache hits" in out) is not inject
+        assert ("quarantined" in out) is inject
+
     def test_fault_flags_build_policy_without_config(self):
         from repro.cli import _fault_settings_from_args
 
@@ -193,7 +204,7 @@ class TestRunCommand:
         "flags,message",
         [
             (["--rng-keying", "model"], "eval_cache requires rng_keying='genome'"),
-            (["--backend", "serial", "--n-workers", "2"], "requires n_workers=1"),
+            (["--n-workers", "0"], "n_workers must be >= 1"),
         ],
     )
     def test_invalid_flag_combination_is_one_error_line(self, capsys, flags, message):

@@ -288,7 +288,8 @@ class TestPoolFailureSemantics:
     @pytest.mark.parametrize("n_workers", [1, 3])
     def test_policy_quarantines_instead_of_raising(self, rng, n_workers):
         pool = FifoWorkerPool(
-            self.NthFails({2}), n_workers=n_workers, policy=FaultPolicy(max_retries=1)
+            FaultTolerantEvaluator(self.NthFails({2}), FaultPolicy(max_retries=1)),
+            n_workers=n_workers,
         )
         individuals = make_individuals(rng, 5)
         run_generation(pool, individuals)  # does not raise

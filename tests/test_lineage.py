@@ -159,6 +159,34 @@ class TestDataCommons:
         assert len(entries) == 6
         assert all(run_id == "x" for run_id, _ in entries)
 
+    def test_republished_run_id_drops_the_earlier_trails(self, tmp_path):
+        # the run id ignores the NAS settings, so a smaller search with the
+        # same seed, mode and intensity replaces a larger one's publish
+        from repro.workflow import WorkflowConfig, run_workflow
+
+        def search(population, generations):
+            return WorkflowConfig(
+                nas=NSGANetConfig(
+                    population_size=population,
+                    offspring_per_generation=population,
+                    generations=generations,
+                    max_epochs=8,
+                ),
+                engine=EngineConfig(e_pred=8),
+                seed=5,
+            )
+
+        first = run_workflow(search(6, 3), commons_path=tmp_path)
+        second = run_workflow(search(4, 2), commons_path=tmp_path)
+        assert first.run_id == second.run_id
+        commons = DataCommons(tmp_path)
+        assert commons.load_run(second.run_id).n_models == 8
+        models = commons.load_models(second.run_id)
+        assert [m.model_id for m in models] == list(range(8))
+        assert [m.fitness for m in models] == [
+            r.fitness for r in second.tracker.all_records()
+        ]
+
     def test_missing_run_raises(self, tmp_path):
         commons = DataCommons(tmp_path)
         with pytest.raises(FileNotFoundError):

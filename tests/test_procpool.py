@@ -7,10 +7,12 @@ are hard-killed within the policy timeout with the worker respawned, no
 worker processes leak past ``close()``, and submission order stays FIFO
 under randomized per-job delays on both the thread and process pools.
 
-The ``EvalSpec.factory`` hook keeps the direct-pool tests cheap: a
-module-level zero-argument factory (picklable across the ``spawn``
-boundary) builds a scripted evaluator inside the worker, so the dispatch
-/ timeout / retry machinery is exercised without training anything.
+The pool's factory keeps the direct-pool tests cheap: a module-level
+factory (picklable across the ``spawn`` boundary) that ignores the
+worker's ``(dataset, observers, on_fault)`` builds a scripted evaluator
+inside the worker, so the dispatch / timeout / retry machinery is
+exercised without training anything.  Workflow runs hand the pool the
+orchestrator's own ``evaluation_chain`` instead.
 """
 
 import functools
@@ -27,16 +29,17 @@ from repro.core.engine import EngineConfig
 from repro.nas import Individual, random_genome
 from repro.nas.evalcache import MemoizingStream
 from repro.nas.search import EvalStream, NSGANet, NSGANetConfig
+from repro.nas.surrogate import SurrogateConfig
 from repro.scheduler.faults import (
     FaultInjectionConfig,
     FaultPolicy,
     FaultTolerantEvaluator,
 )
 from repro.scheduler.pool import FifoWorkerPool, JobTiming, PoolReport, WorkerPool
-from repro.scheduler.procpool import EvalResult, EvalSpec, EvalTask, ProcessWorkerPool
+from repro.scheduler.procpool import EvalResult, EvalTask, ProcessWorkerPool
 from repro.utils.validation import ValidationError
 from repro.workflow.interfaces import WorkflowConfig
-from repro.workflow.orchestrator import A4NNOrchestrator
+from repro.workflow.orchestrator import A4NNOrchestrator, evaluation_chain
 from repro.xfel.dataset import DatasetConfig
 from repro.xfel.shm import attach_dataset, share_dataset
 
@@ -82,37 +85,48 @@ class ScriptedEvaluator:
         return individual
 
 
-def delay_factory():
+def delay_factory(*_):
     return ScriptedEvaluator(delay_scale=0.01)
 
 
-def hang_factory():
+def hang_factory(*_):
     return ScriptedEvaluator(hang_ids=(0,))
 
 
-def flaky_pair_factory():
+def flaky_pair_factory(*_):
     return ScriptedEvaluator(fail_ids=(1, 3))
 
 
-def flaky_single_factory():
+def flaky_single_factory(*_):
     return ScriptedEvaluator(fail_ids=(2,))
 
 
-def first_fails_factory():
+def first_fails_factory(*_):
     """Model 0 crashes on its first attempt; everything else is cacheable."""
     return ScriptedEvaluator(fail_ids=(0,), delay_scale=0.01, result={"proxy": True})
 
 
 def make_pool(factory, n_workers=2, **kwargs):
-    return ProcessWorkerPool(EvalSpec(factory=factory), n_workers, **kwargs)
+    return ProcessWorkerPool(factory, n_workers, **kwargs)
 
 
 class TestMessageTypes:
     def test_spec_task_result_pickle_roundtrip(self, rng):
-        spec = EvalSpec(
-            mode="surrogate", seed=9, max_epochs=4, engine=EngineConfig(e_pred=4)
+        # a worker's whole recipe is the run's config: every setting that
+        # reaches evaluation_chain must survive the spawn boundary
+        config = WorkflowConfig(
+            nas=NSGANetConfig(max_epochs=4, evolution="steady", steady_lag=3),
+            engine=EngineConfig(e_pred=4),
+            seed=9,
+            backend="process",
+            n_workers=2,
+            faults=FaultPolicy(max_retries=1, timeout_seconds=2.0),
+            fault_injection=FaultInjectionConfig(rate=0.3, modes=("crash", "nan")),
+            surrogate=SurrogateConfig(min_records=6),
         )
-        assert pickle.loads(pickle.dumps(spec)) == spec
+        factory = functools.partial(evaluation_chain, config)
+        restored = pickle.loads(pickle.dumps(factory))
+        assert restored.func is evaluation_chain and restored.args == (config,)
         task = EvalTask(model_id=3, generation=1, attempt=0, genome=random_genome(rng))
         restored = pickle.loads(pickle.dumps(task))
         assert restored.model_id == 3 and restored.genome == task.genome
@@ -298,7 +312,7 @@ class TestHardKill:
         assert pool.alive_workers() == 0
 
     def test_thread_path_timeout_leaks_by_contrast(self, rng):
-        # the serial/thread backends cannot kill a thread: the same
+        # the thread backend cannot kill a thread: the same
         # timeout decision carries timeout_leaked=True and the shadow
         # thread shows up in the leak accounting until it drains
         wrapped = FaultTolerantEvaluator(
@@ -382,7 +396,7 @@ def run_trail(result):
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: thread at one worker is the inline loop: no pool, no report
-BACKENDS = (("thread", 1), ("serial", 1), ("thread", 2), ("process", 2))
+BACKENDS = (("thread", 1), ("thread", 2), ("process", 2))
 
 
 def baseline_config(evolution, backend, n_workers, eval_cache):
@@ -455,9 +469,8 @@ class TestBackendParitySurrogate:
             assert trails == unshared
         # one report per generation behind a barrier, one per steady run,
         # none without a pool; the run closed its workers
-        label = "serial" if backend == "serial" else backend
         episodes = 0 if (backend, n_workers) == BACKENDS[0] else 3 if evolution == "barrier" else 1
-        assert reports == [label] * episodes
+        assert reports == [backend] * episodes
         assert not [
             p for p in mp.active_children() if p.name.startswith("a4nn-eval-worker")
         ]
@@ -477,42 +490,65 @@ class TestBackendParitySurrogate:
                 ),
             )
 
-        r_serial = A4NNOrchestrator(faulty("serial", 1)).run()
+        r_inline = A4NNOrchestrator(faulty("thread", 1)).run()
         r_process = A4NNOrchestrator(faulty("process", 2)).run()
-        assert run_trail(r_process) == run_trail(r_serial)
-        assert r_process.search.n_quarantined == r_serial.search.n_quarantined
+        assert run_trail(r_process) == run_trail(r_inline)
+        assert r_process.search.n_quarantined == r_inline.search.n_quarantined
+
+
+def real_config(backend, n_workers, **kwargs):
+    return WorkflowConfig(
+        nas=NSGANetConfig(
+            population_size=4,
+            offspring_per_generation=4,
+            generations=2,
+            max_epochs=3,
+        ),
+        engine=EngineConfig(e_pred=3),
+        dataset=DatasetConfig(images_per_class=8, image_size=12),
+        mode="real",
+        n_gpus=(1,),
+        seed=11,
+        backend=backend,
+        n_workers=n_workers,
+        **kwargs,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def inline_and_process(**kwargs):
+    """The same real-mode run inline and on two worker processes."""
+    inline = A4NNOrchestrator(real_config("thread", 1, **kwargs))
+    process = A4NNOrchestrator(real_config("process", 2, **kwargs))
+    return inline, inline.run(), process, process.run()
 
 
 class TestBackendParityReal:
     def test_shared_memory_training_matches_serial(self):
-        def real_config(backend, n_workers):
-            return WorkflowConfig(
-                nas=NSGANetConfig(
-                    population_size=4,
-                    offspring_per_generation=4,
-                    generations=2,
-                    max_epochs=3,
-                ),
-                engine=EngineConfig(e_pred=3),
-                dataset=DatasetConfig(images_per_class=8, image_size=12),
-                mode="real",
-                n_gpus=(1,),
-                seed=11,
-                backend=backend,
-                n_workers=n_workers,
-            )
-
-        serial = A4NNOrchestrator(real_config("serial", 1))
-        r_serial = serial.run()
-        process = A4NNOrchestrator(real_config("process", 2))
-        r_process = process.run()
-        assert run_trail(r_process) == run_trail(r_serial)
-        assert process.memoizer.cache.stats() == serial.memoizer.cache.stats()
+        inline, r_inline, process, r_process = inline_and_process()
+        assert run_trail(r_process) == run_trail(r_inline)
+        assert process.memoizer.cache.stats() == inline.memoizer.cache.stats()
         # run() closed the pool, which also released the shm arena
         assert process.pool is None
         assert not [
             p for p in mp.active_children() if p.name.startswith("a4nn-eval-worker")
         ]
+
+    def test_sanitizers_reach_the_workers(self):
+        # an untripped sanitizer and write guard change no number: workers
+        # build with both switched on and publish the inline trails
+        _, r_inline, _, r_process = inline_and_process(sanitize=True, sanitize_writes=True)
+        assert run_trail(r_process) == run_trail(r_inline)
+
+    def test_legacy_recipe_reaches_the_workers(self):
+        # float64 and model keying both change every measurement, so a
+        # worker that missed either would publish a different trail
+        legacy = dict(dtype="float64", rng_keying="model", eval_cache=False)
+        _, r_inline, process, r_process = inline_and_process(**legacy)
+        _, r_default, _, _ = inline_and_process()
+        assert run_trail(r_process) == run_trail(r_inline)
+        assert run_trail(r_inline) != run_trail(r_default)
+        assert process.memoizer is None
 
 
 class _StubBase:
@@ -567,7 +603,9 @@ class TestSecondWave:
         if backend == "process":
             pool = make_pool(first_fails_factory, n_workers=n_workers, policy=policy)
         else:
-            pool = FifoWorkerPool(first_fails_factory(), n_workers=n_workers, policy=policy)
+            pool = FifoWorkerPool(
+                FaultTolerantEvaluator(first_fails_factory(), policy), n_workers=n_workers
+            )
         memo = MemoizingStream(_StubBase(), pool, wait_for_leader=True)
         individuals = make_individuals(rng, 3)
         try:
@@ -586,9 +624,13 @@ class TestWorkflowConfigBackend:
         with pytest.raises(ValidationError, match="backend"):
             WorkflowConfig(backend="mpi")
 
-    def test_serial_requires_single_worker(self):
-        with pytest.raises(ValidationError, match="serial"):
-            WorkflowConfig(backend="serial", n_workers=2)
+    def test_stored_serial_backend_loads_as_thread(self):
+        # "serial" was a one-worker thread pool: new configs refuse it,
+        # documents that stored it run on threads
+        with pytest.raises(ValidationError, match="backend"):
+            WorkflowConfig(backend="serial")
+        payload = dict(WorkflowConfig().to_dict(), backend="serial")
+        assert WorkflowConfig.from_dict(payload).backend == "thread"
 
     def test_process_cannot_checkpoint_models(self):
         with pytest.raises(ValidationError, match="checkpoint"):
@@ -646,12 +688,6 @@ class TestStreamingSeam:
         assert pool.reports == [report]
         assert pool.finish() is None  # idempotent once drained
         pool.close()
-
-    def test_thread_stream_serial_backend_label(self, rng):
-        pool = FifoWorkerPool(ScriptedEvaluator(), n_workers=1)
-        pool.submit(make_individuals(rng, 1)[0])
-        pool.settled()
-        assert pool.finish().backend == "serial"
 
     def test_settled_without_submissions_raises(self):
         pool = FifoWorkerPool(ScriptedEvaluator(), n_workers=2)

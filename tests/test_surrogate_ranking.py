@@ -333,14 +333,14 @@ def trails(result) -> list[dict]:
 
 @pytest.fixture(scope="module")
 def serial_barrier():
-    return run_workflow(workflow_config(backend="serial", n_workers=1))
+    return run_workflow(workflow_config(backend="thread", n_workers=1))
 
 
 @pytest.fixture(scope="module")
 def serial_steady():
     return run_workflow(
         workflow_config(
-            backend="serial", n_workers=1, evolution="steady", steady_lag=3
+            backend="thread", n_workers=1, evolution="steady", steady_lag=3
         )
     )
 

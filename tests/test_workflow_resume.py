@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.lineage import DataCommons
+from repro.utils.io import atomic_write_json, read_json
 from repro.workflow import (
     individual_from_record,
     rebuild_search_state,
@@ -146,6 +147,26 @@ class TestResumeWorkflow:
         resume_workflow(commons, run_id)
         report = verify_run(commons, run_id)
         assert report.matches, report.summary()
+
+    def test_stored_serial_backend_resumes_on_threads(self, tmp_path):
+        # "serial" (a one-worker thread pool) is gone; lineage never
+        # depended on the backend, so a commons that stored it resumes
+        commons, run_id, full = publish_truncated(tmp_path, keep_generations=1, seed=33)
+        run_path = commons.root / "runs" / run_id / "run.json"
+        document = read_json(run_path)
+        document["workflow_config"]["backend"] = "serial"
+        atomic_write_json(run_path, document)
+
+        resumed = resume_workflow(commons, run_id)
+
+        assert commons.load_run(run_id).workflow_config["backend"] == "thread"
+        expected = [r.to_dict() for r in full.tracker.all_records()]
+        republished = [r.to_dict() for r in commons.load_models(run_id)]
+        for trails in (expected, republished):
+            for trail in trails:
+                trail["engine_overhead_seconds"] = None
+        assert republished == expected
+        assert len(resumed.search.archive) == len(full.search.archive)
 
     def test_resume_requires_stored_config(self, tmp_path):
         from repro.lineage.records import RunRecord
