@@ -1,11 +1,18 @@
-"""Benchmark ablation: what the generation barrier costs.
+"""Benchmark ablation: the generation barrier against steady evolution's lag.
 
 Paper §2.5: "GPU downtime can be accumulated as the number of networks
 within each generation may not be divisible by the number of available
 GPUs ... at the end of each generation's evaluation, some downtime may
-occur."  This ablation replays the same A4NN workload with and without
-the barrier, quantifying that downtime across pool sizes.
+occur."  This ablation replays the same A4NN jobs under the barrier and
+under the steady rule a search can actually follow — offspring ``g`` is
+submitted at the commit of model ``g - lag``, and commits land in order
+— at ``lag = n`` (the default ``steady_lag``, one per worker) and
+``lag = 2n``.  Neither rule dominates: in-order commits hold a window
+of ``n`` behind its slowest model, which can cost more than the
+barrier's downtime.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -16,13 +23,19 @@ from repro.scheduler import simulate_walltime
 from repro.xfel import BeamIntensity
 
 
+def under_steady(search, lag):
+    """The same jobs, released by the steady rule at ``lag``."""
+    return replace(search, config=replace(search.config, evolution="steady", steady_lag=lag))
+
+
 def run_barrier_ablation(seed=DEFAULT_SEED):
-    comparison = get_comparison(BeamIntensity.MEDIUM, seed=seed)
+    search = get_comparison(BeamIntensity.MEDIUM, seed=seed).a4nn.search
     rows = []
     for n_gpus in (1, 2, 4, 8):
-        with_barrier = simulate_walltime(comparison.a4nn.search, n_gpus, barrier=True)
-        without = simulate_walltime(comparison.a4nn.search, n_gpus, barrier=False)
-        rows.append((n_gpus, with_barrier, without))
+        barrier = simulate_walltime(search, n_gpus)
+        lag_n = simulate_walltime(under_steady(search, n_gpus), n_gpus)
+        lag_2n = simulate_walltime(under_steady(search, 2 * n_gpus), n_gpus)
+        rows.append((n_gpus, barrier, lag_n, lag_2n))
     return rows
 
 
@@ -33,34 +46,24 @@ def test_generation_barrier_cost(benchmark, emit_report):
     table = ReportTable(
         "gpus",
         "barrier h",
-        "no-barrier h",
-        "downtime h",
+        "lag n h",
+        "lag 2n h",
         "util (barrier)",
-        "util (async)",
+        "util (lag n)",
+        "util (lag 2n)",
     )
-    for n_gpus, with_barrier, without in rows:
-        table.row(
-            n_gpus,
-            with_barrier.wall_hours,
-            without.wall_hours,
-            with_barrier.wall_hours - without.wall_hours,
-            with_barrier.utilization,
-            without.utilization,
-        )
+    for n_gpus, *reports in rows:
+        table.row(n_gpus, *(r.wall_hours for r in reports), *(r.utilization for r in reports))
     emit_report(
         "ablation_barrier",
-        table.render("Ablation: generation-barrier cost (medium intensity, A4NN)"),
+        table.render("Ablation: generation barrier vs steady lag (medium intensity, A4NN)"),
     )
 
-    by_gpus = {n: (wb, wo) for n, wb, wo in rows}
-    # one GPU: the barrier is free (nothing to idle)
-    wb1, wo1 = by_gpus[1]
-    assert wb1.wall_seconds == pytest.approx(wo1.wall_seconds, rel=1e-9)
-    # multiple GPUs: the barrier costs wall time and utilization
-    for n in (2, 4, 8):
-        wb, wo = by_gpus[n]
-        assert wo.wall_seconds <= wb.wall_seconds
-        assert wo.utilization >= wb.utilization
-    # the cost grows with pool size (more GPUs idle at each barrier)
-    downtime = {n: by_gpus[n][0].wall_seconds - by_gpus[n][1].wall_seconds for n in (2, 4, 8)}
-    assert downtime[8] >= downtime[2] - 1e-6
+    for n_gpus, barrier, *steady in rows:
+        for report in steady:
+            # every rule schedules the same work
+            assert report.busy_seconds == pytest.approx(barrier.busy_seconds, rel=1e-12)
+            assert report.total_epochs == barrier.total_epochs
+            # one GPU: no rule can idle it
+            if n_gpus == 1:
+                assert report.wall_seconds == barrier.wall_seconds

@@ -1,9 +1,10 @@
 """Workflow resource manager (Ray substitute).
 
 FIFO dynamic scheduling of per-network training jobs onto accelerators
-(paper §2.5), in two forms: a deterministic discrete-event simulator
-that replays recorded epoch durations on an N-GPU pool
-(:mod:`repro.scheduler.simulator`), and real worker pools for machines
+(paper §2.5), in two forms: one schedule function that replays recorded
+epoch durations on an N-GPU pool under the release rule the search ran
+under — the generation barrier or the steady breeding lag
+(:mod:`repro.scheduler.simulator`) — and real worker pools for machines
 with actual parallelism — threads (:mod:`repro.scheduler.pool`) or
 spawned processes with a shared-memory dataset and hard-kill timeouts
 (:mod:`repro.scheduler.procpool`).  The
@@ -21,17 +22,9 @@ from repro.scheduler.faults import (
     FaultTolerantEvaluator,
     InjectedFault,
 )
-from repro.scheduler.fifo import (
-    Job,
-    JobPlacement,
-    ScheduleResult,
-    schedule_generation,
-    schedule_run,
-)
 from repro.scheduler.pool import FifoWorkerPool, JobTiming, PoolReport, WorkerPool
 from repro.scheduler.procpool import EvalResult, EvalTask, ProcessWorkerPool
-from repro.scheduler.resources import Gpu, GpuPool
-from repro.scheduler.simulator import WallTimeReport, jobs_by_generation, simulate_walltime
+from repro.scheduler.simulator import WallTimeReport, fifo_schedule, simulate_walltime
 
 __all__ = [
     "PAPER_TRAIN_IMAGES",
@@ -43,11 +36,6 @@ __all__ = [
     "FaultPolicy",
     "FaultTolerantEvaluator",
     "InjectedFault",
-    "Job",
-    "JobPlacement",
-    "ScheduleResult",
-    "schedule_generation",
-    "schedule_run",
     "FifoWorkerPool",
     "JobTiming",
     "PoolReport",
@@ -55,9 +43,7 @@ __all__ = [
     "EvalResult",
     "EvalTask",
     "ProcessWorkerPool",
-    "Gpu",
-    "GpuPool",
     "WallTimeReport",
-    "jobs_by_generation",
+    "fifo_schedule",
     "simulate_walltime",
 ]

@@ -12,7 +12,7 @@ from repro.core.parametric import get_function
 from repro.nas.genome import Genome, n_connection_bits
 from repro.nas.operators import bitflip_mutation, uniform_crossover
 from repro.nas.population import Individual
-from repro.scheduler.fifo import Job, schedule_run
+from repro.scheduler import fifo_schedule
 from repro.utils.rng import derive_rng
 from repro.xfel.noise import normalize_patterns
 
@@ -246,21 +246,22 @@ class TestSchedulerProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_conservation_and_bounds(self, spec, n_gpus):
-        generations = [
-            [Job(g * 100 + i, tuple(durations)) for i, durations in enumerate(gen)]
-            for g, gen in enumerate(spec)
-        ]
-        total = sum(j.duration for gen in generations for j in gen)
-        result = schedule_run(generations, n_gpus)
-        assert result.busy_seconds == pytest.approx(total)
+        generations = [[sum(durations) for durations in gen] for gen in spec]
+        seconds, waits = [], []
+        for gen in generations:
+            waits += [len(seconds)] * len(gen)
+            seconds += gen
+        total = sum(seconds)
+        placements, makespan, busy = fifo_schedule(seconds, n_gpus, waits)
+        assert busy == pytest.approx(total)
         # makespan bounded below by critical path and above by serial time
-        longest_per_gen = sum(max(j.duration for j in gen) for gen in generations)
-        assert result.makespan >= max(total / n_gpus, longest_per_gen) - 1e-6
-        assert result.makespan <= total + 1e-6
+        longest_per_gen = sum(max(gen) for gen in generations)
+        assert makespan >= max(total / n_gpus, longest_per_gen) - 1e-6
+        assert makespan <= total + 1e-6
         # placements never overlap on a GPU
         by_gpu = {}
-        for p in result.placements:
-            by_gpu.setdefault(p.gpu, []).append((p.start, p.finish))
+        for gpu, start, finish in placements:
+            by_gpu.setdefault(gpu, []).append((start, finish))
         for intervals in by_gpu.values():
             intervals.sort()
             for (s1, f1), (s2, f2) in zip(intervals, intervals[1:]):

@@ -1,21 +1,11 @@
-"""Tests for the resource manager: cost model, FIFO scheduling, DES, pool."""
+"""Tests for the resource manager: cost model, FIFO scheduling, wall time, pool."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, PredictionEngine
 from repro.nas import NSGANet, NSGANetConfig, SurrogateEvaluator
-from repro.scheduler import (
-    EpochCostModel,
-    FifoWorkerPool,
-    Gpu,
-    GpuPool,
-    Job,
-    schedule_generation,
-    schedule_run,
-    simulate_walltime,
-)
-from repro.scheduler.simulator import jobs_by_generation
+from repro.scheduler import EpochCostModel, FifoWorkerPool, fifo_schedule, simulate_walltime
 from repro.utils.rng import RngStream
 from repro.xfel import BeamIntensity
 
@@ -49,96 +39,57 @@ class TestCostModel:
             EpochCostModel(n_images=0)
 
 
-class TestGpuPool:
-    def test_run_advances_availability(self):
-        gpu = Gpu(0)
-        finish = gpu.run("job", 0.0, 10.0)
-        assert finish == 10.0
-        assert gpu.available_at == 10.0
-        assert gpu.busy_seconds == 10.0
-        assert gpu.jobs == ["job"]
-
-    def test_cannot_start_while_busy(self):
-        gpu = Gpu(0)
-        gpu.run("a", 0.0, 10.0)
-        with pytest.raises(ValueError, match="busy"):
-            gpu.run("b", 5.0, 1.0)
-
-    def test_next_free_picks_earliest(self):
-        pool = GpuPool(3)
-        pool.gpus[0].run("a", 0.0, 10.0)
-        pool.gpus[1].run("b", 0.0, 5.0)
-        assert pool.next_free().index == 2
-        pool.gpus[2].run("c", 0.0, 20.0)
-        assert pool.next_free().index == 1
-
-    def test_barrier_advance(self):
-        pool = GpuPool(2)
-        pool.gpus[0].run("a", 0.0, 3.0)
-        pool.advance_all(10.0)
-        assert all(g.available_at == 10.0 for g in pool)
-
-    def test_utilization(self):
-        pool = GpuPool(2)
-        pool.gpus[0].run("a", 0.0, 10.0)
-        assert pool.utilization() == pytest.approx(0.5)
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            GpuPool(0)
+def schedule(generations, n_gpus):
+    """FIFO behind the generation barrier: each job waits for every earlier generation."""
+    seconds, waits = [], []
+    for generation in generations:
+        waits += [len(seconds)] * len(generation)
+        seconds += generation
+    return fifo_schedule(seconds, n_gpus, waits)
 
 
 class TestFifoScheduling:
     def test_single_gpu_serializes(self):
-        jobs = [Job(i, (5.0,)) for i in range(4)]
-        result = schedule_run([jobs], 1)
-        assert result.makespan == pytest.approx(20.0)
-        assert result.utilization == pytest.approx(1.0)
-        starts = [p.start for p in result.placements]
+        placements, makespan, busy = schedule([[5.0] * 4], 1)
+        assert makespan == pytest.approx(20.0)
+        assert busy / makespan == pytest.approx(1.0)
+        starts = [start for _, start, _ in placements]
         assert starts == [0.0, 5.0, 10.0, 15.0]
 
     def test_fifo_order_on_multiple_gpus(self):
         # durations 10, 1, 1, 1 on 2 gpus: jobs 1-3 chain on gpu 1
-        jobs = [Job(0, (10.0,)), Job(1, (1.0,)), Job(2, (1.0,)), Job(3, (1.0,))]
-        result = schedule_run([jobs], 2)
-        placements = {p.job_id: p for p in result.placements}
-        assert placements[0].gpu == 0
-        assert placements[1].gpu == 1 and placements[2].gpu == 1 and placements[3].gpu == 1
-        assert result.makespan == pytest.approx(10.0)
+        placements, makespan, _ = schedule([[10.0, 1.0, 1.0, 1.0]], 2)
+        assert [worker for worker, _, _ in placements] == [0, 1, 1, 1]
+        assert makespan == pytest.approx(10.0)
 
     def test_generation_barrier_creates_idle(self):
         # gen 1: one long + one short job on 2 gpus; gen 2 cannot start early
-        gen1 = [Job(0, (10.0,)), Job(1, (2.0,))]
-        gen2 = [Job(2, (1.0,)), Job(3, (1.0,))]
-        result = schedule_run([gen1, gen2], 2)
-        placements = {p.job_id: p for p in result.placements}
-        assert placements[2].start == pytest.approx(10.0)
-        assert placements[3].start == pytest.approx(10.0)
-        assert result.idle_seconds == pytest.approx(8.0 + 0.0)
-        assert result.generation_ends == [pytest.approx(10.0), pytest.approx(11.0)]
+        placements, makespan, busy = schedule([[10.0, 2.0], [1.0, 1.0]], 2)
+        assert placements[2][1] == pytest.approx(10.0)
+        assert placements[3][1] == pytest.approx(10.0)
+        assert makespan * 2 - busy == pytest.approx(8.0 + 0.0)
+        generation_ends = [max(p[2] for p in placements[:2]), max(p[2] for p in placements[2:])]
+        assert generation_ends == [pytest.approx(10.0), pytest.approx(11.0)]
 
     def test_work_conservation(self, rng):
-        generations = [
-            [Job(g * 10 + i, tuple(rng.uniform(1, 5, 3))) for i in range(7)]
-            for g in range(3)
-        ]
-        total_work = sum(j.duration for gen in generations for j in gen)
+        generations = [[float(sum(rng.uniform(1, 5, 3))) for _ in range(7)] for _ in range(3)]
+        total_work = sum(sum(gen) for gen in generations)
         for n_gpus in (1, 2, 4):
-            result = schedule_run(generations, n_gpus)
-            assert result.busy_seconds == pytest.approx(total_work)
-            assert result.makespan >= total_work / n_gpus - 1e-9
-            assert result.makespan <= total_work + 1e-9
+            _, makespan, busy = schedule(generations, n_gpus)
+            assert busy == pytest.approx(total_work)
+            assert makespan >= total_work / n_gpus - 1e-9
+            assert makespan <= total_work + 1e-9
 
     def test_more_gpus_never_slower(self, rng):
-        generations = [
-            [Job(i, tuple(rng.uniform(1, 10, 5))) for i in range(10)]
-        ]
-        makespans = [schedule_run(generations, n).makespan for n in (1, 2, 4, 8)]
+        generations = [[float(sum(rng.uniform(1, 10, 5))) for _ in range(10)]]
+        makespans = [schedule(generations, n)[1] for n in (1, 2, 4, 8)]
         assert all(a >= b - 1e-9 for a, b in zip(makespans, makespans[1:]))
 
     def test_job_validation(self):
         with pytest.raises(ValueError):
-            Job(0, (-1.0,))
+            fifo_schedule([-1.0], 1, [0])
+        with pytest.raises(ValueError):
+            fifo_schedule([1.0], 0, [0])
 
 
 class TestWallTimeSimulation:
@@ -156,9 +107,20 @@ class TestWallTimeSimulation:
         return NSGANet(config, evaluator, rng_stream=RngStream(0)).run()
 
     def test_jobs_grouped_by_generation(self, search_result):
-        generations = jobs_by_generation(search_result)
-        assert len(generations) == 3
-        assert [len(g) for g in generations] == [4, 4, 4]
+        # four GPUs, four jobs a generation: each generation runs side by
+        # side and starts when the slowest job of the one before finishes
+        report = simulate_walltime(search_result, 4, include_engine_overhead=False)
+        generation = {m.model_id: m.generation for m in search_result.archive}
+        starts: dict = {}
+        for model_id, _, start, _ in report.placements:
+            starts.setdefault(generation[model_id], set()).add(start)
+        assert sorted(starts) == [0, 1, 2]
+        assert all(len(s) == 1 for s in starts.values())
+        seconds = [sum(m.epoch_seconds) for m in search_result.archive]
+        slowest = [max(seconds[4 * g : 4 * g + 4]) for g in range(3)]
+        expected = [0.0, slowest[0], sum(slowest[:2])]
+        assert [starts[g].pop() for g in range(3)] == pytest.approx(expected)
+        assert report.wall_seconds == pytest.approx(sum(slowest))
 
     def test_four_gpus_faster_than_one(self, search_result):
         w1 = simulate_walltime(search_result, 1)
