@@ -17,5 +17,5 @@ def test_fig10_near_optimal_architecture(benchmark, emit_report):
     assert report.count("PhaseBlock") == 3
     assert "node0" in report and "output <-" in report
     assert "Dense" in report
-    # the connectivity graph covers all phases (3 x (4 nodes + in + out))
-    assert result.n_graph_nodes == 18
+    # every phase renders all four of its nodes
+    assert report.count("node3 <-") == 3

@@ -17,7 +17,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core.engine import PredictionEngine
 from repro.core.plugin import run_training_loop
-from repro.experiments.ablation_functions import _curve_bank
+from repro.experiments.ablation_functions import curve_bank
 from repro.experiments.reporting import ReportTable
 from repro.nas.surrogate import LearningCurveModel
 from repro.xfel.intensity import BeamIntensity
@@ -78,7 +78,7 @@ def replay_bank() -> list:
     labels = [i.label for i in BeamIntensity for _ in range(CURVES_PER_CELL)]
     rows = []
     for seed in SEEDS:
-        for index, curve in enumerate(_curve_bank(CURVES_PER_CELL, seed, N_EPOCHS)):
+        for index, curve in enumerate(curve_bank(CURVES_PER_CELL, seed, N_EPOCHS)):
             outcomes = []
             for engine in engines:
                 engine.fits = []

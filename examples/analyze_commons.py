@@ -12,6 +12,7 @@ Run:  python examples/analyze_commons.py [commons_dir]
 
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from repro.analysis import (
     termination_histogram,
 )
 from repro.experiments import paper_config
-from repro.lineage import DataCommons, ProvenanceGraph
+from repro.lineage import DataCommons
 from repro.workflow import run_workflow
 from repro.xfel import BeamIntensity
 
@@ -87,12 +88,11 @@ def main() -> None:
     if best.prediction_history:
         print("  engine predictions:", sparkline(best.prediction_history))
 
-    # -- provenance graph ------------------------------------------------------
-    graph = ProvenanceGraph.from_records(records)
-    generations = graph.generations()
+    # -- models per generation -------------------------------------------------
+    per_generation = Counter(r.generation for r in records)
     print(
-        f"\nprovenance: {len(records)} models across {len(generations)} generations "
-        f"({', '.join(str(len(v)) for v in generations.values())} per generation)"
+        f"\nprovenance: {len(records)} models across {len(per_generation)} generations "
+        f"({', '.join(str(per_generation[g]) for g in sorted(per_generation))} per generation)"
     )
 
 

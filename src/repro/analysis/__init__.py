@@ -37,7 +37,7 @@ from repro.analysis.stats import (
     prediction_error_summary,
     structural_similarity,
 )
-from repro.analysis.viz import ascii_curve, phase_graph, render_network, render_phase, sparkline
+from repro.analysis.viz import ascii_curve, render_network, render_phase, sparkline
 
 __all__ = [
     "RunComparison",
@@ -67,7 +67,6 @@ __all__ = [
     "prediction_error_summary",
     "structural_similarity",
     "ascii_curve",
-    "phase_graph",
     "render_network",
     "render_phase",
     "sparkline",

@@ -106,14 +106,15 @@ def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> s
     ]
 
     # -- correlation ---------------------------------------------------------------
-    corr = flops_accuracy_correlation(records)
-    sections += [
-        "## FLOPs vs accuracy",
-        "",
-        f"Spearman rho = **{corr.rho:+.2f}** (p = {corr.p_value:.3g}, n = {corr.n}; "
-        f"{'significant' if corr.significant else 'not significant'} at alpha = 0.05).",
-        "",
-    ]
+    try:
+        corr = flops_accuracy_correlation(records)
+        correlation = (
+            f"Spearman rho = **{corr.rho:+.2f}** (p = {corr.p_value:.3g}, n = {corr.n}; "
+            f"{'significant' if corr.significant else 'not significant'} at alpha = 0.05)."
+        )
+    except ValueError as exc:
+        correlation = f"Spearman rho = n/a ({exc})."
+    sections += ["## FLOPs vs accuracy", "", correlation, ""]
 
     # -- top models with curve gallery -------------------------------------------------
     rows = []

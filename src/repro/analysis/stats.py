@@ -47,12 +47,15 @@ def flops_accuracy_correlation(records: list[ModelRecord]) -> CorrelationResult:
     ]
     if len(pairs) < 3:
         raise ValueError(f"need >= 3 evaluated records, have {len(pairs)}")
+    flops, fitness = map(np.asarray, zip(*pairs))
+    for name, column in (("flops", flops), ("fitness", fitness)):
+        if np.all(column == column[0]):
+            raise ValueError(f"{name} is constant over {len(pairs)} records")
     # imported here, not at module level: scipy.stats adds ~20 MB and a
     # fifth of the start-up time to every process that imports
     # repro.analysis, and searching, publishing and resuming never call it
     from scipy.stats import spearmanr
 
-    flops, fitness = map(np.asarray, zip(*pairs))
     rho, p = spearmanr(flops, fitness)
     return CorrelationResult(rho=float(rho), p_value=float(p), n=len(pairs))
 

@@ -2,9 +2,8 @@
 
 The paper's Analyzer renders NN architectures (Figs. 3 and 10) and
 learning-curve shapes interactively.  Offline, we render to text: an
-architecture diagram of a decoded network (phase DAGs included), an
-ASCII sparkline/plot of learning curves, and a :mod:`networkx` export of
-phase connectivity for downstream graph tooling.
+architecture diagram of a decoded network (phase DAGs included) and an
+ASCII sparkline/plot of learning curves.
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nas.decoder import PhaseBlock
-from repro.nas.genome import Genome, PhaseGenome
+from repro.nas.genome import PhaseGenome
 from repro.nn.network import Network
 
-__all__ = ["render_network", "render_phase", "phase_graph", "ascii_curve", "sparkline"]
+__all__ = ["render_network", "render_phase", "ascii_curve", "sparkline"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -54,34 +53,6 @@ def render_network(network: Network) -> str:
             shape = layer.output_shape(shape)
             lines.append(f"        -> {tuple(shape)}")
     return "\n".join(lines)
-
-
-def phase_graph(genome: Genome) -> "nx.DiGraph":
-    """The whole genome as one networkx DAG (nodes tagged by phase)."""
-    import networkx as nx  # kept off the library's import path, as in lineage.provenance
-
-    graph = nx.DiGraph()
-    for p_idx, phase in enumerate(genome.phases):
-        matrix = phase.connection_matrix()
-        names = [f"p{p_idx}n{j}" for j in range(phase.n_nodes)]
-        in_name, out_name = f"p{p_idx}in", f"p{p_idx}out"
-        graph.add_node(in_name, phase=p_idx, role="input")
-        graph.add_node(out_name, phase=p_idx, role="output")
-        for j, name in enumerate(names):
-            graph.add_node(name, phase=p_idx, role="node")
-            preds = [i for i in range(j) if matrix[i, j]]
-            if preds:
-                for i in preds:
-                    graph.add_edge(names[i], name)
-            else:
-                graph.add_edge(in_name, name)
-            if not matrix[j].any():
-                graph.add_edge(name, out_name)
-        if phase.skip:
-            graph.add_edge(in_name, out_name, skip=True)
-        if p_idx > 0:
-            graph.add_edge(f"p{p_idx - 1}out", in_name, pool=True)
-    return graph
 
 
 def sparkline(values) -> str:

@@ -327,8 +327,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         f"(mean e_t {summary.mean_termination_epoch:.1f})"
     )
     print(f"mean fitness      : {query.mean_fitness():.2f}%")
-    corr = flops_accuracy_correlation(records)
-    print(f"flops~accuracy rho: {corr.rho:+.2f} (p={corr.p_value:.3f})")
+    try:
+        corr = flops_accuracy_correlation(records)
+        print(f"flops~accuracy rho: {corr.rho:+.2f} (p={corr.p_value:.3f})")
+    except ValueError as exc:
+        print(f"flops~accuracy rho: n/a ({exc})")
     try:
         errors = prediction_error_summary(records)
         print(f"prediction |err|  : {errors.mean_abs_error:.2f}% mean over {errors.n} models")

@@ -16,12 +16,14 @@ Public surface:
   :class:`~repro.core.engine.EngineConfig` — predictor + analyzer.
 * :class:`~repro.core.analyzer.ConvergenceAnalyzer` — the stability rule.
 * :func:`~repro.core.plugin.run_training_loop` — the paper's Algorithm 1.
+* :func:`~repro.core.calibration.measure_engine_behaviour` — Algorithm 1
+  over a curve bank, aggregated (the surrogate-regime calibration test
+  and both engine ablations).
 """
 
 from repro.core.analyzer import AnalysisResult, ConvergenceAnalyzer
-from repro.core.calibration import EngineBehaviour, measure_engine_behaviour, regime_behaviour
+from repro.core.calibration import EngineBehaviour, measure_engine_behaviour
 from repro.core.engine import EngineConfig, PredictionEngine, PredictionSession
-from repro.core.ensemble import EnsembleConfig, EnsemblePredictionEngine
 from repro.core.fitting import CurveFit, FitError, fit_curve
 from repro.core.parametric import (
     FUNCTION_REGISTRY,
@@ -36,10 +38,7 @@ __all__ = [
     "ConvergenceAnalyzer",
     "EngineBehaviour",
     "measure_engine_behaviour",
-    "regime_behaviour",
     "EngineConfig",
-    "EnsembleConfig",
-    "EnsemblePredictionEngine",
     "PredictionEngine",
     "PredictionSession",
     "CurveFit",

@@ -1,25 +1,24 @@
-"""Engine-behaviour measurement for surrogate-regime calibration.
+"""Engine behaviour over a curve bank: Algorithm 1 per curve, aggregated.
 
-The surrogate curve regimes in :mod:`repro.nas.surrogate` are calibrated
-so the Table-1 engine reproduces the paper's Fig. 8 convergence
-behaviour per beam intensity.  This module makes that calibration a
-first-class, testable operation: given any curve source, it measures the
-engine's convergence statistics (percent terminated, mean/percentile
-termination epochs, prediction error), so regimes can be validated in
-tests and re-tuned when engine parameters change.
+The one routine behind three measurements: the tier-1 check that the
+surrogate curve regimes in :mod:`repro.nas.surrogate` reproduce the
+paper's Fig. 8 convergence behaviour per beam intensity, the parametric
+function ablation (the paper's §6 question) and the ``(N, r)`` sweep.
+Each reports the engine's convergence statistics (percent terminated,
+mean/median termination epoch, epochs saved, prediction error).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.engine import PredictionEngine
 from repro.core.plugin import run_training_loop
 
-__all__ = ["EngineBehaviour", "measure_engine_behaviour", "regime_behaviour"]
+__all__ = ["EngineBehaviour", "measure_engine_behaviour"]
 
 
 class _Replay:
@@ -98,18 +97,3 @@ def measure_engine_behaviour(
         mean_abs_error=float(np.mean(errors)) if errors else float("nan"),
     )
 
-
-def regime_behaviour(
-    engine: PredictionEngine,
-    curve_factory: Callable[[int], np.ndarray],
-    *,
-    n_curves: int = 100,
-    max_epochs: int = 25,
-) -> EngineBehaviour:
-    """Measure behaviour over ``n_curves`` draws from a curve factory.
-
-    ``curve_factory(i)`` must return the ``i``-th curve (length >=
-    ``max_epochs``); index-based so factories can derive per-curve seeds.
-    """
-    curves = [curve_factory(i) for i in range(n_curves)]
-    return measure_engine_behaviour(engine, curves, max_epochs=max_epochs)

@@ -6,16 +6,8 @@ these; see DESIGN.md §4 for the per-experiment index and EXPERIMENTS.md
 for recorded outcomes.
 """
 
-from repro.experiments.ablation_engine import (
-    EngineSweepPoint,
-    format_engine_ablation,
-    run_engine_ablation,
-)
-from repro.experiments.ablation_functions import (
-    FunctionScore,
-    format_function_ablation,
-    run_function_ablation,
-)
+from repro.experiments.ablation_engine import format_engine_ablation, run_engine_ablation
+from repro.experiments.ablation_functions import format_function_ablation, run_function_ablation
 from repro.experiments.configs import (
     DEFAULT_SEED,
     PAPER_CONVERGENCE,
@@ -46,10 +38,8 @@ from repro.experiments.runner import clear_cache, get_comparison, paper_config
 from repro.experiments.table3_xpsi import Table3Result, format_table3, run_table3
 
 __all__ = [
-    "EngineSweepPoint",
     "format_engine_ablation",
     "run_engine_ablation",
-    "FunctionScore",
     "format_function_ablation",
     "run_function_ablation",
     "DEFAULT_SEED",

@@ -9,28 +9,12 @@ converge later or not at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
+from repro.core.calibration import EngineBehaviour, measure_engine_behaviour
 from repro.core.engine import EngineConfig, PredictionEngine
-from repro.core.plugin import run_training_loop
-from repro.experiments.ablation_functions import _curve_bank
+from repro.experiments.ablation_functions import curve_bank
 from repro.experiments.reporting import ReportTable
-from repro.nas.surrogate import LearningCurveModel
 
-__all__ = ["EngineSweepPoint", "run_engine_ablation", "format_engine_ablation"]
-
-
-@dataclass
-class EngineSweepPoint:
-    """Outcome of one (N, r) setting over the shared curve bank."""
-
-    n_predictions: int
-    tolerance: float
-    percent_converged: float
-    mean_epochs_saved: float
-    mean_abs_error: float
+__all__ = ["run_engine_ablation", "format_engine_ablation"]
 
 
 def run_engine_ablation(
@@ -40,36 +24,21 @@ def run_engine_ablation(
     n_per_regime: int = 20,
     seed: int = 11,
     n_epochs: int = 25,
-) -> list[EngineSweepPoint]:
-    """Sweep the analyzer's window length and tolerance."""
-    curves = _curve_bank(n_per_regime, seed, n_epochs)
-    points = []
-    for n in n_values:
-        for r in r_values:
-            engine = PredictionEngine(EngineConfig(n_predictions=n, tolerance=r))
-            errors, saved = [], []
-            converged = 0
-            for curve in curves:
-                result = run_training_loop(LearningCurveModel(curve), engine, n_epochs)
-                saved.append(n_epochs - result.epochs_trained)
-                if result.terminated_early:
-                    converged += 1
-                    errors.append(abs(result.fitness - float(curve[-1])))
-            points.append(
-                EngineSweepPoint(
-                    n_predictions=n,
-                    tolerance=r,
-                    percent_converged=100.0 * converged / len(curves),
-                    mean_epochs_saved=float(np.mean(saved)),
-                    mean_abs_error=float(np.mean(errors)) if errors else float("nan"),
-                )
-            )
-    return points
+) -> dict[tuple[int, float], EngineBehaviour]:
+    """Engine behaviour per ``(N, r)``, in grid order, over one curve bank."""
+    curves = curve_bank(n_per_regime, seed, n_epochs)
+    return {
+        (n, r): measure_engine_behaviour(
+            PredictionEngine(EngineConfig(n_predictions=n, tolerance=r)), curves
+        )
+        for n in n_values
+        for r in r_values
+    }
 
 
-def format_engine_ablation(points: list[EngineSweepPoint]) -> str:
+def format_engine_ablation(points: dict[tuple[int, float], EngineBehaviour]) -> str:
     """Render the (N, r) sweep as a text table."""
     table = ReportTable("N", "r", "% converged", "mean epochs saved", "mean |error| %")
-    for p in points:
-        table.row(p.n_predictions, p.tolerance, p.percent_converged, p.mean_epochs_saved, p.mean_abs_error)
+    for (n, r), b in points.items():
+        table.row(n, r, b.percent_terminated, b.mean_epochs_saved, b.mean_abs_error)
     return table.render("Ablation: convergence window N and tolerance r (paper: N=3, r=0.5)")

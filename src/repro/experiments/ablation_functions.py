@@ -9,34 +9,24 @@ converged prediction and the curve's true epoch-25 value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
+from repro.core.calibration import EngineBehaviour, measure_engine_behaviour
 from repro.core.engine import EngineConfig, PredictionEngine
 from repro.core.parametric import FUNCTION_REGISTRY
-from repro.core.plugin import run_training_loop
 from repro.experiments.reporting import ReportTable
 from repro.nas.genome import random_genome
-from repro.nas.surrogate import REGIMES, LearningCurveModel, sample_curve
+from repro.nas.surrogate import REGIMES, sample_curve
 from repro.utils.rng import derive_rng
 from repro.xfel.intensity import BeamIntensity
 
-__all__ = ["FunctionScore", "run_function_ablation", "format_function_ablation"]
+__all__ = ["curve_bank", "run_function_ablation", "format_function_ablation"]
 
 
-@dataclass
-class FunctionScore:
-    """Aggregate performance of one parametric family."""
-
-    function: str
-    percent_converged: float
-    mean_termination_epoch: float
-    mean_abs_error: float
-    mean_epochs_saved: float
-
-
-def _curve_bank(n_per_regime: int, seed: int, n_epochs: int) -> list[np.ndarray]:
+def curve_bank(n_per_regime: int, seed: int, n_epochs: int) -> list[np.ndarray]:
+    """``n_per_regime`` sampled curves per beam intensity, low to high."""
     curves = []
     for intensity in BeamIntensity:
         regime = REGIMES[intensity]
@@ -53,46 +43,34 @@ def run_function_ablation(
     n_per_regime: int = 25,
     seed: int = 7,
     n_epochs: int = 25,
-) -> list[FunctionScore]:
-    """Score each family over an identical curve bank."""
+) -> dict[str, EngineBehaviour]:
+    """Each family's engine behaviour over an identical curve bank."""
     names = functions if functions is not None else sorted(FUNCTION_REGISTRY)
-    curves = _curve_bank(n_per_regime, seed, n_epochs)
-    scores = []
-    for name in names:
-        config = EngineConfig(function=name, c_min=max(3, FUNCTION_REGISTRY[name].n_params))
-        engine = PredictionEngine(config)
-        errors, terminations, saved = [], [], []
-        converged = 0
-        for curve in curves:
-            result = run_training_loop(LearningCurveModel(curve), engine, n_epochs)
-            saved.append(n_epochs - result.epochs_trained)
-            if result.terminated_early:
-                converged += 1
-                terminations.append(result.epochs_trained)
-                errors.append(abs(result.fitness - float(curve[-1])))
-        scores.append(
-            FunctionScore(
-                function=name,
-                percent_converged=100.0 * converged / len(curves),
-                mean_termination_epoch=float(np.mean(terminations)) if terminations else float("nan"),
-                mean_abs_error=float(np.mean(errors)) if errors else float("nan"),
-                mean_epochs_saved=float(np.mean(saved)),
-            )
+    curves = curve_bank(n_per_regime, seed, n_epochs)
+    return {
+        name: measure_engine_behaviour(
+            PredictionEngine(
+                EngineConfig(function=name, c_min=max(3, FUNCTION_REGISTRY[name].n_params))
+            ),
+            curves,
         )
-    return scores
+        for name in names
+    }
 
 
-def format_function_ablation(scores: list[FunctionScore]) -> str:
-    """Render family scores sorted by prediction error."""
+def format_function_ablation(scores: dict[str, EngineBehaviour]) -> str:
+    """Render family scores sorted by prediction error, NaN errors last."""
     table = ReportTable(
         "function", "% converged", "mean e_t", "mean |error| %", "mean epochs saved"
     )
-    for s in sorted(scores, key=lambda s: s.mean_abs_error if s.mean_abs_error == s.mean_abs_error else 1e9):
+    for name, b in sorted(
+        scores.items(), key=lambda item: (math.isnan(item[1].mean_abs_error), item[1].mean_abs_error)
+    ):
         table.row(
-            s.function,
-            s.percent_converged,
-            s.mean_termination_epoch,
-            s.mean_abs_error,
-            s.mean_epochs_saved,
+            name,
+            b.percent_terminated,
+            b.mean_termination_epoch,
+            b.mean_abs_error,
+            b.mean_epochs_saved,
         )
     return table.render("Ablation: parametric function choice (exp3 is the paper's)")

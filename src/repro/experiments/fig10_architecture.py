@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.pareto import pareto_frontier
-from repro.analysis.viz import phase_graph, render_network
+from repro.analysis.viz import render_network
 from repro.experiments.configs import DEFAULT_SEED
 from repro.experiments.runner import get_comparison
 from repro.nas.decoder import DecoderConfig, decode_genome
@@ -32,7 +32,6 @@ class Fig10Result:
     flops: int
     genome_key: str
     rendering: str
-    n_graph_nodes: int
 
 
 def run_fig10(
@@ -51,14 +50,12 @@ def run_fig10(
         rng=np.random.default_rng(0),
         name=f"model-{member.model_id}",
     )
-    graph = phase_graph(member.genome)
     return Fig10Result(
         model_id=member.model_id,
         fitness=float(member.fitness),
         flops=int(member.flops),
         genome_key=member.genome.key(),
         rendering=render_network(network),
-        n_graph_nodes=graph.number_of_nodes(),
     )
 
 

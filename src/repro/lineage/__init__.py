@@ -4,18 +4,17 @@ Record trails — genome, architecture table, per-epoch accuracies and
 times, predictions, engine parameters — are collected live by the
 :class:`~repro.lineage.tracker.LineageTracker`, published to a durable
 :class:`~repro.lineage.commons.DataCommons` (the Dataverse substitute),
-and analyzed via :class:`~repro.lineage.provenance.ProvenanceGraph`.
+and checked against a fresh re-execution by
+:func:`~repro.lineage.replay.verify_run`.
 """
 
 from repro.lineage.commons import DataCommons
-from repro.lineage.provenance import ProvenanceGraph
 from repro.lineage.replay import ReplayReport, replay_run, verify_run
 from repro.lineage.records import EpochRecord, ModelRecord, RunRecord
 from repro.lineage.tracker import LineageTracker
 
 __all__ = [
     "DataCommons",
-    "ProvenanceGraph",
     "ReplayReport",
     "replay_run",
     "verify_run",

@@ -13,7 +13,6 @@ from repro.analysis import (
     frontier_table,
     hypervolume_2d,
     pareto_frontier,
-    phase_graph,
     prediction_error_summary,
     records_to_table,
     render_network,
@@ -204,6 +203,12 @@ class TestStats:
         with pytest.raises(ValueError):
             flops_accuracy_correlation([make_record(0, 80.0, 100, rng)])
 
+    def test_correlation_rejects_a_constant_column(self, rng):
+        with pytest.raises(ValueError, match="flops is constant"):
+            flops_accuracy_correlation([make_record(i, 80.0 + i, 100, rng) for i in range(4)])
+        with pytest.raises(ValueError, match="fitness is constant"):
+            flops_accuracy_correlation([make_record(i, 80.0, 100 * (i + 1), rng) for i in range(4)])
+
     def test_structural_similarity_bounds(self, rng):
         a = make_record(0, 80.0, 100, rng)
         assert structural_similarity(a, a) == 1.0
@@ -254,17 +259,6 @@ class TestViz:
         )
         text = render_network(net)
         assert "PhaseBlock" in text and "Dense" in text
-
-    def test_phase_graph_structure(self, rng):
-        genome = random_genome(rng, n_phases=2, nodes_per_phase=3)
-        graph = phase_graph(genome)
-        # 2 phases x (3 nodes + in + out)
-        assert graph.number_of_nodes() == 2 * 5
-        import networkx as nx
-
-        assert nx.is_directed_acyclic_graph(graph)
-        # inter-phase pooling edge exists
-        assert graph.has_edge("p0out", "p1in")
 
 
 class TestCompareRuns:

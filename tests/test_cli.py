@@ -235,6 +235,22 @@ class TestAnalyzeCommand:
         assert "pareto frontier" in out
         assert "terminated early" in out
 
+    def test_analyze_and_report_a_one_model_run(self, tmp_path, capsys):
+        # too few records for a correlation: both commands say so and go on
+        document = small_config_dict()
+        document["nas"].update(population_size=1, offspring_per_generation=1, generations=1)
+        config_path = atomic_write_json(tmp_path / "cfg.json", document)
+        commons_dir = tmp_path / "commons"
+        main(["run", "--config", str(config_path), "--commons", str(commons_dir)])
+        capsys.readouterr()
+        assert main(["analyze", "--commons", str(commons_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "flops~accuracy rho: n/a (need >= 3 evaluated records, have 1)" in out
+        assert "pareto frontier" in out
+        report_path = tmp_path / "report.md"
+        assert main(["report", "--commons", str(commons_dir), "--output", str(report_path)]) == 0
+        assert "Spearman rho = n/a (need >= 3" in report_path.read_text(encoding="utf-8")
+
     def test_analyze_empty_commons_fails(self, tmp_path, capsys):
         code = main(["analyze", "--commons", str(tmp_path / "empty")])
         assert code == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PredictionEngine, measure_engine_behaviour, regime_behaviour
+from repro.core import PredictionEngine, measure_engine_behaviour
 from repro.nas.genome import random_genome
 from repro.nas.surrogate import REGIMES, sample_curve
 from repro.utils.rng import derive_rng
@@ -57,15 +57,11 @@ class TestRegimeCalibration:
         engine = PredictionEngine()
         results = {}
         for intensity in BeamIntensity:
-            regime = REGIMES[intensity]
-
-            def factory(i, regime=regime, intensity=intensity):
+            curves = []
+            for i in range(120):
                 rng = derive_rng(90, "calib", intensity.label, i)
-                return sample_curve(random_genome(rng), regime, rng, 25)
-
-            results[intensity.label] = regime_behaviour(
-                engine, factory, n_curves=120, max_epochs=25
-            )
+                curves.append(sample_curve(random_genome(rng), REGIMES[intensity], rng, 25))
+            results[intensity.label] = measure_engine_behaviour(engine, curves)
         return results
 
     def test_low_terminates_late(self, behaviours):

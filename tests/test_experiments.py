@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.core import EngineBehaviour
 from repro.experiments import (
     PAPER_ENGINE_CONFIG,
     PAPER_NAS_CONFIG,
+    format_engine_ablation,
+    format_function_ablation,
     paper_config,
+    run_engine_ablation,
     run_fig2,
+    run_function_ablation,
 )
 from repro.experiments.fig2_prediction import example_curve, format_fig2
 from repro.experiments.reporting import ReportTable, shape_check
@@ -60,6 +65,44 @@ class TestFig2:
         text = format_fig2(run_fig2())
         assert "converged at epoch" in text
         assert "Figure 2" in text
+
+
+def _behaviour(error: float) -> EngineBehaviour:
+    return EngineBehaviour(
+        n_curves=3,
+        percent_terminated=50.0,
+        mean_termination_epoch=12.0,
+        median_termination_epoch=12.0,
+        mean_epochs_saved=6.0,
+        mean_abs_error=error,
+    )
+
+
+class TestAblations:
+    """Both engine ablations at smoke scale: one curve per regime."""
+
+    def test_function_ablation_scores_every_requested_family(self):
+        # exp3 is solved by variable projection, mmf by the trust-region fit
+        scores = run_function_ablation(functions=["exp3", "mmf"], n_per_regime=1)
+        assert list(scores) == ["exp3", "mmf"]
+        for behaviour in scores.values():
+            assert isinstance(behaviour, EngineBehaviour)
+            assert behaviour.n_curves == 3
+
+    def test_function_table_sorts_nan_errors_last(self):
+        text = format_function_ablation(
+            {"never": _behaviour(float("nan")), "worse": _behaviour(2.0), "best": _behaviour(1.0)}
+        )
+        rows = [line.split()[0] for line in text.splitlines()[3:]]
+        assert rows == ["best", "worse", "never"]
+
+    def test_engine_ablation_keeps_the_grid_order(self):
+        points = run_engine_ablation(n_values=(3, 2), r_values=(0.5, 0.1), n_per_regime=1)
+        grid = [(3, 0.5), (3, 0.1), (2, 0.5), (2, 0.1)]
+        assert list(points) == grid
+        assert all(isinstance(b, EngineBehaviour) for b in points.values())
+        rows = [line.split()[:2] for line in format_engine_ablation(points).splitlines()[3:]]
+        assert rows == [[str(n), f"{r:.2f}"] for n, r in grid]
 
 
 class TestReporting:

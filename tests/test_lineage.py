@@ -1,4 +1,4 @@
-"""Tests for lineage records, tracker, data commons, and provenance."""
+"""Tests for lineage records, tracker and data commons."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.lineage import (
     EpochRecord,
     LineageTracker,
     ModelRecord,
-    ProvenanceGraph,
     RunRecord,
 )
 from repro.nas import Individual, NSGANet, NSGANetConfig, SurrogateEvaluator, random_genome
@@ -200,34 +199,3 @@ class TestDataCommons:
             tracker,
         )
         assert commons.size_bytes() > 0
-
-
-class TestProvenance:
-    def test_from_records_generations(self):
-        _, tracker = small_tracked_run()
-        graph = ProvenanceGraph.from_records(tracker.all_records())
-        generations = graph.generations()
-        assert set(generations) == {0, 1}
-        assert len(generations[0]) == 3 and len(generations[1]) == 3
-
-    def test_parentage_and_ancestry(self):
-        _, tracker = small_tracked_run()
-        graph = ProvenanceGraph.from_records(tracker.all_records())
-        graph.add_parentage(3, [0, 1])
-        graph.add_parentage(4, [3])
-        assert graph.ancestors(4) == {0, 1, 3}
-        assert graph.descendants(0) == {3, 4}
-
-    def test_unknown_parent_rejected(self):
-        _, tracker = small_tracked_run()
-        graph = ProvenanceGraph.from_records(tracker.all_records())
-        with pytest.raises(KeyError):
-            graph.add_parentage(3, [99])
-
-    def test_fittest_lineage_ends_at_best(self):
-        _, tracker = small_tracked_run()
-        graph = ProvenanceGraph.from_records(tracker.all_records())
-        graph.add_parentage(5, [0])
-        lineage = graph.fittest_lineage()
-        best = max(tracker.all_records(), key=lambda r: r.fitness)
-        assert lineage[-1] == best.model_id

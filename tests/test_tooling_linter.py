@@ -645,7 +645,7 @@ def test_importing_the_library_does_not_import_the_linter():
         "assert 'repro.tooling.sanitizer' in sys.modules; "
         "loaded = [m for m in sys.modules if m.startswith('repro.tooling.') "
         "and m != 'repro.tooling.sanitizer']; "
-        "loaded += [m for m in ('networkx', 'scipy.optimize', 'scipy.stats') "
+        "loaded += [m for m in ('scipy.optimize', 'scipy.stats') "
         "if m in sys.modules]; "
         "assert not loaded, loaded"
     )
