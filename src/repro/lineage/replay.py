@@ -40,6 +40,7 @@ _VERIFIED_FIELDS = (
     "prediction_history",
     "quarantined",
     "cache_hit",
+    "cache_source",
     "logical_tick",
     "predicted_fitness",
     "predicted_rank",

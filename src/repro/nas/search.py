@@ -16,6 +16,12 @@ Both evolution modes reach evaluation through one seam,
 :class:`EvalStream`: the generational loop submits a whole generation,
 drains it and closes the episode before it commits; the steady-state
 loop keeps a rolling window in flight and closes once, at the end.
+
+The search knows nothing about resume.  A resumed run is this search
+run again from the same seed: a candidate whose outcome is already
+recorded arrives from ``on_candidate`` evaluated, skips the stream the
+way a surrogate zero-budget skip does, and commits through the same
+:meth:`NSGANet._commit` (see :mod:`repro.workflow.resume`).
 """
 
 from __future__ import annotations
@@ -45,16 +51,12 @@ __all__ = [
     "NSGANetConfig",
     "GenerationStats",
     "SearchResult",
-    "SearchState",
     "NSGANet",
     "EvalStream",
     "InlineStream",
-    "generation_stats",
     "SteadyState",
     "STEADY_START",
     "steady_insert",
-    "steady_chunk_closed",
-    "replay_steady",
 ]
 
 _LOG = get_logger("nas.search")
@@ -138,8 +140,8 @@ def steady_insert(
 
     The population takes one in and, once full, puts one out (worst
     rank, least crowded — :func:`~repro.nas.nsga2.steady_eviction`);
-    survivor order is insertion order, which keeps the replayed
-    population byte-stable.  The front is updated in O(|front|)
+    survivor order is insertion order, which keeps the population
+    byte-stable.  The front is updated in O(|front|)
     (:func:`~repro.nas.nsga2.pareto_front_insert`) and so always equals,
     members and order, ``pareto_front_mask`` over the archive so far.
     """
@@ -156,24 +158,6 @@ def steady_insert(
         front = [m for m, kept in zip(front, keep) if kept] + [individual]
         front_objectives = np.concatenate((front_objectives[keep], row))
     return SteadyState(members, objectives, front, front_objectives)
-
-
-def steady_chunk_closed(committed: int, population_size: int, per_generation: int) -> int | None:
-    """The pseudo-generation that steady commit number ``committed`` completes, if any.
-
-    Steady stats are cut into chunks shaped like barrier generations:
-    the first ``population_size`` commits, then every ``per_generation``.
-    """
-    done, partial = divmod(committed - population_size, per_generation)
-    return done if committed >= population_size and not partial else None
-
-
-def replay_steady(archive_members, population_size: int):
-    """Yield the :class:`SteadyState` after each archived commit, in tick order."""
-    state = STEADY_START
-    for individual in archive_members:
-        state = steady_insert(state, individual, population_size)
-        yield state
 
 
 @dataclass(frozen=True)
@@ -289,79 +273,6 @@ class GenerationStats:
     epochs_skipped: int = 0
 
 
-def generation_stats(
-    generation: int,
-    evaluated: list[Individual],
-    population: Population,
-    max_epochs: int | None = None,
-) -> GenerationStats:
-    """Aggregate one generation's evaluations (live, and on rebuild from records).
-
-    ``max_epochs`` is the full per-model budget the surrogate's skips
-    are measured against; ``None`` reports zero skips.
-    """
-    fitnesses = [float(m.fitness) for m in evaluated]
-    completed = [m.result for m in evaluated if m.result]
-    skipped = 0
-    if max_epochs is not None:
-        skipped = sum(
-            max_epochs - effective_budget(m, max_epochs)
-            for m in evaluated
-            if not m.quarantined
-        )
-    return GenerationStats(
-        generation=generation,
-        n_evaluated=len(evaluated),
-        best_fitness=max(fitnesses),
-        mean_fitness=float(np.mean(fitnesses)),
-        epochs_trained=sum(r.epochs_trained for r in completed),
-        # engine savings are measured inside each evaluation's effective
-        # (surrogate-reduced) budget; the gap up to the full budget is
-        # what the surrogate skipped — the two counters never overlap
-        epochs_saved=sum(r.epochs_saved for r in completed),
-        pareto_size=int(pareto_front_mask(population.objective_array()).sum()),
-        n_quarantined=sum(1 for m in evaluated if m.quarantined),
-        n_cache_hits=sum(1 for m in evaluated if m.cache_hit),
-        epochs_skipped=skipped,
-    )
-
-
-@dataclass
-class SearchState:
-    """Mid-search snapshot sufficient to continue a run exactly.
-
-    Because every stochastic draw in the search derives from the root
-    seed plus stable keys (generation number for variation, model id for
-    evaluation), continuing from a completed generation reproduces the
-    identical run an uninterrupted search would have produced.
-
-    Attributes
-    ----------
-    population:
-        Current survivor set (evaluated individuals).
-    archive:
-        Every individual evaluated so far, in evaluation order.
-    next_generation:
-        First generation still to run (1-based; generation 0 is the
-        initial population).
-    next_model_id:
-        Model id the next created individual receives.
-    generation_stats:
-        Stats of the generations already completed.
-    steady_window:
-        Steady mode: the :class:`SteadyState` after each of the last
-        ``steady_lag`` commits, newest last, for rebreeding the in-flight
-        backlog; given fewer, the search replays the archive itself.
-    """
-
-    population: Population
-    archive: Population
-    next_generation: int
-    next_model_id: int
-    generation_stats: list = field(default_factory=list)
-    steady_window: list = field(default_factory=list)
-
-
 @dataclass
 class SearchResult:
     """Everything a completed search produced.
@@ -450,7 +361,9 @@ class NSGANet:
         of lineage commits visible at that point.  The surrogate budget
         allocator scores candidates here; because both arguments are
         pure functions of the logical clock, scoring is deterministic
-        across backends and replayable on resume.
+        across backends.  A candidate this hook leaves evaluated (a
+        zero-budget skip, or a model resume restores from its record)
+        never reaches the stream.
     on_generation:
         Optional callback with each :class:`GenerationStats`.
     stream:
@@ -518,8 +431,7 @@ class NSGANet:
         One error re-raises as itself; several raise an
         ``ExceptionGroup``.
         """
-        # zero-budget candidates arrive pre-filled by the surrogate
-        # allocator and never reach the evaluation backend
+        # candidates ``on_candidate`` left evaluated never reach the backend
         todo = [m for m in individuals if not m.evaluated]
         for individual in todo:
             self.stream.submit(individual)
@@ -553,7 +465,29 @@ class NSGANet:
     def _record_generation(
         self, generation: int, evaluated: list[Individual], population: Population
     ) -> GenerationStats:
-        stats = generation_stats(generation, evaluated, population, self.config.max_epochs)
+        """Aggregate one generation's evaluations, log and announce them."""
+        max_epochs = self.config.max_epochs
+        fitnesses = [float(m.fitness) for m in evaluated]
+        completed = [m.result for m in evaluated if m.result]
+        stats = GenerationStats(
+            generation=generation,
+            n_evaluated=len(evaluated),
+            best_fitness=max(fitnesses),
+            mean_fitness=float(np.mean(fitnesses)),
+            epochs_trained=sum(r.epochs_trained for r in completed),
+            # engine savings are measured inside each evaluation's effective
+            # (surrogate-reduced) budget; the gap up to the full budget is
+            # what the surrogate skipped — the two counters never overlap
+            epochs_saved=sum(r.epochs_saved for r in completed),
+            pareto_size=int(pareto_front_mask(population.objective_array()).sum()),
+            n_quarantined=sum(1 for m in evaluated if m.quarantined),
+            n_cache_hits=sum(1 for m in evaluated if m.cache_hit),
+            epochs_skipped=sum(
+                max_epochs - effective_budget(m, max_epochs)
+                for m in evaluated
+                if not m.quarantined
+            ),
+        )
         _LOG.info(
             "generation %d: best %.2f%%, mean %.2f%%, epochs %d/%d, quarantined %d, cache hits %d",
             generation,
@@ -614,18 +548,13 @@ class NSGANet:
         mutated = bitflip_mutation(child, rng, rate=self.config.mutation_rate)
         generation = 1 + (g - self.config.population_size) // self.config.offspring_per_generation
         individual = self._new_individual(mutated, generation)
-        if individual.model_id != g:
-            raise RuntimeError(
-                f"steady breeding out of order: bred model {individual.model_id}, "
-                f"expected global index {g}"
-            )
         # the pinned commit count is a pure function of g and the lag, so
-        # candidate scoring replays identically on resume
+        # candidate scoring is the same on every backend
         pinned = max(1, g - (self.config.steady_lag or 1) + 1)
         self._notify_candidate(individual, members, pinned)
         return individual
 
-    def _run_steady(self, resume: SearchState | None) -> SearchResult:
+    def _run_steady(self) -> SearchResult:
         """Asynchronous steady-state loop under a deterministic logical clock.
 
         Candidates carry global indices ``g = 0..total_evaluations-1``;
@@ -645,48 +574,22 @@ class NSGANet:
 
         pending: dict[int, Individual] = {}
         chunk: list[Individual] = []
+        state = STEADY_START
+        archive = Population([])
+        stats: list[GenerationStats] = []
+        committed = 0
 
         def submit(individual: Individual) -> None:
             if individual.evaluated:
-                # zero-budget candidate pre-filled by the surrogate
-                # allocator: it never reaches the backend and is ready
-                # to commit at its tick
+                # left evaluated by on_candidate: it never reaches the
+                # backend and is ready to commit at its tick
                 pending[individual.model_id] = individual
             else:
                 stream.submit(individual)
 
-        if resume is None:
-            state = STEADY_START
-            archive = Population([])
-            stats: list[GenerationStats] = []
-            committed = 0
-            for individual in self._initial_population():
-                submit(individual)
-            next_submit = population_size
-        else:
-            archive = resume.archive
-            stats = list(resume.generation_stats)
-            committed = len(archive.members)
-            if resume.next_model_id != committed:
-                raise ValueError(
-                    f"steady resume requires contiguous ticks: archive has "
-                    f"{committed} members but next_model_id is {resume.next_model_id}"
-                )
-            self._next_model_id = resume.next_model_id
-            # The in-flight window is rebred from the states it was bred
-            # from: offspring g needs the state after commit g - lag, which
-            # for the backlog g = committed..committed+lag-1 lies in the
-            # last `lag` commits.
-            window = resume.steady_window
-            if len(window) < min(lag, committed):
-                window = deque(replay_steady(archive.members, population_size), maxlen=lag)
-            state = window[-1]
-            next_submit = committed
-            while next_submit < total and max(1, next_submit - lag + 1) <= committed:
-                pinned = max(1, next_submit - lag + 1)
-                submit(self._breed_steady(next_submit, window[pinned - committed - 1]))
-                next_submit += 1
-
+        for individual in self._initial_population():
+            submit(individual)
+        next_submit = population_size
         while committed < total:
             if committed not in pending:
                 # the next tick is in flight (commits land in submission
@@ -701,8 +604,10 @@ class NSGANet:
                 state = steady_insert(state, individual, population_size)
                 committed += 1
                 chunk.append(individual)
-                generation = steady_chunk_closed(committed, population_size, per_generation)
-                if generation is not None:
+                # stats come in chunks shaped like barrier generations: the
+                # first population_size commits, then every per_generation
+                generation, partial = divmod(committed - population_size, per_generation)
+                if committed >= population_size and not partial:
                     stats.append(
                         self._record_generation(
                             generation, chunk, Population(state.members)
@@ -724,36 +629,18 @@ class NSGANet:
             config=config,
         )
 
-    def run(self, *, resume: SearchState | None = None) -> SearchResult:
-        """Execute the search (optionally continuing from ``resume``).
-
-        With ``resume``, the initial population phase is skipped and
-        evolution continues from ``resume.next_generation``; the result
-        covers the whole run (resumed archive included).
-        """
+    def run(self) -> SearchResult:
+        """Execute the search."""
         config = self.config
         if config.evolution == "steady":
-            return self._run_steady(resume)
-        if resume is None:
-            initial = self._initial_population()
-            self._run_generation(initial)
-            population = Population(initial)
-            archive = Population(list(initial))
-            stats = [self._record_generation(0, initial, population)]
-            start_generation = 1
-        else:
-            population = resume.population
-            archive = resume.archive
-            stats = list(resume.generation_stats)
-            start_generation = resume.next_generation
-            self._next_model_id = resume.next_model_id
-            if len(population) != config.population_size:
-                raise ValueError(
-                    f"resume population has {len(population)} members, "
-                    f"config expects {config.population_size}"
-                )
+            return self._run_steady()
+        initial = self._initial_population()
+        self._run_generation(initial)
+        population = Population(initial)
+        archive = Population(list(initial))
+        stats = [self._record_generation(0, initial, population)]
 
-        for generation in range(start_generation, config.generations):
+        for generation in range(1, config.generations):
             offspring = self._make_offspring(
                 population, generation, n_committed=len(archive.members)
             )

@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -592,9 +592,9 @@ class BudgetAllocator:
     processes only ever see the resulting budget on their
     :class:`~repro.scheduler.procpool.EvalTask`).  The search calls
     :meth:`score` when a candidate is bred and the orchestrator calls
-    :meth:`observe` as each evaluation commits; :meth:`restore` replays
-    a resumed run's committed records so the state machine continues
-    exactly where the interrupted run left off.
+    :meth:`observe` as each evaluation commits.  A resumed run is the
+    search run again, so both are called for restored models too, with
+    their recorded outcomes: the allocator has no separate resume path.
 
     The skip rule is dominance-aware on the real objectives: a candidate
     is a predicted loser only when its *optimistic* estimate
@@ -677,30 +677,18 @@ class BudgetAllocator:
 
     # -- observation (commit time) ----------------------------------------
 
-    @staticmethod
-    def _trainable(
-        quarantined: bool, budget_assigned: int | None, fitness, flops, trained: int
-    ) -> bool:
-        # only clean full-budget measurements are ground truth; probes and
-        # zero-budget skips would teach the model its own predictions
-        return (
-            not quarantined
-            and budget_assigned is None
-            and fitness is not None
-            and flops is not None
-            and trained > 0
-        )
-
     def observe(self, individual: Individual) -> None:
         """Fold one committed evaluation into the predictor's training set."""
         self.n_commits += 1
-        result = individual.result
-        if not self._trainable(
-            individual.quarantined,
-            individual.budget_assigned,
-            individual.fitness,
-            individual.flops,
-            0 if result is None else result.epochs_trained,
+        # only clean full-budget measurements are ground truth; probes and
+        # zero-budget skips would teach the model its own predictions
+        if (
+            individual.quarantined
+            or individual.budget_assigned is not None
+            or individual.fitness is None
+            or individual.flops is None
+            or individual.result is None
+            or individual.result.epochs_trained <= 0
         ):
             return
         self.predictor.observe(
@@ -708,32 +696,3 @@ class BudgetAllocator:
             individual.fitness,
             self.n_commits,
         )
-
-    def restore(self, records: Iterable) -> None:
-        """Replay a resumed run's committed records, in commit order.
-
-        Predictions stored on the records are *replayed* (the counters
-        advance from them), never recomputed; only full-budget outcomes
-        re-enter the training set, exactly as :meth:`observe` would have
-        done live.
-        """
-        for record in records:
-            if record.predicted_fitness is not None:
-                self.n_scored += 1
-                if record.skip_reason is not None:
-                    self.n_losers += 1
-            self.n_commits += 1
-            if not self._trainable(
-                record.quarantined,
-                record.budget_assigned,
-                record.fitness,
-                record.flops,
-                record.epochs_trained,
-            ):
-                continue
-            genome = Genome.from_dict(record.genome)
-            self.predictor.observe(
-                genome_features(genome, record.flops),
-                record.fitness,
-                self.n_commits,
-            )

@@ -20,7 +20,7 @@ from repro.lineage.records import RunRecord
 from repro.lineage.tracker import LineageTracker
 from repro.nas.evalcache import MemoizingStream
 from repro.nas.evaluation import TrainingEvaluator
-from repro.nas.search import InlineStream, NSGANet, SearchResult, SearchState
+from repro.nas.search import InlineStream, NSGANet, SearchResult
 from repro.nas.surrogate import BudgetAllocator, SurrogateEvaluator
 from repro.scheduler.faults import FaultInjectingEvaluator, FaultTolerantEvaluator
 from repro.scheduler.pool import FifoWorkerPool
@@ -29,6 +29,7 @@ from repro.scheduler.simulator import WallTimeReport, simulate_walltime
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 from repro.workflow.interfaces import WorkflowConfig
+from repro.workflow.resume import individual_from_record
 from repro.xfel.dataset import load_or_generate
 from repro.xfel.shm import share_dataset
 
@@ -159,6 +160,7 @@ class A4NNOrchestrator:
         self.pool = None  # WorkerPool under the stream, when one exists
         self.pool_reports: list = []  # PoolReports kept after close_pool()
         self._tracker: LineageTracker | None = None
+        self._resumed: dict = {}  # model id -> published record (resume)
         self._base = None  # innermost evaluation backend
         self._dataset = None  # loaded dataset (real mode)
 
@@ -199,9 +201,38 @@ class A4NNOrchestrator:
             )
         return evaluator
 
+    def _on_candidate(self, individual, members, n_committed) -> None:
+        """Breed hook: the surrogate's score, then a restored model's outcome.
+
+        A model resume restores takes its recorded outcome here, after
+        the allocator has scored it, so it arrives at the search
+        evaluated and never reaches the stream.
+        """
+        if self.allocator is not None:
+            self.allocator.score(individual, members, n_committed)
+        record = self._resumed.get(individual.model_id)
+        if record is not None:
+            individual_from_record(record, individual)
+
     def _on_individual(self, individual) -> None:
-        """Commit hook: lineage first, then the surrogate refit."""
-        self._tracker.observe_individual(individual)
+        """Commit hook: lineage first, then the surrogate refit.
+
+        A restored model keeps its published record as it is; it primes
+        the eval cache here, where a live evaluation's outcome is
+        published (the stream's ``on_commit`` has just run).  Faulted or
+        quarantined records never prime — the same rule as live.
+        """
+        record = self._resumed.get(individual.model_id)
+        if record is None:
+            self._tracker.observe_individual(individual)
+        elif self.memoizer is not None:
+            self.memoizer.prime(
+                individual,
+                epoch_trace=[
+                    (e["epoch"], e["validation_accuracy"], e.get("prediction"))
+                    for e in record.epochs
+                ],
+            )
         if self.allocator is not None:
             self.allocator.observe(individual)
 
@@ -306,43 +337,17 @@ class A4NNOrchestrator:
             },
         )
 
-    def _restore(self, tracker: LineageTracker, state: SearchState) -> None:
-        """Bring allocator and cache to where the interrupted run had them.
+    def _search(self, restored=(), run_id: str | None = None) -> WorkflowResult:
+        """Search → wall-time accounting → publish.
 
-        ``tracker`` already holds the restored record trails, ``state``
-        the individuals rebuilt from them.
+        ``restored`` (resume) are published records: their models take
+        the recorded outcome instead of an evaluation, and the tracker
+        starts from their trails, so the republished run is complete.
         """
-        records = [tracker.records[m.model_id] for m in state.archive]
-        if self.allocator is not None:
-            # replay the allocator's counters and the predictor's training
-            # rows from the restored trails, in commit order (the archive's)
-            # — predictions stored on the records are kept, never recomputed,
-            # so the resumed predictor sees exactly the live run's data
-            self.allocator.restore(records)
-        if self.memoizer is not None:
-            # prime the cache from the restored trails so evaluations the
-            # interrupted run already shared stay shared on resume (faulted
-            # or quarantined records are never primed — same rule as live)
-            primed = sum(
-                self.memoizer.prime(
-                    individual,
-                    epoch_trace=[
-                        (e["epoch"], e["validation_accuracy"], e.get("prediction"))
-                        for e in record.epochs
-                    ],
-                )
-                for individual, record in zip(state.archive, records)
-            )
-            _LOG.info("primed evaluation cache with %d restored evaluations", primed)
-
-    def _search(
-        self,
-        tracker: LineageTracker,
-        state: SearchState | None = None,
-        run_id: str | None = None,
-    ) -> WorkflowResult:
-        """Search (from ``state`` when resuming) → wall-time accounting → publish."""
         config = self.config
+        tracker = self.new_tracker()
+        self._resumed = {r.model_id: r for r in restored}
+        tracker.records.update(self._resumed)
         evaluator = self.build_evaluator(tracker)
         nas = self.effective_nas()
         _LOG.info(
@@ -358,12 +363,10 @@ class A4NNOrchestrator:
                 evaluator,
                 rng_stream=RngStream(config.seed).child("search"),
                 on_individual=self._on_individual,
-                on_candidate=self.allocator.score if self.allocator else None,
+                on_candidate=self._on_candidate,
                 stream=self.build_stream(evaluator),
             )
-            if state is not None:
-                self._restore(tracker, state)
-            result = search.run(resume=state)
+            result = search.run()
         finally:
             self.close_pool()
 
@@ -383,7 +386,7 @@ class A4NNOrchestrator:
 
     def run(self) -> WorkflowResult:
         """Execute search → lineage → wall-time accounting → publish."""
-        return self._search(self.new_tracker())
+        return self._search()
 
     def publish(self, result: WorkflowResult) -> None:
         """Push the run's record trails into the data commons."""

@@ -410,22 +410,34 @@ class TestBudgetAudit:
 
     def test_resumed_run_budget_matches_uninterrupted(self, tmp_path):
         from repro.lineage.commons import DataCommons
-        from repro.workflow.resume import rebuild_search_state
+        from repro.workflow.resume import rebuild_search_state, resume_workflow
 
         config = faulty_workflow_config(seed=23)
         commons = DataCommons(tmp_path / "commons")
         full = run_workflow(config, commons_path=commons.root)
+        models = commons.root / "runs" / full.run_id / "models"
+        for record in commons.load_models(full.run_id):
+            if record.generation >= 3:
+                (models / f"model_{record.model_id:05d}.json").unlink()
         records = commons.load_models(full.run_id)
-        state = rebuild_search_state(
+        prefix = rebuild_search_state(
             records,
             population_size=config.nas.population_size,
             offspring_per_generation=config.nas.offspring_per_generation,
         )
-        # every evaluated model (quarantined included) is in the rebuilt archive
-        assert len(state.archive) == len(full.search.archive)
-        rebuilt_saved = sum(g.epochs_saved for g in state.generation_stats)
-        assert rebuilt_saved == full.search.total_epochs_saved
-        rebuilt_quarantined = sum(
-            1 for m in state.archive if m.quarantined
-        )
-        assert rebuilt_quarantined == full.search.n_quarantined
+        # every recorded model of the whole generations, quarantined included
+        assert [r.model_id for r in prefix] == list(range(15))
+        assert any(r.quarantined for r in prefix)
+
+        resumed = resume_workflow(commons, full.run_id)
+
+        def trails(result):
+            out = [r.to_dict() for r in result.tracker.all_records()]
+            for trail in out:
+                trail["engine_overhead_seconds"] = None
+            return out
+
+        assert trails(resumed) == trails(full)
+        for count in ("epoch_budget", "total_epochs_saved", "n_quarantined"):
+            assert getattr(resumed.search, count) == getattr(full.search, count)
+        assert resumed.search.generations == full.search.generations

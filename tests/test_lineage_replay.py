@@ -62,6 +62,27 @@ class TestVerify:
         )
         assert "DIVERGED" in report.summary()
 
+    def test_tampered_cache_source_detected(self, tmp_path):
+        from tests.test_evalcache import cached_config
+
+        result = run_workflow(cached_config(), commons_path=tmp_path)
+        commons = DataCommons(tmp_path)
+        follower = next(r for r in commons.load_models(result.run_id) if r.cache_hit)
+        # attribute the hit to another model: every outcome field still agrees
+        path = commons.root / "runs" / result.run_id / "models" / (
+            f"model_{follower.model_id:05d}.json"
+        )
+        record = read_json(path)
+        record["cache_source"] = follower.model_id
+        atomic_write_json(path, record)
+
+        report = verify_run(commons, result.run_id)
+        assert not report.matches
+        assert report.mismatches == [
+            (follower.model_id, "cache_source", follower.model_id, follower.cache_source)
+        ]
+        assert "DIVERGED" in report.summary()
+
     def test_missing_model_detected(self, published):
         commons, run_id = published
         (commons.root / "runs" / run_id / "models" / "model_00005.json").unlink()

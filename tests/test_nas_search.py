@@ -378,73 +378,6 @@ class TestSteadySearch:
             assert report.n_jobs == 12
             assert len(search.stream.reports) == 1
 
-    def test_resume_matches_uninterrupted(self):
-        from repro.nas.search import SearchState
-        from repro.nas.population import Population
-
-        full = self._search().run()
-        # resume from a chunk-aligned prefix (2 pseudo-generations = 8 ticks)
-        prefix = self._search()  # fresh evaluator, same seed
-        state = SearchState(
-            population=Population([]),
-            archive=Population(list(full.archive.members[:8])),
-            next_generation=2,
-            next_model_id=8,
-            generation_stats=list(full.generations[:2]),
-        )
-        resumed = prefix.run(resume=state)
-        assert self._key(resumed) == self._key(full)
-        assert [g.generation for g in resumed.generations] == [0, 1, 2]
-
-    def test_resume_rejects_non_contiguous_archive(self):
-        from repro.nas.search import SearchState
-        from repro.nas.population import Population
-
-        full = self._search().run()
-        state = SearchState(
-            population=Population([]),
-            archive=Population(list(full.archive.members[:8])),
-            next_generation=2,
-            next_model_id=9,  # gap: archive has 8 members
-            generation_stats=[],
-        )
-        with pytest.raises(ValueError, match="contiguous ticks"):
-            self._search().run(resume=state)
-
-    def test_barrier_resume_at_final_generation_is_noop(self):
-        # satellite: resume with next_generation == config.generations
-        from repro.nas.search import SearchState
-
-        full = self._search(evolution="barrier").run()
-        calls = []
-
-        class CountingEvaluator:
-            max_epochs = 10
-
-            def evaluate(self, individual):
-                calls.append(individual.model_id)
-                raise AssertionError("no-op resume must not evaluate")
-
-        config = NSGANetConfig(
-            population_size=4,
-            offspring_per_generation=4,
-            generations=3,
-            max_epochs=10,
-        )
-        state = SearchState(
-            population=full.population,
-            archive=full.archive,
-            next_generation=3,
-            next_model_id=12,
-            generation_stats=list(full.generations),
-        )
-        result = NSGANet(config, CountingEvaluator(), rng_stream=RngStream(0)).run(
-            resume=state
-        )
-        assert calls == []
-        assert len(result.archive) == 12
-        assert [g.generation for g in result.generations] == [0, 1, 2]
-
 
 class TestSteadyInsert:
     def test_grows_until_full(self, rng):
@@ -459,7 +392,7 @@ class TestSteadyInsert:
 
     def test_evicts_exactly_one_preserving_order(self, rng):
         from repro.nas.nsga2 import steady_eviction
-        from repro.nas.search import replay_steady
+        from repro.nas.search import STEADY_START, steady_insert
 
         members = [
             Individual(random_genome(rng), i, 0, fitness=50.0 + i, flops=100 * (i + 1))
@@ -469,7 +402,10 @@ class TestSteadyInsert:
         combined = members + [incoming]
         objectives = np.array([m.objectives() for m in combined])
         victim = steady_eviction(objectives)
-        *_, full, after = replay_steady(combined, population_size=4)
+        full = STEADY_START
+        for individual in members:
+            full = steady_insert(full, individual, population_size=4)
+        after = steady_insert(full, incoming, population_size=4)
         assert full.members == members
         survivors = after.members
         assert len(survivors) == 4

@@ -37,7 +37,7 @@ from repro.nas.nsga2 import (
     steady_eviction,
 )
 from repro.nas.population import Individual
-from repro.nas.search import NSGANetConfig, replay_steady
+from repro.nas.search import STEADY_START, NSGANetConfig, steady_insert
 from repro.nas.surrogate import FitnessPredictor, SurrogateConfig
 from repro.nn.flops import network_flops
 from repro.workflow import resume_workflow, run_workflow
@@ -120,7 +120,9 @@ class TestIncrementalFront:
             for i, (fitness, flops) in enumerate(outcomes)
         ]
         members: list[Individual] = []
-        for k, state in enumerate(replay_steady(archive, population_size)):
+        state = STEADY_START
+        for k, individual in enumerate(archive):
+            state = steady_insert(state, individual, population_size)
             # the list-based insert the state-based one replaced
             members = members + [archive[k]]
             if len(members) > population_size:

@@ -5,7 +5,7 @@ deterministic genome featurization, the prefix-addressable online ridge
 model, the dominance-aware budget allocator, and the end-to-end
 guarantees — ``--surrogate off`` byte-identical to the pre-predictor
 baseline, surrogate-on runs bit-identical across backends and evolution
-modes, and resume rebuilding the exact predictor state.
+modes, and a resumed run ending on the exact predictor state.
 """
 
 import json
@@ -479,9 +479,22 @@ class TestSavingsNeverMoveTheFront:
 
 class TestResume:
     @pytest.mark.parametrize(
-        "evolution,lag,cut", [("barrier", None, 2), ("steady", 3, 10)]
+        "evolution,lag,cut",
+        # scoring starts at model 18 (generation 3): the last two cuts
+        # restore scored and probed models, whose decisions are recomputed
+        [("barrier", None, 2), ("steady", 3, 10), ("barrier", None, 4), ("steady", 3, 21)],
     )
-    def test_resume_rebuilds_identical_trails(self, tmp_path, evolution, lag, cut):
+    def test_resume_rebuilds_identical_trails(
+        self, tmp_path, monkeypatch, evolution, lag, cut
+    ):
+        allocators = []
+        construct = BudgetAllocator.__init__
+
+        def keep(allocator, *args, **kwargs):
+            construct(allocator, *args, **kwargs)
+            allocators.append(allocator)
+
+        monkeypatch.setattr(BudgetAllocator, "__init__", keep)
         config = workflow_config(
             evolution=evolution, steady_lag=lag, run_id=f"resume-{evolution}"
         )
@@ -504,36 +517,12 @@ class TestResume:
                 model_file.unlink()
         resumed = resume_workflow(commons, full.run_id)
         assert trails(resumed) == trails(full)
-
-    def test_restore_equals_live_observation(self, serial_barrier, tmp_path):
-        # replaying committed records must rebuild the predictor's exact
-        # observation log (same rows, targets, and commit tags)
-        records = sorted(
-            serial_barrier.tracker.all_records(), key=lambda r: r.model_id
-        )
-        settings = SurrogateConfig(min_records=6, explore_every=4)
-
-        def fake_flops(genome):  # restore never recomputes FLOPs
-            raise AssertionError("restore must use recorded flops")
-
-        restored = BudgetAllocator(settings, max_epochs=8, flops_fn=fake_flops)
-        restored.restore(records)
-        live = BudgetAllocator(settings, max_epochs=8, flops_fn=fake_flops)
-        for record in records:
-            live.observe(
-                SimpleNamespace(
-                    genome=Genome.from_dict(record.genome),
-                    quarantined=record.quarantined,
-                    budget_assigned=record.budget_assigned,
-                    fitness=record.fitness,
-                    flops=record.flops,
-                    result=SimpleNamespace(epochs_trained=record.epochs_trained),
-                )
-            )
-        assert restored.predictor.fingerprint() == live.predictor.fingerprint()
-        assert restored.n_commits == live.n_commits == len(records)
-        assert restored.n_scored == sum(
-            1 for r in records if r.predicted_fitness is not None
+        # restored models are scored and observed like live ones, so the
+        # resumed predictor ends on the live run's exact observation log
+        live, again = allocators
+        assert again.predictor.fingerprint() == live.predictor.fingerprint()
+        assert (again.n_scored, again.n_losers, again.n_commits) == (
+            live.n_scored, live.n_losers, live.n_commits
         )
 
 

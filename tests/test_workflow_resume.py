@@ -7,6 +7,11 @@ from pathlib import Path
 import pytest
 
 from repro.lineage import DataCommons
+from repro.nas.genome import Genome
+from repro.nas.population import Individual
+from repro.nas.search import NSGANetConfig
+from repro.nas.surrogate import SurrogateEvaluator
+from repro.scheduler.faults import FaultPolicy
 from repro.utils.io import atomic_write_json, read_json
 from repro.workflow import (
     individual_from_record,
@@ -64,16 +69,66 @@ def publish_truncated(tmp_path, *, keep_generations, seed=31):
     return commons, run_id, result
 
 
+def trails(records):
+    """Record trails as published, less the engine's wall-clock overhead."""
+    out = [r.to_dict() for r in sorted(records, key=lambda r: r.model_id)]
+    for trail in out:
+        trail["engine_overhead_seconds"] = None
+    return out
+
+
+def assert_resumes_to(commons, run_id, full):
+    resumed = resume_workflow(commons, run_id)
+    assert trails(resumed.tracker.all_records()) == trails(full.tracker.all_records())
+    assert trails(commons.load_models(run_id)) == trails(full.tracker.all_records())
+    assert resumed.search.generations == full.search.generations
+    return resumed
+
+
+def probe_config(seed, *, evolution="steady", steady_lag=None, faults=None):
+    """A 24-model engine-less search on 3-node phases, where duplicates are common."""
+    return WorkflowConfig(
+        nas=NSGANetConfig(
+            population_size=4,
+            offspring_per_generation=4,
+            generations=6,
+            nodes_per_phase=3,
+            max_epochs=6,
+            evolution=evolution,
+            steady_lag=steady_lag,
+        ),
+        engine=None,
+        mode="surrogate",
+        n_gpus=(1,),
+        seed=seed,
+        faults=faults,
+        run_id="probe",
+    )
+
+
+def cut_at(commons, run_id, model_id):
+    """Delete every model file from ``model_id`` on."""
+    for path in (commons.root / "runs" / run_id / "models").glob("model_*.json"):
+        if int(path.stem.split("_")[1]) >= model_id:
+            path.unlink()
+
+
+def bred_from(record):
+    """The candidate a search breeds at ``record``'s model id, before evaluation."""
+    return Individual(Genome.from_dict(record.genome), record.model_id, record.generation)
+
+
 class TestIndividualFromRecord:
     def test_round_trip_through_records(self, tmp_path):
         commons, run_id, result = publish_truncated(tmp_path, keep_generations=2)
         record = commons.load_models(run_id)[0]
-        individual = individual_from_record(record)
+        individual = individual_from_record(record, bred_from(record))
         original = result.search.archive[0]
         assert individual.fitness == original.fitness
         assert individual.flops == original.flops
         assert individual.genome == original.genome
         assert individual.result.epochs_trained == original.result.epochs_trained
+        assert individual.result.epochs_saved == original.result.epochs_saved
         assert individual.epoch_seconds == pytest.approx(original.epoch_seconds)
 
     def test_incomplete_record_rejected(self, tmp_path):
@@ -85,41 +140,34 @@ class TestIndividualFromRecord:
             model_id=0, generation=0, genome=random_genome(np.random.default_rng(0)).to_dict()
         )
         with pytest.raises(ValueError, match="incomplete"):
-            individual_from_record(record)
+            individual_from_record(record, bred_from(record))
 
 
 class TestRebuildState:
+    """Barrier prefix rule: whole generations from generation 0."""
+
     def test_state_covers_complete_generations(self, tmp_path):
-        commons, run_id, _ = publish_truncated(tmp_path, keep_generations=1)
-        state = rebuild_search_state(
+        commons, run_id, full = publish_truncated(tmp_path, keep_generations=1)
+        prefix = rebuild_search_state(
             commons.load_models(run_id),
             population_size=3,
             offspring_per_generation=3,
         )
-        assert state.next_generation == 1
-        assert len(state.archive) == 3
-        assert len(state.population) == 3
-        assert state.next_model_id == 3
-        assert len(state.generation_stats) == 1
+        assert [r.model_id for r in prefix] == [0, 1, 2]
+        assert_resumes_to(commons, run_id, full)
 
     def test_partial_generation_dropped(self, tmp_path):
-        commons, run_id, _ = publish_truncated(tmp_path, keep_generations=2)
-        records = commons.load_models(run_id)
-        # remove one model of generation 1 to make it incomplete
-        victim = next(r for r in records if r.generation == 1)
-        (
-            commons.root
-            / "runs"
-            / run_id
-            / "models"
-            / f"model_{victim.model_id:05d}.json"
-        ).unlink()
-        state = rebuild_search_state(
+        commons, run_id, full = publish_truncated(tmp_path, keep_generations=2)
+        # remove the last model of generation 1: models 0..4 are still
+        # contiguous, but generation 1 is incomplete and is redone whole
+        (commons.root / "runs" / run_id / "models" / "model_00005.json").unlink()
+        prefix = rebuild_search_state(
             commons.load_models(run_id),
             population_size=3,
             offspring_per_generation=3,
         )
-        assert state.next_generation == 1  # gen 1 incomplete -> redo it
+        assert [r.model_id for r in prefix] == [0, 1, 2]
+        assert_resumes_to(commons, run_id, full)
 
     def test_missing_initial_generation_rejected(self):
         with pytest.raises(ValueError, match="initial generation"):
@@ -196,33 +244,36 @@ class TestResumeWorkflow:
 
 
 class TestRebuildSteadyState:
+    """Steady prefix rule: the contiguous complete prefix, uncut."""
+
     def test_prefix_cut_to_whole_chunks(self, tmp_path):
-        commons, run_id, _ = publish_tick_prefix(tmp_path, keep_ticks=4)
-        state = rebuild_search_state(
+        commons, run_id, full = publish_tick_prefix(tmp_path, keep_ticks=4)
+        prefix = rebuild_search_state(
             commons.load_models(run_id),
             population_size=3,
             offspring_per_generation=3,
             evolution="steady",
         )
-        # 4 contiguous ticks, but only the first chunk (3) is whole
-        assert state.next_model_id == 3
-        assert state.next_generation == 1
-        assert [m.logical_tick for m in state.archive] == [0, 1, 2]
-        assert len(state.generation_stats) == 1
+        # 4 contiguous ticks and no cut back to the whole chunk (3): the
+        # chunk stats are computed live on resume, not rebuilt
+        assert [r.model_id for r in prefix] == [0, 1, 2, 3]
+        assert [r.logical_tick for r in prefix] == [0, 1, 2, 3]
+        assert_resumes_to(commons, run_id, full)
 
     def test_id_gap_cuts_the_prefix(self, tmp_path):
-        commons, run_id, _ = publish_tick_prefix(tmp_path, keep_ticks=6)
+        commons, run_id, full = publish_tick_prefix(tmp_path, keep_ticks=6)
         (
             commons.root / "runs" / run_id / "models" / "model_00004.json"
         ).unlink()
-        state = rebuild_search_state(
+        prefix = rebuild_search_state(
             commons.load_models(run_id),
             population_size=3,
             offspring_per_generation=3,
             evolution="steady",
         )
-        # ticks 0..3,5 -> contiguous prefix 0..3 -> one whole chunk
-        assert state.next_model_id == 3
+        # ticks 0..3,5 -> contiguous prefix 0..3; model 5 is evaluated again
+        assert [r.model_id for r in prefix] == [0, 1, 2, 3]
+        assert_resumes_to(commons, run_id, full)
 
     def test_initial_population_incomplete_rejected(self, tmp_path):
         commons, run_id, _ = publish_tick_prefix(tmp_path, keep_ticks=2)
@@ -260,27 +311,26 @@ class TestResumeSteadyWorkflow:
         assert len(commons.load_models(run_id)) == 6
 
     def test_state_survives_serialization_bit_exactly(self, tmp_path):
-        # satellite: archive, lineage ticks, and next_model_id must
-        # round-trip through the published JSON without drift
+        # a complete run restores whole from the published JSON: every
+        # outcome, tick and survivor comes back without drift
         config = steady_config(seed=41)
         full = run_workflow(config, commons_path=tmp_path)
         commons = DataCommons(tmp_path)
-        state = rebuild_search_state(
+        prefix = rebuild_search_state(
             commons.load_models(full.run_id),
             population_size=config.nas.population_size,
             offspring_per_generation=config.nas.offspring_per_generation,
             evolution="steady",
         )
-        assert state.next_model_id == len(full.search.archive)
-        assert [m.logical_tick for m in state.archive] == [
-            m.logical_tick for m in full.search.archive
-        ]
-        for restored, original in zip(state.archive, full.search.archive):
+        assert len(prefix) == len(full.search.archive)
+        resumed = assert_resumes_to(commons, full.run_id, full)
+        for restored, original in zip(resumed.search.archive, full.search.archive):
+            assert restored.logical_tick == original.logical_tick
             assert restored.genome == original.genome
             assert restored.fitness == original.fitness
             assert restored.flops == original.flops
             assert restored.result.fitness_history == original.result.fitness_history
-        assert [m.model_id for m in state.population] == [
+        assert [m.model_id for m in resumed.search.population] == [
             m.model_id for m in full.search.population
         ]
 
@@ -291,6 +341,49 @@ class TestResumeSteadyWorkflow:
         resume_workflow(commons, run_id)
         report = verify_run(commons, run_id)
         assert report.matches, report.summary()
+
+
+class TestResumeIsTheLiveRun:
+    """Resume re-runs the search, so it shares evaluations exactly as the run did."""
+
+    def test_steady_backlog_duplicate_is_evaluated_as_it_was(self, tmp_path):
+        # model 13 repeats model 11's genome and, at lag 3, is bred before
+        # model 11 commits: the live run evaluated it again; priming every
+        # restored record before the backlog was bred made it a cache hit
+        config = probe_config(21, steady_lag=3)
+        full = run_workflow(config, commons_path=tmp_path)
+        assert not full.tracker.records[13].cache_hit
+        commons = DataCommons(tmp_path)
+        cut_at(commons, config.run_id, 12)
+        resumed = assert_resumes_to(commons, config.run_id, full)
+        assert not resumed.tracker.records[13].cache_hit
+
+    def test_outcome_that_succeeded_on_retry_is_never_shared(self, tmp_path, monkeypatch):
+        # model 2's first attempt fails and its retry succeeds; a retried
+        # outcome never enters the cache, so its later duplicates train
+        original = SurrogateEvaluator.evaluate
+
+        def attempt_zero_of_model_two_fails(self, individual):
+            if individual.model_id == 2 and individual.eval_attempt == 0:
+                raise RuntimeError("attempt 0 fails")
+            return original(self, individual)
+
+        monkeypatch.setattr(SurrogateEvaluator, "evaluate", attempt_zero_of_model_two_fails)
+        config = probe_config(1, evolution="barrier", faults=FaultPolicy(max_retries=2))
+        full = run_workflow(config, commons_path=tmp_path)
+        assert [e["attempt"] for e in full.tracker.records[2].fault_events] == [0]
+        commons = DataCommons(tmp_path)
+        cut_at(commons, config.run_id, 4)  # after generation 0
+        assert_resumes_to(commons, config.run_id, full)
+
+    def test_a_record_this_seed_does_not_breed_is_refused(self, tmp_path):
+        commons, run_id, _ = publish_truncated(tmp_path, keep_generations=1)
+        path = commons.root / "runs" / run_id / "models" / "model_00001.json"
+        document = read_json(path)
+        document["genome"]["bits"][0] ^= 1
+        atomic_write_json(path, document)
+        with pytest.raises(ValueError, match="model 1: genome"):
+            resume_workflow(commons, run_id)
 
 
 LEGACY_COMMONS = Path(__file__).parent / "fixtures" / "legacy_arena_commons"
