@@ -1,6 +1,6 @@
 """Lineage tracking and the NN data commons (paper §2.3, §4.5).
 
-Record trails — genome, architecture table, per-epoch accuracies and
+Record trails — genome, FLOPs, per-epoch accuracies and
 times, predictions, engine parameters — are collected live by the
 :class:`~repro.lineage.tracker.LineageTracker`, published to a durable
 :class:`~repro.lineage.commons.DataCommons` (the Dataverse substitute),

@@ -101,10 +101,9 @@ class DataCommons:
         models_dir = self.root / "runs" / run_id / "models"
         if not models_dir.exists():
             raise FileNotFoundError(f"run {run_id!r} has no models directory")
-        return [
-            ModelRecord.from_dict(read_json(path))
-            for path in sorted(models_dir.glob("model_*.json"))
-        ]
+        # not by file name: ``model_{id:05d}`` puts model_100000 before model_20000
+        records = [ModelRecord.from_dict(read_json(p)) for p in models_dir.glob("model_*.json")]
+        return sorted(records, key=lambda record: record.model_id)
 
     def iter_all_models(self):
         """Yield ``(run_id, ModelRecord)`` over the whole commons."""

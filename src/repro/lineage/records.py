@@ -59,10 +59,10 @@ class EpochRecord:
 class ModelRecord:
     """The full record trail of one neural architecture.
 
-    Attributes mirror the paper's commons fields; ``architecture`` holds
-    the decoded layer table (types, configs, shapes, per-layer FLOPs)
-    and ``engine_parameters`` the Table-1 snapshot active during
-    training.
+    Attributes mirror the paper's commons fields; ``engine_parameters``
+    is the Table-1 snapshot active during training.  ``architecture`` is
+    kept empty for the published schema: the genome determines the
+    decoded network, so nothing writes a layer table there.
     """
 
     model_id: int

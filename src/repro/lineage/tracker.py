@@ -14,7 +14,6 @@ from pathlib import Path
 
 from repro.lineage.records import EpochRecord, ModelRecord
 from repro.nas.population import Individual
-from repro.nn.flops import layer_flops_table
 from repro.nn.serialization import save_checkpoint
 from repro.utils.logging import get_logger
 
@@ -158,21 +157,6 @@ class LineageTracker:
             event.get("kind"),
             event.get("action"),
         )
-
-    def attach_architecture(self, individual: Individual, network) -> None:
-        """Record the decoded layer table for a model (types, shapes, FLOPs)."""
-        record = self._record_for(individual)
-        record.architecture = [
-            {
-                "index": row["index"],
-                "layer": row["layer"],
-                "config": row["config"],
-                "output_shape": list(row["output_shape"]),
-                "params": row["params"],
-                "flops": row["flops"],
-            }
-            for row in layer_flops_table(network)
-        ]
 
     # -- access -----------------------------------------------------------------
 

@@ -354,16 +354,16 @@ class NSGANet:
     on_individual:
         Optional callback after each evaluation (lineage hook).
     on_candidate:
-        Optional callback ``on_candidate(individual, members,
-        n_committed)`` fired the moment a candidate is created, before
-        it is submitted for evaluation: ``members`` is the (pinned)
-        population state it was bred from and ``n_committed`` the number
-        of lineage commits visible at that point.  The surrogate budget
-        allocator scores candidates here; because both arguments are
-        pure functions of the logical clock, scoring is deterministic
-        across backends.  A candidate this hook leaves evaluated (a
-        zero-budget skip, or a model resume restores from its record)
-        never reaches the stream.
+        Optional callback ``on_candidate(individual, members)`` fired
+        the moment a candidate is created, before it is submitted for
+        evaluation: ``members`` is the (pinned) population state it was
+        bred from.  Breeding follows commits in order, so every commit
+        before the breed point has already reached ``on_individual``.
+        The surrogate budget allocator scores candidates here; because
+        the members and the commits seen are pure functions of the
+        logical clock, scoring is deterministic across backends.  A
+        candidate this hook leaves evaluated (a zero-budget skip, or a
+        model resume restores from its record) never reaches the stream.
     on_generation:
         Optional callback with each :class:`GenerationStats`.
     stream:
@@ -379,7 +379,7 @@ class NSGANet:
         *,
         rng_stream: RngStream | None = None,
         on_individual: Callable[[Individual], None] | None = None,
-        on_candidate: Callable[[Individual, list, int], None] | None = None,
+        on_candidate: Callable[[Individual, list], None] | None = None,
         on_generation: Callable[[GenerationStats], None] | None = None,
         stream: EvalStream | None = None,
     ) -> None:
@@ -397,11 +397,9 @@ class NSGANet:
         self._next_model_id += 1
         return individual
 
-    def _notify_candidate(
-        self, individual: Individual, members: list[Individual], n_committed: int
-    ) -> None:
+    def _notify_candidate(self, individual: Individual, members: list[Individual]) -> None:
         if self.on_candidate is not None:
-            self.on_candidate(individual, members, n_committed)
+            self.on_candidate(individual, members)
 
     def _initial_population(self) -> list[Individual]:
         """Generation 0: random genomes, each announced to ``on_candidate``."""
@@ -420,7 +418,7 @@ class NSGANet:
             for _ in range(config.population_size)
         ]
         for individual in initial:
-            self._notify_candidate(individual, [], 0)
+            self._notify_candidate(individual, [])
         return initial
 
     def _run_generation(self, individuals: list[Individual]) -> None:
@@ -502,9 +500,7 @@ class NSGANet:
             self.on_generation(stats)
         return stats
 
-    def _make_offspring(
-        self, population: Population, generation: int, n_committed: int = 0
-    ) -> list[Individual]:
+    def _make_offspring(self, population: Population, generation: int) -> list[Individual]:
         rng = self.rng_stream.generator("variation", generation)
         objectives = population.objective_array()
         n = self.config.offspring_per_generation
@@ -521,7 +517,7 @@ class NSGANet:
                     break
                 mutated = bitflip_mutation(child, rng, rate=self.config.mutation_rate)
                 offspring = self._new_individual(mutated, generation)
-                self._notify_candidate(offspring, population.members, n_committed)
+                self._notify_candidate(offspring, population.members)
                 children.append(offspring)
         return children
 
@@ -548,10 +544,7 @@ class NSGANet:
         mutated = bitflip_mutation(child, rng, rate=self.config.mutation_rate)
         generation = 1 + (g - self.config.population_size) // self.config.offspring_per_generation
         individual = self._new_individual(mutated, generation)
-        # the pinned commit count is a pure function of g and the lag, so
-        # candidate scoring is the same on every backend
-        pinned = max(1, g - (self.config.steady_lag or 1) + 1)
-        self._notify_candidate(individual, members, pinned)
+        self._notify_candidate(individual, members)
         return individual
 
     def _run_steady(self) -> SearchResult:
@@ -641,9 +634,7 @@ class NSGANet:
         stats = [self._record_generation(0, initial, population)]
 
         for generation in range(1, config.generations):
-            offspring = self._make_offspring(
-                population, generation, n_committed=len(archive.members)
-            )
+            offspring = self._make_offspring(population, generation)
             self._run_generation(offspring)
             archive.extend(offspring)
 

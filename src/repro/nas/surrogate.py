@@ -24,7 +24,6 @@ Curves are deterministic per (root seed, model id, intensity).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -484,22 +483,20 @@ class SurrogateConfig:
 
 
 class FitnessPredictor:
-    """Online ridge model over lineage observations, prefix-addressable.
+    """Online ridge model over every lineage observation so far.
 
-    Observations arrive tagged with the lineage commit count at which
-    they became visible.  Predictions are made *as of* a commit count, so
-    a candidate bred when ``c`` commits were visible is scored against
-    exactly those observations — in live runs, on resume, and across
-    backends alike.
+    The search breeds in commit order (DESIGN §14), so when a candidate
+    is scored the predictor has observed exactly the commits before its
+    breed point — in live runs, on resume, and across backends alike —
+    and a prediction is always made against everything observed.
 
     Observations live in one C-contiguous float64 matrix (and target
-    vector) that doubles in capacity; a fit is handed the prefix views
+    vector) that doubles in capacity; a fit is handed the views
     ``X[:n]``, ``y[:n]``, which have the values, shape and strides of the
     array :func:`ridge_lstsq` would build from a list of rows, so the fit
-    is the same to the last bit without rebuilding it.  Fits are
-    closed-form and pure in the prefix, and only the last one is kept:
-    steady mode asks for non-decreasing prefixes and a barrier generation
-    for one, so an older prefix is simply fitted again if ever asked for.
+    is the same to the last bit without rebuilding it.  The one fit kept
+    is keyed by the observation count it was made at, so candidates
+    scored between two commits share it.
     """
 
     def __init__(self, *, ridge: float = 1e-3, sigma_floor: float = 0.5) -> None:
@@ -507,20 +504,11 @@ class FitnessPredictor:
         self.sigma_floor = float(sigma_floor)
         self._x = np.empty((0, 0))  # (capacity, k); the first n_observations rows are live
         self._y = np.empty(0)
-        self._commit_counts: list[int] = []
-        self._last_fit: tuple[int, RidgeFit | None] = (0, None)  # (prefix, its fit)
+        self.n_observations = 0
+        self._last_fit: tuple[int, RidgeFit | None] = (0, None)  # (n_observations, its fit)
 
-    @property
-    def n_observations(self) -> int:
-        return len(self._commit_counts)
-
-    def observe(self, features: Sequence[float], fitness: float, commit_count: int) -> None:
-        """Add one full-budget outcome, visible from ``commit_count`` on."""
-        if self._commit_counts and commit_count < self._commit_counts[-1]:
-            raise ValueError(
-                f"observations must arrive in commit order, got {commit_count} "
-                f"after {self._commit_counts[-1]}"
-            )
+    def observe(self, features: Sequence[float], fitness: float) -> None:
+        """Add one full-budget outcome."""
         row = np.asarray(features, dtype=float)
         n = self.n_observations
         if not n:
@@ -534,32 +522,23 @@ class FitnessPredictor:
             self._y = np.concatenate([self._y, np.empty_like(self._y)])
         self._x[n] = row
         self._y[n] = fitness
-        self._commit_counts.append(int(commit_count))
+        self.n_observations = n + 1
 
-    def visible_rows(self, n_committed: int) -> int:
-        """Observations visible when ``n_committed`` commits had landed."""
-        return bisect_right(self._commit_counts, n_committed)
-
-    def _fit(self, n_rows: int) -> RidgeFit | None:
-        if self._last_fit[0] != n_rows:
-            fit = ridge_lstsq(self._x[:n_rows], self._y[:n_rows], ridge=self.ridge)
-            self._last_fit = (n_rows, fit)
+    def _fit(self) -> RidgeFit | None:
+        n = self.n_observations
+        if self._last_fit[0] != n:
+            self._last_fit = (n, ridge_lstsq(self._x[:n], self._y[:n], ridge=self.ridge))
         return self._last_fit[1]
 
-    def predict(
-        self, features: Sequence[float], n_committed: int | None = None
-    ) -> tuple[float, float] | None:
-        """Predicted ``(fitness, sigma)`` as of ``n_committed`` commits.
+    def predict(self, features: Sequence[float]) -> tuple[float, float] | None:
+        """Predicted ``(fitness, sigma)`` from every observation so far.
 
-        ``None`` when no usable fit exists for that prefix (no visible
-        observations, or a degenerate system).
+        ``None`` when no usable fit exists (no observations, or a
+        degenerate system).
         """
-        n_rows = (
-            self.n_observations if n_committed is None else self.visible_rows(n_committed)
-        )
-        if n_rows == 0:
+        if self.n_observations == 0:
             return None
-        fit = self._fit(n_rows)
+        fit = self._fit()
         if fit is None:
             return None
         row = list(features)
@@ -579,7 +558,6 @@ class FitnessPredictor:
         n = self.n_observations
         return (
             n,
-            tuple(self._commit_counts),
             tuple(self._y[:n].tolist()),
             tuple(map(tuple, self._x[:n].tolist())),
         )
@@ -620,19 +598,16 @@ class BudgetAllocator:
         )
         self.n_scored = 0
         self.n_losers = 0
-        self.n_commits = 0
 
     # -- scoring (breed time) ---------------------------------------------
 
-    def score(
-        self, individual: Individual, members: Sequence[Individual], n_committed: int
-    ) -> None:
+    def score(self, individual: Individual, members: Sequence[Individual]) -> None:
         """Score one bred candidate against ``members``, assigning budget.
 
-        ``n_committed`` is the number of lineage commits visible at this
-        breed point (the steady-state pinned prefix, or the archive size
-        in barrier mode); predictions use exactly that observation
-        prefix, which is what makes them replayable.
+        The search breeds in commit order, so the predictor has observed
+        exactly the commits before this breed point: the prediction is a
+        pure function of the logical clock, which is what makes it
+        replayable.
         """
         flops = int(self.flops_fn(individual.genome))
         features = genome_features(individual.genome, flops)
@@ -640,9 +615,9 @@ class BudgetAllocator:
         # RMSE collapses to ~0 and the uncertainty band is meaningless,
         # so never score an underdetermined fit regardless of min_records
         needed = max(self.settings.min_records, len(features) + 2)
-        if self.predictor.visible_rows(n_committed) < needed:
+        if self.predictor.n_observations < needed:
             return
-        prediction = self.predictor.predict(features, n_committed)
+        prediction = self.predictor.predict(features)
         if prediction is None:
             return
         mean, sigma = prediction
@@ -679,7 +654,6 @@ class BudgetAllocator:
 
     def observe(self, individual: Individual) -> None:
         """Fold one committed evaluation into the predictor's training set."""
-        self.n_commits += 1
         # only clean full-budget measurements are ground truth; probes and
         # zero-budget skips would teach the model its own predictions
         if (
@@ -692,7 +666,5 @@ class BudgetAllocator:
         ):
             return
         self.predictor.observe(
-            genome_features(individual.genome, individual.flops),
-            individual.fitness,
-            self.n_commits,
+            genome_features(individual.genome, individual.flops), individual.fitness
         )

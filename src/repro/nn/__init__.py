@@ -1,37 +1,33 @@
 """From-scratch NumPy deep-learning framework (PyTorch substitute).
 
-Provides everything the NAS needs of a training stack: NCHW conv nets
-with backprop (:mod:`repro.nn.layers`), a sequential container
-(:class:`~repro.nn.network.Network`), losses, SGD/Adam optimizers,
+Provides what the NAS and its baselines need of a training stack: NCHW
+conv nets with backprop (:mod:`repro.nn.layers`), a sequential container
+(:class:`~repro.nn.network.Network`), losses, the Adam optimizer,
 accuracy metrics, FLOP accounting for the multi-objective search, full
 checkpointing, and an epoch-wise :class:`~repro.nn.trainer.Trainer`
 that satisfies the Algorithm-1 model protocol.
 """
 
 from repro.nn import layers
-from repro.nn.flops import layer_flops_table, network_flops, network_mflops
+from repro.nn.flops import layer_flops_table, network_flops
 from repro.nn.layers import (
     AvgPool2D,
     BatchNorm1D,
     BatchNorm2D,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool2D,
     Layer,
-    LeakyReLU,
     MaxPool2D,
     Parameter,
     ReLU,
     Sigmoid,
-    Tanh,
 )
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy, log_softmax, softmax
-from repro.nn.metrics import accuracy, accuracy_percent, confusion_matrix, per_class_accuracy
+from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy, log_softmax
+from repro.nn.metrics import accuracy, accuracy_percent
 from repro.nn.network import Network
-from repro.nn.optimizers import SGD, Adam, Optimizer, clip_grad_norm
-from repro.nn.schedules import CosineAnnealing, ExponentialDecay, LRSchedule, StepDecay
+from repro.nn.optimizers import Adam, Optimizer
 from repro.nn.serialization import (
     architecture_config,
     load_checkpoint,
@@ -48,7 +44,6 @@ __all__ = [
     "Parameter",
     "Conv2D",
     "Dense",
-    "Dropout",
     "Flatten",
     "BatchNorm1D",
     "BatchNorm2D",
@@ -56,28 +51,16 @@ __all__ = [
     "MaxPool2D",
     "GlobalAvgPool2D",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
-    "Tanh",
     "Network",
     "SoftmaxCrossEntropy",
     "MeanSquaredError",
-    "softmax",
     "log_softmax",
-    "SGD",
     "Adam",
     "Optimizer",
-    "clip_grad_norm",
-    "LRSchedule",
-    "StepDecay",
-    "ExponentialDecay",
-    "CosineAnnealing",
     "accuracy",
     "accuracy_percent",
-    "confusion_matrix",
-    "per_class_accuracy",
     "network_flops",
-    "network_mflops",
     "layer_flops_table",
     "architecture_config",
     "network_from_config",

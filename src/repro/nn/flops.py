@@ -4,16 +4,14 @@ NSGA-Net's second objective is minimizing inference cost; the paper
 reports FLOPS as "a proxy for energy consumed by a neural architecture".
 We count forward-pass floating-point operations per sample (one
 multiply-accumulate = 2 FLOPs) layer by layer, using the same shape
-propagation the network uses for summaries.  The paper's plots use
-*MFLOPs*-scale numbers (hundreds); :func:`network_mflops` provides that
-unit.
+propagation the network uses for summaries.
 """
 
 from __future__ import annotations
 
 from repro.nn.network import Network
 
-__all__ = ["network_flops", "network_mflops", "layer_flops_table"]
+__all__ = ["network_flops", "layer_flops_table"]
 
 
 def layer_flops_table(network: Network) -> list[dict]:
@@ -41,8 +39,3 @@ def layer_flops_table(network: Network) -> list[dict]:
 def network_flops(network: Network) -> int:
     """Total forward FLOPs per sample."""
     return sum(row["flops"] for row in layer_flops_table(network))
-
-
-def network_mflops(network: Network) -> float:
-    """Total forward FLOPs per sample, in millions (paper's plotted unit)."""
-    return network_flops(network) / 1e6

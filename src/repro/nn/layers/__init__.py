@@ -1,10 +1,9 @@
 """Layer zoo for the NumPy NN framework (NCHW data layout)."""
 
-from repro.nn.layers.activation import LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.layers.activation import ReLU, Sigmoid
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.layers.conv import Conv2D, col2im, im2col
 from repro.nn.layers.dense import Dense
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.flatten import Flatten
 from repro.nn.layers.norm import BatchNorm1D, BatchNorm2D
 from repro.nn.layers.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
@@ -13,12 +12,9 @@ LAYER_TYPES = {
     cls.__name__: cls
     for cls in (
         ReLU,
-        LeakyReLU,
         Sigmoid,
-        Tanh,
         Conv2D,
         Dense,
-        Dropout,
         Flatten,
         BatchNorm1D,
         BatchNorm2D,
@@ -32,14 +28,11 @@ __all__ = [
     "Layer",
     "Parameter",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
-    "Tanh",
     "Conv2D",
     "im2col",
     "col2im",
     "Dense",
-    "Dropout",
     "Flatten",
     "BatchNorm1D",
     "BatchNorm2D",

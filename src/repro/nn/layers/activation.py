@@ -6,14 +6,7 @@ import numpy as np
 
 from repro.nn.layers.base import Layer
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
-
-
-def _positive_mask(layer: Layer, x: np.ndarray) -> np.ndarray:
-    """``x > 0`` in ``layer``'s mask scratch: what (Leaky)ReLU's backward needs."""
-    mask = layer._buf("mask", x.shape, np.bool_)
-    np.greater(x, 0, out=mask)
-    return mask
+__all__ = ["ReLU", "Sigmoid"]
 
 
 class ReLU(Layer):
@@ -32,7 +25,10 @@ class ReLU(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = self._buf("out", x.shape, x.dtype)
         np.maximum(x, 0, out=out)
-        self._mask = _positive_mask(self, x) if training else None
+        self._mask = None
+        if training:
+            self._mask = self._buf("mask", x.shape, np.bool_)
+            np.greater(x, 0, out=self._mask)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -44,39 +40,6 @@ class ReLU(Layer):
 
     def flops(self, input_shape: tuple) -> int:
         return int(np.prod(input_shape))
-
-
-class LeakyReLU(Layer):
-    """``x if x > 0 else alpha * x``."""
-
-    def __init__(self, alpha: float = 0.01) -> None:
-        super().__init__()
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-        self.alpha = float(alpha)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = self._buf("out", x.shape, x.dtype)
-        np.multiply(x, self.alpha, out=out)
-        # alpha < 1, so alpha * x is the smaller of the two exactly where x > 0
-        np.maximum(x, out, out=out)
-        self._mask = _positive_mask(self, x) if training else None
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before a training-mode forward")
-        grad_in = self._buf("grad_in", grad_out.shape, grad_out.dtype)
-        np.multiply(grad_out, self.alpha, out=grad_in)
-        np.copyto(grad_in, grad_out, where=self._mask)
-        return grad_in
-
-    def flops(self, input_shape: tuple) -> int:
-        return 2 * int(np.prod(input_shape))
-
-    def get_config(self) -> dict:
-        return {"alpha": self.alpha}
 
 
 class Sigmoid(Layer):
@@ -99,27 +62,6 @@ class Sigmoid(Layer):
         if self._out is None:
             raise RuntimeError("backward called before a training-mode forward")
         return grad_out * self._out * (1.0 - self._out)
-
-    def flops(self, input_shape: tuple) -> int:
-        return 4 * int(np.prod(input_shape))
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.tanh(x)
-        self._out = out if training else None
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before a training-mode forward")
-        return grad_out * (1.0 - self._out**2)
 
     def flops(self, input_shape: tuple) -> int:
         return 4 * int(np.prod(input_shape))

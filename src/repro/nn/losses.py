@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError", "softmax", "log_softmax"]
+__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError", "log_softmax"]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax, shifted for numerical stability."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax."""
-    return np.exp(log_softmax(logits))
 
 
 class Loss:

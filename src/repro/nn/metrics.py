@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "accuracy_percent", "confusion_matrix", "per_class_accuracy"]
+__all__ = ["accuracy", "accuracy_percent"]
 
 
 def _labels_from(predictions: np.ndarray) -> np.ndarray:
@@ -36,29 +36,3 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
 def accuracy_percent(predictions: np.ndarray, targets: np.ndarray) -> float:
     """Percent correct in [0, 100] — the workflow's fitness measurement."""
     return 100.0 * accuracy(predictions, targets)
-
-
-def confusion_matrix(predictions: np.ndarray, targets: np.ndarray, n_classes: int) -> np.ndarray:
-    """Counts matrix ``C[i, j]`` = samples of true class ``i`` predicted ``j``."""
-    predicted = _labels_from(predictions)
-    targets = np.asarray(targets)
-    # ravel_multi_index rejects a label outside [0, n_classes)
-    cells = np.ravel_multi_index((targets, predicted), (n_classes, n_classes))
-    return np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
-
-
-def per_class_accuracy(
-    predictions: np.ndarray, targets: np.ndarray, n_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recall per class, NaN-free, with an explicit presence mask.
-
-    Returns ``(recall, present)``: classes absent from ``targets``
-    report ``0.0`` recall and ``False`` in ``present``, so downstream
-    aggregation never has to special-case NaN (use
-    ``recall[present].mean()`` for a macro average over seen classes).
-    """
-    matrix = confusion_matrix(predictions, targets, n_classes)
-    totals = matrix.sum(axis=1)
-    present = totals > 0
-    recall = np.diag(matrix) / np.where(present, totals, 1)
-    return recall, present

@@ -8,34 +8,12 @@ optimizer state aligned with weights.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.nn.network import Network
 from repro.utils.validation import ensure_non_negative, ensure_positive
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
-
-
-def clip_grad_norm(network: Network, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clipping norm.  Standard protection against the
-    exploding gradients random NAS architectures occasionally produce.
-    """
-    # gradient clipping rescales the network's grads in place by contract
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
-    for _, param in network.parameters():
-        total += float(np.sum(param.grad**2))
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for _, param in network.parameters():
-            param.grad *= scale
-    return norm
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -70,46 +48,6 @@ class Optimizer:
     def zero_grad(self) -> None:
         """Convenience passthrough to the network."""
         self.network.zero_grad()
-
-
-class SGD(Optimizer):
-    """SGD with classical momentum and decoupled L2 weight decay."""
-
-    def __init__(
-        self,
-        network: Network,
-        lr: float = 0.01,
-        *,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(network, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self.weight_decay = ensure_non_negative(float(weight_decay), "weight_decay")
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def step(self) -> None:
-        for name, param in self.network.parameters():
-            grad = param.grad
-            buf = self._scratch("sgd", param.value)
-            if self.weight_decay:
-                # grad + wd * value, in scratch
-                np.multiply(param.value, self.weight_decay, out=buf)
-                buf += grad
-                grad = buf
-            if self.momentum:
-                vel = self._velocity.get(name)
-                if vel is None:
-                    vel = np.zeros_like(param.value)  # one-time lazy init of persistent state
-                    self._velocity[name] = vel
-                vel *= self.momentum
-                vel += grad
-                grad = vel
-            # value -= lr * grad (grad may alias buf; multiply handles it)
-            np.multiply(grad, self.lr, out=buf)
-            param.value -= buf
 
 
 class Adam(Optimizer):

@@ -16,7 +16,7 @@ from repro.nn.arena import BufferArena
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy_percent
 from repro.nn.network import Network
-from repro.nn.optimizers import Optimizer, SGD, clip_grad_norm
+from repro.nn.optimizers import Optimizer
 from repro.utils.rng import fallback_rng
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import ensure_positive
@@ -47,18 +47,14 @@ class Trainer:
     x_train, y_train, x_val, y_val:
         Data splits; images are NCHW float arrays, labels integer.
     optimizer:
-        Defaults to SGD with momentum 0.9 at ``lr=0.01``.
+        Required; applies each mini-batch's update (the workflow's
+        evaluator passes :class:`~repro.nn.optimizers.Adam`).
     loss:
         Defaults to softmax cross-entropy.
     batch_size:
         Mini-batch size; the last ragged batch is kept.
     rng:
         Generator for epoch shuffling (deterministic training).
-    schedule:
-        Optional :class:`~repro.nn.schedules.LRSchedule`; stepped once
-        per epoch after training.
-    max_grad_norm:
-        Optional global gradient-norm clip applied before each update.
     sanitizer:
         Optional :class:`~repro.tooling.sanitizer.Sanitizer` (duck-
         typed); when set, every step's loss and parameter gradients are
@@ -75,13 +71,11 @@ class Trainer:
     y_train: np.ndarray
     x_val: np.ndarray
     y_val: np.ndarray
-    optimizer: Optimizer | None = None
+    optimizer: Optimizer
     loss: Loss | None = None
     batch_size: int = 32
     rng: np.random.Generator | None = None
     history: list = field(default_factory=list)
-    schedule: object | None = None
-    max_grad_norm: float | None = None
     sanitizer: object | None = None
     write_guard: object | None = None
 
@@ -97,8 +91,6 @@ class Trainer:
             )
         if len(self.x_train) == 0 or len(self.x_val) == 0:
             raise ValueError("train and validation splits must be non-empty")
-        if self.optimizer is None:
-            self.optimizer = SGD(self.network, lr=0.01, momentum=0.9)
         if self.loss is None:
             self.loss = SoftmaxCrossEntropy()
         if self.rng is None:
@@ -141,16 +133,12 @@ class Trainer:
             if self.sanitizer is not None:
                 self.sanitizer.check_loss(value)
             self.network.backward(grad)
-            if self.max_grad_norm is not None:
-                clip_grad_norm(self.network, self.max_grad_norm)
             if self.sanitizer is not None:
                 self.sanitizer.check_parameter_gradients(self.network)
             self.optimizer.step()
             losses.append(value)
             correct += int(np.sum(logits.argmax(axis=1) == y))
         clock.stop()
-        if self.schedule is not None:
-            self.schedule.step()
         stats = EpochStats(
             epoch=self.epoch + 1,
             train_loss=float(np.mean(losses)),

@@ -373,13 +373,17 @@ class ProcessWorkerPool:
             return
         self.finish()
         self._closed = True
-        for slot, worker in enumerate(self._workers):
+        # every sentinel first, so the workers tear down concurrently
+        for worker in self._workers:
             if worker is None:
                 continue
             try:
                 worker.conn.send(None)  # graceful sentinel
             except (BrokenPipeError, OSError):  # pragma: no cover - worker already gone
                 pass
+        for slot, worker in enumerate(self._workers):
+            if worker is None:
+                continue
             worker.process.join(5.0)
             if worker.process.is_alive():
                 worker.process.terminate()

@@ -201,7 +201,7 @@ class A4NNOrchestrator:
             )
         return evaluator
 
-    def _on_candidate(self, individual, members, n_committed) -> None:
+    def _on_candidate(self, individual, members) -> None:
         """Breed hook: the surrogate's score, then a restored model's outcome.
 
         A model resume restores takes its recorded outcome here, after
@@ -209,7 +209,7 @@ class A4NNOrchestrator:
         evaluated and never reaches the stream.
         """
         if self.allocator is not None:
-            self.allocator.score(individual, members, n_committed)
+            self.allocator.score(individual, members)
         record = self._resumed.get(individual.model_id)
         if record is not None:
             individual_from_record(record, individual)

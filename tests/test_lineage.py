@@ -186,6 +186,16 @@ class TestDataCommons:
             r.fitness for r in second.tracker.all_records()
         ]
 
+    def test_models_load_in_model_id_order_past_five_digits(self, tmp_path):
+        # model_100000.json sorts before model_99999.json by file name
+        genome = random_genome(np.random.default_rng(0)).to_dict()
+        commons = DataCommons(tmp_path)
+        commons.publish_run(
+            RunRecord(run_id="big", intensity="low", nas_parameters={}, engine_parameters=None),
+            [ModelRecord(model_id=i, generation=0, genome=genome) for i in (99999, 100000)],
+        )
+        assert [m.model_id for m in commons.load_models("big")] == [99999, 100000]
+
     def test_missing_run_raises(self, tmp_path):
         commons = DataCommons(tmp_path)
         with pytest.raises(FileNotFoundError):

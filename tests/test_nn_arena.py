@@ -37,13 +37,12 @@ from repro.nn.layers import (
     Conv2D,
     Dense,
     GlobalAvgPool2D,
-    LeakyReLU,
     MaxPool2D,
     ReLU,
 )
 from repro.nn.layers.conv import col2im, im2col
 from repro.nn.network import Network
-from repro.nn.optimizers import SGD, Adam
+from repro.nn.optimizers import Adam
 from repro.nn.trainer import Trainer
 from repro.tooling.sanitizer import WriteGuard
 from tests.test_nn_gradcheck import DTYPE_GRADCHECK, assert_gradients_match
@@ -188,14 +187,13 @@ class TestByteExactLayers:
                 make_pool, _batches((4, 3, 8, 8), resolve_dtype(label))
             )
 
-    @pytest.mark.parametrize("act_cls", [ReLU, LeakyReLU])
-    def test_activations(self, act_cls):
+    def test_activations(self):
         for label in DTYPES:
             batches = _batches((6, 10), resolve_dtype(label))
             # exact zeros, negative zeros and a denormal: the masked copy
             # must agree with itself down to the sign of zero
             batches[0].ravel()[:3] = [0.0, -0.0, 1e-38]
-            assert_bound_equals_unbound(lambda r: act_cls(), batches)
+            assert_bound_equals_unbound(lambda r: ReLU(), batches)
 
     @pytest.mark.parametrize(
         "bn_cls,shape", [(BatchNorm2D, (4, 5, 3, 3)), (BatchNorm1D, (6, 5))]
@@ -333,8 +331,6 @@ def test_fixed_network_footprint_stays_under_its_ceiling():
 @pytest.mark.parametrize(
     "opt_factory",
     [
-        lambda net: SGD(net, 0.05),
-        lambda net: SGD(net, 0.05, momentum=0.9, weight_decay=1e-4),
         lambda net: Adam(net, 1e-3),
         lambda net: Adam(net, 1e-3, weight_decay=1e-4),
     ],
@@ -381,7 +377,7 @@ def test_trainer_binds_and_matches_an_unbound_hand_loop():
 
     net = _build_network(np.float64)
     trainer = Trainer(
-        net, x, y, x[:8], y[:8], optimizer=SGD(net, 0.01), batch_size=8,
+        net, x, y, x[:8], y[:8], optimizer=Adam(net, 0.01), batch_size=8,
         rng=np.random.default_rng(16),
     )
     assert isinstance(net.arena, BufferArena)
@@ -389,7 +385,7 @@ def test_trainer_binds_and_matches_an_unbound_hand_loop():
     losses = [trainer.train().train_loss for _ in range(2)]
 
     twin = _build_network(np.float64)
-    optimizer, loss_fn = SGD(twin, 0.01), trainer.loss
+    optimizer, loss_fn = Adam(twin, 0.01), trainer.loss
     shuffle = np.random.default_rng(16)
     expected = []
     for _ in range(2):
@@ -423,7 +419,7 @@ def test_arena_reaches_steady_state_and_tracks_peak_bytes():
         y,
         x[:8],
         y[:8],
-        optimizer=SGD(net, 0.01),
+        optimizer=Adam(net, 0.01),
         batch_size=8,
         rng=np.random.default_rng(18),
     )

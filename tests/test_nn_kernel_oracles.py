@@ -3,7 +3,7 @@
 The replaced formulations live here, and only here, as oracles.  Two
 groups, as the two commits that introduced them:
 
-* **Same values** — the masked-copy ReLU/LeakyReLU, the window-gather max
+* **Same values** — the masked-copy ReLU, the window-gather max
   pool with its per-window ``argmax`` routing, and the batch-norm forward
   that centred its input twice are held *equal as values* (``-0.0 ==
   +0.0``: ReLU no longer normalises the sign of a zero, DESIGN §12).
@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
 from repro.nas.genome import random_genome
 from repro.nn.dtype import resolve_dtype
-from repro.nn.layers import BatchNorm1D, BatchNorm2D, Conv2D, LeakyReLU, MaxPool2D, ReLU
+from repro.nn.layers import BatchNorm1D, BatchNorm2D, Conv2D, MaxPool2D, ReLU
 from repro.nn.layers.conv import col2im
 from repro.nn.layers.norm import _BatchNorm
 from tests.test_nn_arena import CONV_GRID
@@ -39,10 +39,10 @@ def _tol(dtype):
 # -- the replaced expressions ---------------------------------------------------
 
 
-def masked_relu(x, alpha=0.0):
-    """``greater`` + fill + masked ``copyto``: the old (Leaky)ReLU forward."""
+def masked_relu(x):
+    """``greater`` + fill + masked ``copyto``: the old ReLU forward."""
     mask = x > 0
-    out = x * alpha if alpha else np.zeros_like(x)
+    out = np.zeros_like(x)
     np.copyto(out, x, where=mask)
     return out, mask
 
@@ -163,20 +163,19 @@ def twelve_pass_batchnorm_backward(layer, x_hat, inv_std, g):
 
 
 @pytest.mark.parametrize("label", DTYPES)
-@pytest.mark.parametrize("alpha", [None, 0.2, 0.0], ids=["relu", "leaky", "leaky0"])
-def test_activation_equals_the_masked_copy_on_finite_inputs(alpha, label):
+def test_activation_equals_the_masked_copy_on_finite_inputs(label):
     dtype = resolve_dtype(label)
     rng = np.random.default_rng(31)
     x = rng.normal(size=(5, 4, 6, 6)).astype(dtype)
     x.ravel()[:4] = [0.0, -0.0, np.finfo(dtype).smallest_subnormal, -np.finfo(dtype).tiny]
-    layer = ReLU() if alpha is None else LeakyReLU(alpha)
-    expected, mask = masked_relu(x, alpha or 0.0)
+    layer = ReLU()
+    expected, mask = masked_relu(x)
     np.testing.assert_array_equal(layer.forward(x, training=True), expected)
     np.testing.assert_array_equal(layer.forward(x, training=False), expected)
     layer.forward(x, training=True)
     g = rng.normal(size=x.shape).astype(dtype)
     np.testing.assert_array_equal(
-        layer.backward(g), np.where(mask, g, g * dtype.type(alpha or 0.0))
+        layer.backward(g), np.where(mask, g, g * dtype.type(0.0))
     )
 
 
@@ -190,15 +189,7 @@ def test_activations_on_nan_inf_signed_zero_and_a_denormal(label):
         # NaN propagates (the masked copy wrote 0: `nan > 0` is false)
         assert np.isnan(relu[0])
         np.testing.assert_array_equal(relu[1:], [0, np.inf, 0, 0, denormal, 0, 0, 2])
-        leaky = LeakyReLU(0.5).forward(x, training=training)
-        assert np.isnan(leaky[0])
-        np.testing.assert_array_equal(
-            leaky[1:], [-np.inf, np.inf, 0, 0, denormal, -denormal * 0.5, -0.5, 2]
-        )
-        assert relu.dtype == leaky.dtype == dtype
-    # alpha == 0 multiplies inf by zero: +inf comes out NaN, still non-finite
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(LeakyReLU(0.0).forward(np.array([np.inf], dtype))[0])
+        assert relu.dtype == dtype
     # gradients flow where x > 0 only: not through NaN, zeros or -inf
     layer = ReLU()
     layer.forward(x, training=True)

@@ -8,7 +8,6 @@ from repro.nn.layers import (
     BatchNorm2D,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool2D,
     MaxPool2D,
@@ -207,36 +206,6 @@ class TestBatchNorm:
             layer.load_state(
                 {"running_mean": np.zeros(2), "running_var": np.ones(2)}
             )
-
-
-class TestDropout:
-    def test_eval_is_identity(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        x = rng.normal(size=(4, 10))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_training_zeroes_and_scales(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((100, 100))
-        out = layer.forward(x, training=True)
-        kept = out[out != 0]
-        assert np.allclose(kept, 2.0)  # inverted scaling 1/(1-0.5)
-        assert 0.4 < (out != 0).mean() < 0.6
-
-    def test_rate_zero_passthrough(self, rng):
-        layer = Dropout(0.0, rng=rng)
-        x = rng.normal(size=(3, 5))
-        np.testing.assert_array_equal(layer.forward(x, training=True), x)
-
-    def test_expectation_preserved(self):
-        layer = Dropout(0.3, rng=np.random.default_rng(1))
-        x = np.ones((200, 200))
-        out = layer.forward(x, training=True)
-        assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestElementwise:

@@ -123,6 +123,7 @@ class TestTrainer:
             tiny_dataset.y_train,
             tiny_dataset.x_test,
             tiny_dataset.y_test,
+            optimizer=Adam(net, 1e-3),
             rng=rng,
         )
         assert trainer.epoch == 0
@@ -139,29 +140,34 @@ class TestTrainer:
             tiny_dataset.y_train,
             tiny_dataset.x_test,
             tiny_dataset.y_test,
+            optimizer=Adam(net, 1e-3),
             rng=rng,
         )
         fitness = trainer.validate()
         assert 0.0 <= fitness <= 100.0
 
     def test_rejects_mismatched_splits(self, rng, tiny_dataset):
+        net = bn_net(rng)
         with pytest.raises(ValueError, match="train split mismatch"):
             Trainer(
-                bn_net(rng),
+                net,
                 tiny_dataset.x_train,
                 tiny_dataset.y_train[:-1],
                 tiny_dataset.x_test,
                 tiny_dataset.y_test,
+                optimizer=Adam(net, 1e-3),
             )
 
     def test_rejects_empty_split(self, rng, tiny_dataset):
+        net = bn_net(rng)
         with pytest.raises(ValueError, match="non-empty"):
             Trainer(
-                bn_net(rng),
+                net,
                 tiny_dataset.x_train[:0],
                 tiny_dataset.y_train[:0],
                 tiny_dataset.x_test,
                 tiny_dataset.y_test,
+                optimizer=Adam(net, 1e-3),
             )
 
     def test_deterministic_given_rng(self, tiny_dataset):

@@ -20,6 +20,7 @@ import json
 import multiprocessing as mp
 import pickle
 import time
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,34 @@ class TestProcessPoolDirect:
         assert pool.alive_workers() == 0
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit(make_individuals(rng, 1)[0])
+
+    def test_close_sends_every_sentinel_before_joining(self, rng, tiny_dataset):
+        # workers tear down concurrently: close costs the slowest teardown,
+        # not the sum of them
+        spec, arena = share_dataset(tiny_dataset)
+        pool = make_pool(delay_factory, n_workers=3, dataset=spec, arena=arena)
+        run_generation(pool, make_individuals(rng, 3))
+        workers = list(pool._workers)
+        calls = []
+
+        def recording(kind, index, method):
+            def call(*args, **kwargs):
+                calls.append((kind, index))
+                return method(*args, **kwargs)
+
+            return call
+
+        for worker in workers:
+            worker.conn.send = recording("send", worker.index, worker.conn.send)
+            worker.process.join = recording("join", worker.index, worker.process.join)
+        pool.close()
+        kinds = [kind for kind, _ in calls]
+        assert kinds[:3] == ["send"] * 3 and set(kinds[3:]) == {"join"}
+        assert {index for kind, index in calls if kind == "join"} == {0, 1, 2}
+        assert all(worker.process.exitcode is not None for worker in workers)
+        assert pool.alive_workers() == 0 and len(arena) == 0
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=spec.x_train.name)
 
     def test_single_error_reraises_after_generation_settles(self, rng):
         pool = make_pool(flaky_single_factory, n_workers=2)

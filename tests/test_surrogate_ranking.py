@@ -1,11 +1,11 @@
 """Surrogate pre-ranking: featurization, predictor, allocator, determinism.
 
 Covers the cross-architecture fitness predictor (DESIGN §14): the
-deterministic genome featurization, the prefix-addressable online ridge
-model, the dominance-aware budget allocator, and the end-to-end
-guarantees — ``--surrogate off`` byte-identical to the pre-predictor
-baseline, surrogate-on runs bit-identical across backends and evolution
-modes, and a resumed run ending on the exact predictor state.
+deterministic genome featurization, the online ridge model, the
+dominance-aware budget allocator, and the end-to-end guarantees —
+``--surrogate off`` byte-identical to the pre-predictor baseline,
+surrogate-on runs bit-identical across backends and evolution modes,
+and a resumed run ending on the exact predictor state.
 """
 
 import json
@@ -95,40 +95,31 @@ class TestFeaturization:
 
 
 class TestFitnessPredictor:
-    def test_prefix_addressing_ignores_later_commits(self):
+    def test_every_observation_counts(self):
         predictor = FitnessPredictor(ridge=1e-6, sigma_floor=0.0)
         for i in range(6):
-            predictor.observe((1.0, float(i)), 2.0 * i + 1.0, commit_count=i + 1)
-        # an outlier landing later must not affect predictions "as of" 6
-        predictor.observe((1.0, 50.0), -1000.0, commit_count=7)
-        reference = FitnessPredictor(ridge=1e-6, sigma_floor=0.0)
-        for i in range(6):
-            reference.observe((1.0, float(i)), 2.0 * i + 1.0, commit_count=i + 1)
-        assert predictor.visible_rows(6) == 6
-        assert predictor.predict((1.0, 3.0), 6) == reference.predict((1.0, 3.0), 6)
-        full = predictor.predict((1.0, 3.0), None)
-        assert full != predictor.predict((1.0, 3.0), 6)
-
-    def test_out_of_order_commit_rejected(self):
-        predictor = FitnessPredictor()
-        predictor.observe((1.0,), 1.0, commit_count=5)
-        with pytest.raises(ValueError, match="commit order"):
-            predictor.observe((1.0,), 2.0, commit_count=4)
+            predictor.observe((1.0, float(i)), 2.0 * i + 1.0)
+        before = predictor.predict((1.0, 3.0))
+        assert before[0] == pytest.approx(7.0)
+        # an outlier observed later moves the very next prediction
+        predictor.observe((1.0, 50.0), -1000.0)
+        assert predictor.n_observations == 7
+        assert predictor.predict((1.0, 3.0)) != before
 
     def test_no_visible_observations_gives_none(self):
         predictor = FitnessPredictor()
-        predictor.observe((1.0, 2.0), 3.0, commit_count=10)
-        assert predictor.predict((1.0, 2.0), 9) is None
-        assert predictor.predict((1.0, 2.0), 10) is not None
+        assert predictor.predict((1.0, 2.0)) is None
+        predictor.observe((1.0, 2.0), 3.0)
+        assert predictor.predict((1.0, 2.0)) is not None
 
     def test_sigma_floor_and_leverage_inflation(self):
         predictor = FitnessPredictor(ridge=1e-6, sigma_floor=0.25)
         rng = np.random.default_rng(3)
         for i in range(40):
             x = float(rng.uniform(0.0, 1.0))
-            predictor.observe((1.0, x), 10.0 + 2.0 * x + rng.normal(0, 0.5), i + 1)
-        _, sigma_in = predictor.predict((1.0, 0.5), 40)
-        _, sigma_out = predictor.predict((1.0, 25.0), 40)
+            predictor.observe((1.0, x), 10.0 + 2.0 * x + rng.normal(0, 0.5))
+        _, sigma_in = predictor.predict((1.0, 0.5))
+        _, sigma_out = predictor.predict((1.0, 25.0))
         assert sigma_in >= 0.25
         # extrapolated point carries much larger predictive uncertainty
         assert sigma_out > 3.0 * sigma_in
@@ -136,9 +127,9 @@ class TestFitnessPredictor:
     def test_fingerprint_tracks_observation_log(self):
         a, b = FitnessPredictor(), FitnessPredictor()
         for p in (a, b):
-            p.observe((1.0, 2.0), 3.0, 1)
+            p.observe((1.0, 2.0), 3.0)
         assert a.fingerprint() == b.fingerprint()
-        a.observe((1.0, 4.0), 5.0, 2)
+        a.observe((1.0, 4.0), 5.0)
         assert a.fingerprint() != b.fingerprint()
 
 
@@ -175,9 +166,8 @@ def trained_allocator(settings: SurrogateConfig, n_rows: int) -> BudgetAllocator
         bits = tuple(int(b) for b in rng.integers(0, 2, size=6))
         genome = genome_from_bits(bits)
         allocator.predictor.observe(
-            genome_features(genome, flops_of(genome)), fitness_of(genome), i + 1
+            genome_features(genome, flops_of(genome)), fitness_of(genome)
         )
-        allocator.n_commits = i + 1
     return allocator
 
 
@@ -218,7 +208,7 @@ class TestBudgetAllocator:
         settings = SurrogateConfig(min_records=1, band=0.0)
         allocator = trained_allocator(settings, n_rows=15)
         individual = candidate()
-        allocator.score(individual, [member(99.0, 1.0)], n_committed=15)
+        allocator.score(individual, [member(99.0, 1.0)])
         assert individual.predicted_fitness is None
         assert individual.budget_assigned is None
         assert allocator.n_scored == 0
@@ -228,7 +218,7 @@ class TestBudgetAllocator:
         allocator = trained_allocator(settings, n_rows=30)
         weak = candidate(bits=(0, 0, 0, 0, 0, 0))  # predicted ~50
         pool = [member(95.0, flops_of(weak.genome) - 1)]
-        allocator.score(weak, pool, n_committed=30)
+        allocator.score(weak, pool)
         assert weak.predicted_fitness == pytest.approx(50.0, abs=1.0)
         assert weak.skip_reason == SKIP_PROBE
         assert weak.budget_assigned == 1
@@ -238,7 +228,7 @@ class TestBudgetAllocator:
         settings = SurrogateConfig(min_records=1, band=0.0)
         allocator = trained_allocator(settings, n_rows=30)
         strong = candidate(bits=(1, 1, 1, 1, 1, 1))  # predicted ~77, top rank
-        allocator.score(strong, [member(60.0, 5_000)], n_committed=30)
+        allocator.score(strong, [member(60.0, 5_000)])
         assert strong.predicted_fitness is not None
         assert strong.predicted_rank == 1
         assert strong.budget_assigned is None and strong.skip_reason is None
@@ -248,7 +238,7 @@ class TestBudgetAllocator:
         # the candidate optimistic enough to escape the skip
         allocator = trained_allocator(SurrogateConfig(min_records=1, band=100.0), 30)
         weak = candidate()
-        allocator.score(weak, [member(55.0, 1.0)], n_committed=30)
+        allocator.score(weak, [member(55.0, 1.0)])
         assert weak.skip_reason is None and weak.budget_assigned is None
 
     def test_exploration_floor_grants_full_budget(self):
@@ -258,7 +248,7 @@ class TestBudgetAllocator:
         reasons = []
         for i in range(6):
             loser = candidate(model_id=100 + i)
-            allocator.score(loser, pool, n_committed=30)
+            allocator.score(loser, pool)
             reasons.append((loser.skip_reason, loser.budget_assigned))
         assert reasons[2] == (SKIP_EXPLORE, None)
         assert reasons[5] == (SKIP_EXPLORE, None)
@@ -268,7 +258,7 @@ class TestBudgetAllocator:
         settings = SurrogateConfig(min_records=1, band=0.0, probe_epochs=0)
         allocator = trained_allocator(settings, n_rows=30)
         skipped = candidate()
-        allocator.score(skipped, [member(99.0, 1.0)], n_committed=30)
+        allocator.score(skipped, [member(99.0, 1.0)])
         assert skipped.budget_assigned == 0
         assert skipped.fitness == skipped.predicted_fitness
         assert skipped.flops == flops_of(skipped.genome)
@@ -291,7 +281,6 @@ class TestBudgetAllocator:
         allocator.observe(SimpleNamespace(**{**base, "budget_assigned": 1}))
         allocator.observe(SimpleNamespace(**{**base, "quarantined": True}))
         allocator.observe(SimpleNamespace(**{**base, "result": None}))
-        assert allocator.n_commits == 4
         assert allocator.predictor.n_observations == 1
 
 
@@ -521,9 +510,7 @@ class TestResume:
         # resumed predictor ends on the live run's exact observation log
         live, again = allocators
         assert again.predictor.fingerprint() == live.predictor.fingerprint()
-        assert (again.n_scored, again.n_losers, again.n_commits) == (
-            live.n_scored, live.n_losers, live.n_commits
-        )
+        assert (again.n_scored, again.n_losers) == (live.n_scored, live.n_losers)
 
 
 class TestAnalysisQueries:

@@ -8,7 +8,7 @@ from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
 from repro.nas.evaluation import TrainingEvaluator
 from repro.nas.genome import random_genome
 from repro.nas.population import Individual
-from repro.nn import Dense, Flatten, Network, ReLU, Trainer
+from repro.nn import Adam, Dense, Flatten, Network, ReLU, Trainer
 from repro.nn.layers.base import Layer
 from repro.nn.losses import Loss
 from repro.tooling.sanitizer import NumericalFault, Sanitizer
@@ -30,6 +30,7 @@ def make_trainer(rng, tiny_dataset, **kwargs):
         tiny_dataset.y_train,
         tiny_dataset.x_test,
         tiny_dataset.y_test,
+        optimizer=Adam(net, 1e-3),
         batch_size=16,
         rng=rng,
         **kwargs,

@@ -9,7 +9,7 @@ from repro.lineage.tracker import LineageTracker
 from repro.nas.evaluation import TrainingEvaluator
 from repro.nas.genome import random_genome
 from repro.nas.population import Individual
-from repro.nn import Dense, Flatten, Network, ReLU, Trainer
+from repro.nn import Adam, Dense, Flatten, Network, ReLU, Trainer
 from repro.nn.layers.base import Layer
 from repro.tooling.sanitizer import NumericalFault, WriteGuard
 
@@ -30,6 +30,7 @@ def make_trainer(rng, tiny_dataset, **kwargs):
         tiny_dataset.y_train,
         tiny_dataset.x_test,
         tiny_dataset.y_test,
+        optimizer=Adam(net, 1e-3),
         batch_size=16,
         rng=rng,
         **kwargs,
