@@ -211,24 +211,11 @@ def skip_report(records: Iterable[ModelRecord]) -> SkipReport:
         n_flagged=len(flagged),
         n_probed=n_probed,
         n_true_losers=true_losers,
-        precision=(
-            sum(1 for r in flagged if _flagged_loser(r, dominated)) / len(flagged)
-            if flagged
-            else None
-        ),
+        precision=caught / len(flagged) if flagged else None,
         recall=caught / true_losers if true_losers else None,
         mae=float(np.mean(errors)) if errors else None,
         n_mae=len(errors),
     )
-
-
-def _flagged_loser(record: ModelRecord, dominated: Callable[[float, float], bool]) -> bool:
-    estimate = (
-        record.predicted_fitness
-        if record.budget_assigned is not None
-        else record.fitness
-    )
-    return estimate is not None and dominated(float(estimate), float(record.flops))
 
 
 class CommonsQuery:

@@ -121,8 +121,8 @@ def run_training_loop(
         The NAS training budget (paper: 25).
     epoch_callback:
         Optional hook ``callback(epoch, fitness, prediction)`` invoked
-        after each epoch — the workflow orchestrator uses it to persist
-        per-epoch model state and metadata.
+        after each epoch — the evaluators use it to append the epoch to
+        the individual's trace (and to checkpoint the model state).
 
     Returns
     -------

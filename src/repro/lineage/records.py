@@ -81,8 +81,10 @@ class ModelRecord:
     engine_parameters: dict | None = None
     engine_overhead_seconds: float = 0.0
     training_parameters: dict = field(default_factory=dict)
-    # structured NumericalFault snapshot when the sanitizer aborted this
-    # model's training; None for clean runs
+    # structured NumericalFault snapshot of the last numerical fault
+    # event: the sanitizer aborted an attempt's training, or injection
+    # raised a NaN (its snapshot's detail says "injected": true); None
+    # when no attempt diverged or no fault policy routed the fault
     fault: dict | None = None
     # every fault/retry/quarantine decision the fault policy took for
     # this model (FaultEvent dicts, in order); empty for clean runs
@@ -154,13 +156,6 @@ class ModelRecord:
             return 0
         full = int(self.training_parameters.get("max_epochs", self.max_epochs))
         return max(full - min(int(self.budget_assigned), full), 0)
-
-    def total_epoch_seconds(self) -> float:
-        """Wall time across recorded epochs (0 for missing timings)."""
-        return sum(
-            e["epoch_seconds"] or 0.0 if isinstance(e, dict) else (e.epoch_seconds or 0.0)
-            for e in self.epochs
-        )
 
 
 @dataclass

@@ -19,9 +19,8 @@ Invariants (also recorded in DESIGN §9):
   must reproduce a clean attempt-0 evaluation exactly);
 * cache hits are first-class lineage events: the individual (and its
   :class:`~repro.lineage.records.ModelRecord`) carries ``cache_hit``
-  and the source model id, and the per-epoch observers are replayed
-  from the cached trace so history stores and record trails stay
-  populated;
+  and the source model id, and its ``trace`` is a copy of the source's
+  per-epoch measurements, so record trails stay populated;
 * hit or miss is decided in one place, :meth:`MemoizingStream.submit`
   and the follower release it triggers, from submission order alone —
   never from worker timing — so every backend and worker count produces
@@ -69,7 +68,9 @@ class CacheEntry:
     flops: int
     epoch_seconds: list
     result: object  # TrainingResult of the source evaluation
-    epoch_trace: list  # [(epoch, fitness, prediction), ...] for observer replay
+    # the source's trace: (epoch, fitness, prediction, None, None) per
+    # epoch -- a hit trained nothing and saved no checkpoint
+    trace: list
     # arena scratch footprint of the source evaluation
     arena_peak_bytes: int = 0
 
@@ -121,7 +122,6 @@ class _Lead:
     """An evaluation in flight whose outcome may prime the cache."""
 
     key: tuple
-    trace: list = field(default_factory=list)  # [(epoch, fitness, prediction), ...]
     followers: deque = field(default_factory=deque)  # duplicates waiting on it
 
 
@@ -133,9 +133,8 @@ class MemoizingStream:
     the evaluation chain *below* the cache, so whatever that chain
     settles on is inspected *after* retries and quarantine.  A hit never
     reaches the inner stream and settles first.  A miss becomes a
-    *lead*: its per-epoch events are captured while it runs (live on
-    threads, during the parent-side replay on the process pool) and a
-    clean outcome primes the cache.
+    *lead*, and a clean outcome — its per-epoch trace included — primes
+    the cache.
 
     A duplicate submitted while its lead is still uncommitted is the one
     thing the evolution modes disagree on, each pinned by recorded
@@ -157,8 +156,7 @@ class MemoizingStream:
     base:
         The innermost backend (:class:`~repro.nas.evaluation.
         TrainingEvaluator` or :class:`~repro.nas.surrogate.
-        SurrogateEvaluator`).  It provides ``memo_key`` and the
-        ``observers`` list used to capture and replay per-epoch events.
+        SurrogateEvaluator`).  It provides ``memo_key``.
     inner:
         The stream misses are evaluated on.
     wait_for_leader:
@@ -171,34 +169,9 @@ class MemoizingStream:
         self.wait_for_leader = wait_for_leader
         self.cache = EvaluationCache()
         self._ready: deque[Individual] = deque()
-        self._lock = threading.Lock()
         self._leads: dict[int, _Lead] = {}  # by model id, until published
         self._unsettled: dict[tuple, _Lead] = {}  # by key (wait_for_leader only)
         self._n_inner = 0  # evaluations on the inner stream right now
-        # capture per-epoch events of evaluations in flight so a future
-        # hit can replay them; runs after the real observers
-        self.base.observers.append(self._capture)
-
-    # -- capture & replay -------------------------------------------------------
-
-    def _capture(self, individual, epoch, fitness, prediction, context) -> None:
-        with self._lock:
-            lead = self._leads.get(individual.model_id)
-        if lead is not None:
-            lead.trace.append((epoch, float(fitness), prediction))
-
-    def _replay_observers(self, individual: Individual, entry: CacheEntry) -> None:
-        observers = [o for o in self.base.observers if o is not self._capture]
-        context = {
-            "cache_hit": True,
-            "source_model_id": entry.source_model_id,
-            "network": None,
-            "trainer": None,
-            "epoch_stats": None,
-        }
-        for epoch, fitness, prediction in entry.epoch_trace:
-            for observer in observers:
-                observer(individual, epoch, fitness, prediction, context)
 
     # -- entries ----------------------------------------------------------------
 
@@ -210,7 +183,7 @@ class MemoizingStream:
         individual.cache_hit = True
         individual.cache_source = entry.source_model_id
         individual.arena_peak_bytes = entry.arena_peak_bytes
-        self._replay_observers(individual, entry)
+        individual.trace = list(entry.trace)
         _LOG.debug(
             "cache hit: model %d reuses model %d",
             individual.model_id,
@@ -230,7 +203,7 @@ class MemoizingStream:
             and not getattr(individual, "eval_attempt", 0)
         )
 
-    def _entry_from(self, individual: Individual, trace: list) -> CacheEntry:
+    def _entry_from(self, individual: Individual) -> CacheEntry:
         source = (
             individual.cache_source
             if individual.cache_hit and individual.cache_source is not None
@@ -242,11 +215,11 @@ class MemoizingStream:
             flops=int(individual.flops),
             epoch_seconds=list(individual.epoch_seconds),
             result=_copy_result(individual.result),
-            epoch_trace=list(trace),
+            trace=[(e, f, p, None, None) for e, f, p, *_ in individual.trace],
             arena_peak_bytes=int(individual.arena_peak_bytes),
         )
 
-    def prime(self, individual: Individual, epoch_trace: list | None = None) -> bool:
+    def prime(self, individual: Individual) -> bool:
         """Seed the cache from an already-evaluated individual (resume path).
 
         Returns whether an entry was stored.  Hits restored from records
@@ -256,15 +229,14 @@ class MemoizingStream:
         key = self.base.memo_key(individual)
         if key is None or not self._cacheable(individual):
             return False
-        self.cache.put(key, self._entry_from(individual, epoch_trace or []))
+        self.cache.put(key, self._entry_from(individual))
         return True
 
     def _publish(self, individual: Individual) -> _Lead | None:
         """Prime the cache from a lead's outcome, once; the lead if it was one."""
-        with self._lock:
-            lead = self._leads.pop(individual.model_id, None)
+        lead = self._leads.pop(individual.model_id, None)
         if lead is not None and self._cacheable(individual):
-            self.cache.put(lead.key, self._entry_from(individual, lead.trace))
+            self.cache.put(lead.key, self._entry_from(individual))
         return lead
 
     # -- the stream seam --------------------------------------------------------
@@ -275,8 +247,7 @@ class MemoizingStream:
 
     def _lead(self, individual: Individual, key: tuple, followers=()) -> None:
         lead = _Lead(key, followers=deque(followers))
-        with self._lock:
-            self._leads[individual.model_id] = lead
+        self._leads[individual.model_id] = lead
         if self.wait_for_leader:
             self._unsettled[key] = lead
         self._submit_inner(individual)

@@ -8,15 +8,16 @@ Two interchangeable implementations of the :class:`Evaluator` protocol:
   Algorithm-1 loop with an architecture-conditioned synthetic learning
   curve (*surrogate mode*, for paper-scale sweeps).
 
-Both fill the same :class:`~repro.nas.population.Individual` fields, so
-the search, scheduler, and lineage tracker cannot tell them apart.
+Both fill the same :class:`~repro.nas.population.Individual` fields —
+the per-epoch ``trace`` included — so the search, scheduler, and lineage
+tracker cannot tell them apart.
 """
 
 from __future__ import annotations
 
 import hashlib
-
-from typing import Callable, Protocol, runtime_checkable
+from pathlib import Path
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -27,15 +28,15 @@ from repro.nas.population import Individual
 from repro.nn.dtype import dtype_label
 from repro.nn.flops import network_flops
 from repro.nn.optimizers import Adam
+from repro.nn.serialization import save_checkpoint
 from repro.nn.trainer import Trainer
-from repro.tooling.sanitizer import NumericalFault, Sanitizer, WriteGuard
+from repro.tooling.sanitizer import Sanitizer, WriteGuard
 from repro.utils.rng import RngStream
 from repro.xfel.dataset import DiffractionDataset
 
 __all__ = [
     "Evaluator",
     "TrainingEvaluator",
-    "EpochObserver",
     "effective_budget",
     "retry_salt",
     "RNG_KEYINGS",
@@ -108,11 +109,6 @@ def effective_budget(individual: Individual, max_epochs: int) -> int:
         return int(max_epochs)
     return max(0, min(int(budget), int(max_epochs)))
 
-#: Callback signature invoked after every trained epoch:
-#: ``observer(individual, epoch, fitness, prediction, context)`` where
-#: ``context`` carries evaluator-specific extras (e.g. the live network).
-EpochObserver = Callable[[Individual, int, float, float | None, dict], None]
-
 
 @runtime_checkable
 class Evaluator(Protocol):
@@ -143,9 +139,11 @@ class TrainingEvaluator:
     rng_stream:
         Deterministic stream; each model derives its own init/shuffle
         generators from its model id.
-    observers:
-        Per-epoch callbacks (the workflow orchestrator hooks lineage
-        tracking and checkpointing in here).
+    checkpoint_dir:
+        When given, every epoch's model state is saved under
+        ``<dir>/model_<id>/epoch_<e>`` (paper §2.2.2: each model "can be
+        loaded and re-evaluated from any point"), and the paths ride in
+        that epoch's ``trace`` entry.
     sanitize:
         Attach a :class:`~repro.tooling.sanitizer.Sanitizer` to every
         candidate's network and trainer; numerical faults abort the
@@ -157,10 +155,6 @@ class TrainingEvaluator:
         ``guarded-write`` :class:`NumericalFault` instead of silently
         corrupting a neighbouring buffer.  Flag-flips only — an
         untripped guarded run is byte-identical to an unguarded one.
-    on_fault:
-        Callback ``on_fault(individual, fault)`` invoked before a
-        :class:`NumericalFault` propagates (the orchestrator records it
-        into the model's lineage record here).
     rng_keying:
         Which identity keys the per-candidate RNG streams — see
         :data:`RNG_KEYINGS`.  ``"model"`` (the default here) replays
@@ -186,10 +180,9 @@ class TrainingEvaluator:
         batch_size: int = 16,
         learning_rate: float = 1e-3,
         rng_stream: RngStream | None = None,
-        observers: list[EpochObserver] | None = None,
+        checkpoint_dir: str | Path | None = None,
         sanitize: bool = False,
         sanitize_writes: bool = False,
-        on_fault: Callable[[Individual, NumericalFault], None] | None = None,
         rng_keying: str = "model",
         dtype=None,
         dataset_key: str | None = None,
@@ -203,10 +196,9 @@ class TrainingEvaluator:
         self.batch_size = int(batch_size)
         self.learning_rate = float(learning_rate)
         self.rng_stream = rng_stream or RngStream(0)
-        self.observers = list(observers or [])
+        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.sanitize = bool(sanitize)
         self.sanitize_writes = bool(sanitize_writes)
-        self.on_fault = on_fault
         self.rng_keying = validate_rng_keying(rng_keying)
         self.dataset_key = dataset_key or _dataset_fingerprint(dataset)
 
@@ -295,24 +287,20 @@ class TrainingEvaluator:
         )
 
         def on_epoch(epoch: int, fitness: float, prediction: float | None) -> None:
-            context = {
-                "network": network,
-                "trainer": trainer,
-                "epoch_stats": trainer.history[-1],
-            }
-            for observer in self.observers:
-                observer(individual, epoch, fitness, prediction, context)
-
-        try:
-            result = run_training_loop(
-                trainer, self.engine, budget, epoch_callback=on_epoch
+            checkpoint = None
+            if self.checkpoint_dir is not None:
+                checkpoint = save_checkpoint(
+                    network,
+                    self.checkpoint_dir / f"model_{individual.model_id}",
+                    tag=f"epoch_{epoch}",
+                )
+            individual.trace.append(
+                (epoch, fitness, prediction, trainer.history[-1], checkpoint)
             )
-        except NumericalFault as fault:
-            # the poisoned measurement never reaches fitness_history; the
-            # fault is recorded into lineage, then propagates to the caller
-            if self.on_fault is not None:
-                self.on_fault(individual, fault)
-            raise
+
+        # a NumericalFault propagates with the epochs measured before it
+        # on the trace; the poisoned measurement never reaches either
+        result = run_training_loop(trainer, self.engine, budget, epoch_callback=on_epoch)
 
         individual.fitness = result.fitness
         individual.flops = network_flops(network)

@@ -81,6 +81,12 @@ class Individual:
         (probed at the reduced budget) or ``"exploration"`` (a predicted
         loser granted full budget by the exploration floor).  ``None``
         for predicted winners and unscored candidates.
+    trace:
+        The per-epoch trail of every evaluation attempt, failed attempts
+        first: ``(epoch, fitness, prediction, epoch_stats, checkpoint)``
+        per epoch (the last two ``None`` where nothing was trained or
+        saved).  Evaluators append to it; lineage folds it into the
+        model's record at commit, after which it is cleared.
     """
 
     genome: Genome
@@ -101,6 +107,7 @@ class Individual:
     predicted_rank: int | None = None
     budget_assigned: int | None = None
     skip_reason: str | None = None
+    trace: list = field(default_factory=list)
 
     @property
     def evaluated(self) -> bool:

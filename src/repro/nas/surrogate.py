@@ -229,8 +229,6 @@ class SurrogateEvaluator:
     rng_stream:
         Root stream; curves/costs derive per model id (or per canonical
         genome under ``rng_keying="genome"``).
-    observers:
-        Same per-epoch hook contract as the real evaluator.
     rng_keying:
         Stream-identity policy, as in
         :class:`~repro.nas.evaluation.TrainingEvaluator`: ``"model"``
@@ -247,7 +245,6 @@ class SurrogateEvaluator:
         decoder_config: DecoderConfig | None = None,
         cost_model: EpochCostModel | None = None,
         rng_stream: RngStream | None = None,
-        observers: list | None = None,
         regime: CurveRegime | None = None,
         rng_keying: str = "model",
     ) -> None:
@@ -257,7 +254,6 @@ class SurrogateEvaluator:
         self.decoder_config = decoder_config or DecoderConfig()
         self.cost_model = cost_model or EpochCostModel()
         self.rng_stream = rng_stream or RngStream(0)
-        self.observers = list(observers or [])
         self.regime = regime or REGIMES[intensity]
         self.rng_keying = validate_rng_keying(rng_keying)
 
@@ -317,9 +313,7 @@ class SurrogateEvaluator:
         model = LearningCurveModel(curve)
 
         def on_epoch(epoch: int, fitness: float, prediction: float | None) -> None:
-            context = {"curve": curve, "model": model}
-            for observer in self.observers:
-                observer(individual, epoch, fitness, prediction, context)
+            individual.trace.append((epoch, fitness, prediction, None, None))
 
         result = run_training_loop(model, self.engine, budget, epoch_callback=on_epoch)
 

@@ -24,10 +24,9 @@ the A4NN stack the same stance:
   NaN-loss modes, seeded from the run's RNG stream) used by the tier-1
   fault suite to prove searches survive injected faults end-to-end.
 
-Every fault, retry, and quarantine decision is emitted as a
-:class:`FaultEvent` both onto the individual and through the
-``on_event`` callback, which the workflow orchestrator wires into the
-lineage tracker so the data commons keeps the full record trail.
+Every fault, retry, and quarantine decision is recorded as a
+:class:`FaultEvent` on the individual, where the lineage tracker reads
+it when the model commits.
 
 Determinism notes: injection decisions are drawn from
 ``stream.generator("inject", model_id, attempt)``, and retried attempts
@@ -36,8 +35,8 @@ re-derive their training RNG children from ``("retry", attempt)`` salts
 byte-identical to pre-fault-policy runs).  Timed-out attempts run the
 inner evaluation against a *shadow* individual on a daemon thread;
 Python threads cannot be killed, so an abandoned attempt may keep
-computing in the background, but its results are discarded and never
-touch the real individual.
+computing in the background, but its results — its per-epoch trace
+included — are discarded and never touch the real individual.
 """
 
 from __future__ import annotations
@@ -296,7 +295,7 @@ class FaultInjectingEvaluator:
     """Evaluator wrapper that deterministically sabotages attempts.
 
     Injection happens *before* the inner evaluator runs, so a sabotaged
-    attempt writes nothing into observers or lineage — exactly like a
+    attempt leaves nothing on the individual's trace — exactly like a
     worker process dying before useful work.
 
     Parameters
@@ -366,22 +365,15 @@ class FaultRouter:
     ----------
     policy:
         Retry/timeout/quarantine settings.
-    on_event:
-        Callback ``on_event(individual, event_dict)`` invoked for every
-        fault decision (the orchestrator wires the lineage tracker's
-        :meth:`~repro.lineage.tracker.LineageTracker.observe_fault_event`
-        here).
     timeouts_leak:
         Whether a timed-out attempt keeps computing after the verdict:
         true for the thread driver (threads cannot be killed), false for
         the process driver (the worker is hard-killed).
     """
 
-    def __init__(self, policy: FaultPolicy, on_event=None, *, timeouts_leak: bool) -> None:
+    def __init__(self, policy: FaultPolicy, *, timeouts_leak: bool) -> None:
         self.policy = policy
-        self.on_event = on_event
         self.timeouts_leak = timeouts_leak
-        self.events: list[FaultEvent] = []
 
     def route(self, individual: Individual, attempt: int, exc: Exception) -> float | None:
         """Record the policy's decision about failed ``attempt``.
@@ -409,10 +401,7 @@ class FaultRouter:
             detail=decision.detail,
             timeout_leaked=self.timeouts_leak and decision.kind == "timeout",
         )
-        self.events.append(event)
         individual.fault_events.append(event.to_dict())
-        if self.on_event is not None:
-            self.on_event(individual, event.to_dict())
         log = _LOG.warning if decision.action == "quarantine" else _LOG.info
         log(
             "model %d attempt %d %s fault -> %s: %s",
@@ -448,8 +437,6 @@ class FaultTolerantEvaluator:
         :class:`FaultInjectingEvaluator`).
     policy:
         Retry/timeout/quarantine settings.
-    on_event:
-        Forwarded to the :class:`FaultRouter` (lineage hook).
     sleep:
         Injection point for the backoff sleep (tests pass a recorder).
     """
@@ -459,13 +446,11 @@ class FaultTolerantEvaluator:
         evaluator,
         policy: FaultPolicy | None = None,
         *,
-        on_event=None,
         sleep=time.sleep,
     ) -> None:
         self.evaluator = evaluator
         self.policy = policy or FaultPolicy()
-        self._router = FaultRouter(self.policy, on_event, timeouts_leak=True)
-        self.events = self._router.events
+        self._router = FaultRouter(self.policy, timeouts_leak=True)
         self._sleep = sleep
         self.max_epochs = evaluator.max_epochs
         #: Shadow threads abandoned by timed-out attempts.  Python
@@ -486,7 +471,10 @@ class FaultTolerantEvaluator:
         # carries every input the evaluator reads (the surrogate's
         # budget included) and owns its lists.
         shadow = replace(
-            individual, epoch_seconds=[], fault_events=list(individual.fault_events)
+            individual,
+            epoch_seconds=[],
+            fault_events=list(individual.fault_events),
+            trace=[],
         )
         outcome: dict = {}
 
@@ -504,11 +492,14 @@ class FaultTolerantEvaluator:
         thread.start()
         thread.join(timeout)
         if thread.is_alive():
+            # the abandoned attempt's epochs stay on the shadow, as a
+            # hard-killed worker's never leave its process
             self.leaked_threads.append(thread)
             raise EvaluationTimeout(
                 f"evaluation of model {individual.model_id} attempt "
                 f"{individual.eval_attempt} exceeded {timeout}s"
             )
+        individual.trace.extend(shadow.trace)
         if "error" in outcome:
             raise outcome["error"]
         for name in _EVALUATION_OUTPUTS:

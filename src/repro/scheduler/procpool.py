@@ -18,11 +18,11 @@ Division of labour (the key to bit-identical results across backends):
   recipe the parent uses, with the dataset attached zero-copy through
   :mod:`repro.xfel.shm` — and then run exactly *one* evaluation attempt
   per dispatched :class:`EvalTask`, streaming back an
-  :class:`EvalResult` with the measurements and the per-epoch trace.
-* **The parent** owns every side effect: it replays each trace through
-  the real observers (lineage tracker, history store, the eval cache's
-  trace capture) and drives the same
-  :class:`~repro.scheduler.faults.FaultRouter` as
+  :class:`EvalResult` with the measurements and the per-epoch trace the
+  attempt left on its individual.
+* **The parent** owns every side effect: it appends each trace to the
+  real individual, where lineage and the eval cache read it, and drives
+  the same :class:`~repro.scheduler.faults.FaultRouter` as
   :class:`~repro.scheduler.faults.FaultTolerantEvaluator` from its
   dispatch queue (retry with backoff → quarantine).
 
@@ -79,13 +79,10 @@ class EvalTask:
 class EvalResult:
     """What a worker sends back for one attempt.
 
-    ``trace`` holds ``(epoch, fitness, prediction, epoch_stats)`` tuples
-    — everything the parent needs to replay the per-epoch observers
-    (history store, lineage tracker) exactly as the in-process path
-    fired them, including the trainer's :class:`~repro.nn.trainer.EpochStats`
-    (``None`` in surrogate mode, as in process).  A failed
-    attempt carries the epochs measured *before* the fault plus the
-    pickled exception in ``error``.
+    ``trace`` is the attempt's ``individual.trace`` — the entries the
+    in-process path would have appended to the real individual.  A
+    failed attempt carries the epochs measured *before* the fault plus
+    the pickled exception in ``error``.
     """
 
     model_id: int
@@ -96,7 +93,6 @@ class EvalResult:
     epoch_seconds: tuple = ()
     trace: tuple = ()
     error: bytes | None = None
-    on_fault_fired: bool = False
     arena_peak_bytes: int = 0
 
     def exception(self) -> Exception:
@@ -115,30 +111,16 @@ def _encode_error(exc: BaseException) -> bytes:
 
 
 class _WorkerRuntime:
-    """Worker-process side: the factory's evaluator plus trace capture."""
+    """Worker-process side: the factory's evaluator over the attached dataset."""
 
     def __init__(self, factory, dataset: SharedDatasetSpec | None) -> None:
-        self.trace: list = []
-        self.fault_fired = False
         self._shm_handles: list = []
         attached = None
         if dataset is not None:
             attached, self._shm_handles = attach_dataset(dataset)
-        self.evaluator = factory(attached, [self._observe], self._on_fault)
-
-    def _observe(self, individual, epoch, fitness, prediction, context) -> None:
-        self.trace.append(
-            (epoch, float(fitness), prediction, context.get("epoch_stats"))
-        )
-
-    def _on_fault(self, individual, fault) -> None:
-        # remember that the base evaluator reported this fault so the
-        # parent can fire the lineage tracker's on_fault exactly once
-        self.fault_fired = True
+        self.evaluator = factory(attached)
 
     def run(self, task: EvalTask) -> EvalResult:
-        self.trace = []
-        self.fault_fired = False
         individual = Individual(
             genome=task.genome,
             model_id=task.model_id,
@@ -152,9 +134,8 @@ class _WorkerRuntime:
             return EvalResult(
                 model_id=task.model_id,
                 attempt=task.attempt,
-                trace=tuple(self.trace),
+                trace=tuple(individual.trace),
                 error=_encode_error(exc),
-                on_fault_fired=self.fault_fired,
             )
         return EvalResult(
             model_id=task.model_id,
@@ -163,7 +144,7 @@ class _WorkerRuntime:
             flops=int(individual.flops),
             result=individual.result,
             epoch_seconds=tuple(individual.epoch_seconds),
-            trace=tuple(self.trace),
+            trace=tuple(individual.trace),
             arena_peak_bytes=int(individual.arena_peak_bytes),
         )
 
@@ -252,12 +233,10 @@ class ProcessWorkerPool:
     Parameters
     ----------
     factory:
-        Picklable callable every worker calls once as ``factory(dataset,
-        observers, on_fault)`` to build its evaluator (anything with
-        ``evaluate(individual)``): ``dataset`` is the attached shared
-        dataset or ``None``, and the two hooks capture the per-epoch
-        trace and sanitizer faults for the parent.  The workflow passes
-        ``functools.partial(evaluation_chain, config)``.
+        Picklable callable every worker calls once as ``factory(dataset)``
+        to build its evaluator (anything with ``evaluate(individual)``):
+        ``dataset`` is the attached shared dataset or ``None``.  The
+        workflow passes ``functools.partial(evaluation_chain, config)``.
     n_workers:
         Concurrent evaluation processes (the paper's GPU count).
     dataset:
@@ -270,16 +249,6 @@ class ProcessWorkerPool:
         and events as :class:`~repro.scheduler.faults.
         FaultTolerantEvaluator`, except that timeouts
         terminate-and-respawn the worker (hard kill).
-    on_fault_event:
-        Callback ``(individual, event_dict)`` per fault decision
-        (lineage hook, as on the thread pool's wrapper).
-    observers:
-        Per-epoch observers the parent replays each result's trace
-        through (pass the base evaluator's *live* ``observers`` list).
-    on_fault:
-        Callback ``(individual, fault)`` fired when the worker's base
-        evaluator reported a sanitizer fault before raising (mirrors
-        ``TrainingEvaluator.on_fault``).
     arena:
         Optional :class:`~repro.xfel.shm.SharedArena` this pool owns;
         released in :meth:`close` after the workers have exited.
@@ -294,9 +263,6 @@ class ProcessWorkerPool:
         *,
         dataset: SharedDatasetSpec | None = None,
         policy: FaultPolicy | None = None,
-        on_fault_event=None,
-        observers: list | None = None,
-        on_fault=None,
         arena: SharedArena | None = None,
         startup_timeout: float = 120.0,
     ) -> None:
@@ -309,13 +275,8 @@ class ProcessWorkerPool:
         # the attempts run in killable processes: a timeout terminates
         # them for real, so nothing keeps computing in the background
         self._router = (
-            None
-            if policy is None
-            else FaultRouter(policy, on_fault_event, timeouts_leak=False)
+            None if policy is None else FaultRouter(policy, timeouts_leak=False)
         )
-        self.events = [] if self._router is None else self._router.events
-        self.observers = observers if observers is not None else []
-        self.on_fault = on_fault
         self.arena = arena
         self.startup_timeout = float(startup_timeout)
         self.reports: list[PoolReport] = []
@@ -398,13 +359,6 @@ class ProcessWorkerPool:
 
     # -- settling ---------------------------------------------------------------
 
-    def _replay(self, individual: Individual, trace) -> None:
-        """Fire the per-epoch observers as the in-process path would have."""
-        for epoch, fitness, prediction, stats in trace:
-            context = {"network": None, "trainer": None, "epoch_stats": stats}
-            for observer in list(self.observers):
-                observer(individual, epoch, fitness, prediction, context)
-
     def _release(self, worker: _Worker) -> tuple[_Job, float]:
         """Take the finished attempt off its worker; the job and its end time."""
         state = self._stream
@@ -444,14 +398,10 @@ class ProcessWorkerPool:
     def _settle_result(self, worker: _Worker, result: EvalResult) -> None:
         job, end = self._release(worker)
         individual = job.individual
-        # epochs measured before a fault were observed live in the
-        # in-process path; replay them before any fault bookkeeping
-        self._replay(individual, result.trace)
+        # a failed attempt's epochs stay on the trail, as in process
+        individual.trace.extend(result.trace)
         if result.error is not None:
-            exc = result.exception()
-            if result.on_fault_fired and self.on_fault is not None:
-                self.on_fault(individual, exc)
-            self._route_fault(job, worker.index, exc, end)
+            self._route_fault(job, worker.index, result.exception(), end)
             return
         individual.eval_attempt = result.attempt
         individual.fitness = result.fitness

@@ -2,8 +2,8 @@
 
 Ties together the components of the paper's Fig. 1: it instantiates the
 prediction engine from user settings, plugs it into the NAS through the
-Algorithm-1 evaluator, routes per-epoch data to the lineage tracker,
-publishes record trails to the data commons, and hands the recorded
+Algorithm-1 evaluator, hands every committed model to the lineage
+tracker, publishes record trails to the data commons, and hands the recorded
 workload to the resource manager for wall-time accounting on each
 requested GPU-pool size.
 """
@@ -38,18 +38,17 @@ __all__ = ["WorkflowResult", "A4NNOrchestrator", "evaluation_chain"]
 _LOG = get_logger("workflow.orchestrator")
 
 
-def evaluation_chain(config: WorkflowConfig, dataset, observers: list, on_fault):
+def evaluation_chain(config: WorkflowConfig, dataset, checkpoint_dir=None):
     """The evaluator ``config`` asks for, with configured fault injection.
 
     The one recipe for an evaluation: the orchestrator calls it in
     process, and every process-pool worker calls it once with the
     dataset it attached from shared memory (``dataset`` is ``None`` in
     surrogate mode).  Evaluation RNG derives from ``config.seed`` alone,
-    so both sides build the same generators.  ``observers`` and
-    ``on_fault`` are the per-epoch and sanitizer-fault hooks of the base
-    evaluator; fault *policy* is the caller's, because the thread path
-    retries in an evaluator wrapper and the process pool from its
-    dispatch queue.
+    so both sides build the same generators.  ``checkpoint_dir`` is
+    where real-mode training saves every epoch's model state.  Fault
+    *policy* is the caller's, because the thread path retries in an
+    evaluator wrapper and the process pool from its dispatch queue.
     """
     stream = RngStream(config.seed)
     engine = PredictionEngine(config.engine) if config.engine is not None else None
@@ -59,10 +58,9 @@ def evaluation_chain(config: WorkflowConfig, dataset, observers: list, on_fault)
             engine,
             max_epochs=config.nas.max_epochs,
             rng_stream=stream.child("eval"),
-            observers=observers,
+            checkpoint_dir=checkpoint_dir,
             sanitize=config.sanitize,
             sanitize_writes=config.sanitize_writes,
-            on_fault=on_fault,
             rng_keying=config.rng_keying,
             dtype=config.dtype,
             dataset_key=config.dataset.cache_key(),
@@ -73,7 +71,6 @@ def evaluation_chain(config: WorkflowConfig, dataset, observers: list, on_fault)
             engine,
             max_epochs=config.nas.max_epochs,
             rng_stream=stream.child("eval"),
-            observers=observers,
             rng_keying=config.rng_keying,
         )
     if config.injecting:
@@ -166,8 +163,8 @@ class A4NNOrchestrator:
 
     # -- assembly ---------------------------------------------------------------
 
-    def build_evaluator(self, tracker: LineageTracker):
-        """The evaluation backend for the configured mode, with observers wired.
+    def build_evaluator(self):
+        """The evaluation backend for the configured mode.
 
         :func:`evaluation_chain` builds it; when the config carries a
         :class:`~repro.scheduler.faults.FaultPolicy`, the chain is
@@ -175,19 +172,16 @@ class A4NNOrchestrator:
         of aborting the search (configured fault injection sits *inside*
         the policy, so injected failures are routed like real ones).
         """
-        self._tracker = tracker
         if self.config.mode == "real":
             self._dataset = load_or_generate(self.config.dataset).astype(self.config.dtype)
         evaluator = evaluation_chain(
-            self.config, self._dataset, [tracker.observe_epoch], tracker.observe_fault
+            self.config,
+            self._dataset,
+            self.checkpoint_dir if self.config.checkpoint_models else None,
         )
         self._base = evaluator.evaluator if self.config.injecting else evaluator
         if self.config.faults is not None:
-            evaluator = FaultTolerantEvaluator(
-                evaluator,
-                self.config.faults,
-                on_event=tracker.observe_fault_event,
-            )
+            evaluator = FaultTolerantEvaluator(evaluator, self.config.faults)
         # the surrogate pre-ranking allocator scores candidates at breed
         # time against the base evaluator's FLOP counter; its predictor
         # state lives here in the parent only (workers receive budgets
@@ -220,19 +214,14 @@ class A4NNOrchestrator:
         A restored model keeps its published record as it is; it primes
         the eval cache here, where a live evaluation's outcome is
         published (the stream's ``on_commit`` has just run).  Faulted or
-        quarantined records never prime — the same rule as live.
+        quarantined records never prime — the same rule as live.  Either
+        way the individual's trace has been read, and is let go.
         """
-        record = self._resumed.get(individual.model_id)
-        if record is None:
+        if individual.model_id not in self._resumed:
             self._tracker.observe_individual(individual)
         elif self.memoizer is not None:
-            self.memoizer.prime(
-                individual,
-                epoch_trace=[
-                    (e["epoch"], e["validation_accuracy"], e.get("prediction"))
-                    for e in record.epochs
-                ],
-            )
+            self.memoizer.prime(individual)
+        individual.trace.clear()
         if self.allocator is not None:
             self.allocator.observe(individual)
 
@@ -242,10 +231,9 @@ class A4NNOrchestrator:
         The dataset (real mode) is published into shared memory first so
         workers attach zero-copy; the pool owns the arena and unlinks it
         in :meth:`close_pool`.  Requires :meth:`build_evaluator` to have
-        run (it loads the dataset and wires the tracker and the live
-        observers list the pool replays worker traces through).
+        run (it loads the dataset).
         """
-        if self._base is None or self._tracker is None:
+        if self._base is None:
             raise RuntimeError("build_evaluator must run before the process pool")
         config = self.config
         dataset = arena = None
@@ -256,9 +244,6 @@ class A4NNOrchestrator:
             n_workers=config.n_workers,
             dataset=dataset,
             policy=config.faults,
-            on_fault_event=self._tracker.observe_fault_event,
-            observers=self._base.observers,
-            on_fault=self._tracker.observe_fault,
             arena=arena,
         )
 
@@ -328,7 +313,6 @@ class A4NNOrchestrator:
             engine_parameters=PredictionEngine(config.engine).describe()
             if config.engine is not None
             else None,
-            checkpoint_dir=self.checkpoint_dir if config.checkpoint_models else None,
             training_parameters={
                 "mode": config.mode,
                 "intensity": config.intensity.label,
@@ -345,10 +329,10 @@ class A4NNOrchestrator:
         starts from their trails, so the republished run is complete.
         """
         config = self.config
-        tracker = self.new_tracker()
+        tracker = self._tracker = self.new_tracker()
         self._resumed = {r.model_id: r for r in restored}
         tracker.records.update(self._resumed)
-        evaluator = self.build_evaluator(tracker)
+        evaluator = self.build_evaluator()
         nas = self.effective_nas()
         _LOG.info(
             "starting %s run: mode=%s intensity=%s seed=%d",

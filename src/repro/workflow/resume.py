@@ -71,6 +71,10 @@ def individual_from_record(record: ModelRecord, individual: Individual) -> Indiv
     individual.cache_hit = record.cache_hit
     individual.cache_source = record.cache_source
     individual.arena_peak_bytes = record.arena_peak_bytes
+    individual.trace = [
+        (e["epoch"], e["validation_accuracy"], e["prediction"], None, None)
+        for e in record.epochs
+    ]
     if record.quarantined or record.budget_assigned == 0:
         return individual
     result = TrainingResult(

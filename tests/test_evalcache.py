@@ -131,10 +131,9 @@ class TestEvaluationCache:
 
 
 class FakeBase:
-    """Innermost-backend stand-in: memo_key + observers."""
+    """Innermost-backend stand-in: memo_key."""
 
     def __init__(self, keyed=True):
-        self.observers = []
         self.keyed = keyed
 
     def memo_key(self, individual):
@@ -144,10 +143,9 @@ class FakeBase:
 
 
 class FakeChain:
-    """Evaluation-chain stand-in that fires per-epoch observers."""
+    """Evaluation-chain stand-in that leaves a two-epoch trace."""
 
-    def __init__(self, base, quarantine_ids=(), raise_ids=()):
-        self.base = base
+    def __init__(self, quarantine_ids=(), raise_ids=()):
         self.calls = []
         self.max_epochs = 2
         self.quarantine_ids = set(quarantine_ids)
@@ -168,8 +166,7 @@ class FakeChain:
         individual.result = {"history": [51.0, 52.0]}
         individual.epoch_seconds = [0.1, 0.2]
         for epoch in (1, 2):
-            for observer in self.base.observers:
-                observer(individual, epoch, 50.0 + epoch, None, {})
+            individual.trace.append((epoch, 50.0 + epoch, None, {"loss": 1.0}, None))
         return individual
 
 
@@ -209,7 +206,7 @@ class FakeInnerStream:
 
 def make_stream(keyed=True, wait_for_leader=False, **chain_kwargs):
     base = FakeBase(keyed=keyed)
-    chain = FakeChain(base, **chain_kwargs)
+    chain = FakeChain(**chain_kwargs)
     inner = FakeInnerStream(chain)
     stream = MemoizingStream(base, inner, wait_for_leader=wait_for_leader)
     return stream, chain, inner
@@ -252,19 +249,17 @@ class TestMemoizingEvaluator:
         assert stream.cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_hit_replays_observers_with_cache_context(self):
-        # the follower is released when its leader settles, not at submit
+        # the follower is released when its leader settles, not at submit;
+        # its trace is the leader's measurements, with nothing trained
         stream, _, _ = make_stream(wait_for_leader=True)
-        seen = []
-        stream.base.observers.insert(
-            0, lambda ind, e, f, p, ctx: seen.append((ind.model_id, e, f, dict(ctx)))
-        )
-        drain(stream, [make_individual(0), make_individual(1)])
-        live = [s for s in seen if s[0] == 0]
-        replayed = [s for s in seen if s[0] == 1]
-        assert [(e, f) for _, e, f, _ in live] == [(e, f) for _, e, f, _ in replayed]
-        assert all(ctx.get("cache_hit") for _, _, _, ctx in replayed)
-        assert all(ctx["source_model_id"] == 0 for _, _, _, ctx in replayed)
-        assert not any(ctx.get("cache_hit") for _, _, _, ctx in live)
+        leader, hit = make_individual(0), make_individual(1)
+        drain(stream, [leader, hit])
+        assert hit.cache_hit and hit.cache_source == 0
+        assert [(e, f, p) for e, f, p, *_ in hit.trace] == [
+            (e, f, p) for e, f, p, *_ in leader.trace
+        ]
+        assert all(stats is None and ckpt is None for *_, stats, ckpt in hit.trace)
+        assert all(stats == {"loss": 1.0} for *_, stats, _ in leader.trace)
 
     def test_quarantined_outcomes_never_cached(self):
         stream, chain, _ = make_stream(wait_for_leader=True, quarantine_ids={0})
@@ -343,10 +338,12 @@ class TestMemoizingEvaluator:
         restored.fitness, restored.flops = 77.0, 99
         restored.result = {"history": [77.0]}
         restored.epoch_seconds = [0.3]
-        assert stream.prime(restored, [(1, 77.0, None)])
+        restored.trace = [(1, 77.0, None, None, None)]
+        assert stream.prime(restored)
         hit = evaluate(stream, make_individual(5))
         assert chain.calls == []
         assert hit.cache_hit and hit.cache_source == 4
+        assert hit.trace == restored.trace
 
     def test_prime_rejects_quarantined_and_unevaluated(self):
         stream, _, _ = make_stream(wait_for_leader=True)
@@ -433,17 +430,12 @@ class TestMemoizingStream:
 
     def test_hit_replays_observers_with_cache_context(self):
         stream, _, _ = make_stream()
-        seen = []
-        stream.base.observers.insert(
-            0, lambda ind, e, f, p, ctx: seen.append((ind.model_id, e, dict(ctx)))
-        )
         a, b = iso_phases()
         evaluate(stream, make_individual(0, a))
         stream.submit(make_individual(1, b))
-        stream.settled()
-        replayed = [s for s in seen if s[0] == 1]
-        assert [e for _, e, _ in replayed] == [1, 2]
-        assert all(ctx["cache_hit"] and ctx["source_model_id"] == 0 for _, _, ctx in replayed)
+        hit = stream.settled()
+        assert hit.cache_hit and hit.cache_source == 0
+        assert hit.trace == [(1, 51.0, None, None, None), (2, 52.0, None, None, None)]
 
     def test_finish_delegates_to_inner(self):
         stream, _, inner = make_stream()

@@ -18,12 +18,11 @@ from repro.utils.rng import RngStream
 from repro.xfel import BeamIntensity
 
 
-def small_tracked_run(seed=0, checkpoint_dir=None, intensity=BeamIntensity.MEDIUM):
+def small_tracked_run(seed=0, intensity=BeamIntensity.MEDIUM):
     """Run a tiny surrogate search with full lineage tracking."""
     engine = PredictionEngine(EngineConfig(e_pred=8))
     tracker = LineageTracker(
         engine_parameters=engine.describe(),
-        checkpoint_dir=checkpoint_dir,
         training_parameters={"mode": "surrogate"},
     )
     evaluator = SurrogateEvaluator(
@@ -31,7 +30,6 @@ def small_tracked_run(seed=0, checkpoint_dir=None, intensity=BeamIntensity.MEDIU
         engine,
         max_epochs=8,
         rng_stream=RngStream(seed),
-        observers=[tracker.observe_epoch],
     )
     config = NSGANetConfig(
         population_size=3, offspring_per_generation=3, generations=2, max_epochs=8
@@ -97,14 +95,14 @@ class TestTracker:
         from repro.nas.decoder import DecoderConfig
         from repro.nn import load_checkpoint
 
-        tracker = LineageTracker(checkpoint_dir=tmp_path)
+        tracker = LineageTracker()
         evaluator = TrainingEvaluator(
             tiny_dataset,
             None,
             max_epochs=2,
             decoder_config=DecoderConfig(tiny_dataset.input_shape, 2, (2, 3, 4)),
             rng_stream=RngStream(0),
-            observers=[tracker.observe_epoch],
+            checkpoint_dir=tmp_path,
         )
         individual = Individual(random_genome(np.random.default_rng(0)), 0, 0)
         evaluator.evaluate(individual)

@@ -110,16 +110,18 @@ class TestSurrogateEvaluator:
         assert a.flops == b.flops == evaluator.flops_for(genome) == decoded
 
     def test_observer_called_per_epoch(self, rng):
-        calls = []
+        # one trace entry per trained epoch, measured as the result records it
         evaluator = SurrogateEvaluator(
-            BeamIntensity.MEDIUM,
-            PredictionEngine(),
-            rng_stream=RngStream(1),
-            observers=[lambda ind, e, f, p, ctx: calls.append(e)],
+            BeamIntensity.MEDIUM, PredictionEngine(), rng_stream=RngStream(1)
         )
         individual = Individual(random_genome(rng), 0, 0)
         evaluator.evaluate(individual)
-        assert calls == list(range(1, individual.result.epochs_trained + 1))
+        result = individual.result
+        assert [e for e, *_ in individual.trace] == list(
+            range(1, result.epochs_trained + 1)
+        )
+        assert [f for _, f, *_ in individual.trace] == result.fitness_history
+        assert all(stats is None and ckpt is None for *_, stats, ckpt in individual.trace)
 
 
 class TestSampleCurve:

@@ -1,17 +1,24 @@
 """The runtime numerical sanitizer and its workflow integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.lineage.tracker import LineageTracker
+from repro.core.engine import EngineConfig
 from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
 from repro.nas.evaluation import TrainingEvaluator
 from repro.nas.genome import random_genome
 from repro.nas.population import Individual
+from repro.nas.search import NSGANetConfig
 from repro.nn import Adam, Dense, Flatten, Network, ReLU, Trainer
 from repro.nn.layers.base import Layer
 from repro.nn.losses import Loss
+from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
 from repro.tooling.sanitizer import NumericalFault, Sanitizer
+from repro.workflow import WorkflowConfig
+from repro.workflow.orchestrator import A4NNOrchestrator
+from repro.xfel.dataset import DatasetConfig, load_or_generate
 
 
 def dense_net(rng, size=16):
@@ -174,41 +181,53 @@ class TestSanitizerHooks:
         trainer.train()  # runs the fast path
 
 
+def poisoned(config):
+    """The configured dataset with every training image NaN."""
+    dataset = load_or_generate(config)
+    return dataclasses.replace(dataset, x_train=np.full_like(dataset.x_train, np.nan))
+
+
+def sanitized_run(backend, n_workers):
+    """Every attempt diverges: the sanitizer trips on the poisoned images,
+    or injection raises a NaN first; the second numerical fault quarantines."""
+    config = WorkflowConfig(
+        nas=NSGANetConfig(
+            population_size=4, offspring_per_generation=4, generations=1, max_epochs=2
+        ),
+        engine=EngineConfig(e_pred=2),
+        dataset=DatasetConfig(images_per_class=8, image_size=12),
+        mode="real",
+        n_gpus=(1,),
+        seed=0,  # models 0 and 3 end on an injected NaN, 1 and 2 on the sanitizer
+        backend=backend,
+        n_workers=n_workers,
+        sanitize=True,
+        faults=FaultPolicy(max_retries=1, retry_numerical=True),
+        fault_injection=FaultInjectionConfig(rate=0.5, modes=("nan",)),
+    )
+    return A4NNOrchestrator(config).run().tracker.all_records()
+
+
 class TestWorkflowIntegration:
-    """Acceptance: a NaN loss under ``sanitize=True`` aborts the model,
-    lands in its lineage record, and never pollutes fitness history H."""
+    """Acceptance: a NaN under ``sanitize=True`` aborts the attempt, lands
+    in the model's lineage record at commit, and never pollutes fitness
+    history H — on both backends."""
 
-    def test_fault_recorded_in_lineage_not_fitness_history(
-        self, rng, tiny_dataset, monkeypatch
-    ):
-        monkeypatch.setattr("repro.nn.trainer.SoftmaxCrossEntropy", NaNLoss)
-        tracker = LineageTracker()
-        evaluator = TrainingEvaluator(
-            tiny_dataset,
-            engine=None,
-            max_epochs=2,
-            rng_stream=None,
-            observers=[tracker.observe_epoch],
-            sanitize=True,
-            on_fault=tracker.observe_fault,
-        )
-        individual = Individual(
-            genome=random_genome(rng), model_id=17, generation=0
-        )
-        with pytest.raises(NumericalFault) as excinfo:
-            evaluator.evaluate(individual)
-        assert excinfo.value.kind == "nonfinite-loss"
-
-        record = tracker.records[17]
-        assert record.fault is not None
-        assert record.fault["kind"] == "nonfinite-loss"
-        assert record.fault["epoch"] == 1
-        # the poisoned measurement never reached H
-        assert record.fitness_history == []
-        assert all(np.isfinite(e["validation_accuracy"]) for e in record.epochs)
-        # the individual was never scored
-        assert individual.fitness is None
-        assert individual.result is None
+    def test_fault_recorded_in_lineage_not_fitness_history(self, monkeypatch):
+        monkeypatch.setattr("repro.workflow.orchestrator.load_or_generate", poisoned)
+        records = sanitized_run("thread", 1)
+        assert [r.to_dict() for r in sanitized_run("process", 2)] == [
+            r.to_dict() for r in records
+        ]
+        for record in records:
+            assert record.quarantined
+            assert record.fitness_history == [] and record.epochs == []
+            assert [e["kind"] for e in record.fault_events] == ["numerical"] * 2
+            # the record's fault is the last attempt's, whoever raised it
+            assert record.fault == record.fault_events[-1]["detail"]
+        faults = [r.fault for r in records]
+        assert any(f["kind"] == "nonfinite-activation" for f in faults)
+        assert any(f["detail"] == {"injected": True} for f in faults)
 
     def test_sanitize_off_keeps_legacy_behaviour(self, rng, tiny_dataset):
         evaluator = TrainingEvaluator(

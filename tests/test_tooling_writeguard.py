@@ -151,13 +151,13 @@ class TestEvaluatorIntegration:
             tiny_dataset,
             engine=None,
             max_epochs=2,
-            observers=[tracker.observe_epoch],
             sanitize_writes=sanitize_writes,
         )
         individual = Individual(
             genome=random_genome(seed_rng), model_id=11, generation=0
         )
         evaluator.evaluate(individual)
+        tracker.observe_individual(individual)
         return individual, tracker.records[11]
 
     def test_seeded_lineage_identical_with_untripped_guard(self, tiny_dataset):
