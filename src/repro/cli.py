@@ -176,7 +176,8 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--eval-timeout",
         type=float,
-        help="enable the fault policy: per-evaluation timeout in seconds",
+        help="enable the fault policy: per-evaluation timeout in seconds "
+        "(needs --backend process: a timed-out worker is killed)",
     )
     parser.add_argument(
         "--retry-backoff",

@@ -8,9 +8,10 @@ multi-generation search.  PEng4NN and Baker et al. treat degenerate
 learning curves as a normal outcome to route around; this module gives
 the A4NN stack the same stance:
 
-* :class:`FaultPolicy` — per-evaluation timeout, bounded retries with
-  exponential backoff and re-seeded RNG children, and quarantine
-  objectives for candidates that exhaust their attempts.
+* :class:`FaultPolicy` — bounded retries with exponential backoff and
+  re-seeded RNG children, quarantine objectives for candidates that
+  exhaust their attempts, and a per-attempt timeout that only the
+  process backend enforces (it kills the worker).
 * :class:`FaultRouter` — the one place a decision is recorded on the
   individual; a quarantined individual receives a penalized (fitness,
   FLOPs) pair, so NSGA-II environmental selection discards it naturally
@@ -18,7 +19,8 @@ the A4NN stack the same stance:
 * :class:`FaultTolerantEvaluator` — wraps any
   :class:`~repro.nas.evaluation.Evaluator` in the in-thread retry loop
   that drives the router (the process pool drives the same router from
-  its dispatch queue).
+  its dispatch queue).  It refuses a timeout: a thread cannot be
+  killed, so a timeout there would stop nothing.
 * :class:`FaultInjectionConfig` / :class:`FaultInjectingEvaluator` — a
   deterministic fault-injection harness (crash, hang-past-timeout, and
   NaN-loss modes, seeded from the run's RNG stream) used by the tier-1
@@ -32,18 +34,13 @@ Determinism notes: injection decisions are drawn from
 ``stream.generator("inject", model_id, attempt)``, and retried attempts
 re-derive their training RNG children from ``("retry", attempt)`` salts
 (attempt 0 uses the historical stream names, so fault-free runs are
-byte-identical to pre-fault-policy runs).  Timed-out attempts run the
-inner evaluation against a *shadow* individual on a daemon thread;
-Python threads cannot be killed, so an abandoned attempt may keep
-computing in the background, but its results — its per-epoch trace
-included — are discarded and never touch the real individual.
+byte-identical to pre-fault-policy runs).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.nas.population import Individual
@@ -70,9 +67,6 @@ _LOG = get_logger("scheduler.faults")
 #: be dominated by every real architecture, finite so NSGA-II's sort and
 #: crowding-distance arithmetic stay well-behaved.
 QUARANTINE_FLOPS = 10**15
-
-#: What ``evaluate`` writes onto an individual (everything else is input).
-_EVALUATION_OUTPUTS = ("fitness", "flops", "result", "epoch_seconds", "arena_peak_bytes")
 
 
 class EvaluationTimeout(RuntimeError):
@@ -102,15 +96,7 @@ class InjectedFault(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One fault-handling decision for one evaluation attempt.
-
-    ``timeout_leaked`` records whether the timed-out attempt's
-    computation is still running somewhere: the thread backend
-    cannot kill a Python thread, so its abandoned attempts keep
-    computing in the background (leaked) until they finish on their
-    own.  Only the process backend hard-kills the worker, so only there
-    is a timeout event guaranteed non-leaking (see DESIGN §8).
-    """
+    """One fault-handling decision for one evaluation attempt."""
 
     model_id: int
     attempt: int
@@ -119,7 +105,6 @@ class FaultEvent:
     error: str
     backoff_seconds: float = 0.0
     detail: dict = field(default_factory=dict)
-    timeout_leaked: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -130,7 +115,6 @@ class FaultEvent:
             "error": self.error,
             "backoff_seconds": self.backoff_seconds,
             "detail": dict(self.detail),
-            "timeout_leaked": self.timeout_leaked,
         }
 
 
@@ -168,7 +152,10 @@ class FaultPolicy:
         2**n`` (0 disables sleeping; retries are then immediate).
     timeout_seconds:
         Wall-clock budget per evaluation attempt; ``None`` disables the
-        timeout.  Timed-out attempts count as faults like any other.
+        timeout.  Only the process backend enforces it: it kills the
+        worker of an overdue attempt, and an attempt that reports back
+        past the budget by its worker's own stopwatch counts as timed
+        out too.  Timed-out attempts count as faults like any other.
     retry_numerical:
         Whether :class:`~repro.tooling.sanitizer.NumericalFault`s are
         retried.  Off by default: NaN divergence is usually a property
@@ -251,12 +238,13 @@ class FaultInjectionConfig:
         and a retried attempt re-draws (it may succeed).
     modes:
         Fault modes to sample uniformly: ``"crash"`` raises immediately,
-        ``"hang"`` sleeps ``hang_seconds`` then raises (tripping the
-        policy timeout when one is configured), ``"nan"`` raises a
+        ``"hang"`` sleeps ``hang_seconds`` then raises (a crash, or a
+        timeout where the policy sets one), ``"nan"`` raises a
         sanitizer-shaped :class:`~repro.tooling.sanitizer.NumericalFault`.
     hang_seconds:
         Sleep duration of the hang mode; set it above the policy's
-        ``timeout_seconds`` to exercise the timeout path.
+        ``timeout_seconds`` to exercise the timeout path (process
+        backend only).
     """
 
     rate: float = 0.0
@@ -365,15 +353,10 @@ class FaultRouter:
     ----------
     policy:
         Retry/timeout/quarantine settings.
-    timeouts_leak:
-        Whether a timed-out attempt keeps computing after the verdict:
-        true for the thread driver (threads cannot be killed), false for
-        the process driver (the worker is hard-killed).
     """
 
-    def __init__(self, policy: FaultPolicy, *, timeouts_leak: bool) -> None:
+    def __init__(self, policy: FaultPolicy) -> None:
         self.policy = policy
-        self.timeouts_leak = timeouts_leak
 
     def route(self, individual: Individual, attempt: int, exc: Exception) -> float | None:
         """Record the policy's decision about failed ``attempt``.
@@ -399,7 +382,6 @@ class FaultRouter:
             error=str(exc),
             backoff_seconds=decision.backoff_seconds,
             detail=decision.detail,
-            timeout_leaked=self.timeouts_leak and decision.kind == "timeout",
         )
         individual.fault_events.append(event.to_dict())
         log = _LOG.warning if decision.action == "quarantine" else _LOG.info
@@ -436,7 +418,8 @@ class FaultTolerantEvaluator:
         Inner backend (optionally already wrapped in a
         :class:`FaultInjectingEvaluator`).
     policy:
-        Retry/timeout/quarantine settings.
+        Retry/quarantine settings.  A policy with a timeout is refused:
+        the attempt runs on the caller's thread, which nothing can stop.
     sleep:
         Injection point for the backoff sleep (tests pass a recorder).
     """
@@ -450,72 +433,21 @@ class FaultTolerantEvaluator:
     ) -> None:
         self.evaluator = evaluator
         self.policy = policy or FaultPolicy()
-        self._router = FaultRouter(self.policy, timeouts_leak=True)
+        if self.policy.timeout_seconds is not None:
+            raise ValidationError(
+                "a timeout needs a worker that can be killed: the thread "
+                "backend cannot stop an attempt, use backend='process'"
+            )
+        self._router = FaultRouter(self.policy)
         self._sleep = sleep
         self.max_epochs = evaluator.max_epochs
-        #: Shadow threads abandoned by timed-out attempts.  Python
-        #: threads cannot be killed, so these keep computing in the
-        #: background until they finish on their own; the process
-        #: backend is the only one that truly reclaims a hung
-        #: evaluation (DESIGN §8).
-        self.leaked_threads: list[threading.Thread] = []
-
-    def _attempt(self, individual: Individual) -> None:
-        """Run one evaluation attempt, enforcing the timeout if configured."""
-        timeout = self.policy.timeout_seconds
-        if timeout is None:
-            self.evaluator.evaluate(individual)
-            return
-        # Run against a shadow so an abandoned (timed-out) thread can
-        # never mutate the real individual after quarantine.  The shadow
-        # carries every input the evaluator reads (the surrogate's
-        # budget included) and owns its lists.
-        shadow = replace(
-            individual,
-            epoch_seconds=[],
-            fault_events=list(individual.fault_events),
-            trace=[],
-        )
-        outcome: dict = {}
-
-        def target() -> None:
-            try:
-                self.evaluator.evaluate(shadow)
-            except BaseException as exc:  # a4nn: noqa(NUM001) -- transported to the caller thread and re-raised there
-                outcome["error"] = exc
-
-        thread = threading.Thread(
-            target=target,
-            name=f"eval-model{individual.model_id}-a{individual.eval_attempt}",
-            daemon=True,
-        )
-        thread.start()
-        thread.join(timeout)
-        if thread.is_alive():
-            # the abandoned attempt's epochs stay on the shadow, as a
-            # hard-killed worker's never leave its process
-            self.leaked_threads.append(thread)
-            raise EvaluationTimeout(
-                f"evaluation of model {individual.model_id} attempt "
-                f"{individual.eval_attempt} exceeded {timeout}s"
-            )
-        individual.trace.extend(shadow.trace)
-        if "error" in outcome:
-            raise outcome["error"]
-        for name in _EVALUATION_OUTPUTS:
-            setattr(individual, name, getattr(shadow, name))
-
-    def n_leaked_threads(self) -> int:
-        """Abandoned evaluation threads still running right now."""
-        self.leaked_threads = [t for t in self.leaked_threads if t.is_alive()]
-        return len(self.leaked_threads)
 
     def evaluate(self, individual: Individual) -> Individual:
         """Evaluate with bounded retries; quarantine instead of raising."""
         for attempt in range(self.policy.max_retries + 1):
             individual.eval_attempt = attempt
             try:
-                self._attempt(individual)
+                self.evaluator.evaluate(individual)
             except Exception as exc:  # a4nn: noqa(NUM001) -- every fault is classified, logged, and recorded into lineage
                 backoff = self._router.route(individual, attempt, exc)
                 if backoff is None:

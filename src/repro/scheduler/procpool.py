@@ -27,14 +27,17 @@ Division of labour (the key to bit-identical results across backends):
   dispatch queue (retry with backoff → quarantine).
 
 Because attempts run in killable processes, a policy timeout is a *hard
-kill*: the worker is terminated and respawned, so — unlike the thread
-backend, whose abandoned shadow threads keep computing —
-a hung evaluation is truly reclaimed (``FaultEvent.timeout_leaked`` is
-always ``False`` here; see DESIGN §8).  Failure settling matches the
-thread path: without a policy a failed job raises from the ``settled``
-call that delivers it, and the jobs behind it keep running.  Submission
-order is FIFO: job *i* is dispatched no later than job *i+1*, and a
-retry goes to the *front* of the queue, mirroring the in-thread loop's
+kill*: the worker of an overdue attempt is terminated and respawned, so
+a hung evaluation is truly reclaimed.  This is the only backend that
+takes a timeout (DESIGN §8).  The deadline is judged on each attempt's
+own time, measured by its worker: an attempt that finishes past it
+while the parent is busy (respawning another slot, say) settles as a
+timeout too, its trace dropped as a kill would drop it, so no verdict
+depends on the worker count.  Failure settling matches the thread path:
+without a policy a failed job raises from the ``settled`` call that
+delivers it, and the jobs behind it keep running.  Submission order is
+FIFO: job *i* is dispatched no later than job *i+1*, and a retry goes to
+the *front* of the queue, mirroring the in-thread loop's
 finish-this-candidate-first behaviour.
 """
 
@@ -82,7 +85,9 @@ class EvalResult:
     ``trace`` is the attempt's ``individual.trace`` — the entries the
     in-process path would have appended to the real individual.  A
     failed attempt carries the epochs measured *before* the fault plus
-    the pickled exception in ``error``.
+    the pickled exception in ``error``.  ``seconds`` is the attempt's
+    duration on the worker's own stopwatch, which the parent holds
+    against the policy timeout.
     """
 
     model_id: int
@@ -94,6 +99,7 @@ class EvalResult:
     trace: tuple = ()
     error: bytes | None = None
     arena_peak_bytes: int = 0
+    seconds: float = 0.0
 
     def exception(self) -> Exception:
         """Decode the transported failure (only valid when ``error`` is set)."""
@@ -128,6 +134,7 @@ class _WorkerRuntime:
             eval_attempt=task.attempt,
             budget_assigned=task.budget,
         )
+        watch = Stopwatch().start()
         try:
             self.evaluator.evaluate(individual)
         except Exception as exc:  # a4nn: noqa(NUM001) -- transported to the parent, which classifies and routes it
@@ -136,6 +143,7 @@ class _WorkerRuntime:
                 attempt=task.attempt,
                 trace=tuple(individual.trace),
                 error=_encode_error(exc),
+                seconds=watch.stop(),
             )
         return EvalResult(
             model_id=task.model_id,
@@ -146,6 +154,7 @@ class _WorkerRuntime:
             epoch_seconds=tuple(individual.epoch_seconds),
             trace=tuple(individual.trace),
             arena_peak_bytes=int(individual.arena_peak_bytes),
+            seconds=watch.stop(),
         )
 
 
@@ -247,8 +256,8 @@ class ProcessWorkerPool:
         *in the parent* through a
         :class:`~repro.scheduler.faults.FaultRouter`: the same decisions
         and events as :class:`~repro.scheduler.faults.
-        FaultTolerantEvaluator`, except that timeouts
-        terminate-and-respawn the worker (hard kill).
+        FaultTolerantEvaluator`, plus the timeout it refuses, which
+        terminates and respawns an overdue attempt's worker.
     arena:
         Optional :class:`~repro.xfel.shm.SharedArena` this pool owns;
         released in :meth:`close` after the workers have exited.
@@ -272,11 +281,8 @@ class ProcessWorkerPool:
         self.dataset = dataset
         self.n_workers = int(n_workers)
         self.policy = policy
-        # the attempts run in killable processes: a timeout terminates
-        # them for real, so nothing keeps computing in the background
-        self._router = (
-            None if policy is None else FaultRouter(policy, timeouts_leak=False)
-        )
+        self._router = None if policy is None else FaultRouter(policy)
+        self._timeout = None if policy is None else policy.timeout_seconds
         self.arena = arena
         self.startup_timeout = float(startup_timeout)
         self.reports: list[PoolReport] = []
@@ -395,8 +401,20 @@ class ProcessWorkerPool:
         # ones, like the in-thread retry loop
         state.queue.appendleft(job)
 
+    def _timed_out(self, job: _Job) -> EvaluationTimeout:
+        return EvaluationTimeout(
+            f"evaluation of model {job.individual.model_id} attempt "
+            f"{job.attempt} exceeded {self._timeout}s"
+        )
+
     def _settle_result(self, worker: _Worker, result: EvalResult) -> None:
         job, end = self._release(worker)
+        if self._timeout is not None and result.seconds > self._timeout:
+            # overdue by its worker's watch, read late: settled as the
+            # kill would have settled it, trace dropped (the worker is
+            # idle, so it stays)
+            self._route_fault(job, worker.index, self._timed_out(job), end)
+            return
         individual = job.individual
         # a failed attempt's epochs stay on the trail, as in process
         individual.trace.extend(result.trace)
@@ -438,8 +456,7 @@ class ProcessWorkerPool:
             if job.first_start is None:
                 job.first_start = start
             job.attempt_start = start
-            timeout = self.policy.timeout_seconds if self.policy else None
-            job.deadline = None if timeout is None else start + float(timeout)
+            job.deadline = None if self._timeout is None else start + self._timeout
             worker.job = job
             worker.conn.send(
                 EvalTask(
@@ -489,13 +506,7 @@ class ProcessWorkerPool:
         for worker in inflight:
             job = worker.job
             if job is not None and job.deadline is not None and job.deadline <= now:
-                self._settle_lost(
-                    worker,
-                    EvaluationTimeout(
-                        f"evaluation of model {job.individual.model_id} attempt "
-                        f"{job.attempt} exceeded {self.policy.timeout_seconds}s"
-                    ),
-                )
+                self._settle_lost(worker, self._timed_out(job))
 
     def _pump(self) -> None:
         self._dispatch()

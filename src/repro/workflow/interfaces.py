@@ -51,7 +51,9 @@ class WorkflowConfig:
     run_id:
         Commons identifier; auto-derived when empty.
     checkpoint_models:
-        Persist per-epoch model state (real mode only).
+        Persist per-epoch model state (real mode only), on either
+        backend: process workers write the files themselves, and the
+        paths travel back in the attempt's trace.
     n_workers:
         Concurrent evaluations per generation (1 = serial).  It also pins
         the default steady lag.  On the thread backend in surrogate mode
@@ -60,7 +62,8 @@ class WorkflowConfig:
         Evaluation backend — ``"thread"`` (the default: a FIFO thread
         pool for real training at more than one worker, inline otherwise)
         or ``"process"`` (spawned worker processes sharing the dataset
-        through shared memory; hard-kills timed-out evaluations).  See
+        through shared memory).  Only the process backend can kill an
+        evaluation, so only it takes ``faults.timeout_seconds``.  See
         DESIGN "Execution backends".
     sanitize:
         Attach the runtime numerical sanitizer to every trained network
@@ -79,7 +82,8 @@ class WorkflowConfig:
         are retried with re-seeded RNG children and, if unrecoverable,
         quarantined with penalized objectives — one bad genome costs one
         penalized individual, never the run.  ``None`` keeps the legacy
-        abort-on-first-fault behaviour.
+        abort-on-first-fault behaviour.  A timeout requires
+        ``backend="process"``: a thread cannot be killed.
     fault_injection:
         Optional deterministic fault-injection settings (test harness);
         requires ``faults`` so injected failures are routed rather than
@@ -132,11 +136,11 @@ class WorkflowConfig:
             raise ValidationError(
                 f"backend must be one of {_BACKENDS}, got {self.backend!r}"
             )
-        if self.backend == "process" and self.checkpoint_models:
+        if self.backend == "thread" and self.faults and self.faults.timeout_seconds:
             raise ValidationError(
-                "backend='process' cannot checkpoint per-epoch model state: "
-                "trained networks live in the worker processes and only "
-                "measurements travel back; use the thread backend"
+                "faults.timeout_seconds needs backend='process': the thread "
+                "backend cannot stop an evaluation, so a timeout there would "
+                "stop nothing"
             )
         try:
             object.__setattr__(self, "dtype", dtype_label(self.dtype))
@@ -239,10 +243,16 @@ class WorkflowConfig:
             )
         engine_payload = payload.get("engine")
         backend = payload.get("backend", "thread")
+        faults = FaultPolicy.from_dict(payload["faults"]) if payload.get("faults") else None
         if backend == "serial":
             # a one-worker thread pool, removed; lineage never depended
             # on the backend, so stored documents run on threads
             backend = "thread"
+        if backend == "thread" and faults and faults.timeout_seconds:
+            # the thread backend's timeout, removed: it abandoned the
+            # attempt it could not stop, the process backend kills it,
+            # and both record the same fault trail
+            backend = "process"
         return cls(
             nas=NSGANetConfig(**payload.get("nas", {})),
             engine=None
@@ -263,9 +273,7 @@ class WorkflowConfig:
             backend=backend,
             sanitize=payload.get("sanitize", False),
             sanitize_writes=payload.get("sanitize_writes", False),
-            faults=FaultPolicy.from_dict(payload["faults"])
-            if payload.get("faults")
-            else None,
+            faults=faults,
             fault_injection=FaultInjectionConfig.from_dict(payload["fault_injection"])
             if payload.get("fault_injection")
             else None,

@@ -139,7 +139,8 @@ class A4NNOrchestrator:
         Optional data commons to publish record trails into.
     checkpoint_dir:
         Directory for per-epoch model state (real mode with
-        ``config.checkpoint_models``).
+        ``config.checkpoint_models``), written by whichever thread or
+        worker process trains the model.
     """
 
     def __init__(
@@ -167,10 +168,12 @@ class A4NNOrchestrator:
         """The evaluation backend for the configured mode.
 
         :func:`evaluation_chain` builds it; when the config carries a
-        :class:`~repro.scheduler.faults.FaultPolicy`, the chain is
-        wrapped so evaluation faults retry and then quarantine instead
-        of aborting the search (configured fault injection sits *inside*
-        the policy, so injected failures are routed like real ones).
+        :class:`~repro.scheduler.faults.FaultPolicy`, the thread
+        backend's chain is wrapped so evaluation faults retry and then
+        quarantine instead of aborting the search (configured fault
+        injection sits *inside* the policy, so injected failures are
+        routed like real ones).  The process backend never evaluates
+        through this chain: its pool routes faults itself.
         """
         if self.config.mode == "real":
             self._dataset = load_or_generate(self.config.dataset).astype(self.config.dtype)
@@ -180,7 +183,7 @@ class A4NNOrchestrator:
             self.checkpoint_dir if self.config.checkpoint_models else None,
         )
         self._base = evaluator.evaluator if self.config.injecting else evaluator
-        if self.config.faults is not None:
+        if self.config.faults is not None and self.config.backend == "thread":
             evaluator = FaultTolerantEvaluator(evaluator, self.config.faults)
         # the surrogate pre-ranking allocator scores candidates at breed
         # time against the base evaluator's FLOP counter; its predictor
@@ -239,8 +242,9 @@ class A4NNOrchestrator:
         dataset = arena = None
         if config.mode == "real":
             dataset, arena = share_dataset(self._dataset)
+        checkpoint_dir = self.checkpoint_dir if config.checkpoint_models else None
         return ProcessWorkerPool(
-            functools.partial(evaluation_chain, config),
+            functools.partial(evaluation_chain, config, checkpoint_dir=checkpoint_dir),
             n_workers=config.n_workers,
             dataset=dataset,
             policy=config.faults,

@@ -83,7 +83,11 @@ class TestConfigCommand:
         (["--sanitize"], ("sanitize",), True),
         (["--sanitize-writes"], ("sanitize_writes",), True),
         (["--max-retries", "5"], ("faults", "max_retries"), 5),
-        (["--eval-timeout", "9.5"], ("faults", "timeout_seconds"), 9.5),
+        (
+            ["--eval-timeout", "9.5", "--backend", "process"],
+            ("faults", "timeout_seconds"),
+            9.5,
+        ),
         (["--retry-backoff", "0.25"], ("faults", "backoff_seconds"), 0.25),
         (["--inject-faults", "0.125"], ("fault_injection", "rate"), 0.125),
         (
@@ -205,6 +209,7 @@ class TestRunCommand:
         [
             (["--rng-keying", "model"], "eval_cache requires rng_keying='genome'"),
             (["--n-workers", "0"], "n_workers must be >= 1"),
+            (["--eval-timeout", "5"], "timeout_seconds needs backend='process'"),
         ],
     )
     def test_invalid_flag_combination_is_one_error_line(self, capsys, flags, message):

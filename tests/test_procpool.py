@@ -31,6 +31,7 @@ from repro.nas import Individual, random_genome
 from repro.nas.evalcache import MemoizingStream
 from repro.nas.search import EvalStream, InlineStream, NSGANet, NSGANetConfig
 from repro.nas.surrogate import SurrogateConfig
+from repro.nn import load_checkpoint, state_dict
 from repro.scheduler.faults import (
     FaultInjectionConfig,
     FaultPolicy,
@@ -332,41 +333,9 @@ class TestHardKill:
             assert [
                 (e["kind"], e["action"]) for e in individuals[0].fault_events
             ] == [("timeout", "retry"), ("timeout", "quarantine")]
-            # the attempts ran in killable processes: nothing leaked
-            assert all(
-                e["timeout_leaked"] is False
-                for ind in individuals
-                for e in ind.fault_events
-            )
         finally:
             pool.close()
         assert pool.alive_workers() == 0
-
-    def test_thread_path_timeout_leaks_by_contrast(self, rng):
-        # the thread backend cannot kill a thread: the same
-        # timeout decision carries timeout_leaked=True and the shadow
-        # thread shows up in the leak accounting until it drains
-        wrapped = FaultTolerantEvaluator(
-            _ShortHang(), FaultPolicy(max_retries=0, timeout_seconds=0.05)
-        )
-        [ind] = make_individuals(rng, 1)
-        wrapped.evaluate(ind)
-        assert ind.quarantined
-        assert ind.fault_events[0]["kind"] == "timeout"
-        assert ind.fault_events[0]["timeout_leaked"] is True
-        assert wrapped.n_leaked_threads() >= 1
-        time.sleep(0.7)  # the abandoned attempt finishes on its own
-        assert wrapped.n_leaked_threads() == 0
-
-
-class _ShortHang:
-    max_epochs = 1
-
-    def evaluate(self, individual):
-        time.sleep(0.5)
-        individual.fitness = 1.0
-        individual.flops = 1
-        return individual
 
 
 class TestFifoOrderThreadBackend:
@@ -512,11 +481,9 @@ class TestBackendParitySurrogate:
                 n_workers,
                 eval_cache=False,
                 seed=3,
-                faults=FaultPolicy(
-                    max_retries=1, backoff_seconds=0.0, timeout_seconds=2.0
-                ),
+                faults=FaultPolicy(max_retries=1, backoff_seconds=0.0),
                 fault_injection=FaultInjectionConfig(
-                    rate=0.3, modes=("crash", "hang", "nan"), hang_seconds=30.0
+                    rate=0.3, modes=("crash", "hang", "nan")
                 ),
             )
 
@@ -617,6 +584,42 @@ class TestBackendParityReal:
         assert run_trail(r_inline) != run_trail(r_default)
         assert process.memoizer is None
 
+    def test_process_workers_checkpoint_models(self, tmp_path):
+        # each worker saves the epochs it trains, and the paths come back
+        # in the trace: the same lineage as threads, up to the run's folder
+        def run(backend, n_workers):
+            folder = tmp_path / backend
+            config = real_config(backend, n_workers, checkpoint_models=True)
+            result = A4NNOrchestrator(config, checkpoint_dir=folder).run()
+            trails = [r.to_dict() for r in result.tracker.all_records()]
+            for trail in trails:
+                trail.pop("engine_overhead_seconds")
+                for epoch in trail["epochs"]:
+                    epoch.pop("epoch_seconds")
+                    if epoch["checkpoint"] is not None:  # a cache hit trains nothing
+                        epoch["checkpoint"] = {
+                            name: Path(path).relative_to(folder).as_posix()
+                            for name, path in epoch["checkpoint"].items()
+                        }
+            return trails
+
+        process = run("process", 2)
+        assert process == run("thread", 1)
+        checkpoints = [
+            e["checkpoint"] for t in process for e in t["epochs"] if e["checkpoint"]
+        ]
+        assert len(checkpoints) > len(process)
+        for checkpoint in checkpoints:
+            state = Path(checkpoint["state"])
+            tag = state.name.removesuffix(".state.npz")
+            saved = {
+                side: state_dict(load_checkpoint(tmp_path / side / state.parent, tag=tag))
+                for side in ("process", "thread")
+            }
+            assert saved["process"].keys() == saved["thread"].keys()
+            for key, array in saved["process"].items():
+                np.testing.assert_array_equal(array, saved["thread"][key])
+
 
 class _StubBase:
     """Minimal memoization base: constant-keyed."""
@@ -698,9 +701,13 @@ class TestWorkflowConfigBackend:
         payload = dict(WorkflowConfig().to_dict(), backend="serial")
         assert WorkflowConfig.from_dict(payload).backend == "thread"
 
-    def test_process_cannot_checkpoint_models(self):
-        with pytest.raises(ValidationError, match="checkpoint"):
-            WorkflowConfig(backend="process", checkpoint_models=True)
+    def test_stored_thread_timeout_loads_as_process(self):
+        # the thread backend's timeout abandoned what it could not stop;
+        # a stored run that set one replays where a timeout kills
+        policy = FaultPolicy(timeout_seconds=5.0)
+        payload = dict(WorkflowConfig().to_dict(), faults=policy.to_dict())
+        restored = WorkflowConfig.from_dict(payload)
+        assert restored.backend == "process" and restored.faults == policy
 
     def test_backend_roundtrips_and_defaults_to_thread(self):
         config = WorkflowConfig(backend="process", n_workers=4)

@@ -386,16 +386,13 @@ class TestCrossBackendDeterminism:
             assert trails(other) == reference, backend
 
     def test_policy_timeout_keeps_the_probe_budget(self, serial_barrier):
-        # a per-attempt timeout runs the in-thread attempt on a shadow
-        # individual; it must carry the allocator's budget as the process
-        # worker's copy does, so a timeout that never fires changes nothing
-        reference = trails(serial_barrier)
+        # a timed attempt runs on a worker that receives the allocator's
+        # budget with its task, so a timeout that never fires changes nothing
         patient = FaultPolicy(timeout_seconds=60.0)
-        for backend, workers in (("thread", 1), ("process", 2)):
-            timed = run_workflow(
-                workflow_config(backend=backend, n_workers=workers, faults=patient)
-            )
-            assert trails(timed) == reference, backend
+        timed = run_workflow(
+            workflow_config(backend="process", n_workers=2, faults=patient)
+        )
+        assert trails(timed) == trails(serial_barrier)
 
     @pytest.mark.parametrize("fixture", ["serial_barrier", "serial_steady"])
     def test_epoch_accounting_partition(self, fixture, request):
