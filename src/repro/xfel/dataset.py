@@ -45,7 +45,8 @@ class DatasetConfig:
     image_size:
         Detector side length in pixels.
     train_fraction:
-        Train share of the split (paper: 0.8).
+        Train share of the split (paper: 0.8); it must leave at least
+        one image per class on each side.
     seed:
         Root seed; orientations and noise derive from it.
     n_atoms, q_max:
@@ -78,6 +79,13 @@ class DatasetConfig:
             raise ValueError(f"images_per_class must be >= 2, got {self.images_per_class}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        n_train = int(round(self.images_per_class * self.train_fraction))  # the split's own count
+        if not 1 <= n_train <= self.images_per_class - 1:
+            raise ValueError(
+                f"images_per_class={self.images_per_class} at train_fraction="
+                f"{self.train_fraction} puts {n_train} of each class in training; "
+                "both splits need at least one image per class"
+            )
         # normalize the label eagerly so equal configs hash/compare equal
         object.__setattr__(self, "dtype", dtype_label(self.dtype))
 

@@ -1,6 +1,8 @@
 """Tests for the XFEL diffraction data simulation."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,15 +18,44 @@ from repro.xfel import (
     diffraction_batch,
     diffraction_pattern,
     generate_dataset,
+    generate_dataset_from_proteins,
     load_or_generate,
     make_conformations,
+    make_protein,
     normalize_patterns,
     quaternion_to_matrix,
     random_rotations,
     rotation_matrix,
     snr_estimate,
 )
+from repro.nas.evaluation import _dataset_fingerprint
 from repro.utils.rng import derive_rng
+
+DATASET_DIGESTS = Path(__file__).resolve().parent / "fixtures" / "dataset_digests.json"
+
+
+def dataset_digests() -> dict:
+    """Content hash of x/y train/test of every dataset ``dataset_digests.json`` pins."""
+    digests = {}
+    for intensity in BeamIntensity:
+        for per_class, size in ((20, 32), (12, 16), (40, 17), (300, 32)):
+            config = DatasetConfig(intensity=intensity, images_per_class=per_class, image_size=size)
+            digests[f"{intensity.label}_n{per_class}_s{size}"] = _dataset_fingerprint(
+                generate_dataset(config)
+            )
+    float32 = DatasetConfig(
+        intensity=BeamIntensity.MEDIUM, images_per_class=20, image_size=32, dtype="float32"
+    )
+    digests["float32_medium_n20_s32"] = _dataset_fingerprint(generate_dataset(float32))
+    proteins = tuple(
+        make_protein(name, n_atoms=n_atoms, seed=3)
+        for name, n_atoms in (("alpha", 60), ("beta", 140), ("gamma", 220))
+    )
+    three = DatasetConfig(intensity=BeamIntensity.HIGH, images_per_class=12, image_size=17, seed=7)
+    digests["three_proteins_high_n12_s17"] = _dataset_fingerprint(
+        generate_dataset_from_proteins(proteins, three)
+    )
+    return digests
 
 
 class TestBeamIntensity:
@@ -123,6 +154,15 @@ class TestOrientations:
             concentrated_rotations(rng, 5, 0.0)
 
 
+def per_pixel_batch(protein, rotations, detector) -> np.ndarray:
+    """The per-pixel sum the separable kernel replaced, kept as its oracle:
+    one exponential per atom and detector pixel, summed over atoms."""
+    rotated_xy = np.einsum("nij,aj->nai", rotations, protein.coords)[..., :2]
+    phase = rotated_xy @ detector.q_grid().T  # (shots, atoms, pixels)
+    factors = np.einsum("a,nap->np", protein.form_factors + 0j, np.exp(1j * phase))
+    return (np.abs(factors) ** 2).reshape(-1, detector.n_pixels, detector.n_pixels)
+
+
 class TestDiffraction:
     def test_pattern_shape_and_positivity(self):
         protein, _ = make_conformations(n_atoms=50)
@@ -139,27 +179,41 @@ class TestDiffraction:
         assert center == pattern.max()
 
     def test_batch_matches_single(self, rng):
+        # a single pattern is a batch of one, and a shot's image does not
+        # depend on the batch it is streamed in
         protein, _ = make_conformations(n_atoms=40)
         detector = Detector(n_pixels=12)
         rots = random_rotations(rng, 3)
         batch = diffraction_batch(protein, rots, detector)
         for i in range(3):
             single = diffraction_pattern(protein, rots[i], detector)
-            np.testing.assert_allclose(batch[i], single, rtol=1e-9)
+            np.testing.assert_array_equal(batch[i], single)
 
     @pytest.mark.parametrize("n_shots", [1, 20, 89, 200])
     def test_streamed_batch_equals_the_batched_expression(self, n_shots):
-        # the whole-batch formulation the per-shot stream replaced: one
-        # (shots, atoms, pixels) temporary per step (89 shots crossed its
-        # old chunk boundary at the benchmark's 220 atoms x 1024 pixels)
+        # the whole-batch separable sum: (shots, 2, atoms, side) wave
+        # factors and one stacked complex matmul, which the per-shot
+        # stream must reproduce to the bit
         protein, _ = make_conformations(n_atoms=60)
         detector = Detector(n_pixels=12)
         rots = concentrated_rotations(np.random.default_rng(n_shots), n_shots, 0.35)
         rotated_xy = np.einsum("nij,aj->nai", rots, protein.coords)[..., :2]
-        phase = rotated_xy @ detector.q_grid().T
-        factors = np.einsum("a,nap->np", protein.form_factors + 0j, np.exp(1j * phase))
-        expected = (np.abs(factors) ** 2).reshape(-1, 12, 12)
+        waves = np.exp(rotated_xy.transpose(0, 2, 1)[..., None] * (1j * detector.axis()))
+        factors = waves[:, 1].transpose(0, 2, 1) @ (protein.form_factors[:, None] * waves[:, 0])
+        expected = np.abs(factors) ** 2
         np.testing.assert_array_equal(diffraction_batch(protein, rots, detector), expected)
+
+    @pytest.mark.parametrize("q_max", [0.5, 1.1, 3.0])
+    @pytest.mark.parametrize("n_pixels", [12, 33])
+    def test_separable_sum_matches_the_per_pixel_sum(self, n_pixels, q_max):
+        detector = Detector(n_pixels=n_pixels, q_max=q_max)
+        for n_atoms, n_shots in ((20, 30), (220, 1), (220, 30)):
+            protein = make_protein("oracle", n_atoms=n_atoms, seed=n_pixels)
+            rots = random_rotations(np.random.default_rng(n_atoms + n_shots), n_shots)
+            expected = per_pixel_batch(protein, rots, detector)
+            scale = expected.max(axis=(1, 2), keepdims=True)
+            error = np.abs(diffraction_batch(protein, rots, detector) - expected) / scale
+            assert error.max() <= 1e-12, (n_atoms, n_shots, error.max())
 
     def test_batch_memory_is_one_shot_whatever_the_batch(self):
         protein, _ = make_conformations(n_atoms=220)
@@ -280,3 +334,21 @@ class TestDataset:
             DatasetConfig(images_per_class=1)
         with pytest.raises(ValueError):
             DatasetConfig(train_fraction=1.0)
+
+    @pytest.mark.parametrize("per_class, fraction", [(2, 0.8), (4, 0.9), (5, 0.1)])
+    def test_split_leaving_a_side_empty_is_refused(self, per_class, fraction):
+        with pytest.raises(ValueError, match="images_per_class.*train_fraction"):
+            DatasetConfig(images_per_class=per_class, train_fraction=fraction)
+
+    @pytest.mark.parametrize("per_class, fraction", [(2, 0.5), (3, 0.8)])
+    def test_smallest_splits_with_both_sides(self, per_class, fraction):
+        dataset = generate_dataset(
+            DatasetConfig(images_per_class=per_class, train_fraction=fraction, image_size=8)
+        )
+        assert dataset.class_balance() == {"train": [per_class - 1] * 2, "test": [1, 1]}
+
+    def test_datasets_match_the_pinned_digests(self):
+        # written by the per-pixel simulator the separable sum replaced:
+        # its clean intensities move by ~1e-15 of their maximum, the
+        # photon counts must not move at all
+        assert dataset_digests() == json.loads(DATASET_DIGESTS.read_text())

@@ -7,7 +7,10 @@ seed runs each tree's own ``bench_spine/run.py --seconds 5 --trace 0`` (the
 parent first on even seeds, this working tree first on odd ones) and appends
 one JSON line per run to FILE.  Prints each ``BENCHMARK.json`` metric's
 medians, quartiles and wins, and ``peak_rss_mb`` by ``executions``: ``run.py``
-keeps every execution alive, and a faster tree fits one more into 5 s.
+keeps every execution alive, and a faster tree fits one more into 5 s.  Per
+side it also prints the ``import_s`` and ``generate_s`` parts of ``setup_s``
+(when the workload has them): they show whether a ``setup_s`` change came
+through the noisy import probe or through dataset generation.
 """
 
 import argparse
@@ -19,6 +22,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the parts of setup_s worth telling apart (surrogate workloads generate no dataset)
+SETUP_PARTS = ("import_s", "generate_s")
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -29,6 +34,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     full = json.loads((tree / "bench_spine/out" / f"run_{workload}_s{seed}_t0.json").read_text())
     return {"ok": line["correct"] and not line["failed"], "executions": full["executions"],
             "digest": full["digest"][:12],
+            **{part: full["setup_parts"].get(part) for part in SETUP_PARTS},
             **{name: metric["value"] for name, metric in line["metrics"].items()}}
 
 
@@ -69,6 +75,10 @@ def main() -> None:
         wins = sum(sign * c < sign * p for p, c in zip(parent, change))
         print(f"{metric['name']}: parent {spread(parent)}  change {spread(change)}  "
               f"change better in {wins}/{len(parent)}")
+    for part in SETUP_PARTS:
+        if all(r[part] is not None for done in runs.values() for r in done):
+            print(f"setup part {part}: " + "  ".join(
+                f"{side} {spread([r[part] for r in done])}" for side, done in runs.items()))
     for side, done in runs.items():
         for count in sorted({r["executions"] for r in done}):
             rss = [r["peak_rss_mb"] for r in done if r["executions"] == count]
