@@ -6,7 +6,8 @@ epoch durations on an N-GPU pool under the release rule the search ran
 under — the generation barrier or the steady breeding lag
 (:mod:`repro.scheduler.simulator`) — and real worker pools for machines
 with actual parallelism — threads (:mod:`repro.scheduler.pool`) or
-spawned processes with a shared-memory dataset and hard-kill timeouts
+worker processes started from the package, with an inherited
+memory-file dataset and hard-kill timeouts
 (:mod:`repro.scheduler.procpool`).  The
 FLOPs→seconds cost model (:mod:`repro.scheduler.costmodel`) calibrates
 simulated epoch durations to the paper's single-V100 wall times.

@@ -3,11 +3,25 @@
 :class:`ProcessWorkerPool` is the drop-in sibling of
 :class:`~repro.scheduler.pool.FifoWorkerPool` behind the same
 :class:`~repro.scheduler.pool.WorkerPool` protocol and the same
-``submit`` / ``settled`` / ``finish`` seam, backed by ``spawn``-context
-worker *processes* instead of threads.  The thread pool only overlaps
-the GIL-releasing BLAS kernels; worker processes run the whole Python
-training loop concurrently, which is what the paper's multi-GPU resource
-manager assumes.
+``submit`` / ``settled`` / ``finish`` seam, backed by worker *processes*
+instead of threads.  The thread pool only overlaps the GIL-releasing
+BLAS kernels; worker processes run the whole Python training loop
+concurrently, which is what the paper's multi-GPU resource manager
+assumes.
+
+Worker start.  Each worker is a fresh ``python -c`` that sets the
+parent's ``sys.path`` and imports this module from the package: it
+never runs the caller's script, so a script needs no ``__main__`` guard
+and a worker loads only the package and its factory's module.  It talks
+to the parent over one end of a ``socket.socketpair`` wrapped in a
+:class:`multiprocessing.connection.Connection`; the first message is
+``(factory, dataset spec)``, and the dataset's memory file arrives as
+an inherited descriptor (:mod:`repro.xfel.shm`).  Starting never
+blocks: a slot takes work once its worker reports ``ready``, so the
+first worker up gets the first job, and a worker that cannot build its
+evaluator raises from the pool's next ``submit``/``settled``/``finish``.
+After the close sentinel a worker unmaps the dataset, flushes its
+streams and leaves with ``os._exit``, skipping interpreter teardown.
 
 Division of labour (the key to bit-identical results across backends):
 
@@ -15,11 +29,11 @@ Division of labour (the key to bit-identical results across backends):
   *factory* — the workflow hands over
   :func:`~repro.workflow.orchestrator.evaluation_chain` bound to the
   run's :class:`~repro.workflow.interfaces.WorkflowConfig`, the same
-  recipe the parent uses, with the dataset attached zero-copy through
-  :mod:`repro.xfel.shm` — and then run exactly *one* evaluation attempt
-  per dispatched :class:`EvalTask`, streaming back an
-  :class:`EvalResult` with the measurements and the per-epoch trace the
-  attempt left on its individual.
+  recipe the parent uses, with the dataset attached zero-copy — and
+  then run exactly *one* evaluation attempt per dispatched
+  :class:`EvalTask`, streaming back an :class:`EvalResult` with the
+  measurements and the per-epoch trace the attempt left on its
+  individual.
 * **The parent** owns every side effect: it appends each trace to the
   real individual, where lineage and the eval cache read it, and drives
   the same :class:`~repro.scheduler.faults.FaultRouter` as
@@ -27,24 +41,27 @@ Division of labour (the key to bit-identical results across backends):
   dispatch queue (retry with backoff → quarantine).
 
 Because attempts run in killable processes, a policy timeout is a *hard
-kill*: the worker of an overdue attempt is terminated and respawned, so
-a hung evaluation is truly reclaimed.  This is the only backend that
-takes a timeout (DESIGN §8).  The deadline is judged on each attempt's
-own time, measured by its worker: an attempt that finishes past it
-while the parent is busy (respawning another slot, say) settles as a
-timeout too, its trace dropped as a kill would drop it, so no verdict
-depends on the worker count.  Failure settling matches the thread path:
-without a policy a failed job raises from the ``settled`` call that
-delivers it, and the jobs behind it keep running.  Submission order is
-FIFO: job *i* is dispatched no later than job *i+1*, and a retry goes to
-the *front* of the queue, mirroring the in-thread loop's
-finish-this-candidate-first behaviour.
+kill*: the worker of an overdue attempt is killed and its slot started
+afresh, so a hung evaluation is truly reclaimed.  This is the only
+backend that takes a timeout (DESIGN §8).  The deadline is judged on
+each attempt's own time, measured by its worker: an attempt that
+finishes past it while the parent is busy settles as a timeout too, its
+trace dropped as a kill would drop it, so no verdict depends on the
+worker count.  Failure settling matches the thread path: without a
+policy a failed job raises from the ``settled`` call that delivers it,
+and the jobs behind it keep running.  Submission order is FIFO: job *i*
+is dispatched no later than job *i+1*, and a retry goes to the *front*
+of the queue, mirroring the in-thread loop's finish-this-candidate-first
+behaviour.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import os
 import pickle
+import socket
+import subprocess
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -120,11 +137,17 @@ class _WorkerRuntime:
     """Worker-process side: the factory's evaluator over the attached dataset."""
 
     def __init__(self, factory, dataset: SharedDatasetSpec | None) -> None:
-        self._shm_handles: list = []
+        self._mappings: list = []
         attached = None
         if dataset is not None:
-            attached, self._shm_handles = attach_dataset(dataset)
+            attached, self._mappings = attach_dataset(dataset)
         self.evaluator = factory(attached)
+
+    def close(self) -> None:
+        """Drop the evaluator, and with it the views, then unmap the dataset."""
+        self.evaluator = None
+        for mapping in self._mappings:
+            mapping.close()
 
     def run(self, task: EvalTask) -> EvalResult:
         individual = Individual(
@@ -158,24 +181,34 @@ class _WorkerRuntime:
         )
 
 
-def _worker_main(conn, factory, dataset: SharedDatasetSpec | None) -> None:
-    """Worker-process entry: handshake, then serve tasks until EOF/sentinel."""
+#: what a worker runs: ``argv`` is the socket's descriptor, then ``sys.path``
+_BOOT = (
+    "import sys; sys.path[:] = sys.argv[2:]; "
+    "from repro.scheduler.procpool import _worker_main; _worker_main(int(sys.argv[1]))"
+)
+
+
+def _worker_main(fd: int) -> None:
+    """Worker-process entry: build the evaluator, serve tasks, exit fast."""
+    conn = connection.Connection(fd)
+    runtime = None
     try:
-        runtime = _WorkerRuntime(factory, dataset)
-    except BaseException as exc:  # a4nn: noqa(NUM001) -- reported to the parent through the init handshake
-        conn.send(("init_error", f"{type(exc).__name__}: {exc}"))
-        conn.close()
-        return
-    conn.send(("ready", None))
-    while True:
+        recipe = conn.recv_bytes()
         try:
-            task = conn.recv()
-        except (EOFError, OSError):
-            break
-        if task is None:
-            break
-        conn.send(runtime.run(task))
-    conn.close()
+            runtime = _WorkerRuntime(*pickle.loads(recipe))
+        except Exception as exc:  # a4nn: noqa(NUM001) -- reported to the parent as the reply to its recipe
+            conn.send(("init_error", f"{type(exc).__name__}: {exc}"))
+        else:
+            conn.send(("ready", None))
+            while (task := conn.recv()) is not None:
+                conn.send(runtime.run(task))
+    except (EOFError, OSError):
+        pass  # the parent is gone: nothing is left to serve
+    if runtime is not None:
+        runtime.close()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 class _Job:
@@ -196,10 +229,15 @@ class _Job:
 
 
 class _Episode:
-    """Scheduling state of one open episode (first ``submit`` to ``finish``)."""
+    """Scheduling state of one open episode (first ``submit`` to ``finish``).
+
+    The clock starts at the episode's first dispatch, so a worker still
+    starting when the episode opens is not on it.
+    """
 
     def __init__(self, n_workers: int) -> None:
-        self.clock = Stopwatch().start()
+        self.clock = Stopwatch()
+        self.dispatched = False
         self.queue: deque = deque()               # jobs waiting for a worker
         self.settled_jobs: deque = deque()        # jobs waiting for settled()
         self.timings: dict[int, JobTiming] = {}   # by job order
@@ -209,35 +247,44 @@ class _Episode:
 
 
 class _Worker:
-    """Parent-side handle to one spawned worker process."""
+    """Parent-side handle to one worker process: starting until ``ready``."""
 
-    def __init__(self, ctx, factory, dataset: SharedDatasetSpec | None, index: int) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, factory, dataset),
-            name=f"a4nn-eval-worker-{index}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
+    def __init__(self, recipe: bytes, dataset: SharedDatasetSpec | None, index: int) -> None:
+        ours, theirs = socket.socketpair()
+        with theirs:
+            fds = (theirs.fileno(),) if dataset is None else (theirs.fileno(), dataset.fd)
+            self.process = subprocess.Popen(
+                [sys.executable, "-c", _BOOT, str(theirs.fileno()), *map(str, sys.path)],
+                pass_fds=fds,
+            )
+        self.conn = connection.Connection(ours.detach())
+        self.conn.send_bytes(recipe)
         self.index = index
+        self.ready = False
+        self.startup = Stopwatch().start()
         self.job: _Job | None = None
 
-    def await_ready(self, timeout: float) -> None:
-        """Block until the worker finishes building its evaluator chain."""
-        if not self.conn.poll(timeout):
-            raise RuntimeError(
-                f"worker {self.index} did not come up within {timeout:.0f}s"
-            )
-        tag, payload = self.conn.recv()
+    def alive(self) -> bool:
+        return self.process.poll() is None
+
+    def greet(self) -> None:
+        """Read the reply to the recipe; raises if the worker cannot serve."""
+        try:
+            tag, payload = self.conn.recv()
+        except (EOFError, OSError):
+            tag, payload = "init_error", f"exited with code {self.process.wait()}"
         if tag != "ready":
             raise RuntimeError(f"worker {self.index} failed to initialize: {payload}")
+        self.ready = True
+
+    def kill(self) -> None:
+        self.conn.close()
+        self.process.kill()
+        self.process.wait()
 
 
 class ProcessWorkerPool:
-    """FIFO evaluation stream over ``n_workers`` spawned worker processes.
+    """FIFO evaluation stream over ``n_workers`` worker processes.
 
     Parameters
     ----------
@@ -246,21 +293,25 @@ class ProcessWorkerPool:
         to build its evaluator (anything with ``evaluate(individual)``):
         ``dataset`` is the attached shared dataset or ``None``.  The
         workflow passes ``functools.partial(evaluation_chain, config)``.
+        A worker imports it by module name, so it cannot live in the
+        caller's ``__main__``.
     n_workers:
         Concurrent evaluation processes (the paper's GPU count).
     dataset:
         Optional :class:`~repro.xfel.shm.SharedDatasetSpec` each worker
-        attaches before calling ``factory``.
+        inherits and maps before calling ``factory``.
     policy:
         Optional :class:`~repro.scheduler.faults.FaultPolicy` applied
         *in the parent* through a
         :class:`~repro.scheduler.faults.FaultRouter`: the same decisions
         and events as :class:`~repro.scheduler.faults.
         FaultTolerantEvaluator`, plus the timeout it refuses, which
-        terminates and respawns an overdue attempt's worker.
+        kills an overdue attempt's worker and starts its slot afresh.
     arena:
         Optional :class:`~repro.xfel.shm.SharedArena` this pool owns;
         released in :meth:`close` after the workers have exited.
+    startup_timeout:
+        Seconds a worker may take to report ``ready``.
     """
 
     backend = "process"
@@ -287,78 +338,75 @@ class ProcessWorkerPool:
         self.startup_timeout = float(startup_timeout)
         self.reports: list[PoolReport] = []
         self.n_killed = 0
-        self._ctx = mp.get_context("spawn")
+        # pickled once: an unpicklable factory fails here, not in a worker
+        self._recipe = pickle.dumps((factory, dataset), protocol=pickle.HIGHEST_PROTOCOL)
         self._workers: list[_Worker | None] = [None] * self.n_workers
         self._closed = False
+        self._broken: RuntimeError | None = None
         self._stream: _Episode | None = None
 
     # -- worker lifecycle -------------------------------------------------------
 
-    def _respawn(self, slot: int) -> _Worker:
-        worker = _Worker(self._ctx, self.factory, self.dataset, slot)
-        worker.await_ready(self.startup_timeout)
-        self._workers[slot] = worker
-        return worker
+    def _start_missing(self) -> None:
+        """Start a worker in every empty slot, and in one whose idle worker died.
 
-    def _ensure_workers(self) -> None:
-        fresh = []
-        for slot in range(self.n_workers):
-            worker = self._workers[slot]
-            if worker is None or not worker.process.is_alive():
-                fresh.append(_Worker(self._ctx, self.factory, self.dataset, slot))
-                self._workers[slot] = fresh[-1]
-        budget = Stopwatch().start()
-        for worker in fresh:
-            worker.await_ready(max(self.startup_timeout - budget.elapsed(), 0.0))
+        Never waits: a slot takes work once its worker reports ``ready``.
+        """
+        for slot, worker in enumerate(self._workers):
+            if worker is not None and worker.ready and worker.job is None and not worker.alive():
+                worker.kill()  # reap it and close our end
+                worker = None
+            if worker is None:
+                self._workers[slot] = _Worker(self._recipe, self.dataset, slot)
+
+    def _break(self, worker: _Worker, exc: RuntimeError) -> None:
+        """A worker could not start: the pool raises ``exc`` from now on."""
+        worker.kill()
+        self._workers[worker.index] = None
+        self._broken = exc
+        raise exc
 
     def _kill(self, worker: _Worker) -> None:
-        """Hard-kill a worker (timed-out attempt); the slot respawns lazily."""
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover - close on a broken pipe
-            pass
-        worker.process.terminate()
-        worker.process.join(5.0)
-        if worker.process.is_alive():  # pragma: no cover - terminate resisted
-            worker.process.kill()
-            worker.process.join(5.0)
+        """Hard-kill a worker (timed-out attempt); the slot restarts lazily."""
+        worker.kill()
         self._workers[worker.index] = None
         self.n_killed += 1
         _LOG.info("hard-killed worker %d (timeout)", worker.index)
 
     def alive_workers(self) -> int:
         """Worker processes currently running (leak check for tests)."""
-        return sum(
-            1
-            for worker in self._workers
-            if worker is not None and worker.process.is_alive()
-        )
+        return sum(1 for worker in self._workers if worker is not None and worker.alive())
 
     def close(self) -> None:
-        """Stop every worker and release the shared-memory arena (idempotent)."""
+        """Stop every worker and release the dataset's memory file (idempotent).
+
+        A pool broken by a worker's start-up failure abandons its open
+        episode instead of draining it.
+        """
         if self._closed:
             return
-        self.finish()
+        if self._broken is None:
+            self.finish()
+        self._stream = None
         self._closed = True
-        # every sentinel first, so the workers tear down concurrently
+        # every sentinel first, so the workers exit concurrently (one still
+        # starting reads it after its recipe)
         for worker in self._workers:
             if worker is None:
                 continue
             try:
                 worker.conn.send(None)  # graceful sentinel
-            except (BrokenPipeError, OSError):  # pragma: no cover - worker already gone
+            except OSError:  # pragma: no cover - worker already gone
                 pass
         for slot, worker in enumerate(self._workers):
             if worker is None:
                 continue
-            worker.process.join(5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(5.0)
             try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+                worker.process.wait(5.0)
+            except subprocess.TimeoutExpired:  # pragma: no cover - sentinel ignored
+                worker.process.kill()
+                worker.process.wait()
+            worker.conn.close()
             self._workers[slot] = None
         if self.arena is not None:
             self.arena.close()
@@ -441,16 +489,17 @@ class ProcessWorkerPool:
         """Hand ready jobs to free workers, preserving submission order."""
         state = self._stream
         queue, clock = state.queue, state.clock
-        for slot in range(self.n_workers):
-            if not queue:
-                return
-            if queue[0].ready_at > clock.elapsed():
+        if not queue:
+            return
+        self._start_missing()
+        for worker in self._workers:
+            if not queue or queue[0].ready_at > clock.elapsed():
                 return  # head in backoff; later jobs must not overtake it
-            worker = self._workers[slot]
-            if worker is not None and worker.job is not None:
+            if not worker.ready or worker.job is not None:
                 continue
-            if worker is None or not worker.process.is_alive():
-                worker = self._respawn(slot)
+            if not state.dispatched:
+                state.dispatched = True
+                clock.start()
             job = queue.popleft()
             start = clock.elapsed()
             if job.first_start is None:
@@ -469,29 +518,40 @@ class ProcessWorkerPool:
             )
 
     def _wait_and_settle(self) -> None:
-        """Block until an attempt ends, a deadline passes or a backoff elapses."""
+        """Block until a worker replies, a deadline passes or a backoff elapses.
+
+        A reply is a starting worker's ``ready`` (or its start-up
+        failure, which breaks the pool) or an attempt's result.
+        """
         state = self._stream
         queue, clock = state.queue, state.clock
-        inflight = [
-            w for w in self._workers if w is not None and w.job is not None
-        ]
-        if not inflight:
+        workers = [w for w in self._workers if w is not None]
+        starting = [w for w in workers if not w.ready]
+        inflight = [w for w in workers if w.job is not None]
+        if not starting and not inflight:
             if queue:  # head is backing off; sleep toward its ready time
                 time.sleep(min(max(queue[0].ready_at - clock.elapsed(), 0.0), 0.1))
             return
-        waits = [
+        waits = [max(self.startup_timeout - w.startup.elapsed(), 0.0) for w in starting]
+        waits += [
             max(w.job.deadline - clock.elapsed(), 0.0)
             for w in inflight
             if w.job.deadline is not None
         ]
-        if queue and len(inflight) < self.n_workers:
+        if queue and any(w.ready and w.job is None for w in workers):
             waits.append(max(queue[0].ready_at - clock.elapsed(), 0.0))
-        ready = connection.wait([w.conn for w in inflight], min(waits) if waits else None)
+        ready = connection.wait([w.conn for w in starting + inflight], min(waits, default=None))
         for conn in ready:
-            worker = next(w for w in inflight if w.conn is conn)
+            worker = next(w for w in workers if w.conn is conn)
+            if not worker.ready:
+                try:
+                    worker.greet()
+                except RuntimeError as exc:
+                    self._break(worker, exc)
+                continue
             try:
                 payload = conn.recv()
-            except (EOFError, ConnectionResetError, OSError):
+            except (EOFError, OSError):
                 job = worker.job
                 self._settle_lost(
                     worker,
@@ -502,6 +562,11 @@ class ProcessWorkerPool:
                 )
                 continue
             self._settle_result(worker, payload)
+        for worker in starting:
+            if not worker.ready and worker.startup.elapsed() > self.startup_timeout:
+                self._break(worker, RuntimeError(
+                    f"worker {worker.index} did not come up within {self.startup_timeout:g}s"
+                ))
         now = clock.elapsed()
         for worker in inflight:
             job = worker.job
@@ -509,6 +574,8 @@ class ProcessWorkerPool:
                 self._settle_lost(worker, self._timed_out(job))
 
     def _pump(self) -> None:
+        if self._broken is not None:
+            raise self._broken
         self._dispatch()
         self._wait_and_settle()
 
@@ -517,14 +584,15 @@ class ProcessWorkerPool:
     def submit(self, individual: Individual) -> None:
         """Queue one evaluation (FIFO dispatch order).
 
-        Opens an episode lazily on first use; dispatches immediately so
-        a free worker picks the job up without waiting for the consumer
-        to call :meth:`settled`.
+        Opens an episode lazily on first use, starting any missing
+        worker; dispatches immediately so a ready worker picks the job
+        up without waiting for the consumer to call :meth:`settled`.
         """
         if self._closed:
             raise RuntimeError("ProcessWorkerPool is closed")
+        if self._broken is not None:
+            raise self._broken
         if self._stream is None:
-            self._ensure_workers()
             self._stream = _Episode(self.n_workers)
         state = self._stream
         state.queue.append(_Job(individual, state.n_submitted))

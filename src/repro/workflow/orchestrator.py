@@ -229,10 +229,10 @@ class A4NNOrchestrator:
             self.allocator.observe(individual)
 
     def _build_process_pool(self) -> ProcessWorkerPool:
-        """The spawned-worker backend: each worker runs :func:`evaluation_chain`.
+        """The worker-process backend: each worker runs :func:`evaluation_chain`.
 
-        The dataset (real mode) is published into shared memory first so
-        workers attach zero-copy; the pool owns the arena and unlinks it
+        The dataset (real mode) is written into one memory file first so
+        workers map it zero-copy; the pool owns the arena and closes it
         in :meth:`close_pool`.  Requires :meth:`build_evaluator` to have
         run (it loads the dataset).
         """

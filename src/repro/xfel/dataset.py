@@ -17,6 +17,7 @@ import numpy as np
 from repro.nn.dtype import dtype_label, resolve_dtype
 from repro.utils.io import atomic_write_npz, read_npz
 from repro.utils.rng import derive_rng
+from repro.utils.validation import ValidationError
 from repro.xfel.diffraction import Detector, diffraction_batch
 from repro.xfel.intensity import BeamIntensity
 from repro.xfel.noise import apply_photon_noise, normalize_patterns
@@ -76,12 +77,12 @@ class DatasetConfig:
 
     def __post_init__(self) -> None:
         if self.images_per_class < 2:
-            raise ValueError(f"images_per_class must be >= 2, got {self.images_per_class}")
+            raise ValidationError(f"images_per_class must be >= 2, got {self.images_per_class}")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            raise ValidationError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         n_train = int(round(self.images_per_class * self.train_fraction))  # the split's own count
         if not 1 <= n_train <= self.images_per_class - 1:
-            raise ValueError(
+            raise ValidationError(
                 f"images_per_class={self.images_per_class} at train_fraction="
                 f"{self.train_fraction} puts {n_train} of each class in training; "
                 "both splits need at least one image per class"

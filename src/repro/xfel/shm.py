@@ -1,31 +1,36 @@
-"""Zero-copy shared-memory views of a diffraction dataset.
+"""Zero-copy views of a diffraction dataset in one inherited memory file.
 
 The process worker pool (:mod:`repro.scheduler.procpool`) cannot pickle
 the XFEL dataset into every job — a paper-scale split is hundreds of
 megabytes, and each of the N workers would hold its own copy.  Instead
-the parent publishes each array once into POSIX shared memory
-(:class:`SharedArena`) and ships workers only a tiny picklable
-:class:`SharedDatasetSpec`; every worker then maps the same physical
-pages (:func:`attach_dataset`) and reads them through read-only NumPy
-views, so the marginal memory cost per worker is zero.
+the parent writes the four arrays once into one anonymous memory file
+(``os.memfd_create``, Linux) owned by a :class:`SharedArena`, and ships
+workers only a tiny picklable :class:`SharedDatasetSpec`: the file's
+descriptor number and each array's offset, shape and dtype.  Every
+worker inherits the descriptor when it starts and maps the same
+physical pages ``PROT_READ`` (:func:`attach_dataset`), so the marginal
+memory cost per worker is zero.
 
 Lifecycle contract (see DESIGN "Execution backends"):
 
-* the parent owns the blocks — it creates them before spawning workers
-  and unlinks them exactly once, in :meth:`SharedArena.close` (wired
-  into ``ProcessWorkerPool.close``);
-* workers only *attach*; their views are marked non-writable so a buggy
-  evaluator cannot corrupt the dataset under its siblings;
-* attachers must be descendants of the owning parent: spawned children
-  share the parent's resource-tracker process, which keeps exactly one
-  registration per segment name, so worker attach/exit cycles neither
-  unlink the block nor leak warnings.
+* the parent owns the file — it writes it before starting workers and
+  closes its descriptor exactly once, in :meth:`SharedArena.close`
+  (wired into ``ProcessWorkerPool.close``);
+* workers inherit the descriptor under the same number (the pool passes
+  it in ``pass_fds``) and only map it; their views are read-only
+  because the mapping is, so a buggy evaluator cannot corrupt the
+  dataset under its siblings;
+* the file has no name: nothing appears under ``/dev/shm`` and nothing
+  is registered with a resource tracker.  The kernel frees the pages
+  when the last descriptor and mapping are gone, which also happens
+  when the parent is killed.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -40,12 +45,15 @@ __all__ = [
     "attach_dataset",
 ]
 
+#: byte alignment of each array in the file (a cache line)
+_ALIGN = 64
+
 
 @dataclass(frozen=True)
 class SharedArraySpec:
-    """Everything needed to rebuild one array view from shared memory."""
+    """Where one array lives in the memory file."""
 
-    name: str
+    offset: int
     shape: tuple
     dtype: str
 
@@ -56,14 +64,16 @@ class SharedArraySpec:
 
 @dataclass(frozen=True)
 class SharedDatasetSpec:
-    """Picklable handle to a :class:`DiffractionDataset` living in shared memory.
+    """Picklable handle to a :class:`DiffractionDataset` in a memory file.
 
-    The array payload stays in the parent's shared blocks; this spec
-    carries only names, shapes, dtypes, and the dataset's scalar
-    metadata, so sending it to a spawned worker costs a few hundred
-    bytes regardless of dataset size.
+    The array payload stays in the file; this spec carries only the
+    descriptor number, the file size, offsets, shapes, dtypes, and the
+    dataset's scalar metadata, so sending it to a worker costs a few
+    hundred bytes regardless of dataset size.
     """
 
+    fd: int
+    size: int
     x_train: SharedArraySpec
     y_train: SharedArraySpec
     x_test: SharedArraySpec
@@ -75,54 +85,49 @@ class SharedDatasetSpec:
 
 
 class SharedArena:
-    """Owner of a set of shared-memory blocks (parent side).
+    """Owner of one anonymous memory file (parent side).
 
-    Create blocks with :meth:`share`; call :meth:`close` exactly once
-    when every worker has exited to release the segments.  ``close`` is
-    idempotent and also runs from ``__del__`` as a safety net, but
-    relying on the destructor leaks the blocks until interpreter exit —
-    the worker pool calls it explicitly.
+    Append arrays with :meth:`share`; call :meth:`close` once every
+    worker has started to drop the parent's descriptor.  ``close`` is
+    idempotent and also runs from ``__del__`` as a safety net; the
+    worker pool calls it explicitly.
     """
 
     def __init__(self) -> None:
-        self._blocks: list[shared_memory.SharedMemory] = []
-
-    def __len__(self) -> int:
-        return len(self._blocks)
+        self.fd: int | None = os.memfd_create("a4nn-dataset")
+        self.size = 0
 
     def share(self, array: np.ndarray) -> SharedArraySpec:
-        """Copy ``array`` into a fresh shared block and return its spec."""
+        """Copy ``array`` to the end of the file and return its spec."""
         array = np.ascontiguousarray(array)
-        block = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)
-        view[...] = array
-        self._blocks.append(block)
-        return SharedArraySpec(
-            name=block.name, shape=tuple(array.shape), dtype=array.dtype.str
-        )
+        start = -(-self.size // _ALIGN) * _ALIGN
+        self.size = start + array.nbytes
+        os.ftruncate(self.fd, self.size)
+        data, offset = memoryview(array).cast("B"), start
+        while data:  # pwrite may stop short of a large buffer
+            written = os.pwrite(self.fd, data, offset)
+            data, offset = data[written:], offset + written
+        return SharedArraySpec(offset=start, shape=tuple(array.shape), dtype=array.dtype.str)
 
     def close(self) -> None:
-        """Unmap and unlink every block (idempotent)."""
-        blocks, self._blocks = self._blocks, []
-        for block in blocks:
-            try:
-                block.close()
-                block.unlink()
-            except FileNotFoundError:  # already unlinked elsewhere
-                pass
+        """Close the parent's descriptor (idempotent)."""
+        fd, self.fd = self.fd, None
+        if fd is not None:
+            os.close(fd)
 
     def __del__(self) -> None:  # pragma: no cover - safety net
         self.close()
 
 
 def share_dataset(dataset: DiffractionDataset) -> tuple[SharedDatasetSpec, SharedArena]:
-    """Publish a dataset into shared memory; returns (spec, owning arena)."""
+    """Write a dataset into a memory file; returns (spec, owning arena)."""
     arena = SharedArena()
+    arrays = {name: arena.share(getattr(dataset, name))
+              for name in ("x_train", "y_train", "x_test", "y_test")}
     spec = SharedDatasetSpec(
-        x_train=arena.share(dataset.x_train),
-        y_train=arena.share(dataset.y_train),
-        x_test=arena.share(dataset.x_test),
-        y_test=arena.share(dataset.y_test),
+        fd=arena.fd,
+        size=arena.size,
+        **arrays,
         intensity_label=dataset.intensity.label,
         image_size=dataset.image_size,
         seed=dataset.seed,
@@ -131,36 +136,29 @@ def share_dataset(dataset: DiffractionDataset) -> tuple[SharedDatasetSpec, Share
     return spec, arena
 
 
-def _attach_array(spec: SharedArraySpec, handles: list) -> np.ndarray:
-    # attaching re-registers the segment with the resource tracker on
-    # Python < 3.13; workers spawned by the owning parent inherit the
-    # parent's tracker process, whose registry is a per-name set, so the
-    # re-register is a harmless no-op there.  (Attaching from an
-    # *unrelated* process would hand the segment to that process's own
-    # tracker, which unlinks it at exit — the pool never does that.)
-    block = shared_memory.SharedMemory(name=spec.name)
-    handles.append(block)
-    view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=block.buf)
-    view.flags.writeable = False
-    return view
-
-
 def attach_dataset(spec: SharedDatasetSpec) -> tuple[DiffractionDataset, list]:
     """Map a shared dataset read-only (worker side).
 
-    Returns the dataset plus the list of live ``SharedMemory`` handles;
-    the caller must keep the handles referenced for as long as the
-    arrays are in use (the views borrow their buffers).
+    Returns the dataset plus the list holding the live ``mmap``; the
+    caller keeps it for as long as the arrays are in use (the views
+    borrow its buffer) and may close it once they are gone.
     """
-    handles: list[shared_memory.SharedMemory] = []
+    mapping = mmap.mmap(spec.fd, spec.size, prot=mmap.PROT_READ)
+
+    def view(array: SharedArraySpec) -> np.ndarray:
+        dtype = np.dtype(array.dtype)
+        flat = np.frombuffer(mapping, dtype=dtype,
+                             count=array.nbytes // dtype.itemsize, offset=array.offset)
+        return flat.reshape(array.shape)
+
     dataset = DiffractionDataset(
-        x_train=_attach_array(spec.x_train, handles),
-        y_train=_attach_array(spec.y_train, handles),
-        x_test=_attach_array(spec.x_test, handles),
-        y_test=_attach_array(spec.y_test, handles),
+        x_train=view(spec.x_train),
+        y_train=view(spec.y_train),
+        x_test=view(spec.x_test),
+        y_test=view(spec.y_test),
         intensity=BeamIntensity.from_label(spec.intensity_label),
         image_size=spec.image_size,
         seed=spec.seed,
         n_classes_=spec.n_classes,
     )
-    return dataset, handles
+    return dataset, [mapping]

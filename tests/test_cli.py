@@ -219,6 +219,18 @@ class TestRunCommand:
         assert captured.err.startswith("a4nn: error: ") and message in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    def test_bad_split_in_a_document_is_one_error_line(self, tmp_path, capsys):
+        # DatasetConfig refuses the split with a ValidationError, which the
+        # CLI prints as its one error line
+        document = small_config_dict()
+        document["dataset"].update(images_per_class=2, train_fraction=0.8)
+        config_path = atomic_write_json(tmp_path / "cfg.json", document)
+        assert main(["run", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("a4nn: error: images_per_class=2 at train_fraction=0.8")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_compare_reports_savings(self, tmp_path, capsys):
         config_path = atomic_write_json(tmp_path / "cfg.json", small_config_dict(seed=0))
         code = main(["compare", "--config", str(config_path)])

@@ -8,7 +8,7 @@ worker processes leak past ``close()``, and submission order stays FIFO
 under randomized per-job delays on both the thread and process pools.
 
 The pool's factory keeps the direct-pool tests cheap: a module-level
-factory (picklable across the ``spawn`` boundary) that ignores the
+factory (a worker imports it by module name) that ignores the
 worker's dataset builds a scripted evaluator
 inside the worker, so the dispatch / timeout / retry machinery is
 exercised without training anything.  Workflow runs hand the pool the
@@ -17,10 +17,13 @@ orchestrator's own ``evaluation_chain`` instead.
 
 import functools
 import json
-import multiprocessing as mp
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 import time
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +111,67 @@ def first_fails_factory(*_):
     return ScriptedEvaluator(fail_ids=(0,), delay_scale=0.01, result={"proxy": True})
 
 
+def broken_factory(*_):
+    raise ValueError("no evaluator here")
+
+
+def slow_start_factory(*_):
+    time.sleep(0.5)
+    return ScriptedEvaluator()
+
+
 def make_pool(factory, n_workers=2, **kwargs):
     return ProcessWorkerPool(factory, n_workers, **kwargs)
+
+
+def _proc_stat(pid):
+    """(state, parent pid) of a process, or ``None`` once it is gone."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def pool_workers(parent=None):
+    """Live pool worker processes whose parent is ``parent`` (default: us)."""
+    parent = os.getpid() if parent is None else parent
+    pids = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        stat = _proc_stat(entry.name)
+        if (
+            b"repro.scheduler.procpool" in cmdline
+            and stat is not None
+            and stat[0] != "Z"
+            and stat[1] == parent
+        ):
+            pids.add(int(entry.name))
+    return pids
+
+
+def env_with_package():
+    """The environment a script needs to import the package under test."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+
+
+def shm_entries():
+    shm = Path("/dev/shm")
+    return set(os.listdir(shm)) if shm.is_dir() else set()
 
 
 class TestMessageTypes:
@@ -160,36 +222,51 @@ class TestSharedMemory:
     def test_share_attach_roundtrip_is_bytewise_and_readonly(self, tiny_dataset):
         spec, arena = share_dataset(tiny_dataset)
         try:
-            attached, handles = attach_dataset(spec)
+            attached, (mapping,) = attach_dataset(spec)
             for name in ("x_train", "y_train", "x_test", "y_test"):
                 original = getattr(tiny_dataset, name)
                 view = getattr(attached, name)
                 assert np.array_equal(view, original)
                 assert view.dtype == original.dtype
+                # read-only because the mapping is: the flag cannot come back
                 assert not view.flags.writeable
+                with pytest.raises(ValueError):
+                    view.flags.writeable = True
             with pytest.raises(ValueError):
                 attached.x_train[0] = 0.0
+            with pytest.raises(TypeError):
+                mapping[0] = 1
             assert attached.n_classes == tiny_dataset.n_classes
             assert attached.image_size == tiny_dataset.image_size
-            for handle in handles:
-                handle.close()
+            del attached, view
+            mapping.close()  # the views were its only borrowers
         finally:
             arena.close()
 
     def test_spec_is_tiny_regardless_of_payload(self, tiny_dataset):
         spec, arena = share_dataset(tiny_dataset)
         try:
-            # the whole point of shm: the picklable handle stays O(1)
+            # the whole point of sharing: the picklable handle stays O(1)
             assert len(pickle.dumps(spec)) < 2048
             assert spec.x_train.nbytes == tiny_dataset.x_train.nbytes
+            # one anonymous file: nothing named under /dev/shm
+            assert spec.fd == arena.fd
+            assert os.readlink(f"/proc/self/fd/{spec.fd}").startswith("/memfd:")
+            assert spec.size >= sum(
+                getattr(tiny_dataset, name).nbytes
+                for name in ("x_train", "y_train", "x_test", "y_test")
+            )
         finally:
             arena.close()
 
     def test_arena_close_is_idempotent(self, tiny_dataset):
         _, arena = share_dataset(tiny_dataset)
-        assert len(arena) == 4
+        fd = arena.fd
+        os.fstat(fd)
         arena.close()
-        assert len(arena) == 0
+        assert arena.fd is None
+        with pytest.raises(OSError):
+            os.fstat(fd)  # the descriptor is closed
         arena.close()  # second close is a no-op
 
 
@@ -234,8 +311,8 @@ class TestProcessPoolDirect:
             pool.submit(make_individuals(rng, 1)[0])
 
     def test_close_sends_every_sentinel_before_joining(self, rng, tiny_dataset):
-        # workers tear down concurrently: close costs the slowest teardown,
-        # not the sum of them
+        # workers exit concurrently: close costs the slowest exit, not the
+        # sum of them
         spec, arena = share_dataset(tiny_dataset)
         pool = make_pool(delay_factory, n_workers=3, dataset=spec, arena=arena)
         run_generation(pool, make_individuals(rng, 3))
@@ -251,15 +328,16 @@ class TestProcessPoolDirect:
 
         for worker in workers:
             worker.conn.send = recording("send", worker.index, worker.conn.send)
-            worker.process.join = recording("join", worker.index, worker.process.join)
+            worker.process.wait = recording("wait", worker.index, worker.process.wait)
         pool.close()
         kinds = [kind for kind, _ in calls]
-        assert kinds[:3] == ["send"] * 3 and set(kinds[3:]) == {"join"}
-        assert {index for kind, index in calls if kind == "join"} == {0, 1, 2}
-        assert all(worker.process.exitcode is not None for worker in workers)
-        assert pool.alive_workers() == 0 and len(arena) == 0
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=spec.x_train.name)
+        assert kinds[:3] == ["send"] * 3 and set(kinds[3:]) == {"wait"}
+        assert {index for kind, index in calls if kind == "wait"} == {0, 1, 2}
+        # each worker took the fast exit after its sentinel
+        assert [worker.process.returncode for worker in workers] == [0, 0, 0]
+        assert pool.alive_workers() == 0 and arena.fd is None
+        with pytest.raises(OSError):
+            os.fstat(spec.fd)  # the memory file's descriptor is closed
 
     def test_single_error_reraises_after_generation_settles(self, rng):
         pool = make_pool(flaky_single_factory, n_workers=2)
@@ -308,6 +386,131 @@ class TestProcessPoolDirect:
             assert len(report.jobs) == 5
         finally:
             pool.close()
+
+
+#: a search run as a script with no ``__main__`` guard: workers start from
+#: the package, so the script's top level runs once, in the parent only
+NO_GUARD_SCRIPT = """
+import sys
+
+with open(sys.argv[1], "a") as log:
+    log.write("top level\\n")
+
+from repro.core.engine import EngineConfig
+from repro.nas.search import NSGANetConfig
+from repro.workflow.interfaces import WorkflowConfig
+from repro.workflow.orchestrator import A4NNOrchestrator
+
+config = WorkflowConfig(
+    nas=NSGANetConfig(population_size=4, offspring_per_generation=4, generations=2,
+                      max_epochs=4),
+    engine=EngineConfig(e_pred=4),
+    mode="surrogate",
+    seed=7,
+    backend="process",
+    n_workers=2,
+)
+result = A4NNOrchestrator(config).run()
+print(len(result.tracker.all_records()), "records")
+"""
+
+#: a real-mode process@2 search, one steady episode of a few seconds,
+#: repeated until the test kills it
+KILL_SCRIPT = """
+from repro.core.engine import EngineConfig
+from repro.nas.search import NSGANetConfig
+from repro.workflow.interfaces import WorkflowConfig
+from repro.workflow.orchestrator import A4NNOrchestrator
+from repro.xfel.dataset import DatasetConfig
+
+config = WorkflowConfig(
+    nas=NSGANetConfig(population_size=4, offspring_per_generation=4, generations=15,
+                      max_epochs=4, evolution="steady"),
+    engine=EngineConfig(e_pred=4),
+    dataset=DatasetConfig(images_per_class=20, image_size=16),
+    mode="real",
+    seed=11,
+    backend="process",
+    n_workers=2,
+)
+while True:
+    A4NNOrchestrator(config).run()
+"""
+
+
+class TestWorkerStart:
+    def test_script_without_main_guard_runs_its_top_level_once(self, tmp_path):
+        script, log = tmp_path / "search.py", tmp_path / "log.txt"
+        script.write_text(NO_GUARD_SCRIPT)
+        done = subprocess.run(
+            [sys.executable, str(script), str(log)],
+            env=env_with_package(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "8 records"
+        assert log.read_text() == "top level\n"
+
+    @pytest.mark.parametrize(
+        "factory, kwargs, message",
+        [
+            (broken_factory, {}, "failed to initialize: ValueError: no evaluator here"),
+            (slow_start_factory, {"startup_timeout": 0.2}, "did not come up within 0.2s"),
+        ],
+        ids=["factory_raises", "too_slow"],
+    )
+    def test_factory_error_raises_one_runtime_error_naming_the_worker(
+        self, rng, factory, kwargs, message
+    ):
+        pool = make_pool(factory, n_workers=2, **kwargs)
+        individuals = make_individuals(rng, 3)
+        try:
+            # submit never waits for a worker: the failure arrives with the
+            # first reply, as one error, and every later call raises it again
+            with pytest.raises(RuntimeError, match=rf"^worker [01] {message}$") as failure:
+                run_generation(pool, individuals)
+            for call in (pool.settled, pool.finish, lambda: pool.submit(individuals[0])):
+                with pytest.raises(RuntimeError) as again:
+                    call()
+                assert again.value is failure.value
+        finally:
+            pool.close()
+        assert pool.alive_workers() == 0
+        assert not any(ind.evaluated for ind in individuals)
+
+    def test_episode_clock_starts_at_the_first_dispatch(self, rng):
+        # a worker that takes half a second to build its evaluator is not
+        # on the episode's clock: the job itself is all the report holds
+        pool = make_pool(slow_start_factory, n_workers=1)
+        try:
+            start = time.monotonic()
+            run_generation(pool, make_individuals(rng, 1))
+            assert time.monotonic() - start >= 0.5
+            [report] = pool.reports
+            assert report.wall_seconds < 0.25
+            assert report.jobs[0].start_seconds < 0.01
+        finally:
+            pool.close()
+
+    def test_sigkilled_search_leaves_no_worker_and_no_segment(self, tmp_path):
+        before = shm_entries()
+        script = tmp_path / "search.py"
+        script.write_text(KILL_SCRIPT)
+        search = subprocess.Popen([sys.executable, str(script)], env=env_with_package())
+        try:
+            give_up = time.monotonic() + 120
+            while len(workers := pool_workers(search.pid)) < 2:
+                assert search.poll() is None and time.monotonic() < give_up
+                time.sleep(0.02)
+            time.sleep(1.0)  # both workers are up and training: mid-episode
+            assert pool_workers(search.pid) == workers
+        finally:
+            search.send_signal(signal.SIGKILL)
+            search.wait(timeout=10)
+        give_up = time.monotonic() + 10
+        while any(alive(pid) for pid in workers) and time.monotonic() < give_up:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if alive(pid)]
+        assert shm_entries() - before == set()
 
 
 class TestHardKill:
@@ -470,9 +673,7 @@ class TestBackendParitySurrogate:
         # its workers
         episodes = 0 if backend == "thread" else 3 if evolution == "barrier" else 1
         assert reports == [backend] * episodes
-        assert not [
-            p for p in mp.active_children() if p.name.startswith("a4nn-eval-worker")
-        ]
+        assert not pool_workers()
 
     def test_fault_injection_parity(self):
         def faulty(backend, n_workers):
@@ -547,11 +748,9 @@ class TestBackendParityReal:
         inline, r_inline, process, r_process = inline_and_process()
         assert run_trail(r_process) == run_trail(r_inline)
         assert process.memoizer.cache.stats() == inline.memoizer.cache.stats()
-        # run() closed the pool, which also released the shm arena
+        # run() closed the pool, which also closed the dataset's file
         assert process.pool is None
-        assert not [
-            p for p in mp.active_children() if p.name.startswith("a4nn-eval-worker")
-        ]
+        assert not pool_workers()
 
     @pytest.mark.parametrize(
         "nas, episodes", [({}, 2), ({"evolution": "steady"}, 1)], ids=["barrier", "steady"]
