@@ -219,14 +219,16 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         choices=["thread", "process"],
-        help="evaluation backend: 'thread' (inline at one worker, a FIFO "
-        "thread pool above; default) or 'process' (spawned workers sharing "
-        "the dataset through shared memory, with hard-kill timeouts)",
+        help="evaluation backend: 'thread' (every evaluation on the search "
+        "thread; default) or 'process' (worker processes that map the "
+        "dataset's one inherited memory file, Linux only, with hard-kill "
+        "timeouts); real-mode training on more than one worker needs 'process'",
     )
     parser.add_argument(
         "--n-workers",
         type=int,
-        help="concurrent evaluations per generation (default 1)",
+        help="concurrent evaluations on the process backend (default 1); "
+        "on the thread backend it only sets the default --steady-lag",
     )
     parser.add_argument(
         "--surrogate",

@@ -4,11 +4,11 @@ FIFO dynamic scheduling of per-network training jobs onto accelerators
 (paper §2.5), in two forms: one schedule function that replays recorded
 epoch durations on an N-GPU pool under the release rule the search ran
 under — the generation barrier or the steady breeding lag
-(:mod:`repro.scheduler.simulator`) — and real worker pools for machines
-with actual parallelism — threads (:mod:`repro.scheduler.pool`) or
-worker processes started from the package, with an inherited
-memory-file dataset and hard-kill timeouts
-(:mod:`repro.scheduler.procpool`).  The
+(:mod:`repro.scheduler.simulator`) — and one real worker pool for
+machines with actual parallelism: worker processes started from the
+package, with an inherited memory-file dataset and hard-kill timeouts
+(:mod:`repro.scheduler.procpool`), which records each scheduling
+episode as a :class:`~repro.scheduler.pool.PoolReport`.  The
 FLOPs→seconds cost model (:mod:`repro.scheduler.costmodel`) calibrates
 simulated epoch durations to the paper's single-V100 wall times.
 """
@@ -23,7 +23,7 @@ from repro.scheduler.faults import (
     FaultTolerantEvaluator,
     InjectedFault,
 )
-from repro.scheduler.pool import FifoWorkerPool, JobTiming, PoolReport, WorkerPool
+from repro.scheduler.pool import JobTiming, PoolReport
 from repro.scheduler.procpool import EvalResult, EvalTask, ProcessWorkerPool
 from repro.scheduler.simulator import WallTimeReport, fifo_schedule, simulate_walltime
 
@@ -37,10 +37,8 @@ __all__ = [
     "FaultPolicy",
     "FaultTolerantEvaluator",
     "InjectedFault",
-    "FifoWorkerPool",
     "JobTiming",
     "PoolReport",
-    "WorkerPool",
     "EvalResult",
     "EvalTask",
     "ProcessWorkerPool",

@@ -406,7 +406,7 @@ class FaultTolerantEvaluator:
     """Evaluator wrapper applying a :class:`FaultPolicy` to every candidate.
 
     Implements the same ``evaluate(individual)`` protocol as the backends
-    it wraps, so the search, the FIFO worker pool, and the lineage hooks
+    it wraps, so the search, the inline stream, and the lineage hooks
     cannot tell it apart from a raw evaluator.  A candidate that exhausts
     its attempts is *quarantined*: it comes back evaluated, carrying the
     policy's penalized objectives and ``individual.quarantined = True``,

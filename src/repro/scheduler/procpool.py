@@ -1,13 +1,13 @@
 """Process-parallel evaluation stream with hard-kill timeouts.
 
-:class:`ProcessWorkerPool` is the drop-in sibling of
-:class:`~repro.scheduler.pool.FifoWorkerPool` behind the same
-:class:`~repro.scheduler.pool.WorkerPool` protocol and the same
-``submit`` / ``settled`` / ``finish`` seam, backed by worker *processes*
-instead of threads.  The thread pool only overlaps the GIL-releasing
-BLAS kernels; worker processes run the whole Python training loop
-concurrently, which is what the paper's multi-GPU resource manager
-assumes.
+:class:`ProcessWorkerPool` is the one real worker pool: an
+:class:`~repro.nas.search.EvalStream` (``submit`` / ``settled`` /
+``finish``) whose evaluations run on worker *processes*, each running
+the whole Python training loop concurrently, which is what the paper's
+multi-GPU resource manager assumes.  Each ``finish`` records a
+:class:`~repro.scheduler.pool.PoolReport`; ``close`` releases the
+workers.  Workers inherit the dataset's memory file, so the pool runs
+on Linux only.
 
 Worker start.  Each worker is a fresh ``python -c`` that sets the
 parent's ``sys.path`` and imports this module from the package: it
@@ -47,12 +47,12 @@ backend that takes a timeout (DESIGN §8).  The deadline is judged on
 each attempt's own time, measured by its worker: an attempt that
 finishes past it while the parent is busy settles as a timeout too, its
 trace dropped as a kill would drop it, so no verdict depends on the
-worker count.  Failure settling matches the thread path: without a
+worker count.  Failure settling matches the inline path: without a
 policy a failed job raises from the ``settled`` call that delivers it,
 and the jobs behind it keep running.  Submission order is FIFO: job *i*
 is dispatched no later than job *i+1*, and a retry goes to the *front*
-of the queue, mirroring the in-thread loop's finish-this-candidate-first
-behaviour.
+of the queue, mirroring the inline retry loop's
+finish-this-candidate-first behaviour.
 """
 
 from __future__ import annotations
@@ -314,8 +314,6 @@ class ProcessWorkerPool:
         Seconds a worker may take to report ``ready``.
     """
 
-    backend = "process"
-
     def __init__(
         self,
         factory,
@@ -446,7 +444,7 @@ class ProcessWorkerPool:
         job.attempt += 1
         job.ready_at = state.clock.elapsed() + backoff
         # front of the queue: finish this candidate before starting new
-        # ones, like the in-thread retry loop
+        # ones, like the inline retry loop
         state.queue.appendleft(job)
 
     def _timed_out(self, job: _Job) -> EvaluationTimeout:
@@ -634,14 +632,8 @@ class ProcessWorkerPool:
             n_workers=self.n_workers,
             wall_seconds=state.clock.total,
             n_jobs=state.n_submitted,
-            backend="process",
             jobs=tuple(state.timings[i] for i in sorted(state.timings)),
             worker_busy_seconds=tuple(state.busy),
         )
         self.reports.append(report)
         return report
-
-    @property
-    def total_wall_seconds(self) -> float:
-        """Measured wall time across all finished episodes."""
-        return sum(r.wall_seconds for r in self.reports)

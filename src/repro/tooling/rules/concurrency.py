@@ -3,17 +3,16 @@
 The process backend's contract (DESIGN §10) is that a worker builds its
 entire evaluator chain from the run's picklable ``WorkflowConfig`` (the
 orchestrator's own ``evaluation_chain``) and never shares Python state
-with the parent; the thread pool's streaming workers run the same
-evaluator chains concurrently.
+with the parent.
 
 ``CONC001`` — a function-body write to module-level state (a
 ``global`` rebind, or a mutation of a module-level container) anywhere
 in the package.  Each spawned worker re-imports the module, so such a
 write silently diverges per process — the parent never sees it, and
-replay cannot reproduce it — and races across the thread pool's
-workers.  The tree has no legitimate run-time use for module state; the
-import-time registries carry a justified suppression saying that
-registration after start-up does not reach spawned workers.
+replay cannot reproduce it.  The tree has no legitimate run-time use
+for module state; the import-time registries carry a justified
+suppression saying that registration after start-up does not reach
+spawned workers.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ class ModuleStateWriteRule(BaseRule):
         "no function-body writes to module-level state (`global` rebinds, "
         "module-container mutations) anywhere in the package — each spawned "
         "worker re-imports the module, so such state silently diverges per "
-        "process, races across the thread pool's workers and breaks replay"
+        "process and breaks replay"
     )
 
     def check(self, module: ModuleContext) -> Iterable[Diagnostic]:

@@ -56,13 +56,14 @@ class WorkflowConfig:
         paths travel back in the attempt's trace.
     n_workers:
         Concurrent evaluations per generation (1 = serial).  It also pins
-        the default steady lag.  On the thread backend in surrogate mode
-        it does nothing else: sampled curves evaluate on the search thread.
+        the default steady lag.  On the thread backend it does nothing
+        else: sampled curves evaluate on the search thread, and real
+        training at more than one worker needs ``backend="process"``.
     backend:
-        Evaluation backend — ``"thread"`` (the default: a FIFO thread
-        pool for real training at more than one worker, inline otherwise)
-        or ``"process"`` (spawned worker processes sharing the dataset
-        through shared memory).  Only the process backend can kill an
+        Evaluation backend — ``"thread"`` (the default: every evaluation
+        on the search thread) or ``"process"`` (worker processes started
+        from the package, each mapping the dataset's one inherited
+        memory file; Linux only).  Only the process backend can kill an
         evaluation, so only it takes ``faults.timeout_seconds``.  See
         DESIGN "Execution backends".
     sanitize:
@@ -141,6 +142,12 @@ class WorkflowConfig:
                 "faults.timeout_seconds needs backend='process': the thread "
                 "backend cannot stop an evaluation, so a timeout there would "
                 "stop nothing"
+            )
+        if self.backend == "thread" and self.mode == "real" and int(self.n_workers) > 1:
+            raise ValidationError(
+                f"real-mode training on n_workers={self.n_workers} needs "
+                "backend='process' (--backend process): the thread backend "
+                "trains every model on the search thread"
             )
         try:
             object.__setattr__(self, "dtype", dtype_label(self.dtype))
@@ -246,12 +253,17 @@ class WorkflowConfig:
         faults = FaultPolicy.from_dict(payload["faults"]) if payload.get("faults") else None
         if backend == "serial":
             # a one-worker thread pool, removed; lineage never depended
-            # on the backend, so stored documents run on threads
+            # on the backend, so stored documents run on the thread backend
             backend = "thread"
         if backend == "thread" and faults and faults.timeout_seconds:
             # the thread backend's timeout, removed: it abandoned the
             # attempt it could not stop, the process backend kills it,
             # and both record the same fault trail
+            backend = "process"
+        parallel_training = payload.get("mode") == "real" and payload.get("n_workers", 1) > 1
+        if backend == "thread" and parallel_training:
+            # the real-mode thread pool, removed: lineage never depended
+            # on the backend, and worker processes train in parallel
             backend = "process"
         return cls(
             nas=NSGANetConfig(**payload.get("nas", {})),

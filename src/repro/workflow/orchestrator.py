@@ -23,7 +23,6 @@ from repro.nas.evaluation import TrainingEvaluator
 from repro.nas.search import InlineStream, NSGANet, SearchResult
 from repro.nas.surrogate import BudgetAllocator, SurrogateEvaluator
 from repro.scheduler.faults import FaultInjectingEvaluator, FaultTolerantEvaluator
-from repro.scheduler.pool import FifoWorkerPool
 from repro.scheduler.procpool import ProcessWorkerPool
 from repro.scheduler.simulator import WallTimeReport, simulate_walltime
 from repro.utils.logging import get_logger
@@ -47,7 +46,7 @@ def evaluation_chain(config: WorkflowConfig, dataset, checkpoint_dir=None):
     surrogate mode).  Evaluation RNG derives from ``config.seed`` alone,
     so both sides build the same generators.  ``checkpoint_dir`` is
     where real-mode training saves every epoch's model state.  Fault
-    *policy* is the caller's, because the thread path retries in an
+    *policy* is the caller's, because the inline path retries in an
     evaluator wrapper and the process pool from its dispatch queue.
     """
     stream = RngStream(config.seed)
@@ -139,8 +138,8 @@ class A4NNOrchestrator:
         Optional data commons to publish record trails into.
     checkpoint_dir:
         Directory for per-epoch model state (real mode with
-        ``config.checkpoint_models``), written by whichever thread or
-        worker process trains the model.
+        ``config.checkpoint_models``), written by the search thread or
+        the worker process that trains the model.
     """
 
     def __init__(
@@ -155,7 +154,7 @@ class A4NNOrchestrator:
         self.checkpoint_dir = checkpoint_dir
         self.memoizer: MemoizingStream | None = None  # the eval cache, when on
         self.allocator: BudgetAllocator | None = None
-        self.pool = None  # WorkerPool under the stream, when one exists
+        self.pool = None  # ProcessWorkerPool under the stream, when one exists
         self.pool_reports: list = []  # PoolReports kept after close_pool()
         self._tracker: LineageTracker | None = None
         self._resumed: dict = {}  # model id -> published record (resume)
@@ -256,21 +255,17 @@ class A4NNOrchestrator:
 
         ``[MemoizingStream(] inner [)]``: the inner stream runs the
         ``evaluator`` chain — on a :class:`~repro.scheduler.procpool.
-        ProcessWorkerPool` for processes, on a :class:`~repro.scheduler.
-        pool.FifoWorkerPool` for real training on more than one thread,
-        and inline otherwise (no pool, no report) — and the eval cache,
-        when on, wraps outermost so only post-retry, non-quarantined
-        outcomes are cached.  Sampled curves hold the GIL, so threads
-        would only add handoffs: a surrogate run on the thread backend
-        evaluates inline at any ``n_workers``.  Any pool built here is
-        kept on ``self.pool`` so :meth:`close_pool` can release it and
-        keep its reports.
+        ProcessWorkerPool` on the process backend, and on the search
+        thread otherwise (no pool, no report; real training at more
+        than one worker needs processes, which the config enforces) —
+        and the eval cache, when on, wraps outermost so only post-retry,
+        non-quarantined outcomes are cached.  A pool built here is kept
+        on ``self.pool`` so :meth:`close_pool` can release it and keep
+        its reports.
         """
         config = self.config
         if config.backend == "process":
             self.pool = self._build_process_pool()
-        elif config.mode == "real" and config.n_workers > 1:
-            self.pool = FifoWorkerPool(evaluator, n_workers=config.n_workers)
         inner = self.pool if self.pool is not None else InlineStream(evaluator)
         self.memoizer = None
         if config.caches_evaluations:
@@ -298,9 +293,9 @@ class A4NNOrchestrator:
     def close_pool(self) -> None:
         """Release the stream's worker pool (idempotent; no-op without one).
 
-        For the process backend this stops every worker and unlinks the
-        shared-memory dataset, so it must run even when the search
-        raises — :meth:`run` calls it from a ``finally`` block.
+        This stops every worker and closes the dataset's memory file, so
+        it must run even when the search raises — :meth:`run` calls it
+        from a ``finally`` block.
         """
         if self.pool is not None:
             # close first (it flushes an interrupted stream's report),

@@ -210,6 +210,7 @@ class TestRunCommand:
             (["--rng-keying", "model"], "eval_cache requires rng_keying='genome'"),
             (["--n-workers", "0"], "n_workers must be >= 1"),
             (["--eval-timeout", "5"], "timeout_seconds needs backend='process'"),
+            (["--mode", "real", "--n-workers", "2"], "--backend process"),
         ],
     )
     def test_invalid_flag_combination_is_one_error_line(self, capsys, flags, message):

@@ -13,7 +13,7 @@ from repro.core.engine import EngineConfig
 from repro.nas import Individual, random_genome
 from repro.nas.nsga2 import environmental_selection, pareto_front_mask
 from repro.nas.population import Population
-from repro.nas.search import NSGANet, NSGANetConfig
+from repro.nas.search import InlineStream, NSGANet, NSGANetConfig
 from repro.scheduler.faults import (
     EvaluationTimeout,
     FaultInjectingEvaluator,
@@ -22,7 +22,6 @@ from repro.scheduler.faults import (
     FaultTolerantEvaluator,
     InjectedFault,
 )
-from repro.scheduler.pool import FifoWorkerPool
 from repro.tooling.sanitizer import NumericalFault
 from repro.utils.rng import RngStream
 from repro.utils.validation import ValidationError
@@ -40,6 +39,12 @@ def make_individuals(rng, n, generation=0, first_id=0):
 def run_generation(stream, individuals):
     """One barrier generation through the seam, driven by the search's own code."""
     NSGANet(NSGANetConfig(), None, stream=stream)._run_generation(individuals)
+
+
+def thread_stream(evaluator, n_workers):
+    """The stream the thread backend runs ``evaluator`` on: the search thread's."""
+    config = WorkflowConfig(n_workers=n_workers, eval_cache=False)
+    return A4NNOrchestrator(config).build_stream(evaluator)
 
 
 class FlakyEvaluator:
@@ -220,6 +225,8 @@ class TestFaultInjection:
 
 
 class TestPoolFailureSemantics:
+    """Failure settling on the thread backend's stream, at any worker count."""
+
     class NthFails:
         max_epochs = 1
 
@@ -235,31 +242,31 @@ class TestPoolFailureSemantics:
 
     @pytest.mark.parametrize("n_workers", [1, 3])
     def test_generation_settles_before_raising(self, rng, n_workers):
-        pool = FifoWorkerPool(self.NthFails({0}), n_workers=n_workers)
+        stream = thread_stream(self.NthFails({0}), n_workers)
+        assert isinstance(stream, InlineStream)
         individuals = make_individuals(rng, 5)
         with pytest.raises(RuntimeError, match="boom 0"):
-            run_generation(pool, individuals)
-        # jobs after the failure still ran — identical on both paths
+            run_generation(stream, individuals)
+        # jobs after the failure still ran — as on the process pool
         assert all(ind.evaluated for ind in individuals[1:])
-        assert pool.reports[-1].n_jobs == 5
 
     @pytest.mark.parametrize("n_workers", [1, 3])
     def test_multiple_errors_raise_exception_group(self, rng, n_workers):
-        pool = FifoWorkerPool(self.NthFails({1, 3}), n_workers=n_workers)
+        stream = thread_stream(self.NthFails({1, 3}), n_workers)
         individuals = make_individuals(rng, 5)
         with pytest.raises(ExceptionGroup) as excinfo:
-            run_generation(pool, individuals)
+            run_generation(stream, individuals)
         messages = sorted(str(e) for e in excinfo.value.exceptions)
         assert messages == ["boom 1", "boom 3"]
 
     @pytest.mark.parametrize("n_workers", [1, 3])
     def test_policy_quarantines_instead_of_raising(self, rng, n_workers):
-        pool = FifoWorkerPool(
+        stream = thread_stream(
             FaultTolerantEvaluator(self.NthFails({2}), FaultPolicy(max_retries=1)),
-            n_workers=n_workers,
+            n_workers,
         )
         individuals = make_individuals(rng, 5)
-        run_generation(pool, individuals)  # does not raise
+        run_generation(stream, individuals)  # does not raise
         assert individuals[2].quarantined
         assert all(ind.evaluated for ind in individuals)
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import CommonsQuery, pareto_frontier, termination_histogram
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, PredictionEngine
 from repro.lineage import DataCommons
-from repro.nas import NSGANetConfig
-from repro.scheduler import FifoWorkerPool
+from repro.nas import Individual, NSGANetConfig, SurrogateEvaluator, random_genome
+from repro.nas.search import InlineStream
+from repro.scheduler import ProcessWorkerPool
+from repro.utils.rng import RngStream
 from repro.workflow import WorkflowConfig, run_comparison, run_workflow
 from repro.xfel import BeamIntensity, DatasetConfig
 
@@ -106,26 +108,24 @@ class TestRealModeIntegration:
         assert record.epochs[0].train_loss is not None
 
 
-class TestWorkerPoolIntegration:
-    def test_parallel_generation_matches_serial(self, tiny_dataset):
-        from repro.core.engine import PredictionEngine
-        from repro.nas import Individual, SurrogateEvaluator, random_genome
-        from repro.utils.rng import RngStream
+def surrogate_factory(_dataset):
+    """A seeded surrogate evaluator, built the same in every worker."""
+    return SurrogateEvaluator(BeamIntensity.MEDIUM, PredictionEngine(), rng_stream=RngStream(4))
 
-        def build(n):
-            evaluator = SurrogateEvaluator(
-                BeamIntensity.MEDIUM,
-                PredictionEngine(),
-                rng_stream=RngStream(4),
-            )
+
+class TestWorkerPoolIntegration:
+    def test_parallel_generation_matches_serial(self):
+        def build(stream):
             rng = np.random.default_rng(0)
             individuals = [Individual(random_genome(rng), i, 0) for i in range(6)]
-            pool = FifoWorkerPool(evaluator, n_workers=n)
             for individual in individuals:
-                pool.submit(individual)
+                stream.submit(individual)
             for _ in individuals:
-                pool.settled()
-            pool.close()
+                stream.settled()
             return [(m.fitness, m.flops) for m in individuals]
 
-        assert build(1) == build(3)
+        pool = ProcessWorkerPool(surrogate_factory, n_workers=3)
+        try:
+            assert build(InlineStream(surrogate_factory(None))) == build(pool)
+        finally:
+            pool.close()

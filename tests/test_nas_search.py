@@ -1,5 +1,7 @@
 """Tests for population handling, evaluators, and the search driver."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,17 @@ class ShuffleStream:
         pass
 
 
+def steady_evaluator(seed, _dataset=None):
+    """The steady searches' evaluator; a worker process builds the same one."""
+    return SurrogateEvaluator(
+        BeamIntensity.MEDIUM,
+        PredictionEngine(EngineConfig(e_pred=10)),
+        max_epochs=10,
+        rng_stream=RngStream(seed),
+        cost_model=EpochCostModel(jitter=0.0),
+    )
+
+
 class TestSteadySearch:
     def _search(self, seed=0, stream=None, **config_kwargs):
         config_kwargs.setdefault("evolution", "steady")
@@ -307,13 +320,7 @@ class TestSteadySearch:
             max_epochs=10,
             **config_kwargs,
         )
-        evaluator = SurrogateEvaluator(
-            BeamIntensity.MEDIUM,
-            PredictionEngine(EngineConfig(e_pred=10)),
-            max_epochs=10,
-            rng_stream=RngStream(seed),
-            cost_model=EpochCostModel(jitter=0.0),
-        )
+        evaluator = steady_evaluator(seed)
         return NSGANet(
             config,
             evaluator,
@@ -367,18 +374,18 @@ class TestSteadySearch:
         result = self._search().run()
         assert [m.generation for m in result.archive] == [0] * 4 + [1] * 4 + [2] * 4
 
-    def test_thread_stream_matches_inline(self):
-        from repro.scheduler.pool import FifoWorkerPool
+    def test_process_stream_matches_inline(self):
+        from repro.scheduler.procpool import ProcessWorkerPool
 
         baseline = self._key(self._search().run())
         for n_workers in (1, 2, 4):
-            search = self._search(
-                stream=lambda ev, n=n_workers: FifoWorkerPool(ev, n_workers=n)
-            )
-            assert self._key(search.run()) == baseline
-            report = search.stream.reports[-1]
+            pool = ProcessWorkerPool(functools.partial(steady_evaluator, 0), n_workers)
+            try:
+                assert self._key(self._search(stream=lambda _: pool).run()) == baseline
+            finally:
+                pool.close()
+            [report] = pool.reports  # one episode per steady run
             assert report.n_jobs == 12
-            assert len(search.stream.reports) == 1
 
 
 class TestSteadyInsert:

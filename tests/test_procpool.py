@@ -1,11 +1,10 @@
 """Process-parallel evaluation backend: parity, hard kills, FIFO, shm.
 
-Covers the ISSUE-5 acceptance criteria: every backend publishes
-bit-identical lineage records and cache statistics on a seeded mini
-search (both evolution modes, eval cache on and off), hung candidates
-are hard-killed within the policy timeout with the worker respawned, no
-worker processes leak past ``close()``, and submission order stays FIFO
-under randomized per-job delays on both the thread and process pools.
+Every backend publishes bit-identical lineage records and cache
+statistics on a seeded mini search (both evolution modes, eval cache on
+and off), hung candidates are hard-killed within the policy timeout with
+the worker respawned, no worker processes leak past ``close()``, and
+submission order stays FIFO under unequal per-job delays.
 
 The pool's factory keeps the direct-pool tests cheap: a module-level
 factory (a worker imports it by module name) that ignores the
@@ -40,7 +39,7 @@ from repro.scheduler.faults import (
     FaultPolicy,
     FaultTolerantEvaluator,
 )
-from repro.scheduler.pool import FifoWorkerPool, JobTiming, PoolReport, WorkerPool
+from repro.scheduler.pool import JobTiming, PoolReport
 from repro.scheduler.procpool import EvalResult, EvalTask, ProcessWorkerPool
 from repro.utils.validation import ValidationError
 from repro.workflow.interfaces import WorkflowConfig
@@ -272,10 +271,11 @@ class TestSharedMemory:
 
 class TestProcessPoolDirect:
     def test_satisfies_worker_pool_protocol(self):
+        # the search drives the stream seam; the orchestrator reads the
+        # reports and releases the workers
         pool = make_pool(delay_factory)
-        thread_pool = FifoWorkerPool(ScriptedEvaluator())
-        assert isinstance(pool, WorkerPool) and isinstance(pool, EvalStream)
-        assert isinstance(thread_pool, WorkerPool) and isinstance(thread_pool, EvalStream)
+        assert isinstance(pool, EvalStream)
+        assert pool.n_workers == 2 and pool.reports == []
         pool.close()
 
     def test_generation_evaluates_all_and_reports_fifo(self, rng):
@@ -288,14 +288,12 @@ class TestProcessPoolDirect:
             ]
             assert pool.alive_workers() == 2
             [report] = pool.reports
-            assert report.backend == "process"
             assert report.n_jobs == 6 and report.n_workers == 2
             assert [j.job_id for j in report.jobs] == list(range(6))
             # FIFO under unequal delays: job i starts no later than job i+1
             starts = [j.start_seconds for j in report.jobs]
             assert starts == sorted(starts)
-            assert report.busy_seconds > 0
-            assert 0.0 < report.utilization <= 1.0
+            assert 0.0 < report.busy_seconds <= 2 * report.wall_seconds
             assert len(report.worker_busy_seconds) == 2
         finally:
             pool.close()
@@ -541,19 +539,6 @@ class TestHardKill:
         assert pool.alive_workers() == 0
 
 
-class TestFifoOrderThreadBackend:
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_randomized_delays_preserve_submission_order(self, rng, n_workers):
-        pool = FifoWorkerPool(ScriptedEvaluator(delay_scale=0.01), n_workers=n_workers)
-        individuals = make_individuals(rng, 8)
-        run_generation(pool, individuals)
-        [report] = pool.reports
-        assert report.backend == "thread"
-        assert [j.job_id for j in report.jobs] == [i.model_id for i in individuals]
-        starts = [j.start_seconds for j in report.jobs]
-        assert starts == sorted(starts)
-
-
 def surrogate_config(backend, n_workers=1, eval_cache=True, seed=7, **kwargs):
     return WorkflowConfig(
         nas=NSGANetConfig(
@@ -634,7 +619,7 @@ def without_predictor_keys(trails):
 
 @functools.lru_cache(maxsize=None)
 def baseline_run(evolution, backend, n_workers, eval_cache):
-    """(lineage without wall-clock fields, cache stats, report backends)."""
+    """(lineage without wall-clock fields, cache stats, pool reports kept)."""
     orchestrator = A4NNOrchestrator(
         baseline_config(evolution, backend, n_workers, eval_cache)
     )
@@ -644,7 +629,7 @@ def baseline_run(evolution, backend, n_workers, eval_cache):
     for trail in trails:
         trail["engine_overhead_seconds"] = None
     stats = orchestrator.memoizer.cache.stats() if eval_cache else None
-    return trails, stats, [r.backend for r in orchestrator.pool_reports]
+    return trails, stats, len(orchestrator.pool_reports)
 
 
 class TestBackendParitySurrogate:
@@ -668,11 +653,10 @@ class TestBackendParitySurrogate:
             unshared = [dict(t, cache_hit=False, cache_source=None) for t in cached]
             assert trails == unshared
         # the process pool reports once per generation behind a barrier and
-        # once per steady run; sampled curves never run on threads, so the
-        # thread backend builds no pool at any worker count; the run closed
-        # its workers
+        # once per steady run; the thread backend builds no pool at any
+        # worker count; the run closed its workers
         episodes = 0 if backend == "thread" else 3 if evolution == "barrier" else 1
-        assert reports == [backend] * episodes
+        assert reports == episodes
         assert not pool_workers()
 
     def test_fault_injection_parity(self):
@@ -702,16 +686,8 @@ class TestBackendParitySurrogate:
         assert orchestrator.pool is None and isinstance(stream.inner, InlineStream)
         assert orchestrator.effective_nas().steady_lag == 2
         trails, stats, reports = baseline_run("steady", "thread", n_workers, True)
-        assert reports == []
+        assert reports == 0
         assert (trails, stats) == baseline_run("steady", "thread", 1, True)[:2]
-
-    def test_real_training_still_gets_a_thread_pool(self):
-        orchestrator = A4NNOrchestrator(real_config("thread", 2))
-        orchestrator.build_stream(orchestrator.build_evaluator())
-        try:
-            assert isinstance(orchestrator.pool, FifoWorkerPool)
-        finally:
-            orchestrator.close_pool()
 
 
 def real_config(backend, n_workers, evolution="barrier", **kwargs):
@@ -755,17 +731,15 @@ class TestBackendParityReal:
     @pytest.mark.parametrize(
         "nas, episodes", [({}, 2), ({"evolution": "steady"}, 1)], ids=["barrier", "steady"]
     )
-    def test_thread_pool_matches_inline_and_processes(self, nas, episodes):
-        # real training is what the thread pool is for: thread@2 streams
-        # through a FifoWorkerPool and publishes the trails of thread@1 and
-        # process@2 (steady at lag 2), one PoolReport per generation or per
-        # steady run
-        _, r_inline, process, r_process = inline_and_process(**nas)
-        threads = A4NNOrchestrator(real_config("thread", 2, **nas))
-        r_threads = threads.run()
-        assert run_trail(r_threads) == run_trail(r_inline) == run_trail(r_process)
-        assert [r.backend for r in threads.pool_reports] == ["thread"] * episodes
-        assert [r.backend for r in process.pool_reports] == ["process"] * episodes
+    def test_process_pool_matches_inline(self, nas, episodes):
+        # real training on two workers runs on processes: process@2
+        # publishes the inline trails (steady at lag 2), with one
+        # PoolReport per generation or per steady run and none inline
+        inline, r_inline, process, r_process = inline_and_process(**nas)
+        assert run_trail(r_process) == run_trail(r_inline)
+        assert len(process.pool_reports) == episodes
+        assert all(r.n_workers == 2 and r.n_jobs > 0 for r in process.pool_reports)
+        assert inline.pool_reports == []
 
     def test_sanitizers_reach_the_workers(self):
         # an untripped sanitizer and write guard change no number: workers
@@ -785,7 +759,7 @@ class TestBackendParityReal:
 
     def test_process_workers_checkpoint_models(self, tmp_path):
         # each worker saves the epochs it trains, and the paths come back
-        # in the trace: the same lineage as threads, up to the run's folder
+        # in the trace: the same lineage as inline, up to the run's folder
         def run(backend, n_workers):
             folder = tmp_path / backend
             config = real_config(backend, n_workers, checkpoint_models=True)
@@ -865,26 +839,26 @@ class TestSecondWave:
     leads the rest: the same flags and counters on every backend (the batch
     memoizer's second wave raced by worker count)."""
 
-    @pytest.mark.parametrize("backend, n_workers", [("thread", 1), ("thread", 2), ("process", 2)])
+    @pytest.mark.parametrize("backend, n_workers", [("thread", 1), ("process", 2)])
     def test_hits_do_not_depend_on_backend_or_worker_count(self, rng, backend, n_workers):
         policy = FaultPolicy(max_retries=0)  # model 0 is quarantined
         if backend == "process":
-            pool = make_pool(first_fails_factory, n_workers=n_workers, policy=policy)
+            inner = make_pool(first_fails_factory, n_workers=n_workers, policy=policy)
         else:
-            pool = FifoWorkerPool(
-                FaultTolerantEvaluator(first_fails_factory(), policy), n_workers=n_workers
-            )
-        memo = MemoizingStream(_StubBase(), pool, wait_for_leader=True)
+            inner = InlineStream(FaultTolerantEvaluator(first_fails_factory(), policy))
+        memo = MemoizingStream(_StubBase(), inner, wait_for_leader=True)
         individuals = make_individuals(rng, 3)
         try:
             run_generation(memo, individuals)
         finally:
-            pool.close()
+            if backend == "process":
+                inner.close()
         assert individuals[0].quarantined
         assert [i.cache_hit for i in individuals] == [False, False, True]
         assert [i.cache_source for i in individuals] == [None, None, 1]
         assert memo.cache.stats() == {"entries": 1, "hits": 1, "misses": 2}
-        assert len(pool.reports) == 1  # the promoted follower joined the open episode
+        if backend == "process":
+            assert len(inner.reports) == 1  # the promoted follower joined the open episode
 
 
 class TestWorkflowConfigBackend:
@@ -908,6 +882,18 @@ class TestWorkflowConfigBackend:
         restored = WorkflowConfig.from_dict(payload)
         assert restored.backend == "process" and restored.faults == policy
 
+    def test_stored_real_thread_pool_loads_as_process(self):
+        # real training on more than one worker ran on a thread pool, now
+        # removed: new configs refuse it, stored runs replay on processes
+        with pytest.raises(ValidationError, match="backend='process'"):
+            real_config("thread", 2)
+        payload = dict(real_config("thread", 1).to_dict(), n_workers=2)
+        restored = WorkflowConfig.from_dict(payload)
+        assert restored.backend == "process" and restored.n_workers == 2
+        assert WorkflowConfig.from_dict(dict(payload, n_workers=1)).backend == "thread"
+        surrogate = dict(WorkflowConfig().to_dict(), n_workers=2)
+        assert WorkflowConfig.from_dict(surrogate).backend == "thread"
+
     def test_backend_roundtrips_and_defaults_to_thread(self):
         config = WorkflowConfig(backend="process", n_workers=4)
         restored = WorkflowConfig.from_dict(config.to_dict())
@@ -923,7 +909,6 @@ class TestPoolTraceRendering:
             n_workers=2,
             wall_seconds=10.0,
             n_jobs=3,
-            backend="process",
             jobs=(
                 JobTiming(0, 0, 0.0, 4.0),
                 JobTiming(1, 1, 0.0, 10.0),
@@ -936,45 +921,31 @@ class TestPoolTraceRendering:
         report = self._report()
         assert report.barrier_downtime() == [3.0, 0.0]
         assert report.busy_seconds == 17.0
-        assert report.idle_seconds == 3.0
-        assert report.utilization == pytest.approx(0.85)
-        payload = report.to_dict()
-        assert payload["barrier_downtime_seconds"] == [3.0, 0.0]
-        assert [j["job_id"] for j in payload["jobs"]] == [0, 1, 2]
+        assert [j.duration for j in report.jobs] == [4.0, 10.0, 3.0]
 
 
 class TestStreamingSeam:
     """The submit/settled/finish seam steady-state evolution runs on."""
 
-    def test_thread_stream_settles_all_and_reports_once(self, rng):
-        pool = FifoWorkerPool(ScriptedEvaluator(delay_scale=0.005), n_workers=2)
-        individuals = make_individuals(rng, 5)
-        for ind in individuals:
-            pool.submit(ind)
-        settled = [pool.settled() for _ in range(5)]
-        assert sorted(ind.model_id for ind in settled) == list(range(5))
-        assert all(ind.fitness == 50.0 + ind.model_id for ind in settled)
-        report = pool.finish()
-        assert report.n_jobs == 5
-        assert report.backend == "thread"
-        assert pool.reports == [report]
-        assert pool.finish() is None  # idempotent once drained
-        pool.close()
-
     def test_settled_without_submissions_raises(self):
-        pool = FifoWorkerPool(ScriptedEvaluator(), n_workers=2)
-        with pytest.raises(RuntimeError, match="no evaluations in flight"):
-            pool.settled()
+        pool = make_pool(delay_factory, n_workers=2)
+        try:
+            with pytest.raises(RuntimeError, match="no evaluations in flight"):
+                pool.settled()
+        finally:
+            pool.close()
 
     def test_stream_error_propagates_at_settle(self, rng):
-        pool = FifoWorkerPool(ScriptedEvaluator(fail_ids=(0,)), n_workers=1)
-        pool.submit(make_individuals(rng, 1)[0])
-        with pytest.raises(RuntimeError, match="boom 0"):
-            pool.settled()
-        pool.close()
+        pool = make_pool(first_fails_factory, n_workers=1)
+        try:
+            pool.submit(make_individuals(rng, 1)[0])
+            with pytest.raises(RuntimeError, match="boom 0"):
+                pool.settled()
+        finally:
+            pool.close()
 
     def test_close_flushes_open_stream_report(self, rng):
-        pool = FifoWorkerPool(ScriptedEvaluator(), n_workers=2)
+        pool = make_pool(delay_factory, n_workers=2)
         pool.submit(make_individuals(rng, 1)[0])
         pool.settled()
         pool.close()  # stream never finished explicitly
@@ -991,7 +962,6 @@ class TestStreamingSeam:
             assert all(ind.fitness == 50.0 + ind.model_id for ind in settled)
             report = pool.finish()
             assert report.n_jobs == 5
-            assert report.backend == "process"
             assert pool.reports == [report]
             with pytest.raises(RuntimeError, match="no evaluations in flight"):
                 pool.settled()
@@ -1006,7 +976,6 @@ class TestIdleWorkerAccounting:
             n_workers=3,
             wall_seconds=10.0,
             n_jobs=2,
-            backend="thread",
             jobs=(JobTiming(0, 0, 0.0, 4.0), JobTiming(1, 0, 4.0, 8.0)),
             worker_busy_seconds=(8.0, 0.0, 0.0),
         )
@@ -1014,8 +983,4 @@ class TestIdleWorkerAccounting:
     def test_never_scheduled_workers_not_charged_barrier_downtime(self):
         report = self._oversized_report()
         assert report.barrier_downtime() == [2.0, 0.0, 0.0]
-        assert report.idle_workers == 2
-        payload = report.to_dict()
-        assert payload["idle_workers"] == 2
-        assert payload["barrier_downtime_seconds"] == [2.0, 0.0, 0.0]
 
