@@ -55,28 +55,16 @@ def _fault_settings_from_args(args: argparse.Namespace):
     ``--inject-faults`` alone also enables it, since injection without a
     policy would abort the run on the first injected fault.
     """
-    wants_policy = any(
-        value is not None
-        for value in (args.max_retries, args.eval_timeout, args.retry_backoff)
-    )
     injection = None
     if args.inject_faults:
         injection = FaultInjectionConfig(
             rate=args.inject_faults,
             modes=tuple(args.inject_modes.split(",")),
         )
-        wants_policy = True
-    if not wants_policy:
+    if args.max_retries is None and args.eval_timeout is None and injection is None:
         return None, None
-    defaults = FaultPolicy()
-    policy = FaultPolicy(
-        max_retries=defaults.max_retries if args.max_retries is None else args.max_retries,
-        backoff_seconds=defaults.backoff_seconds
-        if args.retry_backoff is None
-        else args.retry_backoff,
-        timeout_seconds=args.eval_timeout,
-    )
-    return policy, injection
+    max_retries = FaultPolicy().max_retries if args.max_retries is None else args.max_retries
+    return FaultPolicy(max_retries, args.eval_timeout), injection
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
@@ -171,18 +159,14 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-retries",
         type=int,
-        help="enable the fault policy: retries per failing evaluation (default 2)",
+        help="enable the fault policy: immediate retries per crashed or timed-out "
+        "evaluation (default 2; a NaN fault quarantines at once)",
     )
     parser.add_argument(
         "--eval-timeout",
         type=float,
         help="enable the fault policy: per-evaluation timeout in seconds "
         "(needs --backend process: a timed-out worker is killed)",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=float,
-        help="enable the fault policy: base backoff seconds (doubles per retry)",
     )
     parser.add_argument(
         "--inject-faults",

@@ -16,23 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.engine import PredictionEngine
-from repro.core.plugin import run_training_loop
+from repro.core.plugin import LearningCurveModel, run_training_loop
 
 __all__ = ["EngineBehaviour", "measure_engine_behaviour"]
-
-
-class _Replay:
-    """Minimal TrainableModel over a fixed curve (no surrogate import)."""
-
-    def __init__(self, curve: np.ndarray) -> None:
-        self.curve = curve
-        self.epoch = 0
-
-    def train(self) -> None:
-        self.epoch += 1
-
-    def validate(self) -> float:
-        return float(self.curve[self.epoch - 1])
 
 
 @dataclass(frozen=True)
@@ -82,7 +68,7 @@ def measure_engine_behaviour(
             raise ValueError(
                 f"curve of length {len(curve)} shorter than budget {budget}"
             )
-        result = run_training_loop(_Replay(curve), engine, budget)
+        result = run_training_loop(LearningCurveModel(curve), engine, budget)
         saved.append(budget - result.epochs_trained)
         if result.terminated_early:
             terminations.append(result.epochs_trained)

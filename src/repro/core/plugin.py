@@ -4,8 +4,10 @@ Rather than re-engineering the NAS, A4NN interposes this plug-in between
 the NAS's per-network training loop and the prediction engine.  Any
 object satisfying :class:`TrainableModel` (one ``train()`` step per
 epoch, ``validate()`` returning percent fitness) can be driven — the real
-NumPy CNN trainer (:mod:`repro.nn.trainer`) and the surrogate evaluator
-(:mod:`repro.nas.surrogate`) both do.
+NumPy CNN trainer (:mod:`repro.nn.trainer`) does, and
+:class:`LearningCurveModel` replays a fixed curve for the surrogate
+evaluator (:mod:`repro.nas.surrogate`) and the curve-bank calibration
+(:mod:`repro.core.calibration`).
 
 The loop also measures the engine's own overhead per interaction, which
 the paper reports in §4.3.1 (mean 28.07 ms per interaction, 52.16 s per
@@ -17,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.core.engine import PredictionEngine
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import ensure_positive
 
-__all__ = ["TrainableModel", "TrainingResult", "run_training_loop"]
+__all__ = ["TrainableModel", "LearningCurveModel", "TrainingResult", "run_training_loop"]
 
 
 @runtime_checkable
@@ -33,6 +37,27 @@ class TrainableModel(Protocol):
 
     def validate(self) -> float:
         """Return validation fitness in percent (line 5: ``h_e = M.validate()``)."""
+
+
+class LearningCurveModel:
+    """A :class:`TrainableModel` replaying a fixed curve."""
+
+    def __init__(self, curve: np.ndarray) -> None:
+        curve = np.asarray(curve, dtype=float)
+        if curve.ndim != 1 or curve.size == 0:
+            raise ValueError(f"curve must be non-empty 1-D, got shape {curve.shape}")
+        self.curve = curve
+        self.epoch = 0
+
+    def train(self) -> None:
+        if self.epoch >= len(self.curve):
+            raise RuntimeError(f"curve exhausted after {len(self.curve)} epochs")
+        self.epoch += 1
+
+    def validate(self) -> float:
+        if self.epoch == 0:
+            raise RuntimeError("validate() before any train() call")
+        return float(self.curve[self.epoch - 1])
 
 
 @dataclass

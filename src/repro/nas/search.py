@@ -45,7 +45,7 @@ from repro.nas.operators import bitflip_mutation, point_crossover, uniform_cross
 from repro.nas.population import Individual, Population
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ValidationError, ensure_positive
 
 __all__ = [
     "NSGANetConfig",
@@ -216,11 +216,11 @@ class NSGANetConfig:
         ensure_positive(self.generations, "generations")
         ensure_positive(self.max_epochs, "max_epochs")
         if self.crossover not in _CROSSOVERS:
-            raise ValueError(
+            raise ValidationError(
                 f"crossover must be one of {sorted(_CROSSOVERS)}, got {self.crossover!r}"
             )
         if self.evolution not in _EVOLUTIONS:
-            raise ValueError(
+            raise ValidationError(
                 f"evolution must be one of {_EVOLUTIONS}, got {self.evolution!r}"
             )
         if self.steady_lag is not None:

@@ -19,7 +19,16 @@ The generator is conditioned on:
   curves that stabilize early; high = a bimodal mix of very fast
   learners and erratic curves whose predictions never settle.
 
-Curves are deterministic per (root seed, model id, intensity).
+Curves are deterministic.  An attempt's curve is drawn from
+``rng_stream.generator("curve", ident, intensity.label, *salt)`` and its
+simulated epoch costs from ``rng_stream.generator("cost", ident,
+intensity.label, *salt)``, where ``rng_stream`` is the evaluator's
+stream (the workflow passes ``RngStream(seed).child("eval")``);
+``ident`` is the genome's ``canonical_key()`` under
+``rng_keying="genome"``, the new-run default, and the model id under
+``"model"``; and ``salt`` is empty for the first attempt and
+``("retry", n)`` for the ``n``-th retry.  The curve is always sampled at
+the full ``max_epochs``, so a reduced budget replays its prefix.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import numpy as np
 
 from repro.core.engine import PredictionEngine
 from repro.core.fitting import RidgeFit, ridge_lstsq
-from repro.core.plugin import run_training_loop
+from repro.core.plugin import LearningCurveModel, run_training_loop
 # decode_genome is not called here any more; bench_spine wraps it by this name
 from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops  # noqa: F401
 from repro.nas.evaluation import (
@@ -188,27 +197,6 @@ def sample_curve(
         sigma = regime.clean_sigma
     curve = curve + rng.normal(0.0, sigma, size=n_epochs)
     return np.clip(curve, 0.0, 100.0)
-
-
-class LearningCurveModel:
-    """A :class:`~repro.core.plugin.TrainableModel` replaying a fixed curve."""
-
-    def __init__(self, curve: np.ndarray) -> None:
-        curve = np.asarray(curve, dtype=float)
-        if curve.ndim != 1 or curve.size == 0:
-            raise ValueError(f"curve must be non-empty 1-D, got shape {curve.shape}")
-        self.curve = curve
-        self.epoch = 0
-
-    def train(self) -> None:
-        if self.epoch >= len(self.curve):
-            raise RuntimeError(f"curve exhausted after {len(self.curve)} epochs")
-        self.epoch += 1
-
-    def validate(self) -> float:
-        if self.epoch == 0:
-            raise RuntimeError("validate() before any train() call")
-        return float(self.curve[self.epoch - 1])
 
 
 class SurrogateEvaluator:

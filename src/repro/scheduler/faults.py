@@ -8,14 +8,15 @@ multi-generation search.  PEng4NN and Baker et al. treat degenerate
 learning curves as a normal outcome to route around; this module gives
 the A4NN stack the same stance:
 
-* :class:`FaultPolicy` — bounded retries with exponential backoff and
-  re-seeded RNG children, quarantine objectives for candidates that
-  exhaust their attempts, and a per-attempt timeout that only the
-  process backend enforces (it kills the worker).
+* :class:`FaultPolicy` — two settings: how many times a crashed or
+  timed-out attempt is retried (at once, on re-seeded RNG children),
+  and a per-attempt timeout that only the process backend enforces (it
+  kills the worker).  A numerical fault always quarantines.
 * :class:`FaultRouter` — the one place a decision is recorded on the
-  individual; a quarantined individual receives a penalized (fitness,
-  FLOPs) pair, so NSGA-II environmental selection discards it naturally
-  instead of the search dying.
+  individual; a quarantined individual receives the penalized objectives
+  (:data:`QUARANTINE_FITNESS`, :data:`QUARANTINE_FLOPS`), so NSGA-II
+  environmental selection discards it naturally instead of the search
+  dying.
 * :class:`FaultTolerantEvaluator` — wraps any
   :class:`~repro.nas.evaluation.Evaluator` in the in-thread retry loop
   that drives the router (the process pool drives the same router from
@@ -40,20 +41,20 @@ byte-identical to pre-fault-policy runs).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, field
 
 from repro.nas.population import Individual
 from repro.tooling.sanitizer import NumericalFault
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, ensure_known_keys
 
 __all__ = [
+    "QUARANTINE_FITNESS",
+    "QUARANTINE_FLOPS",
     "EvaluationTimeout",
     "InjectedFault",
     "FaultEvent",
-    "FaultDecision",
     "FaultPolicy",
     "FaultRouter",
     "FaultTolerantEvaluator",
@@ -63,10 +64,21 @@ __all__ = [
 
 _LOG = get_logger("scheduler.faults")
 
+#: Accuracy (percent) assigned to quarantined candidates.
+QUARANTINE_FITNESS = 0.0
+
 #: Penalized FLOPs objective for quarantined candidates: large enough to
 #: be dominated by every real architecture, finite so NSGA-II's sort and
 #: crowding-distance arithmetic stay well-behaved.
 QUARANTINE_FLOPS = 10**15
+
+#: Policy keys of older documents, each with the one value that replays
+#: the same lineage under the fixed policy.
+_RETIRED = {
+    "retry_numerical": False,
+    "quarantine_fitness": QUARANTINE_FITNESS,
+    "quarantine_flops": QUARANTINE_FLOPS,
+}
 
 
 class EvaluationTimeout(RuntimeError):
@@ -103,28 +115,10 @@ class FaultEvent:
     kind: str  # "crash" | "timeout" | "numerical"
     action: str  # "retry" | "quarantine"
     error: str
-    backoff_seconds: float = 0.0
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "attempt": self.attempt,
-            "kind": self.kind,
-            "action": self.action,
-            "error": self.error,
-            "backoff_seconds": self.backoff_seconds,
-            "detail": dict(self.detail),
-        }
-
-
-class FaultDecision(NamedTuple):
-    """What a :class:`FaultPolicy` makes of one failed attempt."""
-
-    kind: str  # "crash" | "timeout" | "numerical"
-    detail: dict
-    action: str  # "retry" | "quarantine"
-    backoff_seconds: float
+        return asdict(self)
 
 
 def _classify(exc: Exception) -> tuple[str, dict]:
@@ -142,87 +136,61 @@ class FaultPolicy:
     Attributes
     ----------
     max_retries:
-        Additional attempts after the first failure (0 = quarantine on
-        the first fault).  Each retry re-derives the candidate's
-        training RNG children with a ``("retry", attempt)`` salt, so a
-        crash caused by an unlucky initialization gets a genuinely
-        different draw while staying fully reproducible.
-    backoff_seconds:
-        Base backoff before retry ``n`` sleeps ``backoff_seconds *
-        2**n`` (0 disables sleeping; retries are then immediate).
+        Additional attempts after a crash or timeout (0 = quarantine on
+        the first fault), started at once.  Each retry re-derives the
+        candidate's training RNG children with a ``("retry", attempt)``
+        salt, so a crash caused by an unlucky initialization gets a
+        genuinely different draw while staying fully reproducible.  A
+        :class:`~repro.tooling.sanitizer.NumericalFault` is never
+        retried: NaN divergence is a property of the architecture, not
+        of the seed.
     timeout_seconds:
         Wall-clock budget per evaluation attempt; ``None`` disables the
         timeout.  Only the process backend enforces it: it kills the
         worker of an overdue attempt, and an attempt that reports back
         past the budget by its worker's own stopwatch counts as timed
         out too.  Timed-out attempts count as faults like any other.
-    retry_numerical:
-        Whether :class:`~repro.tooling.sanitizer.NumericalFault`s are
-        retried.  Off by default: NaN divergence is usually a property
-        of the architecture, not the seed, so the candidate goes
-        straight to quarantine.
-    quarantine_fitness:
-        Accuracy (percent) assigned to quarantined candidates.
-    quarantine_flops:
-        FLOPs objective assigned to quarantined candidates.  The
-        default is dominated by every real architecture, so NSGA-II
-        discards quarantined genomes on both objectives.
     """
 
     max_retries: int = 2
-    backoff_seconds: float = 0.0
     timeout_seconds: float | None = None
-    retry_numerical: bool = False
-    quarantine_fitness: float = 0.0
-    quarantine_flops: int = QUARANTINE_FLOPS
 
     def __post_init__(self) -> None:
         if int(self.max_retries) < 0:
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
-        if float(self.backoff_seconds) < 0:
-            raise ValidationError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
         if self.timeout_seconds is not None and float(self.timeout_seconds) <= 0:
             raise ValidationError(
                 f"timeout_seconds must be positive or None, got {self.timeout_seconds}"
             )
-        if int(self.quarantine_flops) <= 0:
-            raise ValidationError(
-                f"quarantine_flops must be positive, got {self.quarantine_flops}"
-            )
 
-    def backoff_for(self, attempt: int) -> float:
-        """Backoff to sleep before re-running after failed ``attempt``."""
-        return float(self.backoff_seconds) * (2 ** int(attempt))
+    def decide(self, attempt: int, kind: str) -> str:
+        """``"retry"`` or ``"quarantine"`` for a ``kind`` fault of ``attempt``.
 
-    def decide(self, attempt: int, exc: Exception) -> FaultDecision:
-        """What to do about ``exc``, raised by attempt number ``attempt``.
-
-        Pure: the same (attempt, exception) always gets the same
-        decision, whichever driver asks.
+        Pure: whichever driver asks gets the same answer.
         """
-        kind, detail = _classify(exc)
-        retriable = attempt < self.max_retries and (
-            kind != "numerical" or self.retry_numerical
-        )
-        if retriable:
-            return FaultDecision(kind, detail, "retry", self.backoff_for(attempt))
-        return FaultDecision(kind, detail, "quarantine", 0.0)
+        retry = attempt < self.max_retries and kind != "numerical"
+        return "retry" if retry else "quarantine"
 
     def to_dict(self) -> dict:
-        return {
-            "max_retries": self.max_retries,
-            "backoff_seconds": self.backoff_seconds,
-            "timeout_seconds": self.timeout_seconds,
-            "retry_numerical": self.retry_numerical,
-            "quarantine_fitness": self.quarantine_fitness,
-            "quarantine_flops": self.quarantine_flops,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPolicy":
-        return cls(**payload)
+        """Load a stored policy, older documents included.
+
+        The retired wait between attempts is dropped: it only ever moved
+        wall time.  Any other retired key set to anything but its fixed
+        value would replay to different lineage, so it is refused.
+        """
+        payload = dict(payload)
+        payload.pop("backoff_seconds", None)
+        for key, value in _RETIRED.items():
+            stored = payload.pop(key, value)
+            if stored != value:
+                raise ValidationError(
+                    f"faults.{key}={stored!r} is retired: only {value!r} replays"
+                )
+        return cls(**ensure_known_keys(payload, cls, "faults"))
 
 
 @dataclass(frozen=True)
@@ -352,54 +320,35 @@ class FaultRouter:
     Parameters
     ----------
     policy:
-        Retry/timeout/quarantine settings.
+        Retry and timeout settings.
     """
 
     def __init__(self, policy: FaultPolicy) -> None:
         self.policy = policy
 
-    def route(self, individual: Individual, attempt: int, exc: Exception) -> float | None:
+    def route(self, individual: Individual, attempt: int, exc: Exception) -> bool:
         """Record the policy's decision about failed ``attempt``.
 
-        Returns the backoff to wait before the next attempt, or ``None``
-        once the individual has been quarantined.
+        Returns whether to retry; ``False`` once the individual has been
+        quarantined.
         """
-        decision = self.policy.decide(attempt, exc)
-        self._emit(individual, attempt, exc, decision)
-        if decision.action == "quarantine":
-            self._quarantine(individual)
-            return None
-        return decision.backoff_seconds
-
-    def _emit(
-        self, individual: Individual, attempt: int, exc: Exception, decision: FaultDecision
-    ) -> None:
-        event = FaultEvent(
-            model_id=individual.model_id,
-            attempt=attempt,
-            kind=decision.kind,
-            action=decision.action,
-            error=str(exc),
-            backoff_seconds=decision.backoff_seconds,
-            detail=decision.detail,
-        )
+        kind, detail = _classify(exc)
+        action = self.policy.decide(attempt, kind)
+        event = FaultEvent(individual.model_id, attempt, kind, action, str(exc), detail)
         individual.fault_events.append(event.to_dict())
-        log = _LOG.warning if decision.action == "quarantine" else _LOG.info
+        log = _LOG.info if action == "retry" else _LOG.warning
         log(
             "model %d attempt %d %s fault -> %s: %s",
-            individual.model_id,
-            attempt,
-            decision.kind,
-            decision.action,
-            exc,
+            individual.model_id, attempt, kind, action, exc,
         )
-
-    def _quarantine(self, individual: Individual) -> None:
-        individual.fitness = float(self.policy.quarantine_fitness)
-        individual.flops = int(self.policy.quarantine_flops)
+        if action == "retry":
+            return True
+        individual.fitness = QUARANTINE_FITNESS
+        individual.flops = QUARANTINE_FLOPS
         individual.result = None
         individual.epoch_seconds = []
         individual.quarantined = True
+        return False
 
 
 class FaultTolerantEvaluator:
@@ -409,7 +358,7 @@ class FaultTolerantEvaluator:
     it wraps, so the search, the inline stream, and the lineage hooks
     cannot tell it apart from a raw evaluator.  A candidate that exhausts
     its attempts is *quarantined*: it comes back evaluated, carrying the
-    policy's penalized objectives and ``individual.quarantined = True``,
+    penalized objectives and ``individual.quarantined = True``,
     and NSGA-II selection discards it on dominance alone.
 
     Parameters
@@ -418,19 +367,11 @@ class FaultTolerantEvaluator:
         Inner backend (optionally already wrapped in a
         :class:`FaultInjectingEvaluator`).
     policy:
-        Retry/quarantine settings.  A policy with a timeout is refused:
-        the attempt runs on the caller's thread, which nothing can stop.
-    sleep:
-        Injection point for the backoff sleep (tests pass a recorder).
+        Retry settings.  A policy with a timeout is refused: the attempt
+        runs on the caller's thread, which nothing can stop.
     """
 
-    def __init__(
-        self,
-        evaluator,
-        policy: FaultPolicy | None = None,
-        *,
-        sleep=time.sleep,
-    ) -> None:
+    def __init__(self, evaluator, policy: FaultPolicy | None = None) -> None:
         self.evaluator = evaluator
         self.policy = policy or FaultPolicy()
         if self.policy.timeout_seconds is not None:
@@ -439,7 +380,6 @@ class FaultTolerantEvaluator:
                 "backend cannot stop an attempt, use backend='process'"
             )
         self._router = FaultRouter(self.policy)
-        self._sleep = sleep
         self.max_epochs = evaluator.max_epochs
 
     def evaluate(self, individual: Individual) -> Individual:
@@ -449,11 +389,8 @@ class FaultTolerantEvaluator:
             try:
                 self.evaluator.evaluate(individual)
             except Exception as exc:  # a4nn: noqa(NUM001) -- every fault is classified, logged, and recorded into lineage
-                backoff = self._router.route(individual, attempt, exc)
-                if backoff is None:
+                if not self._router.route(individual, attempt, exc):
                     return individual
-                if backoff > 0:
-                    self._sleep(backoff)
             else:
                 return individual
         raise AssertionError("unreachable: retry loop is bounded")  # pragma: no cover

@@ -38,7 +38,7 @@ Division of labour (the key to bit-identical results across backends):
   real individual, where lineage and the eval cache read it, and drives
   the same :class:`~repro.scheduler.faults.FaultRouter` as
   :class:`~repro.scheduler.faults.FaultTolerantEvaluator` from its
-  dispatch queue (retry with backoff → quarantine).
+  dispatch queue (retry at once → quarantine).
 
 Because attempts run in killable processes, a policy timeout is a *hard
 kill*: the worker of an overdue attempt is killed and its slot started
@@ -62,7 +62,6 @@ import pickle
 import socket
 import subprocess
 import sys
-import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
@@ -214,14 +213,13 @@ def _worker_main(fd: int) -> None:
 class _Job:
     """Parent-side state of one individual's evaluation across attempts."""
 
-    __slots__ = ("individual", "order", "attempt", "ready_at", "first_start",
-                 "attempt_start", "deadline", "error")
+    __slots__ = ("individual", "order", "attempt", "first_start", "attempt_start",
+                 "deadline", "error")
 
     def __init__(self, individual: Individual, order: int) -> None:
         self.individual = individual
         self.order = order
         self.attempt = int(getattr(individual, "eval_attempt", 0))
-        self.ready_at = 0.0        # episode-clock time the next attempt may start
         self.first_start = None    # episode-clock time of the first dispatch
         self.attempt_start = 0.0   # episode-clock time of the current dispatch
         self.deadline = None       # episode-clock hard-kill deadline of the attempt
@@ -430,22 +428,16 @@ class ProcessWorkerPool:
 
     def _route_fault(self, job: _Job, worker_index: int, exc: Exception, end: float) -> None:
         """Settle a failed attempt: raise later (no policy), retry, or quarantine."""
-        state = self._stream
-        individual = job.individual
-        individual.eval_attempt = job.attempt
+        job.individual.eval_attempt = job.attempt
         if self._router is None:
             job.error = exc
-            backoff = None
-        else:
-            backoff = self._router.route(individual, job.attempt, exc)
-        if backoff is None:
-            self._settle(job, worker_index, end)
+        elif self._router.route(job.individual, job.attempt, exc):
+            job.attempt += 1
+            # front of the queue: finish this candidate before starting new
+            # ones, like the inline retry loop
+            self._stream.queue.appendleft(job)
             return
-        job.attempt += 1
-        job.ready_at = state.clock.elapsed() + backoff
-        # front of the queue: finish this candidate before starting new
-        # ones, like the inline retry loop
-        state.queue.appendleft(job)
+        self._settle(job, worker_index, end)
 
     def _timed_out(self, job: _Job) -> EvaluationTimeout:
         return EvaluationTimeout(
@@ -484,15 +476,15 @@ class ProcessWorkerPool:
     # -- dispatch loop ----------------------------------------------------------
 
     def _dispatch(self) -> None:
-        """Hand ready jobs to free workers, preserving submission order."""
+        """Hand queued jobs to free workers, preserving submission order."""
         state = self._stream
         queue, clock = state.queue, state.clock
         if not queue:
             return
         self._start_missing()
         for worker in self._workers:
-            if not queue or queue[0].ready_at > clock.elapsed():
-                return  # head in backoff; later jobs must not overtake it
+            if not queue:
+                return
             if not worker.ready or worker.job is not None:
                 continue
             if not state.dispatched:
@@ -516,28 +508,23 @@ class ProcessWorkerPool:
             )
 
     def _wait_and_settle(self) -> None:
-        """Block until a worker replies, a deadline passes or a backoff elapses.
+        """Block until a worker replies or a deadline passes.
 
         A reply is a starting worker's ``ready`` (or its start-up
         failure, which breaks the pool) or an attempt's result.
         """
-        state = self._stream
-        queue, clock = state.queue, state.clock
+        clock = self._stream.clock
         workers = [w for w in self._workers if w is not None]
         starting = [w for w in workers if not w.ready]
         inflight = [w for w in workers if w.job is not None]
         if not starting and not inflight:
-            if queue:  # head is backing off; sleep toward its ready time
-                time.sleep(min(max(queue[0].ready_at - clock.elapsed(), 0.0), 0.1))
-            return
+            return  # nothing can reply: waiting on no connection blocks forever
         waits = [max(self.startup_timeout - w.startup.elapsed(), 0.0) for w in starting]
         waits += [
             max(w.job.deadline - clock.elapsed(), 0.0)
             for w in inflight
             if w.job.deadline is not None
         ]
-        if queue and any(w.ready and w.job is None for w in workers):
-            waits.append(max(queue[0].ready_at - clock.elapsed(), 0.0))
         ready = connection.wait([w.conn for w in starting + inflight], min(waits, default=None))
         for conn in ready:
             worker = next(w for w in workers if w.conn is conn)

@@ -136,7 +136,7 @@ class UnboundedRetryRule(BaseRule):
                     handler,
                     "unbounded retry: this while-True loop swallows the "
                     "exception and tries again forever; bound the attempts "
-                    "with backoff or route through scheduler.faults.FaultPolicy",
+                    "or route through scheduler.faults.FaultPolicy",
                 )
 
 

@@ -7,10 +7,12 @@ uniform, early, human-readable errors instead of deep numpy stack traces.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 __all__ = [
     "ValidationError",
+    "ensure_known_keys",
     "ensure_positive",
     "ensure_non_negative",
     "ensure_in_range",
@@ -21,6 +23,14 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised when a user-supplied configuration value is invalid."""
+
+
+def ensure_known_keys(payload: dict, cls: type, section: str) -> dict:
+    """Require every key of a stored ``section`` to be a field of dataclass ``cls``."""
+    unknown = sorted(set(payload) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown key in {section}: {', '.join(unknown)}")
+    return payload
 
 
 def ensure_positive(value: float, name: str) -> float:

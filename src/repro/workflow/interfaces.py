@@ -17,7 +17,7 @@ from repro.nas.search import NSGANetConfig
 from repro.nas.surrogate import SurrogateConfig
 from repro.nn.dtype import dtype_label
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, ensure_known_keys
 from repro.xfel.dataset import DatasetConfig
 from repro.xfel.intensity import BeamIntensity
 
@@ -25,6 +25,14 @@ __all__ = ["WorkflowConfig"]
 
 _MODES = ("real", "surrogate")
 _BACKENDS = ("thread", "process")
+#: the document's nested sections and the configuration each one loads into
+_SECTIONS = {
+    "nas": NSGANetConfig,
+    "engine": EngineConfig,
+    "dataset": DatasetConfig,
+    "fault_injection": FaultInjectionConfig,
+    "surrogate": SurrogateConfig,
+}
 
 
 @dataclass(frozen=True)
@@ -243,6 +251,9 @@ class WorkflowConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WorkflowConfig":
+        # faults checks its own keys, once its retired ones are migrated
+        for section, section_cls in _SECTIONS.items():
+            ensure_known_keys(payload.get(section) or {}, section_cls, section)
         dataset_payload = dict(payload.get("dataset", {}))
         if "intensity" in dataset_payload:
             dataset_payload["intensity"] = BeamIntensity.from_label(

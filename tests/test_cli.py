@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
 from repro.utils.io import atomic_write_json
 
 
@@ -88,7 +89,7 @@ class TestConfigCommand:
             ("faults", "timeout_seconds"),
             9.5,
         ),
-        (["--retry-backoff", "0.25"], ("faults", "backoff_seconds"), 0.25),
+        (["--max-retries", "0", "--inject-faults", "0.25"], ("fault_injection", "rate"), 0.25),
         (["--inject-faults", "0.125"], ("fault_injection", "rate"), 0.125),
         (
             ["--inject-faults", "0.125", "--inject-modes", "nan"],
@@ -141,6 +142,28 @@ class TestConfigCommand:
         assert payload["dataset"]["images_per_class"] == 20
         assert payload["dataset"]["intensity"] == "medium"
 
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ({"dataset": {"images_per_class": 2}}, "images_per_class=2 at train_fraction=0.8"),
+            ({"faults": {"max_retries": 1, "bogus": 2}}, "unknown key in faults: bogus"),
+            ({"nas": {"popsize": 3}}, "unknown key in nas: popsize"),
+            ({"nas": {"evolution": "steadyy"}}, "evolution must be one of"),
+            ({"faults": {"retry_numerical": True}}, "faults.retry_numerical=True is retired"),
+            ({"faults": {"quarantine_fitness": 5.0}}, "faults.quarantine_fitness=5.0 is retired"),
+            ({"faults": {"quarantine_flops": 10**9}}, "faults.quarantine_flops=1000000000 is"),
+        ],
+    )
+    def test_bad_document_is_one_error_line(self, tmp_path, capsys, document, message):
+        # a section refuses a bad value or an unknown key with a
+        # ValidationError, which the CLI prints as its one error line
+        path = atomic_write_json(tmp_path / "doc.json", document)
+        assert main(["config", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"a4nn: error: {message}")
+        assert captured.err.count("\n") == 1
+
 
 class TestRunCommand:
     def test_run_with_config_file_and_commons(self, tmp_path, capsys):
@@ -187,22 +210,22 @@ class TestRunCommand:
         from repro.cli import _fault_settings_from_args
 
         args = build_parser().parse_args(
-            ["run", "--max-retries", "3", "--eval-timeout", "60", "--retry-backoff", "2"]
+            ["run", "--max-retries", "3", "--eval-timeout", "60"]
         )
-        policy, injection = _fault_settings_from_args(args)
-        assert policy.max_retries == 3
-        assert policy.timeout_seconds == 60.0
-        assert policy.backoff_seconds == 2.0
-        assert injection is None
+        assert _fault_settings_from_args(args) == (FaultPolicy(3, 60.0), None)
 
+        # injection alone enables the policy
         args = build_parser().parse_args(["run", "--inject-faults", "0.25"])
-        policy, injection = _fault_settings_from_args(args)
-        assert policy is not None  # injection alone enables the policy
-        assert injection.rate == 0.25
-        assert injection.modes == ("crash", "hang", "nan")
+        assert _fault_settings_from_args(args) == (FaultPolicy(), FaultInjectionConfig(0.25))
 
         args = build_parser().parse_args(["run"])
         assert _fault_settings_from_args(args) == (None, None)
+
+    def test_retry_backoff_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--retry-backoff", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --retry-backoff" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -218,18 +241,6 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("a4nn: error: ") and message in captured.err
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-
-    def test_bad_split_in_a_document_is_one_error_line(self, tmp_path, capsys):
-        # DatasetConfig refuses the split with a ValidationError, which the
-        # CLI prints as its one error line
-        document = small_config_dict()
-        document["dataset"].update(images_per_class=2, train_fraction=0.8)
-        config_path = atomic_write_json(tmp_path / "cfg.json", document)
-        assert main(["run", "--config", str(config_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("a4nn: error: images_per_class=2 at train_fraction=0.8")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_compare_reports_savings(self, tmp_path, capsys):

@@ -366,7 +366,7 @@ class TestProcessPoolDirect:
         pool = make_pool(
             flaky_pair_factory,
             n_workers=2,
-            policy=FaultPolicy(max_retries=1, backoff_seconds=0.0),
+            policy=FaultPolicy(max_retries=1),
         )
         try:
             individuals = make_individuals(rng, 5)
@@ -516,9 +516,7 @@ class TestHardKill:
         pool = make_pool(
             hang_factory,
             n_workers=2,
-            policy=FaultPolicy(
-                max_retries=1, backoff_seconds=0.0, timeout_seconds=0.5
-            ),
+            policy=FaultPolicy(max_retries=1, timeout_seconds=0.5),
         )
         try:
             individuals = make_individuals(rng, 4)
@@ -666,7 +664,7 @@ class TestBackendParitySurrogate:
                 n_workers,
                 eval_cache=False,
                 seed=3,
-                faults=FaultPolicy(max_retries=1, backoff_seconds=0.0),
+                faults=FaultPolicy(max_retries=1),
                 fault_injection=FaultInjectionConfig(
                     rate=0.3, modes=("crash", "hang", "nan")
                 ),

@@ -353,8 +353,8 @@ def full_record() -> ModelRecord:
         training_parameters={"mode": "surrogate", "max_epochs": 8},
         fault={"kind": "numerical", "message": "nan in loss", "context": {"layer": 3}},
         fault_events=[
-            {"attempt": 0, "kind": "crash", "action": "retry", "backoff": 0.5},
-            {"attempt": 1, "kind": "timeout", "action": "quarantine", "backoff": None},
+            {"attempt": 0, "kind": "crash", "action": "retry"},
+            {"attempt": 1, "kind": "timeout", "action": "quarantine"},
         ],
         quarantined=True,
         cache_hit=True,
