@@ -261,7 +261,8 @@ class ModelRecord:
     # this model's result entered the population (equal to model_id by
     # construction); None for barrier-mode and historical records
     logical_tick: int | None = None
-    # the network arena's peak scratch footprint for the evaluation;
+    # the network arena's peak scratch footprint for the evaluation:
+    # owned bytes, one block per buffer kind, borrowed views free;
     # arena_enabled is kept for the published schema and is always
     # arena_peak_bytes > 0 (False for surrogate-mode models)
     arena_enabled: bool = False

@@ -64,8 +64,10 @@ class Individual:
         runs.
     arena_peak_bytes:
         Peak scratch footprint of the network's buffer arena
-        (:mod:`repro.nn.arena`) for this evaluation; 0 when nothing was
-        trained (surrogate mode).
+        (:mod:`repro.nn.arena`) for this evaluation: the bytes of its
+        owned blocks, one per buffer kind (the views a ragged batch or
+        validation borrows are free); 0 when nothing was trained
+        (surrogate mode).
     predicted_fitness:
         Cross-architecture surrogate prediction made when this candidate
         was bred (``None`` when the surrogate is off or had not yet

@@ -94,8 +94,9 @@ class Layer:
         """Uninitialized scratch for a result or a backward cache.
 
         Bound, it is the arena's pinned buffer for this layer and
-        ``name`` — the same array every batch, valid until the layer's
-        next ``forward``.  Unbound, it is a fresh array, so a bare layer
+        ``name`` — the same array every batch of that size (a leading
+        view of the block the largest batch sized), valid until the
+        layer's next ``forward``.  Unbound, it is a fresh array, so a bare layer
         hands out by-value results.  The kernels write every element
         either way; this is the only place the two cases differ.
         """
@@ -106,8 +107,8 @@ class Layer:
     def _tmp(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """Uninitialized *call-local* scratch: dead before this call returns.
 
-        Bound, it is one arena block per ``(name, shape, dtype)`` shared
-        by every layer of the network (the same-shaped layers of a phase
+        Bound, it is one arena block per ``(name, shape[1:], dtype)``
+        shared by every layer of the network (the same-shaped layers of a phase
         reuse one cache-warm block instead of pinning one each), so it is
         never returned, cached for ``backward``, or live across another
         layer's call.  Unbound, it is a fresh array, like :meth:`_buf`.

@@ -85,8 +85,11 @@ class Adam(Optimizer):
                 np.multiply(param.value, self.weight_decay, out=s1)
                 s1 += grad
                 grad = s1
-            m = self._m.setdefault(name, np.zeros_like(param.value))  # allocates once per parameter
-            v = self._v.setdefault(name, np.zeros_like(param.value))  # allocates once per parameter
+            m = self._m.get(name)
+            if m is None:  # first sight: the only allocation per parameter
+                m = self._m[name] = np.zeros_like(param.value)
+                self._v[name] = np.zeros_like(param.value)
+            v = self._v[name]
             m *= self.beta1
             np.multiply(grad, 1.0 - self.beta1, out=s2)
             m += s2

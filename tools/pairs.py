@@ -11,6 +11,10 @@ keeps every execution alive, and a faster tree fits one more into 5 s.  Per
 side it also prints the ``import_s`` and ``generate_s`` parts of ``setup_s``
 (when the workload has them): they show whether a ``setup_s`` change came
 through the noisy import probe or through dataset generation.
+
+A run that fails a check (``run.py`` exits 1) or crashes is recorded as
+failing and the sweep goes on; medians, quartiles, wins and the
+``peak_rss_mb`` table use correct runs only.
 """
 
 import argparse
@@ -29,27 +33,33 @@ SETUP_PARTS = ("import_s", "generate_s")
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     command = [sys.executable, "bench_spine/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", "5", "--trace", "0"]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=True)
-    line = json.loads(done.stdout.strip().splitlines()[-1])
-    full = json.loads((tree / "bench_spine/out" / f"run_{workload}_s{seed}_t0.json").read_text())
-    return {"ok": line["correct"] and not line["failed"], "executions": full["executions"],
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    try:  # the result line is printed after the run file is written
+        line = json.loads(done.stdout.strip().splitlines()[-1])
+        full = json.loads((tree / "bench_spine/out" / f"run_{workload}_s{seed}_t0.json").read_text())
+    except (IndexError, ValueError, OSError):  # crashed before its result line
+        return {"ok": False, "executions": None, "digest": None}
+    return {"ok": done.returncode == 0 and line["correct"] and not line["failed"],
+            "executions": full["executions"],
             "digest": full["digest"][:12],
             **{part: full["setup_parts"].get(part) for part in SETUP_PARTS},
             **{name: metric["value"] for name, metric in line["metrics"].items()}}
 
 
 def spread(values: list) -> str:
+    if not values:
+        return "n/a"
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return f"{q2:.4g} ({q1:.4g}-{q3:.4g})"
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent tree")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="inclusive range A-B")
     parser.add_argument("--out", default="pairs.jsonl")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     first, last = (int(s) for s in args.seeds.split("-"))
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
@@ -69,12 +79,16 @@ def main() -> None:
                 print(f"seed {seed}: digests differ", *(runs[s][-1]["digest"] for s in runs))
     for side, done in runs.items():
         print(f"{side}: {len(done)} runs, {sum(not r['ok'] for r in done)} incorrect or failing")
+    # a pair counts towards wins only when both of its runs are correct
+    pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if p["ok"] and c["ok"]]
+    runs = {side: [r for r in done if r["ok"]] for side, done in runs.items()}
     for metric in metrics:
-        parent, change = ([r[metric["name"]] for r in runs[side]] for side in runs)
+        name = metric["name"]
+        parent, change = ([r[name] for r in runs[side]] for side in runs)
         sign = 1 if metric["better"] == "lower" else -1
-        wins = sum(sign * c < sign * p for p, c in zip(parent, change))
-        print(f"{metric['name']}: parent {spread(parent)}  change {spread(change)}  "
-              f"change better in {wins}/{len(parent)}")
+        wins = sum(sign * c[name] < sign * p[name] for p, c in pairs)
+        print(f"{name}: parent {spread(parent)}  change {spread(change)}  "
+              f"change better in {wins}/{len(pairs)}")
     for part in SETUP_PARTS:
         if all(r[part] is not None for done in runs.values() for r in done):
             print(f"setup part {part}: " + "  ".join(
