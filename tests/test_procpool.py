@@ -709,6 +709,23 @@ def real_config(backend, n_workers, evolution="barrier", **kwargs):
     )
 
 
+#: what ``bench_spine/run.py`` digests of a record: no wall clock, no loss
+DEFAULT_REAL_FIELDS = (
+    "model_id", "generation", "genome", "fitness", "measured_fitness", "flops",
+    "terminated_early", "epochs_trained", "fitness_history", "prediction_history",
+    "quarantined", "cache_hit", "budget_assigned", "skip_reason",
+)
+
+
+def default_real_records(result):
+    """``DEFAULT_REAL_FIELDS`` of every record, as ``default_real.json`` holds them."""
+    rows = [
+        {name: getattr(record, name) for name in DEFAULT_REAL_FIELDS}
+        for record in result.tracker.all_records()
+    ]
+    return json.loads(json.dumps(rows))
+
+
 @functools.lru_cache(maxsize=None)
 def inline_and_process(**kwargs):
     """The same real-mode run inline and on two worker processes."""
@@ -738,6 +755,16 @@ class TestBackendParityReal:
         assert len(process.pool_reports) == episodes
         assert all(r.n_workers == 2 and r.n_jobs > 0 for r in process.pool_reports)
         assert inline.pool_reports == []
+
+    def test_default_path_matches_the_pin(self):
+        # the path every new run takes, pinned independently of parity:
+        # a change that moved real-mode lineage on both backends at once
+        # would still pass the two tests above
+        pinned = json.loads((FIXTURES / "default_real.json").read_text())
+        _, r_inline, _, r_process = inline_and_process()
+        assert default_real_records(r_inline) == pinned
+        assert default_real_records(r_process) == pinned
+        assert sum(row["cache_hit"] for row in pinned) == 1
 
     def test_sanitizers_reach_the_workers(self):
         # an untripped sanitizer and write guard change no number: workers
