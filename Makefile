@@ -8,7 +8,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test bench-kernels bench-paper faults readme-rules pairs all
+.PHONY: check lint test fixtures bench-kernels bench-paper faults readme-rules pairs all
 
 all: check test
 
@@ -21,6 +21,11 @@ lint: check
 # tier-1 test suite
 test:
 	$(PYTHON) -m pytest -x -q
+
+# rewrite every committed fixture with its generator; `git diff
+# tests/fixtures` is then empty unless a change moved a pinned value
+fixtures:
+	for generator in tests/fixtures/make_*.py; do $(PYTHON) "$$generator" || exit 1; done
 
 # kernel benchmarks (conv fwd/bwd, dense, a training step, an engine
 # fit under pytest-benchmark) and the memory-pass ratio guards; the CI

@@ -71,9 +71,7 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     """Top-level ``WorkflowConfig`` fields given explicitly on the CLI."""
     overrides = {
         name: getattr(args, name)
-        for name in (
-            "mode", "seed", "dtype", "rng_keying", "eval_cache", "backend", "n_workers",
-        )
+        for name in ("mode", "seed", "eval_cache", "backend", "n_workers")
         if getattr(args, name) is not None
     }
     if args.sanitize:
@@ -182,23 +180,10 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
         help="comma-separated fault modes to inject (crash, hang, nan)",
     )
     parser.add_argument(
-        "--dtype",
-        choices=["float32", "float64"],
-        help="compute dtype for real-mode evaluation (new runs default to "
-        "float32; float64 reproduces historical runs bit-exactly)",
-    )
-    parser.add_argument(
-        "--rng-keying",
-        choices=["model", "genome"],
-        help="evaluation RNG identity: 'genome' (new-run default) makes "
-        "duplicate architectures cacheable; 'model' replays legacy runs",
-    )
-    parser.add_argument(
         "--eval-cache",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="memoize evaluations of duplicate architectures "
-        "(on by default for new runs; requires --rng-keying genome)",
+        help="memoize evaluations of duplicate architectures (on by default)",
     )
     parser.add_argument(
         "--backend",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.lineage.commons import DataCommons
 from repro.lineage.records import ModelRecord
+from repro.utils.validation import ValidationError
 
 __all__ = ["ReplayReport", "replay_run", "verify_run"]
 
@@ -99,7 +100,7 @@ def replay_run(commons: DataCommons, run_id: str):
 
     run = commons.load_run(run_id)
     if run.workflow_config is None:
-        raise ValueError(
+        raise ValidationError(
             f"run {run_id!r} predates config capture and cannot be replayed"
         )
     config = WorkflowConfig.from_dict(run.workflow_config)

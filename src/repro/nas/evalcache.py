@@ -2,10 +2,10 @@
 
 NSGA-II's crossover and mutation routinely regenerate genomes that were
 already evaluated — either bit-identical or isomorphic (same phase DAG
-under node relabeling).  Under the genome-keyed RNG policy
-(``rng_keying="genome"``, see :mod:`repro.nas.evaluation`), evaluation
-is a pure function of (canonical genome, training config, dataset,
-dtype), so re-training such a candidate buys nothing.
+under node relabeling).  Every evaluation is keyed by the canonical
+genome (see :mod:`repro.nas.evaluation`), so it is a pure function of
+(canonical genome, training config, dataset, dtype), and re-training
+such a candidate buys nothing.
 :class:`MemoizingStream` sits between the search and the evaluation
 backend on the :class:`~repro.nas.search.EvalStream` seam and reuses the
 recorded outcome instead.

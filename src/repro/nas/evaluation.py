@@ -10,7 +10,10 @@ Two interchangeable implementations of the :class:`Evaluator` protocol:
 
 Both fill the same :class:`~repro.nas.population.Individual` fields —
 the per-epoch ``trace`` included — so the search, scheduler, and lineage
-tracker cannot tell them apart.
+tracker cannot tell them apart.  Both key an evaluation's RNG streams by
+the genome's ``canonical_key()`` and evaluate the canonical genome, so
+an evaluation is a pure function of (canonical genome, training config,
+dataset, dtype): the property the evaluation cache needs to be exact.
 """
 
 from __future__ import annotations
@@ -39,32 +42,7 @@ __all__ = [
     "TrainingEvaluator",
     "effective_budget",
     "retry_salt",
-    "RNG_KEYINGS",
-    "validate_rng_keying",
 ]
-
-#: RNG-keying policies for evaluation streams.
-#:
-#: ``"model"`` (legacy): init/shuffle/curve streams derive from the
-#: individual's model id — byte-identical to historical runs, but two
-#: individuals carrying the same genome draw different weights, so their
-#: evaluations differ and cannot be shared.
-#:
-#: ``"genome"``: streams derive from the *canonical* genome key and the
-#: canonical genome is what gets decoded, making evaluation a pure
-#: function of (canonical genome, training config, dataset, dtype) —
-#: the property the evaluation cache requires for exactness.
-RNG_KEYINGS = ("model", "genome")
-
-
-def validate_rng_keying(rng_keying: str) -> str:
-    """Validate and return an RNG-keying policy name."""
-    if rng_keying not in RNG_KEYINGS:
-        raise ValueError(
-            f"rng_keying must be one of {RNG_KEYINGS}, got {rng_keying!r}"
-        )
-    return rng_keying
-
 
 def _engine_fingerprint(engine: PredictionEngine | None) -> tuple:
     """Hashable snapshot of the engine configuration for memo keys."""
@@ -137,8 +115,8 @@ class TrainingEvaluator:
     batch_size, learning_rate:
         Training hyper-parameters shared by all candidates.
     rng_stream:
-        Deterministic stream; each model derives its own init/shuffle
-        generators from its model id.
+        Deterministic stream; each evaluation derives its init/shuffle
+        generators from the genome's canonical key.
     checkpoint_dir:
         When given, every epoch's model state is saved under
         ``<dir>/model_<id>/epoch_<e>`` (paper §2.2.2: each model "can be
@@ -155,15 +133,11 @@ class TrainingEvaluator:
         ``guarded-write`` :class:`NumericalFault` instead of silently
         corrupting a neighbouring buffer.  Flag-flips only — an
         untripped guarded run is byte-identical to an unguarded one.
-    rng_keying:
-        Which identity keys the per-candidate RNG streams — see
-        :data:`RNG_KEYINGS`.  ``"model"`` (the default here) replays
-        historical runs byte-identically; ``"genome"`` makes evaluation
-        a pure function of the canonical genome, which is what the
-        evaluation cache keys on.
     dtype:
         Compute dtype for decoded networks when no ``decoder_config`` is
         given (an explicit ``decoder_config`` carries its own dtype).
+        The workflow trains in float32; float64 is for the gradient and
+        dtype checks.
     dataset_key:
         Stable identifier of the dataset for memo keys (the workflow
         passes ``DatasetConfig.cache_key()``); defaults to a content
@@ -183,7 +157,6 @@ class TrainingEvaluator:
         checkpoint_dir: str | Path | None = None,
         sanitize: bool = False,
         sanitize_writes: bool = False,
-        rng_keying: str = "model",
         dtype=None,
         dataset_key: str | None = None,
     ) -> None:
@@ -199,31 +172,15 @@ class TrainingEvaluator:
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.sanitize = bool(sanitize)
         self.sanitize_writes = bool(sanitize_writes)
-        self.rng_keying = validate_rng_keying(rng_keying)
         self.dataset_key = dataset_key or _dataset_fingerprint(dataset)
-
-    def _stream_ident(self, individual: Individual):
-        """What keys this individual's RNG streams (see :data:`RNG_KEYINGS`)."""
-        if self.rng_keying == "genome":
-            return individual.genome.canonical_key()
-        return individual.model_id
 
     def flops_for(self, genome) -> int:
         """FLOPs :meth:`evaluate` will report, known before any training
         (the surrogate budget allocator's dominance test needs them)."""
-        return genome_flops(
-            genome, self.decoder_config, canonical=self.rng_keying == "genome"
-        )
+        return genome_flops(genome, self.decoder_config, canonical=True)
 
     def memo_key(self, individual: Individual) -> tuple | None:
-        """Cache key for this evaluation, or ``None`` when not cacheable.
-
-        Only genome-keyed evaluations are pure functions of the genome;
-        under model keying two identical genomes legitimately evaluate
-        differently, so their results must not be shared.
-        """
-        if self.rng_keying != "genome":
-            return None
+        """Cache key for this evaluation, or ``None`` when not cacheable."""
         budget = effective_budget(individual, self.max_epochs)
         if budget == 0:
             # a zero-budget skip is a prediction, not a measurement
@@ -257,7 +214,7 @@ class TrainingEvaluator:
         # attempt salt; attempt 0 keeps the historical stream names so
         # fault-free runs replay byte-identically
         salt = retry_salt(individual)
-        ident = self._stream_ident(individual)
+        ident = individual.genome.canonical_key()
         init_rng = self.rng_stream.generator("init", ident, *salt)
         shuffle_rng = self.rng_stream.generator("shuffle", ident, *salt)
         network = decode_genome(
@@ -265,7 +222,7 @@ class TrainingEvaluator:
             self.decoder_config,
             rng=init_rng,
             name=f"model-{individual.model_id}",
-            canonical=self.rng_keying == "genome",
+            canonical=True,
         )
         sanitizer = None
         if self.sanitize:

@@ -24,11 +24,10 @@ Curves are deterministic.  An attempt's curve is drawn from
 simulated epoch costs from ``rng_stream.generator("cost", ident,
 intensity.label, *salt)``, where ``rng_stream`` is the evaluator's
 stream (the workflow passes ``RngStream(seed).child("eval")``);
-``ident`` is the genome's ``canonical_key()`` under
-``rng_keying="genome"``, the new-run default, and the model id under
-``"model"``; and ``salt`` is empty for the first attempt and
-``("retry", n)`` for the ``n``-th retry.  The curve is always sampled at
-the full ``max_epochs``, so a reduced budget replays its prefix.
+``ident`` is always the genome's ``canonical_key()``; and ``salt`` is
+empty for the first attempt and ``("retry", n)`` for the ``n``-th
+retry.  The curve is always sampled at the full ``max_epochs``, so a
+reduced budget replays its prefix.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.nas.evaluation import (
     _engine_fingerprint,
     effective_budget,
     retry_salt,
-    validate_rng_keying,
 )
 from repro.nas.genome import Genome, PhaseGenome, n_connection_bits
 from repro.nas.population import Individual
@@ -215,13 +213,8 @@ class SurrogateEvaluator:
     cost_model:
         Maps FLOPs to simulated per-epoch seconds.
     rng_stream:
-        Root stream; curves/costs derive per model id (or per canonical
-        genome under ``rng_keying="genome"``).
-    rng_keying:
-        Stream-identity policy, as in
-        :class:`~repro.nas.evaluation.TrainingEvaluator`: ``"model"``
-        keeps historical byte-exact replay, ``"genome"`` makes curves a
-        pure function of the canonical genome (cacheable).
+        Root stream; curves and costs derive per canonical genome, so a
+        curve is a pure function of the canonical genome (cacheable).
     """
 
     def __init__(
@@ -234,7 +227,6 @@ class SurrogateEvaluator:
         cost_model: EpochCostModel | None = None,
         rng_stream: RngStream | None = None,
         regime: CurveRegime | None = None,
-        rng_keying: str = "model",
     ) -> None:
         self.intensity = intensity
         self.engine = engine
@@ -243,24 +235,14 @@ class SurrogateEvaluator:
         self.cost_model = cost_model or EpochCostModel()
         self.rng_stream = rng_stream or RngStream(0)
         self.regime = regime or REGIMES[intensity]
-        self.rng_keying = validate_rng_keying(rng_keying)
 
     def flops_for(self, genome: Genome) -> int:
         """FLOPs of the network the genome decodes to, known before
         evaluation (the budget allocator's dominance test needs them)."""
-        return genome_flops(
-            genome, self.decoder_config, canonical=self.rng_keying == "genome"
-        )
-
-    def _stream_ident(self, individual: Individual):
-        if self.rng_keying == "genome":
-            return individual.genome.canonical_key()
-        return individual.model_id
+        return genome_flops(genome, self.decoder_config, canonical=True)
 
     def memo_key(self, individual: Individual) -> tuple | None:
         """Cache key for this evaluation, or ``None`` when not cacheable."""
-        if self.rng_keying != "genome":
-            return None
         budget = effective_budget(individual, self.max_epochs)
         if budget == 0:
             # a zero-budget skip is a prediction, not a measurement
@@ -287,7 +269,7 @@ class SurrogateEvaluator:
                 )
             return individual
         salt = retry_salt(individual)
-        ident = self._stream_ident(individual)
+        ident = individual.genome.canonical_key()
         curve_rng = self.rng_stream.generator(
             "curve", ident, self.intensity.label, *salt
         )

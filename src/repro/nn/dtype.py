@@ -2,17 +2,15 @@
 
 All dtype decisions in :mod:`repro.nn` flow through this module: layers,
 initializers, and serialization accept an optional ``dtype`` and resolve
-it here instead of hard-coding ``np.float32``/``np.float64``.  That
-single seam is what lets the workflow flip the whole evaluation path to
-float32 (roughly halving BLAS time and memory on the conv gather/GEMM hot
-loops) while float64 stays available so historical seeded runs replay
-bit-exactly.
+it here instead of hard-coding ``np.float32``/``np.float64``.  The
+workflow trains every run in float32 (roughly halving BLAS time and
+memory on the conv gather/GEMM hot loops against float64): the
+orchestrator casts the dataset and passes the dtype down through the
+decoder into every layer.
 
-The framework-level default remains float64 — a bare ``Conv2D(...)``
-behaves exactly as before this policy existed.  The float32 fast path is
-opted into at the workflow level (``WorkflowConfig.dtype`` /
-``--dtype``), which threads the choice down through the decoder into
-every layer.
+The framework-level default remains float64, so a bare ``Conv2D(...)``
+and the gradient checks run in double precision; float64 is also the
+second leg of the dtype checks.
 
 Linter note: this module is the one sanctioned home for narrow-dtype
 names inside ``repro.nn`` — NUM003 (narrow dtype outside the policy) and

@@ -72,14 +72,6 @@ QUARANTINE_FITNESS = 0.0
 #: crowding-distance arithmetic stay well-behaved.
 QUARANTINE_FLOPS = 10**15
 
-#: Policy keys of older documents, each with the one value that replays
-#: the same lineage under the fixed policy.
-_RETIRED = {
-    "retry_numerical": False,
-    "quarantine_fitness": QUARANTINE_FITNESS,
-    "quarantine_flops": QUARANTINE_FLOPS,
-}
-
 
 class EvaluationTimeout(RuntimeError):
     """An evaluation attempt exceeded the policy's timeout."""
@@ -176,20 +168,6 @@ class FaultPolicy:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPolicy":
-        """Load a stored policy, older documents included.
-
-        The retired wait between attempts is dropped: it only ever moved
-        wall time.  Any other retired key set to anything but its fixed
-        value would replay to different lineage, so it is refused.
-        """
-        payload = dict(payload)
-        payload.pop("backoff_seconds", None)
-        for key, value in _RETIRED.items():
-            stored = payload.pop(key, value)
-            if stored != value:
-                raise ValidationError(
-                    f"faults.{key}={stored!r} is retired: only {value!r} replays"
-                )
         return cls(**ensure_known_keys(payload, cls, "faults"))
 
 

@@ -4,7 +4,8 @@ One document controls the three independently swappable pieces the
 paper's user interface exposes: NAS settings (§2.6.1), the data path /
 dataset definition (§2.6.2), and the prediction-engine settings
 (§2.6.3).  ``WorkflowConfig`` round-trips to plain dicts, so it can be
-driven from JSON files or command-line tooling.
+driven from JSON files or command-line tooling.  Every run keys its
+evaluations by the canonical genome and trains in float32.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.engine import EngineConfig
-from repro.nas.evaluation import validate_rng_keying
 from repro.nas.search import NSGANetConfig
 from repro.nas.surrogate import SurrogateConfig
-from repro.nn.dtype import dtype_label
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
 from repro.utils.validation import ValidationError, ensure_known_keys
 from repro.xfel.dataset import DatasetConfig
@@ -25,7 +24,8 @@ __all__ = ["WorkflowConfig"]
 
 _MODES = ("real", "surrogate")
 _BACKENDS = ("thread", "process")
-#: the document's nested sections and the configuration each one loads into
+#: the document's nested sections and the configuration each one loads
+#: into (``faults`` checks its own keys)
 _SECTIONS = {
     "nas": NSGANetConfig,
     "engine": EngineConfig,
@@ -97,26 +97,17 @@ class WorkflowConfig:
         Optional deterministic fault-injection settings (test harness);
         requires ``faults`` so injected failures are routed rather than
         aborting the run.
-    dtype:
-        Compute dtype for real-mode evaluation (``"float32"`` or
-        ``"float64"``).  New runs default to the float32 fast path;
-        ``from_dict`` defaults *missing* keys to float64 so historical
-        run documents replay byte-exactly.
-    rng_keying:
-        Evaluation RNG identity — see :data:`repro.nas.evaluation.
-        RNG_KEYINGS`.  ``"genome"`` (new-run default) makes evaluation a
-        pure function of the canonical genome, enabling the evaluation
-        cache; ``"model"`` replays historical runs byte-exactly.
     eval_cache:
-        Memoize evaluations of duplicate (isomorphic) genomes.  Requires
-        ``rng_keying="genome"``.  Ignored while fault *injection* is
-        active; :attr:`caches_evaluations` is what a run actually does.
+        Memoize evaluations of duplicate (isomorphic) genomes: an
+        evaluation is a pure function of the canonical genome, so a
+        duplicate gets its leader's result.  Ignored while fault
+        *injection* is active; :attr:`caches_evaluations` is what a run
+        actually does.
     surrogate:
         Cross-architecture surrogate pre-ranking settings
         (:class:`~repro.nas.surrogate.SurrogateConfig`).  ``None`` (the
-        default, and the ``from_dict`` default for missing keys) keeps
-        the allocator off entirely — runs are byte-identical to
-        pre-surrogate behaviour.
+        default) keeps the allocator off entirely — runs are
+        byte-identical to pre-surrogate behaviour.
     """
 
     nas: NSGANetConfig = field(default_factory=NSGANetConfig)
@@ -133,8 +124,6 @@ class WorkflowConfig:
     sanitize_writes: bool = False
     faults: FaultPolicy | None = None
     fault_injection: FaultInjectionConfig | None = None
-    dtype: str = "float32"
-    rng_keying: str = "genome"
     eval_cache: bool = True
     surrogate: SurrogateConfig | None = None
 
@@ -156,17 +145,6 @@ class WorkflowConfig:
                 f"real-mode training on n_workers={self.n_workers} needs "
                 "backend='process' (--backend process): the thread backend "
                 "trains every model on the search thread"
-            )
-        try:
-            object.__setattr__(self, "dtype", dtype_label(self.dtype))
-            validate_rng_keying(self.rng_keying)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-        if self.eval_cache and self.rng_keying != "genome":
-            raise ValidationError(
-                "eval_cache requires rng_keying='genome': model-keyed "
-                "evaluations are not pure functions of the genome, so "
-                "sharing their results would change the run"
             )
         if self.injecting and self.faults is None:
             raise ValidationError(
@@ -243,70 +221,40 @@ class WorkflowConfig:
             "fault_injection": self.fault_injection.to_dict()
             if self.fault_injection
             else None,
-            "dtype": self.dtype,
-            "rng_keying": self.rng_keying,
             "eval_cache": self.eval_cache,
             "surrogate": self.surrogate.to_dict() if self.surrogate else None,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WorkflowConfig":
-        # faults checks its own keys, once its retired ones are migrated
+        """Load a document: a missing key takes its default, an unknown
+        key at any level is refused."""
+        ensure_known_keys(payload, cls, "workflow_config")
         for section, section_cls in _SECTIONS.items():
             ensure_known_keys(payload.get(section) or {}, section_cls, section)
-        dataset_payload = dict(payload.get("dataset", {}))
-        if "intensity" in dataset_payload:
-            dataset_payload["intensity"] = BeamIntensity.from_label(
-                dataset_payload["intensity"]
-            )
-        engine_payload = payload.get("engine")
-        backend = payload.get("backend", "thread")
-        faults = FaultPolicy.from_dict(payload["faults"]) if payload.get("faults") else None
-        if backend == "serial":
-            # a one-worker thread pool, removed; lineage never depended
-            # on the backend, so stored documents run on the thread backend
-            backend = "thread"
-        if backend == "thread" and faults and faults.timeout_seconds:
-            # the thread backend's timeout, removed: it abandoned the
-            # attempt it could not stop, the process backend kills it,
-            # and both record the same fault trail
-            backend = "process"
-        parallel_training = payload.get("mode") == "real" and payload.get("n_workers", 1) > 1
-        if backend == "thread" and parallel_training:
-            # the real-mode thread pool, removed: lineage never depended
-            # on the backend, and worker processes train in parallel
-            backend = "process"
-        return cls(
-            nas=NSGANetConfig(**payload.get("nas", {})),
-            engine=None
-            if engine_payload is None
-            else EngineConfig(
+        settings = dict(payload)
+        if "nas" in settings:
+            settings["nas"] = NSGANetConfig(**settings["nas"])
+        if settings.get("engine") is not None:
+            settings["engine"] = EngineConfig(
                 **{
                     k: tuple(v) if k == "fitness_bounds" else v
-                    for k, v in engine_payload.items()
+                    for k, v in settings["engine"].items()
                 }
-            ),
-            dataset=DatasetConfig(**dataset_payload),
-            mode=payload.get("mode", "surrogate"),
-            n_gpus=tuple(payload.get("n_gpus", (1, 4))),
-            seed=payload.get("seed", 42),
-            run_id=payload.get("run_id", ""),
-            checkpoint_models=payload.get("checkpoint_models", False),
-            n_workers=payload.get("n_workers", 1),
-            backend=backend,
-            sanitize=payload.get("sanitize", False),
-            sanitize_writes=payload.get("sanitize_writes", False),
-            faults=faults,
-            fault_injection=FaultInjectionConfig.from_dict(payload["fault_injection"])
-            if payload.get("fault_injection")
-            else None,
-            # missing keys default to the *legacy* behaviour, not the
-            # new-run defaults: historical run documents predate the fast
-            # path and must replay byte-exactly
-            dtype=payload.get("dtype", "float64"),
-            rng_keying=payload.get("rng_keying", "model"),
-            eval_cache=payload.get("eval_cache", False),
-            surrogate=SurrogateConfig.from_dict(payload["surrogate"])
-            if payload.get("surrogate")
-            else None,
-        )
+            )
+        if "dataset" in settings:
+            dataset = dict(settings["dataset"])
+            if "intensity" in dataset:
+                dataset["intensity"] = BeamIntensity.from_label(dataset["intensity"])
+            settings["dataset"] = DatasetConfig(**dataset)
+        if "n_gpus" in settings:
+            settings["n_gpus"] = tuple(settings["n_gpus"])
+        for section, section_cls in (
+            ("faults", FaultPolicy),
+            ("fault_injection", FaultInjectionConfig),
+            ("surrogate", SurrogateConfig),
+        ):
+            if section in settings:
+                stored = settings[section]
+                settings[section] = section_cls.from_dict(stored) if stored else None
+        return cls(**settings)

@@ -36,6 +36,9 @@ __all__ = ["WorkflowResult", "A4NNOrchestrator", "evaluation_chain"]
 
 _LOG = get_logger("workflow.orchestrator")
 
+#: what every real-mode run trains in
+_DTYPE = "float32"
+
 
 def evaluation_chain(config: WorkflowConfig, dataset, checkpoint_dir=None):
     """The evaluator ``config`` asks for, with configured fault injection.
@@ -60,8 +63,7 @@ def evaluation_chain(config: WorkflowConfig, dataset, checkpoint_dir=None):
             checkpoint_dir=checkpoint_dir,
             sanitize=config.sanitize,
             sanitize_writes=config.sanitize_writes,
-            rng_keying=config.rng_keying,
-            dtype=config.dtype,
+            dtype=_DTYPE,
             dataset_key=config.dataset.cache_key(),
         )
     else:
@@ -70,7 +72,6 @@ def evaluation_chain(config: WorkflowConfig, dataset, checkpoint_dir=None):
             engine,
             max_epochs=config.nas.max_epochs,
             rng_stream=stream.child("eval"),
-            rng_keying=config.rng_keying,
         )
     if config.injecting:
         evaluator = FaultInjectingEvaluator(
@@ -175,7 +176,7 @@ class A4NNOrchestrator:
         through this chain: its pool routes faults itself.
         """
         if self.config.mode == "real":
-            self._dataset = load_or_generate(self.config.dataset).astype(self.config.dtype)
+            self._dataset = load_or_generate(self.config.dataset).astype(_DTYPE)
         evaluator = evaluation_chain(
             self.config,
             self._dataset,

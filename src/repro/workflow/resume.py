@@ -30,6 +30,7 @@ from repro.lineage.commons import DataCommons
 from repro.lineage.records import ModelRecord
 from repro.nas.population import Individual
 from repro.utils.logging import get_logger
+from repro.utils.validation import ValidationError
 
 __all__ = ["individual_from_record", "rebuild_search_state", "resume_workflow"]
 
@@ -153,7 +154,7 @@ def resume_workflow(commons: DataCommons, run_id: str):
 
     run = commons.load_run(run_id)
     if run.workflow_config is None:
-        raise ValueError(f"run {run_id!r} has no stored configuration")
+        raise ValidationError(f"run {run_id!r} has no stored configuration")
     config = WorkflowConfig.from_dict(run.workflow_config)
     restored = rebuild_search_state(
         commons.load_models(run_id),

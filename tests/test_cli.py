@@ -96,8 +96,8 @@ class TestConfigCommand:
             ("fault_injection", "modes"),
             ["nan"],
         ),
-        (["--dtype", "float64"], ("dtype",), "float64"),
-        (["--rng-keying", "model", "--no-eval-cache"], ("rng_keying",), "model"),
+        (["--eval-cache"], ("eval_cache",), True),
+        (["--backend", "thread"], ("backend",), "thread"),
         (["--no-eval-cache"], ("eval_cache",), False),
         (["--backend", "process"], ("backend",), "process"),
         (["--n-workers", "3"], ("n_workers",), 3),
@@ -149,14 +149,20 @@ class TestConfigCommand:
             ({"faults": {"max_retries": 1, "bogus": 2}}, "unknown key in faults: bogus"),
             ({"nas": {"popsize": 3}}, "unknown key in nas: popsize"),
             ({"nas": {"evolution": "steadyy"}}, "evolution must be one of"),
-            ({"faults": {"retry_numerical": True}}, "faults.retry_numerical=True is retired"),
-            ({"faults": {"quarantine_fitness": 5.0}}, "faults.quarantine_fitness=5.0 is retired"),
-            ({"faults": {"quarantine_flops": 10**9}}, "faults.quarantine_flops=1000000000 is"),
+            ({"faults": {"retry_numerical": True}}, "unknown key in faults: retry_numerical"),
+            ({"faults": {"quarantine_fitness": 0.0}}, "unknown key in faults: quarantine_fitness"),
+            ({"faults": {"quarantine_flops": 10**15}}, "unknown key in faults: quarantine_flops"),
+            ({"sed": 7}, "unknown key in workflow_config: sed"),
+            ({"rng_keying": "genome"}, "unknown key in workflow_config: rng_keying"),
+            ({"dtype": "float32"}, "unknown key in workflow_config: dtype"),
+            ({"backend": "serial"}, "backend must be one of"),
+            ({"faults": {"backoff_seconds": 1}}, "unknown key in faults: backoff_seconds"),
         ],
     )
     def test_bad_document_is_one_error_line(self, tmp_path, capsys, document, message):
-        # a section refuses a bad value or an unknown key with a
-        # ValidationError, which the CLI prints as its one error line
+        # the document and each section refuse a bad value or an unknown
+        # key with a ValidationError, which the CLI prints as its one
+        # error line; a retired key is an unknown one
         path = atomic_write_json(tmp_path / "doc.json", document)
         assert main(["config", "--config", str(path)]) == 2
         captured = capsys.readouterr()
@@ -199,7 +205,7 @@ class TestRunCommand:
     def test_cache_line_only_when_the_cache_runs(self, tmp_path, capsys, inject):
         # fault injection bypasses the cache, so a hit count would be a lie
         config_path = atomic_write_json(tmp_path / "cfg.json", small_config_dict(seed=3))
-        flags = ["--rng-keying", "genome", "--eval-cache"]
+        flags = ["--eval-cache"]
         flags += ["--inject-faults", "0.3"] if inject else []
         assert main(["run", "--config", str(config_path), *flags]) == 0
         out = capsys.readouterr().out
@@ -222,15 +228,18 @@ class TestRunCommand:
         assert _fault_settings_from_args(args) == (None, None)
 
     def test_retry_backoff_flag_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", "--retry-backoff", "1"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --retry-backoff" in capsys.readouterr().err
+        # so are --dtype and --rng-keying: every run is float32 and genome-keyed
+        for flag, value in (("--retry-backoff", "1"), ("--dtype", "float64"),
+                            ("--rng-keying", "model")):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", flag, value])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--rng-keying", "model"], "eval_cache requires rng_keying='genome'"),
+            (["--inject-faults", "1.5"], "rate must be in [0, 1]"),
             (["--n-workers", "0"], "n_workers must be >= 1"),
             (["--eval-timeout", "5"], "timeout_seconds needs backend='process'"),
             (["--mode", "real", "--n-workers", "2"], "--backend process"),
@@ -250,6 +259,38 @@ class TestRunCommand:
         assert code == 0
         assert "epochs saved" in out
         assert "A4NN vs standalone" in out
+
+
+RUN_ID = "a4nn_surrogate_medium_seed5"  # small_config_dict()'s derived run id
+
+
+class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "stored,message",
+        [
+            (None, f"run {RUN_ID!r} predates config capture"),
+            # every document written before the one evaluation identity
+            ({"dtype": "float64", "rng_keying": "model"}, "unknown key in workflow_config: dtype, rng_keying"),
+        ],
+        ids=["no-config", "retired-keys"],
+    )
+    def test_unreplayable_run_is_one_error_line(self, tmp_path, capsys, stored, message):
+        config_path = atomic_write_json(tmp_path / "cfg.json", small_config_dict())
+        commons = tmp_path / "commons"
+        main(["run", "--config", str(config_path), "--commons", str(commons)])
+        run_path = commons / "runs" / RUN_ID / "run.json"
+        document = json.loads(run_path.read_text())
+        if stored is None:
+            document["workflow_config"] = None
+        else:
+            document["workflow_config"].update(stored)
+        atomic_write_json(run_path, document)
+        capsys.readouterr()
+        assert main(["verify", "--commons", str(commons)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"a4nn: error: {message}")
+        assert captured.err.count("\n") == 1
 
 
 class TestAnalyzeCommand:

@@ -1,11 +1,9 @@
 """Tests for the evaluation fast path: genome canonicalization, the
 duplicate-architecture memoization layer, its workflow wiring
-(cache-on == cache-off search outcomes, replay, resume), the compute
-dtype policy, and the float64 byte-exact regression fixture."""
+(cache-on == cache-off search outcomes, replay, resume), and the
+compute dtype policy."""
 
 import dataclasses
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +21,10 @@ from repro.nn.dtype import SUPPORTED_DTYPES, resolve_dtype
 from repro.nn.flops import network_flops
 from repro.nn.optimizers import Adam
 from repro.nn.trainer import Trainer
-from repro.utils.validation import ValidationError
 from repro.workflow import WorkflowConfig, resume_workflow, run_workflow
 from repro.workflow.orchestrator import A4NNOrchestrator
 from repro.xfel import BeamIntensity, DatasetConfig
 from repro.xfel.dataset import load_or_generate
-
-FIXTURE = Path(__file__).parent / "fixtures" / "prepr_float64_real.json"
 
 
 def iso_phases():
@@ -643,13 +638,15 @@ class TestDtypePolicy:
         """One real training step per supported dtype: nothing the
         trainer, a kernel, the loss or the optimizer produces leaves the
         configured width (the run-time form of the deleted
-        NUM005/NUM006/SHAPE002 static rules)."""
-        assert cached_config().dtype == "float32"
+        NUM005/NUM006/SHAPE002 static rules).  A run trains in float32."""
+        orchestrator = A4NNOrchestrator(cached_config(mode="real"))
+        orchestrator.build_evaluator()
+        assert orchestrator._dataset.dtype == np.float32
+        assert orchestrator._base.decoder_config.dtype == np.float32
         genome = random_genome(np.random.default_rng(0), nodes_per_phase=2)
         for label in SUPPORTED_DTYPES:
-            config = dataclasses.replace(cached_config(), dtype=label)
-            dtype = resolve_dtype(config.dtype)
-            dataset = load_or_generate(config.dataset).astype(config.dtype)
+            dtype = resolve_dtype(label)
+            dataset = load_or_generate(cached_config().dataset).astype(label)
             assert dataset.x_train.dtype == dtype
             network = decode_genome(
                 genome,
@@ -683,20 +680,6 @@ class TestDtypePolicy:
                 assert param.grad.dtype == dtype, (label, name)
                 assert param.value.dtype == dtype, (label, name)
 
-    def test_cache_requires_genome_keying(self):
-        with pytest.raises(ValidationError, match="eval_cache"):
-            WorkflowConfig(rng_keying="model", eval_cache=True)
-
-    def test_legacy_documents_default_to_pre_fastpath_semantics(self):
-        payload = cached_config().to_dict()
-        for key in ("dtype", "rng_keying", "eval_cache"):
-            payload.pop(key, None)
-        payload["dataset"].pop("dtype", None)
-        legacy = WorkflowConfig.from_dict(payload)
-        assert legacy.dtype == "float64"
-        assert legacy.rng_keying == "model"
-        assert legacy.eval_cache is False
-
     def test_memo_keys_separate_dtypes(self):
         from repro.nas.evaluation import TrainingEvaluator
 
@@ -708,53 +691,8 @@ class TestDtypePolicy:
                 dataset.astype(label),
                 None,
                 max_epochs=4,
-                rng_keying="genome",
                 dtype=resolve_dtype(label),
                 dataset_key=config.dataset.cache_key(),
             )
             keys[label] = evaluator.memo_key(make_individual(0))
         assert keys["float32"] != keys["float64"]
-
-
-class TestFloat64Regression:
-    """The legacy float64/model-keyed path reproduces the pre-fast-path
-    run captured in fixtures/prepr_float64_real.json, byte for byte."""
-
-    def test_fixture_reproduced_exactly(self):
-        fixture = json.loads(FIXTURE.read_text())
-        fc = fixture["config"]
-        config = WorkflowConfig(
-            nas=NSGANetConfig(
-                population_size=fc["nas"]["population_size"],
-                offspring_per_generation=fc["nas"]["offspring_per_generation"],
-                generations=fc["nas"]["generations"],
-                max_epochs=fc["nas"]["max_epochs"],
-            ),
-            engine=EngineConfig(
-                e_pred=fc["engine"]["e_pred"], tolerance=fc["engine"]["tolerance"]
-            ),
-            dataset=DatasetConfig(
-                intensity=BeamIntensity.from_label(fc["dataset"]["intensity"]),
-                images_per_class=fc["dataset"]["images_per_class"],
-                image_size=fc["dataset"]["image_size"],
-            ),
-            mode=fc["mode"],
-            seed=fc["seed"],
-            n_gpus=(1,),
-            dtype="float64",
-            rng_keying="model",
-            eval_cache=False,
-        )
-        result = run_workflow(config)
-        records = {r.model_id: r for r in result.tracker.all_records()}
-        assert len(records) == len(fixture["models"])
-        for expected in fixture["models"]:
-            record = records[expected["model_id"]]
-            assert record.generation == expected["generation"]
-            assert record.genome == expected["genome"]
-            assert record.flops == expected["flops"]
-            assert record.fitness == expected["fitness"]
-            assert record.measured_fitness == expected["measured_fitness"]
-            assert record.fitness_history == expected["fitness_history"]
-            assert record.epochs_trained == expected["epochs_trained"]
-            assert record.terminated_early == expected["terminated_early"]

@@ -81,11 +81,6 @@ class TestFaultPolicy:
         with pytest.raises(ValidationError):
             FaultPolicy(timeout_seconds=0.0)
 
-    def test_stored_retired_keys_load_at_their_fixed_values(self):
-        stored = dict(max_retries=1, backoff_seconds=0.5, retry_numerical=False,
-                      quarantine_fitness=0.0, quarantine_flops=QUARANTINE_FLOPS)
-        assert FaultPolicy.from_dict(stored) == FaultPolicy(max_retries=1)
-
     def test_injection_config_validation(self):
         with pytest.raises(ValidationError):
             FaultInjectionConfig(rate=1.5)

@@ -772,16 +772,6 @@ class TestBackendParityReal:
         _, r_inline, _, r_process = inline_and_process(sanitize=True, sanitize_writes=True)
         assert run_trail(r_process) == run_trail(r_inline)
 
-    def test_legacy_recipe_reaches_the_workers(self):
-        # float64 and model keying both change every measurement, so a
-        # worker that missed either would publish a different trail
-        legacy = dict(dtype="float64", rng_keying="model", eval_cache=False)
-        _, r_inline, process, r_process = inline_and_process(**legacy)
-        _, r_default, _, _ = inline_and_process()
-        assert run_trail(r_process) == run_trail(r_inline)
-        assert run_trail(r_inline) != run_trail(r_default)
-        assert process.memoizer is None
-
     def test_process_workers_checkpoint_models(self, tmp_path):
         # each worker saves the epochs it trains, and the paths come back
         # in the trace: the same lineage as inline, up to the run's folder
@@ -890,34 +880,6 @@ class TestWorkflowConfigBackend:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValidationError, match="backend"):
             WorkflowConfig(backend="mpi")
-
-    def test_stored_serial_backend_loads_as_thread(self):
-        # "serial" was a one-worker thread pool: new configs refuse it,
-        # documents that stored it run on threads
-        with pytest.raises(ValidationError, match="backend"):
-            WorkflowConfig(backend="serial")
-        payload = dict(WorkflowConfig().to_dict(), backend="serial")
-        assert WorkflowConfig.from_dict(payload).backend == "thread"
-
-    def test_stored_thread_timeout_loads_as_process(self):
-        # the thread backend's timeout abandoned what it could not stop;
-        # a stored run that set one replays where a timeout kills
-        policy = FaultPolicy(timeout_seconds=5.0)
-        payload = dict(WorkflowConfig().to_dict(), faults=policy.to_dict())
-        restored = WorkflowConfig.from_dict(payload)
-        assert restored.backend == "process" and restored.faults == policy
-
-    def test_stored_real_thread_pool_loads_as_process(self):
-        # real training on more than one worker ran on a thread pool, now
-        # removed: new configs refuse it, stored runs replay on processes
-        with pytest.raises(ValidationError, match="backend='process'"):
-            real_config("thread", 2)
-        payload = dict(real_config("thread", 1).to_dict(), n_workers=2)
-        restored = WorkflowConfig.from_dict(payload)
-        assert restored.backend == "process" and restored.n_workers == 2
-        assert WorkflowConfig.from_dict(dict(payload, n_workers=1)).backend == "thread"
-        surrogate = dict(WorkflowConfig().to_dict(), n_workers=2)
-        assert WorkflowConfig.from_dict(surrogate).backend == "thread"
 
     def test_backend_roundtrips_and_defaults_to_thread(self):
         config = WorkflowConfig(backend="process", n_workers=4)

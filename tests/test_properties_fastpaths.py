@@ -429,12 +429,6 @@ class TestLoadedRecords:
         assert commons_bytes(payload) == before  # the payload is not edited
         assert all(type(entry) is EpochRecord for entry in record.epochs)
 
-    def test_legacy_commons_round_trips(self):
-        files = sorted((FIXTURES / "legacy_arena_commons").rglob("model_*.json"))
-        assert files
-        for path in files:
-            self.assert_round_trips(json.loads(path.read_text()))
-
     def test_a_fresh_steady_run_round_trips(self, tmp_path):
         config = steady_config(36, "loaded-records", SurrogateConfig(min_records=4))
         result = run_workflow(config, commons_path=tmp_path)
@@ -466,7 +460,8 @@ def published_digests(root: Path) -> dict:
     pure function of the seed.  ``tests/fixtures/make_published_digests.py``
     wrote the fixture from this function at the parent of the commit that
     replaced ``asdict``; its two ``run.json`` entries were re-pinned when
-    ``WorkflowConfig.to_dict`` lost the ``arena`` key.
+    ``WorkflowConfig.to_dict`` lost the ``arena`` key, and again when it
+    lost ``dtype`` and ``rng_keying``.
     """
     config = WorkflowConfig(
         nas=NSGANetConfig(

@@ -1,8 +1,6 @@
 """Tests for resuming interrupted searches from the commons."""
 
 import dataclasses
-import shutil
-from pathlib import Path
 
 import pytest
 
@@ -196,26 +194,6 @@ class TestResumeWorkflow:
         resume_workflow(commons, run_id)
         report = verify_run(commons, run_id)
         assert report.matches, report.summary()
-
-    def test_stored_serial_backend_resumes_on_threads(self, tmp_path):
-        # "serial" (a one-worker thread pool) is gone; lineage never
-        # depended on the backend, so a commons that stored it resumes
-        commons, run_id, full = publish_truncated(tmp_path, keep_generations=1, seed=33)
-        run_path = commons.root / "runs" / run_id / "run.json"
-        document = read_json(run_path)
-        document["workflow_config"]["backend"] = "serial"
-        atomic_write_json(run_path, document)
-
-        resumed = resume_workflow(commons, run_id)
-
-        assert commons.load_run(run_id).workflow_config["backend"] == "thread"
-        expected = [r.to_dict() for r in full.tracker.all_records()]
-        republished = [r.to_dict() for r in commons.load_models(run_id)]
-        for trails in (expected, republished):
-            for trail in trails:
-                trail["engine_overhead_seconds"] = None
-        assert republished == expected
-        assert len(resumed.search.archive) == len(full.search.archive)
 
     def test_resume_requires_stored_config(self, tmp_path):
         from repro.lineage.records import RunRecord
@@ -417,68 +395,3 @@ class TestResumeIsTheLiveRun:
         atomic_write_json(path, document)
         with pytest.raises(ValueError, match="model 1: genome"):
             resume_workflow(commons, run_id)
-
-
-LEGACY_COMMONS = Path(__file__).parent / "fixtures" / "legacy_arena_commons"
-
-
-class TestLegacyArenaDocuments:
-    """Documents written while ``WorkflowConfig`` still had an ``arena`` key."""
-
-    @pytest.mark.parametrize("arena", [False, True, "absent"])
-    def test_config_loads_and_drops_the_key(self, arena):
-        payload = small_config().to_dict()
-        payload.update(dtype="float64", rng_keying="model", eval_cache=False)
-        if arena != "absent":
-            payload["arena"] = arena
-        config = WorkflowConfig.from_dict(payload)
-        assert config.dtype == "float64"
-        assert "arena" not in config.to_dict()
-        assert WorkflowConfig.from_dict(config.to_dict()) == config
-
-    def test_commons_published_at_the_parent_commit_resumes(self, tmp_path):
-        # the fixture is a complete float64 real-mode run published by
-        # commit f5b4fa0 with "arena": false, i.e. trained on the
-        # allocate-per-call kernels that no longer exist
-        shutil.copytree(LEGACY_COMMONS, tmp_path / "commons")
-        commons = DataCommons(tmp_path / "commons")
-        run_id = "legacy_float64_real"
-        assert commons.load_run(run_id).workflow_config["arena"] is False
-        published = {r.model_id: r for r in commons.load_models(run_id)}
-        models = commons.root / "runs" / run_id / "models"
-        for record in published.values():
-            if record.generation >= 1:
-                (models / f"model_{record.model_id:05d}.json").unlink()
-
-        resume_workflow(commons, run_id)
-
-        assert "arena" not in commons.load_run(run_id).workflow_config
-        resumed = {r.model_id: r for r in commons.load_models(run_id)}
-        assert sorted(resumed) == sorted(published)
-        for model_id, old in published.items():
-            new = resumed[model_id]
-            assert new.genome == old.genome
-            assert new.fitness_history == old.fitness_history
-            assert (new.epochs_trained, new.terminated_early) == (
-                old.epochs_trained, old.terminated_early
-            )
-            # an old commons must resume under a newer curve-fit solver:
-            # what was measured and decided stays exact, the engine's
-            # predictions (and the fitness of an early stop, which is
-            # one) agree wherever they are valid fitness values.  The
-            # retrained half of this fixture moved by at most 3.9e-8
-            # when variable projection replaced the trust-region fit;
-            # the analyzer's tolerance is 0.5.
-            assert new.fitness == pytest.approx(old.fitness, abs=1e-6)
-            assert len(new.prediction_history) == len(old.prediction_history)
-            for now, was in zip(new.prediction_history, old.prediction_history):
-                if 0.0 <= was <= 100.0 or 0.0 <= now <= 100.0:
-                    assert now == pytest.approx(was, abs=1e-6)
-            # the conv GEMMs accumulate in another order than the deleted
-            # kernels did, so the loss agrees to rounding, not to the bit
-            assert [e.train_loss for e in new.epochs] == pytest.approx(
-                [e.train_loss for e in old.epochs], rel=1e-12
-            )
-            # restored records keep the parent's value; retrained ones
-            # report the arena every trained network now has
-            assert new.arena_enabled is (new.generation >= 1)
