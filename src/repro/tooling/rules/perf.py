@@ -1,7 +1,7 @@
 """Performance rule: constructs that silently force float64 in hot paths.
 
 The evaluation fast path runs every layer, loss, and optimizer in the
-configured compute dtype (float32 by default for new runs — see
+configured compute dtype (float32 for every run — see
 :mod:`repro.nn.dtype`).  A single ``dtype=float`` default or bare
 ``astype(float)`` in a hot-path module upcasts the whole pipeline back
 to float64 and quietly throws the speedup away, which is exactly how

@@ -125,7 +125,12 @@ class TestConfigCommand:
     ):
         argv = ["config", *flags]
         if with_document:
-            document = dict(small_config_dict(seed=5), sanitize_writes=False)
+            # values the --sanitize-writes, --eval-cache and --backend
+            # thread rows must override
+            document = dict(
+                small_config_dict(seed=5), sanitize_writes=False, eval_cache=False,
+                backend="process",
+            )
             argv += ["--config", str(atomic_write_json(tmp_path / "cfg.json", document))]
         assert main(argv) == 0
         value = json.loads(capsys.readouterr().out)
@@ -270,7 +275,10 @@ class TestVerifyCommand:
         [
             (None, f"run {RUN_ID!r} predates config capture"),
             # every document written before the one evaluation identity
-            ({"dtype": "float64", "rng_keying": "model"}, "unknown key in workflow_config: dtype, rng_keying"),
+            (
+                {"dtype": "float64", "rng_keying": "model"},
+                "unknown key in workflow_config: dtype, rng_keying",
+            ),
         ],
         ids=["no-config", "retired-keys"],
     )
