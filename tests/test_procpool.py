@@ -576,6 +576,28 @@ def run_trail(result):
     return archive, records
 
 
+def faulty_config(backend, n_workers):
+    """Crashes, hangs and NaNs injected into 30 % of attempts, one retry each."""
+    return surrogate_config(
+        backend,
+        n_workers,
+        eval_cache=False,
+        seed=3,
+        faults=FaultPolicy(max_retries=1),
+        fault_injection=FaultInjectionConfig(rate=0.3, modes=("crash", "hang", "nan")),
+    )
+
+
+def wallclock_free_trails(result):
+    """Every record's ``to_dict()`` without its wall-clock fields, as JSON holds it."""
+    trails = [record.to_dict() for record in result.tracker.all_records()]
+    for trail in trails:
+        trail.pop("engine_overhead_seconds")
+        for epoch in trail["epochs"]:
+            epoch.pop("epoch_seconds")
+    return json.loads(json.dumps(trails))
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: thread at one worker is the inline loop: no pool, no report
@@ -658,22 +680,17 @@ class TestBackendParitySurrogate:
         assert not pool_workers()
 
     def test_fault_injection_parity(self):
-        def faulty(backend, n_workers):
-            return surrogate_config(
-                backend,
-                n_workers,
-                eval_cache=False,
-                seed=3,
-                faults=FaultPolicy(max_retries=1),
-                fault_injection=FaultInjectionConfig(
-                    rate=0.3, modes=("crash", "hang", "nan")
-                ),
-            )
-
-        r_inline = A4NNOrchestrator(faulty("thread", 1)).run()
-        r_process = A4NNOrchestrator(faulty("process", 2)).run()
+        # parity alone would pass a change that moved the trail on both
+        # backends at once (they share the router): each half is also
+        # held against the pinned inline trail
+        pinned = json.loads((FIXTURES / "faulted_trails.json").read_text())
+        r_inline = A4NNOrchestrator(faulty_config("thread", 1)).run()
+        r_process = A4NNOrchestrator(faulty_config("process", 2)).run()
         assert run_trail(r_process) == run_trail(r_inline)
         assert r_process.search.n_quarantined == r_inline.search.n_quarantined
+        assert wallclock_free_trails(r_inline) == pinned
+        assert wallclock_free_trails(r_process) == pinned
+        assert any(trail["fault_events"] for trail in pinned)
 
     @pytest.mark.parametrize("n_workers", [2, 4])
     def test_thread_workers_evaluate_on_the_search_thread(self, n_workers):
