@@ -200,7 +200,7 @@ class MemoizingStream:
             and individual.result is not None
             and not individual.quarantined
             and not individual.fault_events
-            and not getattr(individual, "eval_attempt", 0)
+            and not individual.eval_attempt
         )
 
     def _entry_from(self, individual: Individual) -> CacheEntry:

@@ -69,7 +69,7 @@ def retry_salt(individual: Individual) -> tuple:
     each attempt statistically independent init/shuffle/curve draws while
     staying fully derived from the root seed.
     """
-    attempt = getattr(individual, "eval_attempt", 0)
+    attempt = individual.eval_attempt
     return () if not attempt else ("retry", int(attempt))
 
 

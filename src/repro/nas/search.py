@@ -27,7 +27,7 @@ way a surrogate zero-budget skip does, and commits through the same
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
@@ -91,10 +91,25 @@ class EvalStream(Protocol):
 
 
 class InlineStream:
-    """No pool: evaluates lazily in the caller's thread, in submission order."""
+    """No pool: evaluates lazily in the caller's thread, in submission order.
 
-    def __init__(self, evaluator: Evaluator) -> None:
+    ``policy`` is an optional :class:`~repro.scheduler.faults.FaultPolicy`.
+    Without one, a failed evaluation raises from the ``settled`` call
+    that runs it.  With one, the policy routes the failure: a retry goes
+    back to the head of the queue and runs at once, as it does on
+    :class:`~repro.scheduler.procpool.ProcessWorkerPool`, and a
+    quarantined candidate settles.  A policy with a timeout is refused:
+    the attempt runs on the caller's thread, which nothing can stop.
+    """
+
+    def __init__(self, evaluator: Evaluator, policy=None) -> None:
+        if policy is not None and policy.timeout_seconds is not None:
+            raise ValidationError(
+                "a timeout needs a worker that can be killed: the thread "
+                "backend cannot stop an attempt, use backend='process'"
+            )
         self._evaluator = evaluator
+        self._policy = policy
         self._queue: deque[Individual] = deque()
 
     def submit(self, individual: Individual) -> None:
@@ -104,7 +119,15 @@ class InlineStream:
         if not self._queue:
             raise RuntimeError("no evaluations in flight")
         individual = self._queue.popleft()
-        self._evaluator.evaluate(individual)
+        try:
+            self._evaluator.evaluate(individual)
+        except Exception as exc:
+            if self._policy is None:
+                raise
+            if self._policy.route(individual, individual.eval_attempt, exc):
+                individual.eval_attempt += 1
+                self._queue.appendleft(individual)
+                return self.settled()
         return individual
 
     def on_commit(self, individual: Individual) -> None:
@@ -233,19 +256,7 @@ class NSGANetConfig:
 
     def to_dict(self) -> dict:
         """Lineage-record form (paper Table 2)."""
-        return {
-            "population_size": self.population_size,
-            "nodes_per_phase": self.nodes_per_phase,
-            "n_phases": self.n_phases,
-            "offspring_per_generation": self.offspring_per_generation,
-            "generations": self.generations,
-            "max_epochs": self.max_epochs,
-            "mutation_rate": self.mutation_rate,
-            "crossover": self.crossover,
-            "initial_density": self.initial_density,
-            "evolution": self.evolution,
-            "steady_lag": self.steady_lag,
-        }
+        return asdict(self)
 
 
 @dataclass

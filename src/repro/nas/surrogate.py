@@ -32,7 +32,7 @@ reduced budget replays its prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -429,15 +429,7 @@ class SurrogateConfig:
             raise ValidationError(f"sigma_floor must be >= 0, got {self.sigma_floor}")
 
     def to_dict(self) -> dict:
-        return {
-            "probe_epochs": self.probe_epochs,
-            "min_records": self.min_records,
-            "explore_every": self.explore_every,
-            "band": self.band,
-            "min_dominators": self.min_dominators,
-            "ridge": self.ridge,
-            "sigma_floor": self.sigma_floor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SurrogateConfig":

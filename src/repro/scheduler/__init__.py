@@ -20,7 +20,6 @@ from repro.scheduler.faults import (
     FaultInjectingEvaluator,
     FaultInjectionConfig,
     FaultPolicy,
-    FaultTolerantEvaluator,
     InjectedFault,
 )
 from repro.scheduler.pool import JobTiming, PoolReport
@@ -35,7 +34,6 @@ __all__ = [
     "FaultInjectingEvaluator",
     "FaultInjectionConfig",
     "FaultPolicy",
-    "FaultTolerantEvaluator",
     "InjectedFault",
     "JobTiming",
     "PoolReport",

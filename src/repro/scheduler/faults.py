@@ -11,17 +11,15 @@ the A4NN stack the same stance:
 * :class:`FaultPolicy` — two settings: how many times a crashed or
   timed-out attempt is retried (at once, on re-seeded RNG children),
   and a per-attempt timeout that only the process backend enforces (it
-  kills the worker).  A numerical fault always quarantines.
-* :class:`FaultRouter` — the one place a decision is recorded on the
-  individual; a quarantined individual receives the penalized objectives
-  (:data:`QUARANTINE_FITNESS`, :data:`QUARANTINE_FLOPS`), so NSGA-II
-  environmental selection discards it naturally instead of the search
-  dying.
-* :class:`FaultTolerantEvaluator` — wraps any
-  :class:`~repro.nas.evaluation.Evaluator` in the in-thread retry loop
-  that drives the router (the process pool drives the same router from
-  its dispatch queue).  It refuses a timeout: a thread cannot be
-  killed, so a timeout there would stop nothing.
+  kills the worker).  A numerical fault always quarantines.  Its
+  :meth:`~FaultPolicy.route` is the one place a failed attempt is
+  recorded on the individual; a quarantined individual receives the
+  penalized objectives (:data:`QUARANTINE_FITNESS`,
+  :data:`QUARANTINE_FLOPS`), so NSGA-II environmental selection
+  discards it naturally instead of the search dying.  The stream that
+  ran the attempt calls it — :class:`~repro.nas.search.InlineStream`
+  or :class:`~repro.scheduler.procpool.ProcessWorkerPool` — and puts a
+  retry at the head of its queue.
 * :class:`FaultInjectionConfig` / :class:`FaultInjectingEvaluator` — a
   deterministic fault-injection harness (crash, hang-past-timeout, and
   NaN-loss modes, seeded from the run's RNG stream) used by the tier-1
@@ -56,8 +54,6 @@ __all__ = [
     "InjectedFault",
     "FaultEvent",
     "FaultPolicy",
-    "FaultRouter",
-    "FaultTolerantEvaluator",
     "FaultInjectionConfig",
     "FaultInjectingEvaluator",
 ]
@@ -155,13 +151,30 @@ class FaultPolicy:
                 f"timeout_seconds must be positive or None, got {self.timeout_seconds}"
             )
 
-    def decide(self, attempt: int, kind: str) -> str:
-        """``"retry"`` or ``"quarantine"`` for a ``kind`` fault of ``attempt``.
+    def route(self, individual: Individual, attempt: int, exc: Exception) -> bool:
+        """Record this policy's decision about failed ``attempt``.
 
-        Pure: whichever driver asks gets the same answer.
+        Appends the :class:`FaultEvent` and returns whether to retry;
+        ``False`` once the individual has been quarantined.  Whichever
+        stream ran the attempt asks, and gets the same answer.
         """
+        kind, detail = _classify(exc)
         retry = attempt < self.max_retries and kind != "numerical"
-        return "retry" if retry else "quarantine"
+        action = "retry" if retry else "quarantine"
+        event = FaultEvent(individual.model_id, attempt, kind, action, str(exc), detail)
+        individual.fault_events.append(event.to_dict())
+        log = _LOG.info if retry else _LOG.warning
+        log(
+            "model %d attempt %d %s fault -> %s: %s",
+            individual.model_id, attempt, kind, action, exc,
+        )
+        if not retry:
+            individual.fitness = QUARANTINE_FITNESS
+            individual.flops = QUARANTINE_FLOPS
+            individual.result = None
+            individual.epoch_seconds = []
+            individual.quarantined = True
+        return retry
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -253,14 +266,12 @@ class FaultInjectingEvaluator:
         self.config = config
         self.rng_stream = rng_stream or RngStream(0)
         self.max_epochs = evaluator.max_epochs
-        self.n_injected = 0
 
     def evaluate(self, individual: Individual) -> Individual:
-        attempt = getattr(individual, "eval_attempt", 0)
+        attempt = individual.eval_attempt
         rng = self.rng_stream.generator("inject", individual.model_id, attempt)
         if rng.random() < self.config.rate:
             mode = self.config.modes[int(rng.integers(len(self.config.modes)))]
-            self.n_injected += 1
             _LOG.debug(
                 "injecting %s into model %d attempt %d", mode, individual.model_id, attempt
             )
@@ -284,91 +295,3 @@ class FaultInjectingEvaluator:
                 f"injected crash in model {individual.model_id} attempt {attempt}",
             )
         return self.evaluator.evaluate(individual)
-
-
-class FaultRouter:
-    """Applies a :class:`FaultPolicy`'s decisions and keeps the event trail.
-
-    The one place a failed attempt turns into a :class:`FaultEvent` on
-    the individual (and, once retries are exhausted, into quarantine
-    objectives).  Two drivers call it: the in-thread retry loop of
-    :class:`FaultTolerantEvaluator` and the queue-based dispatcher of
-    :class:`~repro.scheduler.procpool.ProcessWorkerPool`.
-
-    Parameters
-    ----------
-    policy:
-        Retry and timeout settings.
-    """
-
-    def __init__(self, policy: FaultPolicy) -> None:
-        self.policy = policy
-
-    def route(self, individual: Individual, attempt: int, exc: Exception) -> bool:
-        """Record the policy's decision about failed ``attempt``.
-
-        Returns whether to retry; ``False`` once the individual has been
-        quarantined.
-        """
-        kind, detail = _classify(exc)
-        action = self.policy.decide(attempt, kind)
-        event = FaultEvent(individual.model_id, attempt, kind, action, str(exc), detail)
-        individual.fault_events.append(event.to_dict())
-        log = _LOG.info if action == "retry" else _LOG.warning
-        log(
-            "model %d attempt %d %s fault -> %s: %s",
-            individual.model_id, attempt, kind, action, exc,
-        )
-        if action == "retry":
-            return True
-        individual.fitness = QUARANTINE_FITNESS
-        individual.flops = QUARANTINE_FLOPS
-        individual.result = None
-        individual.epoch_seconds = []
-        individual.quarantined = True
-        return False
-
-
-class FaultTolerantEvaluator:
-    """Evaluator wrapper applying a :class:`FaultPolicy` to every candidate.
-
-    Implements the same ``evaluate(individual)`` protocol as the backends
-    it wraps, so the search, the inline stream, and the lineage hooks
-    cannot tell it apart from a raw evaluator.  A candidate that exhausts
-    its attempts is *quarantined*: it comes back evaluated, carrying the
-    penalized objectives and ``individual.quarantined = True``,
-    and NSGA-II selection discards it on dominance alone.
-
-    Parameters
-    ----------
-    evaluator:
-        Inner backend (optionally already wrapped in a
-        :class:`FaultInjectingEvaluator`).
-    policy:
-        Retry settings.  A policy with a timeout is refused: the attempt
-        runs on the caller's thread, which nothing can stop.
-    """
-
-    def __init__(self, evaluator, policy: FaultPolicy | None = None) -> None:
-        self.evaluator = evaluator
-        self.policy = policy or FaultPolicy()
-        if self.policy.timeout_seconds is not None:
-            raise ValidationError(
-                "a timeout needs a worker that can be killed: the thread "
-                "backend cannot stop an attempt, use backend='process'"
-            )
-        self._router = FaultRouter(self.policy)
-        self.max_epochs = evaluator.max_epochs
-
-    def evaluate(self, individual: Individual) -> Individual:
-        """Evaluate with bounded retries; quarantine instead of raising."""
-        for attempt in range(self.policy.max_retries + 1):
-            individual.eval_attempt = attempt
-            try:
-                self.evaluator.evaluate(individual)
-            except Exception as exc:  # a4nn: noqa(NUM001) -- every fault is classified, logged, and recorded into lineage
-                if not self._router.route(individual, attempt, exc):
-                    return individual
-            else:
-                return individual
-        raise AssertionError("unreachable: retry loop is bounded")  # pragma: no cover

@@ -35,10 +35,11 @@ Division of labour (the key to bit-identical results across backends):
   measurements and the per-epoch trace the attempt left on its
   individual.
 * **The parent** owns every side effect: it appends each trace to the
-  real individual, where lineage and the eval cache read it, and drives
-  the same :class:`~repro.scheduler.faults.FaultRouter` as
-  :class:`~repro.scheduler.faults.FaultTolerantEvaluator` from its
-  dispatch queue (retry at once → quarantine).
+  real individual, where lineage and the eval cache read it, and routes
+  each failed attempt through the fault policy's
+  :meth:`~repro.scheduler.faults.FaultPolicy.route`, the call
+  :class:`~repro.nas.search.InlineStream` makes (retry at once →
+  quarantine).
 
 Because attempts run in killable processes, a policy timeout is a *hard
 kill*: the worker of an overdue attempt is killed and its slot started
@@ -51,8 +52,8 @@ worker count.  Failure settling matches the inline path: without a
 policy a failed job raises from the ``settled`` call that delivers it,
 and the jobs behind it keep running.  Submission order is FIFO: job *i*
 is dispatched no later than job *i+1*, and a retry goes to the *front*
-of the queue, mirroring the inline retry loop's
-finish-this-candidate-first behaviour.
+of the queue, as on the inline stream: a candidate finishes before new
+ones start.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from multiprocessing import connection
 
 from repro.nas.population import Individual
-from repro.scheduler.faults import EvaluationTimeout, FaultPolicy, FaultRouter
+from repro.scheduler.faults import EvaluationTimeout, FaultPolicy
 from repro.scheduler.pool import JobTiming, PoolReport
 from repro.utils.logging import get_logger
 from repro.utils.timing import Stopwatch
@@ -213,13 +214,11 @@ def _worker_main(fd: int) -> None:
 class _Job:
     """Parent-side state of one individual's evaluation across attempts."""
 
-    __slots__ = ("individual", "order", "attempt", "first_start", "attempt_start",
-                 "deadline", "error")
+    __slots__ = ("individual", "order", "first_start", "attempt_start", "deadline", "error")
 
     def __init__(self, individual: Individual, order: int) -> None:
         self.individual = individual
         self.order = order
-        self.attempt = int(getattr(individual, "eval_attempt", 0))
         self.first_start = None    # episode-clock time of the first dispatch
         self.attempt_start = 0.0   # episode-clock time of the current dispatch
         self.deadline = None       # episode-clock hard-kill deadline of the attempt
@@ -300,11 +299,10 @@ class ProcessWorkerPool:
         inherits and maps before calling ``factory``.
     policy:
         Optional :class:`~repro.scheduler.faults.FaultPolicy` applied
-        *in the parent* through a
-        :class:`~repro.scheduler.faults.FaultRouter`: the same decisions
-        and events as :class:`~repro.scheduler.faults.
-        FaultTolerantEvaluator`, plus the timeout it refuses, which
-        kills an overdue attempt's worker and starts its slot afresh.
+        *in the parent*: the same decisions and events as on
+        :class:`~repro.nas.search.InlineStream`, plus the timeout it
+        refuses, which kills an overdue attempt's worker and starts its
+        slot afresh.
     arena:
         Optional :class:`~repro.xfel.shm.SharedArena` this pool owns;
         released in :meth:`close` after the workers have exited.
@@ -328,7 +326,6 @@ class ProcessWorkerPool:
         self.dataset = dataset
         self.n_workers = int(n_workers)
         self.policy = policy
-        self._router = None if policy is None else FaultRouter(policy)
         self._timeout = None if policy is None else policy.timeout_seconds
         self.arena = arena
         self.startup_timeout = float(startup_timeout)
@@ -428,13 +425,13 @@ class ProcessWorkerPool:
 
     def _route_fault(self, job: _Job, worker_index: int, exc: Exception, end: float) -> None:
         """Settle a failed attempt: raise later (no policy), retry, or quarantine."""
-        job.individual.eval_attempt = job.attempt
-        if self._router is None:
+        individual = job.individual
+        if self.policy is None:
             job.error = exc
-        elif self._router.route(job.individual, job.attempt, exc):
-            job.attempt += 1
+        elif self.policy.route(individual, individual.eval_attempt, exc):
+            individual.eval_attempt += 1
             # front of the queue: finish this candidate before starting new
-            # ones, like the inline retry loop
+            # ones, as the inline stream does
             self._stream.queue.appendleft(job)
             return
         self._settle(job, worker_index, end)
@@ -442,7 +439,7 @@ class ProcessWorkerPool:
     def _timed_out(self, job: _Job) -> EvaluationTimeout:
         return EvaluationTimeout(
             f"evaluation of model {job.individual.model_id} attempt "
-            f"{job.attempt} exceeded {self._timeout}s"
+            f"{job.individual.eval_attempt} exceeded {self._timeout}s"
         )
 
     def _settle_result(self, worker: _Worker, result: EvalResult) -> None:
@@ -459,7 +456,6 @@ class ProcessWorkerPool:
         if result.error is not None:
             self._route_fault(job, worker.index, result.exception(), end)
             return
-        individual.eval_attempt = result.attempt
         individual.fitness = result.fitness
         individual.flops = result.flops
         individual.result = result.result
@@ -501,7 +497,7 @@ class ProcessWorkerPool:
                 EvalTask(
                     model_id=job.individual.model_id,
                     generation=job.individual.generation,
-                    attempt=job.attempt,
+                    attempt=job.individual.eval_attempt,
                     genome=job.individual.genome,
                     budget=job.individual.budget_assigned,
                 )
@@ -542,7 +538,7 @@ class ProcessWorkerPool:
                     worker,
                     RuntimeError(
                         f"worker process died while evaluating model "
-                        f"{job.individual.model_id} attempt {job.attempt}"
+                        f"{job.individual.model_id} attempt {job.individual.eval_attempt}"
                     ),
                 )
                 continue

@@ -22,7 +22,7 @@ from repro.nas.evalcache import MemoizingStream
 from repro.nas.evaluation import TrainingEvaluator
 from repro.nas.search import InlineStream, NSGANet, SearchResult
 from repro.nas.surrogate import BudgetAllocator, SurrogateEvaluator
-from repro.scheduler.faults import FaultInjectingEvaluator, FaultTolerantEvaluator
+from repro.scheduler.faults import FaultInjectingEvaluator
 from repro.scheduler.procpool import ProcessWorkerPool
 from repro.scheduler.simulator import WallTimeReport, simulate_walltime
 from repro.utils.logging import get_logger
@@ -48,9 +48,9 @@ def evaluation_chain(config: WorkflowConfig, dataset, checkpoint_dir=None):
     dataset it attached from shared memory (``dataset`` is ``None`` in
     surrogate mode).  Evaluation RNG derives from ``config.seed`` alone,
     so both sides build the same generators.  ``checkpoint_dir`` is
-    where real-mode training saves every epoch's model state.  Fault
-    *policy* is the caller's, because the inline path retries in an
-    evaluator wrapper and the process pool from its dispatch queue.
+    where real-mode training saves every epoch's model state.  It
+    builds evaluation only: the fault *policy* goes to the stream that
+    runs the attempts (:meth:`A4NNOrchestrator.build_stream`).
     """
     stream = RngStream(config.seed)
     engine = PredictionEngine(config.engine) if config.engine is not None else None
@@ -167,13 +167,11 @@ class A4NNOrchestrator:
     def build_evaluator(self):
         """The evaluation backend for the configured mode.
 
-        :func:`evaluation_chain` builds it; when the config carries a
-        :class:`~repro.scheduler.faults.FaultPolicy`, the thread
-        backend's chain is wrapped so evaluation faults retry and then
-        quarantine instead of aborting the search (configured fault
-        injection sits *inside* the policy, so injected failures are
-        routed like real ones).  The process backend never evaluates
-        through this chain: its pool routes faults itself.
+        :func:`evaluation_chain` builds it, on every backend; the
+        process backend's workers build their own and never run this
+        one.  Retry and quarantine are the stream's
+        (:meth:`build_stream`), so configured fault injection fails an
+        attempt exactly as a real fault would.
         """
         if self.config.mode == "real":
             self._dataset = load_or_generate(self.config.dataset).astype(_DTYPE)
@@ -183,8 +181,6 @@ class A4NNOrchestrator:
             self.checkpoint_dir if self.config.checkpoint_models else None,
         )
         self._base = evaluator.evaluator if self.config.injecting else evaluator
-        if self.config.faults is not None and self.config.backend == "thread":
-            evaluator = FaultTolerantEvaluator(evaluator, self.config.faults)
         # the surrogate pre-ranking allocator scores candidates at breed
         # time against the base evaluator's FLOP counter; its predictor
         # state lives here in the parent only (workers receive budgets
@@ -259,15 +255,17 @@ class A4NNOrchestrator:
         ProcessWorkerPool` on the process backend, and on the search
         thread otherwise (no pool, no report; real training at more
         than one worker needs processes, which the config enforces) —
-        and the eval cache, when on, wraps outermost so only post-retry,
-        non-quarantined outcomes are cached.  A pool built here is kept
+        and routes its faults through ``config.faults``; the eval cache,
+        when on, wraps outermost so only post-retry, non-quarantined
+        outcomes are cached.  A pool built here is kept
         on ``self.pool`` so :meth:`close_pool` can release it and keep
         its reports.
         """
         config = self.config
         if config.backend == "process":
-            self.pool = self._build_process_pool()
-        inner = self.pool if self.pool is not None else InlineStream(evaluator)
+            inner = self.pool = self._build_process_pool()
+        else:
+            inner = InlineStream(evaluator, policy=config.faults)
         self.memoizer = None
         if config.caches_evaluations:
             # barrier lineage is pinned with in-generation duplicates

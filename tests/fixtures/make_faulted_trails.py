@@ -6,9 +6,9 @@ The fixture pins the record trails, without their wall-clock fields,
 of the seeded inline run of
 ``tests/test_procpool.py::TestBackendParitySurrogate::test_fault_injection_parity``:
 crashes, hangs and NaNs injected into 30 % of attempts, one retry each,
-then quarantine.  Inline and process runs share one fault router, so
-their parity alone would not see a change that moved both; each is
-also held against this file.  It was written at the parent of the
+then quarantine.  Inline and process runs route faults through one
+rule, so their parity alone would not see a change that moved both;
+each is also held against this file.  It was written at the parent of the
 change that moved retry and quarantine out of the evaluator chain into
 the evaluation streams.  The run is ``faulty_config("thread", 1)``
 there, and ``wallclock_free_trails`` picks the fields.

@@ -21,7 +21,6 @@ from repro.scheduler.faults import (
     FaultInjectingEvaluator,
     FaultInjectionConfig,
     FaultPolicy,
-    FaultTolerantEvaluator,
     InjectedFault,
 )
 from repro.tooling.sanitizer import NumericalFault
@@ -43,10 +42,17 @@ def run_generation(stream, individuals):
     NSGANet(NSGANetConfig(), None, stream=stream)._run_generation(individuals)
 
 
-def thread_stream(evaluator, n_workers):
+def thread_stream(evaluator, n_workers, policy=None):
     """The stream the thread backend runs ``evaluator`` on: the search thread's."""
-    config = WorkflowConfig(n_workers=n_workers, eval_cache=False)
+    config = WorkflowConfig(n_workers=n_workers, eval_cache=False, faults=policy)
     return A4NNOrchestrator(config).build_stream(evaluator)
+
+
+def evaluate_inline(evaluator, policy, individual):
+    """Evaluate one candidate through an inline stream routing its faults."""
+    stream = InlineStream(evaluator, policy=policy)
+    stream.submit(individual)
+    return stream.settled()
 
 
 class FlakyEvaluator:
@@ -90,12 +96,11 @@ class TestFaultPolicy:
         assert FaultInjectionConfig.from_dict(cfg.to_dict()) == cfg
 
 
-class TestFaultTolerantEvaluator:
+class TestInlineFaultRouting:
     def test_crash_then_succeed_on_retry(self, rng):
         inner = FlakyEvaluator(succeed_at=1)
-        wrapped = FaultTolerantEvaluator(inner, FaultPolicy(max_retries=2))
         [ind] = make_individuals(rng, 1)
-        wrapped.evaluate(ind)
+        evaluate_inline(inner, FaultPolicy(max_retries=2), ind)
         assert ind.fitness == 80.0 and not ind.quarantined
         # attempt 0 failed, attempt 1 succeeded
         assert inner.calls == [(0, 0), (0, 1)]
@@ -105,9 +110,8 @@ class TestFaultTolerantEvaluator:
 
     def test_exhausted_retries_quarantine(self, rng):
         inner = FlakyEvaluator(succeed_at=99)
-        wrapped = FaultTolerantEvaluator(inner, FaultPolicy(max_retries=2))
         [ind] = make_individuals(rng, 1)
-        wrapped.evaluate(ind)
+        evaluate_inline(inner, FaultPolicy(max_retries=2), ind)
         assert ind.quarantined and ind.evaluated
         assert ind.fitness == QUARANTINE_FITNESS == 0.0
         assert ind.flops == QUARANTINE_FLOPS
@@ -118,22 +122,32 @@ class TestFaultTolerantEvaluator:
             "quarantine",
         ]
 
+    def test_retry_runs_before_the_next_candidate(self, rng):
+        # a retry goes to the head of the queue, as on the process pool
+        inner = FlakyEvaluator(succeed_at=1)
+        stream = InlineStream(inner, policy=FaultPolicy(max_retries=1))
+        first, second = make_individuals(rng, 2)
+        stream.submit(first)
+        stream.submit(second)
+        assert stream.settled() is first
+        assert inner.calls == [(0, 0), (0, 1)]
+        assert stream.settled() is second
+
     def test_timeout_hits_hanging_evaluation(self):
         # a thread cannot be killed, so a timeout is refused wherever an
-        # attempt would run on one: the in-thread retry loop, and a
-        # thread-backend run
+        # attempt would run on one: the inline stream, and a thread-backend
+        # run
         policy = FaultPolicy(max_retries=0, timeout_seconds=0.05)
         with pytest.raises(ValidationError, match="backend='process'"):
-            FaultTolerantEvaluator(FlakyEvaluator(succeed_at=0), policy)
+            InlineStream(FlakyEvaluator(succeed_at=0), policy=policy)
         with pytest.raises(ValidationError, match="backend='process'"):
             WorkflowConfig(faults=policy)
 
     def test_numerical_fault_skips_retries(self, rng):
         fault = NumericalFault("nonfinite-loss", "NaN loss", epoch=3)
         inner = FlakyEvaluator(succeed_at=99, error=fault)
-        wrapped = FaultTolerantEvaluator(inner, FaultPolicy(max_retries=3))
         [ind] = make_individuals(rng, 1)
-        wrapped.evaluate(ind)
+        evaluate_inline(inner, FaultPolicy(max_retries=3), ind)
         assert ind.quarantined
         assert len(inner.calls) == 1  # no retries burned on NaN
         event = ind.fault_events[0]
@@ -145,9 +159,7 @@ class TestFaultTolerantEvaluator:
         for i, ind in enumerate(individuals[:3]):
             ind.fitness = 60.0 + i
             ind.flops = 10_000 + i
-        FaultTolerantEvaluator(FlakyEvaluator(succeed_at=99), FaultPolicy(max_retries=0)).evaluate(
-            individuals[3]
-        )
+        evaluate_inline(FlakyEvaluator(succeed_at=99), FaultPolicy(max_retries=0), individuals[3])
         population = Population(individuals)
         mask = pareto_front_mask(population.objective_array())
         assert not mask[3]  # quarantined candidate is never pareto-optimal
@@ -184,10 +196,9 @@ class TestFaultInjection:
         config = FaultInjectionConfig(rate=0.5, modes=("crash",))
         inner = FlakyEvaluator(succeed_at=0)
         injector = FaultInjectingEvaluator(inner, config, RngStream(3))
-        wrapped = FaultTolerantEvaluator(injector, FaultPolicy(max_retries=4))
         individuals = make_individuals(rng, 10)
         for ind in individuals:
-            wrapped.evaluate(ind)
+            evaluate_inline(injector, FaultPolicy(max_retries=4), ind)
         assert all(ind.evaluated for ind in individuals)
         # with 4 retries at 50% rate, some candidate must have recovered
         retried = [ind for ind in individuals if ind.fault_events]
@@ -241,10 +252,7 @@ class TestPoolFailureSemantics:
 
     @pytest.mark.parametrize("n_workers", [1, 3])
     def test_policy_quarantines_instead_of_raising(self, rng, n_workers):
-        stream = thread_stream(
-            FaultTolerantEvaluator(self.NthFails({2}), FaultPolicy(max_retries=1)),
-            n_workers,
-        )
+        stream = thread_stream(self.NthFails({2}), n_workers, FaultPolicy(max_retries=1))
         individuals = make_individuals(rng, 5)
         run_generation(stream, individuals)  # does not raise
         assert individuals[2].quarantined

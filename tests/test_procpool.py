@@ -34,11 +34,7 @@ from repro.nas.evalcache import MemoizingStream
 from repro.nas.search import EvalStream, InlineStream, NSGANet, NSGANetConfig
 from repro.nas.surrogate import SurrogateConfig
 from repro.nn import load_checkpoint, state_dict
-from repro.scheduler.faults import (
-    FaultInjectionConfig,
-    FaultPolicy,
-    FaultTolerantEvaluator,
-)
+from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
 from repro.scheduler.pool import JobTiming, PoolReport
 from repro.scheduler.procpool import EvalResult, EvalTask, ProcessWorkerPool
 from repro.utils.validation import ValidationError
@@ -681,8 +677,8 @@ class TestBackendParitySurrogate:
 
     def test_fault_injection_parity(self):
         # parity alone would pass a change that moved the trail on both
-        # backends at once (they share the router): each half is also
-        # held against the pinned inline trail
+        # backends at once (both route through FaultPolicy.route): each
+        # half is also held against the pinned inline trail
         pinned = json.loads((FIXTURES / "faulted_trails.json").read_text())
         r_inline = A4NNOrchestrator(faulty_config("thread", 1)).run()
         r_process = A4NNOrchestrator(faulty_config("process", 2)).run()
@@ -877,7 +873,7 @@ class TestSecondWave:
         if backend == "process":
             inner = make_pool(first_fails_factory, n_workers=n_workers, policy=policy)
         else:
-            inner = InlineStream(FaultTolerantEvaluator(first_fails_factory(), policy))
+            inner = InlineStream(first_fails_factory(), policy=policy)
         memo = MemoizingStream(_StubBase(), inner, wait_for_leader=True)
         individuals = make_individuals(rng, 3)
         try:
