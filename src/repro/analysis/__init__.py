@@ -13,6 +13,7 @@ from repro.analysis.curves import (
     TerminationSummary,
     describe_curve,
     termination_histogram,
+    true_curves,
 )
 from repro.analysis.pareto import (
     ParetoPoint,
@@ -46,6 +47,7 @@ __all__ = [
     "TerminationSummary",
     "describe_curve",
     "termination_histogram",
+    "true_curves",
     "ParetoPoint",
     "frontier_table",
     "hypervolume_2d",

@@ -3,7 +3,8 @@
 The paper's Analyzer lets scientists "study NN performance and evolution
 throughout training [and] the shape of fitness curves".  These helpers
 quantify curve shape (monotonicity, concavity, plateau onset, noise) and
-summarize termination-epoch distributions (Fig. 8).
+summarize termination-epoch distributions (Fig. 8), and rebuild the full
+curves a sampled run's stopped models would have trained.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CurveShape", "describe_curve", "termination_histogram", "TerminationSummary"]
+__all__ = [
+    "CurveShape",
+    "describe_curve",
+    "termination_histogram",
+    "TerminationSummary",
+    "true_curves",
+]
 
 
 @dataclass(frozen=True)
@@ -129,3 +136,45 @@ def termination_histogram(records, *, max_epochs: int) -> TerminationSummary:
         percent_terminated=100.0 * len(terminated) / len(records),
         mean_termination_epoch=float(np.mean(terminated)) if terminated else float("nan"),
     )
+
+
+def true_curves(records, run) -> dict:
+    """The full curve each sampled record's model would have trained.
+
+    A surrogate-mode curve is a pure function of the genome, the
+    intensity, the run seed and the attempt salt, drawn at the full
+    budget (:meth:`repro.nas.surrogate.SurrogateEvaluator.curve`), so a
+    model the engine stopped or the allocator skipped still has a last
+    epoch.  For every non-quarantined record of ``run`` (zero-budget
+    skips included) this redraws that curve, ``nas.max_epochs`` long,
+    from the stored config; the salt is ``("retry", n)`` for a record
+    with ``n`` retry fault events.  Each recorded ``fitness_history`` is
+    a prefix of its curve.  Returns ``{model_id: curve}``.
+
+    Raises ``ValueError`` for a run without a stored config or a
+    real-mode run, whose curves were trained, not drawn.
+    """
+    from repro.nas.genome import Genome
+    from repro.nas.surrogate import SurrogateEvaluator
+    from repro.utils.rng import RngStream
+    from repro.workflow.interfaces import WorkflowConfig
+
+    if run.workflow_config is None:
+        raise ValueError(f"run {run.run_id} stores no workflow config")
+    config = WorkflowConfig.from_dict(run.workflow_config)
+    if config.mode != "surrogate":
+        raise ValueError(f"run {run.run_id} trained real networks; no curve was sampled")
+    evaluator = SurrogateEvaluator(
+        config.intensity,
+        None,
+        max_epochs=config.nas.max_epochs,
+        rng_stream=RngStream(config.seed).child("eval"),
+    )
+    curves = {}
+    for r in records:
+        if r.quarantined:
+            continue
+        retries = sum(1 for event in r.fault_events if event["action"] == "retry")
+        salt = ("retry", retries) if retries else ()
+        curves[r.model_id] = evaluator.curve(Genome.from_dict(r.genome), salt)
+    return curves

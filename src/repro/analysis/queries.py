@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.lineage.commons import DataCommons
 from repro.lineage.records import ModelRecord
-from repro.nas.genome import PhaseGenome, n_connection_bits
+from repro.nas.genome import Genome
 
 __all__ = [
     "CommonsQuery",
@@ -76,12 +76,10 @@ class TrainingMatrix:
 def training_matrix(
     records: Iterable[ModelRecord], *, full_budget_only: bool = True
 ) -> TrainingMatrix:
-    """Vectorized ``(features, fitness)`` export for the surrogate predictor.
+    """``(features, fitness)`` export for the surrogate predictor.
 
-    One pass over the records builds the connection-bit matrix and reduces
-    it with array sums; per-phase DAG depth (the only non-linear feature)
-    is memoized per unique phase bit pattern, so the whole export is
-    O(records) plus one depth computation per *distinct* phase topology.
+    Each row is :func:`~repro.nas.surrogate.genome_features` of the
+    record's stored genome and FLOPs, the row the live predictor builds.
 
     ``full_budget_only`` keeps exactly the rows the in-run
     :class:`~repro.nas.surrogate.FitnessPredictor` trains on: clean
@@ -89,7 +87,7 @@ def training_matrix(
     epoch — probes and zero-budget skips are excluded so the exported
     model is never fit to its own predictions.
     """
-    from repro.nas.surrogate import genome_feature_names, phase_depth
+    from repro.nas.surrogate import genome_feature_names, genome_features
 
     eligible = [
         r
@@ -113,35 +111,11 @@ def training_matrix(
     if any(tuple(r.genome["nodes_per_phase"]) != nodes_per_phase for r in eligible):
         raise ValueError("training_matrix requires a homogeneous search space")
 
-    bits = np.asarray([r.genome["bits"] for r in eligible], dtype=float)
-    flops = np.asarray([r.flops for r in eligible], dtype=float)
-    columns = [np.ones(len(eligible))]
-    cursor = 0
-    total_connections = np.zeros(len(eligible))
-    total_skips = np.zeros(len(eligible))
-    for n_nodes in nodes_per_phase:
-        width = n_connection_bits(n_nodes) + 1
-        phase_bits = bits[:, cursor : cursor + width]
-        cursor += width
-        connections = phase_bits[:, :-1].sum(axis=1)
-        skips = phase_bits[:, -1]
-        patterns, inverse = np.unique(phase_bits.astype(int), axis=0, return_inverse=True)
-        depths = np.asarray(
-            [phase_depth(PhaseGenome(n_nodes, tuple(p))) for p in patterns], dtype=float
-        )
-        columns += [connections, skips, depths[inverse]]
-        total_connections += connections
-        total_skips += skips
-    max_connections = sum(n_connection_bits(n) for n in nodes_per_phase)
-    max_skips = len(nodes_per_phase)
-    density = np.clip(
-        (total_connections + total_skips) / max(max_connections + max_skips, 1),
-        0.0,
-        1.0,
-    )
-    columns += [total_connections, total_skips, density, np.log10(1.0 + flops)]
     return TrainingMatrix(
-        features=np.column_stack(columns),
+        features=np.asarray(
+            [genome_features(Genome.from_dict(r.genome), r.flops) for r in eligible],
+            dtype=float,
+        ),
         fitness=np.asarray([r.fitness for r in eligible], dtype=float),
         model_ids=np.asarray([r.model_id for r in eligible], dtype=int),
         feature_names=tuple(genome_feature_names(nodes_per_phase)),

@@ -16,7 +16,7 @@ The constructor signature mirrors the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -65,15 +65,7 @@ class EngineConfig:
 
     def to_dict(self) -> dict:
         """Serializable snapshot for lineage records."""
-        return {
-            "function": self.function,
-            "c_min": self.c_min,
-            "e_pred": self.e_pred,
-            "n_predictions": self.n_predictions,
-            "tolerance": self.tolerance,
-            "stability_metric": self.stability_metric,
-            "fitness_bounds": list(self.fitness_bounds),
-        }
+        return {**asdict(self), "fitness_bounds": list(self.fitness_bounds)}
 
 
 class PredictionEngine:

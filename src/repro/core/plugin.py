@@ -109,22 +109,6 @@ class TrainingResult:
     # populated by run_training_loop; kept off the public ctor surface
     _max_epochs: int = 0
 
-    def to_dict(self) -> dict:
-        """Serializable snapshot for lineage records."""
-        return {
-            "fitness": self.fitness,
-            "epochs_trained": self.epochs_trained,
-            "terminated_early": self.terminated_early,
-            "fitness_history": list(self.fitness_history),
-            "prediction_history": list(self.prediction_history),
-            "measured_fitness": self.measured_fitness,
-            "engine_overhead_seconds": self.engine_overhead_seconds,
-            "engine_interactions": self.engine_interactions,
-            "engine_overhead_mean": self.engine_overhead_mean,
-            "engine_overhead_variance": self.engine_overhead_variance,
-            "max_epochs": self._max_epochs,
-        }
-
 
 def run_training_loop(
     model: TrainableModel,

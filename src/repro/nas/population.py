@@ -121,28 +121,6 @@ class Individual:
             raise ValueError(f"model {self.model_id} has not been evaluated")
         return (-float(self.fitness), float(self.flops))
 
-    def to_dict(self) -> dict:
-        """Lineage-record form."""
-        return {
-            "model_id": self.model_id,
-            "generation": self.generation,
-            "genome": self.genome.to_dict(),
-            "fitness": self.fitness,
-            "flops": self.flops,
-            "epoch_seconds": list(self.epoch_seconds),
-            "result": self.result.to_dict() if self.result else None,
-            "quarantined": self.quarantined,
-            "fault_events": [dict(e) for e in self.fault_events],
-            "cache_hit": self.cache_hit,
-            "cache_source": self.cache_source,
-            "logical_tick": self.logical_tick,
-            "arena_peak_bytes": self.arena_peak_bytes,
-            "predicted_fitness": self.predicted_fitness,
-            "predicted_rank": self.predicted_rank,
-            "budget_assigned": self.budget_assigned,
-            "skip_reason": self.skip_reason,
-        }
-
 
 class Population:
     """An ordered collection of individuals with objective-array views."""

@@ -187,6 +187,10 @@ def steady_insert(
 class NSGANetConfig:
     """NSGA-Net settings (paper Table 2 defaults).
 
+    The variation operators take their own defaults: initial genomes
+    draw each bit with probability 0.5, and mutation flips each bit with
+    probability ``1 / genome_length``.
+
     Attributes
     ----------
     population_size:
@@ -201,12 +205,8 @@ class NSGANetConfig:
         Total generations *including* the initial population.
     max_epochs:
         Per-network training budget.
-    mutation_rate:
-        Per-bit flip probability; ``None`` means ``1 / genome_length``.
     crossover:
         ``"uniform"`` or ``"point"``.
-    initial_density:
-        Bernoulli density of initial random genomes.
     evolution:
         ``"barrier"`` (generational, the paper's loop) or ``"steady"``
         (asynchronous steady-state: one-in/one-out selection under a
@@ -227,9 +227,7 @@ class NSGANetConfig:
     offspring_per_generation: int = 10
     generations: int = 10
     max_epochs: int = 25
-    mutation_rate: float | None = None
     crossover: str = "uniform"
-    initial_density: float = 0.5
     evolution: str = "barrier"
     steady_lag: int | None = None
 
@@ -422,7 +420,6 @@ class NSGANet:
                     init_rng,
                     n_phases=config.n_phases,
                     nodes_per_phase=config.nodes_per_phase,
-                    density=config.initial_density,
                 ),
                 generation=0,
             )
@@ -526,7 +523,7 @@ class NSGANet:
             for child in (child_a, child_b):
                 if len(children) >= n:
                     break
-                mutated = bitflip_mutation(child, rng, rate=self.config.mutation_rate)
+                mutated = bitflip_mutation(child, rng)
                 offspring = self._new_individual(mutated, generation)
                 self._notify_candidate(offspring, population.members)
                 children.append(offspring)
@@ -552,7 +549,7 @@ class NSGANet:
         a = pool[int(parent_idx[0])].genome
         b = pool[int(parent_idx[1])].genome
         child, _ = _CROSSOVERS[self.config.crossover](a, b, rng)
-        mutated = bitflip_mutation(child, rng, rate=self.config.mutation_rate)
+        mutated = bitflip_mutation(child, rng)
         generation = 1 + (g - self.config.population_size) // self.config.offspring_per_generation
         individual = self._new_individual(mutated, generation)
         self._notify_candidate(individual, members)

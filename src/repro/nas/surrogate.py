@@ -258,6 +258,17 @@ class SurrogateEvaluator:
             budget,
         )
 
+    def curve(self, genome: Genome, salt: tuple = ()) -> np.ndarray:
+        """The full ``max_epochs`` curve of ``genome``'s attempt with ``salt``.
+
+        Always sampled at the full budget, so a reduced-budget probe trains
+        an exact prefix of what full training would have seen.
+        """
+        rng = self.rng_stream.generator(
+            "curve", genome.canonical_key(), self.intensity.label, *salt
+        )
+        return sample_curve(genome, self.regime, rng, self.max_epochs)
+
     def evaluate(self, individual: Individual) -> Individual:
         """Sample a curve, run Algorithm 1 on it, and fill the individual."""
         budget = effective_budget(individual, self.max_epochs)
@@ -269,18 +280,10 @@ class SurrogateEvaluator:
                 )
             return individual
         salt = retry_salt(individual)
-        ident = individual.genome.canonical_key()
-        curve_rng = self.rng_stream.generator(
-            "curve", ident, self.intensity.label, *salt
-        )
         cost_rng = self.rng_stream.generator(
-            "cost", ident, self.intensity.label, *salt
+            "cost", individual.genome.canonical_key(), self.intensity.label, *salt
         )
-        # The curve is always sampled at the full budget so a reduced-budget
-        # probe trains an exact prefix of what full training would have seen
-        # (and the off-mode RNG stream is untouched).
-        curve = sample_curve(individual.genome, self.regime, curve_rng, self.max_epochs)
-        model = LearningCurveModel(curve)
+        model = LearningCurveModel(self.curve(individual.genome, salt))
 
         def on_epoch(epoch: int, fitness: float, prediction: float | None) -> None:
             individual.trace.append((epoch, fitness, prediction, None, None))
@@ -353,9 +356,9 @@ def genome_features(genome: Genome, flops: float) -> tuple:
     op/width/kernel statistics and parameter counts are functions of this
     structure — the FLOPs column is where they enter numerically.
 
-    The same row must be computable offline from a lineage record alone
-    (genome dict + stored FLOPs); keep this in sync with
-    :func:`repro.analysis.queries.training_matrix`.
+    It is computable offline from a lineage record alone (genome dict +
+    stored FLOPs): :func:`repro.analysis.queries.training_matrix` calls
+    it on every record it exports.
     """
     row: list[float] = [1.0]
     for phase in genome.phases:

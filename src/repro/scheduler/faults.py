@@ -224,11 +224,7 @@ class FaultInjectionConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "modes": list(self.modes),
-            "hang_seconds": self.hang_seconds,
-        }
+        return {**asdict(self), "modes": list(self.modes)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultInjectionConfig":

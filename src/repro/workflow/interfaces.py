@@ -10,7 +10,7 @@ evaluations by the canonical genome and trains in float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro.core.engine import EngineConfig
 from repro.nas.search import NSGANetConfig
@@ -39,6 +39,11 @@ _SECTIONS = {
 class WorkflowConfig:
     """Everything a user sets to launch an A4NN run.
 
+    Where model state goes is not a setting: a real-mode run saves every
+    trained epoch if and only if it is given a ``checkpoint_dir``
+    (:class:`~repro.workflow.orchestrator.A4NNOrchestrator`,
+    :func:`~repro.workflow.driver.run_workflow`).
+
     Attributes
     ----------
     nas:
@@ -58,10 +63,6 @@ class WorkflowConfig:
         Root seed; the whole run is reproducible from it.
     run_id:
         Commons identifier; auto-derived when empty.
-    checkpoint_models:
-        Persist per-epoch model state (real mode only), on either
-        backend: process workers write the files themselves, and the
-        paths travel back in the attempt's trace.
     n_workers:
         Concurrent evaluations per generation (1 = serial).  It also pins
         the default steady lag.  On the thread backend it does nothing
@@ -117,7 +118,6 @@ class WorkflowConfig:
     n_gpus: tuple = (1, 4)
     seed: int = 42
     run_id: str = ""
-    checkpoint_models: bool = False
     n_workers: int = 1
     backend: str = "thread"
     sanitize: bool = False
@@ -194,36 +194,18 @@ class WorkflowConfig:
         return replace(self, engine=None, run_id="")
 
     def to_dict(self) -> dict:
-        return {
-            "nas": self.nas.to_dict(),
-            "engine": self.engine.to_dict() if self.engine else None,
-            "dataset": {
-                "intensity": self.dataset.intensity.label,
-                "images_per_class": self.dataset.images_per_class,
-                "image_size": self.dataset.image_size,
-                "train_fraction": self.dataset.train_fraction,
-                "seed": self.dataset.seed,
-                "n_atoms": self.dataset.n_atoms,
-                "q_max": self.dataset.q_max,
-                "orientation_spread": self.dataset.orientation_spread,
-                "dtype": self.dataset.dtype,
-            },
-            "mode": self.mode,
-            "n_gpus": list(self.n_gpus),
-            "seed": self.seed,
-            "run_id": self.run_id,
-            "checkpoint_models": self.checkpoint_models,
-            "n_workers": self.n_workers,
-            "backend": self.backend,
-            "sanitize": self.sanitize,
-            "sanitize_writes": self.sanitize_writes,
-            "faults": self.faults.to_dict() if self.faults else None,
-            "fault_injection": self.fault_injection.to_dict()
-            if self.fault_injection
-            else None,
-            "eval_cache": self.eval_cache,
-            "surrogate": self.surrogate.to_dict() if self.surrogate else None,
-        }
+        """The document: each section's own form, the intensity as its label."""
+        document = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "dataset":
+                value = {**asdict(value), "intensity": value.intensity.label}
+            elif f.name == "n_gpus":
+                value = list(value)
+            elif hasattr(value, "to_dict"):
+                value = value.to_dict()
+            document[f.name] = value
+        return document
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WorkflowConfig":

@@ -138,9 +138,9 @@ class A4NNOrchestrator:
     commons:
         Optional data commons to publish record trails into.
     checkpoint_dir:
-        Directory for per-epoch model state (real mode with
-        ``config.checkpoint_models``), written by the search thread or
-        the worker process that trains the model.
+        Directory for per-epoch model state (real mode; ``None`` saves
+        none), written by the search thread or the worker process that
+        trains the model.
     """
 
     def __init__(
@@ -175,11 +175,7 @@ class A4NNOrchestrator:
         """
         if self.config.mode == "real":
             self._dataset = load_or_generate(self.config.dataset).astype(_DTYPE)
-        evaluator = evaluation_chain(
-            self.config,
-            self._dataset,
-            self.checkpoint_dir if self.config.checkpoint_models else None,
-        )
+        evaluator = evaluation_chain(self.config, self._dataset, self.checkpoint_dir)
         self._base = evaluator.evaluator if self.config.injecting else evaluator
         # the surrogate pre-ranking allocator scores candidates at breed
         # time against the base evaluator's FLOP counter; its predictor
@@ -238,9 +234,8 @@ class A4NNOrchestrator:
         dataset = arena = None
         if config.mode == "real":
             dataset, arena = share_dataset(self._dataset)
-        checkpoint_dir = self.checkpoint_dir if config.checkpoint_models else None
         return ProcessWorkerPool(
-            functools.partial(evaluation_chain, config, checkpoint_dir=checkpoint_dir),
+            functools.partial(evaluation_chain, config, checkpoint_dir=self.checkpoint_dir),
             n_workers=config.n_workers,
             dataset=dataset,
             policy=config.faults,

@@ -4,7 +4,9 @@ Mirrors the paper's data pipeline: simulate diffraction patterns for the
 two conformations at a chosen beam intensity, balance the classes, and
 produce an 80/20 train/test split (paper: 63,508 / 15,876 images at full
 scale; the image count and detector size here are configurable so CPU
-training stays tractable — see DESIGN.md substitutions).
+training stays tractable — see DESIGN.md substitutions).  Images are
+generated in float64, the physics dtype; a run that trains in another
+width casts the whole dataset once (:meth:`DiffractionDataset.astype`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nn.dtype import dtype_label, resolve_dtype
+from repro.nn.dtype import resolve_dtype
 from repro.utils.io import atomic_write_npz, read_npz
 from repro.utils.rng import derive_rng
 from repro.utils.validation import ValidationError
@@ -57,12 +59,6 @@ class DatasetConfig:
         paper's fully random orientations, smaller values compensate for
         reduced dataset sizes (see
         :func:`repro.xfel.orientation.concentrated_rotations`).
-    dtype:
-        Storage dtype of the generated images (``"float32"`` or
-        ``"float64"``).  The physics simulation always runs in float64 —
-        identical RNG draws either way — and the images are cast once at
-        the end, so a float32 dataset is the float64 one rounded, not a
-        different sample.
     """
 
     intensity: BeamIntensity = BeamIntensity.HIGH
@@ -73,7 +69,6 @@ class DatasetConfig:
     n_atoms: int = 220
     q_max: float = 1.1
     orientation_spread: float = 0.3
-    dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.images_per_class < 2:
@@ -87,32 +82,23 @@ class DatasetConfig:
                 f"{self.train_fraction} puts {n_train} of each class in training; "
                 "both splits need at least one image per class"
             )
-        # normalize the label eagerly so equal configs hash/compare equal
-        object.__setattr__(self, "dtype", dtype_label(self.dtype))
 
     def cache_key(self) -> str:
-        """Filename-safe identifier for on-disk caching.
-
-        The dtype suffix appears only for non-default dtypes so cache
-        archives written before the dtype policy existed remain valid.
-        """
-        key = (
+        """Filename-safe identifier for on-disk caching."""
+        return (
             f"xfel_{self.intensity.label}_n{self.images_per_class}"
             f"_s{self.image_size}_a{self.n_atoms}_q{self.q_max}"
             f"_t{self.train_fraction}_o{self.orientation_spread}_seed{self.seed}"
         )
-        if self.dtype != "float64":
-            key += f"_d{self.dtype}"
-        return key
 
 
 @dataclass
 class DiffractionDataset:
     """A generated, split, normalized dataset ready for training.
 
-    Images are NCHW floats with one channel, in the generating config's
-    dtype (float64 unless a narrower compute dtype was requested);
-    labels are 0 for conformation A, 1 for conformation B.
+    Images are NCHW floats with one channel, float64 as generated (a
+    run casts them to its compute dtype with :meth:`astype`); labels are
+    0 for conformation A, 1 for conformation B.
     """
 
     x_train: np.ndarray
@@ -254,10 +240,6 @@ def generate_dataset_from_proteins(proteins, config: DatasetConfig) -> Diffracti
         test_idx.append(members[n_train:])
     train_idx = split_rng.permutation(np.concatenate(train_idx))
     test_idx = split_rng.permutation(np.concatenate(test_idx))
-
-    # the physics above always ran in float64; cast once at the end so a
-    # float32 dataset is the float64 one rounded, not a different sample
-    x = x.astype(resolve_dtype(config.dtype), copy=False)
 
     return DiffractionDataset(
         x_train=x[train_idx],

@@ -4,7 +4,8 @@ Run from the repo root with
 ``PYTHONPATH=src python tests/fixtures/make_dataset_digests.py``.
 The fixture pins a content hash (shapes, dtypes and bytes of x/y
 train/test) of fourteen generated datasets: three beam intensities at
-four sizes, one float32 set and one three-protein set.  It was written
+four sizes, one medium set cast to float32 the way a run casts it, and
+one three-protein set.  It was written
 at the parent of the change that made the diffraction simulator sum
 each shot's structure factor separably, so the photon-count images of
 the new kernel are byte-compared against the per-pixel sum it

@@ -6,12 +6,14 @@ The fixture pins the sha256 of every JSON file a small seeded steady
 search publishes (and republishes after a resume), so a change to how
 records are serialised is byte-compared against the commit it was
 written at: the parent of the PR that replaced ``dataclasses.asdict``
-in ``lineage/records.py``.  Re-pinned twice since, each time for the
-two ``run.json`` entries only, while the 60 model files and both
+in ``lineage/records.py``.  Re-pinned three times since, each time for
+the two ``run.json`` entries only, while the 60 model files and both
 manifests kept their digests: by the change that removed
-``WorkflowConfig.arena`` (one key fewer), and by the change that removed
-``WorkflowConfig.dtype`` and ``rng_keying`` (two keys fewer).  The run
-is defined once, in
+``WorkflowConfig.arena`` (one key fewer), by the change that removed
+``WorkflowConfig.dtype`` and ``rng_keying`` (two keys fewer), and by the
+change that removed the four settings no run could vary (the workflow's
+checkpoint switch, the dataset's dtype, and the search's initial density
+and mutation rate; four keys fewer).  The run is defined once, in
 ``tests/test_properties_fastpaths.py::published_digests``.
 """
 

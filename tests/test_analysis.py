@@ -20,9 +20,16 @@ from repro.analysis import (
     sparkline,
     structural_similarity,
     termination_histogram,
+    true_curves,
 )
-from repro.lineage.records import ModelRecord
+from repro.core.engine import EngineConfig
+from repro.lineage.commons import DataCommons
+from repro.lineage.records import ModelRecord, RunRecord
 from repro.nas import DecoderConfig, Individual, PhaseGenome, decode_genome, random_genome
+from repro.nas.search import NSGANetConfig
+from repro.nas.surrogate import SurrogateConfig
+from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
+from repro.workflow import A4NNOrchestrator, WorkflowConfig
 
 from tests.conftest import make_concave_curve
 
@@ -143,6 +150,69 @@ class TestTerminationHistogram:
         records = [make_record(0, 9.0, 1, rng, terminated_early=True, epochs_trained=30)]
         with pytest.raises(ValueError):
             termination_histogram(records, max_epochs=25)
+
+
+def published_surrogate_run(tmp_path, evolution="barrier", **settings):
+    """A small seeded surrogate run, published and loaded back."""
+    config = WorkflowConfig(
+        nas=NSGANetConfig(
+            population_size=6,
+            offspring_per_generation=6,
+            generations=4,
+            max_epochs=8,
+            nodes_per_phase=2,
+            evolution=evolution,
+        ),
+        engine=EngineConfig(e_pred=8),
+        n_gpus=(1,),
+        seed=1,
+        **settings,
+    )
+    commons = DataCommons(tmp_path)
+    run_id = A4NNOrchestrator(config, commons=commons).run().run_id
+    return commons.load_models(run_id), commons.load_run(run_id)
+
+
+def ranking(probe_epochs=1):
+    return SurrogateConfig(min_records=6, explore_every=4, probe_epochs=probe_epochs)
+
+
+class TestTrueCurves:
+    @pytest.mark.parametrize(
+        "evolution, settings, feature",
+        [
+            ("barrier", {}, lambda r: r.cache_hit),
+            (
+                "barrier",
+                {
+                    "faults": FaultPolicy(max_retries=1),
+                    "fault_injection": FaultInjectionConfig(rate=0.3, modes=("crash", "nan")),
+                },
+                lambda r: r.fault_events and not r.quarantined,
+            ),
+            ("barrier", {"surrogate": ranking(probe_epochs=0)}, lambda r: r.budget_assigned == 0),
+            ("steady", {"surrogate": ranking()}, lambda r: r.terminated_early),
+        ],
+        ids=["cache-hits", "retried", "zero-budget", "steady-ranked"],
+    )
+    def test_every_recorded_history_is_a_prefix(self, tmp_path, evolution, settings, feature):
+        records, run = published_surrogate_run(tmp_path, evolution, **settings)
+        assert any(feature(r) for r in records)
+        curves = true_curves(records, run)
+        assert sorted(curves) == sorted(r.model_id for r in records if not r.quarantined)
+        for r in records:
+            if r.quarantined:
+                continue
+            curve = curves[r.model_id]
+            assert len(curve) == r.training_parameters["max_epochs"] == 8
+            assert list(curve[: len(r.fitness_history)]) == r.fitness_history
+
+    def test_refuses_a_real_run_and_a_run_without_config(self):
+        real = WorkflowConfig(mode="real").to_dict()
+        with pytest.raises(ValueError, match="real networks"):
+            true_curves([], RunRecord("r", "high", {}, None, workflow_config=real))
+        with pytest.raises(ValueError, match="no workflow config"):
+            true_curves([], RunRecord("r", "high", {}, None))
 
 
 class TestQueries:

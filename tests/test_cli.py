@@ -162,6 +162,10 @@ class TestConfigCommand:
             ({"dtype": "float32"}, "unknown key in workflow_config: dtype"),
             ({"backend": "serial"}, "backend must be one of"),
             ({"faults": {"backoff_seconds": 1}}, "unknown key in faults: backoff_seconds"),
+            ({"checkpoint_models": True}, "unknown key in workflow_config: checkpoint_models"),
+            ({"nas": {"initial_density": 0.5}}, "unknown key in nas: initial_density"),
+            ({"nas": {"mutation_rate": None}}, "unknown key in nas: mutation_rate"),
+            ({"dataset": {"dtype": "float64"}}, "unknown key in dataset: dtype"),
         ],
     )
     def test_bad_document_is_one_error_line(self, tmp_path, capsys, document, message):

@@ -96,15 +96,6 @@ class TestEngineLoop:
         epochs = [e for e, _, _ in seen]
         assert epochs == list(range(1, len(seen) + 1))
 
-    def test_to_dict_serializable(self):
-        import json
-
-        result = run_training_loop(
-            LearningCurveModel(make_concave_curve(10)), PredictionEngine(), 10
-        )
-        payload = json.dumps(result.to_dict())
-        assert "fitness" in payload
-
 
 class TestProtocol:
     def test_learning_curve_model_satisfies_protocol(self):

@@ -55,14 +55,6 @@ class TestIndividualPopulation:
         sub = pop.subset([2, 0])
         assert sub[0] is members[2] and sub[1] is members[0]
 
-    def test_to_dict_serializable(self, rng):
-        import json
-
-        individual = Individual(
-            random_genome(rng), 7, 2, fitness=88.0, flops=123, epoch_seconds=[1.0, 2.0]
-        )
-        json.dumps(individual.to_dict())
-
 
 class TestSurrogateEvaluator:
     def _evaluator(self, engine=True, intensity=BeamIntensity.MEDIUM):

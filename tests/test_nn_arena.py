@@ -654,7 +654,6 @@ def test_individual_arena_fields_reach_model_record():
     for model_id, peak in (("trained", 12345), ("sampled", 0)):
         individual = Individual(genome=genome, model_id=model_id, generation=0)
         individual.arena_peak_bytes = peak
-        assert individual.to_dict()["arena_peak_bytes"] == peak
         tracker.observe_individual(individual)
         stored = tracker.records[model_id]
         assert stored.arena_peak_bytes == peak

@@ -785,12 +785,13 @@ class TestBackendParityReal:
         _, r_inline, _, r_process = inline_and_process(sanitize=True, sanitize_writes=True)
         assert run_trail(r_process) == run_trail(r_inline)
 
-    def test_process_workers_checkpoint_models(self, tmp_path):
-        # each worker saves the epochs it trains, and the paths come back
-        # in the trace: the same lineage as inline, up to the run's folder
+    def test_checkpoint_dir_alone_saves_every_trained_epoch(self, tmp_path):
+        # a checkpoint_dir is the whole request: each worker saves the
+        # epochs it trains, and the paths come back in the trace: the
+        # same lineage as inline, up to the run's folder
         def run(backend, n_workers):
             folder = tmp_path / backend
-            config = real_config(backend, n_workers, checkpoint_models=True)
+            config = real_config(backend, n_workers)
             result = A4NNOrchestrator(config, checkpoint_dir=folder).run()
             trails = [r.to_dict() for r in result.tracker.all_records()]
             for trail in trails:
@@ -806,6 +807,9 @@ class TestBackendParityReal:
 
         process = run("process", 2)
         assert process == run("thread", 1)
+        for trail in process:
+            saved = [e["checkpoint"] is not None for e in trail["epochs"]]
+            assert saved == [not trail["cache_hit"]] * trail["epochs_trained"]
         checkpoints = [
             e["checkpoint"] for t in process for e in t["epochs"] if e["checkpoint"]
         ]

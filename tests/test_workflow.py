@@ -1,10 +1,14 @@
 """Tests for workflow configuration and the orchestrator."""
 
+from dataclasses import MISSING, fields
+
 import pytest
 
 from repro.core.engine import EngineConfig
 from repro.lineage import DataCommons
 from repro.nas import NSGANetConfig
+from repro.nas.surrogate import SurrogateConfig
+from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
 from repro.utils.validation import ValidationError
 from repro.workflow import (
     A4NNOrchestrator,
@@ -73,6 +77,45 @@ class TestWorkflowConfig:
         config = small_config(engine=False)
         rebuilt = WorkflowConfig.from_dict(config.to_dict())
         assert rebuilt.engine is None
+
+    def test_every_field_off_its_default_round_trips(self):
+        # every settable value of the document, each set to something
+        # other than its default: the document holds exactly the fields,
+        # in their order, and loads back to an equal config
+        config = WorkflowConfig(
+            nas=NSGANetConfig(
+                population_size=4, nodes_per_phase=3, n_phases=2,
+                offspring_per_generation=5, generations=3, max_epochs=9,
+                crossover="point", evolution="steady", steady_lag=2,
+            ),
+            engine=EngineConfig(
+                function="pow3", c_min=4, e_pred=9, n_predictions=4, tolerance=0.25,
+                stability_metric="std", fitness_bounds=(1.0, 99.0),
+            ),
+            dataset=DatasetConfig(
+                intensity=BeamIntensity.LOW, images_per_class=10, image_size=16,
+                train_fraction=0.6, seed=7, n_atoms=100, q_max=1.0, orientation_spread=0.5,
+            ),
+            mode="real", n_gpus=(2,), seed=3, run_id="every-field", n_workers=2,
+            backend="process", sanitize=True, sanitize_writes=True,
+            faults=FaultPolicy(max_retries=1, timeout_seconds=5.0),
+            fault_injection=FaultInjectionConfig(rate=0.1, modes=("crash",), hang_seconds=0.2),
+            eval_cache=False,
+            surrogate=SurrogateConfig(
+                probe_epochs=0, min_records=4, explore_every=3, band=1.0,
+                min_dominators=2, ridge=1e-2, sigma_floor=0.25,
+            ),
+        )
+        document = config.to_dict()
+        names = ("nas", "engine", "dataset", "faults", "fault_injection", "surrogate")
+        for stored, section in [(document, config)] + [
+            (document[name], getattr(config, name)) for name in names
+        ]:
+            assert list(stored) == [f.name for f in fields(section)]
+            for f in fields(section):
+                default = f.default_factory() if f.default is MISSING else f.default
+                assert getattr(section, f.name) != default, f.name
+        assert WorkflowConfig.from_dict(document) == config
 
     def test_sanitize_writes_round_trips_and_defaults_off(self):
         config = small_config()

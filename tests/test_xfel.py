@@ -43,10 +43,10 @@ def dataset_digests() -> dict:
             digests[f"{intensity.label}_n{per_class}_s{size}"] = _dataset_fingerprint(
                 generate_dataset(config)
             )
-    float32 = DatasetConfig(
-        intensity=BeamIntensity.MEDIUM, images_per_class=20, image_size=32, dtype="float32"
+    medium = DatasetConfig(intensity=BeamIntensity.MEDIUM, images_per_class=20, image_size=32)
+    digests["float32_medium_n20_s32"] = _dataset_fingerprint(
+        generate_dataset(medium).astype("float32")
     )
-    digests["float32_medium_n20_s32"] = _dataset_fingerprint(generate_dataset(float32))
     proteins = tuple(
         make_protein(name, n_atoms=n_atoms, seed=3)
         for name, n_atoms in (("alpha", 60), ("beta", 140), ("gamma", 220))
