@@ -3,20 +3,22 @@
 NSGA-II's crossover and mutation routinely regenerate genomes that were
 already evaluated — either bit-identical or isomorphic (same phase DAG
 under node relabeling).  Every evaluation is keyed by the canonical
-genome (see :mod:`repro.nas.evaluation`), so it is a pure function of
-(canonical genome, training config, dataset, dtype), and re-training
-such a candidate buys nothing.
+genome (see :mod:`repro.nas.evaluation`), and re-training such a
+candidate buys nothing.
 :class:`MemoizingStream` sits between the search and the evaluation
 backend on the :class:`~repro.nas.search.EvalStream` seam and reuses the
 recorded outcome instead.
 
 Invariants (also recorded in DESIGN §9):
 
-* the cache key carries the canonical genome key, dataset identity,
-  compute dtype, and the training configuration — entries never cross
-  any of them;
+* one cache serves one run, whose dataset, dtype, engine, sanitizer and
+  training settings are fixed, so :func:`evaluation_key` — the
+  canonical genome key and the epoch budget — is all that can tell two
+  of its evaluations apart; a zero-budget skip is a prediction, not a
+  measurement, and has no key;
 * quarantined, faulted, or retried evaluations are never cached (a hit
-  must reproduce a clean attempt-0 evaluation exactly);
+  must reproduce a clean attempt-0 evaluation exactly); keys are taken
+  at submit and at resume priming, both at attempt 0;
 * cache hits are first-class lineage events: the individual (and its
   :class:`~repro.lineage.records.ModelRecord`) carries ``cache_hit``
   and the source model id, and its ``trace`` is a copy of the source's
@@ -29,34 +31,37 @@ Invariants (also recorded in DESIGN §9):
 
 from __future__ import annotations
 
-import copy
-import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.core.plugin import TrainingResult
+from repro.nas.evaluation import effective_budget
 from repro.nas.population import Individual
 from repro.utils.logging import get_logger
 
-__all__ = ["CacheEntry", "EvaluationCache", "MemoizingStream"]
+__all__ = ["CacheEntry", "EvaluationCache", "MemoizingStream", "evaluation_key"]
 
 _LOG = get_logger("nas.evalcache")
 
 
-def _copy_result(result):
-    """Independent copy of an evaluation's result.
+def evaluation_key(individual: Individual, max_epochs: int) -> tuple | None:
+    """What identifies an evaluation within one run, or ``None`` when
+    nothing is measured (a zero-budget skip)."""
+    budget = effective_budget(individual, max_epochs)
+    if budget == 0:
+        return None
+    return (individual.genome.canonical_key(), budget)
 
-    A :class:`TrainingResult` is scalars plus two flat lists, so a field
-    copy with fresh lists is as independent as ``deepcopy`` (which a
-    600-model search entered 85k times); anything else still gets one.
-    """
-    if type(result) is TrainingResult:
-        return replace(
-            result,
-            fitness_history=list(result.fitness_history),
-            prediction_history=list(result.prediction_history),
-        )
-    return copy.deepcopy(result)
+
+def _copy_result(result: TrainingResult) -> TrainingResult:
+    """Independent copy of an evaluation's result: scalars plus two flat
+    lists, so a field copy with fresh lists is as independent as
+    ``deepcopy`` (which a 600-model search entered 85k times)."""
+    return replace(
+        result,
+        fitness_history=list(result.fitness_history),
+        prediction_history=list(result.prediction_history),
+    )
 
 
 @dataclass
@@ -76,45 +81,31 @@ class CacheEntry:
 
 
 class EvaluationCache:
-    """Thread-safe store of evaluation outcomes keyed by memo key."""
+    """Store of evaluation outcomes keyed by :func:`evaluation_key`."""
 
     def __init__(self) -> None:
         self._entries: dict[tuple, CacheEntry] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def peek(self, key: tuple) -> CacheEntry | None:
-        """Look up without touching the hit/miss counters."""
-        with self._lock:
-            return self._entries.get(key)
+        return len(self._entries)
 
     def lookup(self, key: tuple) -> CacheEntry | None:
         """Look up and count the outcome."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return entry
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return entry
 
     def put(self, key: tuple, entry: CacheEntry) -> None:
         """Insert an entry; the first writer for a key wins."""
-        with self._lock:
-            self._entries.setdefault(key, entry)
+        self._entries.setdefault(key, entry)
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
 
 
 @dataclass
@@ -153,19 +144,18 @@ class MemoizingStream:
 
     Parameters
     ----------
-    base:
-        The innermost backend (:class:`~repro.nas.evaluation.
-        TrainingEvaluator` or :class:`~repro.nas.surrogate.
-        SurrogateEvaluator`).  It provides ``memo_key``.
     inner:
         The stream misses are evaluated on.
+    max_epochs:
+        The run's training budget, which a candidate's assigned budget
+        is clamped to (:func:`evaluation_key`).
     wait_for_leader:
         The in-flight duplicate rule, see above.
     """
 
-    def __init__(self, base, inner, *, wait_for_leader: bool) -> None:
-        self.base = base
+    def __init__(self, inner, *, max_epochs: int, wait_for_leader: bool) -> None:
         self.inner = inner
+        self.max_epochs = int(max_epochs)
         self.wait_for_leader = wait_for_leader
         self.cache = EvaluationCache()
         self._ready: deque[Individual] = deque()
@@ -226,7 +216,7 @@ class MemoizingStream:
         prime with their original source id, so a resumed run attributes
         reuse exactly like the uninterrupted one.
         """
-        key = self.base.memo_key(individual)
+        key = evaluation_key(individual, self.max_epochs)
         if key is None or not self._cacheable(individual):
             return False
         self.cache.put(key, self._entry_from(individual))
@@ -265,7 +255,7 @@ class MemoizingStream:
             self._apply_hit(follower, entry)
 
     def submit(self, individual: Individual) -> None:
-        key = self.base.memo_key(individual)
+        key = evaluation_key(individual, self.max_epochs)
         if key is None:
             self._submit_inner(individual)
         elif key in self._unsettled:

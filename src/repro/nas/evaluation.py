@@ -12,23 +12,19 @@ Both fill the same :class:`~repro.nas.population.Individual` fields —
 the per-epoch ``trace`` included — so the search, scheduler, and lineage
 tracker cannot tell them apart.  Both key an evaluation's RNG streams by
 the genome's ``canonical_key()`` and evaluate the canonical genome, so
-an evaluation is a pure function of (canonical genome, training config,
-dataset, dtype): the property the evaluation cache needs to be exact.
+within one run an evaluation is a pure function of the canonical genome
+and its budget: the property the evaluation cache needs to be exact.
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 from typing import Protocol, runtime_checkable
-
-import numpy as np
 
 from repro.core.engine import PredictionEngine
 from repro.core.plugin import run_training_loop
 from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops
 from repro.nas.population import Individual
-from repro.nn.dtype import dtype_label
 from repro.nn.flops import network_flops
 from repro.nn.optimizers import Adam
 from repro.nn.serialization import save_checkpoint
@@ -43,22 +39,6 @@ __all__ = [
     "effective_budget",
     "retry_salt",
 ]
-
-def _engine_fingerprint(engine: PredictionEngine | None) -> tuple:
-    """Hashable snapshot of the engine configuration for memo keys."""
-    if engine is None:
-        return ("standalone",)
-    return tuple(sorted((k, repr(v)) for k, v in engine.describe().items()))
-
-
-def _dataset_fingerprint(dataset: DiffractionDataset) -> str:
-    """Content hash of a dataset, for memo keys when no cache key is given."""
-    digest = hashlib.blake2b(digest_size=16)
-    for array in (dataset.x_train, dataset.y_train, dataset.x_test, dataset.y_test):
-        array = np.ascontiguousarray(array)
-        digest.update(repr((array.shape, array.dtype.str)).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
 
 
 def retry_salt(individual: Individual) -> tuple:
@@ -138,10 +118,6 @@ class TrainingEvaluator:
         given (an explicit ``decoder_config`` carries its own dtype).
         The workflow trains in float32; float64 is for the gradient and
         dtype checks.
-    dataset_key:
-        Stable identifier of the dataset for memo keys (the workflow
-        passes ``DatasetConfig.cache_key()``); defaults to a content
-        hash of the arrays.
     """
 
     def __init__(
@@ -158,7 +134,6 @@ class TrainingEvaluator:
         sanitize: bool = False,
         sanitize_writes: bool = False,
         dtype=None,
-        dataset_key: str | None = None,
     ) -> None:
         self.dataset = dataset
         self.engine = engine
@@ -172,33 +147,11 @@ class TrainingEvaluator:
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.sanitize = bool(sanitize)
         self.sanitize_writes = bool(sanitize_writes)
-        self.dataset_key = dataset_key or _dataset_fingerprint(dataset)
 
     def flops_for(self, genome) -> int:
         """FLOPs :meth:`evaluate` will report, known before any training
         (the surrogate budget allocator's dominance test needs them)."""
         return genome_flops(genome, self.decoder_config, canonical=True)
-
-    def memo_key(self, individual: Individual) -> tuple | None:
-        """Cache key for this evaluation, or ``None`` when not cacheable."""
-        budget = effective_budget(individual, self.max_epochs)
-        if budget == 0:
-            # a zero-budget skip is a prediction, not a measurement
-            return None
-        return (
-            "real",
-            individual.genome.canonical_key(),
-            self.dataset_key,
-            dtype_label(self.decoder_config.dtype),
-            self.max_epochs,
-            self.batch_size,
-            self.learning_rate,
-            _engine_fingerprint(self.engine),
-            self.sanitize,
-            retry_salt(individual),
-            self.sanitize_writes,
-            budget,
-        )
 
     def evaluate(self, individual: Individual) -> Individual:
         """Decode, train with the Algorithm-1 loop, and fill the individual."""

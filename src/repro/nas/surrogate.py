@@ -43,11 +43,7 @@ from repro.core.fitting import RidgeFit, ridge_lstsq
 from repro.core.plugin import LearningCurveModel, run_training_loop
 # decode_genome is not called here any more; bench_spine wraps it by this name
 from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops  # noqa: F401
-from repro.nas.evaluation import (
-    _engine_fingerprint,
-    effective_budget,
-    retry_salt,
-)
+from repro.nas.evaluation import effective_budget, retry_salt
 from repro.nas.genome import Genome, PhaseGenome, n_connection_bits
 from repro.nas.population import Individual
 from repro.scheduler.costmodel import EpochCostModel
@@ -240,23 +236,6 @@ class SurrogateEvaluator:
         """FLOPs of the network the genome decodes to, known before
         evaluation (the budget allocator's dominance test needs them)."""
         return genome_flops(genome, self.decoder_config, canonical=True)
-
-    def memo_key(self, individual: Individual) -> tuple | None:
-        """Cache key for this evaluation, or ``None`` when not cacheable."""
-        budget = effective_budget(individual, self.max_epochs)
-        if budget == 0:
-            # a zero-budget skip is a prediction, not a measurement
-            return None
-        return (
-            "surrogate",
-            individual.genome.canonical_key(),
-            self.intensity.label,
-            self.max_epochs,
-            _engine_fingerprint(self.engine),
-            repr(self.regime),
-            retry_salt(individual),
-            budget,
-        )
 
     def curve(self, genome: Genome, salt: tuple = ()) -> np.ndarray:
         """The full ``max_epochs`` curve of ``genome``'s attempt with ``salt``.

@@ -91,9 +91,12 @@ class WorkflowConfig:
         set, evaluation failures (crashes, timeouts, sanitizer faults)
         are retried with re-seeded RNG children and, if unrecoverable,
         quarantined with penalized objectives — one bad genome costs one
-        penalized individual, never the run.  ``None`` keeps the legacy
-        abort-on-first-fault behaviour.  A timeout requires
-        ``backend="process"``: a thread cannot be killed.
+        penalized individual, never the run.  ``None`` routes nothing:
+        in barrier mode the whole generation settles first, then one
+        error is raised as itself and several as an ``ExceptionGroup``;
+        in steady mode an error is raised by the settle that delivers
+        it.  A timeout requires ``backend="process"``: a thread cannot
+        be killed.
     fault_injection:
         Optional deterministic fault-injection settings (test harness);
         requires ``faults`` so injected failures are routed rather than
@@ -156,12 +159,12 @@ class WorkflowConfig:
         if not self.n_gpus or any(int(n) < 1 for n in self.n_gpus):
             raise ValidationError(f"n_gpus must be positive pool sizes, got {self.n_gpus}")
         if self.engine is not None and self.engine.e_pred != self.nas.max_epochs:
-            # Not fatal in general, but in the paper e_pred is the NAS
-            # budget; silently different values usually mean a typo.
+            # in the paper e_pred is the NAS budget; a different value is
+            # a typo more often than not, so every mismatch is refused
             raise ValidationError(
-                f"engine.e_pred ({self.engine.e_pred}) should equal "
-                f"nas.max_epochs ({self.nas.max_epochs}); construct the "
-                f"engine config explicitly if this is intentional"
+                f"engine.e_pred ({self.engine.e_pred}) must equal "
+                f"nas.max_epochs ({self.nas.max_epochs}); set engine.e_pred "
+                f"to {self.nas.max_epochs}"
             )
 
     @property
@@ -210,8 +213,13 @@ class WorkflowConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "WorkflowConfig":
         """Load a document: a missing key takes its default, an unknown
-        key at any level is refused."""
+        key at any level is refused.  A section given as ``{}`` takes
+        all its defaults; ``null`` turns an optional section off and is
+        refused for ``nas`` and ``dataset``, which have no off."""
         ensure_known_keys(payload, cls, "workflow_config")
+        for section in ("nas", "dataset"):
+            if section in payload and payload[section] is None:
+                raise ValidationError(f"{section} cannot be null: omit it to take its defaults")
         for section, section_cls in _SECTIONS.items():
             ensure_known_keys(payload.get(section) or {}, section_cls, section)
         settings = dict(payload)
@@ -238,5 +246,5 @@ class WorkflowConfig:
         ):
             if section in settings:
                 stored = settings[section]
-                settings[section] = section_cls.from_dict(stored) if stored else None
+                settings[section] = None if stored is None else section_cls.from_dict(stored)
         return cls(**settings)

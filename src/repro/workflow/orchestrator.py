@@ -64,7 +64,6 @@ def evaluation_chain(config: WorkflowConfig, dataset, checkpoint_dir=None):
             sanitize=config.sanitize,
             sanitize_writes=config.sanitize_writes,
             dtype=_DTYPE,
-            dataset_key=config.dataset.cache_key(),
         )
     else:
         evaluator = SurrogateEvaluator(
@@ -267,7 +266,9 @@ class A4NNOrchestrator:
             # waiting for their leader, steady lineage with in-window
             # duplicates re-evaluating (DESIGN §11)
             self.memoizer = MemoizingStream(
-                self._base, inner, wait_for_leader=config.nas.evolution == "barrier"
+                inner,
+                max_epochs=config.nas.max_epochs,
+                wait_for_leader=config.nas.evolution == "barrier",
             )
         return self.memoizer if self.memoizer is not None else inner
 

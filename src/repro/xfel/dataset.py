@@ -1,4 +1,4 @@
-"""End-to-end dataset generation with train/test splitting and caching.
+"""End-to-end dataset generation with train/test splitting.
 
 Mirrors the paper's data pipeline: simulate diffraction patterns for the
 two conformations at a chosen beam intensity, balance the classes, and
@@ -12,12 +12,10 @@ width casts the whole dataset once (:meth:`DiffractionDataset.astype`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.nn.dtype import resolve_dtype
-from repro.utils.io import atomic_write_npz, read_npz
 from repro.utils.rng import derive_rng
 from repro.utils.validation import ValidationError
 from repro.xfel.diffraction import Detector, diffraction_batch
@@ -83,14 +81,6 @@ class DatasetConfig:
                 "both splits need at least one image per class"
             )
 
-    def cache_key(self) -> str:
-        """Filename-safe identifier for on-disk caching."""
-        return (
-            f"xfel_{self.intensity.label}_n{self.images_per_class}"
-            f"_s{self.image_size}_a{self.n_atoms}_q{self.q_max}"
-            f"_t{self.train_fraction}_o{self.orientation_spread}_seed{self.seed}"
-        )
-
 
 @dataclass
 class DiffractionDataset:
@@ -151,44 +141,6 @@ class DiffractionDataset:
             "train": np.bincount(self.y_train, minlength=self.n_classes).tolist(),
             "test": np.bincount(self.y_test, minlength=self.n_classes).tolist(),
         }
-
-    def save(self, path: str | Path) -> Path:
-        """Persist to a compressed NPZ archive."""
-        return atomic_write_npz(
-            path,
-            {
-                "x_train": self.x_train,
-                "y_train": self.y_train,
-                "x_test": self.x_test,
-                "y_test": self.y_test,
-                "meta": np.array(
-                    [
-                        self.intensity.photons_per_um2,
-                        self.image_size,
-                        self.seed,
-                        self.n_classes_,
-                    ]
-                ),
-            },
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DiffractionDataset":
-        """Load an archive written by :meth:`save`."""
-        arrays = read_npz(path)
-        meta = arrays["meta"]
-        fluence, image_size, seed = meta[0], meta[1], meta[2]
-        n_classes = int(meta[3]) if len(meta) > 3 else 2
-        return cls(
-            x_train=arrays["x_train"],
-            y_train=arrays["y_train"].astype(np.int64),
-            x_test=arrays["x_test"],
-            y_test=arrays["y_test"].astype(np.int64),
-            intensity=BeamIntensity(float(fluence)),
-            image_size=int(image_size),
-            seed=int(seed),
-            n_classes_=n_classes,
-        )
 
 
 def generate_dataset(config: DatasetConfig) -> DiffractionDataset:
@@ -253,13 +205,11 @@ def generate_dataset_from_proteins(proteins, config: DatasetConfig) -> Diffracti
     )
 
 
-def load_or_generate(config: DatasetConfig, cache_dir: str | Path | None = None) -> DiffractionDataset:
-    """Generate a dataset, reusing an on-disk cache when available."""
-    if cache_dir is None:
-        return generate_dataset(config)
-    cache_path = Path(cache_dir) / f"{config.cache_key()}.npz"
-    if cache_path.exists():
-        return DiffractionDataset.load(cache_path)
-    dataset = generate_dataset(config)
-    dataset.save(cache_path)
-    return dataset
+def load_or_generate(config: DatasetConfig) -> DiffractionDataset:
+    """The dataset a real-mode run trains on: :func:`generate_dataset`.
+
+    The orchestrator loads its dataset through this name, not
+    :func:`generate_dataset`, because the benchmark harness times it
+    there (``xfel.load_in_run``).
+    """
+    return generate_dataset(config)

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.nas.surrogate import SurrogateConfig
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
 from repro.utils.io import atomic_write_json
+from repro.workflow import WorkflowConfig
 
 
 def small_config_dict(intensity="medium", mode="surrogate", seed=5):
@@ -166,6 +168,12 @@ class TestConfigCommand:
             ({"nas": {"initial_density": 0.5}}, "unknown key in nas: initial_density"),
             ({"nas": {"mutation_rate": None}}, "unknown key in nas: mutation_rate"),
             ({"dataset": {"dtype": "float64"}}, "unknown key in dataset: dtype"),
+            ({"nas": None}, "nas cannot be null"),
+            ({"dataset": None}, "dataset cannot be null"),
+            (
+                {"engine": {"e_pred": 5}},
+                "engine.e_pred (5) must equal nas.max_epochs (25); set engine.e_pred to 25",
+            ),
         ],
     )
     def test_bad_document_is_one_error_line(self, tmp_path, capsys, document, message):
@@ -178,6 +186,19 @@ class TestConfigCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"a4nn: error: {message}")
         assert captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "section, defaults",
+        [("faults", FaultPolicy), ("fault_injection", FaultInjectionConfig), ("surrogate", SurrogateConfig)],
+    )
+    def test_an_empty_section_takes_its_defaults(self, tmp_path, capsys, section, defaults):
+        # `{}` is the section on its defaults; only `null` turns it off
+        path = atomic_write_json(tmp_path / "doc.json", {section: {}})
+        assert main(["config", "--config", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed[section] == defaults().to_dict()
+        assert WorkflowConfig.from_dict(printed) == WorkflowConfig(**{section: defaults()})
 
 
 class TestRunCommand:

@@ -14,7 +14,7 @@ from repro.lineage import DataCommons
 from repro.lineage.replay import verify_run
 from repro.nas import NSGANetConfig, random_genome
 from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
-from repro.nas.evalcache import CacheEntry, EvaluationCache, MemoizingStream
+from repro.nas.evalcache import CacheEntry, EvaluationCache, MemoizingStream, evaluation_key
 from repro.nas.genome import Genome, PhaseGenome
 from repro.nas.population import Individual
 from repro.nn.dtype import SUPPORTED_DTYPES, resolve_dtype
@@ -111,30 +111,21 @@ class TestEvaluationCache:
         assert cache.lookup(("k",)) is entry
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
-    def test_peek_does_not_count(self):
-        cache = EvaluationCache()
-        assert cache.peek(("k",)) is None
-        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
-
     def test_first_writer_wins(self):
         cache = EvaluationCache()
         first = CacheEntry(0, 80.0, 100, [], None, [])
         cache.put(("k",), first)
         cache.put(("k",), CacheEntry(1, 90.0, 200, [], None, []))
-        assert cache.peek(("k",)) is first
+        assert cache.lookup(("k",)) is first
         assert len(cache) == 1
 
-
-class FakeBase:
-    """Innermost-backend stand-in: memo_key."""
-
-    def __init__(self, keyed=True):
-        self.keyed = keyed
-
-    def memo_key(self, individual):
-        if not self.keyed:
-            return None
-        return ("fake", individual.genome.canonical_key())
+    def test_key_is_canonical_genome_and_budget(self):
+        a, b = iso_phases()
+        assert evaluation_key(make_individual(0, a), 2) == evaluation_key(make_individual(1, b), 2)
+        probe = make_individual(2, b, budget=1)
+        assert evaluation_key(probe, 2) == (Genome((b,)).canonical_key(), 1)
+        # a zero-budget skip is a prediction, not a measurement
+        assert evaluation_key(make_individual(3, budget=0), 2) is None
 
 
 class FakeChain:
@@ -158,16 +149,18 @@ class FakeChain:
             return individual
         individual.fitness = 80.0
         individual.flops = 123
-        individual.result = {"history": [51.0, 52.0]}
+        individual.result = TrainingResult(80.0, 2, False, fitness_history=[51.0, 52.0])
         individual.epoch_seconds = [0.1, 0.2]
         for epoch in (1, 2):
             individual.trace.append((epoch, 50.0 + epoch, None, {"loss": 1.0}, None))
         return individual
 
 
-def make_individual(model_id, phase=None):
+def make_individual(model_id, phase=None, budget=None):
     phase = phase or iso_phases()[0]
-    return Individual(genome=Genome((phase,)), model_id=model_id, generation=0)
+    individual = Individual(genome=Genome((phase,)), model_id=model_id, generation=0)
+    individual.budget_assigned = budget
+    return individual
 
 
 class FakeInnerStream:
@@ -199,11 +192,10 @@ class FakeInnerStream:
         return "inner-report"
 
 
-def make_stream(keyed=True, wait_for_leader=False, **chain_kwargs):
-    base = FakeBase(keyed=keyed)
+def make_stream(wait_for_leader=False, **chain_kwargs):
     chain = FakeChain(**chain_kwargs)
     inner = FakeInnerStream(chain)
-    stream = MemoizingStream(base, inner, wait_for_leader=wait_for_leader)
+    stream = MemoizingStream(inner, max_epochs=chain.max_epochs, wait_for_leader=wait_for_leader)
     return stream, chain, inner
 
 
@@ -276,10 +268,10 @@ class TestMemoizingEvaluator:
         stream.on_commit(stream.settled())
         assert len(stream.cache) == 0
 
-    def test_model_keying_bypasses_cache(self):
-        stream, chain, _ = make_stream(keyed=False, wait_for_leader=True)
-        evaluate(stream, make_individual(0))
-        second = evaluate(stream, make_individual(1))
+    def test_zero_budget_bypasses_cache(self):
+        stream, chain, _ = make_stream(wait_for_leader=True)
+        evaluate(stream, make_individual(0, budget=0))
+        second = evaluate(stream, make_individual(1, budget=0))
         assert chain.calls == [0, 1]
         assert len(stream.cache) == 0
         assert not second.cache_hit
@@ -331,7 +323,7 @@ class TestMemoizingEvaluator:
         stream, chain, _ = make_stream(wait_for_leader=True)
         restored = make_individual(4)
         restored.fitness, restored.flops = 77.0, 99
-        restored.result = {"history": [77.0]}
+        restored.result = TrainingResult(77.0, 1, False, fitness_history=[77.0])
         restored.epoch_seconds = [0.3]
         restored.trace = [(1, 77.0, None, None, None)]
         assert stream.prime(restored)
@@ -417,9 +409,9 @@ class TestMemoizingStream:
         assert chain.calls == [0, 1]
 
     def test_unkeyed_individuals_bypass_cache(self):
-        stream, chain, _ = make_stream(keyed=False)
-        evaluate(stream, make_individual(0))
-        evaluate(stream, make_individual(1))
+        stream, chain, _ = make_stream()
+        evaluate(stream, make_individual(0, budget=0))
+        evaluate(stream, make_individual(1, budget=0))
         assert chain.calls == [0, 1]
         assert len(stream.cache) == 0
 
@@ -454,8 +446,8 @@ def training_result() -> TrainingResult:
 
 
 class TestResultCopies:
-    """A hit, its entry and its leader each own their result (once by
-    ``deepcopy``; a :class:`TrainingResult` now by field copy)."""
+    """A hit, its entry and its leader each own their result (a field
+    copy of the :class:`TrainingResult` with fresh history lists)."""
 
     def hit_entry_leader(self):
         stream, _, _ = make_stream()
@@ -463,7 +455,7 @@ class TestResultCopies:
         leader = make_individual(0, a)
         leader.fitness, leader.flops, leader.result = 80.5, 123, training_result()
         assert stream.prime(leader)
-        entry = stream.cache.peek(stream.base.memo_key(leader))
+        entry = stream.cache.lookup(evaluation_key(leader, stream.max_epochs))
         hit = make_individual(1, b)
         stream.submit(hit)
         assert stream.settled() is hit and hit.cache_hit
@@ -490,16 +482,6 @@ class TestResultCopies:
         entry.result.fitness_history.append(2.0)
         entry.result.prediction_history[0] = 3.0
         assert hit.result == training_result()
-
-    def test_any_other_result_is_still_deep_copied(self):
-        stream, _, _ = make_stream()
-        a, b = iso_phases()
-        first = evaluate(stream, make_individual(0, a))  # FakeChain's result is a dict
-        first.result["history"].append(53.0)
-        second = evaluate(stream, make_individual(1, b))
-        assert second.cache_hit and second.result == {"history": [51.0, 52.0]}
-        second.result["history"].clear()
-        assert evaluate(stream, make_individual(2, a)).result == {"history": [51.0, 52.0]}
 
 
 def cached_config(seed=9, mode="surrogate", generations=3):
@@ -679,20 +661,3 @@ class TestDtypePolicy:
             for name, param in network.parameters():
                 assert param.grad.dtype == dtype, (label, name)
                 assert param.value.dtype == dtype, (label, name)
-
-    def test_memo_keys_separate_dtypes(self):
-        from repro.nas.evaluation import TrainingEvaluator
-
-        config = cached_config()
-        dataset = load_or_generate(config.dataset)
-        keys = {}
-        for label in ("float32", "float64"):
-            evaluator = TrainingEvaluator(
-                dataset.astype(label),
-                None,
-                max_epochs=4,
-                dtype=resolve_dtype(label),
-                dataset_key=config.dataset.cache_key(),
-            )
-            keys[label] = evaluator.memo_key(make_individual(0))
-        assert keys["float32"] != keys["float64"]

@@ -29,8 +29,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig
+from repro.core.plugin import TrainingResult
 from repro.nas import Individual, random_genome
-from repro.nas.evalcache import MemoizingStream
+from repro.nas.evalcache import MemoizingStream, evaluation_key
 from repro.nas.search import EvalStream, InlineStream, NSGANet, NSGANetConfig
 from repro.nas.surrogate import SurrogateConfig
 from repro.nn import load_checkpoint, state_dict
@@ -103,7 +104,9 @@ def flaky_single_factory(*_):
 
 def first_fails_factory(*_):
     """Model 0 crashes on its first attempt; everything else is cacheable."""
-    return ScriptedEvaluator(fail_ids=(0,), delay_scale=0.01, result={"proxy": True})
+    return ScriptedEvaluator(
+        fail_ids=(0,), delay_scale=0.01, result=TrainingResult(50.0, 1, False)
+    )
 
 
 def broken_factory(*_):
@@ -273,6 +276,10 @@ class TestProcessPoolDirect:
         assert isinstance(pool, EvalStream)
         assert pool.n_workers == 2 and pool.reports == []
         pool.close()
+
+    def test_invalid_worker_count(self):
+        with pytest.raises(ValueError):
+            make_pool(delay_factory, n_workers=0)
 
     def test_generation_evaluates_all_and_reports_fifo(self, rng):
         pool = make_pool(delay_factory, n_workers=2)
@@ -826,23 +833,26 @@ class TestBackendParityReal:
                 np.testing.assert_array_equal(array, saved["thread"][key])
 
 
-class _StubBase:
-    """Minimal memoization base: constant-keyed."""
+def duplicates(rng, n, *, first_id=0, budget=None):
+    """``n`` individuals of one genome: every one after the first is a duplicate."""
+    individuals = make_individuals(rng, n, first_id=first_id)
+    for individual in individuals:
+        individual.genome = individuals[0].genome
+        individual.budget_assigned = budget
+    return individuals
 
-    def __init__(self, key=("k",)):
-        self.key = key
 
-    def memo_key(self, individual):
-        return self.key
+def memoize(inner):
+    return MemoizingStream(inner, max_epochs=ScriptedEvaluator.max_epochs, wait_for_leader=True)
 
 
 class TestRegisterRemote:
     """Leaders evaluated in worker processes count and prime like local ones."""
 
-    def _drain(self, rng, n, *, first_id=0, key=("k",), **pool_kwargs):
+    def _drain(self, rng, n, *, first_id=0, budget=None, **pool_kwargs):
         pool = make_pool(first_fails_factory, n_workers=2, **pool_kwargs)
-        memo = MemoizingStream(_StubBase(key), pool, wait_for_leader=True)
-        individuals = make_individuals(rng, n, first_id=first_id)
+        memo = memoize(pool)
+        individuals = duplicates(rng, n, first_id=first_id, budget=budget)
         try:
             run_generation(memo, individuals)
         finally:
@@ -852,7 +862,7 @@ class TestRegisterRemote:
     def test_clean_leader_primes_cache_and_counts_miss(self, rng):
         memo, (leader, follower) = self._drain(rng, 2, first_id=1)
         assert memo.cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-        assert memo.cache.peek(("k",)).source_model_id == leader.model_id
+        assert memo.cache.lookup(evaluation_key(leader, 1)).source_model_id == leader.model_id
         assert follower.cache_hit and follower.cache_source == leader.model_id
         assert follower.fitness == leader.fitness
 
@@ -862,7 +872,7 @@ class TestRegisterRemote:
         assert memo.cache.stats() == {"entries": 0, "hits": 0, "misses": 1}
 
     def test_unkeyed_leader_is_ignored(self, rng):
-        memo, _ = self._drain(rng, 2, first_id=1, key=None)
+        memo, _ = self._drain(rng, 2, first_id=1, budget=0)
         assert memo.cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
 
 
@@ -878,8 +888,8 @@ class TestSecondWave:
             inner = make_pool(first_fails_factory, n_workers=n_workers, policy=policy)
         else:
             inner = InlineStream(first_fails_factory(), policy=policy)
-        memo = MemoizingStream(_StubBase(), inner, wait_for_leader=True)
-        individuals = make_individuals(rng, 3)
+        memo = memoize(inner)
+        individuals = duplicates(rng, 3)
         try:
             run_generation(memo, individuals)
         finally:

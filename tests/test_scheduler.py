@@ -1,13 +1,11 @@
-"""Tests for the resource manager: cost model, FIFO scheduling, wall time, pool."""
-
-import functools
+"""Tests for the resource manager: cost model, FIFO scheduling, wall time."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, PredictionEngine
 from repro.nas import NSGANet, NSGANetConfig, SurrogateEvaluator
-from repro.scheduler import EpochCostModel, ProcessWorkerPool, fifo_schedule, simulate_walltime
+from repro.scheduler import EpochCostModel, fifo_schedule, simulate_walltime
 from repro.utils.rng import RngStream
 from repro.xfel import BeamIntensity
 
@@ -146,55 +144,3 @@ class TestWallTimeSimulation:
     def test_total_epochs_match_search(self, search_result):
         report = simulate_walltime(search_result, 2)
         assert report.total_epochs == search_result.total_epochs_trained
-
-
-class ConstantEvaluator:
-    """Every model scores 50.0, or raises with ``fails``; also a pool factory."""
-
-    max_epochs = 1
-
-    def __init__(self, _dataset=None, fails=False):
-        self.fails = fails
-
-    def evaluate(self, individual):
-        if self.fails:
-            raise RuntimeError("boom")
-        individual.fitness = 50.0
-        individual.flops = 1
-        return individual
-
-
-class TestFifoWorkerPool:
-    """The FIFO worker pool: worker processes, each building its evaluator."""
-
-    def test_serial_and_parallel_complete_all(self, rng):
-        from repro.nas import Individual, random_genome
-
-        for workers in (1, 3):
-            pool = ProcessWorkerPool(ConstantEvaluator, n_workers=workers)
-            individuals = [Individual(random_genome(rng), i, 0) for i in range(7)]
-            try:
-                for individual in individuals:
-                    pool.submit(individual)
-                settled = [pool.settled() for _ in individuals]
-                report = pool.finish()
-            finally:
-                pool.close()
-            assert sorted(ind.model_id for ind in settled) == list(range(7))
-            assert all(ind.fitness == 50.0 for ind in individuals)
-            assert report.n_jobs == 7 and report.wall_seconds > 0
-
-    def test_exceptions_propagate(self, rng):
-        from repro.nas import Individual, random_genome
-
-        pool = ProcessWorkerPool(functools.partial(ConstantEvaluator, fails=True), n_workers=2)
-        try:
-            pool.submit(Individual(random_genome(rng), 0, 0))
-            with pytest.raises(RuntimeError, match="boom"):
-                pool.settled()
-        finally:
-            pool.close()
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            ProcessWorkerPool(ConstantEvaluator, n_workers=0)

@@ -175,11 +175,3 @@ class TestEvaluatorIntegration:
             for epoch in doc.get("epochs", []):
                 epoch.pop("epoch_seconds", None)
         assert off == on
-
-    def test_memo_key_distinguishes_guarded_runs(self, tiny_dataset, rng):
-        off = TrainingEvaluator(tiny_dataset, engine=None, sanitize_writes=False)
-        on = TrainingEvaluator(tiny_dataset, engine=None, sanitize_writes=True)
-        individual = Individual(genome=random_genome(rng), model_id=1, generation=0)
-        key_off, key_on = off.memo_key(individual), on.memo_key(individual)
-        assert key_off is not None and key_on is not None
-        assert key_off != key_on

@@ -1,5 +1,6 @@
 """Tests for the XFEL diffraction data simulation."""
 
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -19,7 +20,6 @@ from repro.xfel import (
     diffraction_pattern,
     generate_dataset,
     generate_dataset_from_proteins,
-    load_or_generate,
     make_conformations,
     make_protein,
     normalize_patterns,
@@ -28,10 +28,19 @@ from repro.xfel import (
     rotation_matrix,
     snr_estimate,
 )
-from repro.nas.evaluation import _dataset_fingerprint
 from repro.utils.rng import derive_rng
 
 DATASET_DIGESTS = Path(__file__).resolve().parent / "fixtures" / "dataset_digests.json"
+
+
+def _dataset_fingerprint(dataset: DiffractionDataset) -> str:
+    """Content hash of a dataset's four arrays, shapes and dtypes included."""
+    digest = hashlib.blake2b(digest_size=16)
+    for array in (dataset.x_train, dataset.y_train, dataset.x_test, dataset.y_test):
+        array = np.ascontiguousarray(array)
+        digest.update(repr((array.shape, array.dtype.str)).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def dataset_digests() -> dict:
@@ -311,23 +320,6 @@ class TestDataset:
         low = generate_dataset(DatasetConfig(intensity=BeamIntensity.LOW, images_per_class=5, image_size=16))
         high = generate_dataset(DatasetConfig(intensity=BeamIntensity.HIGH, images_per_class=5, image_size=16))
         assert not np.allclose(low.x_train, high.x_train)
-
-    def test_save_load_round_trip(self, tmp_path):
-        dataset = generate_dataset(DatasetConfig(images_per_class=6, image_size=16))
-        path = dataset.save(tmp_path / "ds.npz")
-        loaded = DiffractionDataset.load(path)
-        np.testing.assert_array_equal(loaded.x_train, dataset.x_train)
-        np.testing.assert_array_equal(loaded.y_test, dataset.y_test)
-        assert loaded.intensity is dataset.intensity
-        assert loaded.image_size == dataset.image_size
-
-    def test_cache_reuse(self, tmp_path):
-        config = DatasetConfig(images_per_class=6, image_size=16)
-        d1 = load_or_generate(config, tmp_path)
-        cache_file = tmp_path / f"{config.cache_key()}.npz"
-        assert cache_file.exists()
-        d2 = load_or_generate(config, tmp_path)
-        np.testing.assert_array_equal(d1.x_train, d2.x_train)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.xfel import (
     DatasetConfig,
-    DiffractionDataset,
     generate_dataset,
     generate_dataset_from_proteins,
     make_conformations,
@@ -62,13 +61,6 @@ class TestMulticlassDataset:
         config = DatasetConfig(images_per_class=4, image_size=16)
         with pytest.raises(ValueError, match="at least 2"):
             generate_dataset_from_proteins([proteins[0]], config)
-
-    def test_save_load_preserves_n_classes(self, proteins, tmp_path):
-        config = DatasetConfig(images_per_class=4, image_size=16)
-        dataset = generate_dataset_from_proteins(proteins, config)
-        loaded = DiffractionDataset.load(dataset.save(tmp_path / "m.npz"))
-        assert loaded.n_classes == 3
-        np.testing.assert_array_equal(loaded.y_train, dataset.y_train)
 
     def test_nas_decodes_multiclass_head(self, proteins):
         from repro.nas import DecoderConfig, decode_genome, random_genome
