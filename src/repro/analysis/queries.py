@@ -126,35 +126,58 @@ def training_matrix(
 class SkipReport:
     """How well the surrogate's skip decisions matched the run's outcome.
 
-    Ground truth for "loser" is Pareto dominance against the run's clean
-    full-budget records: a record is a true loser when at least one of
-    them dominates its ``(fitness, flops)``.  Probed/skipped records are
-    judged by their *predicted* fitness (their recorded fitness is a
-    reduced-budget measurement, which would overstate how bad they were).
+    A scored record is a true loser when a reference record Pareto
+    dominates its ``(fitness, flops)``.  With ``basis="true"`` (a
+    sampled run, see :func:`skip_report`) every fitness is the last
+    value of the record's true curve, the reference is every record
+    with one, and a record without one (quarantined) is left out.  With
+    ``basis="estimate"`` the reference is the clean full-budget records,
+    and a probed record is judged by the *predicted* fitness that
+    flagged it (its recorded fitness is a reduced-budget measurement) —
+    so a flag is almost always confirmed.
     """
 
     n_scored: int  # candidates the predictor scored
     n_flagged: int  # scored candidates flagged as predicted losers
     n_probed: int  # flagged candidates actually given a reduced budget
-    n_true_losers: int  # scored candidates dominated by the final records
+    n_true_losers: int  # scored candidates dominated by the reference
     precision: float | None  # flagged -> true loser
     recall: float | None  # true loser -> flagged
-    mae: float | None  # |predicted - measured| on full-budget scored records
+    mae: float | None  # |predicted - judged fitness| over n_mae records
     n_mae: int
+    basis: str  # "true" or "estimate"
 
 
-def skip_report(records: Iterable[ModelRecord]) -> SkipReport:
-    """Per-run skip precision/recall and prediction error (vectorized)."""
+def skip_report(records: Iterable[ModelRecord], *, truth: dict | None = None) -> SkipReport:
+    """Per-run skip precision/recall and prediction error.
+
+    ``truth`` is :func:`~repro.analysis.curves.true_curves` of a sampled
+    run: every scored record and every reference record is then judged
+    by the last value of its true curve, and ``mae`` compares each
+    prediction with that value; records without a curve are left out.
+    Without it (a real run) the report is an estimate, as
+    :class:`SkipReport` describes.
+    """
     records = list(records)
-    reference = [
-        r
-        for r in records
-        if not r.quarantined
-        and r.budget_assigned is None
-        and r.fitness is not None
-        and r.flops is not None
-    ]
-    ref_fitness = np.asarray([r.fitness for r in reference], dtype=float)
+    if truth is None:
+        def judged(r):
+            return r.predicted_fitness if r.budget_assigned is not None else r.fitness
+
+        reference = [
+            r
+            for r in records
+            if not r.quarantined
+            and r.budget_assigned is None
+            and r.fitness is not None
+            and r.flops is not None
+        ]
+    else:
+        # a quarantined record has no curve: there is nothing to judge it by
+        records = reference = [r for r in records if r.model_id in truth]
+
+        def judged(r):
+            return float(truth[r.model_id][-1])
+    ref_fitness = np.asarray([judged(r) for r in reference], dtype=float)
     ref_flops = np.asarray([r.flops for r in reference], dtype=float)
 
     def dominated(fitness: float, flops: float) -> bool:
@@ -172,14 +195,12 @@ def skip_report(records: Iterable[ModelRecord]) -> SkipReport:
     caught = 0
     errors = []
     for r in scored:
-        estimate = (
-            r.predicted_fitness if r.budget_assigned is not None else r.fitness
-        )
-        loser = estimate is not None and dominated(float(estimate), float(r.flops))
+        fitness = judged(r)
+        loser = fitness is not None and dominated(float(fitness), float(r.flops))
         true_losers += loser
         caught += loser and r.skip_reason is not None
-        if r.budget_assigned is None and r.fitness is not None:
-            errors.append(abs(float(r.predicted_fitness) - float(r.fitness)))
+        if fitness is not None and (truth is not None or r.budget_assigned is None):
+            errors.append(abs(float(r.predicted_fitness) - float(fitness)))
     return SkipReport(
         n_scored=len(scored),
         n_flagged=len(flagged),
@@ -189,6 +210,7 @@ def skip_report(records: Iterable[ModelRecord]) -> SkipReport:
         recall=caught / true_losers if true_losers else None,
         mae=float(np.mean(errors)) if errors else None,
         n_mae=len(errors),
+        basis="estimate" if truth is None else "true",
     )
 
 

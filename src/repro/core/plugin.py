@@ -16,7 +16,7 @@ the paper reports in §4.3.1 (mean 28.07 ms per interaction, 52.16 s per
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -60,9 +60,13 @@ class LearningCurveModel:
         return float(self.curve[self.epoch - 1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingResult:
-    """Full outcome of one Algorithm-1 run for a single NN.
+    """Complete outcome of one clean Algorithm-1 attempt for a single NN.
+
+    Frozen, so an individual, the cache hits sharing it and a worker's
+    reply hold one object.  The evaluator adds the last three fields to
+    :func:`run_training_loop`'s result with :func:`dataclasses.replace`.
 
     Attributes
     ----------
@@ -75,6 +79,8 @@ class TrainingResult:
         terminated early, else the full budget).
     terminated_early:
         Whether the engine's convergence cut training short.
+    max_epochs:
+        The epoch budget the loop ran under.
     fitness_history:
         ``H`` — measured validation fitness per epoch.
     prediction_history:
@@ -88,26 +94,35 @@ class TrainingResult:
         Number of predictor+analyzer invocations.
     engine_overhead_mean / engine_overhead_variance:
         Per-interaction overhead statistics (paper §4.3.1).
+    flops:
+        Forward FLOPs per sample of the decoded network.
+    epoch_seconds:
+        Per-epoch wall times (measured or cost-modelled) of the epochs
+        trained; the scheduler replays these.
+    arena_peak_bytes:
+        Peak bytes of the network's buffer arena (:mod:`repro.nn.arena`);
+        0 when nothing was trained (surrogate mode).
     """
 
     fitness: float
     epochs_trained: int
     terminated_early: bool
-    fitness_history: list = field(default_factory=list)
-    prediction_history: list = field(default_factory=list)
+    max_epochs: int = 0
+    fitness_history: tuple = ()
+    prediction_history: tuple = ()
     measured_fitness: float = 0.0
     engine_overhead_seconds: float = 0.0
     engine_interactions: int = 0
     engine_overhead_mean: float = 0.0
     engine_overhead_variance: float = 0.0
+    flops: int = 0
+    epoch_seconds: tuple = ()
+    arena_peak_bytes: int = 0
 
     @property
     def epochs_saved(self) -> int:
-        """Epochs not executed relative to ``max_epochs`` recorded at run time."""
-        return self._max_epochs - self.epochs_trained
-
-    # populated by run_training_loop; kept off the public ctor surface
-    _max_epochs: int = 0
+        """Epochs not executed relative to ``max_epochs``."""
+        return self.max_epochs - self.epochs_trained
 
 
 def run_training_loop(
@@ -168,17 +183,16 @@ def run_training_loop(
     # lines 17-21: converged -> return P[-1]; else return h_e
     fitness = prediction_history[-1] if converged else last_fitness
 
-    result = TrainingResult(
+    return TrainingResult(
         fitness=float(fitness),
         epochs_trained=len(fitness_history),
         terminated_early=converged,
-        fitness_history=fitness_history,
-        prediction_history=prediction_history,
+        max_epochs=int(max_epochs),
+        fitness_history=tuple(fitness_history),
+        prediction_history=tuple(prediction_history),
         measured_fitness=last_fitness,
         engine_overhead_seconds=engine_clock.total,
         engine_interactions=len(engine_clock.laps),
         engine_overhead_mean=engine_clock.mean_lap,
         engine_overhead_variance=engine_clock.lap_variance,
     )
-    result._max_epochs = int(max_epochs)
-    return result

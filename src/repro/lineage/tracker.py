@@ -88,8 +88,6 @@ class LineageTracker:
         record.cache_hit = bool(individual.cache_hit)
         record.cache_source = individual.cache_source
         record.logical_tick = individual.logical_tick
-        record.arena_peak_bytes = int(individual.arena_peak_bytes)
-        record.arena_enabled = record.arena_peak_bytes > 0
         record.predicted_fitness = individual.predicted_fitness
         record.predicted_rank = individual.predicted_rank
         record.budget_assigned = individual.budget_assigned
@@ -99,14 +97,14 @@ class LineageTracker:
             record.measured_fitness = result.measured_fitness
             record.terminated_early = result.terminated_early
             record.epochs_trained = result.epochs_trained
-            record.max_epochs = result._max_epochs
+            record.max_epochs = result.max_epochs
             record.fitness_history = list(result.fitness_history)
             record.prediction_history = list(result.prediction_history)
             record.engine_overhead_seconds = result.engine_overhead_seconds
-        # fill epoch wall times from the individual when the evaluator
-        # supplied them out-of-band (surrogate cost model)
-        if individual.epoch_seconds and record.epochs:
-            record.epochs.fill("epoch_seconds", map(float, individual.epoch_seconds))
+            record.arena_peak_bytes = result.arena_peak_bytes
+            record.arena_enabled = result.arena_peak_bytes > 0
+            # fill epoch wall times the trace left empty (surrogate cost model)
+            record.epochs.fill("epoch_seconds", map(float, result.epoch_seconds))
         self.records[individual.model_id] = record
         _LOG.debug("recorded model %d (gen %d)", individual.model_id, individual.generation)
 

@@ -21,8 +21,10 @@ Invariants (also recorded in DESIGN §9):
   at submit and at resume priming, both at attempt 0;
 * cache hits are first-class lineage events: the individual (and its
   :class:`~repro.lineage.records.ModelRecord`) carries ``cache_hit``
-  and the source model id, and its ``trace`` is a copy of the source's
-  per-epoch measurements, so record trails stay populated;
+  and the source model id, settles the source's frozen
+  :class:`~repro.core.plugin.TrainingResult` (the same object, shared
+  by every hit), and its ``trace`` is a copy of the source's per-epoch
+  measurements, so record trails stay populated;
 * hit or miss is decided in one place, :meth:`MemoizingStream.submit`
   and the follower release it triggers, from submission order alone —
   never from worker timing — so every backend and worker count produces
@@ -32,7 +34,7 @@ Invariants (also recorded in DESIGN §9):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.plugin import TrainingResult
 from repro.nas.evaluation import effective_budget
@@ -53,31 +55,16 @@ def evaluation_key(individual: Individual, max_epochs: int) -> tuple | None:
     return (individual.genome.canonical_key(), budget)
 
 
-def _copy_result(result: TrainingResult) -> TrainingResult:
-    """Independent copy of an evaluation's result: scalars plus two flat
-    lists, so a field copy with fresh lists is as independent as
-    ``deepcopy`` (which a 600-model search entered 85k times)."""
-    return replace(
-        result,
-        fitness_history=list(result.fitness_history),
-        prediction_history=list(result.prediction_history),
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class CacheEntry:
-    """One cached evaluation outcome (everything a hit must restore)."""
+    """One cached evaluation: the source model's id, its result (shared,
+    being frozen, by every hit) and its trace stripped to
+    ``(epoch, fitness, prediction, None, None)`` per epoch — a hit
+    trained nothing and saved no checkpoint."""
 
     source_model_id: int
-    fitness: float
-    flops: int
-    epoch_seconds: list
-    result: object  # TrainingResult of the source evaluation
-    # the source's trace: (epoch, fitness, prediction, None, None) per
-    # epoch -- a hit trained nothing and saved no checkpoint
-    trace: list
-    # arena scratch footprint of the source evaluation
-    arena_peak_bytes: int = 0
+    result: TrainingResult
+    trace: tuple
 
 
 class EvaluationCache:
@@ -166,13 +153,9 @@ class MemoizingStream:
     # -- entries ----------------------------------------------------------------
 
     def _apply_hit(self, individual: Individual, entry: CacheEntry) -> None:
-        individual.fitness = entry.fitness
-        individual.flops = entry.flops
-        individual.result = _copy_result(entry.result)
-        individual.epoch_seconds = list(entry.epoch_seconds)
+        individual.settle(entry.result)
         individual.cache_hit = True
         individual.cache_source = entry.source_model_id
-        individual.arena_peak_bytes = entry.arena_peak_bytes
         individual.trace = list(entry.trace)
         _LOG.debug(
             "cache hit: model %d reuses model %d",
@@ -185,9 +168,7 @@ class MemoizingStream:
     def _cacheable(individual: Individual) -> bool:
         """Only clean, first-attempt, fully-measured outcomes are cached."""
         return (
-            individual.fitness is not None
-            and individual.flops is not None
-            and individual.result is not None
+            individual.result is not None
             and not individual.quarantined
             and not individual.fault_events
             and not individual.eval_attempt
@@ -199,15 +180,8 @@ class MemoizingStream:
             if individual.cache_hit and individual.cache_source is not None
             else individual.model_id
         )
-        return CacheEntry(
-            source_model_id=source,
-            fitness=float(individual.fitness),
-            flops=int(individual.flops),
-            epoch_seconds=list(individual.epoch_seconds),
-            result=_copy_result(individual.result),
-            trace=[(e, f, p, None, None) for e, f, p, *_ in individual.trace],
-            arena_peak_bytes=int(individual.arena_peak_bytes),
-        )
+        trace = tuple((e, f, p, None, None) for e, f, p, *_ in individual.trace)
+        return CacheEntry(source, individual.result, trace)
 
     def prime(self, individual: Individual) -> bool:
         """Seed the cache from an already-evaluated individual (resume path).

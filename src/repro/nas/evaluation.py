@@ -8,9 +8,10 @@ Two interchangeable implementations of the :class:`Evaluator` protocol:
   Algorithm-1 loop with an architecture-conditioned synthetic learning
   curve (*surrogate mode*, for paper-scale sweeps).
 
-Both fill the same :class:`~repro.nas.population.Individual` fields —
-the per-epoch ``trace`` included — so the search, scheduler, and lineage
-tracker cannot tell them apart.  Both key an evaluation's RNG streams by
+Both settle one frozen :class:`~repro.core.plugin.TrainingResult` on
+the :class:`~repro.nas.population.Individual` and append the same
+per-epoch ``trace``, so the search, scheduler, and lineage tracker
+cannot tell them apart.  Both key an evaluation's RNG streams by
 the genome's ``canonical_key()`` and evaluate the canonical genome, so
 within one run an evaluation is a pure function of the canonical genome
 and its budget: the property the evaluation cache needs to be exact.
@@ -18,6 +19,7 @@ and its budget: the property the evaluation cache needs to be exact.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -154,7 +156,7 @@ class TrainingEvaluator:
         return genome_flops(genome, self.decoder_config, canonical=True)
 
     def evaluate(self, individual: Individual) -> Individual:
-        """Decode, train with the Algorithm-1 loop, and fill the individual."""
+        """Decode, train with the Algorithm-1 loop, and settle the individual."""
         budget = effective_budget(individual, self.max_epochs)
         if budget == 0:
             if not individual.evaluated:
@@ -211,10 +213,12 @@ class TrainingEvaluator:
         # a NumericalFault propagates with the epochs measured before it
         # on the trace; the poisoned measurement never reaches either
         result = run_training_loop(trainer, self.engine, budget, epoch_callback=on_epoch)
-
-        individual.fitness = result.fitness
-        individual.flops = network_flops(network)
-        individual.result = result
-        individual.epoch_seconds = [stats.wall_seconds for stats in trainer.history]
-        individual.arena_peak_bytes = network.arena.nbytes
+        individual.settle(
+            replace(
+                result,
+                flops=network_flops(network),
+                epoch_seconds=tuple(stats.wall_seconds for stats in trainer.history),
+                arena_peak_bytes=network.arena.nbytes,
+            )
+        )
         return individual

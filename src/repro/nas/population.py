@@ -1,8 +1,9 @@
 """Individuals and populations for the NAS.
 
 An :class:`Individual` couples a genome with its evaluation outcome
-(fitness, FLOPs, training trace) and identity metadata (model id,
-generation) used by the lineage tracker.
+(one frozen :class:`~repro.core.plugin.TrainingResult`, the objectives
+and the training trace) and identity metadata (model id, generation)
+used by the lineage tracker.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ class Individual:
         Validation accuracy in percent, as reported to the NAS (the
         engine's converged prediction, or the last measured value).
     flops:
-        Forward FLOPs per sample of the decoded network.
+        Forward FLOPs per sample of the decoded network.  :meth:`settle`
+        copies both objectives from ``result``; a zero-budget skip and
+        a quarantine set them without one.
     result:
-        Full Algorithm-1 trace (histories, epochs, overhead).
-    epoch_seconds:
-        Per-epoch wall times (measured or cost-modelled) for the epochs
-        actually trained; the scheduler replays these.
+        The settled attempt's complete outcome (histories, epochs,
+        overhead, FLOPs, per-epoch seconds, arena footprint); ``None``
+        when nothing trained.  A cache hit shares its leader's object.
     eval_attempt:
         Current evaluation attempt (0 = first try); the fault-tolerance
         layer bumps this on retries so evaluators derive re-seeded RNG
@@ -62,12 +64,6 @@ class Individual:
         population (equal to ``model_id`` by construction, since steady
         commits apply in submission order).  ``None`` for barrier-mode
         runs.
-    arena_peak_bytes:
-        Peak scratch footprint of the network's buffer arena
-        (:mod:`repro.nn.arena`) for this evaluation: the bytes of its
-        owned blocks, one per buffer kind (the views a ragged batch or
-        validation borrows are free); 0 when nothing was trained
-        (surrogate mode).
     predicted_fitness:
         Cross-architecture surrogate prediction made when this candidate
         was bred (``None`` when the surrogate is off or had not yet
@@ -97,19 +93,33 @@ class Individual:
     fitness: float | None = None
     flops: int | None = None
     result: TrainingResult | None = None
-    epoch_seconds: list = field(default_factory=list)
     eval_attempt: int = 0
     quarantined: bool = False
     fault_events: list = field(default_factory=list)
     cache_hit: bool = False
     cache_source: int | None = None
     logical_tick: int | None = None
-    arena_peak_bytes: int = 0
     predicted_fitness: float | None = None
     predicted_rank: int | None = None
     budget_assigned: int | None = None
     skip_reason: str | None = None
     trace: list = field(default_factory=list)
+
+    def settle(self, result: TrainingResult) -> None:
+        """Take ``result`` as this candidate's outcome and objectives."""
+        self.result = result
+        self.fitness = result.fitness
+        self.flops = result.flops
+
+    @property
+    def epoch_seconds(self) -> tuple:
+        """Per-epoch seconds of ``result`` (``()`` without one)."""
+        return () if self.result is None else self.result.epoch_seconds
+
+    @property
+    def arena_peak_bytes(self) -> int:
+        """Arena footprint of ``result`` (0 without one)."""
+        return 0 if self.result is None else self.result.arena_peak_bytes
 
     @property
     def evaluated(self) -> bool:

@@ -434,8 +434,10 @@ class NSGANet:
 
         Every job settles before any exception propagates — a failure
         in job *i* never prevents jobs *i+1..n* from being evaluated.
-        One error re-raises as itself; several raise an
-        ``ExceptionGroup``.
+        One error re-raises as itself; several raise one
+        ``RuntimeError("k of n evaluations failed: ...")`` listing every
+        message sorted (the text does not depend on which worker
+        finished first), chained from the first error settled.
         """
         # candidates ``on_candidate`` left evaluated never reach the backend
         todo = [m for m in individuals if not m.evaluated]
@@ -452,9 +454,10 @@ class NSGANet:
         if len(errors) == 1:
             raise errors[0]
         if errors:
-            raise ExceptionGroup(
-                f"{len(errors)} of {len(todo)} evaluations failed", errors
-            )
+            messages = "; ".join(sorted(map(str, errors)))
+            raise RuntimeError(
+                f"{len(errors)} of {len(todo)} evaluations failed: {messages}"
+            ) from errors[0]
         for individual in individuals:
             self._commit(individual)
 

@@ -32,7 +32,7 @@ reduced budget replays its prefix.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -249,7 +249,7 @@ class SurrogateEvaluator:
         return sample_curve(genome, self.regime, rng, self.max_epochs)
 
     def evaluate(self, individual: Individual) -> Individual:
-        """Sample a curve, run Algorithm 1 on it, and fill the individual."""
+        """Sample a curve, run Algorithm 1 on it, and settle the individual."""
         budget = effective_budget(individual, self.max_epochs)
         if budget == 0:
             if not individual.evaluated:
@@ -268,14 +268,9 @@ class SurrogateEvaluator:
             individual.trace.append((epoch, fitness, prediction, None, None))
 
         result = run_training_loop(model, self.engine, budget, epoch_callback=on_epoch)
-
         flops = self.flops_for(individual.genome)
-        individual.fitness = result.fitness
-        individual.flops = flops
-        individual.result = result
-        individual.epoch_seconds = self.cost_model.sample_epoch_seconds(
-            flops, cost_rng, size=result.epochs_trained
-        ).tolist()
+        seconds = self.cost_model.sample_epoch_seconds(flops, cost_rng, size=result.epochs_trained)
+        individual.settle(replace(result, flops=flops, epoch_seconds=tuple(seconds.tolist())))
         return individual
 
 

@@ -172,7 +172,6 @@ class FaultPolicy:
             individual.fitness = QUARANTINE_FITNESS
             individual.flops = QUARANTINE_FLOPS
             individual.result = None
-            individual.epoch_seconds = []
             individual.quarantined = True
         return retry
 

@@ -32,8 +32,8 @@ Division of labour (the key to bit-identical results across backends):
   recipe the parent uses, with the dataset attached zero-copy — and
   then run exactly *one* evaluation attempt per dispatched
   :class:`EvalTask`, streaming back an :class:`EvalResult` with the
-  measurements and the per-epoch trace the attempt left on its
-  individual.
+  :class:`~repro.core.plugin.TrainingResult` the attempt settled and
+  the per-epoch trace it left on its individual.
 * **The parent** owns every side effect: it appends each trace to the
   real individual, where lineage and the eval cache read it, and routes
   each failed attempt through the fault policy's
@@ -67,6 +67,7 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
 
+from repro.core.plugin import TrainingResult
 from repro.nas.population import Individual
 from repro.scheduler.faults import EvaluationTimeout, FaultPolicy
 from repro.scheduler.pool import JobTiming, PoolReport
@@ -99,23 +100,20 @@ class EvalTask:
 class EvalResult:
     """What a worker sends back for one attempt.
 
+    ``result`` is the :class:`~repro.core.plugin.TrainingResult` a clean
+    attempt settled, which the parent settles on the real individual.
     ``trace`` is the attempt's ``individual.trace`` — the entries the
     in-process path would have appended to the real individual.  A
-    failed attempt carries the epochs measured *before* the fault plus
-    the pickled exception in ``error``.  ``seconds`` is the attempt's
-    duration on the worker's own stopwatch, which the parent holds
-    against the policy timeout.
+    failed attempt, or one that returned without settling a result,
+    carries the epochs measured *before* the fault plus the pickled
+    exception in ``error``.  ``seconds`` is the attempt's duration on
+    the worker's own stopwatch, which the parent holds against the
+    policy timeout.
     """
 
-    model_id: int
-    attempt: int
-    fitness: float | None = None
-    flops: int | None = None
-    result: object = None
-    epoch_seconds: tuple = ()
+    result: TrainingResult | None = None
     trace: tuple = ()
     error: bytes | None = None
-    arena_peak_bytes: int = 0
     seconds: float = 0.0
 
     def exception(self) -> Exception:
@@ -160,25 +158,15 @@ class _WorkerRuntime:
         watch = Stopwatch().start()
         try:
             self.evaluator.evaluate(individual)
+            if individual.result is None:
+                raise RuntimeError(
+                    f"model {task.model_id} attempt {task.attempt} returned without a result"
+                )
         except Exception as exc:  # a4nn: noqa(NUM001) -- transported to the parent, which classifies and routes it
             return EvalResult(
-                model_id=task.model_id,
-                attempt=task.attempt,
-                trace=tuple(individual.trace),
-                error=_encode_error(exc),
-                seconds=watch.stop(),
+                trace=tuple(individual.trace), error=_encode_error(exc), seconds=watch.stop()
             )
-        return EvalResult(
-            model_id=task.model_id,
-            attempt=task.attempt,
-            fitness=float(individual.fitness),
-            flops=int(individual.flops),
-            result=individual.result,
-            epoch_seconds=tuple(individual.epoch_seconds),
-            trace=tuple(individual.trace),
-            arena_peak_bytes=int(individual.arena_peak_bytes),
-            seconds=watch.stop(),
-        )
+        return EvalResult(individual.result, tuple(individual.trace), seconds=watch.stop())
 
 
 #: what a worker runs: ``argv`` is the socket's descriptor, then ``sys.path``
@@ -456,11 +444,7 @@ class ProcessWorkerPool:
         if result.error is not None:
             self._route_fault(job, worker.index, result.exception(), end)
             return
-        individual.fitness = result.fitness
-        individual.flops = result.flops
-        individual.result = result.result
-        individual.epoch_seconds = list(result.epoch_seconds)
-        individual.arena_peak_bytes = result.arena_peak_bytes
+        individual.settle(result.result)
         self._settle(job, worker.index, end)
 
     def _settle_lost(self, worker: _Worker, exc: Exception) -> None:

@@ -26,7 +26,10 @@ class ValidationError(ValueError):
 
 
 def ensure_known_keys(payload: dict, cls: type, section: str) -> dict:
-    """Require every key of a stored ``section`` to be a field of dataclass ``cls``."""
+    """Require a stored ``section`` to be an object whose every key is a
+    field of dataclass ``cls``."""
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{section} must be a JSON object, got {type(payload).__name__}")
     unknown = sorted(set(payload) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValidationError(f"unknown key in {section}: {', '.join(unknown)}")

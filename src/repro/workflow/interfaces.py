@@ -93,8 +93,8 @@ class WorkflowConfig:
         quarantined with penalized objectives — one bad genome costs one
         penalized individual, never the run.  ``None`` routes nothing:
         in barrier mode the whole generation settles first, then one
-        error is raised as itself and several as an ``ExceptionGroup``;
-        in steady mode an error is raised by the settle that delivers
+        error is raised as itself and several as one ``RuntimeError``
+        listing every message; in steady mode an error is raised by the settle that delivers
         it.  A timeout requires ``backend="process"``: a thread cannot
         be killed.
     fault_injection:
@@ -221,7 +221,8 @@ class WorkflowConfig:
             if section in payload and payload[section] is None:
                 raise ValidationError(f"{section} cannot be null: omit it to take its defaults")
         for section, section_cls in _SECTIONS.items():
-            ensure_known_keys(payload.get(section) or {}, section_cls, section)
+            if payload.get(section) is not None:
+                ensure_known_keys(payload[section], section_cls, section)
         settings = dict(payload)
         if "nas" in settings:
             settings["nas"] = NSGANetConfig(**settings["nas"])

@@ -11,7 +11,7 @@ requested GPU-pool size.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from repro.core.engine import PredictionEngine
@@ -379,21 +379,7 @@ class A4NNOrchestrator:
             engine_parameters=self.config.engine.to_dict() if self.config.engine else None,
             notes=f"mode={self.config.mode}, seed={self.config.seed}",
             workflow_config=self.config.to_dict(),
-            generation_stats=[
-                {
-                    "generation": g.generation,
-                    "n_evaluated": g.n_evaluated,
-                    "best_fitness": g.best_fitness,
-                    "mean_fitness": g.mean_fitness,
-                    "epochs_trained": g.epochs_trained,
-                    "epochs_saved": g.epochs_saved,
-                    "epochs_skipped": g.epochs_skipped,
-                    "pareto_size": g.pareto_size,
-                    "n_quarantined": g.n_quarantined,
-                    "n_cache_hits": g.n_cache_hits,
-                }
-                for g in result.search.generations
-            ],
+            generation_stats=[asdict(g) for g in result.search.generations],
         )
         self.commons.publish_run(run, result.tracker, restored=self._resumed)
         _LOG.info("published run %s to commons", result.run_id)

@@ -73,7 +73,6 @@ def individual_from_record(record: ModelRecord, individual: Individual) -> Indiv
     individual.fault_events = [dict(e) for e in record.fault_events]
     individual.cache_hit = record.cache_hit
     individual.cache_source = record.cache_source
-    individual.arena_peak_bytes = record.arena_peak_bytes
     trail = record.epochs
     individual.trace = list(
         zip(
@@ -86,21 +85,23 @@ def individual_from_record(record: ModelRecord, individual: Individual) -> Indiv
     )
     if record.quarantined or record.budget_assigned == 0:
         return individual
-    result = TrainingResult(
-        fitness=individual.fitness,
-        epochs_trained=record.epochs_trained,
-        terminated_early=record.terminated_early,
-        fitness_history=list(record.fitness_history),
-        prediction_history=list(record.prediction_history),
-        measured_fitness=record.measured_fitness,
-        engine_overhead_seconds=record.engine_overhead_seconds,
-    )
-    result._max_epochs = record.max_epochs
-    individual.result = result
     # a retried record trails the epochs of its failed attempts first
-    seconds = trail.column("epoch_seconds")
-    trained = seconds[len(seconds) - record.epochs_trained :]
-    individual.epoch_seconds = [float(s or 0.0) for s in trained]
+    seconds = trail.column("epoch_seconds")[len(trail) - record.epochs_trained :]
+    individual.settle(
+        TrainingResult(
+            fitness=individual.fitness,
+            epochs_trained=record.epochs_trained,
+            terminated_early=record.terminated_early,
+            max_epochs=record.max_epochs,
+            fitness_history=tuple(record.fitness_history),
+            prediction_history=tuple(record.prediction_history),
+            measured_fitness=record.measured_fitness,
+            engine_overhead_seconds=record.engine_overhead_seconds,
+            flops=individual.flops,
+            epoch_seconds=tuple(float(s or 0.0) for s in seconds),
+            arena_peak_bytes=record.arena_peak_bytes,
+        )
+    )
     return individual
 
 

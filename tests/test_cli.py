@@ -174,6 +174,12 @@ class TestConfigCommand:
                 {"engine": {"e_pred": 5}},
                 "engine.e_pred (5) must equal nas.max_epochs (25); set engine.e_pred to 25",
             ),
+            # a document or a section that is not an object
+            ([1], "workflow_config must be a JSON object, got list"),
+            ("text", "workflow_config must be a JSON object, got str"),
+            ({"nas": 5}, "nas must be a JSON object, got int"),
+            ({"faults": 3}, "faults must be a JSON object, got int"),
+            ({"engine": "x"}, "engine must be a JSON object, got str"),
         ],
     )
     def test_bad_document_is_one_error_line(self, tmp_path, capsys, document, message):

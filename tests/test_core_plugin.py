@@ -46,7 +46,7 @@ class TestStandaloneLoop:
         curve = make_concave_curve(10)
         result = run_training_loop(CountingModel(curve), None, 10)
         np.testing.assert_allclose(result.fitness_history, curve)
-        assert result.prediction_history == []
+        assert result.prediction_history == ()
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(Exception):

@@ -105,7 +105,7 @@ class TestCanonicalization:
 class TestEvaluationCache:
     def test_lookup_counts_hits_and_misses(self):
         cache = EvaluationCache()
-        entry = CacheEntry(0, 80.0, 100, [], None, [])
+        entry = CacheEntry(0, training_result(), ())
         assert cache.lookup(("k",)) is None
         cache.put(("k",), entry)
         assert cache.lookup(("k",)) is entry
@@ -113,9 +113,9 @@ class TestEvaluationCache:
 
     def test_first_writer_wins(self):
         cache = EvaluationCache()
-        first = CacheEntry(0, 80.0, 100, [], None, [])
+        first = CacheEntry(0, training_result(), ())
         cache.put(("k",), first)
-        cache.put(("k",), CacheEntry(1, 90.0, 200, [], None, []))
+        cache.put(("k",), CacheEntry(1, training_result(), ()))
         assert cache.lookup(("k",)) is first
         assert len(cache) == 1
 
@@ -145,12 +145,12 @@ class FakeChain:
             individual.quarantined = True
             individual.fitness = 0.0
             individual.flops = 1
-            individual.result = {"quarantined": True}
             return individual
-        individual.fitness = 80.0
-        individual.flops = 123
-        individual.result = TrainingResult(80.0, 2, False, fitness_history=[51.0, 52.0])
-        individual.epoch_seconds = [0.1, 0.2]
+        individual.settle(
+            TrainingResult(
+                80.0, 2, False, fitness_history=(51.0, 52.0), flops=123, epoch_seconds=(0.1, 0.2)
+            )
+        )
         for epoch in (1, 2):
             individual.trace.append((epoch, 50.0 + epoch, None, {"loss": 1.0}, None))
         return individual
@@ -232,7 +232,7 @@ class TestMemoizingEvaluator:
         assert second.fitness == first.fitness
         assert second.flops == first.flops
         assert second.epoch_seconds == first.epoch_seconds
-        assert second.result == first.result and second.result is not first.result
+        assert second.result is first.result  # frozen, so shared
         assert stream.cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_hit_replays_observers_with_cache_context(self):
@@ -322,9 +322,9 @@ class TestMemoizingEvaluator:
     def test_prime_seeds_hits_with_original_attribution(self):
         stream, chain, _ = make_stream(wait_for_leader=True)
         restored = make_individual(4)
-        restored.fitness, restored.flops = 77.0, 99
-        restored.result = TrainingResult(77.0, 1, False, fitness_history=[77.0])
-        restored.epoch_seconds = [0.3]
+        restored.settle(
+            TrainingResult(77.0, 1, False, fitness_history=(77.0,), flops=99, epoch_seconds=(0.3,))
+        )
         restored.trace = [(1, 77.0, None, None, None)]
         assert stream.prime(restored)
         hit = evaluate(stream, make_individual(5))
@@ -337,7 +337,7 @@ class TestMemoizingEvaluator:
         empty = make_individual(0)
         assert not stream.prime(empty)
         bad = make_individual(1)
-        bad.fitness, bad.flops, bad.result = 1.0, 1, {}
+        bad.settle(TrainingResult(1.0, 1, False, flops=1))
         bad.quarantined = True
         assert not stream.prime(bad)
         assert len(stream.cache) == 0
@@ -431,29 +431,31 @@ class TestMemoizingStream:
 
 
 def training_result() -> TrainingResult:
-    result = TrainingResult(
+    return TrainingResult(
         fitness=80.5,
         epochs_trained=3,
         terminated_early=True,
-        fitness_history=[51.0, 62.0, 71.5],
-        prediction_history=[None, 80.25, 80.5],
+        max_epochs=8,
+        fitness_history=(51.0, 62.0, 71.5),
+        prediction_history=(None, 80.25, 80.5),
         measured_fitness=71.5,
         engine_overhead_seconds=0.125,
         engine_interactions=3,
+        flops=123,
+        epoch_seconds=(0.5, 0.5, 0.25),
+        arena_peak_bytes=4096,
     )
-    result._max_epochs = 8
-    return result
 
 
 class TestResultCopies:
-    """A hit, its entry and its leader each own their result (a field
-    copy of the :class:`TrainingResult` with fresh history lists)."""
+    """A hit, its entry and its leader share one frozen
+    :class:`TrainingResult`: nothing can change it under the others."""
 
     def hit_entry_leader(self):
         stream, _, _ = make_stream()
         a, b = iso_phases()
         leader = make_individual(0, a)
-        leader.fitness, leader.flops, leader.result = 80.5, 123, training_result()
+        leader.settle(training_result())
         assert stream.prime(leader)
         entry = stream.cache.lookup(evaluation_key(leader, stream.max_epochs))
         hit = make_individual(1, b)
@@ -463,25 +465,27 @@ class TestResultCopies:
 
     def test_a_hit_restores_every_field(self):
         hit, entry, leader = self.hit_entry_leader()
-        assert hit.result == entry.result == leader.result == training_result()
-        assert hit.result._max_epochs == entry.result._max_epochs == 8
+        assert hit.result is entry.result is leader.result
+        assert hit.result == training_result()
+        assert (hit.fitness, hit.flops) == (80.5, 123)
+        assert hit.epoch_seconds == (0.5, 0.5, 0.25) and hit.arena_peak_bytes == 4096
         assert hit.result.epochs_saved == 5
 
     def test_mutating_a_hit_leaves_entry_and_leader_untouched(self):
         hit, entry, leader = self.hit_entry_leader()
-        hit.result.fitness_history.append(0.0)
-        hit.result.prediction_history.clear()
-        hit.result.fitness = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hit.result.fitness = -1.0
+        with pytest.raises(AttributeError):
+            hit.result.fitness_history.append(0.0)
         assert entry.result == leader.result == training_result()
 
     def test_mutating_entry_or_leader_leaves_the_hit_untouched(self):
         hit, entry, leader = self.hit_entry_leader()
-        leader.result.fitness_history.clear()
-        leader.result.prediction_history.append(1.0)
-        assert entry.result == hit.result == training_result()
-        entry.result.fitness_history.append(2.0)
-        entry.result.prediction_history[0] = 3.0
-        assert hit.result == training_result()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            leader.result.prediction_history = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.result = None
+        assert entry.result is hit.result and hit.result == training_result()
 
 
 def cached_config(seed=9, mode="surrogate", generations=3):

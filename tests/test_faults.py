@@ -10,6 +10,7 @@ on re-run with the same seed.
 import pytest
 
 from repro.core.engine import EngineConfig
+from repro.core.plugin import TrainingResult
 from repro.nas import Individual, random_genome
 from repro.nas.nsga2 import environmental_selection, pareto_front_mask
 from repro.nas.population import Population
@@ -70,8 +71,7 @@ class FlakyEvaluator:
         self.calls.append((individual.model_id, attempt))
         if attempt < self.succeed_at:
             raise self.error
-        individual.fitness = 80.0
-        individual.flops = 1000
+        individual.settle(TrainingResult(80.0, 1, False, flops=1000))
         return individual
 
 
@@ -227,8 +227,7 @@ class TestPoolFailureSemantics:
         def evaluate(self, individual):
             if individual.model_id in self.failing_ids:
                 raise RuntimeError(f"boom {individual.model_id}")
-            individual.fitness = 50.0
-            individual.flops = 1
+            individual.settle(TrainingResult(50.0, 1, False, flops=1))
             return individual
 
     @pytest.mark.parametrize("n_workers", [1, 3])
@@ -242,13 +241,13 @@ class TestPoolFailureSemantics:
         assert all(ind.evaluated for ind in individuals[1:])
 
     @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_multiple_errors_raise_exception_group(self, rng, n_workers):
+    def test_multiple_errors_raise_one_runtime_error(self, rng, n_workers):
         stream = thread_stream(self.NthFails({1, 3}), n_workers)
         individuals = make_individuals(rng, 5)
-        with pytest.raises(ExceptionGroup) as excinfo:
+        with pytest.raises(RuntimeError) as excinfo:
             run_generation(stream, individuals)
-        messages = sorted(str(e) for e in excinfo.value.exceptions)
-        assert messages == ["boom 1", "boom 3"]
+        assert str(excinfo.value) == "2 of 5 evaluations failed: boom 1; boom 3"
+        assert str(excinfo.value.__cause__) == "boom 1"  # the first settled
 
     @pytest.mark.parametrize("n_workers", [1, 3])
     def test_policy_quarantines_instead_of_raising(self, rng, n_workers):

@@ -151,7 +151,7 @@ class TestTracker:
             record = tracker.records[member.model_id]
             assert len(record.epochs) == member.result.epochs_trained
             assert record.fitness == member.fitness
-            assert record.fitness_history == member.result.fitness_history
+            assert record.fitness_history == list(member.result.fitness_history)
             assert record.terminated_early == member.result.terminated_early
             # epoch wall times filled from the cost model
             assert all(e.epoch_seconds is not None for e in record.epochs)

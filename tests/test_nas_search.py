@@ -114,7 +114,7 @@ class TestSurrogateEvaluator:
         assert [e for e, *_ in individual.trace] == list(
             range(1, result.epochs_trained + 1)
         )
-        assert [f for _, f, *_ in individual.trace] == result.fitness_history
+        assert tuple(f for _, f, *_ in individual.trace) == result.fitness_history
         assert all(stats is None and ckpt is None for *_, stats, ckpt in individual.trace)
 
 

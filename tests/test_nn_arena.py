@@ -641,6 +641,7 @@ def test_maxpool_backward_matches_loop_reference(pool, stride):
 
 def test_individual_arena_fields_reach_model_record():
     from repro.lineage.records import ModelRecord
+    from repro.core.plugin import TrainingResult
     from repro.lineage.tracker import LineageTracker
     from repro.nas.population import Individual
 
@@ -653,7 +654,7 @@ def test_individual_arena_fields_reach_model_record():
     tracker = LineageTracker()
     for model_id, peak in (("trained", 12345), ("sampled", 0)):
         individual = Individual(genome=genome, model_id=model_id, generation=0)
-        individual.arena_peak_bytes = peak
+        individual.settle(TrainingResult(50.0, 1, False, arena_peak_bytes=peak))
         tracker.observe_individual(individual)
         stored = tracker.records[model_id]
         assert stored.arena_peak_bytes == peak

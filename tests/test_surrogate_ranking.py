@@ -16,10 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.analysis import skip_report, training_matrix
+from repro.analysis import skip_report, training_matrix, true_curves
 from repro.core.engine import EngineConfig
 from repro.core.fitting import ridge_lstsq
 from repro.lineage import DataCommons
+from repro.lineage.records import ModelRecord
 from repro.nas.genome import Genome, PhaseGenome
 from repro.nas.population import Individual
 from repro.nas.search import NSGANetConfig
@@ -424,7 +425,7 @@ class TestSavingsNeverMoveTheFront:
     skip rule that takes budget from an undominated candidate moves them.
     """
 
-    def test_surrogate_on_keeps_the_off_front_with_a_third_fewer_epochs(self):
+    def test_surrogate_on_keeps_the_off_front_with_a_third_fewer_epochs(self, tmp_path):
         config = WorkflowConfig(
             nas=NSGANetConfig(
                 population_size=8,
@@ -440,7 +441,8 @@ class TestSavingsNeverMoveTheFront:
         )
         off = run_workflow(config)
         on = run_workflow(
-            replace(config, surrogate=SurrogateConfig(band=1.0, explore_every=8))
+            replace(config, surrogate=SurrogateConfig(band=1.0, explore_every=8)),
+            commons_path=tmp_path,
         )
 
         def front(result) -> set:
@@ -457,10 +459,18 @@ class TestSavingsNeverMoveTheFront:
             assert result.total_epochs_trained == trained
             assert result.search.total_epochs_saved == saved
             assert result.total_epochs_skipped == skipped
-        skips = skip_report(on.tracker.all_records())
+        records = on.tracker.all_records()
+        skips = skip_report(records)
         assert (skips.n_scored, skips.n_flagged, skips.n_true_losers) == (64, 28, 55)
-        assert skips.precision == 1.0
+        assert skips.basis == "estimate" and skips.precision == 1.0
         assert skips.recall == 28 / 55
+        # judged by the true curves, 3 of the 28 flags took budget from a
+        # candidate no record dominates
+        truth = true_curves(records, DataCommons(tmp_path).load_run(on.run_id))
+        honest = skip_report(records, truth=truth)
+        assert (honest.basis, honest.n_scored, honest.n_true_losers) == ("true", 64, 53)
+        assert honest.precision == 25 / 28 and honest.recall == 25 / 53
+        assert honest.n_mae == 64
 
 
 class TestResume:
@@ -531,6 +541,44 @@ class TestAnalysisQueries:
         if report.recall is not None:
             assert 0.0 <= report.recall <= 1.0
         assert report.mae is not None and report.mae >= 0.0
+
+
+def test_the_estimate_confirms_a_flag_the_true_curve_refutes():
+    # a probe is judged by the prediction that flagged it, so the estimate
+    # cannot see that its full curve would have ended undominated
+    genome = {"nodes_per_phase": [2], "bits": [1, 0, 0, 0]}
+    reference = ModelRecord(model_id=0, generation=0, genome=genome, fitness=90.0, flops=100)
+    probe = ModelRecord(
+        model_id=1,
+        generation=1,
+        genome=genome,
+        fitness=50.0,
+        flops=200,
+        predicted_fitness=80.0,
+        budget_assigned=1,
+        skip_reason="predicted_loser",
+    )
+    crashed = ModelRecord(
+        model_id=2,
+        generation=1,
+        genome=genome,
+        fitness=0.0,
+        flops=300,
+        predicted_fitness=70.0,
+        skip_reason="predicted_loser",
+        quarantined=True,
+    )
+    records = [reference, probe, crashed]
+    estimate = skip_report(records)
+    assert (estimate.basis, estimate.precision, estimate.n_true_losers) == ("estimate", 1.0, 2)
+    # the probe never measured a full budget; the quarantine's 0.0 stands in
+    assert (estimate.mae, estimate.n_mae) == (70.0, 1)
+    # true_curves draws no curve for a quarantined record
+    truth = {0: np.array([60.0, 90.0]), 1: np.array([50.0, 95.0])}
+    honest = skip_report(records, truth=truth)
+    assert (honest.basis, honest.n_scored, honest.n_flagged) == ("true", 1, 1)
+    assert (honest.precision, honest.n_true_losers, honest.recall) == (0.0, 0, None)
+    assert (honest.mae, honest.n_mae) == (15.0, 1)
 
 
 class TestZeroBudgetPath:

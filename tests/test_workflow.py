@@ -145,10 +145,10 @@ class TestOrchestrator:
         assert len(records) == len(result.search.archive)
         for member in result.search.archive:
             epochs = records[member.model_id].epochs
-            assert [e.validation_accuracy for e in epochs] == member.result.fitness_history
-            assert [
+            assert tuple(e.validation_accuracy for e in epochs) == member.result.fitness_history
+            assert tuple(
                 e.prediction for e in epochs if e.prediction is not None
-            ] == member.result.prediction_history
+            ) == member.result.prediction_history
 
     def test_standalone_no_engine_records(self):
         result = run_standalone(small_config())
