@@ -130,11 +130,11 @@ class SkipReport:
     dominates its ``(fitness, flops)``.  With ``basis="true"`` (a
     sampled run, see :func:`skip_report`) every fitness is the last
     value of the record's true curve, the reference is every record
-    with one, and a record without one (quarantined) is left out.  With
-    ``basis="estimate"`` the reference is the clean full-budget records,
-    and a probed record is judged by the *predicted* fitness that
-    flagged it (its recorded fitness is a reduced-budget measurement) —
-    so a flag is almost always confirmed.
+    with one.  With ``basis="estimate"`` the reference is the
+    full-budget records, and a probed record is judged by the
+    *predicted* fitness that flagged it (its recorded fitness is a
+    reduced-budget measurement) — so a flag is almost always confirmed.
+    On either basis a quarantined record is left out: it never trained.
     """
 
     n_scored: int  # candidates the predictor scored
@@ -158,7 +158,9 @@ def skip_report(records: Iterable[ModelRecord], *, truth: dict | None = None) ->
     Without it (a real run) the report is an estimate, as
     :class:`SkipReport` describes.
     """
-    records = list(records)
+    # a quarantined record never trained (and has no curve): there is
+    # nothing to judge it by
+    records = [r for r in records if not r.quarantined]
     if truth is None:
         def judged(r):
             return r.predicted_fitness if r.budget_assigned is not None else r.fitness
@@ -166,13 +168,9 @@ def skip_report(records: Iterable[ModelRecord], *, truth: dict | None = None) ->
         reference = [
             r
             for r in records
-            if not r.quarantined
-            and r.budget_assigned is None
-            and r.fitness is not None
-            and r.flops is not None
+            if r.budget_assigned is None and r.fitness is not None and r.flops is not None
         ]
     else:
-        # a quarantined record has no curve: there is nothing to judge it by
         records = reference = [r for r in records if r.model_id in truth]
 
         def judged(r):

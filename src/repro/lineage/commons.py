@@ -12,15 +12,21 @@ paper's own Pandas snippet) can read it:
       manifest.json
       runs/<run_id>/run.json
       runs/<run_id>/models/model_00042.json
+
+A run writes in situ: :meth:`~DataCommons.start_run` before its search,
+:meth:`~DataCommons.write_model` as each model commits, and
+:meth:`~DataCommons.publish_run` at the end.  A run id in the manifest
+always names a complete directory; a directory the manifest does not
+list is an incomplete run, which
+:func:`~repro.workflow.resume.resume_workflow` continues.
 """
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
-from typing import Container
 
 from repro.lineage.records import ModelRecord, RunRecord
-from repro.lineage.tracker import LineageTracker
 from repro.utils.io import atomic_write_json, read_json
 
 __all__ = ["DataCommons"]
@@ -36,50 +42,33 @@ class DataCommons:
 
     # -- publishing -------------------------------------------------------------
 
-    def publish_run(
-        self,
-        run: RunRecord,
-        records: list[ModelRecord] | LineageTracker,
-        *,
-        restored: Container[int] = (),
-    ) -> Path:
-        """Store one search run and all of its model record trails.
+    def start_run(self, run: RunRecord) -> None:
+        """Begin ``run`` afresh: drop its manifest entry, then any earlier
+        directory under its id, then write its ``run.json``."""
+        if not run.run_id:
+            raise ValueError("a run needs a run id: an empty one names every run")
+        manifest = self._manifest()
+        if manifest["runs"].pop(run.run_id, None) is not None:
+            atomic_write_json(self._manifest_path, manifest)
+        shutil.rmtree(self.root / "runs" / run.run_id, ignore_errors=True)
+        atomic_write_json(self.root / "runs" / run.run_id / "run.json", run.to_dict())
 
-        Returns the run directory.  Re-publishing the same ``run_id``
-        replaces it (runs are immutable-by-convention, replayable by
-        seed): the new trails are written first, then every model file
-        of the earlier publish that is not among them is deleted, so an
-        interrupted publish never leaves fewer trails than either
-        version.  ``restored`` names models a resume loaded from this
-        run's files and kept as they were: their files count as written
-        and are not encoded again.
-        """
-        if isinstance(records, LineageTracker):
-            records = records.all_records()
+    def write_model(self, run_id: str, record: ModelRecord) -> Path:
+        """Write one committed model's record trail; returns its path."""
+        path = self.root / "runs" / run_id / "models" / f"model_{record.model_id:05d}.json"
+        return atomic_write_json(path, record.to_dict())
+
+    def publish_run(self, run: RunRecord, records: list[ModelRecord]) -> Path:
+        """Complete ``run`` (its model files written): totals over ``records``,
+        the final ``run.json``, then its manifest entry.  Returns the run directory."""
         run.n_models = len(records)
         run.total_epochs_trained = sum(r.epochs_trained for r in records)
         run.total_epochs_saved = sum(r.epochs_saved for r in records)
         run.total_epochs_skipped = sum(r.epochs_skipped for r in records)
-
         run_dir = self.root / "runs" / run.run_id
-        models_dir = run_dir / "models"
         atomic_write_json(run_dir / "run.json", run.to_dict())
-        written = set()
-        for record in records:
-            path = models_dir / f"model_{record.model_id:05d}.json"
-            if record.model_id not in restored:
-                atomic_write_json(path, record.to_dict())
-            written.add(path)
-        for stale in set(models_dir.glob("model_*.json")) - written:
-            stale.unlink()
-        self._update_manifest(run)
-        return run_dir
-
-    def _update_manifest(self, run: RunRecord) -> None:
-        manifest = {"runs": {}}
-        if self._manifest_path.exists():
-            manifest = read_json(self._manifest_path)
-        manifest.setdefault("runs", {})[run.run_id] = {
+        manifest = self._manifest()
+        manifest["runs"][run.run_id] = {
             "intensity": run.intensity,
             "n_models": run.n_models,
             "total_epochs_trained": run.total_epochs_trained,
@@ -87,14 +76,18 @@ class DataCommons:
             "total_epochs_skipped": run.total_epochs_skipped,
         }
         atomic_write_json(self._manifest_path, manifest)
+        return run_dir
+
+    def _manifest(self) -> dict:
+        manifest = read_json(self._manifest_path) if self._manifest_path.exists() else {}
+        manifest.setdefault("runs", {})
+        return manifest
 
     # -- reading -----------------------------------------------------------------
 
     def run_ids(self) -> list[str]:
         """All published run ids, sorted."""
-        if not self._manifest_path.exists():
-            return []
-        return sorted(read_json(self._manifest_path).get("runs", {}))
+        return sorted(self._manifest()["runs"])
 
     def load_run(self, run_id: str) -> RunRecord:
         """Load one run's metadata."""
@@ -104,11 +97,12 @@ class DataCommons:
         """Load every model record trail of a run, ordered by model id.
 
         As in a live tracker, records with equal ``training_parameters``
-        share one dict (the run's).
+        share one dict (the run's).  A run killed before its first commit
+        has none.
         """
         models_dir = self.root / "runs" / run_id / "models"
-        if not models_dir.exists():
-            raise FileNotFoundError(f"run {run_id!r} has no models directory")
+        if not models_dir.parent.exists():
+            raise FileNotFoundError(f"run {run_id!r} is not in the commons")
         # not by file name: ``model_{id:05d}`` puts model_100000 before model_20000
         records = [ModelRecord.from_dict(read_json(p)) for p in models_dir.glob("model_*.json")]
         shared: list[dict] = []

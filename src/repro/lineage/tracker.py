@@ -67,8 +67,8 @@ class LineageTracker:
             )
         )
 
-    def observe_individual(self, individual: Individual) -> None:
-        """Build a committed model's record from the individual."""
+    def observe_individual(self, individual: Individual) -> ModelRecord:
+        """Build a committed model's record from the individual, and return it."""
         record = ModelRecord(
             model_id=individual.model_id,
             generation=individual.generation,
@@ -107,6 +107,7 @@ class LineageTracker:
             record.epochs.fill("epoch_seconds", map(float, result.epoch_seconds))
         self.records[individual.model_id] = record
         _LOG.debug("recorded model %d (gen %d)", individual.model_id, individual.generation)
+        return record
 
     def all_records(self) -> list[ModelRecord]:
         """Records ordered by model id."""

@@ -48,7 +48,7 @@ from repro.nas.genome import Genome, PhaseGenome, n_connection_bits
 from repro.nas.population import Individual
 from repro.scheduler.costmodel import EpochCostModel
 from repro.utils.rng import RngStream
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, load_fields
 from repro.xfel.intensity import BeamIntensity
 
 __all__ = [
@@ -410,7 +410,7 @@ class SurrogateConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SurrogateConfig":
-        return cls(**payload)
+        return cls(**load_fields(payload, cls, "surrogate"))
 
 
 class FitnessPredictor:

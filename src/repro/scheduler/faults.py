@@ -45,7 +45,7 @@ from repro.nas.population import Individual
 from repro.tooling.sanitizer import NumericalFault
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
-from repro.utils.validation import ValidationError, ensure_known_keys
+from repro.utils.validation import ValidationError, load_fields
 
 __all__ = [
     "QUARANTINE_FITNESS",
@@ -180,7 +180,7 @@ class FaultPolicy:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPolicy":
-        return cls(**ensure_known_keys(payload, cls, "faults"))
+        return cls(**load_fields(payload, cls, "faults"))
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class FaultInjectionConfig:
     """
 
     rate: float = 0.0
-    modes: tuple = ("crash", "hang", "nan")
+    modes: tuple[str, ...] = ("crash", "hang", "nan")
     hang_seconds: float = 0.1
 
     def __post_init__(self) -> None:
@@ -227,10 +227,7 @@ class FaultInjectionConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultInjectionConfig":
-        payload = dict(payload)
-        if "modes" in payload:
-            payload["modes"] = tuple(payload["modes"])
-        return cls(**payload)
+        return cls(**load_fields(payload, cls, "fault_injection"))
 
 
 class FaultInjectingEvaluator:

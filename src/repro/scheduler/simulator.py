@@ -36,16 +36,13 @@ class WallTimeReport:
     n_gpus:
         Pool size.
     wall_seconds:
-        Makespan of the schedule (incl. prediction-engine overhead when
-        supplied).
+        Makespan of the schedule.
     busy_seconds:
         Aggregate GPU compute time.
     idle_seconds:
         Aggregate GPU downtime (barrier or breeding-lag effect).
     utilization:
         ``busy / (makespan * n_gpus)``.
-    engine_overhead_seconds:
-        Total prediction-engine time folded into the jobs.
     total_epochs:
         Epochs actually executed across all jobs.
     placements:
@@ -58,7 +55,6 @@ class WallTimeReport:
     busy_seconds: float
     idle_seconds: float
     utilization: float
-    engine_overhead_seconds: float
     total_epochs: int
     placements: tuple = field(default=(), repr=False)
 
@@ -106,14 +102,14 @@ def fifo_schedule(
     return placements, done[-1], sum(busy)
 
 
-def _job_seconds(member: Individual, include_engine_overhead: bool) -> float | None:
+def _job_seconds(member: Individual) -> float | None:
     """A member's training seconds, or ``None`` when it held no worker.
 
-    Engine overhead is amortized into each job's epochs (the engine runs
-    in situ, on the same resources, between epochs — Algorithm 1), so it
-    lengthens the schedule exactly where it occurred.  Quarantined
-    members contributed no completed training, and zero-budget surrogate
-    skips never occupied a worker at all.
+    The sum of its recorded epoch durations: the prediction engine's
+    in-situ seconds are wall-clock measurements of the host that ran the
+    search, so they stay out, and a sampled run's schedule is a function
+    of its seed.  Quarantined members contributed no completed training, and
+    zero-budget surrogate skips never occupied a worker at all.
     """
     if member.quarantined or (member.result is None and member.budget_assigned == 0):
         return None
@@ -125,9 +121,6 @@ def _job_seconds(member: Individual, include_engine_overhead: bool) -> float | N
             f"model {member.model_id}: {len(epoch_seconds)} epoch durations "
             f"for {member.result.epochs_trained} trained epochs"
         )
-    if include_engine_overhead and epoch_seconds:
-        per_epoch = member.result.engine_overhead_seconds / len(epoch_seconds)
-        epoch_seconds = [s + per_epoch for s in epoch_seconds]
     return sum(epoch_seconds)
 
 
@@ -149,26 +142,22 @@ def _waits_for(result: SearchResult) -> list[int]:
     return [first.setdefault(m.generation, g) for g, m in enumerate(result.archive)]
 
 
-def simulate_walltime(
-    result: SearchResult, n_gpus: int, *, include_engine_overhead: bool = True
-) -> WallTimeReport:
+def simulate_walltime(result: SearchResult, n_gpus: int) -> WallTimeReport:
     """Replay a search's training workload on an ``n_gpus`` pool.
 
     The release rule is the one the search ran under: ``result.config``'s
     ``evolution`` and (resolved) ``steady_lag``.
     """
     archive = result.archive
-    seconds = [_job_seconds(m, include_engine_overhead) for m in archive]
+    seconds = [_job_seconds(m) for m in archive]
     placed, wall, busy = fifo_schedule(seconds, n_gpus, _waits_for(result))
     capacity = wall * n_gpus
-    overhead = sum(m.result.engine_overhead_seconds for m in archive if m.result)
     return WallTimeReport(
         n_gpus=n_gpus,
         wall_seconds=wall,
         busy_seconds=busy,
         idle_seconds=capacity - busy,
         utilization=busy / capacity if capacity > 0 else 0.0,
-        engine_overhead_seconds=overhead if include_engine_overhead else 0.0,
         total_epochs=sum(
             m.result.epochs_trained for m, s in zip(archive, seconds) if s is not None
         ),

@@ -16,7 +16,7 @@ from repro.core.engine import EngineConfig
 from repro.nas.search import NSGANetConfig
 from repro.nas.surrogate import SurrogateConfig
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
-from repro.utils.validation import ValidationError, ensure_known_keys
+from repro.utils.validation import ValidationError, load_fields
 from repro.xfel.dataset import DatasetConfig
 from repro.xfel.intensity import BeamIntensity
 
@@ -24,15 +24,6 @@ __all__ = ["WorkflowConfig"]
 
 _MODES = ("real", "surrogate")
 _BACKENDS = ("thread", "process")
-#: the document's nested sections and the configuration each one loads
-#: into (``faults`` checks its own keys)
-_SECTIONS = {
-    "nas": NSGANetConfig,
-    "engine": EngineConfig,
-    "dataset": DatasetConfig,
-    "fault_injection": FaultInjectionConfig,
-    "surrogate": SurrogateConfig,
-}
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,7 @@ class WorkflowConfig:
     engine: EngineConfig | None = field(default_factory=EngineConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     mode: str = "surrogate"
-    n_gpus: tuple = (1, 4)
+    n_gpus: tuple[int, ...] = (1, 4)
     seed: int = 42
     run_id: str = ""
     n_workers: int = 1
@@ -215,37 +206,6 @@ class WorkflowConfig:
         """Load a document: a missing key takes its default, an unknown
         key at any level is refused.  A section given as ``{}`` takes
         all its defaults; ``null`` turns an optional section off and is
-        refused for ``nas`` and ``dataset``, which have no off."""
-        ensure_known_keys(payload, cls, "workflow_config")
-        for section in ("nas", "dataset"):
-            if section in payload and payload[section] is None:
-                raise ValidationError(f"{section} cannot be null: omit it to take its defaults")
-        for section, section_cls in _SECTIONS.items():
-            if payload.get(section) is not None:
-                ensure_known_keys(payload[section], section_cls, section)
-        settings = dict(payload)
-        if "nas" in settings:
-            settings["nas"] = NSGANetConfig(**settings["nas"])
-        if settings.get("engine") is not None:
-            settings["engine"] = EngineConfig(
-                **{
-                    k: tuple(v) if k == "fitness_bounds" else v
-                    for k, v in settings["engine"].items()
-                }
-            )
-        if "dataset" in settings:
-            dataset = dict(settings["dataset"])
-            if "intensity" in dataset:
-                dataset["intensity"] = BeamIntensity.from_label(dataset["intensity"])
-            settings["dataset"] = DatasetConfig(**dataset)
-        if "n_gpus" in settings:
-            settings["n_gpus"] = tuple(settings["n_gpus"])
-        for section, section_cls in (
-            ("faults", FaultPolicy),
-            ("fault_injection", FaultInjectionConfig),
-            ("surrogate", SurrogateConfig),
-        ):
-            if section in settings:
-                stored = settings[section]
-                settings[section] = None if stored is None else section_cls.from_dict(stored)
-        return cls(**settings)
+        refused for ``nas`` and ``dataset``, which have no off.  A leaf
+        value of the wrong JSON type is refused too."""
+        return cls(**load_fields(payload, cls, "workflow_config"))

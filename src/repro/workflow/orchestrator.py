@@ -3,9 +3,9 @@
 Ties together the components of the paper's Fig. 1: it instantiates the
 prediction engine from user settings, plugs it into the NAS through the
 Algorithm-1 evaluator, hands every committed model to the lineage
-tracker, publishes record trails to the data commons, and hands the recorded
-workload to the resource manager for wall-time accounting on each
-requested GPU-pool size.
+tracker, writes each record trail into the data commons as its model
+commits, and hands the recorded workload to the resource manager for
+wall-time accounting on each requested GPU-pool size.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class WorkflowResult:
     walltime:
         Wall-time report per simulated pool size, keyed by GPU count.
     run_id:
-        Commons identifier (set when published).
+        Commons identifier.
     """
 
     config: WorkflowConfig
@@ -135,7 +135,7 @@ class A4NNOrchestrator:
     config:
         The user-facing workflow settings (§2.6).
     commons:
-        Optional data commons to publish record trails into.
+        Optional data commons to write record trails into as models commit.
     checkpoint_dir:
         Directory for per-epoch model state (real mode; ``None`` saves
         none), written by the search thread or the worker process that
@@ -158,6 +158,8 @@ class A4NNOrchestrator:
         self.pool_reports: list = []  # PoolReports kept after close_pool()
         self._tracker: LineageTracker | None = None
         self._resumed: dict = {}  # model id -> published record (resume)
+        self._run_id = ""
+        self._written: set[int] = set()  # model ids whose record file is in the commons
         self._base = None  # innermost evaluation backend
         self._dataset = None  # loaded dataset (real mode)
 
@@ -205,14 +207,17 @@ class A4NNOrchestrator:
     def _on_individual(self, individual) -> None:
         """Commit hook: lineage first, then the surrogate refit.
 
-        A restored model keeps its published record as it is; it primes
+        A live model's record is written to the commons now.  A restored
+        model keeps its published record and file as they are; it primes
         the eval cache here, where a live evaluation's outcome is
         published (the stream's ``on_commit`` has just run).  Faulted or
         quarantined records never prime — the same rule as live.  Either
         way the individual's trace has been read, and is let go.
         """
         if individual.model_id not in self._resumed:
-            self._tracker.observe_individual(individual)
+            record = self._tracker.observe_individual(individual)
+            if self.commons is not None:
+                self._write(record)
         elif self.memoizer is not None:
             self.memoizer.prime(individual)
         individual.trace.clear()
@@ -302,10 +307,16 @@ class A4NNOrchestrator:
 
     # -- execution ----------------------------------------------------------------
 
-    def new_tracker(self) -> LineageTracker:
-        """An empty lineage tracker carrying this run's shared parameters."""
+    def _search(self, restored=(), run_id: str | None = None) -> WorkflowResult:
+        """Search → wall-time accounting → publish.
+
+        A fresh run begins its commons directory before the search.
+        ``restored`` (resume) are published records: their models take
+        the recorded outcome instead of an evaluation, their files count
+        as written, and the tracker starts from their trails.
+        """
         config = self.config
-        return LineageTracker(
+        tracker = self._tracker = LineageTracker(
             engine_parameters=PredictionEngine(config.engine).describe()
             if config.engine is not None
             else None,
@@ -316,18 +327,12 @@ class A4NNOrchestrator:
                 "max_epochs": config.nas.max_epochs,
             },
         )
-
-    def _search(self, restored=(), run_id: str | None = None) -> WorkflowResult:
-        """Search → wall-time accounting → publish.
-
-        ``restored`` (resume) are published records: their models take
-        the recorded outcome instead of an evaluation, and the tracker
-        starts from their trails, so the republished run is complete.
-        """
-        config = self.config
-        tracker = self._tracker = self.new_tracker()
         self._resumed = {r.model_id: r for r in restored}
         tracker.records.update(self._resumed)
+        self._run_id = run_id or config.resolved_run_id()
+        self._written = set(self._resumed)
+        if self.commons is not None and not restored:
+            self.commons.start_run(self._run_record())
         evaluator = self.build_evaluator()
         nas = self.effective_nas()
         _LOG.info(
@@ -358,7 +363,7 @@ class A4NNOrchestrator:
             search=result,
             tracker=tracker,
             walltime=walltime,
-            run_id=run_id or config.resolved_run_id(),
+            run_id=self._run_id,
         )
         if self.commons is not None:
             self.publish(workflow_result)
@@ -368,18 +373,35 @@ class A4NNOrchestrator:
         """Execute search → lineage → wall-time accounting → publish."""
         return self._search()
 
+    def _run_record(self, generations=()) -> RunRecord:
+        config = self.config
+        return RunRecord(
+            run_id=self._run_id,
+            intensity=config.intensity.label,
+            nas_parameters=config.nas.to_dict(),
+            engine_parameters=config.engine.to_dict() if config.engine else None,
+            notes=f"mode={config.mode}, seed={config.seed}",
+            workflow_config=config.to_dict(),
+            generation_stats=[asdict(g) for g in generations],
+        )
+
+    def _write(self, record) -> None:
+        self.commons.write_model(self._run_id, record)
+        self._written.add(record.model_id)
+
     def publish(self, result: WorkflowResult) -> None:
-        """Push the run's record trails into the data commons."""
+        """Complete the run in the data commons: every record not written yet, then the run.
+
+        An orchestrator given its commons only after the run begins the
+        run's directory here, and writes every record.
+        """
         if self.commons is None:
             raise RuntimeError("orchestrator was built without a data commons")
-        run = RunRecord(
-            run_id=result.run_id,
-            intensity=self.config.intensity.label,
-            nas_parameters=self.config.nas.to_dict(),
-            engine_parameters=self.config.engine.to_dict() if self.config.engine else None,
-            notes=f"mode={self.config.mode}, seed={self.config.seed}",
-            workflow_config=self.config.to_dict(),
-            generation_stats=[asdict(g) for g in result.search.generations],
-        )
-        self.commons.publish_run(run, result.tracker, restored=self._resumed)
+        if not self._written:
+            self.commons.start_run(self._run_record())
+        records = result.tracker.all_records()
+        for record in records:
+            if record.model_id not in self._written:
+                self._write(record)
+        self.commons.publish_run(self._run_record(result.search.generations), records)
         _LOG.info("published run %s to commons", result.run_id)

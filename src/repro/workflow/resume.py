@@ -1,10 +1,11 @@
 """Resuming interrupted searches from the data commons.
 
 A paper-scale NAS run takes tens of (simulated) hours; real deployments
-get pre-empted.  Every record trail lands in the commons as the run
-publishes, and every stochastic draw in the search derives from the root
-seed plus stable keys (generation number, model id), so a resumed run is
-the search run again from its seed.
+get pre-empted.  Every record trail lands in the commons as its model
+commits, so a killed run leaves its committed trails behind; and every
+stochastic draw in the search derives from the root seed plus stable
+keys (generation number, model id), so a resumed run is the search run
+again from its seed.
 
 A model inside the resumable prefix of the published trails
 (:func:`rebuild_search_state`) takes its outcome from its record instead
@@ -12,9 +13,10 @@ of being evaluated: the orchestrator's breed hook calls
 :func:`individual_from_record` once the surrogate allocator has scored
 the candidate, and the candidate then takes the path a zero-budget skip
 takes — it reaches no evaluator and commits like a live model.  At that
-commit its published record is kept as it is, and the record primes the
-evaluation cache and feeds the allocator exactly where the live run's
-evaluation did.  Models past the prefix are evaluated as they were.
+commit its published record and file are kept as they are, and the
+record primes the evaluation cache and feeds the allocator exactly where
+the live run's evaluation did.  Models past the prefix are evaluated and
+written as they were.
 
 A commons this seed does not reproduce fails loudly: the fill refuses a
 record whose genome, or whose surrogate decisions as recomputed here,
@@ -144,11 +146,11 @@ def rebuild_search_state(
 
 
 def resume_workflow(commons: DataCommons, run_id: str):
-    """Continue a published (possibly partial) run to completion.
+    """Continue a run in the commons (a killed one, or a complete one) to completion.
 
     Returns a fresh :class:`~repro.workflow.orchestrator.WorkflowResult`
-    covering the whole run, and republishes the completed record trails
-    under the same run id.
+    covering the whole run; the run's directory is completed in place
+    and listed in the manifest.
     """
     from repro.workflow.interfaces import WorkflowConfig
     from repro.workflow.orchestrator import A4NNOrchestrator

@@ -8,7 +8,10 @@ and every placement ``(model_id, gpu, start, finish)``, floats as
 written at the parent of the change that replaced ``GpuPool`` and
 ``schedule_run`` with :func:`~repro.scheduler.fifo_schedule`, so the
 barrier numbers of the one schedule function are byte-compared against
-the scheduler it replaced.  The searches are defined once, in
+the scheduler it replaced; it was re-pinned once when the engine's
+measured in-situ seconds left the simulated schedule (the report lost
+its ``engine_overhead_seconds`` field, and the placements their
+stand-in overhead).  The searches are defined once, in
 ``tests/test_walltime.py::walltime_barrier``.
 """
 

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import render_run_report, write_run_report
 from repro.lineage import DataCommons
 
-from tests.test_lineage import small_tracked_run
+from tests.test_lineage import publish, small_tracked_run
 from repro.lineage.records import RunRecord
 
 
@@ -13,7 +13,8 @@ from repro.lineage.records import RunRecord
 def published_commons(tmp_path):
     _, tracker = small_tracked_run()
     commons = DataCommons(tmp_path)
-    commons.publish_run(
+    publish(
+        commons,
         RunRecord(
             run_id="report_run",
             intensity="medium",
@@ -21,7 +22,7 @@ def published_commons(tmp_path):
             engine_parameters={"function": "exp3"},
             notes="test run",
         ),
-        tracker,
+        tracker.all_records(),
     )
     return commons
 

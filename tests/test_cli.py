@@ -180,6 +180,15 @@ class TestConfigCommand:
             ({"nas": 5}, "nas must be a JSON object, got int"),
             ({"faults": 3}, "faults must be a JSON object, got int"),
             ({"engine": "x"}, "engine must be a JSON object, got str"),
+            # a leaf value of the wrong JSON type
+            ({"n_gpus": 4}, "workflow_config.n_gpus must be a list of int, got 4"),
+            (
+                {"dataset": {"intensity": 5}},
+                "dataset.intensity must be one of 'low', 'medium', 'high', got 5",
+            ),
+            ({"nas": {"population_size": "x"}}, "nas.population_size must be int, got 'x'"),
+            ({"seed": "7"}, "workflow_config.seed must be int, got '7'"),
+            ({"n_workers": 2.5}, "workflow_config.n_workers must be int, got 2.5"),
         ],
     )
     def test_bad_document_is_one_error_line(self, tmp_path, capsys, document, message):

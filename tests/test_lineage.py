@@ -46,6 +46,15 @@ def small_tracked_run(seed=0, intensity=BeamIntensity.MEDIUM):
     return search.run(), tracker
 
 
+def publish(commons, run, records):
+    """Write a hand-built run into ``commons``: each record, then the run."""
+    records = list(records)
+    commons.start_run(run)
+    for record in records:
+        commons.write_model(run.run_id, record)
+    commons.publish_run(run, records)
+
+
 class TestRecords:
     def test_epoch_record_round_trip(self):
         record = EpochRecord(epoch=3, validation_accuracy=88.5, prediction=92.0)
@@ -198,7 +207,7 @@ class TestDataCommons:
             nas_parameters={"population_size": 3},
             engine_parameters={"function": "exp3"},
         )
-        commons.publish_run(run, tracker)
+        publish(commons, run, tracker.all_records())
         assert commons.run_ids() == ["test_run"]
         loaded_run = commons.load_run("test_run")
         assert loaded_run.n_models == 6
@@ -215,18 +224,20 @@ class TestDataCommons:
         _, tracker = small_tracked_run()
         commons = DataCommons(tmp_path)
         for run_id in ("a", "b"):
-            commons.publish_run(
+            publish(
+                commons,
                 RunRecord(run_id=run_id, intensity="low", nas_parameters={}, engine_parameters=None),
-                tracker,
+                tracker.all_records(),
             )
         assert commons.run_ids() == ["a", "b"]
 
     def test_iter_all_models(self, tmp_path):
         _, tracker = small_tracked_run()
         commons = DataCommons(tmp_path)
-        commons.publish_run(
+        publish(
+            commons,
             RunRecord(run_id="x", intensity="low", nas_parameters={}, engine_parameters=None),
-            tracker,
+            tracker.all_records(),
         )
         entries = list(commons.iter_all_models())
         assert len(entries) == 6
@@ -264,7 +275,8 @@ class TestDataCommons:
         # model_100000.json sorts before model_99999.json by file name
         genome = random_genome(np.random.default_rng(0)).to_dict()
         commons = DataCommons(tmp_path)
-        commons.publish_run(
+        publish(
+            commons,
             RunRecord(run_id="big", intensity="low", nas_parameters={}, engine_parameters=None),
             [ModelRecord(model_id=i, generation=0, genome=genome) for i in (99999, 100000)],
         )
@@ -278,8 +290,9 @@ class TestDataCommons:
     def test_size_bytes_positive(self, tmp_path):
         _, tracker = small_tracked_run()
         commons = DataCommons(tmp_path)
-        commons.publish_run(
+        publish(
+            commons,
             RunRecord(run_id="x", intensity="low", nas_parameters={}, engine_parameters=None),
-            tracker,
+            tracker.all_records(),
         )
         assert commons.size_bytes() > 0

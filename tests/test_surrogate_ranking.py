@@ -570,15 +570,40 @@ def test_the_estimate_confirms_a_flag_the_true_curve_refutes():
     )
     records = [reference, probe, crashed]
     estimate = skip_report(records)
-    assert (estimate.basis, estimate.precision, estimate.n_true_losers) == ("estimate", 1.0, 2)
-    # the probe never measured a full budget; the quarantine's 0.0 stands in
-    assert (estimate.mae, estimate.n_mae) == (70.0, 1)
+    assert (estimate.basis, estimate.n_scored, estimate.n_flagged) == ("estimate", 1, 1)
+    assert (estimate.precision, estimate.n_true_losers, estimate.recall) == (1.0, 1, 1.0)
+    # the probe never measured a full budget, and the quarantine is left out
+    assert (estimate.mae, estimate.n_mae) == (None, 0)
     # true_curves draws no curve for a quarantined record
     truth = {0: np.array([60.0, 90.0]), 1: np.array([50.0, 95.0])}
     honest = skip_report(records, truth=truth)
     assert (honest.basis, honest.n_scored, honest.n_flagged) == ("true", 1, 1)
     assert (honest.precision, honest.n_true_losers, honest.recall) == (0.0, 0, None)
     assert (honest.mae, honest.n_mae) == (15.0, 1)
+
+
+def test_the_estimate_leaves_a_quarantined_record_out():
+    # a quarantined record never trained: its 0.0 is no full-budget
+    # measurement, so it is neither a true loser nor a prediction error
+    genome = {"nodes_per_phase": [2], "bits": [1, 0, 0, 0]}
+    reference = ModelRecord(model_id=0, generation=0, genome=genome, fitness=90.0, flops=100)
+    scored = ModelRecord(
+        model_id=1, generation=1, genome=genome, fitness=88.0, flops=50, predicted_fitness=85.0
+    )
+    crashed = ModelRecord(
+        model_id=2,
+        generation=1,
+        genome=genome,
+        fitness=0.0,
+        flops=300,
+        predicted_fitness=70.0,
+        skip_reason="predicted_loser",
+        quarantined=True,
+    )
+    report = skip_report([reference, scored, crashed])
+    assert (report.n_scored, report.n_flagged, report.n_true_losers) == (1, 0, 0)
+    assert (report.precision, report.recall) == (None, None)
+    assert (report.mae, report.n_mae) == (3.0, 1)
 
 
 class TestZeroBudgetPath:

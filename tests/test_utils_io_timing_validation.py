@@ -52,21 +52,6 @@ class TestAtomicJson:
         atomic_write_json(path, {"v": 2})
         assert read_json(path) == {"v": 2}
 
-
-class TestUnchangedJsonIsNotRewritten:
-    def test_same_bytes_leave_the_file_alone(self, tmp_path, monkeypatch):
-        path = atomic_write_json(tmp_path / "doc.json", {"v": [1, 2.5], "w": "x"})
-        before = path.stat()
-
-        def no_temporary(*args, **kwargs):
-            raise AssertionError("a temporary was created for an unchanged target")
-
-        monkeypatch.setattr("repro.utils.io.tempfile.mkstemp", no_temporary)
-        assert atomic_write_json(path, {"w": "x", "v": [1, 2.5]}) == path
-        after = path.stat()
-        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
-
     @pytest.mark.parametrize(
         "old", [{"v": 1}, {"v": 123456}, {}], ids=["one-byte", "longer-target", "shorter-target"]
     )
@@ -87,18 +72,6 @@ class TestUnchangedJsonIsNotRewritten:
         assert read_json(path) == {"v": 2}
         assert path.stat().st_ino != old_inode
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
-
-    def test_unreadable_target_is_written(self, tmp_path, monkeypatch):
-        path = atomic_write_json(tmp_path / "doc.json", {"v": 1})
-        inode = path.stat().st_ino
-
-        def denied(self):
-            raise PermissionError(13, "Permission denied", str(self))
-
-        monkeypatch.setattr(Path, "read_bytes", denied)
-        atomic_write_json(path, {"v": 1})
-        monkeypatch.undo()
-        assert path.stat().st_ino != inode and read_json(path) == {"v": 1}
 
 
 class TestAtomicNpz:

@@ -1,9 +1,17 @@
 """Tests for resuming interrupted searches from the commons."""
 
 import dataclasses
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.core.engine import EngineConfig
 from repro.lineage import DataCommons
 from repro.lineage import commons as commons_module
 from repro.nas.genome import Genome
@@ -315,12 +323,11 @@ class TestResumeSteadyWorkflow:
 
     def test_republish_writes_only_the_models_it_ran(self, tmp_path, monkeypatch):
         # the restored records are kept as published, so their files are
-        # neither encoded nor read again; an earlier publish's extra file goes
+        # neither encoded nor read again
         commons, run_id, full = publish_tick_prefix(tmp_path, keep_ticks=4, seed=37)
         models = commons.root / "runs" / run_id / "models"
         restored = sorted(models.glob("model_*.json"))
         assert len(restored) == 4
-        atomic_write_json(models / "model_00099.json", dict(read_json(restored[0]), model_id=99))
 
         def state(path):
             stat = path.stat()
@@ -343,7 +350,6 @@ class TestResumeSteadyWorkflow:
             f"runs/{run_id}/run.json",
         ]
         assert {path: state(path) for path in restored} == before
-        assert not (models / "model_00099.json").exists()
 
     def test_resume_verifies_against_replay(self, tmp_path):
         from repro.lineage import verify_run
@@ -395,3 +401,142 @@ class TestResumeIsTheLiveRun:
         atomic_write_json(path, document)
         with pytest.raises(ValueError, match="model 1: genome"):
             resume_workflow(commons, run_id)
+
+
+#: a run that SIGKILLs itself once ``kill_after`` models have committed;
+#: argv: config document, kill_after, commons directory.  It prints its
+#: worker processes' pids first, so the test can see them go.
+_KILLED_RUN = """
+import json, os, signal, sys
+from repro.workflow import WorkflowConfig, run_workflow
+from repro.workflow.orchestrator import A4NNOrchestrator
+
+config = WorkflowConfig.from_dict(json.loads(sys.argv[1]))
+kill_after = int(sys.argv[2])
+commit = A4NNOrchestrator._on_individual
+committed = []
+
+def on_individual(self, individual):
+    commit(self, individual)
+    committed.append(individual.model_id)
+    if len(committed) == kill_after:
+        workers = self.pool._workers if self.pool is not None else []
+        print(json.dumps([w.process.pid for w in workers if w is not None]), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+A4NNOrchestrator._on_individual = on_individual
+run_workflow(config, commons_path=sys.argv[3])
+"""
+
+#: (evolution, backend, n_workers, kill_after); the population is 4, so
+#: the last run dies inside the initial population
+KILLS = [
+    ("barrier", "thread", 1, 6),
+    ("steady", "thread", 1, 9),
+    ("barrier", "process", 2, 11),
+    ("steady", "process", 2, 5),
+    ("steady", "process", 2, 2),
+]
+
+
+def kill_config(evolution, backend="thread", n_workers=1):
+    """A 16-model surrogate search; the steady lag is pinned so every backend breeds alike."""
+    return WorkflowConfig(
+        nas=NSGANetConfig(
+            population_size=4,
+            offspring_per_generation=4,
+            generations=4,
+            max_epochs=8,
+            evolution=evolution,
+            steady_lag=2 if evolution == "steady" else None,
+        ),
+        engine=EngineConfig(e_pred=8, tolerance=1.0),
+        mode="surrogate",
+        n_gpus=(1,),
+        seed=17,
+        run_id="killed",
+        backend=backend,
+        n_workers=n_workers,
+    )
+
+
+def exited(pid):
+    """Whether process ``pid`` is gone (a zombie nobody reaped counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+@pytest.fixture(scope="module")
+def killed_runs(tmp_path_factory):
+    """Every run of KILLS, killed side by side: kill -> (commons, worker pids)."""
+    import repro
+
+    source = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    started = {}
+    for kill in KILLS:
+        commons = tmp_path_factory.mktemp("killed")
+        document = json.dumps(kill_config(*kill[:3]).to_dict())
+        started[kill] = commons, subprocess.Popen(
+            [sys.executable, "-c", _KILLED_RUN, document, str(kill[3]), str(commons)],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+    runs = {}
+    for kill, (commons, process) in started.items():
+        out, _ = process.communicate(timeout=60)
+        assert process.returncode == -signal.SIGKILL, (kill, process.returncode)
+        runs[kill] = DataCommons(commons), json.loads(out)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    """The trails each evolution mode's run publishes when nobody kills it."""
+    return {evolution: run_workflow(kill_config(evolution)) for evolution in ("barrier", "steady")}
+
+
+class TestKilledRunResumes:
+    """A SIGKILLed run leaves every committed trail, and resumes to the whole run."""
+
+    def test_a_run_killed_before_its_first_commit_has_nothing_to_resume(self, tmp_path):
+        from repro.lineage.records import RunRecord
+
+        commons = DataCommons(tmp_path)
+        # all such a run leaves: run.json with the stored config
+        commons.start_run(
+            RunRecord(
+                run_id="killed",
+                intensity="medium",
+                nas_parameters={},
+                engine_parameters=None,
+                workflow_config=kill_config("steady").to_dict(),
+            )
+        )
+        assert commons.load_models("killed") == []
+        with pytest.raises(ValueError, match="initial population incomplete"):
+            resume_workflow(commons, "killed")
+
+    @pytest.mark.parametrize("kill", KILLS, ids=["-".join(map(str, k)) for k in KILLS])
+    def test_killed_run_resumes_to_the_uninterrupted_trails(self, killed_runs, uninterrupted, kill):
+        evolution, backend, n_workers, kill_after = kill
+        commons, workers = killed_runs[kill]
+        assert len(workers) == (n_workers if backend == "process" else 0)
+        deadline = time.monotonic() + 10
+        while not all(map(exited, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert all(map(exited, workers)), "a worker outlived the killed run"
+        # the committed trails are on disk, in a run the manifest does not list
+        models = commons.root / "runs" / "killed" / "models"
+        assert len(list(models.glob("model_*.json"))) == kill_after
+        assert commons.run_ids() == []
+        if kill_after < 4:
+            with pytest.raises(ValueError, match="initial population incomplete"):
+                resume_workflow(commons, "killed")
+            return
+        resumed = assert_resumes_to(commons, "killed", uninterrupted[evolution])
+        assert resumed.config.backend == backend
+        assert commons.run_ids() == ["killed"]
