@@ -52,6 +52,10 @@ class TestAtomicJson:
         atomic_write_json(path, {"v": 2})
         assert read_json(path) == {"v": 2}
 
+
+class TestUnchangedJsonIsNotRewritten:
+    """A target whose bytes change is replaced through a temporary and one rename."""
+
     @pytest.mark.parametrize(
         "old", [{"v": 1}, {"v": 123456}, {}], ids=["one-byte", "longer-target", "shorter-target"]
     )
