@@ -13,12 +13,10 @@ paper's own Pandas snippet) can read it:
       runs/<run_id>/run.json
       runs/<run_id>/models/model_00042.json
 
-A run writes in situ: :meth:`~DataCommons.start_run` before its search,
-:meth:`~DataCommons.write_model` as each model commits, and
-:meth:`~DataCommons.publish_run` at the end.  A run id in the manifest
-always names a complete directory; a directory the manifest does not
-list is an incomplete run, which
-:func:`~repro.workflow.resume.resume_workflow` continues.
+A run writes in situ: ``start_run`` before its search, ``write_model`` as
+each model commits, ``publish_run`` at the end.  A run id in the manifest
+names a complete directory; an unlisted directory is an incomplete run,
+which :func:`~repro.workflow.resume.resume_workflow` continues.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from pathlib import Path
 
 from repro.lineage.records import ModelRecord, RunRecord
 from repro.utils.io import atomic_write_json, read_json
+from repro.utils.validation import ensure_plain_name
 
 __all__ = ["DataCommons"]
 
@@ -45,8 +44,7 @@ class DataCommons:
     def start_run(self, run: RunRecord) -> None:
         """Begin ``run`` afresh: drop its manifest entry, then any earlier
         directory under its id, then write its ``run.json``."""
-        if not run.run_id:
-            raise ValueError("a run needs a run id: an empty one names every run")
+        ensure_plain_name(run.run_id, "run id")  # it names the directory removed here
         manifest = self._manifest()
         if manifest["runs"].pop(run.run_id, None) is not None:
             atomic_write_json(self._manifest_path, manifest)
@@ -58,15 +56,13 @@ class DataCommons:
         path = self.root / "runs" / run_id / "models" / f"model_{record.model_id:05d}.json"
         return atomic_write_json(path, record.to_dict())
 
-    def publish_run(self, run: RunRecord, records: list[ModelRecord]) -> Path:
-        """Complete ``run`` (its model files written): totals over ``records``,
-        the final ``run.json``, then its manifest entry.  Returns the run directory."""
+    def publish_run(self, run: RunRecord, records: list[ModelRecord]) -> None:
+        """Complete ``run``, its model files written: totals, ``run.json``, manifest entry."""
         run.n_models = len(records)
         run.total_epochs_trained = sum(r.epochs_trained for r in records)
         run.total_epochs_saved = sum(r.epochs_saved for r in records)
         run.total_epochs_skipped = sum(r.epochs_skipped for r in records)
-        run_dir = self.root / "runs" / run.run_id
-        atomic_write_json(run_dir / "run.json", run.to_dict())
+        atomic_write_json(self.root / "runs" / run.run_id / "run.json", run.to_dict())
         manifest = self._manifest()
         manifest["runs"][run.run_id] = {
             "intensity": run.intensity,
@@ -76,7 +72,6 @@ class DataCommons:
             "total_epochs_skipped": run.total_epochs_skipped,
         }
         atomic_write_json(self._manifest_path, manifest)
-        return run_dir
 
     def _manifest(self) -> dict:
         manifest = read_json(self._manifest_path) if self._manifest_path.exists() else {}

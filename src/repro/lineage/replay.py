@@ -23,6 +23,9 @@ from repro.utils.validation import ValidationError
 
 __all__ = ["ReplayReport", "replay_run", "verify_run"]
 
+#: Record fields whose values are wall-clock measurements (never stable).
+_MEASURED_FIELDS = ("engine_overhead_seconds",)
+
 #: Fields compared per model during verification.
 _VERIFIED_FIELDS = (
     "model_id",
@@ -62,12 +65,16 @@ class ReplayReport:
     mismatches:
         ``(model_id, field, published, replayed)`` tuples, truncated to
         the first 20.
+    mode:
+        The run's evaluation mode (real-mode epoch timings are expected
+        to differ and are not compared).
     """
 
     run_id: str
     n_models: int
     matches: bool
     mismatches: list = field(default_factory=list)
+    mode: str = "surrogate"
 
     def summary(self) -> str:
         verdict = "REPRODUCED" if self.matches else "DIVERGED"
@@ -123,13 +130,16 @@ def _compare_models(
 
 def verify_run(commons: DataCommons, run_id: str) -> ReplayReport:
     """Replay a run and diff its record trails against the published ones."""
+    run = commons.load_run(run_id)
     published = commons.load_models(run_id)
     result = replay_run(commons, run_id)
     replayed = result.tracker.all_records()
     mismatches = _compare_models(published, replayed)
+    mode = (run.workflow_config or {}).get("mode", "surrogate")
     return ReplayReport(
         run_id=run_id,
         n_models=len(published),
         matches=not mismatches,
         mismatches=mismatches,
+        mode=mode,
     )

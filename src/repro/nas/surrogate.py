@@ -48,7 +48,7 @@ from repro.nas.genome import Genome, PhaseGenome, n_connection_bits
 from repro.nas.population import Individual
 from repro.scheduler.costmodel import EpochCostModel
 from repro.utils.rng import RngStream
-from repro.utils.validation import ValidationError, load_fields
+from repro.utils.validation import ValidationError
 from repro.xfel.intensity import BeamIntensity
 
 __all__ = [
@@ -407,10 +407,6 @@ class SurrogateConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SurrogateConfig":
-        return cls(**load_fields(payload, cls, "surrogate"))
 
 
 class FitnessPredictor:

@@ -45,7 +45,7 @@ from repro.nas.population import Individual
 from repro.tooling.sanitizer import NumericalFault
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
-from repro.utils.validation import ValidationError, load_fields
+from repro.utils.validation import ValidationError
 
 __all__ = [
     "QUARANTINE_FITNESS",
@@ -178,10 +178,6 @@ class FaultPolicy:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPolicy":
-        return cls(**load_fields(payload, cls, "faults"))
-
 
 @dataclass(frozen=True)
 class FaultInjectionConfig:
@@ -224,10 +220,6 @@ class FaultInjectionConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "modes": list(self.modes)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultInjectionConfig":
-        return cls(**load_fields(payload, cls, "fault_injection"))
 
 
 class FaultInjectingEvaluator:

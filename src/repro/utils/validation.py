@@ -11,6 +11,7 @@ import dataclasses
 import enum
 import math
 import typing
+from pathlib import PurePath
 
 __all__ = [
     "ValidationError",
@@ -20,6 +21,7 @@ __all__ = [
     "ensure_in_range",
     "ensure_probability",
     "ensure_finite",
+    "ensure_plain_name",
 ]
 
 
@@ -124,4 +126,11 @@ def ensure_finite(value: float, name: str) -> float:
     """Require a finite float (no NaN/inf)."""
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def ensure_plain_name(value: str, name: str) -> str:
+    """Require one path component: not ``''``, ``'.'``, ``'..'`` or a path."""
+    if value in ("", "..") or PurePath(value).name != value:
+        raise ValidationError(f"{name} must be one plain directory name, got {value!r}")
     return value

@@ -16,7 +16,7 @@ from repro.core.engine import EngineConfig
 from repro.nas.search import NSGANetConfig
 from repro.nas.surrogate import SurrogateConfig
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
-from repro.utils.validation import ValidationError, load_fields
+from repro.utils.validation import ValidationError, ensure_plain_name, load_fields
 from repro.xfel.dataset import DatasetConfig
 from repro.xfel.intensity import BeamIntensity
 
@@ -53,7 +53,7 @@ class WorkflowConfig:
     seed:
         Root seed; the whole run is reproducible from it.
     run_id:
-        Commons identifier; auto-derived when empty.
+        Commons identifier (one directory name); derived when empty.
     n_workers:
         Concurrent evaluations per generation (1 = serial).  It also pins
         the default steady lag.  On the thread backend it does nothing
@@ -147,6 +147,7 @@ class WorkflowConfig:
             )
         if self.mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        ensure_plain_name(self.resolved_run_id(), "run_id")
         if not self.n_gpus or any(int(n) < 1 for n in self.n_gpus):
             raise ValidationError(f"n_gpus must be positive pool sizes, got {self.n_gpus}")
         if self.engine is not None and self.engine.e_pred != self.nas.max_epochs:

@@ -207,12 +207,11 @@ class A4NNOrchestrator:
     def _on_individual(self, individual) -> None:
         """Commit hook: lineage first, then the surrogate refit.
 
-        A live model's record is written to the commons now.  A restored
-        model keeps its published record and file as they are; it primes
-        the eval cache here, where a live evaluation's outcome is
-        published (the stream's ``on_commit`` has just run).  Faulted or
-        quarantined records never prime — the same rule as live.  Either
-        way the individual's trace has been read, and is let go.
+        A live model's record is written to the commons; a restored one
+        keeps its record and file and primes the eval cache here, where a
+        live outcome is published (the stream's ``on_commit`` has run).
+        Faulted or quarantined records never prime — the same rule as
+        live.  Either way the individual's trace has been read, and is let go.
         """
         if individual.model_id not in self._resumed:
             record = self._tracker.observe_individual(individual)
@@ -307,16 +306,10 @@ class A4NNOrchestrator:
 
     # -- execution ----------------------------------------------------------------
 
-    def _search(self, restored=(), run_id: str | None = None) -> WorkflowResult:
-        """Search → wall-time accounting → publish.
-
-        A fresh run begins its commons directory before the search.
-        ``restored`` (resume) are published records: their models take
-        the recorded outcome instead of an evaluation, their files count
-        as written, and the tracker starts from their trails.
-        """
+    def new_tracker(self) -> LineageTracker:
+        """An empty lineage tracker carrying this run's shared parameters."""
         config = self.config
-        tracker = self._tracker = LineageTracker(
+        return LineageTracker(
             engine_parameters=PredictionEngine(config.engine).describe()
             if config.engine is not None
             else None,
@@ -327,12 +320,20 @@ class A4NNOrchestrator:
                 "max_epochs": config.nas.max_epochs,
             },
         )
+
+    def _search(self, restored=(), run_id: str | None = None) -> WorkflowResult:
+        """Search → wall-time accounting → publish.
+
+        ``restored`` (resume) are published records: their models take
+        the recorded outcome instead of an evaluation, their files count
+        as written, and the tracker starts from their trails.
+        """
+        config = self.config
+        tracker = self._tracker = self.new_tracker()
         self._resumed = {r.model_id: r for r in restored}
         tracker.records.update(self._resumed)
         self._run_id = run_id or config.resolved_run_id()
         self._written = set(self._resumed)
-        if self.commons is not None and not restored:
-            self.commons.start_run(self._run_record())
         evaluator = self.build_evaluator()
         nas = self.effective_nas()
         _LOG.info(
@@ -351,6 +352,9 @@ class A4NNOrchestrator:
                 on_candidate=self._on_candidate,
                 stream=self.build_stream(evaluator),
             )
+            if self.commons is not None and not restored:
+                # only now: a run that cannot start leaves the earlier one
+                self.commons.start_run(self._run_record())
             result = search.run()
         finally:
             self.close_pool()
@@ -390,11 +394,8 @@ class A4NNOrchestrator:
         self._written.add(record.model_id)
 
     def publish(self, result: WorkflowResult) -> None:
-        """Complete the run in the data commons: every record not written yet, then the run.
-
-        An orchestrator given its commons only after the run begins the
-        run's directory here, and writes every record.
-        """
+        """Complete the run in the commons: the records not written yet (all of
+        them if the commons came after the run), then the run and manifest."""
         if self.commons is None:
             raise RuntimeError("orchestrator was built without a data commons")
         if not self._written:

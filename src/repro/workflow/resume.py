@@ -2,10 +2,9 @@
 
 A paper-scale NAS run takes tens of (simulated) hours; real deployments
 get pre-empted.  Every record trail lands in the commons as its model
-commits, so a killed run leaves its committed trails behind; and every
-stochastic draw in the search derives from the root seed plus stable
-keys (generation number, model id), so a resumed run is the search run
-again from its seed.
+commits, so a killed run leaves its trails behind, and every stochastic
+draw derives from the root seed plus stable keys (generation number,
+model id), so a resumed run is the search run again from its seed.
 
 A model inside the resumable prefix of the published trails
 (:func:`rebuild_search_state`) takes its outcome from its record instead

@@ -189,6 +189,11 @@ class TestConfigCommand:
             ({"nas": {"population_size": "x"}}, "nas.population_size must be int, got 'x'"),
             ({"seed": "7"}, "workflow_config.seed must be int, got '7'"),
             ({"n_workers": 2.5}, "workflow_config.n_workers must be int, got 2.5"),
+            # a run id names a directory the run removes and rewrites
+            ({"run_id": "."}, "run_id must be one plain directory name, got '.'"),
+            ({"run_id": ".."}, "run_id must be one plain directory name, got '..'"),
+            ({"run_id": "../x"}, "run_id must be one plain directory name, got '../x'"),
+            ({"run_id": "/tmp"}, "run_id must be one plain directory name, got '/tmp'"),
         ],
     )
     def test_bad_document_is_one_error_line(self, tmp_path, capsys, document, message):

@@ -79,7 +79,8 @@ class TestFaultPolicy:
     def test_defaults_and_roundtrip(self):
         policy = FaultPolicy(max_retries=3, timeout_seconds=2.0)
         assert policy.to_dict() == {"max_retries": 3, "timeout_seconds": 2.0}
-        assert FaultPolicy.from_dict(policy.to_dict()) == policy
+        config = WorkflowConfig(faults=policy, backend="process")
+        assert WorkflowConfig.from_dict(config.to_dict()).faults == policy
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -93,7 +94,8 @@ class TestFaultPolicy:
         with pytest.raises(ValidationError):
             FaultInjectionConfig(rate=0.1, modes=("crash", "explode"))
         cfg = FaultInjectionConfig(rate=0.2, modes=("crash",))
-        assert FaultInjectionConfig.from_dict(cfg.to_dict()) == cfg
+        config = WorkflowConfig(faults=FaultPolicy(), fault_injection=cfg)
+        assert WorkflowConfig.from_dict(config.to_dict()).fault_injection == cfg
 
 
 class TestInlineFaultRouting:

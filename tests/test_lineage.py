@@ -18,6 +18,7 @@ from repro.lineage import (
 )
 from repro.nas import Individual, NSGANet, NSGANetConfig, SurrogateEvaluator, random_genome
 from repro.utils.rng import RngStream
+from repro.utils.validation import ValidationError
 from repro.xfel import BeamIntensity
 
 
@@ -270,6 +271,24 @@ class TestDataCommons:
         assert [m.fitness for m in models] == [
             r.fitness for r in second.tracker.all_records()
         ]
+
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "../..", "a/b"])
+    def test_run_id_that_is_not_one_directory_name_is_refused(self, tmp_path, run_id):
+        # a fresh start removes runs/<run id>: '.' would be every run, '..'
+        # the whole commons
+        _, tracker = small_tracked_run()
+        commons = DataCommons(tmp_path / "commons")
+        publish(
+            commons,
+            RunRecord(run_id="kept", intensity="low", nas_parameters={}, engine_parameters=None),
+            tracker.all_records(),
+        )
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        run = RunRecord(run_id=run_id, intensity="low", nas_parameters={}, engine_parameters=None)
+        with pytest.raises(ValidationError, match="one plain directory name"):
+            commons.start_run(run)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert commons.run_ids() == ["kept"]
 
     def test_models_load_in_model_id_order_past_five_digits(self, tmp_path):
         # model_100000.json sorts before model_99999.json by file name

@@ -199,7 +199,8 @@ class TestSurrogateConfig:
 
     def test_roundtrip(self):
         config = SurrogateConfig(probe_epochs=0, band=1.5, explore_every=9)
-        assert SurrogateConfig.from_dict(config.to_dict()) == config
+        document = WorkflowConfig(surrogate=config).to_dict()
+        assert WorkflowConfig.from_dict(document).surrogate == config
 
 
 class TestBudgetAllocator:

@@ -214,6 +214,22 @@ class TestResumeWorkflow:
         with pytest.raises(ValueError, match="no stored configuration"):
             resume_workflow(commons, "legacy")
 
+    def test_a_run_that_cannot_start_leaves_the_earlier_run(self, tmp_path, monkeypatch):
+        # the directory is begun afresh only once the search can start
+        from repro.workflow.orchestrator import A4NNOrchestrator
+
+        full = run_workflow(small_config(seed=39), commons_path=tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        def no_pool(self, evaluator):
+            raise RuntimeError("no worker pool")
+
+        monkeypatch.setattr(A4NNOrchestrator, "build_stream", no_pool)
+        with pytest.raises(RuntimeError, match="no worker pool"):
+            run_workflow(small_config(seed=39), commons_path=tmp_path)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert DataCommons(tmp_path).run_ids() == [full.run_id]
+
     def test_resume_of_complete_run_is_noop(self, tmp_path):
         # edge case: nothing left to do — the resumed result must cover
         # the whole run without re-evaluating anything
