@@ -17,7 +17,6 @@ from collections import Counter
 import numpy as np
 
 from repro.analysis import (
-    CommonsQuery,
     ascii_curve,
     bit_frequency_profile,
     describe_curve,
@@ -25,6 +24,7 @@ from repro.analysis import (
     prediction_error_summary,
     sparkline,
     termination_histogram,
+    top_by_fitness,
 )
 from repro.experiments import paper_config
 from repro.lineage import DataCommons
@@ -66,8 +66,7 @@ def main() -> None:
     )
 
     # -- structural fingerprint ----------------------------------------------
-    query = CommonsQuery(records)
-    top = query.top_by_fitness(10)
+    top = top_by_fitness(records, 10)
     profile_top = bit_frequency_profile(top)
     profile_all = bit_frequency_profile(records)
     print("genome bit frequency, top-10 models vs all:")

@@ -14,7 +14,7 @@ Run:  python examples/paper_scale_search.py [commons_dir]
 import sys
 import tempfile
 
-from repro.analysis import CommonsQuery
+from repro.analysis import top_by_fitness
 from repro.experiments import paper_config
 from repro.lineage import DataCommons
 from repro.workflow import run_comparison
@@ -58,9 +58,9 @@ def main() -> None:
 
     commons = DataCommons(commons_dir)
     print(f"published runs: {len(commons.run_ids())}, commons size {commons.size_bytes() / 1e6:.1f} MB")
-    query = CommonsQuery.from_commons(commons, commons.run_ids()[0])
-    print(f"example query — top 3 models of {commons.run_ids()[0]}:")
-    for record in query.top_by_fitness(3):
+    run_id = commons.run_ids()[0]
+    print(f"example query — top 3 models of {run_id}:")
+    for record in top_by_fitness(commons.load_models(run_id), 3):
         print(
             f"  model {record.model_id:3d}: {record.fitness:.2f}% "
             f"({record.epochs_trained} epochs, early={record.terminated_early})"

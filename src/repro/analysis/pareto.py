@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.nas.nsga2 import pareto_front_mask
 
-__all__ = ["ParetoPoint", "pareto_frontier", "hypervolume_2d", "frontier_table"]
+__all__ = ["ParetoPoint", "pareto_frontier", "hypervolume_2d"]
 
 
 class ParetoPoint:
@@ -93,10 +93,3 @@ def hypervolume_2d(
         volume += width * max(best_so_far - ref_fitness, 0.0)
     return volume
 
-
-def frontier_table(points: list[ParetoPoint]) -> str:
-    """Render a frontier as the text table the benchmarks print."""
-    lines = [f"{'model':>6} {'accuracy %':>11} {'MFLOPs':>10}"]
-    for p in points:
-        lines.append(f"{p.model_id:>6} {p.fitness:>11.2f} {p.flops / 1e6:>10.2f}")
-    return "\n".join(lines)

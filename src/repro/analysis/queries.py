@@ -1,27 +1,25 @@
-"""Query interface over the data commons.
+"""Queries over record trails.
 
 The paper ships its commons with "a Python script demonstrating how to
 load the data into a Pandas DataFrame and calculate metrics of
-interest".  This module is that capability as a library: tabular export
-(list-of-dicts / structured numpy), attribute filters, and the summary
-metrics the paper mentions (mean accuracy, learning-rate-style gain per
-epoch).
+interest".  These are those metrics as plain functions over a list of
+records: the best models, the mean fitness, the surrogate predictor's
+training set, and how well its skips matched the run's outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from repro.lineage.commons import DataCommons
 from repro.lineage.records import ModelRecord
 from repro.nas.genome import Genome
 
 __all__ = [
-    "CommonsQuery",
-    "records_to_table",
+    "top_by_fitness",
+    "mean_fitness",
     "TrainingMatrix",
     "training_matrix",
     "SkipReport",
@@ -29,33 +27,18 @@ __all__ = [
 ]
 
 
-def records_to_table(records: Iterable[ModelRecord]) -> list[dict]:
-    """Flatten record trails into analysis-friendly rows."""
-    rows = []
-    for r in records:
-        history = np.asarray(r.fitness_history, dtype=float)
-        gain_per_epoch = (
-            float((history[-1] - history[0]) / max(len(history) - 1, 1))
-            if history.size >= 2
-            else 0.0
-        )
-        rows.append(
-            {
-                "model_id": r.model_id,
-                "generation": r.generation,
-                "fitness": r.fitness,
-                "measured_fitness": r.measured_fitness,
-                "flops": r.flops,
-                "epochs_trained": r.epochs_trained,
-                "epochs_saved": r.epochs_saved,
-                "terminated_early": r.terminated_early,
-                "mean_accuracy": float(history.mean()) if history.size else None,
-                "gain_per_epoch": gain_per_epoch,
-                "n_predictions": len(r.prediction_history),
-                "genome_bits": "".join(str(b) for b in r.genome["bits"]),
-            }
-        )
-    return rows
+def top_by_fitness(records: Iterable[ModelRecord], k: int) -> list[ModelRecord]:
+    """The ``k`` highest-fitness records (record order among ties)."""
+    scored = [r for r in records if r.fitness is not None]
+    return sorted(scored, key=lambda r: -r.fitness)[:k]
+
+
+def mean_fitness(records: Iterable[ModelRecord]) -> float:
+    """Mean fitness over the evaluated records."""
+    values = [r.fitness for r in records if r.fitness is not None]
+    if not values:
+        raise ValueError("no evaluated records")
+    return float(np.mean(values))
 
 
 @dataclass(frozen=True)
@@ -211,61 +194,3 @@ def skip_report(records: Iterable[ModelRecord], *, truth: dict | None = None) ->
         basis="estimate" if truth is None else "true",
     )
 
-
-class CommonsQuery:
-    """Fluent filters over one run's (or the whole commons') records.
-
-    >>> q = CommonsQuery.from_commons(commons, run_id)
-    >>> best = q.where(lambda r: r.terminated_early).top_by_fitness(5)
-    """
-
-    def __init__(self, records: Iterable[ModelRecord]) -> None:
-        self.records = list(records)
-
-    @classmethod
-    def from_commons(cls, commons: DataCommons, run_id: str | None = None) -> "CommonsQuery":
-        """All records of one run, or of every run when ``run_id`` is None."""
-        if run_id is not None:
-            return cls(commons.load_models(run_id))
-        return cls(record for _, record in commons.iter_all_models())
-
-    def where(self, predicate: Callable[[ModelRecord], bool]) -> "CommonsQuery":
-        """Keep records satisfying ``predicate``."""
-        return CommonsQuery([r for r in self.records if predicate(r)])
-
-    def terminated_early(self) -> "CommonsQuery":
-        return self.where(lambda r: r.terminated_early)
-
-    def in_generation(self, generation: int) -> "CommonsQuery":
-        return self.where(lambda r: r.generation == generation)
-
-    def fitness_at_least(self, threshold: float) -> "CommonsQuery":
-        return self.where(lambda r: r.fitness is not None and r.fitness >= threshold)
-
-    def top_by_fitness(self, k: int) -> list[ModelRecord]:
-        """The ``k`` highest-fitness records."""
-        scored = [r for r in self.records if r.fitness is not None]
-        return sorted(scored, key=lambda r: -r.fitness)[:k]
-
-    def table(self) -> list[dict]:
-        """Flattened rows (see :func:`records_to_table`)."""
-        return records_to_table(self.records)
-
-    # -- aggregate metrics ------------------------------------------------------
-
-    def mean_fitness(self) -> float:
-        values = [r.fitness for r in self.records if r.fitness is not None]
-        if not values:
-            raise ValueError("no evaluated records in query")
-        return float(np.mean(values))
-
-    def mean_epochs_trained(self) -> float:
-        if not self.records:
-            raise ValueError("no records in query")
-        return float(np.mean([r.epochs_trained for r in self.records]))
-
-    def total_epochs_saved(self) -> int:
-        return sum(r.epochs_saved for r in self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)

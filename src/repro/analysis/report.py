@@ -1,21 +1,21 @@
-"""Markdown report generation over a data commons (Jupyter substitute).
+"""The run view: one Markdown document per run, read from its record files.
 
-The paper's Analyzer is a Jupyter notebook; offline, this module renders
-the same analyses — run summary, termination statistics, Pareto
+The paper's Analyzer is a Jupyter notebook reading the record trails the
+lineage tracker writes into the commons *in situ*; offline, this module
+renders the same analyses — run summary, termination statistics, Pareto
 frontier, prediction quality, curve gallery, structural fingerprints —
-into a single self-contained Markdown document per run.
+from whatever model files a run has, so a live or killed run reads as
+well as a published one.  ``a4nn analyze`` prints it.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.curves import termination_histogram
 from repro.analysis.pareto import pareto_frontier
 from repro.analysis.progress import search_progress
-from repro.analysis.queries import CommonsQuery
+from repro.analysis.queries import mean_fitness, top_by_fitness
 from repro.analysis.stats import (
     bit_frequency_profile,
     flops_accuracy_correlation,
@@ -24,7 +24,7 @@ from repro.analysis.stats import (
 from repro.analysis.viz import sparkline
 from repro.lineage.commons import DataCommons
 
-__all__ = ["render_run_report", "write_run_report"]
+__all__ = ["render_run_report"]
 
 
 def _table(headers: list[str], rows: list[list]) -> str:
@@ -38,12 +38,18 @@ def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> s
     """Render one run's full analysis as Markdown text."""
     run = commons.load_run(run_id)
     records = commons.load_models(run_id)
-    query = CommonsQuery(records)
+    complete = run_id in commons.run_ids()
+    committed = len(records)
+    if not complete and run.workflow_config is not None:
+        from repro.workflow.interfaces import WorkflowConfig
+
+        total = WorkflowConfig.from_dict(run.workflow_config).nas.total_evaluations
+        committed = f"{committed} of {total}"
     max_epochs = max((r.max_epochs for r in records), default=25) or 25
 
     sections: list[str] = [f"# Run report: `{run_id}`", ""]
 
-    # -- run summary ----------------------------------------------------------
+    # -- run summary, summed over the record files ----------------------------
     sections += [
         "## Summary",
         "",
@@ -51,15 +57,26 @@ def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> s
             ["field", "value"],
             [
                 ["beam intensity", run.intensity],
-                ["models evaluated", run.n_models],
-                ["epochs trained", run.total_epochs_trained],
-                ["epochs saved", run.total_epochs_saved],
-                ["mean fitness", f"{query.mean_fitness():.2f}%"],
+                ["models evaluated", committed],
+                ["epochs trained", sum(r.epochs_trained for r in records)],
+                ["epochs saved", sum(r.epochs_saved for r in records)],
+                ["epochs skipped", sum(r.epochs_skipped for r in records)],
+                ["quarantined models", sum(r.quarantined for r in records)],
+                ["cache hits", sum(r.cache_hit for r in records)],
+                ["mean fitness", f"{mean_fitness(records):.2f}%" if records else "n/a"],
                 ["notes", run.notes or "-"],
+                [
+                    "status",
+                    "complete"
+                    if complete
+                    else "incomplete: in progress or killed; `resume_workflow` continues it",
+                ],
             ],
         ),
         "",
     ]
+    if not records:
+        return "\n".join(sections)
 
     # -- termination statistics -------------------------------------------------
     summary = termination_histogram(records, max_epochs=max_epochs)
@@ -118,7 +135,7 @@ def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> s
 
     # -- top models with curve gallery -------------------------------------------------
     rows = []
-    for record in query.top_by_fitness(top_k):
+    for record in top_by_fitness(records, top_k):
         rows.append(
             [
                 record.model_id,
@@ -154,7 +171,7 @@ def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> s
     ]
 
     # -- structural fingerprint -----------------------------------------------------------
-    top = query.top_by_fitness(max(top_k, 3))
+    top = top_by_fitness(records, max(top_k, 3))
     profile_top = bit_frequency_profile(top)
     profile_all = bit_frequency_profile(records)
     enriched = int(np.argmax(profile_top - profile_all))
@@ -169,12 +186,3 @@ def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> s
 
     return "\n".join(sections)
 
-
-def write_run_report(
-    commons: DataCommons, run_id: str, path: str | Path, *, top_k: int = 5
-) -> Path:
-    """Render and write the Markdown report; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_run_report(commons, run_id, top_k=top_k), encoding="utf-8")
-    return path

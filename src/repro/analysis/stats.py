@@ -18,7 +18,6 @@ from repro.nas.genome import Genome
 __all__ = [
     "CorrelationResult",
     "flops_accuracy_correlation",
-    "structural_similarity",
     "bit_frequency_profile",
     "prediction_error_summary",
 ]
@@ -62,14 +61,6 @@ def flops_accuracy_correlation(records: list[ModelRecord]) -> CorrelationResult:
 
 def _bits(record: ModelRecord) -> np.ndarray:
     return np.asarray(Genome.from_dict(record.genome).to_bits(), dtype=int)
-
-
-def structural_similarity(a: ModelRecord, b: ModelRecord) -> float:
-    """Genome similarity in [0, 1]: 1 − normalized Hamming distance."""
-    bits_a, bits_b = _bits(a), _bits(b)
-    if bits_a.shape != bits_b.shape:
-        raise ValueError("genomes have different layouts")
-    return float(np.mean(bits_a == bits_b))
 
 
 def bit_frequency_profile(records: list[ModelRecord]) -> np.ndarray:

@@ -10,7 +10,7 @@ Usage::
     python -m repro run --intensity medium --mode surrogate --commons ./commons
     python -m repro compare --intensity high --seed 7
     python -m repro analyze --commons ./commons --run-id a4nn_surrogate_medium_seed42
-    python -m repro report --commons ./commons
+    python -m repro analyze --commons ./commons --output report.md
     python -m repro verify --commons ./commons
     python -m repro config --intensity low > low.json
     python -m repro run --config low.json
@@ -26,15 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis import (
-    CommonsQuery,
-    flops_accuracy_correlation,
-    pareto_frontier,
-    prediction_error_summary,
-    sparkline,
-    termination_histogram,
-    write_run_report,
-)
+from repro.analysis import render_run_report
 from repro.experiments.reporting import ReportTable
 from repro.lineage import DataCommons, verify_run
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
@@ -284,36 +276,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     commons = DataCommons(args.commons)
-    run_ids = commons.run_ids()
+    run_ids = [args.run_id] if args.run_id else commons.run_ids()
     if not run_ids:
         print(f"no runs published under {args.commons}", file=sys.stderr)
         return 1
-    run_id = args.run_id or run_ids[0]
-    records = commons.load_models(run_id)
-    query = CommonsQuery(records)
-
-    print(f"run {run_id}: {len(records)} models")
-    summary = termination_histogram(records, max_epochs=records[0].max_epochs or 25)
-    print(
-        f"terminated early  : {summary.percent_terminated:.0f}% "
-        f"(mean e_t {summary.mean_termination_epoch:.1f})"
-    )
-    print(f"mean fitness      : {query.mean_fitness():.2f}%")
-    try:
-        corr = flops_accuracy_correlation(records)
-        print(f"flops~accuracy rho: {corr.rho:+.2f} (p={corr.p_value:.3f})")
-    except ValueError as exc:
-        print(f"flops~accuracy rho: n/a ({exc})")
-    try:
-        errors = prediction_error_summary(records)
-        print(f"prediction |err|  : {errors.mean_abs_error:.2f}% mean over {errors.n} models")
-    except ValueError:
-        print("prediction |err|  : n/a (no early-terminated models)")
-    print("pareto frontier   :")
-    for point in pareto_frontier(records):
-        print(f"  model {point.model_id:4d}: {point.fitness:6.2f}%  {point.flops / 1e6:8.2f} MFLOPs")
-    best = query.top_by_fitness(1)[0]
-    print(f"best model {best.model_id} curve: {sparkline(best.fitness_history)}")
+    document = render_run_report(commons, run_ids[0])
+    if args.output is None:
+        print(document)
+        return 0
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    args.output.write_text(document, encoding="utf-8")
+    print(f"wrote {args.output}")
     return 0
 
 
@@ -329,19 +302,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(report.summary())
         all_match &= report.matches
     return 0 if all_match else 2
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    commons = DataCommons(args.commons)
-    run_ids = commons.run_ids()
-    if not run_ids:
-        print(f"no runs published under {args.commons}", file=sys.stderr)
-        return 1
-    run_id = args.run_id or run_ids[0]
-    out_path = args.output or (Path(args.commons) / f"{run_id}_report.md")
-    path = write_run_report(commons, run_id, out_path)
-    print(f"wrote {path}")
-    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -401,25 +361,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_flags(compare_parser)
     compare_parser.set_defaults(handler=_cmd_compare)
 
-    analyze_parser = subparsers.add_parser("analyze", help="analyze a data commons")
+    analyze_parser = subparsers.add_parser(
+        "analyze", help="print a run's Markdown analysis, live, killed or published"
+    )
     analyze_parser.add_argument("--commons", type=Path, required=True)
-    analyze_parser.add_argument("--run-id", help="defaults to the first published run")
+    analyze_parser.add_argument(
+        "--run-id", help="any run directory; defaults to the first published run"
+    )
+    analyze_parser.add_argument("--output", type=Path, help="write the report here (.md)")
     analyze_parser.set_defaults(handler=_cmd_analyze)
 
     verify_parser = subparsers.add_parser(
-        "verify", help="replay published runs and verify their record trails"
+        "verify", help="replay runs and verify the record trails on disk"
     )
     verify_parser.add_argument("--commons", type=Path, required=True)
-    verify_parser.add_argument("--run-id", help="defaults to every published run")
-    verify_parser.set_defaults(handler=_cmd_verify)
-
-    report_parser = subparsers.add_parser(
-        "report", help="write a Markdown analysis report for a run"
+    verify_parser.add_argument(
+        "--run-id", help="any run directory; defaults to every published run"
     )
-    report_parser.add_argument("--commons", type=Path, required=True)
-    report_parser.add_argument("--run-id", help="defaults to the first published run")
-    report_parser.add_argument("--output", type=Path, help="report path (.md)")
-    report_parser.set_defaults(handler=_cmd_report)
+    verify_parser.set_defaults(handler=_cmd_verify)
 
     config_parser = subparsers.add_parser(
         "config", help="emit a WorkflowConfig JSON document"

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.lineage.records import ModelRecord, RunRecord
 from repro.utils.io import atomic_write_json, read_json
-from repro.utils.validation import ensure_plain_name
+from repro.utils.validation import ValidationError, ensure_plain_name
 
 __all__ = ["DataCommons"]
 
@@ -81,12 +81,15 @@ class DataCommons:
     # -- reading -----------------------------------------------------------------
 
     def run_ids(self) -> list[str]:
-        """All published run ids, sorted."""
+        """All published (complete) run ids, sorted."""
         return sorted(self._manifest()["runs"])
 
     def load_run(self, run_id: str) -> RunRecord:
-        """Load one run's metadata."""
-        return RunRecord.from_dict(read_json(self.root / "runs" / run_id / "run.json"))
+        """Load one run's metadata, published or not."""
+        path = self.root / "runs" / ensure_plain_name(run_id, "run id") / "run.json"
+        if not path.is_file():
+            raise ValidationError(f"run {run_id!r} is not in the commons {self.root}")
+        return RunRecord.from_dict(read_json(path))
 
     def load_models(self, run_id: str) -> list[ModelRecord]:
         """Load every model record trail of a run, ordered by model id.
@@ -110,12 +113,6 @@ class DataCommons:
             else:
                 shared.append(parameters)
         return sorted(records, key=lambda record: record.model_id)
-
-    def iter_all_models(self):
-        """Yield ``(run_id, ModelRecord)`` over the whole commons."""
-        for run_id in self.run_ids():
-            for record in self.load_models(run_id):
-                yield run_id, record
 
     def size_bytes(self) -> int:
         """Total on-disk footprint of the commons."""

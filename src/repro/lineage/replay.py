@@ -7,10 +7,10 @@ workflow configuration, :func:`replay_run` re-executes the search from
 the recorded seed and :func:`verify_run` diffs the fresh record trails
 against the published ones, reporting any divergence field by field.
 
-Surrogate-mode runs replay bit-exactly (all randomness is derived from
-the seed).  Real-mode runs replay the same genomes, fitness values and
-epoch counts, but measured wall-clock fields differ; those are excluded
-from verification.
+Every run replays bit-exactly in the fields :data:`_VERIFIED_FIELDS`
+names; wall-clock measurements are not among them.  A run the manifest
+does not list (in progress or killed) is a prefix of its replay, so only
+the models on disk are compared.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from repro.lineage.records import ModelRecord
 from repro.utils.validation import ValidationError
 
 __all__ = ["ReplayReport", "replay_run", "verify_run"]
-
-#: Record fields whose values are wall-clock measurements (never stable).
-_MEASURED_FIELDS = ("engine_overhead_seconds",)
 
 #: Fields compared per model during verification.
 _VERIFIED_FIELDS = (
@@ -65,20 +62,23 @@ class ReplayReport:
     mismatches:
         ``(model_id, field, published, replayed)`` tuples, truncated to
         the first 20.
-    mode:
-        The run's evaluation mode (real-mode epoch timings are expected
-        to differ and are not compared).
+    complete:
+        Whether the manifest lists the run; an incomplete run is compared
+        over the models on disk only.
     """
 
     run_id: str
     n_models: int
     matches: bool
     mismatches: list = field(default_factory=list)
-    mode: str = "surrogate"
+    complete: bool = True
 
     def summary(self) -> str:
         verdict = "REPRODUCED" if self.matches else "DIVERGED"
-        lines = [f"run {self.run_id}: {verdict} ({self.n_models} models compared)"]
+        compared = f"{self.n_models} models compared"
+        if not self.complete:
+            compared += "; run incomplete, its models on disk only"
+        lines = [f"run {self.run_id}: {verdict} ({compared})"]
         for model_id, fname, published, replayed in self.mismatches[:5]:
             lines.append(
                 f"  model {model_id}.{fname}: published {published!r} != replayed {replayed!r}"
@@ -129,17 +129,18 @@ def _compare_models(
 
 
 def verify_run(commons: DataCommons, run_id: str) -> ReplayReport:
-    """Replay a run and diff its record trails against the published ones."""
-    run = commons.load_run(run_id)
+    """Replay a run and diff its record trails against the ones on disk."""
+    replayed = replay_run(commons, run_id).tracker.all_records()
     published = commons.load_models(run_id)
-    result = replay_run(commons, run_id)
-    replayed = result.tracker.all_records()
+    complete = run_id in commons.run_ids()
+    if not complete:
+        on_disk = {r.model_id for r in published}
+        replayed = [r for r in replayed if r.model_id in on_disk]
     mismatches = _compare_models(published, replayed)
-    mode = (run.workflow_config or {}).get("mode", "surrogate")
     return ReplayReport(
         run_id=run_id,
         n_models=len(published),
         matches=not mismatches,
         mismatches=mismatches,
-        mode=mode,
+        complete=complete,
     )

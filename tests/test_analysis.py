@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    CommonsQuery,
     ParetoPoint,
     ascii_curve,
     bit_frequency_profile,
     describe_curve,
     flops_accuracy_correlation,
-    frontier_table,
     hypervolume_2d,
+    mean_fitness,
     pareto_frontier,
     prediction_error_summary,
-    records_to_table,
     render_network,
     render_phase,
     sparkline,
-    structural_similarity,
     termination_histogram,
+    top_by_fitness,
     true_curves,
 )
 from repro.core.engine import EngineConfig
@@ -78,11 +76,6 @@ class TestParetoFrontier:
         records = [make_record(i, 90.0 + i, 100 * (i + 1), rng) for i in range(3)]
         frontier = pareto_frontier(records)
         assert frontier[0].model_id == 0
-
-    def test_frontier_table_renders(self, rng):
-        members = [Individual(random_genome(rng), 0, 0, fitness=90.0, flops=10**6)]
-        text = frontier_table(pareto_frontier(members))
-        assert "90.00" in text and "1.00" in text
 
 
 class TestHypervolume:
@@ -217,49 +210,18 @@ class TestTrueCurves:
 
 class TestQueries:
     def _records(self, rng):
-        return [
-            make_record(
-                i,
-                85.0 + i,
-                100 * (i + 1),
-                rng,
-                generation=i // 2,
-                terminated_early=(i % 2 == 0),
-                epochs_trained=10 if i % 2 == 0 else 25,
-                fitness_history=list(make_concave_curve(10)),
-            )
-            for i in range(6)
-        ]
-
-    def test_filters_compose(self, rng):
-        query = CommonsQuery(self._records(rng))
-        filtered = query.terminated_early().fitness_at_least(87.0)
-        assert [r.model_id for r in filtered.records] == [2, 4]
-
-    def test_in_generation(self, rng):
-        query = CommonsQuery(self._records(rng))
-        assert len(query.in_generation(1)) == 2
+        return [make_record(i, 85.0 + i, 100 * (i + 1), rng) for i in range(6)]
 
     def test_top_by_fitness(self, rng):
-        query = CommonsQuery(self._records(rng))
-        top = query.top_by_fitness(2)
+        top = top_by_fitness(self._records(rng), 2)
         assert [r.model_id for r in top] == [5, 4]
 
     def test_aggregates(self, rng):
-        query = CommonsQuery(self._records(rng))
-        assert query.mean_fitness() == pytest.approx(87.5)
-        assert query.mean_epochs_trained() == pytest.approx((10 * 3 + 25 * 3) / 6)
-        assert query.total_epochs_saved() == 3 * 15
-
-    def test_table_rows(self, rng):
-        rows = records_to_table(self._records(rng))
-        assert len(rows) == 6
-        assert rows[0]["mean_accuracy"] is not None
-        assert rows[0]["gain_per_epoch"] > 0
+        assert mean_fitness(self._records(rng)) == pytest.approx(87.5)
 
     def test_empty_aggregate_rejected(self):
         with pytest.raises(ValueError):
-            CommonsQuery([]).mean_fitness()
+            mean_fitness([])
 
 
 class TestStats:
@@ -278,12 +240,6 @@ class TestStats:
             flops_accuracy_correlation([make_record(i, 80.0 + i, 100, rng) for i in range(4)])
         with pytest.raises(ValueError, match="fitness is constant"):
             flops_accuracy_correlation([make_record(i, 80.0, 100 * (i + 1), rng) for i in range(4)])
-
-    def test_structural_similarity_bounds(self, rng):
-        a = make_record(0, 80.0, 100, rng)
-        assert structural_similarity(a, a) == 1.0
-        b = make_record(1, 81.0, 100, rng)
-        assert 0.0 <= structural_similarity(a, b) <= 1.0
 
     def test_bit_frequency_profile(self, rng):
         records = [make_record(i, 80.0, 100, rng) for i in range(5)]

@@ -1,12 +1,16 @@
-"""Tests for the Markdown run-report generator."""
+"""Tests for the run view: the Markdown report ``a4nn analyze`` prints."""
 
 import pytest
 
-from repro.analysis import render_run_report, write_run_report
+from repro.analysis import render_run_report
+from repro.cli import main
 from repro.lineage import DataCommons
+from repro.workflow import WorkflowConfig
 
 from tests.test_lineage import publish, small_tracked_run
 from repro.lineage.records import RunRecord
+
+INCOMPLETE = "| status | incomplete: in progress or killed; `resume_workflow` continues it |"
 
 
 @pytest.fixture()
@@ -54,11 +58,60 @@ class TestRenderReport:
         assert "## Top 2 models" in report
 
     def test_write_report_creates_file(self, published_commons, tmp_path):
-        path = write_run_report(
-            published_commons, "report_run", tmp_path / "out" / "report.md"
-        )
-        assert path.exists()
+        path = tmp_path / "out" / "report.md"
+        argv = ["analyze", "--commons", str(published_commons.root), "--output", str(path)]
+        assert main(argv) == 0
+        assert path.read_text() == render_run_report(published_commons, "report_run")
         assert path.read_text().startswith("# Run report")
+
+
+class TestLiveRun:
+    """The view of a run directory the manifest does not list."""
+
+    @staticmethod
+    def started(tmp_path):
+        """A run begun as the workflow begins one: stored config, empty totals."""
+        config = WorkflowConfig.from_dict(
+            {
+                "nas": {"population_size": 3, "offspring_per_generation": 3, "generations": 2},
+                "run_id": "live",
+            }
+        )
+        commons = DataCommons(tmp_path)
+        commons.start_run(
+            RunRecord(
+                run_id="live",
+                intensity="medium",
+                nas_parameters={},
+                engine_parameters=None,
+                workflow_config=config.to_dict(),
+            )
+        )
+        return commons
+
+    def test_half_written_run_sums_its_record_files(self, tmp_path):
+        _, tracker = small_tracked_run()
+        commons = self.started(tmp_path)
+        records = tracker.all_records()[:4]
+        for record in records:
+            commons.write_model("live", record)
+        report = render_run_report(commons, "live")
+        assert "| models evaluated | 4 of 6 |" in report
+        assert f"| epochs trained | {sum(r.epochs_trained for r in records)} |" in report
+        assert f"| epochs saved | {sum(r.epochs_saved for r in records)} |" in report
+        assert f"| epochs skipped | {sum(r.epochs_skipped for r in records)} |" in report
+        assert INCOMPLETE in report
+        assert "## Top 5 models" in report
+
+    def test_run_without_model_files_prints_its_summary(self, tmp_path, capsys):
+        commons = self.started(tmp_path)
+        assert main(["analyze", "--commons", str(tmp_path), "--run-id", "live"]) == 0
+        out = capsys.readouterr().out
+        assert "| models evaluated | 0 of 6 |" in out
+        assert "| mean fitness | n/a |" in out
+        assert INCOMPLETE in out
+        assert "## Early termination" not in out
+        assert render_run_report(commons, "live") + "\n" == out
 
 
 class TestSearchProgress:

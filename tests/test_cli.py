@@ -355,11 +355,12 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--commons", str(commons_dir)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "pareto frontier" in out
+        assert "## Pareto frontier" in out
         assert "terminated early" in out
+        assert "| status | complete |" in out
 
     def test_analyze_and_report_a_one_model_run(self, tmp_path, capsys):
-        # too few records for a correlation: both commands say so and go on
+        # too few records for a correlation: the report says so and goes on
         document = small_config_dict()
         document["nas"].update(population_size=1, offspring_per_generation=1, generations=1)
         config_path = atomic_write_json(tmp_path / "cfg.json", document)
@@ -368,13 +369,30 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         assert main(["analyze", "--commons", str(commons_dir)]) == 0
         out = capsys.readouterr().out
-        assert "flops~accuracy rho: n/a (need >= 3 evaluated records, have 1)" in out
-        assert "pareto frontier" in out
+        assert "Spearman rho = n/a (need >= 3 evaluated records, have 1)" in out
+        assert "## Pareto frontier" in out
         report_path = tmp_path / "report.md"
-        assert main(["report", "--commons", str(commons_dir), "--output", str(report_path)]) == 0
+        assert main(["analyze", "--commons", str(commons_dir), "--output", str(report_path)]) == 0
         assert "Spearman rho = n/a (need >= 3" in report_path.read_text(encoding="utf-8")
 
     def test_analyze_empty_commons_fails(self, tmp_path, capsys):
         code = main(["analyze", "--commons", str(tmp_path / "empty")])
         assert code == 1
         assert "no runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize(
+        "run_id, message",
+        [
+            ("nope", "run 'nope' is not in the commons"),
+            (".", "run id must be one plain directory name, got '.'"),
+            ("..", "run id must be one plain directory name, got '..'"),
+            ("../x", "run id must be one plain directory name, got '../x'"),
+        ],
+    )
+    def test_bad_run_id_is_one_error_line(self, tmp_path, capsys, command, run_id, message):
+        assert main([command, "--commons", str(tmp_path), "--run-id", run_id]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"a4nn: error: {message}")
+        assert captured.err.count("\n") == 1

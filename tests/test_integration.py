@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import CommonsQuery, pareto_frontier, termination_histogram
+from repro.analysis import mean_fitness, pareto_frontier, termination_histogram
 from repro.core.engine import EngineConfig, PredictionEngine
 from repro.lineage import DataCommons
 from repro.nas import Individual, NSGANetConfig, SurrogateEvaluator, random_genome
@@ -66,9 +66,8 @@ class TestCommonsRoundTripIntegration:
         records = commons.load_models(result.run_id)
 
         # query layer sees exactly what the search produced
-        query = CommonsQuery(records)
-        assert len(query) == len(result.search.archive)
-        assert query.mean_fitness() == pytest.approx(
+        assert len(records) == len(result.search.archive)
+        assert mean_fitness(records) == pytest.approx(
             np.mean([m.fitness for m in result.search.archive])
         )
 

@@ -232,18 +232,6 @@ class TestDataCommons:
             )
         assert commons.run_ids() == ["a", "b"]
 
-    def test_iter_all_models(self, tmp_path):
-        _, tracker = small_tracked_run()
-        commons = DataCommons(tmp_path)
-        publish(
-            commons,
-            RunRecord(run_id="x", intensity="low", nas_parameters={}, engine_parameters=None),
-            tracker.all_records(),
-        )
-        entries = list(commons.iter_all_models())
-        assert len(entries) == 6
-        assert all(run_id == "x" for run_id, _ in entries)
-
     def test_republished_run_id_drops_the_earlier_trails(self, tmp_path):
         # the run id ignores the NAS settings, so a smaller search with the
         # same seed, mode and intensity replaces a larger one's publish

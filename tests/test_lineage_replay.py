@@ -83,6 +83,27 @@ class TestVerify:
         ]
         assert "DIVERGED" in report.summary()
 
+    def test_incomplete_run_is_compared_over_its_models_on_disk(self, published, tmp_path):
+        # as a kill after the third commit leaves it: unlisted, three model files
+        commons, run_id = published
+        live = DataCommons(tmp_path / "live")
+        live.start_run(commons.load_run(run_id))
+        for record in commons.load_models(run_id)[:3]:
+            live.write_model(run_id, record)
+        report = verify_run(live, run_id)
+        assert report.matches
+        assert report.n_models == 3
+        assert "REPRODUCED (3 models compared; run incomplete" in report.summary()
+
+        # a mismatch inside the prefix still fails
+        path = live.root / "runs" / run_id / "models" / "model_00001.json"
+        record = read_json(path)
+        record["fitness"] = 12.34
+        atomic_write_json(path, record)
+        report = verify_run(live, run_id)
+        assert report.mismatches == [(1, "fitness", 12.34, commons.load_models(run_id)[1].fitness)]
+        assert "DIVERGED" in report.summary()
+
     def test_missing_model_detected(self, published):
         commons, run_id = published
         (commons.root / "runs" / run_id / "models" / "model_00005.json").unlink()
@@ -112,7 +133,7 @@ class TestCliVerify:
         commons, run_id = published
         out = tmp_path / "report.md"
         assert main(
-            ["report", "--commons", str(commons.root), "--output", str(out)]
+            ["analyze", "--commons", str(commons.root), "--output", str(out)]
         ) == 0
         assert out.exists()
         assert out.read_text().startswith("# Run report")
