@@ -151,16 +151,14 @@ def true_curves(records, run) -> dict:
     with ``n`` retry fault events.  Each recorded ``fitness_history`` is
     a prefix of its curve.  Returns ``{model_id: curve}``.
 
-    Raises ``ValueError`` for a run without a stored config or a
-    real-mode run, whose curves were trained, not drawn.
+    Raises ``ValueError`` for a real-mode run, whose curves were
+    trained, not drawn.
     """
     from repro.nas.genome import Genome
     from repro.nas.surrogate import SurrogateEvaluator
     from repro.utils.rng import RngStream
     from repro.workflow.interfaces import WorkflowConfig
 
-    if run.workflow_config is None:
-        raise ValueError(f"run {run.run_id} stores no workflow config")
     config = WorkflowConfig.from_dict(run.workflow_config)
     if config.mode != "surrogate":
         raise ValueError(f"run {run.run_id} trained real networks; no curve was sampled")

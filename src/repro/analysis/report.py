@@ -36,27 +36,26 @@ def _table(headers: list[str], rows: list[list]) -> str:
 
 def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> str:
     """Render one run's full analysis as Markdown text."""
-    run = commons.load_run(run_id)
+    from repro.workflow.interfaces import WorkflowConfig
+
+    config = WorkflowConfig.from_dict(commons.load_run(run_id).workflow_config)
     records = commons.load_models(run_id)
     complete = run_id in commons.run_ids()
     committed = len(records)
-    if not complete and run.workflow_config is not None:
-        from repro.workflow.interfaces import WorkflowConfig
-
-        total = WorkflowConfig.from_dict(run.workflow_config).nas.total_evaluations
-        committed = f"{committed} of {total}"
+    if not complete:
+        committed = f"{committed} of {config.nas.total_evaluations}"
     max_epochs = max((r.max_epochs for r in records), default=25) or 25
 
     sections: list[str] = [f"# Run report: `{run_id}`", ""]
 
-    # -- run summary, summed over the record files ----------------------------
+    # -- run summary: the stored config, then sums over the record files -------
     sections += [
         "## Summary",
         "",
         _table(
             ["field", "value"],
             [
-                ["beam intensity", run.intensity],
+                ["beam intensity", config.intensity.label],
                 ["models evaluated", committed],
                 ["epochs trained", sum(r.epochs_trained for r in records)],
                 ["epochs saved", sum(r.epochs_saved for r in records)],
@@ -64,7 +63,7 @@ def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> s
                 ["quarantined models", sum(r.quarantined for r in records)],
                 ["cache hits", sum(r.cache_hit for r in records)],
                 ["mean fitness", f"{mean_fitness(records):.2f}%" if records else "n/a"],
-                ["notes", run.notes or "-"],
+                ["notes", f"mode={config.mode}, seed={config.seed}"],
                 [
                     "status",
                     "complete"

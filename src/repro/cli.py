@@ -224,7 +224,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if config.faults is not None:
         print(f"quarantined       : {result.search.n_quarantined}")
     if config.caches_evaluations:
-        hits = sum(g.n_cache_hits for g in result.search.generations)
+        hits = sum(m.cache_hit for m in result.search.archive)
         print(f"cache hits        : {hits}")
     print(
         f"epochs            : {result.total_epochs_trained}/{budget} "
@@ -274,8 +274,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_commons(path: Path) -> DataCommons:
+    """The commons a reading command was pointed at; it creates nothing."""
+    if not path.is_dir():
+        raise ValidationError(f"no data commons at {path}")
+    return DataCommons(path)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    commons = DataCommons(args.commons)
+    commons = _existing_commons(args.commons)
     run_ids = [args.run_id] if args.run_id else commons.run_ids()
     if not run_ids:
         print(f"no runs published under {args.commons}", file=sys.stderr)
@@ -291,7 +298,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    commons = DataCommons(args.commons)
+    commons = _existing_commons(args.commons)
     run_ids = [args.run_id] if args.run_id else commons.run_ids()
     if not run_ids:
         print(f"no runs published under {args.commons}", file=sys.stderr)

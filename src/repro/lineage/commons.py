@@ -13,8 +13,11 @@ paper's own Pandas snippet) can read it:
       runs/<run_id>/run.json
       runs/<run_id>/models/model_00042.json
 
-A run writes in situ: ``start_run`` before its search, ``write_model`` as
-each model commits, ``publish_run`` at the end.  A run id in the manifest
+A run writes in situ: ``start_run`` writes its ``run.json`` (the run id
+and the stored config, never rewritten) before its search,
+``write_model`` each model's file as it commits, and ``publish_run``
+lists the run in the manifest at the end.  Nothing else is stored: a
+run's totals are sums over its model files.  A run id in the manifest
 names a complete directory; an unlisted directory is an incomplete run,
 which :func:`~repro.workflow.resume.resume_workflow` continues.
 """
@@ -35,8 +38,7 @@ class DataCommons:
     """Filesystem-backed commons with publish and query operations."""
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root = Path(root)  # made by the first write, never by a reader
         self._manifest_path = self.root / "manifest.json"
 
     # -- publishing -------------------------------------------------------------
@@ -56,21 +58,10 @@ class DataCommons:
         path = self.root / "runs" / run_id / "models" / f"model_{record.model_id:05d}.json"
         return atomic_write_json(path, record.to_dict())
 
-    def publish_run(self, run: RunRecord, records: list[ModelRecord]) -> None:
-        """Complete ``run``, its model files written: totals, ``run.json``, manifest entry."""
-        run.n_models = len(records)
-        run.total_epochs_trained = sum(r.epochs_trained for r in records)
-        run.total_epochs_saved = sum(r.epochs_saved for r in records)
-        run.total_epochs_skipped = sum(r.epochs_skipped for r in records)
-        atomic_write_json(self.root / "runs" / run.run_id / "run.json", run.to_dict())
+    def publish_run(self, run_id: str) -> None:
+        """List ``run_id``, its model files written, in the manifest: the run is complete."""
         manifest = self._manifest()
-        manifest["runs"][run.run_id] = {
-            "intensity": run.intensity,
-            "n_models": run.n_models,
-            "total_epochs_trained": run.total_epochs_trained,
-            "total_epochs_saved": run.total_epochs_saved,
-            "total_epochs_skipped": run.total_epochs_skipped,
-        }
+        manifest["runs"][run_id] = {}
         atomic_write_json(self._manifest_path, manifest)
 
     def _manifest(self) -> dict:
@@ -85,11 +76,14 @@ class DataCommons:
         return sorted(self._manifest()["runs"])
 
     def load_run(self, run_id: str) -> RunRecord:
-        """Load one run's metadata, published or not."""
+        """Load one run's id and stored config, published or not."""
         path = self.root / "runs" / ensure_plain_name(run_id, "run id") / "run.json"
         if not path.is_file():
             raise ValidationError(f"run {run_id!r} is not in the commons {self.root}")
-        return RunRecord.from_dict(read_json(path))
+        try:
+            return RunRecord.from_dict(read_json(path))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
     def load_models(self, run_id: str) -> list[ModelRecord]:
         """Load every model record trail of a run, ordered by model id.

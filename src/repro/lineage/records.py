@@ -16,6 +16,8 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
+from repro.utils.validation import ValidationError
+
 __all__ = ["EpochRecord", "EpochTrail", "ModelRecord", "RunRecord"]
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -326,29 +328,31 @@ class ModelRecord:
 
 @dataclass
 class RunRecord:
-    """Metadata of one search run (the commons' top-level entry).
+    """One search run (the commons' top-level entry): its id and its config.
 
     ``workflow_config`` stores the complete
     :class:`~repro.workflow.interfaces.WorkflowConfig` document, making
     the run *replayable*: :func:`repro.lineage.replay.replay_run`
     re-executes it from the seed and verifies the record trails match.
+    Everything else about a run (its models, their epochs, whether it
+    finished) is read from its model files and the manifest, so
+    ``run.json`` is written once, when the run begins.
     """
 
     run_id: str
-    intensity: str
-    nas_parameters: dict
-    engine_parameters: dict | None
-    n_models: int = 0
-    total_epochs_trained: int = 0
-    total_epochs_saved: int = 0
-    total_epochs_skipped: int = 0
-    notes: str = ""
-    workflow_config: dict | None = None
-    generation_stats: list = field(default_factory=list)
+    workflow_config: dict
 
     def to_dict(self) -> dict:
         return _record_dict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
+        """Rebuild a run from its ``run.json``; a missing or unknown key is refused."""
+        missing = [key for key in cls.__dataclass_fields__ if key not in payload]
+        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
+        if missing or unknown:
+            raise ValidationError(
+                "a run document holds exactly run_id and workflow_config "
+                f"(missing {missing}, unknown {unknown})"
+            )
         return cls(**payload)

@@ -1,25 +1,26 @@
 """Run replay and verification — reproducible ML made operational.
 
 The paper's lineage tracker exists "to reproduce the search for
-near-optimal NNs".  This module closes that loop: given a published run
+near-optimal NNs".  This module closes that loop: given a run
 whose :class:`~repro.lineage.records.RunRecord` carries its full
 workflow configuration, :func:`replay_run` re-executes the search from
 the recorded seed and :func:`verify_run` diffs the fresh record trails
-against the published ones, reporting any divergence field by field.
+against the ones on disk, reporting any divergence field by field.
 
 Every run replays bit-exactly in the fields :data:`_VERIFIED_FIELDS`
 names; wall-clock measurements are not among them.  A run the manifest
-does not list (in progress or killed) is a prefix of its replay, so only
-the models on disk are compared.
+does not list (in progress or killed) is a prefix of its replay, so it
+is replayed only as far as its model files go and only the models on
+disk are compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from repro.lineage.commons import DataCommons
 from repro.lineage.records import ModelRecord
-from repro.utils.validation import ValidationError
 
 __all__ = ["ReplayReport", "replay_run", "verify_run"]
 
@@ -88,23 +89,28 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def replay_run(commons: DataCommons, run_id: str):
-    """Re-execute a published run from its recorded configuration.
+def replay_run(commons: DataCommons, run_id: str) -> list[ModelRecord]:
+    """Re-execute a run from its stored config, as far as its model files go.
 
-    Returns the fresh :class:`~repro.workflow.orchestrator.
-    WorkflowResult` (not published anywhere).
+    A run the manifest lists replays whole.  An unlisted one is a prefix
+    of its replay, so the search stops after the generation of its
+    highest model id on disk, and a run without model files replays
+    nothing.  Returns the fresh record trails (not published anywhere).
     """
     # imported here: lineage is a lower layer than workflow
     from repro.workflow.driver import run_workflow
     from repro.workflow.interfaces import WorkflowConfig
 
-    run = commons.load_run(run_id)
-    if run.workflow_config is None:
-        raise ValidationError(
-            f"run {run_id!r} predates config capture and cannot be replayed"
-        )
-    config = WorkflowConfig.from_dict(run.workflow_config)
-    return run_workflow(config)
+    config = WorkflowConfig.from_dict(commons.load_run(run_id).workflow_config)
+    if run_id not in commons.run_ids():
+        on_disk = [r.model_id for r in commons.load_models(run_id)]
+        if not on_disk:
+            return []
+        nas = config.nas
+        offspring = max(0, max(on_disk) + 1 - nas.population_size)
+        generations = 1 + math.ceil(offspring / nas.offspring_per_generation)
+        config = replace(config, nas=replace(nas, generations=generations))
+    return run_workflow(config).tracker.all_records()
 
 
 def _compare_models(
@@ -130,7 +136,7 @@ def _compare_models(
 
 def verify_run(commons: DataCommons, run_id: str) -> ReplayReport:
     """Replay a run and diff its record trails against the ones on disk."""
-    replayed = replay_run(commons, run_id).tracker.all_records()
+    replayed = replay_run(commons, run_id)
     published = commons.load_models(run_id)
     complete = run_id in commons.run_ids()
     if not complete:

@@ -25,7 +25,7 @@ from repro.nas.nsga2 import (
 )
 from repro.nas.operators import bitflip_mutation, point_crossover, uniform_crossover
 from repro.nas.population import Individual, Population
-from repro.nas.search import GenerationStats, NSGANet, NSGANetConfig, SearchResult
+from repro.nas.search import NSGANet, NSGANetConfig, SearchResult
 from repro.nas.surrogate import (
     REGIMES,
     CurveRegime,
@@ -56,7 +56,6 @@ __all__ = [
     "uniform_crossover",
     "Individual",
     "Population",
-    "GenerationStats",
     "NSGANet",
     "NSGANetConfig",
     "SearchResult",

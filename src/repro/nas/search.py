@@ -27,7 +27,7 @@ way a surrogate zero-budget skip does, and commits through the same
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
@@ -49,7 +49,6 @@ from repro.utils.validation import ValidationError, ensure_positive
 
 __all__ = [
     "NSGANetConfig",
-    "GenerationStats",
     "SearchResult",
     "NSGANet",
     "EvalStream",
@@ -258,31 +257,6 @@ class NSGANetConfig:
 
 
 @dataclass
-class GenerationStats:
-    """Aggregates recorded after each generation's evaluation.
-
-    ``epochs_saved`` counts epochs the *engine* saved by terminating
-    early inside each evaluation's effective budget; ``epochs_skipped``
-    counts epochs the *surrogate* allocator removed by assigning reduced
-    budgets before evaluation.  The two never overlap, and both are
-    measured against completed evaluations only: a quarantined candidate
-    never trained, so it neither consumes nor "saves" budget (counting
-    it would overstate the paper's epochs-saved metric).
-    """
-
-    generation: int
-    n_evaluated: int
-    best_fitness: float
-    mean_fitness: float
-    epochs_trained: int
-    epochs_saved: int
-    pareto_size: int
-    n_quarantined: int = 0
-    n_cache_hits: int = 0
-    epochs_skipped: int = 0
-
-
-@dataclass
 class SearchResult:
     """Everything a completed search produced.
 
@@ -292,15 +266,12 @@ class SearchResult:
         Every individual ever evaluated, in evaluation order.
     population:
         Final survivor set.
-    generations:
-        Per-generation statistics.
     config:
         The settings used.
     """
 
     archive: Population
     population: Population
-    generations: list = field(default_factory=list)
     config: NSGANetConfig | None = None
 
     @property
@@ -373,8 +344,6 @@ class NSGANet:
         logical clock, scoring is deterministic across backends.  A
         candidate this hook leaves evaluated (a zero-budget skip, or a
         model resume restores from its record) never reaches the stream.
-    on_generation:
-        Optional callback with each :class:`GenerationStats`.
     stream:
         Optional :class:`EvalStream` every evaluation goes through (a
         worker pool, the eval cache over one).  Defaults to an
@@ -389,7 +358,6 @@ class NSGANet:
         rng_stream: RngStream | None = None,
         on_individual: Callable[[Individual], None] | None = None,
         on_candidate: Callable[[Individual, list], None] | None = None,
-        on_generation: Callable[[GenerationStats], None] | None = None,
         stream: EvalStream | None = None,
     ) -> None:
         self.config = config
@@ -397,7 +365,6 @@ class NSGANet:
         self.rng_stream = rng_stream or RngStream(0)
         self.on_individual = on_individual
         self.on_candidate = on_candidate
-        self.on_generation = on_generation
         self.stream = stream if stream is not None else InlineStream(evaluator)
         self._next_model_id = 0
 
@@ -471,46 +438,6 @@ class NSGANet:
         if self.on_individual is not None:
             self.on_individual(individual)
 
-    def _record_generation(
-        self, generation: int, evaluated: list[Individual], population: Population
-    ) -> GenerationStats:
-        """Aggregate one generation's evaluations, log and announce them."""
-        max_epochs = self.config.max_epochs
-        fitnesses = [float(m.fitness) for m in evaluated]
-        completed = [m.result for m in evaluated if m.result]
-        stats = GenerationStats(
-            generation=generation,
-            n_evaluated=len(evaluated),
-            best_fitness=max(fitnesses),
-            mean_fitness=float(np.mean(fitnesses)),
-            epochs_trained=sum(r.epochs_trained for r in completed),
-            # engine savings are measured inside each evaluation's effective
-            # (surrogate-reduced) budget; the gap up to the full budget is
-            # what the surrogate skipped — the two counters never overlap
-            epochs_saved=sum(r.epochs_saved for r in completed),
-            pareto_size=int(pareto_front_mask(population.objective_array()).sum()),
-            n_quarantined=sum(1 for m in evaluated if m.quarantined),
-            n_cache_hits=sum(1 for m in evaluated if m.cache_hit),
-            epochs_skipped=sum(
-                max_epochs - effective_budget(m, max_epochs)
-                for m in evaluated
-                if not m.quarantined
-            ),
-        )
-        _LOG.info(
-            "generation %d: best %.2f%%, mean %.2f%%, epochs %d/%d, quarantined %d, cache hits %d",
-            generation,
-            stats.best_fitness,
-            stats.mean_fitness,
-            stats.epochs_trained,
-            stats.epochs_trained + stats.epochs_saved,
-            stats.n_quarantined,
-            stats.n_cache_hits,
-        )
-        if self.on_generation is not None:
-            self.on_generation(stats)
-        return stats
-
     def _make_offspring(self, population: Population, generation: int) -> list[Individual]:
         rng = self.rng_stream.generator("variation", generation)
         objectives = population.objective_array()
@@ -571,16 +498,13 @@ class NSGANet:
         """
         config = self.config
         population_size = config.population_size
-        per_generation = config.offspring_per_generation
         total = config.total_evaluations
         lag = config.steady_lag or 1
         stream = self.stream
 
         pending: dict[int, Individual] = {}
-        chunk: list[Individual] = []
         state = STEADY_START
         archive = Population([])
-        stats: list[GenerationStats] = []
         committed = 0
 
         def submit(individual: Individual) -> None:
@@ -607,17 +531,6 @@ class NSGANet:
                 archive.append(individual)
                 state = steady_insert(state, individual, population_size)
                 committed += 1
-                chunk.append(individual)
-                # stats come in chunks shaped like barrier generations: the
-                # first population_size commits, then every per_generation
-                generation, partial = divmod(committed - population_size, per_generation)
-                if committed >= population_size and not partial:
-                    stats.append(
-                        self._record_generation(
-                            generation, chunk, Population(state.members)
-                        )
-                    )
-                    chunk = []
                 # Breed every candidate whose pinned state just became
                 # current; pumping after *each* commit keeps the breeding
                 # state exactly at commit g - lag.
@@ -626,12 +539,7 @@ class NSGANet:
                     next_submit += 1
         stream.finish()
 
-        return SearchResult(
-            archive=archive,
-            population=Population(state.members),
-            generations=stats,
-            config=config,
-        )
+        return SearchResult(archive=archive, population=Population(state.members), config=config)
 
     def run(self) -> SearchResult:
         """Execute the search."""
@@ -642,7 +550,6 @@ class NSGANet:
         self._run_generation(initial)
         population = Population(initial)
         archive = Population(list(initial))
-        stats = [self._record_generation(0, initial, population)]
 
         for generation in range(1, config.generations):
             offspring = self._make_offspring(population, generation)
@@ -654,11 +561,5 @@ class NSGANet:
                 combined.objective_array(), config.population_size
             )
             population = combined.subset(survivors)
-            stats.append(self._record_generation(generation, offspring, population))
 
-        return SearchResult(
-            archive=archive,
-            population=population,
-            generations=stats,
-            config=config,
-        )
+        return SearchResult(archive=archive, population=population, config=config)

@@ -11,7 +11,7 @@ wall-time accounting on each requested GPU-pool size.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.engine import PredictionEngine
@@ -88,7 +88,7 @@ class WorkflowResult:
     config:
         The settings the run used.
     search:
-        The NAS outcome (archive, survivors, per-generation stats).
+        The NAS outcome (archive, survivors, epoch ledgers).
     tracker:
         Lineage records for every evaluated model.
     walltime:
@@ -377,17 +377,8 @@ class A4NNOrchestrator:
         """Execute search → lineage → wall-time accounting → publish."""
         return self._search()
 
-    def _run_record(self, generations=()) -> RunRecord:
-        config = self.config
-        return RunRecord(
-            run_id=self._run_id,
-            intensity=config.intensity.label,
-            nas_parameters=config.nas.to_dict(),
-            engine_parameters=config.engine.to_dict() if config.engine else None,
-            notes=f"mode={config.mode}, seed={config.seed}",
-            workflow_config=config.to_dict(),
-            generation_stats=[asdict(g) for g in generations],
-        )
+    def _run_record(self) -> RunRecord:
+        return RunRecord(run_id=self._run_id, workflow_config=self.config.to_dict())
 
     def _write(self, record) -> None:
         self.commons.write_model(self._run_id, record)
@@ -395,14 +386,14 @@ class A4NNOrchestrator:
 
     def publish(self, result: WorkflowResult) -> None:
         """Complete the run in the commons: the records not written yet (all of
-        them if the commons came after the run), then the run and manifest."""
+        them, after ``run.json``, if the commons came after the run), then the
+        manifest entry."""
         if self.commons is None:
             raise RuntimeError("orchestrator was built without a data commons")
         if not self._written:
             self.commons.start_run(self._run_record())
-        records = result.tracker.all_records()
-        for record in records:
+        for record in result.tracker.all_records():
             if record.model_id not in self._written:
                 self._write(record)
-        self.commons.publish_run(self._run_record(result.search.generations), records)
+        self.commons.publish_run(self._run_id)
         _LOG.info("published run %s to commons", result.run_id)

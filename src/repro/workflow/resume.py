@@ -31,7 +31,6 @@ from repro.lineage.commons import DataCommons
 from repro.lineage.records import ModelRecord
 from repro.nas.population import Individual
 from repro.utils.logging import get_logger
-from repro.utils.validation import ValidationError
 
 __all__ = ["individual_from_record", "rebuild_search_state", "resume_workflow"]
 
@@ -154,10 +153,7 @@ def resume_workflow(commons: DataCommons, run_id: str):
     from repro.workflow.interfaces import WorkflowConfig
     from repro.workflow.orchestrator import A4NNOrchestrator
 
-    run = commons.load_run(run_id)
-    if run.workflow_config is None:
-        raise ValidationError(f"run {run_id!r} has no stored configuration")
-    config = WorkflowConfig.from_dict(run.workflow_config)
+    config = WorkflowConfig.from_dict(commons.load_run(run_id).workflow_config)
     restored = rebuild_search_state(
         commons.load_models(run_id),
         population_size=config.nas.population_size,

@@ -13,7 +13,11 @@ manifests kept their digests: by the change that removed
 ``WorkflowConfig.dtype`` and ``rng_keying`` (two keys fewer), and by the
 change that removed the four settings no run could vary (the workflow's
 checkpoint switch, the dataset's dtype, and the search's initial density
-and mutation rate; four keys fewer).  The run is defined once, in
+and mutation rate; four keys fewer).  Re-pinned a fourth time, for the
+two ``run.json`` and the two ``manifest.json`` entries, by the change
+that made ``run.json`` hold only the run id and its stored config and
+the manifest list run ids without totals; the 60 model files kept their
+digests.  The run is defined once, in
 ``tests/test_properties_fastpaths.py::published_digests``.
 """
 

@@ -203,9 +203,9 @@ class TestTrueCurves:
     def test_refuses_a_real_run_and_a_run_without_config(self):
         real = WorkflowConfig(mode="real").to_dict()
         with pytest.raises(ValueError, match="real networks"):
-            true_curves([], RunRecord("r", "high", {}, None, workflow_config=real))
-        with pytest.raises(ValueError, match="no workflow config"):
-            true_curves([], RunRecord("r", "high", {}, None))
+            true_curves([], RunRecord("r", real))
+        with pytest.raises(ValueError, match="workflow_config must be a JSON object"):
+            true_curves([], RunRecord("r", None))
 
 
 class TestQueries:

@@ -21,10 +21,9 @@ def published_commons(tmp_path):
         commons,
         RunRecord(
             run_id="report_run",
-            intensity="medium",
-            nas_parameters={},
-            engine_parameters={"function": "exp3"},
-            notes="test run",
+            workflow_config=WorkflowConfig.from_dict(
+                {"seed": 11, "dataset": {"intensity": "medium"}}
+            ).to_dict(),
         ),
         tracker.all_records(),
     )
@@ -47,11 +46,12 @@ class TestRenderReport:
             assert heading in report
 
     def test_summary_values_match_run(self, published_commons):
-        run = published_commons.load_run("report_run")
+        records = published_commons.load_models("report_run")
         report = render_run_report(published_commons, "report_run")
-        assert f"| models evaluated | {run.n_models} |" in report
-        assert f"| epochs trained | {run.total_epochs_trained} |" in report
-        assert "test run" in report
+        assert f"| models evaluated | {len(records)} |" in report
+        assert f"| epochs trained | {sum(r.epochs_trained for r in records)} |" in report
+        assert "| beam intensity | medium |" in report
+        assert "| notes | mode=surrogate, seed=11 |" in report
 
     def test_top_k_respected(self, published_commons):
         report = render_run_report(published_commons, "report_run", top_k=2)
@@ -70,7 +70,7 @@ class TestLiveRun:
 
     @staticmethod
     def started(tmp_path):
-        """A run begun as the workflow begins one: stored config, empty totals."""
+        """A run begun as the workflow begins one: its id and stored config."""
         config = WorkflowConfig.from_dict(
             {
                 "nas": {"population_size": 3, "offspring_per_generation": 3, "generations": 2},
@@ -78,15 +78,7 @@ class TestLiveRun:
             }
         )
         commons = DataCommons(tmp_path)
-        commons.start_run(
-            RunRecord(
-                run_id="live",
-                intensity="medium",
-                nas_parameters={},
-                engine_parameters=None,
-                workflow_config=config.to_dict(),
-            )
-        )
+        commons.start_run(RunRecord(run_id="live", workflow_config=config.to_dict()))
         return commons
 
     def test_half_written_run_sums_its_record_files(self, tmp_path):

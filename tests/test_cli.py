@@ -316,33 +316,46 @@ RUN_ID = "a4nn_surrogate_medium_seed5"  # small_config_dict()'s derived run id
 
 class TestVerifyCommand:
     @pytest.mark.parametrize(
-        "stored,message",
+        "edit,message",
         [
-            (None, f"run {RUN_ID!r} predates config capture"),
+            (
+                lambda document: document.update(workflow_config=None),
+                "workflow_config must be a JSON object, got NoneType",
+            ),
             # every document written before the one evaluation identity
             (
-                {"dtype": "float64", "rng_keying": "model"},
+                lambda document: document["workflow_config"].update(
+                    dtype="float64", rng_keying="model"
+                ),
                 "unknown key in workflow_config: dtype, rng_keying",
             ),
+            (
+                lambda document: document.pop("workflow_config"),
+                "{run_json}: a run document holds exactly run_id and workflow_config "
+                "(missing ['workflow_config'], unknown [])",
+            ),
+            # the totals a run document carried before they were summed from the models
+            (
+                lambda document: document.update(n_models=6, total_epochs_trained=40),
+                "{run_json}: a run document holds exactly run_id and workflow_config "
+                "(missing [], unknown ['n_models', 'total_epochs_trained'])",
+            ),
         ],
-        ids=["no-config", "retired-keys"],
+        ids=["no-config", "retired-keys", "missing-key", "unknown-key"],
     )
-    def test_unreplayable_run_is_one_error_line(self, tmp_path, capsys, stored, message):
+    def test_unreplayable_run_is_one_error_line(self, tmp_path, capsys, edit, message):
         config_path = atomic_write_json(tmp_path / "cfg.json", small_config_dict())
         commons = tmp_path / "commons"
         main(["run", "--config", str(config_path), "--commons", str(commons)])
         run_path = commons / "runs" / RUN_ID / "run.json"
         document = json.loads(run_path.read_text())
-        if stored is None:
-            document["workflow_config"] = None
-        else:
-            document["workflow_config"].update(stored)
+        edit(document)
         atomic_write_json(run_path, document)
         capsys.readouterr()
         assert main(["verify", "--commons", str(commons)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"a4nn: error: {message}")
+        assert captured.err.startswith(f"a4nn: error: {message.format(run_json=run_path)}")
         assert captured.err.count("\n") == 1
 
 
@@ -376,9 +389,22 @@ class TestAnalyzeCommand:
         assert "Spearman rho = n/a (need >= 3" in report_path.read_text(encoding="utf-8")
 
     def test_analyze_empty_commons_fails(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
         code = main(["analyze", "--commons", str(tmp_path / "empty")])
         assert code == 1
         assert "no runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["analyze"], ["verify", "--run-id", "x"]], ids=["analyze", "verify"]
+    )
+    def test_missing_commons_is_one_error_line_and_is_not_created(self, tmp_path, capsys, argv):
+        # a typo in --commons must not leave an empty commons behind
+        missing = tmp_path / "nocommons"
+        assert main([*argv, "--commons", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"a4nn: error: no data commons at {missing}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize(

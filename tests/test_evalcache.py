@@ -550,13 +550,6 @@ class TestWorkflowCacheEquivalence:
             assert record.flops == source.flops
             assert record.fitness_history == source.fitness_history
 
-    def test_generation_stats_report_hits(self):
-        config = cached_config()
-        result = A4NNOrchestrator(config).run()
-        per_generation = [g.n_cache_hits for g in result.search.generations]
-        assert sum(per_generation) >= 1
-        assert all(h >= 0 for h in per_generation)
-
 
 class TestReplayAndResume:
     def test_cached_run_replays_exactly(self, tmp_path):

@@ -53,7 +53,7 @@ def publish(commons, run, records):
     commons.start_run(run)
     for record in records:
         commons.write_model(run.run_id, record)
-    commons.publish_run(run, records)
+    commons.publish_run(run.run_id)
 
 
 class TestRecords:
@@ -75,8 +75,8 @@ class TestRecords:
         assert rebuilt.epochs_saved == 15
 
     def test_run_record_round_trip(self):
-        run = RunRecord(run_id="r1", intensity="low", nas_parameters={}, engine_parameters=None)
-        assert RunRecord.from_dict(run.to_dict()).run_id == "r1"
+        run = RunRecord(run_id="r1", workflow_config={"seed": 3})
+        assert RunRecord.from_dict(run.to_dict()) == run
 
 
 def epoch_entries(n=3):
@@ -202,19 +202,13 @@ class TestDataCommons:
     def test_publish_and_reload(self, tmp_path):
         result, tracker = small_tracked_run()
         commons = DataCommons(tmp_path)
-        run = RunRecord(
-            run_id="test_run",
-            intensity="medium",
-            nas_parameters={"population_size": 3},
-            engine_parameters={"function": "exp3"},
-        )
+        run = RunRecord(run_id="test_run", workflow_config={"nas": {"population_size": 3}})
         publish(commons, run, tracker.all_records())
         assert commons.run_ids() == ["test_run"]
-        loaded_run = commons.load_run("test_run")
-        assert loaded_run.n_models == 6
-        assert loaded_run.total_epochs_trained == result.total_epochs_trained
+        assert commons.load_run("test_run") == run
         models = commons.load_models("test_run")
         assert len(models) == 6
+        assert sum(m.epochs_trained for m in models) == result.total_epochs_trained
         assert models[0].fitness == tracker.records[0].fitness
         assert models == tracker.all_records()
         # one training-parameters dict for the run, as the tracker's records share
@@ -227,7 +221,7 @@ class TestDataCommons:
         for run_id in ("a", "b"):
             publish(
                 commons,
-                RunRecord(run_id=run_id, intensity="low", nas_parameters={}, engine_parameters=None),
+                RunRecord(run_id=run_id, workflow_config={}),
                 tracker.all_records(),
             )
         assert commons.run_ids() == ["a", "b"]
@@ -253,7 +247,7 @@ class TestDataCommons:
         second = run_workflow(search(4, 2), commons_path=tmp_path)
         assert first.run_id == second.run_id
         commons = DataCommons(tmp_path)
-        assert commons.load_run(second.run_id).n_models == 8
+        assert commons.load_run(second.run_id).workflow_config == second.config.to_dict()
         models = commons.load_models(second.run_id)
         assert [m.model_id for m in models] == list(range(8))
         assert [m.fitness for m in models] == [
@@ -268,11 +262,11 @@ class TestDataCommons:
         commons = DataCommons(tmp_path / "commons")
         publish(
             commons,
-            RunRecord(run_id="kept", intensity="low", nas_parameters={}, engine_parameters=None),
+            RunRecord(run_id="kept", workflow_config={}),
             tracker.all_records(),
         )
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        run = RunRecord(run_id=run_id, intensity="low", nas_parameters={}, engine_parameters=None)
+        run = RunRecord(run_id=run_id, workflow_config={})
         with pytest.raises(ValidationError, match="one plain directory name"):
             commons.start_run(run)
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
@@ -284,7 +278,7 @@ class TestDataCommons:
         commons = DataCommons(tmp_path)
         publish(
             commons,
-            RunRecord(run_id="big", intensity="low", nas_parameters={}, engine_parameters=None),
+            RunRecord(run_id="big", workflow_config={}),
             [ModelRecord(model_id=i, generation=0, genome=genome) for i in (99999, 100000)],
         )
         assert [m.model_id for m in commons.load_models("big")] == [99999, 100000]
@@ -299,7 +293,7 @@ class TestDataCommons:
         commons = DataCommons(tmp_path)
         publish(
             commons,
-            RunRecord(run_id="x", intensity="low", nas_parameters={}, engine_parameters=None),
+            RunRecord(run_id="x", workflow_config={}),
             tracker.all_records(),
         )
         assert commons.size_bytes() > 0

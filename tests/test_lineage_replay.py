@@ -1,9 +1,12 @@
 """Tests for run replay and verification (the reproducibility loop)."""
 
+import dataclasses
+
 import pytest
 
 from repro.lineage import DataCommons, replay_run, verify_run
 from repro.lineage.records import RunRecord
+from repro.nas.search import NSGANetConfig
 from repro.utils.io import atomic_write_json, read_json
 from repro.workflow import run_workflow
 
@@ -20,21 +23,65 @@ def published(tmp_path):
 class TestReplay:
     def test_replay_reproduces_search(self, published):
         commons, run_id = published
-        result = replay_run(commons, run_id)
+        replayed = replay_run(commons, run_id)
         originals = commons.load_models(run_id)
-        assert len(result.search.archive) == len(originals)
-        for member, original in zip(result.search.archive, originals):
-            assert member.fitness == original.fitness
-            assert member.genome.to_dict() == original.genome
+        assert len(replayed) == len(originals)
+        for fresh, original in zip(replayed, originals):
+            assert fresh.fitness == original.fitness
+            assert fresh.genome == original.genome
 
     def test_replay_requires_stored_config(self, tmp_path):
         commons = DataCommons(tmp_path)
-        commons.publish_run(
-            RunRecord(run_id="legacy", intensity="low", nas_parameters={}, engine_parameters=None),
-            [],
-        )
-        with pytest.raises(ValueError, match="cannot be replayed"):
+        commons.start_run(RunRecord(run_id="legacy", workflow_config=None))
+        commons.publish_run("legacy")
+        with pytest.raises(ValueError, match="workflow_config must be a JSON object"):
             replay_run(commons, "legacy")
+
+    @pytest.mark.parametrize("evolution", ["barrier", "steady"])
+    def test_incomplete_run_replays_only_as_far_as_its_model_files(
+        self, tmp_path, monkeypatch, evolution
+    ):
+        from repro.nas.surrogate import SurrogateEvaluator
+
+        # 4 + 4 offspring per generation over 4 generations: 16 models
+        config = dataclasses.replace(
+            small_config(seed=23),
+            nas=NSGANetConfig(
+                population_size=4,
+                offspring_per_generation=4,
+                generations=4,
+                max_epochs=12,
+                evolution=evolution,
+                steady_lag=3 if evolution == "steady" else None,
+            ),
+        )
+        full = run_workflow(config, commons_path=tmp_path / "full")
+        commons = DataCommons(tmp_path / "full")
+        published = commons.load_models(full.run_id)
+        evaluated = []
+        evaluate = SurrogateEvaluator.evaluate
+
+        def counted(self, individual):
+            evaluated.append(individual.model_id)
+            return evaluate(self, individual)
+
+        monkeypatch.setattr(SurrogateEvaluator, "evaluate", counted)
+        # (model files on disk, models replayed): the generation of the
+        # highest model id on disk is the last one replayed
+        for kept, replayed in ((0, 0), (3, 4), (4, 4), (5, 8), (9, 12), (16, 16)):
+            live = DataCommons(tmp_path / f"live{kept}")
+            live.start_run(commons.load_run(full.run_id))
+            for record in published[:kept]:
+                live.write_model(full.run_id, record)
+            if kept == 16:
+                live.publish_run(full.run_id)
+            evaluated.clear()
+            report = verify_run(live, full.run_id)
+            assert report.matches, report.summary()
+            assert report.n_models == kept
+            # a cache hit copies an earlier model's outcome and evaluates nothing
+            trained = [r.model_id for r in published[:replayed] if not r.cache_hit]
+            assert sorted(evaluated) == trained
 
 
 class TestVerify:

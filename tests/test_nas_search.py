@@ -196,8 +196,7 @@ class TestSearch:
 
     def test_generations_recorded(self):
         result = self._run()
-        assert [g.generation for g in result.generations] == [0, 1, 2]
-        assert all(g.n_evaluated == 4 for g in result.generations)
+        assert [m.generation for m in result.archive] == [0] * 4 + [1] * 4 + [2] * 4
 
     def test_epoch_accounting(self):
         result = self._run()
@@ -238,7 +237,7 @@ class TestSearch:
                 assert not dominated
 
     def test_callbacks_invoked(self):
-        seen_individuals, seen_generations = [], []
+        seen_individuals = []
         config = NSGANetConfig(
             population_size=3, offspring_per_generation=3, generations=2, max_epochs=5
         )
@@ -253,10 +252,8 @@ class TestSearch:
             evaluator,
             rng_stream=RngStream(0),
             on_individual=seen_individuals.append,
-            on_generation=seen_generations.append,
         ).run()
         assert len(seen_individuals) == 6
-        assert len(seen_generations) == 2
 
 
 class ShuffleStream:
@@ -356,11 +353,6 @@ class TestSteadySearch:
         one = self._key(self._search(steady_lag=1).run())
         four = self._key(self._search(steady_lag=4).run())
         assert [k[2] for k in one] != [k[2] for k in four]
-
-    def test_pseudo_generation_stats(self):
-        result = self._search().run()
-        assert [g.generation for g in result.generations] == [0, 1, 2]
-        assert all(g.n_evaluated == 4 for g in result.generations)
 
     def test_offspring_generation_numbers(self):
         result = self._search().run()

@@ -379,14 +379,7 @@ def asdict(record) -> dict:
 
 class TestRecordSerialisation:
     def test_to_dict_is_asdict_in_value_and_key_order(self):
-        run = RunRecord(
-            run_id="r",
-            intensity="medium",
-            nas_parameters={"population_size": 4},
-            engine_parameters=None,
-            workflow_config={"nas": {"generations": 3}, "n_gpus": [1, 4]},
-            generation_stats=[{"generation": 0, "best_fitness": 90.0}],
-        )
+        run = RunRecord(run_id="r", workflow_config={"nas": {"generations": 3}, "n_gpus": [1, 4]})
         for record in (full_record(), run, EpochRecord(epoch=1, validation_accuracy=5.0)):
             ours, reference = record.to_dict(), asdict(record)
             assert ours == reference
@@ -461,7 +454,8 @@ def published_digests(root: Path) -> dict:
     wrote the fixture from this function at the parent of the commit that
     replaced ``asdict``; its two ``run.json`` entries were re-pinned when
     ``WorkflowConfig.to_dict`` lost the ``arena`` key, and again when it
-    lost ``dtype`` and ``rng_keying``.
+    lost ``dtype`` and ``rng_keying``; its two ``run.json`` and two
+    ``manifest.json`` entries when neither file kept the run's totals.
     """
     config = WorkflowConfig(
         nas=NSGANetConfig(

@@ -88,7 +88,6 @@ def assert_resumes_to(commons, run_id, full):
     resumed = resume_workflow(commons, run_id)
     assert trails(resumed.tracker.all_records()) == trails(full.tracker.all_records())
     assert trails(commons.load_models(run_id)) == trails(full.tracker.all_records())
-    assert resumed.search.generations == full.search.generations
     return resumed
 
 
@@ -204,15 +203,15 @@ class TestResumeWorkflow:
         assert report.matches, report.summary()
 
     def test_resume_requires_stored_config(self, tmp_path):
-        from repro.lineage.records import RunRecord
-
-        commons = DataCommons(tmp_path)
-        commons.publish_run(
-            RunRecord(run_id="legacy", intensity="low", nas_parameters={}, engine_parameters=None),
-            [],
-        )
-        with pytest.raises(ValueError, match="no stored configuration"):
-            resume_workflow(commons, "legacy")
+        # a run document from before the config was stored
+        legacy = {"run_id": "legacy", "intensity": "low", "workflow_config": None}
+        atomic_write_json(tmp_path / "runs" / "legacy" / "run.json", legacy)
+        with pytest.raises(ValueError, match=r"unknown \['intensity'\]"):
+            resume_workflow(DataCommons(tmp_path), "legacy")
+        del legacy["intensity"]
+        atomic_write_json(tmp_path / "runs" / "legacy" / "run.json", legacy)
+        with pytest.raises(ValueError, match="workflow_config must be a JSON object"):
+            resume_workflow(DataCommons(tmp_path), "legacy")
 
     def test_a_run_that_cannot_start_leaves_the_earlier_run(self, tmp_path, monkeypatch):
         # the directory is begun afresh only once the search can start
@@ -241,8 +240,8 @@ class TestResumeWorkflow:
         assert [m.fitness for m in resumed.search.archive] == [
             m.fitness for m in full.search.archive
         ]
-        assert [g.generation for g in resumed.search.generations] == [
-            g.generation for g in full.search.generations
+        assert [m.generation for m in resumed.search.archive] == [
+            m.generation for m in full.search.archive
         ]
 
 
@@ -257,8 +256,7 @@ class TestRebuildSteadyState:
             offspring_per_generation=3,
             evolution="steady",
         )
-        # 4 contiguous ticks and no cut back to the whole chunk (3): the
-        # chunk stats are computed live on resume, not rebuilt
+        # 4 contiguous ticks and no cut back to a whole generation (3)
         assert [r.model_id for r in prefix] == [0, 1, 2, 3]
         assert [r.logical_tick for r in prefix] == [0, 1, 2, 3]
         assert_resumes_to(commons, run_id, full)
@@ -363,7 +361,6 @@ class TestResumeSteadyWorkflow:
             "manifest.json",
             f"runs/{run_id}/models/model_00004.json",
             f"runs/{run_id}/models/model_00005.json",
-            f"runs/{run_id}/run.json",
         ]
         assert {path: state(path) for path in restored} == before
 
@@ -510,9 +507,15 @@ def killed_runs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def uninterrupted():
-    """The trails each evolution mode's run publishes when nobody kills it."""
-    return {evolution: run_workflow(kill_config(evolution)) for evolution in ("barrier", "steady")}
+def uninterrupted(tmp_path_factory):
+    """Each run of KILLS as it publishes when nobody kills it:
+    (evolution, backend, n_workers) -> (result, its run.json bytes)."""
+    runs = {}
+    for settings in dict.fromkeys(kill[:3] for kill in KILLS):
+        commons = tmp_path_factory.mktemp("uninterrupted")
+        result = run_workflow(kill_config(*settings), commons_path=commons)
+        runs[settings] = result, (commons / "runs" / "killed" / "run.json").read_bytes()
+    return runs
 
 
 class TestKilledRunResumes:
@@ -523,15 +526,7 @@ class TestKilledRunResumes:
 
         commons = DataCommons(tmp_path)
         # all such a run leaves: run.json with the stored config
-        commons.start_run(
-            RunRecord(
-                run_id="killed",
-                intensity="medium",
-                nas_parameters={},
-                engine_parameters=None,
-                workflow_config=kill_config("steady").to_dict(),
-            )
-        )
+        commons.start_run(RunRecord("killed", kill_config("steady").to_dict()))
         assert commons.load_models("killed") == []
         with pytest.raises(ValueError, match="initial population incomplete"):
             resume_workflow(commons, "killed")
@@ -549,10 +544,19 @@ class TestKilledRunResumes:
         models = commons.root / "runs" / "killed" / "models"
         assert len(list(models.glob("model_*.json"))) == kill_after
         assert commons.run_ids() == []
+        # run.json is written once, at the start: the killed run's is the finished run's
+        run_json = commons.root / "runs" / "killed" / "run.json"
+        assert run_json.read_bytes() == uninterrupted[kill[:3]][1]
+        started = run_json.stat().st_ino
         if kill_after < 4:
             with pytest.raises(ValueError, match="initial population incomplete"):
                 resume_workflow(commons, "killed")
             return
-        resumed = assert_resumes_to(commons, "killed", uninterrupted[evolution])
+        full, _ = uninterrupted[(evolution, "thread", 1)]
+        resumed = assert_resumes_to(commons, "killed", full)
         assert resumed.config.backend == backend
         assert commons.run_ids() == ["killed"]
+        # publishing listed the run and left its run.json in place (a rewrite
+        # is an atomic replace, which makes a new inode)
+        assert run_json.stat().st_ino == started
+        assert run_json.read_bytes() == uninterrupted[kill[:3]][1]
