@@ -53,18 +53,6 @@ class RunComparison:
     hypervolume_ratio: float
     mean_generation_fitness: tuple
 
-    def summary_lines(self, label_a: str = "A4NN", label_b: str = "baseline") -> list[str]:
-        """Human-readable digest for reports."""
-        return [
-            f"{label_a}: {self.n_models[0]} models, {self.epochs_trained[0]} epochs, "
-            f"best {self.best_fitness[0]:.2f}%",
-            f"{label_b}: {self.n_models[1]} models, {self.epochs_trained[1]} epochs, "
-            f"best {self.best_fitness[1]:.2f}%",
-            f"epoch savings: {self.epochs_saved_percent:.1f}%",
-            f"best-fitness delta: {self.best_fitness_delta:+.2f}%",
-            f"hypervolume ratio: {self.hypervolume_ratio:.2f}",
-        ]
-
 
 def _generation_means(records: list[ModelRecord]) -> np.ndarray:
     by_generation: dict[int, list[float]] = {}

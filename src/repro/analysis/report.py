@@ -157,13 +157,16 @@ def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> s
 
     # -- search progress ------------------------------------------------------------
     progress = search_progress(records)
+    evaluations = len(progress.trajectory)
+    reach = f"**{progress.evaluations_to_95_percent}** of {evaluations}"
+    if progress.final_best == progress.trajectory[0]:
+        reach = f"none, no improvement in {evaluations} evaluations"
     sections += [
         "## Search progress",
         "",
         f"- best-so-far trajectory: `{sparkline(progress.trajectory)}`",
         f"- final best: **{progress.final_best:.2f}%**",
-        f"- evaluations to 95% of total improvement: "
-        f"**{progress.evaluations_to_95_percent}** of {len(progress.trajectory)}",
+        f"- evaluations to 95% of total improvement: {reach}",
         f"- evaluations since last improvement: {progress.stagnant_tail}",
         f"- per-generation best: `{sparkline(progress.generation_best)}`",
         "",
@@ -173,13 +176,15 @@ def render_run_report(commons: DataCommons, run_id: str, *, top_k: int = 5) -> s
     top = top_by_fitness(records, max(top_k, 3))
     profile_top = bit_frequency_profile(top)
     profile_all = bit_frequency_profile(records)
-    enriched = int(np.argmax(profile_top - profile_all))
+    enriched = f"**#{int(np.argmax(profile_top - profile_all))}**"
+    if len({r.fitness for r in records if r.fitness is not None}) == 1:
+        enriched = "none, every model has the same fitness (no improvement)"
     sections += [
         "## Structural fingerprint",
         "",
         f"- genome bit frequency, top models: `{sparkline(profile_top)}`",
         f"- genome bit frequency, all models: `{sparkline(profile_all)}`",
-        f"- connection bit most enriched in successful models: **#{enriched}**",
+        f"- connection bit most enriched in successful models: {enriched}",
         "",
     ]
 

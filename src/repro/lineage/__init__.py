@@ -9,7 +9,7 @@ and checked against a fresh re-execution by
 """
 
 from repro.lineage.commons import DataCommons
-from repro.lineage.replay import ReplayReport, replay_run, verify_run
+from repro.lineage.replay import ReplayReport, replay_run, reproducible, verify_run
 from repro.lineage.records import EpochRecord, EpochTrail, ModelRecord, RunRecord
 from repro.lineage.tracker import LineageTracker
 
@@ -17,6 +17,7 @@ __all__ = [
     "DataCommons",
     "ReplayReport",
     "replay_run",
+    "reproducible",
     "verify_run",
     "EpochRecord",
     "EpochTrail",

@@ -7,8 +7,10 @@ workflow configuration, :func:`replay_run` re-executes the search from
 the recorded seed and :func:`verify_run` diffs the fresh record trails
 against the ones on disk, reporting any divergence field by field.
 
-Every run replays bit-exactly in the fields :data:`_VERIFIED_FIELDS`
-names; wall-clock measurements are not among them.  A run the manifest
+What a replay must reproduce of a record is :func:`reproducible`: the
+whole record, every fault and retry decision and the epoch trail
+included, less what a clock or a folder decides.  The tests' parity,
+resume and kill checks compare the same projection.  A run the manifest
 does not list (in progress or killed) is a prefix of its replay, so it
 is replayed only as far as its model files go and only the models on
 disk are compared.
@@ -22,30 +24,26 @@ from dataclasses import dataclass, field, replace
 from repro.lineage.commons import DataCommons
 from repro.lineage.records import ModelRecord
 
-__all__ = ["ReplayReport", "replay_run", "verify_run"]
+__all__ = ["ReplayReport", "replay_run", "reproducible", "verify_run"]
 
-#: Fields compared per model during verification.
-_VERIFIED_FIELDS = (
-    "model_id",
-    "generation",
-    "genome",
-    "fitness",
-    "measured_fitness",
-    "flops",
-    "terminated_early",
-    "epochs_trained",
-    "max_epochs",
-    "fitness_history",
-    "prediction_history",
-    "quarantined",
-    "cache_hit",
-    "cache_source",
-    "logical_tick",
-    "predicted_fitness",
-    "predicted_rank",
-    "budget_assigned",
-    "skip_reason",
-)
+
+def reproducible(record: ModelRecord) -> dict:
+    """What a seeded rerun reproduces of ``record``: its ``to_dict()`` less
+    what a clock or a folder decides.
+
+    That is the engine's measured ``engine_overhead_seconds``, each
+    epoch's ``checkpoint`` paths, and, in real mode, each epoch's
+    measured ``epoch_seconds``; a sampled run's ``epoch_seconds`` are
+    seeded cost-model draws and stay.
+    """
+    document = record.to_dict()
+    del document["engine_overhead_seconds"]
+    measured = record.training_parameters.get("mode") == "real"
+    for epoch in document["epochs"]:
+        del epoch["checkpoint"]
+        if measured:
+            del epoch["epoch_seconds"]
+    return document
 
 
 @dataclass
@@ -59,7 +57,7 @@ class ReplayReport:
     n_models:
         Models compared.
     matches:
-        True when every verified field of every model agrees.
+        True when every model's :func:`reproducible` projection agrees.
     mismatches:
         ``(model_id, field, published, replayed)`` tuples, truncated to
         the first 20.
@@ -123,11 +121,10 @@ def _compare_models(
         if fresh is None:
             mismatches.append((original.model_id, "<presence>", "present", "missing"))
             continue
-        for fname in _VERIFIED_FIELDS:
-            a = getattr(original, fname)
-            b = getattr(fresh, fname)
-            if a != b:
-                mismatches.append((original.model_id, fname, a, b))
+        a, b = reproducible(original), reproducible(fresh)
+        mismatches.extend(
+            (original.model_id, fname, a[fname], b[fname]) for fname in a if a[fname] != b[fname]
+        )
     extra = set(by_id) - {r.model_id for r in published}
     for model_id in sorted(extra):
         mismatches.append((model_id, "<presence>", "missing", "present"))

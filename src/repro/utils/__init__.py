@@ -9,11 +9,10 @@ structured logging (:mod:`repro.utils.logging`), wall-clock helpers
 """
 
 from repro.utils.rng import RngStream, derive_rng, spawn_seeds
-from repro.utils.timing import Stopwatch, format_hours, format_seconds
+from repro.utils.timing import Stopwatch, format_hours
 from repro.utils.validation import (
     ensure_in_range,
     ensure_positive,
-    ensure_probability,
     ValidationError,
 )
 from repro.utils.io import (
@@ -29,10 +28,8 @@ __all__ = [
     "spawn_seeds",
     "Stopwatch",
     "format_hours",
-    "format_seconds",
     "ensure_in_range",
     "ensure_positive",
-    "ensure_probability",
     "ValidationError",
     "atomic_write_json",
     "read_json",

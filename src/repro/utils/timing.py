@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["Stopwatch", "format_seconds", "format_hours"]
+__all__ = ["Stopwatch", "format_hours"]
 
 
 @dataclass
@@ -78,19 +78,6 @@ class Stopwatch:
             return 0.0
         mean = self.mean_lap
         return sum((lap - mean) ** 2 for lap in self.laps) / len(self.laps)
-
-
-def format_seconds(seconds: float) -> str:
-    """Render seconds as ``1h 02m 03.4s`` style text."""
-    sign = "-" if seconds < 0 else ""
-    seconds = abs(seconds)
-    hours, rem = divmod(seconds, 3600)
-    minutes, secs = divmod(rem, 60)
-    if hours >= 1:
-        return f"{sign}{int(hours)}h {int(minutes):02d}m {secs:04.1f}s"
-    if minutes >= 1:
-        return f"{sign}{int(minutes)}m {secs:04.1f}s"
-    return f"{sign}{secs:.2f}s"
 
 
 def format_hours(seconds: float) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 import typing
 from pathlib import PurePath
 
@@ -19,8 +18,6 @@ __all__ = [
     "ensure_positive",
     "ensure_non_negative",
     "ensure_in_range",
-    "ensure_probability",
-    "ensure_finite",
     "ensure_plain_name",
 ]
 
@@ -114,18 +111,6 @@ def ensure_in_range(
     if not ok:
         bounds = f"[{low}, {high}]" if inclusive else f"({low}, {high})"
         raise ValidationError(f"{name} must be in {bounds}, got {value!r}")
-    return value
-
-
-def ensure_probability(value: float, name: str) -> float:
-    """Require ``0 <= value <= 1``."""
-    return ensure_in_range(value, name, 0.0, 1.0)
-
-
-def ensure_finite(value: float, name: str) -> float:
-    """Require a finite float (no NaN/inf)."""
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
 
 

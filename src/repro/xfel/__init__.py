@@ -21,7 +21,6 @@ from repro.xfel.orientation import (
     concentrated_rotations,
     quaternion_to_matrix,
     random_rotations,
-    sample_orientation,
 )
 from repro.xfel.protein import Protein, make_conformations, make_protein, rotation_matrix
 
@@ -39,7 +38,6 @@ __all__ = [
     "normalize_patterns",
     "snr_estimate",
     "random_rotations",
-    "sample_orientation",
     "concentrated_rotations",
     "quaternion_to_matrix",
     "Protein",

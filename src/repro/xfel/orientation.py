@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "random_rotations",
     "quaternion_to_matrix",
-    "sample_orientation",
     "concentrated_rotations",
 ]
 
@@ -51,11 +50,6 @@ def random_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
         raise ValueError(f"count must be non-negative, got {count}")
     q = rng.normal(size=(count, 4))
     return quaternion_to_matrix(q)
-
-
-def sample_orientation(rng: np.random.Generator) -> np.ndarray:
-    """One uniformly random rotation matrix ``(3, 3)``."""
-    return random_rotations(rng, 1)[0]
 
 
 def concentrated_rotations(

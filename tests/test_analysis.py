@@ -323,13 +323,6 @@ class TestCompareRuns:
         assert len(means_a) == 3 and len(means_b) == 3
         assert np.all(means_a >= means_b)
 
-    def test_summary_lines_render(self, rng):
-        from repro.analysis import compare_runs
-
-        a4nn, baseline = self._runs(rng)
-        lines = compare_runs(a4nn, baseline).summary_lines()
-        assert any("epoch savings" in line for line in lines)
-
     def test_empty_run_rejected(self, rng):
         from repro.analysis import compare_runs
 

@@ -125,6 +125,19 @@ class TestSearchProgress:
         report = render_run_report(published_commons, "report_run")
         assert "## Search progress" in report
 
+    def test_a_flat_run_reports_no_improvement(self, tmp_path):
+        # tiny real runs read 50.0 % everywhere (default_real.json)
+        _, tracker = small_tracked_run()
+        records = tracker.all_records()
+        for record in records:
+            record.fitness = 50.0
+        commons = DataCommons(tmp_path)
+        config = WorkflowConfig.from_dict({"seed": 11}).to_dict()
+        publish(commons, RunRecord(run_id="flat", workflow_config=config), records)
+        report = render_run_report(commons, "flat")
+        assert "of total improvement: none, no improvement in 6 evaluations\n" in report
+        assert "in successful models: none, every model has the same fitness" in report
+
     def test_best_so_far_requires_records(self):
         from repro.analysis import best_so_far
 

@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.lineage import DataCommons
 from repro.nas.surrogate import SurrogateConfig
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
 from repro.utils.io import atomic_write_json
-from repro.workflow import WorkflowConfig
+from repro.workflow import WorkflowConfig, run_workflow
 
 
 def small_config_dict(intensity="medium", mode="surrogate", seed=5):
@@ -72,7 +73,7 @@ class TestConfigCommand:
         assert payload["dataset"]["intensity"] == "low"
         assert payload["seed"] == 9
 
-        from repro.workflow import WorkflowConfig
+        from repro.workflow import WorkflowConfig, run_workflow
 
         rebuilt = WorkflowConfig.from_dict(payload)
         assert rebuilt.intensity.label == "low"
@@ -357,6 +358,71 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"a4nn: error: {message.format(run_json=run_path)}")
         assert captured.err.count("\n") == 1
+
+
+def edit_model(commons, run_id, model_id, edit):
+    path = commons / "runs" / run_id / "models" / f"model_{model_id:05d}.json"
+    document = json.loads(path.read_text())
+    edit(document)
+    atomic_write_json(path, document)
+
+
+class TestVerifyReach:
+    """verify compares what a seeded rerun reproduces: every decision and
+    epoch, the sampled epoch seconds too; never a clock or a folder."""
+
+    @pytest.mark.parametrize(
+        "model_id,field,edit",
+        [
+            (1, "fault_events", lambda d: d["fault_events"][0].update(action="quarantine")),
+            # the attempt that crashed trained first: its epochs lead the trail
+            (1, "epochs", lambda d: d["epochs"][0].update(validation_accuracy=1.0)),
+            (2, "epochs", lambda d: d["epochs"][0].update(epoch_seconds=1.0)),
+        ],
+        ids=["fault-action", "failed-attempt-epoch", "sampled-epoch-seconds"],
+    )
+    def test_an_edited_decision_or_epoch_diverges(
+        self, tmp_path, capsys, monkeypatch, model_id, field, edit
+    ):
+        from repro.nas.surrogate import SurrogateEvaluator
+
+        evaluate = SurrogateEvaluator.evaluate
+
+        def crash_after_training(self, individual):  # model 1's first attempt
+            evaluate(self, individual)
+            if (individual.model_id, individual.eval_attempt) == (1, 0):
+                raise RuntimeError("crashed after training")
+            return individual
+
+        monkeypatch.setattr(SurrogateEvaluator, "evaluate", crash_after_training)
+        document = dict(small_config_dict(), faults={"max_retries": 1})
+        run_workflow(WorkflowConfig.from_dict(document), commons_path=tmp_path)
+        record = DataCommons(tmp_path).load_models(RUN_ID)[1]
+        assert len(record.epochs) > record.epochs_trained  # attempt 0's epochs kept
+        edit_model(tmp_path, RUN_ID, model_id, edit)
+        capsys.readouterr()
+        assert main(["verify", "--commons", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert f"run {RUN_ID}: DIVERGED (6 models compared)" in out
+        assert f"  model {model_id}.{field}: published " in out
+
+    def test_measured_seconds_and_checkpoint_paths_are_not_compared(self, tmp_path, capsys):
+        document = small_config_dict(mode="real")
+        document["nas"].update(generations=1, max_epochs=2)
+        document["engine"]["e_pred"] = 2
+        document["dataset"].update(images_per_class=8, image_size=12)
+        config = WorkflowConfig.from_dict(document)
+        run_workflow(config, commons_path=tmp_path / "c", checkpoint_dir=tmp_path / "ck")
+
+        def edit(d):
+            d["engine_overhead_seconds"] += 1.0
+            d["epochs"][0]["epoch_seconds"] *= 2
+            d["epochs"][0]["checkpoint"]["state"] = "elsewhere/epoch_1.state.npz"
+
+        edit_model(tmp_path / "c", config.resolved_run_id(), 0, edit)
+        capsys.readouterr()
+        assert main(["verify", "--commons", str(tmp_path / "c")]) == 0
+        assert "REPRODUCED (3 models compared)" in capsys.readouterr().out
 
 
 class TestAnalyzeCommand:

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import mean_fitness, pareto_frontier, termination_histogram
-from repro.core.engine import EngineConfig, PredictionEngine
-from repro.lineage import DataCommons
-from repro.nas import Individual, NSGANetConfig, SurrogateEvaluator, random_genome
-from repro.nas.search import InlineStream
-from repro.scheduler import ProcessWorkerPool
-from repro.utils.rng import RngStream
+from repro.core.engine import EngineConfig
+from repro.lineage import DataCommons, reproducible
+from repro.nas import NSGANetConfig
 from repro.workflow import WorkflowConfig, run_comparison, run_workflow
 from repro.xfel import BeamIntensity, DatasetConfig
 
@@ -85,12 +82,8 @@ class TestCommonsRoundTripIntegration:
         r2 = run_workflow(config, commons_path=tmp_path / "b")
         m1 = DataCommons(tmp_path / "a").load_models(r1.run_id)
         m2 = DataCommons(tmp_path / "b").load_models(r2.run_id)
-        for a, b in zip(m1, m2):
-            da, db = a.to_dict(), b.to_dict()
-            # measured engine wall time is inherently non-deterministic
-            da.pop("engine_overhead_seconds")
-            db.pop("engine_overhead_seconds")
-            assert da == db
+        assert len(m1) == len(r1.search.archive)
+        assert list(map(reproducible, m1)) == list(map(reproducible, m2))
 
 
 class TestRealModeIntegration:
@@ -105,26 +98,3 @@ class TestRealModeIntegration:
         # lineage has train-loss traces only real mode produces
         record = result.tracker.all_records()[0]
         assert record.epochs[0].train_loss is not None
-
-
-def surrogate_factory(_dataset):
-    """A seeded surrogate evaluator, built the same in every worker."""
-    return SurrogateEvaluator(BeamIntensity.MEDIUM, PredictionEngine(), rng_stream=RngStream(4))
-
-
-class TestWorkerPoolIntegration:
-    def test_parallel_generation_matches_serial(self):
-        def build(stream):
-            rng = np.random.default_rng(0)
-            individuals = [Individual(random_genome(rng), i, 0) for i in range(6)]
-            for individual in individuals:
-                stream.submit(individual)
-            for _ in individuals:
-                stream.settled()
-            return [(m.fitness, m.flops) for m in individuals]
-
-        pool = ProcessWorkerPool(surrogate_factory, n_workers=3)
-        try:
-            assert build(InlineStream(surrogate_factory(None))) == build(pool)
-        finally:
-            pool.close()

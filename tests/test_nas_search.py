@@ -1,7 +1,5 @@
 """Tests for population handling, evaluators, and the search driver."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -286,8 +284,8 @@ class ShuffleStream:
         pass
 
 
-def steady_evaluator(seed, _dataset=None):
-    """The steady searches' evaluator; a worker process builds the same one."""
+def steady_evaluator(seed):
+    """The steady searches' evaluator."""
     return SurrogateEvaluator(
         BeamIntensity.MEDIUM,
         PredictionEngine(EngineConfig(e_pred=10)),
@@ -357,19 +355,6 @@ class TestSteadySearch:
     def test_offspring_generation_numbers(self):
         result = self._search().run()
         assert [m.generation for m in result.archive] == [0] * 4 + [1] * 4 + [2] * 4
-
-    def test_process_stream_matches_inline(self):
-        from repro.scheduler.procpool import ProcessWorkerPool
-
-        baseline = self._key(self._search().run())
-        for n_workers in (1, 2, 4):
-            pool = ProcessWorkerPool(functools.partial(steady_evaluator, 0), n_workers)
-            try:
-                assert self._key(self._search(stream=lambda _: pool).run()) == baseline
-            finally:
-                pool.close()
-            [report] = pool.reports  # one episode per steady run
-            assert report.n_jobs == 12
 
 
 class TestSteadyInsert:

@@ -22,7 +22,6 @@ import pickle
 import signal
 import subprocess
 import sys
-import textwrap
 import time
 from pathlib import Path
 
@@ -31,6 +30,7 @@ import pytest
 
 from repro.core.engine import EngineConfig
 from repro.core.plugin import TrainingResult
+from repro.lineage import reproducible
 from repro.nas import Individual, random_genome
 from repro.nas.evalcache import MemoizingStream, evaluation_key
 from repro.nas.search import EvalStream, InlineStream, NSGANet, NSGANetConfig
@@ -577,24 +577,9 @@ def surrogate_config(backend, n_workers=1, eval_cache=True, seed=7, **kwargs):
     )
 
 
-def run_trail(result):
-    """Everything that must be bit-identical across backends."""
-    archive = sorted(
-        (i.model_id, i.fitness, i.flops, i.cache_hit, i.cache_source)
-        for i in result.search.archive
-    )
-    records = {
-        model_id: (
-            [(e.epoch, e.validation_accuracy, e.prediction) for e in record.epochs],
-            [
-                (e["attempt"], e["kind"], e["action"])
-                for e in (record.fault_events or [])
-            ],
-            record.quarantined,
-        )
-        for model_id, record in result.tracker.records.items()
-    }
-    return archive, records
+def published(result):
+    """What the run publishes that a seeded rerun reproduces."""
+    return [reproducible(record) for record in result.tracker.all_records()]
 
 
 def faulty_config(backend, n_workers):
@@ -609,95 +594,31 @@ def faulty_config(backend, n_workers):
     )
 
 
-def wallclock_free_trails(result):
-    """Every record's ``to_dict()`` without its wall-clock fields, as JSON holds it."""
-    trails = [record.to_dict() for record in result.tracker.all_records()]
+def pinned_fault_trails(result):
+    """:func:`published` as ``faulted_trails.json`` holds it, in JSON: the
+    fixture predates the sampled epoch seconds in the contract, and holds
+    each epoch's checkpoint (none) in their place."""
+    trails = published(result)
     for trail in trails:
-        trail.pop("engine_overhead_seconds")
         for epoch in trail["epochs"]:
-            epoch.pop("epoch_seconds")
+            del epoch["epoch_seconds"]
+            epoch["checkpoint"] = None
     return json.loads(json.dumps(trails))
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: thread at one worker is the inline loop: no pool, no report
-BACKENDS = (("thread", 1), ("thread", 2), ("process", 2))
-
-
-def baseline_config(evolution, backend, n_workers, eval_cache):
-    """``fixtures/make_pr8_baseline.py``'s search: 2 nodes per phase, so most
-    generations contain duplicates of candidates still in flight."""
-    return WorkflowConfig(
-        nas=NSGANetConfig(
-            population_size=4,
-            offspring_per_generation=4,
-            generations=3,
-            max_epochs=8,
-            nodes_per_phase=2,
-            evolution=evolution,
-            # one logical clock for every worker count
-            steady_lag=2 if evolution == "steady" else None,
-        ),
-        engine=EngineConfig(e_pred=8),
-        mode="surrogate",
-        seed=11,
-        run_id="pr8-baseline",
-        backend=backend,
-        n_workers=n_workers,
-        eval_cache=eval_cache,
-    )
-
-
-PR8_BASELINE = json.loads((FIXTURES / "lineage_pr8_baseline.json").read_text())
-
-
-def without_predictor_keys(trails):
-    """The fixture predates the surrogate allocator's four record fields."""
-    added = ("predicted_fitness", "predicted_rank", "budget_assigned", "skip_reason")
-    return [{k: v for k, v in t.items() if k not in added} for t in trails]
-
-
-@functools.lru_cache(maxsize=None)
-def baseline_run(evolution, backend, n_workers, eval_cache):
-    """(lineage without wall-clock fields, cache stats, pool reports kept)."""
-    orchestrator = A4NNOrchestrator(
-        baseline_config(evolution, backend, n_workers, eval_cache)
-    )
-    result = orchestrator.run()
-    assert orchestrator.pool is None  # closed, reports kept
-    trails = [r.to_dict() for r in result.tracker.all_records()]
-    for trail in trails:
-        trail["engine_overhead_seconds"] = None
-    stats = orchestrator.memoizer.cache.stats() if eval_cache else None
-    return trails, stats, len(orchestrator.pool_reports)
-
-
 class TestBackendParitySurrogate:
     @pytest.mark.parametrize("eval_cache", [True, False], ids=["cache", "nocache"])
-    @pytest.mark.parametrize("backend, n_workers", BACKENDS)
+    @pytest.mark.parametrize("backend, n_workers", [("thread", 1), ("thread", 2), ("process", 2)])
     @pytest.mark.parametrize("evolution", ["barrier", "steady"])
-    def test_backends_agree(
-        self, evolution, backend, n_workers, eval_cache
-    ):
-        trails, stats, reports = baseline_run(evolution, backend, n_workers, eval_cache)
-        reference, reference_stats, _ = baseline_run(evolution, *BACKENDS[0], eval_cache)
-        assert trails == reference
-        assert stats == reference_stats
-        if eval_cache:
-            assert any(t["cache_hit"] for t in trails)
-            if evolution == "barrier":
-                assert without_predictor_keys(trails) == PR8_BASELINE
-        else:
-            # the cache changes who trains, never what anyone measured
-            cached, _, _ = baseline_run(evolution, *BACKENDS[0], True)
-            unshared = [dict(t, cache_hit=False, cache_source=None) for t in cached]
-            assert trails == unshared
-        # the process pool reports once per generation behind a barrier and
-        # once per steady run; the thread backend builds no pool at any
-        # worker count; the run closed its workers
-        episodes = 0 if backend == "thread" else 3 if evolution == "barrier" else 1
-        assert reports == episodes
+    def test_backends_agree(self, evolution, backend, n_workers, eval_cache):
+        from tests.test_reproducibility import assert_reproduces
+
+        # the lineage, cache statistics and pool reports of the reference
+        # run, which lineage_pr8_baseline.json pins behind a barrier; the
+        # run closed its workers
+        assert_reproduces(f"{evolution}-off-clean", (backend, n_workers), eval_cache)
         assert not pool_workers()
 
     def test_one_candidate_settles_an_equal_result_on_both_backends(self):
@@ -732,23 +653,24 @@ class TestBackendParitySurrogate:
         pinned = json.loads((FIXTURES / "faulted_trails.json").read_text())
         r_inline = A4NNOrchestrator(faulty_config("thread", 1)).run()
         r_process = A4NNOrchestrator(faulty_config("process", 2)).run()
-        assert run_trail(r_process) == run_trail(r_inline)
+        assert published(r_process) == published(r_inline)
         assert r_process.search.n_quarantined == r_inline.search.n_quarantined
-        assert wallclock_free_trails(r_inline) == pinned
-        assert wallclock_free_trails(r_process) == pinned
+        assert pinned_fault_trails(r_inline) == pinned
+        assert pinned_fault_trails(r_process) == pinned
         assert any(trail["fault_events"] for trail in pinned)
 
     @pytest.mark.parametrize("n_workers", [2, 4])
     def test_thread_workers_evaluate_on_the_search_thread(self, n_workers):
         # sampled curves hold the GIL: more threads build no pool and only
         # pin the steady lag, here fixed at 2 for every worker count
-        orchestrator = A4NNOrchestrator(baseline_config("steady", "thread", n_workers, True))
+        from tests.test_reproducibility import RECIPES, assert_reproduces
+
+        config = dataclasses.replace(RECIPES["steady-off-clean"], n_workers=n_workers)
+        orchestrator = A4NNOrchestrator(config)
         stream = orchestrator.build_stream(orchestrator.build_evaluator())
         assert orchestrator.pool is None and isinstance(stream.inner, InlineStream)
         assert orchestrator.effective_nas().steady_lag == 2
-        trails, stats, reports = baseline_run("steady", "thread", n_workers, True)
-        assert reports == 0
-        assert (trails, stats) == baseline_run("steady", "thread", 1, True)[:2]
+        assert_reproduces("steady-off-clean", ("thread", n_workers))
 
 
 def real_config(backend, n_workers, evolution="barrier", **kwargs):
@@ -789,35 +711,25 @@ def default_real_records(result):
     return json.loads(json.dumps(rows))
 
 
-@functools.lru_cache(maxsize=None)
-def inline_and_process(**kwargs):
+@functools.cache
+def inline_and_process():
     """The same real-mode run inline and on two worker processes."""
-    inline = A4NNOrchestrator(real_config("thread", 1, **kwargs))
-    process = A4NNOrchestrator(real_config("process", 2, **kwargs))
+    inline = A4NNOrchestrator(real_config("thread", 1))
+    process = A4NNOrchestrator(real_config("process", 2))
     return inline, inline.run(), process, process.run()
 
 
 class TestBackendParityReal:
     def test_shared_memory_training_matches_serial(self):
         inline, r_inline, process, r_process = inline_and_process()
-        assert run_trail(r_process) == run_trail(r_inline)
+        assert published(r_process) == published(r_inline)
         assert process.memoizer.cache.stats() == inline.memoizer.cache.stats()
+        # one PoolReport per generation on processes, none inline
+        assert len(process.pool_reports) == 2 and inline.pool_reports == []
+        assert all(r.n_workers == 2 and r.n_jobs > 0 for r in process.pool_reports)
         # run() closed the pool, which also closed the dataset's file
         assert process.pool is None
         assert not pool_workers()
-
-    @pytest.mark.parametrize(
-        "nas, episodes", [({}, 2), ({"evolution": "steady"}, 1)], ids=["barrier", "steady"]
-    )
-    def test_process_pool_matches_inline(self, nas, episodes):
-        # real training on two workers runs on processes: process@2
-        # publishes the inline trails (steady at lag 2), with one
-        # PoolReport per generation or per steady run and none inline
-        inline, r_inline, process, r_process = inline_and_process(**nas)
-        assert run_trail(r_process) == run_trail(r_inline)
-        assert len(process.pool_reports) == episodes
-        assert all(r.n_workers == 2 and r.n_jobs > 0 for r in process.pool_reports)
-        assert inline.pool_reports == []
 
     def test_default_path_matches_the_pin(self):
         # the path every new run takes, pinned independently of parity:
@@ -829,12 +741,6 @@ class TestBackendParityReal:
         assert default_real_records(r_process) == pinned
         assert sum(row["cache_hit"] for row in pinned) == 1
 
-    def test_sanitizers_reach_the_workers(self):
-        # an untripped sanitizer and write guard change no number: workers
-        # build with both switched on and publish the inline trails
-        _, r_inline, _, r_process = inline_and_process(sanitize=True, sanitize_writes=True)
-        assert run_trail(r_process) == run_trail(r_inline)
-
     def test_checkpoint_dir_alone_saves_every_trained_epoch(self, tmp_path):
         # a checkpoint_dir is the whole request: each worker saves the
         # epochs it trains, and the paths come back in the trace: the
@@ -842,27 +748,24 @@ class TestBackendParityReal:
         def run(backend, n_workers):
             folder = tmp_path / backend
             config = real_config(backend, n_workers)
-            result = A4NNOrchestrator(config, checkpoint_dir=folder).run()
-            trails = [r.to_dict() for r in result.tracker.all_records()]
-            for trail in trails:
-                trail.pop("engine_overhead_seconds")
-                for epoch in trail["epochs"]:
-                    epoch.pop("epoch_seconds")
-                    if epoch["checkpoint"] is not None:  # a cache hit trains nothing
-                        epoch["checkpoint"] = {
-                            name: Path(path).relative_to(folder).as_posix()
-                            for name, path in epoch["checkpoint"].items()
-                        }
-            return trails
+            records = A4NNOrchestrator(config, checkpoint_dir=folder).run().tracker.all_records()
+            checkpoints = [
+                {name: Path(path).relative_to(folder).as_posix() for name, path in saved.items()}
+                if saved is not None
+                else None
+                for record in records
+                for saved in record.epochs.column("checkpoint")
+            ]
+            return records, checkpoints
 
-        process = run("process", 2)
-        assert process == run("thread", 1)
-        for trail in process:
-            saved = [e["checkpoint"] is not None for e in trail["epochs"]]
-            assert saved == [not trail["cache_hit"]] * trail["epochs_trained"]
-        checkpoints = [
-            e["checkpoint"] for t in process for e in t["epochs"] if e["checkpoint"]
-        ]
+        process, checkpoints = run("process", 2)
+        inline, inline_checkpoints = run("thread", 1)
+        assert list(map(reproducible, process)) == list(map(reproducible, inline))
+        assert checkpoints == inline_checkpoints
+        for record in process:
+            saved = [c is not None for c in record.epochs.column("checkpoint")]
+            assert saved == [not record.cache_hit] * record.epochs_trained
+        checkpoints = [c for c in checkpoints if c is not None]
         assert len(checkpoints) > len(process)
         for checkpoint in checkpoints:
             state = Path(checkpoint["state"])

@@ -19,7 +19,7 @@ import pytest
 from repro.analysis import skip_report, training_matrix, true_curves
 from repro.core.engine import EngineConfig
 from repro.core.fitting import ridge_lstsq
-from repro.lineage import DataCommons
+from repro.lineage import DataCommons, reproducible
 from repro.lineage.records import ModelRecord
 from repro.nas.genome import Genome, PhaseGenome
 from repro.nas.population import Individual
@@ -39,6 +39,8 @@ from repro.scheduler.simulator import simulate_walltime
 from repro.utils.validation import ValidationError
 from repro.workflow import resume_workflow, run_workflow
 from repro.workflow.interfaces import WorkflowConfig
+
+from tests.test_reproducibility import assert_reproduces
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -315,11 +317,7 @@ def workflow_config(**kw) -> WorkflowConfig:
 
 
 def trails(result) -> list[dict]:
-    out = [r.to_dict() for r in result.tracker.all_records()]
-    for trail in out:
-        # the only wall-clock (nondeterministic) field in surrogate mode
-        trail["engine_overhead_seconds"] = None
-    return out
+    return [reproducible(r) for r in result.tracker.all_records()]
 
 
 @pytest.fixture(scope="module")
@@ -357,35 +355,26 @@ class TestOffModeBaseline:
         )
         current = trails(run_workflow(config))
         assert len(current) == len(baseline)
-        for trail in current:
+        for trail, pinned in zip(current, baseline):
             for key in PREDICTOR_KEYS:
                 assert trail.pop(key) is None
+            # the fixture holds what reproducible() leaves out as null
+            assert pinned.pop("engine_overhead_seconds") is None
+            for epoch in pinned["epochs"]:
+                assert epoch.pop("checkpoint") is None
         assert json.dumps(current, sort_keys=True) == json.dumps(
             baseline, sort_keys=True
         )
 
 
 class TestCrossBackendDeterminism:
-    def test_barrier_backends_bit_identical(self, serial_barrier):
-        reference = trails(serial_barrier)
-        assert any(t["budget_assigned"] is not None for t in reference)
-        for backend, workers in (("thread", 3), ("process", 2)):
-            other = run_workflow(workflow_config(backend=backend, n_workers=workers))
-            assert trails(other) == reference, backend
+    def test_barrier_backends_bit_identical(self):
+        for where in (("thread", 3), ("process", 2)):
+            assert_reproduces("barrier-rank-clean", where)
 
-    def test_steady_backends_bit_identical(self, serial_steady):
-        reference = trails(serial_steady)
-        assert any(t["budget_assigned"] is not None for t in reference)
-        for backend, workers in (("thread", 3), ("process", 2)):
-            other = run_workflow(
-                workflow_config(
-                    backend=backend,
-                    n_workers=workers,
-                    evolution="steady",
-                    steady_lag=3,
-                )
-            )
-            assert trails(other) == reference, backend
+    def test_steady_backends_bit_identical(self):
+        for where in (("thread", 3), ("process", 2)):
+            assert_reproduces("steady-rank-clean", where)
 
     def test_policy_timeout_keeps_the_probe_budget(self, serial_barrier):
         # a timed attempt runs on a worker that receives the allocator's
@@ -497,21 +486,10 @@ class TestResume:
         )
         full = run_workflow(config, commons_path=tmp_path)
         commons = DataCommons(tmp_path)
+        models = tmp_path / "runs" / full.run_id / "models"
         for record in commons.load_models(full.run_id):
-            interrupted = (
-                record.generation >= cut
-                if evolution == "barrier"
-                else record.model_id >= cut
-            )
-            if interrupted:
-                model_file = (
-                    commons.root
-                    / "runs"
-                    / full.run_id
-                    / "models"
-                    / f"model_{record.model_id:05d}.json"
-                )
-                model_file.unlink()
+            if (record.generation if evolution == "barrier" else record.model_id) >= cut:
+                (models / f"model_{record.model_id:05d}.json").unlink()
         resumed = resume_workflow(commons, full.run_id)
         assert trails(resumed) == trails(full)
         # restored models are scored and observed like live ones, so the

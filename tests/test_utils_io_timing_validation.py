@@ -1,6 +1,5 @@
 """Tests for io, timing, and validation utilities."""
 
-import json
 import os
 import time
 from pathlib import Path
@@ -9,14 +8,12 @@ import numpy as np
 import pytest
 
 from repro.utils.io import atomic_write_json, atomic_write_npz, read_json, read_npz
-from repro.utils.timing import Stopwatch, format_hours, format_seconds
+from repro.utils.timing import Stopwatch, format_hours
 from repro.utils.validation import (
     ValidationError,
-    ensure_finite,
     ensure_in_range,
     ensure_non_negative,
     ensure_positive,
-    ensure_probability,
 )
 
 
@@ -116,14 +113,6 @@ class TestStopwatch:
 
 
 class TestFormatting:
-    def test_format_seconds_styles(self):
-        assert format_seconds(5.25) == "5.25s"
-        assert format_seconds(65) == "1m 05.0s"
-        assert format_seconds(3723.4) == "1h 02m 03.4s"
-
-    def test_format_seconds_negative(self):
-        assert format_seconds(-5).startswith("-")
-
     def test_format_hours(self):
         assert format_hours(46.55 * 3600) == "46.55 h"
 
@@ -143,15 +132,3 @@ class TestValidation:
         assert ensure_in_range(5, "x", 0, 5) == 5
         with pytest.raises(ValidationError):
             ensure_in_range(5, "x", 0, 5, inclusive=False)
-
-    def test_ensure_probability(self):
-        assert ensure_probability(0.5, "p") == 0.5
-        with pytest.raises(ValidationError):
-            ensure_probability(1.5, "p")
-
-    def test_ensure_finite(self):
-        assert ensure_finite(1.0, "x") == 1.0
-        with pytest.raises(ValidationError):
-            ensure_finite(float("nan"), "x")
-        with pytest.raises(ValidationError):
-            ensure_finite(float("inf"), "x")

@@ -195,22 +195,10 @@ class TestComparison:
 
 
 class TestParallelExecution:
-    def test_n_workers_gives_same_records_as_serial(self, tmp_path):
-        import dataclasses
+    def test_n_workers_gives_same_records_as_serial(self):
+        from tests.test_reproducibility import assert_reproduces
 
-        serial = run_workflow(small_config(seed=2))
-        parallel = run_workflow(
-            dataclasses.replace(small_config(seed=2), n_workers=3)
-        )
-        serial_records = {
-            r.model_id: (r.fitness, r.flops, r.epochs_trained)
-            for r in serial.tracker.all_records()
-        }
-        parallel_records = {
-            r.model_id: (r.fitness, r.flops, r.epochs_trained)
-            for r in parallel.tracker.all_records()
-        }
-        assert serial_records == parallel_records
+        assert_reproduces("barrier-off-clean", ("thread", 3))
 
     def test_invalid_worker_count_rejected(self):
         import dataclasses

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import EngineConfig
-from repro.lineage import DataCommons
+from repro.lineage import DataCommons, reproducible
 from repro.lineage import commons as commons_module
 from repro.nas.genome import Genome
 from repro.nas.population import Individual
@@ -31,57 +31,25 @@ from repro.workflow.interfaces import WorkflowConfig
 from tests.test_workflow import small_config
 
 
-def steady_config(seed=31, lag=3):
+def steady_config(seed):
     config = small_config(seed=seed)
-    return dataclasses.replace(
-        config,
-        nas=dataclasses.replace(config.nas, evolution="steady", steady_lag=lag),
-    )
+    nas = dataclasses.replace(config.nas, evolution="steady", steady_lag=3)
+    return dataclasses.replace(config, nas=nas)
 
 
-def publish_tick_prefix(tmp_path, *, keep_ticks, seed=31):
-    """Publish a steady run, then delete all records past a tick prefix."""
-    config = steady_config(seed=seed)
+def published_prefix(tmp_path, keep, *, seed=31, steady=False):
+    """Publish a small seeded run, then delete its model files from id
+    ``keep`` on: the commons, the run id and the uninterrupted run."""
+    config = steady_config(seed=seed) if steady else small_config(seed=seed)
     result = run_workflow(config, commons_path=tmp_path)
     commons = DataCommons(tmp_path)
-    run_id = result.run_id
-    for record in commons.load_models(run_id):
-        if record.model_id >= keep_ticks:
-            (
-                commons.root
-                / "runs"
-                / run_id
-                / "models"
-                / f"model_{record.model_id:05d}.json"
-            ).unlink()
-    return commons, run_id, result
-
-
-def publish_truncated(tmp_path, *, keep_generations, seed=31):
-    """Publish a run, then delete the records of later generations."""
-    config = small_config(seed=seed)
-    result = run_workflow(config, commons_path=tmp_path)
-    commons = DataCommons(tmp_path)
-    run_id = result.run_id
-    for record in commons.load_models(run_id):
-        if record.generation >= keep_generations:
-            path = (
-                commons.root
-                / "runs"
-                / run_id
-                / "models"
-                / f"model_{record.model_id:05d}.json"
-            )
-            path.unlink()
-    return commons, run_id, result
+    cut_at(commons, result.run_id, keep)
+    return commons, result.run_id, result
 
 
 def trails(records):
-    """Record trails as published, less the engine's wall-clock overhead."""
-    out = [r.to_dict() for r in sorted(records, key=lambda r: r.model_id)]
-    for trail in out:
-        trail["engine_overhead_seconds"] = None
-    return out
+    """What a seeded rerun reproduces of the records, in model-id order."""
+    return [reproducible(r) for r in sorted(records, key=lambda r: r.model_id)]
 
 
 def assert_resumes_to(commons, run_id, full):
@@ -126,7 +94,7 @@ def bred_from(record):
 
 class TestIndividualFromRecord:
     def test_round_trip_through_records(self, tmp_path):
-        commons, run_id, result = publish_truncated(tmp_path, keep_generations=2)
+        commons, run_id, result = published_prefix(tmp_path, 6)
         record = commons.load_models(run_id)[0]
         individual = individual_from_record(record, bred_from(record))
         original = result.search.archive[0]
@@ -153,7 +121,7 @@ class TestRebuildState:
     """Barrier prefix rule: whole generations from generation 0."""
 
     def test_state_covers_complete_generations(self, tmp_path):
-        commons, run_id, full = publish_truncated(tmp_path, keep_generations=1)
+        commons, run_id, full = published_prefix(tmp_path, 3)
         prefix = rebuild_search_state(
             commons.load_models(run_id),
             population_size=3,
@@ -163,7 +131,7 @@ class TestRebuildState:
         assert_resumes_to(commons, run_id, full)
 
     def test_partial_generation_dropped(self, tmp_path):
-        commons, run_id, full = publish_truncated(tmp_path, keep_generations=2)
+        commons, run_id, full = published_prefix(tmp_path, 6)
         # remove the last model of generation 1: models 0..4 are still
         # contiguous, but generation 1 is incomplete and is redone whole
         (commons.root / "runs" / run_id / "models" / "model_00005.json").unlink()
@@ -182,22 +150,13 @@ class TestRebuildState:
 
 class TestResumeWorkflow:
     def test_resumed_run_matches_uninterrupted(self, tmp_path):
-        commons, run_id, full = publish_truncated(tmp_path, keep_generations=1, seed=33)
-        resumed = resume_workflow(commons, run_id)
-
-        assert len(resumed.search.archive) == len(full.search.archive)
-        for a, b in zip(resumed.search.archive, full.search.archive):
-            assert a.model_id == b.model_id
-            assert a.genome == b.genome
-            assert a.fitness == b.fitness
-            assert a.result.epochs_trained == b.result.epochs_trained
-        # republished commons is complete again
-        assert len(commons.load_models(run_id)) == len(full.search.archive)
+        # the trails, and the republished commons complete again
+        assert_resumes_to(*published_prefix(tmp_path, 3, seed=33))
 
     def test_resume_verifies_against_replay(self, tmp_path):
         from repro.lineage import verify_run
 
-        commons, run_id, _ = publish_truncated(tmp_path, keep_generations=1, seed=35)
+        commons, run_id, _ = published_prefix(tmp_path, 3, seed=35)
         resume_workflow(commons, run_id)
         report = verify_run(commons, run_id)
         assert report.matches, report.summary()
@@ -231,25 +190,17 @@ class TestResumeWorkflow:
 
     def test_resume_of_complete_run_is_noop(self, tmp_path):
         # edge case: nothing left to do — the resumed result must cover
-        # the whole run without re-evaluating anything
-        config = small_config(seed=39)
-        full = run_workflow(config, commons_path=tmp_path)
-        commons = DataCommons(tmp_path)
-        resumed = resume_workflow(commons, full.run_id)
+        # the whole run
+        full = run_workflow(small_config(seed=39), commons_path=tmp_path)
+        resumed = assert_resumes_to(DataCommons(tmp_path), full.run_id, full)
         assert len(resumed.search.archive) == len(full.search.archive)
-        assert [m.fitness for m in resumed.search.archive] == [
-            m.fitness for m in full.search.archive
-        ]
-        assert [m.generation for m in resumed.search.archive] == [
-            m.generation for m in full.search.archive
-        ]
 
 
 class TestRebuildSteadyState:
     """Steady prefix rule: the contiguous complete prefix, uncut."""
 
     def test_prefix_cut_to_whole_chunks(self, tmp_path):
-        commons, run_id, full = publish_tick_prefix(tmp_path, keep_ticks=4)
+        commons, run_id, full = published_prefix(tmp_path, 4, steady=True)
         prefix = rebuild_search_state(
             commons.load_models(run_id),
             population_size=3,
@@ -262,7 +213,7 @@ class TestRebuildSteadyState:
         assert_resumes_to(commons, run_id, full)
 
     def test_id_gap_cuts_the_prefix(self, tmp_path):
-        commons, run_id, full = publish_tick_prefix(tmp_path, keep_ticks=6)
+        commons, run_id, full = published_prefix(tmp_path, 6, steady=True)
         (
             commons.root / "runs" / run_id / "models" / "model_00004.json"
         ).unlink()
@@ -277,7 +228,7 @@ class TestRebuildSteadyState:
         assert_resumes_to(commons, run_id, full)
 
     def test_initial_population_incomplete_rejected(self, tmp_path):
-        commons, run_id, _ = publish_tick_prefix(tmp_path, keep_ticks=2)
+        commons, run_id, _ = published_prefix(tmp_path, 2, steady=True)
         with pytest.raises(ValueError, match="initial population incomplete"):
             rebuild_search_state(
                 commons.load_models(run_id),
@@ -287,7 +238,7 @@ class TestRebuildSteadyState:
             )
 
     def test_tick_id_mismatch_rejected(self, tmp_path):
-        commons, run_id, _ = publish_tick_prefix(tmp_path, keep_ticks=6)
+        commons, run_id, _ = published_prefix(tmp_path, 6, steady=True)
         records = commons.load_models(run_id)
         records[2].logical_tick = 5  # corrupted trail
         with pytest.raises(ValueError, match="logical_tick"):
@@ -301,15 +252,8 @@ class TestRebuildSteadyState:
 
 class TestResumeSteadyWorkflow:
     def test_resumed_run_matches_uninterrupted(self, tmp_path):
-        commons, run_id, full = publish_tick_prefix(tmp_path, keep_ticks=4, seed=37)
-        resumed = resume_workflow(commons, run_id)
+        resumed = assert_resumes_to(*published_prefix(tmp_path, 4, seed=37, steady=True))
         assert [m.logical_tick for m in resumed.search.archive] == list(range(6))
-        for a, b in zip(resumed.search.archive, full.search.archive):
-            assert a.model_id == b.model_id
-            assert a.logical_tick == b.logical_tick
-            assert a.genome == b.genome
-            assert a.fitness == b.fitness
-        assert len(commons.load_models(run_id)) == 6
 
     def test_state_survives_serialization_bit_exactly(self, tmp_path):
         # a complete run restores whole from the published JSON: every
@@ -338,7 +282,7 @@ class TestResumeSteadyWorkflow:
     def test_republish_writes_only_the_models_it_ran(self, tmp_path, monkeypatch):
         # the restored records are kept as published, so their files are
         # neither encoded nor read again
-        commons, run_id, full = publish_tick_prefix(tmp_path, keep_ticks=4, seed=37)
+        commons, run_id, full = published_prefix(tmp_path, 4, seed=37, steady=True)
         models = commons.root / "runs" / run_id / "models"
         restored = sorted(models.glob("model_*.json"))
         assert len(restored) == 4
@@ -367,7 +311,7 @@ class TestResumeSteadyWorkflow:
     def test_resume_verifies_against_replay(self, tmp_path):
         from repro.lineage import verify_run
 
-        commons, run_id, _ = publish_tick_prefix(tmp_path, keep_ticks=4, seed=43)
+        commons, run_id, _ = published_prefix(tmp_path, 4, seed=43, steady=True)
         resume_workflow(commons, run_id)
         report = verify_run(commons, run_id)
         assert report.matches, report.summary()
@@ -407,7 +351,7 @@ class TestResumeIsTheLiveRun:
         assert_resumes_to(commons, config.run_id, full)
 
     def test_a_record_this_seed_does_not_breed_is_refused(self, tmp_path):
-        commons, run_id, _ = publish_truncated(tmp_path, keep_generations=1)
+        commons, run_id, _ = published_prefix(tmp_path, 3)
         path = commons.root / "runs" / run_id / "models" / "model_00001.json"
         document = read_json(path)
         document["genome"]["bits"][0] ^= 1
