@@ -1,12 +1,18 @@
-"""NSGA-II machinery: non-dominated sorting, crowding, selection.
+"""NSGA-II machinery for two objectives: sorting, crowding, selection.
 
-All routines operate on plain objective arrays shaped
-``(n_individuals, n_objectives)`` under the *minimization* convention
-(the search negates accuracy before calling in here), keeping this
-module reusable and easy to property-test.
+Every routine takes ``(n, 2)`` objective rows (an array, or ``(f0, f1)``
+pairs) under the *minimization* convention — the search and
+:mod:`repro.analysis.pareto` pass ``(-accuracy, FLOPs)`` — and works on
+plain Python floats.  Any other width, and any non-finite value, raises
+``ValueError``.  Two objectives make the non-dominated sort one sorted
+sweep (Jensen, IEEE TEC 7(5), 2003), O(n log n) in place of a pairwise
+dominance matrix.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from math import inf, isfinite
 
 import numpy as np
 
@@ -23,64 +29,52 @@ __all__ = [
 ]
 
 
-def _as_objectives(objectives) -> np.ndarray:
-    arr = np.asarray(objectives, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"objectives must be (n, m), got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+def _rows(objectives) -> list[tuple[float, float]]:
+    """``objectives`` as ``(f0, f1)`` float pairs; other widths and non-finite values raise."""
+    if isinstance(objectives, np.ndarray):
+        if objectives.ndim != 2 or objectives.shape[1] != 2:
+            raise ValueError(f"objectives must be (n, 2), got shape {objectives.shape}")
+        objectives = objectives.tolist()
+    try:
+        rows = [(float(f0), float(f1)) for f0, f1 in objectives]
+    except (TypeError, ValueError):
+        raise ValueError("objectives must be (n, 2): one (f0, f1) pair per row") from None
+    if not all(isfinite(f0) and isfinite(f1) for f0, f1 in rows):
         raise ValueError("objectives must be finite")
-    return arr
+    return rows
 
 
 def dominates(a, b) -> bool:
-    """Pareto dominance for minimization: a <= b everywhere, < somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return bool(np.all(a <= b) and np.any(a < b))
+    """Pareto dominance for minimization: a <= b in both objectives, < in one."""
+    (a0, a1), (b0, b1) = a, b
+    return a0 <= b0 and a1 <= b1 and (a0 < b0 or a1 < b1)
 
 
-def _dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``dom[i, j]`` = row ``a[i]`` dominates row ``b[j]``.
+def _sweep(rows: list[tuple[float, float]]) -> list[list[int]]:
+    """Fronts of ``rows`` as ascending index lists; front 0 is the Pareto set.
 
-    One 2-D comparison per objective: reducing a stacked ``(n, n, m)``
-    comparison over its short last axis costs ten times the compares.
+    In stable ``(f0, f1)`` order a row's dominators all precede it, and a
+    front's last row dominates it exactly when some member does: when
+    that row's ``(f1, f0)`` is smaller.  Those keys increase from front
+    to front, so bisection finds the first front that does not.
     """
-    less_equal = np.ones((len(a), len(b)), dtype=bool)
-    strictly_less = np.zeros((len(a), len(b)), dtype=bool)
-    for k in range(a.shape[1]):
-        mine, theirs = a[:, k, None], b[None, :, k]
-        less_equal &= mine <= theirs
-        strictly_less |= mine < theirs
-    return less_equal & strictly_less
+    fronts: list[list[int]] = []
+    lasts: list[tuple[float, float]] = []  # (f1, f0) of each front's last row
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        f0, f1 = rows[i]
+        k = bisect_left(lasts, (f1, f0))
+        if k == len(fronts):
+            fronts.append([i])
+            lasts.append((f1, f0))
+        else:
+            fronts[k].append(i)
+            lasts[k] = (f1, f0)
+    return [sorted(front) for front in fronts]
 
 
 def fast_non_dominated_sort(objectives) -> list[np.ndarray]:
-    """Deb's fast non-dominated sort.
-
-    Returns fronts as index arrays; front 0 is the Pareto-optimal set.
-    Dominance is one vectorized ``(n, n)`` boolean matrix — O(m·n²)
-    time, O(n²) memory — instead of a Python triple loop.  Every
-    selection routine below sorts through here, so this is also where
-    their input is validated, once.
-    """
-    arr = _as_objectives(objectives)
-    n = arr.shape[0]
-    if n == 0:
-        return []
-    dom = _dominance(arr, arr)
-
-    fronts: list[np.ndarray] = []
-    remaining = np.ones(n, dtype=bool)
-    counts = dom.sum(axis=0)  # how many dominate each j
-    while remaining.any():
-        current = remaining & (counts == 0)
-        if not current.any():
-            raise RuntimeError("non-dominated sort failed to make progress")
-        fronts.append(np.flatnonzero(current))
-        remaining &= ~current
-        # removing the current front decrements dominated counts
-        counts = counts - dom[current].sum(axis=0)
-    return fronts
+    """Fronts as ascending index arrays; front 0 is the Pareto-optimal set."""
+    return [np.asarray(front, dtype=int) for front in _sweep(_rows(objectives))]
 
 
 def crowding_distance(objectives) -> np.ndarray:
@@ -90,29 +84,28 @@ def crowding_distance(objectives) -> np.ndarray:
     accumulate normalized neighbour gaps.  Constant objectives
     contribute nothing.
     """
-    return _crowding(_as_objectives(objectives))
+    return np.array(_crowding(_rows(objectives)), dtype=float)
 
 
-def _crowding(arr: np.ndarray) -> np.ndarray:
-    """:func:`crowding_distance` of an already validated array."""
-    n, m = arr.shape
-    distance = np.zeros(n)
+def _crowding(rows: list[tuple[float, float]]) -> list[float]:
+    """:func:`crowding_distance` of already validated rows."""
+    n = len(rows)
     if n <= 2:
-        return np.full(n, np.inf)
-    for k in range(m):
-        order = np.argsort(arr[:, k], kind="stable")
-        values = arr[order, k]
-        span = values[-1] - values[0]
+        return [inf] * n
+    distance = [0.0] * n
+    for k in (0, 1):
+        values = [row[k] for row in rows]
+        order = sorted(range(n), key=values.__getitem__)
+        low, high = values[order[0]], values[order[-1]]
+        span = high - low
         if span > 0:
-            # Every point *tied* with a boundary value is a boundary
-            # point; marking only order[0]/order[-1] would hand inf to
-            # whichever duplicate the stable sort happened to place
-            # first/last, making selection depend on input order.  A
-            # constant objective (span == 0) stays degenerate and
-            # contributes nothing, exactly as before.
-            distance[order[values == values[0]]] = np.inf
-            distance[order[values == values[-1]]] = np.inf
-            distance[order[1:-1]] += (values[2:] - values[:-2]) / span
+            # every point tied with a boundary value is a boundary point,
+            # so duplicates get the same distance in any input order
+            for i in order:
+                if values[i] == low or values[i] == high:
+                    distance[i] = inf
+            for prev, i, nxt in zip(order, order[1:], order[2:]):
+                distance[i] += (values[nxt] - values[prev]) / span
     return distance
 
 
@@ -125,23 +118,21 @@ def crowded_compare(rank_a: int, dist_a: float, rank_b: int, dist_b: float) -> b
 
 def environmental_selection(objectives, k: int) -> np.ndarray:
     """Select ``k`` survivor indices by rank, then crowding within the cut front."""
-    arr = np.asarray(objectives, dtype=float)
-    fronts = fast_non_dominated_sort(arr)  # validates arr
-    if not 0 <= k <= arr.shape[0]:
-        raise ValueError(f"k must be in [0, {arr.shape[0]}], got {k}")
+    rows = _rows(objectives)
+    if not 0 <= k <= len(rows):
+        raise ValueError(f"k must be in [0, {len(rows)}], got {k}")
     survivors: list[int] = []
-    for front in fronts:
-        if len(survivors) + len(front) <= k:
-            survivors.extend(front.tolist())
-            if len(survivors) == k:
-                break
-        else:
-            need = k - len(survivors)
-            dist = _crowding(arr[front])
-            # most-crowded-last: take the `need` largest distances
-            keep = front[np.argsort(-dist, kind="stable")[:need]]
-            survivors.extend(keep.tolist())
+    for front in _sweep(rows):
+        need = k - len(survivors)
+        if need <= 0:
             break
+        if len(front) <= need:
+            survivors.extend(front)
+        else:
+            # most crowded last: take the ``need`` largest distances
+            distance = _crowding([rows[i] for i in front])
+            order = sorted(range(len(front)), key=lambda t: -distance[t])
+            survivors.extend(front[t] for t in order[:need])
     return np.asarray(survivors, dtype=int)
 
 
@@ -155,61 +146,68 @@ def steady_eviction(objectives) -> int:
     keeps precisely the ``n - 1`` survivors
     ``environmental_selection(objectives, n - 1)`` would keep.
     """
-    arr = np.asarray(objectives, dtype=float)
-    fronts = fast_non_dominated_sort(arr)  # validates arr
-    if arr.shape[0] < 2:
+    rows = _rows(objectives)
+    if len(rows) < 2:
         raise ValueError("steady eviction needs at least two members")
-    last_front = fronts[-1]
-    dist = _crowding(arr[last_front])
-    # mirror environmental_selection's most-crowded-first stable ordering
-    return int(last_front[np.argsort(-dist, kind="stable")[-1]])
+    last_front = _sweep(rows)[-1]
+    distance = _crowding([rows[i] for i in last_front])
+    # environmental_selection's order, most crowded last
+    return last_front[sorted(range(len(last_front)), key=lambda t: -distance[t])[-1]]
 
 
-def binary_tournament(
-    objectives, rng: np.random.Generator, *, n_winners: int
-) -> np.ndarray:
+def binary_tournament(objectives, rng: np.random.Generator, *, n_winners: int) -> np.ndarray:
     """Binary tournament selection with the crowded-comparison operator.
 
-    Ranks and crowding are computed once over the whole pool; each
-    winner comes from an independent random pairing.
+    The pool is sorted once; each winner comes from an independent
+    random pairing.  Crowding only breaks a tie in rank, so a front's
+    distances are computed the first time a pairing needs them.
     """
-    arr = np.asarray(objectives, dtype=float)
-    fronts = fast_non_dominated_sort(arr)  # validates arr
-    n = arr.shape[0]
+    rows = _rows(objectives)
+    n = len(rows)
     if n == 0:
         raise ValueError("cannot run a tournament on an empty pool")
-    ranks = np.empty(n, dtype=int)
-    distances = np.empty(n)
-    for rank, front in enumerate(fronts):
-        ranks[front] = rank
-        distances[front] = _crowding(arr[front])
+    fronts = _sweep(rows)
+    ranks = {i: rank for rank, front in enumerate(fronts) for i in front}
+    distances: dict[int, float] = {}
 
-    winners = np.empty(n_winners, dtype=int)
-    for t in range(n_winners):
-        i, j = rng.integers(0, n, size=2)
-        winners[t] = i if crowded_compare(ranks[i], distances[i], ranks[j], distances[j]) else j
-    return winners
+    def distance(i: int) -> float:
+        if i not in distances:
+            front = fronts[ranks[i]]
+            distances.update(zip(front, _crowding([rows[t] for t in front])))
+        return distances[i]
+
+    winners = []
+    for _ in range(n_winners):
+        i, j = rng.integers(0, n, size=2).tolist()
+        # crowded_compare, reading distances only on a tie in rank
+        better = ranks[i] < ranks[j] if ranks[i] != ranks[j] else distance(i) > distance(j)
+        winners.append(i if better else j)
+    return np.asarray(winners, dtype=int)
 
 
 def pareto_front_mask(objectives) -> np.ndarray:
     """Boolean mask of Pareto-optimal individuals (minimization)."""
-    arr = _as_objectives(objectives)
-    return ~_dominance(arr, arr).any(axis=0)
+    rows = _rows(objectives)
+    mask = np.zeros(len(rows), dtype=bool)
+    if rows:
+        mask[_sweep(rows)[0]] = True
+    return mask
 
 
-def pareto_front_insert(front, point) -> np.ndarray | None:
+def pareto_front_insert(front, point) -> list[bool] | None:
     """One step of an incrementally maintained Pareto front.
 
-    ``front`` is the ``(f, m)`` objectives of a mutually non-dominated
-    set, ``point`` one new ``(m,)`` candidate.  ``None`` when a member
-    dominates ``point`` (the front stands); otherwise the mask of the
-    members ``point`` does *not* dominate — they survive, in order, and
-    ``point`` joins behind them.  Equal points neither dominate nor are
-    dominated, so duplicates accumulate as :func:`pareto_front_mask`
-    keeps them: at every prefix both select the same members.
+    ``front`` is the ``(f, 2)`` objectives of a mutually non-dominated
+    set, ``point`` one new ``(f0, f1)`` candidate.  ``None`` when a
+    member dominates ``point`` (the front stands); otherwise, per
+    member, whether ``point`` does *not* dominate it — those survive, in
+    order, and ``point`` joins behind them.  Equal points neither
+    dominate nor are dominated, so duplicates accumulate as
+    :func:`pareto_front_mask` keeps them: at every prefix both select
+    the same members.
     """
-    front = _as_objectives(front)
-    point = _as_objectives(np.asarray(point, dtype=float)[None, :])
-    if _dominance(front, point).any():
+    front = _rows(front)
+    [point] = _rows([point])
+    if any(dominates(member, point) for member in front):
         return None
-    return ~_dominance(point, front)[0]
+    return [not dominates(point, member) for member in front]

@@ -30,8 +30,6 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
-import numpy as np
-
 from repro.nas.evaluation import Evaluator, effective_budget
 from repro.nas.genome import Genome, random_genome
 from repro.nas.nsga2 import (
@@ -140,19 +138,19 @@ class SteadyState(NamedTuple):
     """What steady-state breeding reads, as of one commit.
 
     The population and the non-dominated front of the whole archive,
-    both in commit order, each beside its ``(n, 2)`` objectives.  Never
-    mutated: :func:`steady_insert` builds the next state, so a candidate
-    bred at commit ``g - lag`` can pin the one it was bred from.
+    both in commit order, each beside a list of its ``(f0, f1)`` pairs.
+    Never mutated: :func:`steady_insert` builds the next state, so a
+    candidate bred at commit ``g - lag`` can pin the one it was bred from.
     """
 
     members: list
-    objectives: np.ndarray
+    objectives: list
     front: list
-    front_objectives: np.ndarray
+    front_objectives: list
 
 
 #: the state before the first commit
-STEADY_START = SteadyState([], np.empty((0, 2)), [], np.empty((0, 2)))
+STEADY_START = SteadyState([], [], [], [])
 
 
 def steady_insert(
@@ -167,18 +165,18 @@ def steady_insert(
     (:func:`~repro.nas.nsga2.pareto_front_insert`) and so always equals,
     members and order, ``pareto_front_mask`` over the archive so far.
     """
-    row = np.array([individual.objectives()], dtype=float)
+    row = individual.objectives()
     members = state.members + [individual]
-    objectives = np.concatenate((state.objectives, row))
+    objectives = state.objectives + [row]
     if len(members) > population_size:
         victim = steady_eviction(objectives)
         del members[victim]
-        objectives = np.delete(objectives, victim, axis=0)
+        del objectives[victim]
     front, front_objectives = state.front, state.front_objectives
-    keep = pareto_front_insert(front_objectives, row[0])
+    keep = pareto_front_insert(front_objectives, row)
     if keep is not None:
         front = [m for m, kept in zip(front, keep) if kept] + [individual]
-        front_objectives = np.concatenate((front_objectives[keep], row))
+        front_objectives = [r for r, kept in zip(front_objectives, keep) if kept] + [row]
     return SteadyState(members, objectives, front, front_objectives)
 
 
@@ -474,7 +472,7 @@ class NSGANet:
         present = {m.model_id for m in members}
         extra = [i for i, m in enumerate(state.front) if m.model_id not in present]
         pool = members + [state.front[i] for i in extra]
-        objectives = np.concatenate((state.objectives, state.front_objectives[extra]))
+        objectives = state.objectives + [state.front_objectives[i] for i in extra]
         parent_idx = binary_tournament(objectives, rng, n_winners=2)
         a = pool[int(parent_idx[0])].genome
         b = pool[int(parent_idx[1])].genome

@@ -68,6 +68,8 @@ class BufferArena:
         self.dtype = resolve_dtype(dtype)
         # kind (owner, name, shape[1:], dtype) -> the one owned block
         self._blocks: dict[tuple, np.ndarray] = {}
+        # kind -> the keys lent out of its block, which a larger block re-points
+        self._lent: dict[tuple, list[tuple]] = {}
         # (owner, name, shape, dtype) -> the block or its leading view
         self._buffers: dict[tuple, np.ndarray] = {}
 
@@ -93,11 +95,12 @@ class BufferArena:
         """Map ``key`` onto its kind's block, growing the block if needed."""
         kind = _kind(key)
         block = self._blocks.get(kind)
+        lent = self._lent.setdefault(kind, [])
         if block is None or block.shape[:1] < key[2][:1]:  # larger leading extent
             block = self._blocks[kind] = np.empty(key[2], dtype=key[3])
-            for other in self._buffers:
-                if _kind(other) == kind:
-                    self._buffers[other] = block[: other[2][0]]
+            for other in lent:
+                self._buffers[other] = block[: other[2][0]]
+        lent.append(key)
         buf = self._buffers[key] = block if block.shape == key[2] else block[: key[2][0]]
         return buf
 
@@ -129,6 +132,7 @@ class BufferArena:
     def clear(self) -> None:
         """Drop every buffer (the next request reallocates)."""
         self._blocks.clear()
+        self._lent.clear()
         self._buffers.clear()
 
     def __repr__(self) -> str:

@@ -19,7 +19,7 @@ from repro.nas.nsga2 import (
 
 objective_arrays = arrays(
     dtype=float,
-    shape=st.tuples(st.integers(1, 40), st.integers(1, 3)),
+    shape=st.tuples(st.integers(1, 40), st.just(2)),
     elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False),
 )
 
@@ -61,6 +61,23 @@ class TestNonDominatedSort:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             fast_non_dominated_sort(np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_widths_other_than_two(self, width, rng):
+        objectives = np.ones((4, width))
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            fast_non_dominated_sort(objectives)
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            fast_non_dominated_sort(objectives.tolist())
+        for select in (
+            crowding_distance,
+            pareto_front_mask,
+            steady_eviction,
+            lambda arr: environmental_selection(arr, 2),
+            lambda arr: binary_tournament(arr, rng, n_winners=2),
+        ):
+            with pytest.raises(ValueError):
+                select(objectives)
 
     @given(objective_arrays)
     @settings(max_examples=60, deadline=None)
@@ -193,18 +210,18 @@ class TestBinaryTournament:
             binary_tournament(np.zeros((0, 2)), rng, n_winners=1)
 
     def test_sorts_pool_exactly_once(self, rng, monkeypatch):
-        # regression: the tournament used to run fast_non_dominated_sort
-        # twice per call (once for ranks, once for distances)
+        # regression: the tournament used to sort the pool twice per
+        # call (once for ranks, once for distances)
         import repro.nas.nsga2 as nsga2_mod
 
         calls = {"n": 0}
-        real_sort = nsga2_mod.fast_non_dominated_sort
+        real_sweep = nsga2_mod._sweep
 
-        def counting_sort(objectives):
+        def counting_sweep(rows):
             calls["n"] += 1
-            return real_sort(objectives)
+            return real_sweep(rows)
 
-        monkeypatch.setattr(nsga2_mod, "fast_non_dominated_sort", counting_sort)
+        monkeypatch.setattr(nsga2_mod, "_sweep", counting_sweep)
         objectives = rng.normal(size=(12, 2))
         seed_rng = np.random.default_rng(7)
         winners = binary_tournament(objectives, seed_rng, n_winners=8)

@@ -357,6 +357,43 @@ class TestSteadySearch:
         assert [m.generation for m in result.archive] == [0] * 4 + [1] * 4 + [2] * 4
 
 
+class TestSelectionAttribution:
+    """The search reaches selection through its module globals.
+
+    ``bench_spine/layers.py`` times ``nas.select_s`` by wrapping these
+    four names on :mod:`repro.nas.search`; a search that inlined or
+    re-imported one would silently stop being timed.
+    """
+
+    def test_every_wrapped_name_is_called(self, monkeypatch):
+        import repro.nas.search as search_module
+
+        wrapped = "environmental_selection steady_eviction pareto_front_mask binary_tournament"
+        calls = dict.fromkeys(wrapped.split(), 0)
+        for name in calls:
+
+            def counting(*args, _real=getattr(search_module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(search_module, name, counting)
+        modes = {"barrier": "environmental_selection", "steady": "steady_eviction"}
+        for mode, selection in modes.items():
+            calls.update(dict.fromkeys(calls, 0))
+            config = NSGANetConfig(
+                population_size=4,
+                offspring_per_generation=4,
+                generations=3,
+                max_epochs=10,
+                evolution=mode,
+            )
+            result = NSGANet(config, steady_evaluator(0), rng_stream=RngStream(0)).run()
+            assert result.pareto_individuals()
+            assert {name for name, n in calls.items() if n} == {
+                "binary_tournament", selection, "pareto_front_mask"
+            }
+
+
 class TestSteadyInsert:
     def test_grows_until_full(self, rng):
         from repro.nas.search import STEADY_START, steady_insert
@@ -366,7 +403,7 @@ class TestSteadyInsert:
             ind = Individual(random_genome(rng), i, 0, fitness=50.0 + i, flops=100)
             state = steady_insert(state, ind, population_size=3)
         assert [m.model_id for m in state.members] == [0, 1, 2]
-        assert state.objectives.tolist() == [list(m.objectives()) for m in state.members]
+        assert state.objectives == [m.objectives() for m in state.members]
 
     def test_evicts_exactly_one_preserving_order(self, rng):
         from repro.nas.nsga2 import steady_eviction
@@ -390,7 +427,7 @@ class TestSteadyInsert:
         assert [m.model_id for m in survivors] == [
             m.model_id for i, m in enumerate(combined) if i != victim
         ]
-        assert after.objectives.tolist() == [list(m.objectives()) for m in survivors]
+        assert after.objectives == [m.objectives() for m in survivors]
 
 
 class TestTrainingEvaluatorIntegration:

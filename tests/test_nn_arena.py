@@ -32,7 +32,7 @@ import pytest
 
 from repro.nas.decoder import DecoderConfig, PhaseBlock, decode_genome
 from repro.nas.genome import Genome, PhaseGenome, random_genome
-from repro.nn.arena import BufferArena
+from repro.nn.arena import BufferArena, _kind
 from repro.nn.dtype import resolve_dtype
 from repro.nn.layers import (
     AvgPool2D,
@@ -390,6 +390,55 @@ def test_a_larger_request_leaves_one_owned_block_per_kind():
     arena.buffer("a", "out", (8, 3), np.float64)
     assert arena.n_buffers == 4
     assert arena.scratch("t", ()) is arena.scratch("t", ())
+
+
+class ScanningArena(BufferArena):
+    """The lending rule before per-kind key lists: growing a block scanned
+    every key in the arena for the ones of its kind."""
+
+    def _lend(self, key):
+        kind = _kind(key)
+        block = self._blocks.get(kind)
+        if block is None or block.shape[:1] < key[2][:1]:
+            block = self._blocks[kind] = np.empty(key[2], dtype=key[3])
+            for other in self._buffers:
+                if _kind(other) == kind:
+                    self._buffers[other] = block[: other[2][0]]
+        buf = self._buffers[key] = block if block.shape == key[2] else block[: key[2][0]]
+        return buf
+
+
+def test_a_grown_block_repoints_exactly_the_smaller_keys_of_its_kind():
+    def kind(request):
+        owner, name, shape, dtype = request
+        return _kind((owner, name, shape, np.dtype(dtype or np.float32).str))
+
+    rng = np.random.default_rng(0)
+    arenas = BufferArena(np.float32), ScanningArena(np.float32)
+    requests: list[tuple] = []
+    grown = 0
+    for _ in range(400):
+        trailing = ((), (3,), (2, 2))[rng.integers(3)]
+        shape = () if rng.random() < 0.05 else (int(rng.integers(1, 9)), *trailing)
+        request = (str(rng.integers(3)), "out", shape, (None, np.float64)[rng.integers(2)])
+        same_kind = {r for r in requests if kind(r) == kind(request)} - {request}
+        moved = []
+        for arena in arenas:
+            before = [arena.buffer(*r) for r in requests]
+            buf = arena.buffer(*request)
+            assert buf.shape == shape
+            moved.append({r for r, b in zip(requests, before) if arena.buffer(*r) is not b})
+            # a grown block takes every other key of its kind, and no other
+            assert moved[-1] in (set(), same_kind)
+            for r in same_kind:
+                assert np.shares_memory(arena.buffer(*r), buf)
+                assert arena.buffer(*r).shape == r[2]
+        assert moved[0] == moved[1]
+        assert (arenas[0].n_buffers, arenas[0].nbytes) == (arenas[1].n_buffers, arenas[1].nbytes)
+        grown += bool(moved[0])
+        if request not in requests:
+            requests.append(request)
+    assert grown > 10
 
 
 def _run(trainer, epochs=3, *, validate=True):

@@ -128,6 +128,42 @@ def slow_start_factory(*_):
     return ScriptedEvaluator()
 
 
+#: model 1's first attempt crashes after training this many epochs
+CRASH_MODEL, CRASH_AFTER = 1, 2
+
+
+class _CrashingTrace(list):
+    """A trace that raises once it holds ``CRASH_AFTER`` epochs."""
+
+    def append(self, entry):
+        super().append(entry)
+        if len(self) == CRASH_AFTER:
+            raise RuntimeError(f"crashed after epoch {CRASH_AFTER}")
+
+
+class CrashAfterEpochs:
+    """``inner``, except that model ``CRASH_MODEL``'s first attempt
+    raises mid-training, after its ``CRASH_AFTER``-th epoch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, individual):
+        if (individual.model_id, individual.eval_attempt) != (CRASH_MODEL, 0):
+            return self.inner.evaluate(individual)
+        individual.trace = _CrashingTrace(individual.trace)
+        try:
+            return self.inner.evaluate(individual)
+        finally:
+            individual.trace = list(individual.trace)
+
+
+def crash_after_epochs_chain(config, dataset, checkpoint_dir=None):
+    """:func:`evaluation_chain` under :class:`CrashAfterEpochs`; importable
+    by a worker, which builds its evaluator from it."""
+    return CrashAfterEpochs(evaluation_chain(config, dataset, checkpoint_dir))
+
+
 def make_pool(factory, n_workers=2, **kwargs):
     return ProcessWorkerPool(factory, n_workers, **kwargs)
 
@@ -658,6 +694,35 @@ class TestBackendParitySurrogate:
         assert pinned_fault_trails(r_inline) == pinned
         assert pinned_fault_trails(r_process) == pinned
         assert any(trail["fault_events"] for trail in pinned)
+
+    def test_a_failed_attempts_epochs_lead_the_committed_trail(self, monkeypatch):
+        # the attempt crashes inside a worker after training: the epochs
+        # it trained cross the pipe with the error and stay on the trail
+        monkeypatch.setattr(
+            "repro.workflow.orchestrator.evaluation_chain", crash_after_epochs_chain
+        )
+        runs = {
+            backend: A4NNOrchestrator(
+                surrogate_config(
+                    backend, n_workers, eval_cache=False, faults=FaultPolicy(max_retries=1)
+                )
+            ).run()
+            for backend, n_workers in (("thread", 1), ("process", 2))
+        }
+        process = runs["process"]
+        record = process.tracker.records[CRASH_MODEL]
+        assert [event["action"] for event in record.fault_events] == ["retry"]
+        # what the failed attempt trained: attempt 0 of the same candidate
+        crashed = process.search.archive[CRASH_MODEL]
+        attempt = Individual(crashed.genome, CRASH_MODEL, crashed.generation)
+        evaluation_chain(process.config, None).evaluate(attempt)
+        assert len(attempt.trace) > CRASH_AFTER
+        assert [
+            (epoch.epoch, epoch.validation_accuracy, epoch.prediction)
+            for epoch in record.epochs
+        ][:CRASH_AFTER] == [entry[:3] for entry in attempt.trace[:CRASH_AFTER]]
+        assert len(record.epochs) == CRASH_AFTER + record.epochs_trained
+        assert published(process) == published(runs["thread"])
 
     @pytest.mark.parametrize("n_workers", [2, 4])
     def test_thread_workers_evaluate_on_the_search_thread(self, n_workers):

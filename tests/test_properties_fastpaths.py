@@ -1,8 +1,8 @@
 """Equivalence tests for the steady-state fast paths.
 
 Each fast path keeps the expression or the loop it replaced as the
-reference, here in the tests: the stacked-broadcast dominance matrix,
-the batch Pareto mask over an archive prefix, the list-based
+reference, here in the tests: the NumPy dominance-matrix NSGA-II
+routines, the batch Pareto mask over an archive prefix, the list-based
 one-in/one-out insert, the decoded network's FLOP count,
 ``dataclasses.asdict``, the bytes the parent commit published, the
 per-call permutation search behind ``PhaseGenome.canonical``, the
@@ -30,7 +30,9 @@ from repro.nas import surrogate as surrogate_module
 from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops
 from repro.nas.genome import Genome, PhaseGenome, n_connection_bits
 from repro.nas.nsga2 import (
-    _dominance,
+    binary_tournament,
+    crowding_distance,
+    environmental_selection,
     fast_non_dominated_sort,
     pareto_front_insert,
     pareto_front_mask,
@@ -48,17 +50,22 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 # -- strategies ---------------------------------------------------------------
 
-# a coarse grid, so ties in one objective and exact duplicates are the norm
-_levels = st.integers(0, 3).map(float)
+# a coarse grid with both zeros, so ties in one objective, exact
+# duplicates and -0.0 beside 0.0 are the norm; free floats in between
+_values = st.one_of(
+    st.sampled_from((-0.0, 0.0, 1.0, 2.0, 3.0)),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
 
 
 @st.composite
-def objective_arrays(draw, min_rows=0, max_rows=12, widths=(1, 2, 3)):
-    m = draw(st.sampled_from(widths))
-    rows = draw(
-        st.lists(st.tuples(*[_levels] * m), min_size=min_rows, max_size=max_rows)
-    )
-    return np.array(rows, dtype=float).reshape(len(rows), m)
+def objective_arrays(draw, min_rows=0, max_rows=12):
+    rows = draw(st.lists(st.tuples(_values, _values), min_size=min_rows, max_size=max_rows))
+    arr = np.array(rows, dtype=float).reshape(len(rows), 2)
+    constant = draw(st.sampled_from((None, 0, 1)))
+    if constant is not None:  # a single-valued column
+        arr[:, constant] = draw(_values)
+    return arr
 
 
 @st.composite
@@ -69,44 +76,178 @@ def decodable_genomes(draw):
     return Genome.from_bits(bits, (nodes,) * 3)
 
 
-def broadcast_dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The expression ``_dominance`` replaced: one stacked (n, n, m) compare."""
-    less_equal = (a[:, None, :] <= b[None, :, :]).all(axis=2)
-    strictly_less = (a[:, None, :] < b[None, :, :]).any(axis=2)
+# -- the NumPy NSGA-II routines the bi-objective sweep replaced ----------------
+
+
+def reference_dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``dom[i, j]`` = row ``a[i]`` dominates row ``b[j]``."""
+    less_equal = np.ones((len(a), len(b)), dtype=bool)
+    strictly_less = np.zeros((len(a), len(b)), dtype=bool)
+    for k in range(a.shape[1]):
+        mine, theirs = a[:, k, None], b[None, :, k]
+        less_equal &= mine <= theirs
+        strictly_less |= mine < theirs
     return less_equal & strictly_less
 
 
-class TestDominanceKernel:
+def reference_sort(arr: np.ndarray) -> list[np.ndarray]:
+    n = arr.shape[0]
+    if n == 0:
+        return []
+    dom = reference_dominance(arr, arr)
+    fronts: list[np.ndarray] = []
+    remaining = np.ones(n, dtype=bool)
+    counts = dom.sum(axis=0)
+    while remaining.any():
+        current = remaining & (counts == 0)
+        fronts.append(np.flatnonzero(current))
+        remaining &= ~current
+        counts = counts - dom[current].sum(axis=0)
+    return fronts
+
+
+def reference_crowding(arr: np.ndarray) -> np.ndarray:
+    n, m = arr.shape
+    distance = np.zeros(n)
+    if n <= 2:
+        return np.full(n, np.inf)
+    for k in range(m):
+        order = np.argsort(arr[:, k], kind="stable")
+        values = arr[order, k]
+        span = values[-1] - values[0]
+        if span > 0:
+            distance[order[values == values[0]]] = np.inf
+            distance[order[values == values[-1]]] = np.inf
+            distance[order[1:-1]] += (values[2:] - values[:-2]) / span
+    return distance
+
+
+def reference_selection(arr: np.ndarray, k: int) -> np.ndarray:
+    survivors: list[int] = []
+    for front in reference_sort(arr):
+        if len(survivors) + len(front) <= k:
+            survivors.extend(front.tolist())
+            if len(survivors) == k:
+                break
+        else:
+            need = k - len(survivors)
+            dist = reference_crowding(arr[front])
+            survivors.extend(front[np.argsort(-dist, kind="stable")[:need]].tolist())
+            break
+    return np.asarray(survivors, dtype=int)
+
+
+def reference_eviction(arr: np.ndarray) -> int:
+    last_front = reference_sort(arr)[-1]
+    dist = reference_crowding(arr[last_front])
+    return int(last_front[np.argsort(-dist, kind="stable")[-1]])
+
+
+def reference_tournament(arr: np.ndarray, rng, n_winners: int) -> np.ndarray:
+    n = arr.shape[0]
+    ranks = np.empty(n, dtype=int)
+    distances = np.empty(n)
+    for rank, front in enumerate(reference_sort(arr)):
+        ranks[front] = rank
+        distances[front] = reference_crowding(arr[front])
+    winners = np.empty(n_winners, dtype=int)
+    for t in range(n_winners):
+        i, j = rng.integers(0, n, size=2)
+        better = ranks[i] < ranks[j] or (ranks[i] == ranks[j] and distances[i] > distances[j])
+        winners[t] = i if better else j
+    return winners
+
+
+def reference_mask(arr: np.ndarray) -> np.ndarray:
+    return ~reference_dominance(arr, arr).any(axis=0)
+
+
+def reference_insert(front: np.ndarray, point: np.ndarray) -> np.ndarray | None:
+    point = point[None, :]
+    if reference_dominance(front, point).any():
+        return None
+    return ~reference_dominance(point, front)[0]
+
+
+class TestBiObjectiveSweep:
     @given(objective_arrays())
     @settings(max_examples=150, deadline=None)
-    def test_matches_broadcast_expression(self, arr):
-        assert np.array_equal(_dominance(arr, arr), broadcast_dominance(arr, arr))
-
-    @given(objective_arrays(widths=(2,)), objective_arrays(widths=(2,)))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_broadcast_expression_between_two_sets(self, a, b):
-        assert np.array_equal(_dominance(a, b), broadcast_dominance(a, b))
-
-    @given(objective_arrays())
-    @settings(max_examples=150, deadline=None)
-    def test_front_mask_is_the_first_front(self, arr):
+    def test_fronts_and_their_order_match(self, arr):
         fronts = fast_non_dominated_sort(arr)
-        expected = np.zeros(len(arr), dtype=bool)
-        if fronts:
-            expected[fronts[0]] = True
-        assert np.array_equal(pareto_front_mask(arr), expected)
+        assert [f.tolist() for f in fronts] == [f.tolist() for f in reference_sort(arr)]
+        assert [f.tolist() for f in fast_non_dominated_sort(arr.tolist())] == [
+            f.tolist() for f in fronts
+        ]
+
+    @given(objective_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_crowding_bytes_match(self, arr):
+        assert crowding_distance(arr).tobytes() == reference_crowding(arr).tobytes()
+        for front in reference_sort(arr):
+            assert (
+                crowding_distance(arr[front]).tobytes()
+                == reference_crowding(arr[front]).tobytes()
+            )
+
+    @given(objective_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_survivors_match_for_every_k(self, arr):
+        for k in range(len(arr) + 1):
+            assert (
+                environmental_selection(arr, k).tolist()
+                == reference_selection(arr, k).tolist()
+            )
+
+    @given(objective_arrays(min_rows=2))
+    @settings(max_examples=100, deadline=None)
+    def test_eviction_index_matches(self, arr):
+        assert steady_eviction(arr) == reference_eviction(arr)
+        assert steady_eviction(arr.tolist()) == reference_eviction(arr)
+
+    @given(objective_arrays(min_rows=1), st.integers(0, 2**32 - 1), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_tournament_winners_match_from_one_seed(self, arr, seed, n_winners):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        winners = binary_tournament(arr, mine, n_winners=n_winners)
+        assert winners.tolist() == reference_tournament(arr, theirs, n_winners).tolist()
+        # the same draws, so the stream stays in step
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @given(objective_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_front_mask_matches(self, arr):
+        assert pareto_front_mask(arr).tolist() == reference_mask(arr).tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_raise(self, bad):
+        arr = np.array([[0.0, 1.0], [bad, 2.0]])
+        for select in (
+            fast_non_dominated_sort,
+            crowding_distance,
+            pareto_front_mask,
+            steady_eviction,
+            lambda rows: environmental_selection(rows, 1),
+            lambda rows: binary_tournament(rows, np.random.default_rng(0), n_winners=1),
+            lambda rows: pareto_front_insert(rows[:1], rows[1]),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                select(arr)
+            with pytest.raises(ValueError, match="finite"):
+                select(arr.tolist())
 
 
 class TestIncrementalFront:
-    @given(objective_arrays(widths=(2, 3)))
+    @given(objective_arrays())
     @settings(max_examples=150, deadline=None)
     def test_matches_batch_mask_at_every_prefix(self, arr):
         front: list[int] = []
         for k, point in enumerate(arr):
             keep = pareto_front_insert(arr[front], point)
+            expected = reference_insert(arr[front], point)
+            assert keep == (None if expected is None else expected.tolist())
             if keep is not None:
                 front = [i for i, kept in zip(front, keep) if kept] + [k]
-            assert front == np.flatnonzero(pareto_front_mask(arr[: k + 1])).tolist()
+            assert front == np.flatnonzero(reference_mask(arr[: k + 1])).tolist()
 
     @given(
         st.lists(st.tuples(st.integers(50, 53), st.integers(1, 4)), max_size=14),
@@ -127,17 +268,17 @@ class TestIncrementalFront:
             members = members + [archive[k]]
             if len(members) > population_size:
                 del members[
-                    steady_eviction(np.array([m.objectives() for m in members]))
+                    reference_eviction(np.array([m.objectives() for m in members]))
                 ]
             seen = archive[: k + 1]
-            mask = pareto_front_mask(np.array([m.objectives() for m in seen]))
+            mask = reference_mask(np.array([m.objectives() for m in seen]))
             assert state.members == members
             assert state.front == [m for m, kept in zip(seen, mask) if kept]
             for held, rows in (
                 (state.members, state.objectives),
                 (state.front, state.front_objectives),
             ):
-                assert rows.tolist() == [list(m.objectives()) for m in held]
+                assert rows == [m.objectives() for m in held]
 
 
 class TestGenomeFlops:
