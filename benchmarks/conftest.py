@@ -3,9 +3,9 @@
 Each benchmark module regenerates one paper artifact (table/figure),
 prints a paper-vs-measured report, writes it under
 ``benchmarks/reports/``, and asserts the paper's qualitative *shape*
-properties.  Paper-scale comparisons are memoized per process by
-``repro.experiments.runner``, so artifacts sharing runs (Figs. 6-9,
-Table 3) pay for each search once per session.
+properties.  The paper-scale runs are published to one data commons per
+session (``commons``), so artifacts sharing runs (Figs. 6-10, Table 3)
+pay for each search once per session and read it back as records.
 """
 
 import logging
@@ -22,6 +22,14 @@ except ModuleNotFoundError:  # fall back to the in-repo source tree
 logging.disable(logging.INFO)
 
 REPORT_DIR = Path(__file__).parent / "reports"
+
+
+@pytest.fixture(scope="session")
+def commons(tmp_path_factory):
+    """The session's data commons: every benchmark's runs, published once."""
+    from repro.lineage.commons import DataCommons
+
+    return DataCommons(tmp_path_factory.mktemp("commons"))
 
 
 @pytest.fixture(scope="session")

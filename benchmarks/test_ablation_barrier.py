@@ -17,31 +17,32 @@ from dataclasses import replace
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments import DEFAULT_SEED, get_comparison
+from repro.experiments import DEFAULT_SEED, paper_pairs
 from repro.experiments.reporting import ReportTable
 from repro.scheduler import simulate_walltime
 from repro.xfel import BeamIntensity
 
 
-def under_steady(search, lag):
-    """The same jobs, released by the steady rule at ``lag``."""
-    return replace(search, config=replace(search.config, evolution="steady", steady_lag=lag))
-
-
-def run_barrier_ablation(seed=DEFAULT_SEED):
-    search = get_comparison(BeamIntensity.MEDIUM, seed=seed).a4nn.search
+def run_barrier_ablation(commons, seed=DEFAULT_SEED):
+    config, records, _ = paper_pairs(
+        commons, seed=seed, intensities=(BeamIntensity.MEDIUM,), standalone=False
+    )["medium"]
+    nas = config.nas
     rows = []
     for n_gpus in (1, 2, 4, 8):
-        barrier = simulate_walltime(search, n_gpus)
-        lag_n = simulate_walltime(under_steady(search, n_gpus), n_gpus)
-        lag_2n = simulate_walltime(under_steady(search, 2 * n_gpus), n_gpus)
+        barrier = simulate_walltime(records, nas, n_gpus)
+        # the same jobs, released by the steady rule at lag n and 2n
+        lag_n, lag_2n = (
+            simulate_walltime(records, replace(nas, evolution="steady", steady_lag=lag), n_gpus)
+            for lag in (n_gpus, 2 * n_gpus)
+        )
         rows.append((n_gpus, barrier, lag_n, lag_2n))
     return rows
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_generation_barrier_cost(benchmark, emit_report):
-    rows = run_once(benchmark, run_barrier_ablation)
+def test_generation_barrier_cost(benchmark, emit_report, commons):
+    rows = run_once(benchmark, run_barrier_ablation, commons)
 
     table = ReportTable(
         "gpus",

@@ -7,8 +7,8 @@ from repro.experiments.fig10_architecture import format_fig10, run_fig10
 
 
 @pytest.mark.benchmark(group="fig10")
-def test_fig10_near_optimal_architecture(benchmark, emit_report):
-    result = run_once(benchmark, run_fig10)
+def test_fig10_near_optimal_architecture(benchmark, emit_report, commons):
+    result = run_once(benchmark, run_fig10, commons)
     report = emit_report("fig10_architecture", format_fig10(result))
 
     # the selected model is genuinely near-optimal for low intensity

@@ -8,8 +8,8 @@ from repro.xfel import BeamIntensity
 
 
 @pytest.mark.benchmark(group="fig6")
-def test_fig6_pareto_frontiers(benchmark, emit_report):
-    result = run_once(benchmark, run_fig6)
+def test_fig6_pareto_frontiers(benchmark, emit_report, commons):
+    result = run_once(benchmark, run_fig6, commons)
     report = emit_report("fig6_pareto", format_fig6(result))
 
     # paper shapes: A4NN matches the standalone NAS's best accuracy at

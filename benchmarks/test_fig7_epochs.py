@@ -8,8 +8,8 @@ from repro.xfel import BeamIntensity
 
 
 @pytest.mark.benchmark(group="fig7")
-def test_fig7_epoch_savings(benchmark, emit_report):
-    result = run_once(benchmark, run_fig7)
+def test_fig7_epoch_savings(benchmark, emit_report, commons):
+    result = run_once(benchmark, run_fig7, commons)
     report = emit_report("fig7_epochs", format_fig7(result))
 
     # standalone NSGA-Net always trains 100 x 25 = 2,500 epochs

@@ -7,8 +7,8 @@ from repro.experiments import format_fig8, run_fig8
 
 
 @pytest.mark.benchmark(group="fig8")
-def test_fig8_termination_distributions(benchmark, emit_report):
-    result = run_once(benchmark, run_fig8)
+def test_fig8_termination_distributions(benchmark, emit_report, commons):
+    result = run_once(benchmark, run_fig8, commons)
     report = emit_report("fig8_convergence", format_fig8(result))
 
     low = result.summaries["low"]

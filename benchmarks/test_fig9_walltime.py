@@ -8,8 +8,8 @@ from repro.xfel import BeamIntensity
 
 
 @pytest.mark.benchmark(group="fig9")
-def test_fig9_walltimes(benchmark, emit_report):
-    result = run_once(benchmark, run_fig9)
+def test_fig9_walltimes(benchmark, emit_report, commons):
+    result = run_once(benchmark, run_fig9, commons)
     report = emit_report("fig9_walltime", format_fig9(result))
 
     saved = {i.label: result.saved_hours(i.label) for i in BeamIntensity}

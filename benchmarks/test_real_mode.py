@@ -12,8 +12,8 @@ from repro.experiments.real_mode import format_real_mode, run_real_mode
 
 
 @pytest.mark.benchmark(group="real-mode")
-def test_real_mode_end_to_end(benchmark, emit_report):
-    result = run_once(benchmark, run_real_mode)
+def test_real_mode_end_to_end(benchmark, emit_report, commons):
+    result = run_once(benchmark, run_real_mode, commons)
     report = emit_report("real_mode", format_real_mode(result))
 
     # the engine terminated some real training early

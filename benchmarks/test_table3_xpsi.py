@@ -8,8 +8,8 @@ from repro.xfel import BeamIntensity
 
 
 @pytest.mark.benchmark(group="table3")
-def test_table3_a4nn_vs_xpsi(benchmark, emit_report):
-    result = run_once(benchmark, run_table3)
+def test_table3_a4nn_vs_xpsi(benchmark, emit_report, commons):
+    result = run_once(benchmark, run_table3, commons)
     report = emit_report("table3_xpsi", format_table3(result))
 
     for intensity in BeamIntensity:

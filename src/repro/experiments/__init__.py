@@ -1,7 +1,8 @@
 """Experiment reproductions: one module per paper table/figure.
 
 Each module exposes ``run_*`` (compute the artifact) and ``format_*``
-(render paper-vs-measured).  The benchmarks in ``benchmarks/`` drive
+(render paper-vs-measured); the paper-scale ones read their runs'
+records from a data commons (:mod:`.grid`).  The benchmarks drive
 these; see DESIGN.md §4 for the per-experiment index and EXPERIMENTS.md
 for recorded outcomes.
 """
@@ -21,6 +22,7 @@ from repro.experiments.configs import (
     PAPER_WALLTIME_SAVED_HOURS,
 )
 from repro.experiments.fig2_prediction import Fig2Result, format_fig2, run_fig2
+from repro.experiments.grid import paper_config, paper_pairs, run_grid
 from repro.experiments.fig5_intensities import Fig5Result, format_fig5, run_fig5
 from repro.experiments.fig10_architecture import Fig10Result, format_fig10, run_fig10
 from repro.experiments.real_mode import (
@@ -34,7 +36,6 @@ from repro.experiments.fig7_epochs import Fig7Result, format_fig7, run_fig7
 from repro.experiments.fig8_convergence import Fig8Result, format_fig8, run_fig8
 from repro.experiments.fig9_walltime import Fig9Result, format_fig9, run_fig9
 from repro.experiments.overhead import OverheadResult, format_overhead, run_overhead
-from repro.experiments.runner import clear_cache, get_comparison, paper_config
 from repro.experiments.table3_xpsi import Table3Result, format_table3, run_table3
 
 __all__ = [
@@ -80,9 +81,9 @@ __all__ = [
     "OverheadResult",
     "format_overhead",
     "run_overhead",
-    "clear_cache",
-    "get_comparison",
     "paper_config",
+    "paper_pairs",
+    "run_grid",
     "Table3Result",
     "format_table3",
     "run_table3",

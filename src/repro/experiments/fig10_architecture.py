@@ -16,8 +16,10 @@ import numpy as np
 from repro.analysis.pareto import pareto_frontier
 from repro.analysis.viz import render_network
 from repro.experiments.configs import DEFAULT_SEED
-from repro.experiments.runner import get_comparison
+from repro.experiments.grid import paper_pairs
+from repro.lineage.commons import DataCommons
 from repro.nas.decoder import DecoderConfig, decode_genome
+from repro.nas.genome import Genome
 from repro.xfel.intensity import BeamIntensity
 
 __all__ = ["Fig10Result", "run_fig10", "format_fig10"]
@@ -35,26 +37,28 @@ class Fig10Result:
 
 
 def run_fig10(
-    *, intensity: BeamIntensity = BeamIntensity.LOW, seed: int = DEFAULT_SEED
+    commons: DataCommons,
+    *,
+    intensity: BeamIntensity = BeamIntensity.LOW,
+    seed: int = DEFAULT_SEED,
 ) -> Fig10Result:
-    """Pick the highest-accuracy Pareto model of the A4NN archive and render it."""
-    comparison = get_comparison(intensity, seed=seed)
-    archive = comparison.a4nn.search.archive
-    frontier = pareto_frontier(archive)
-    best_point = max(frontier, key=lambda p: p.fitness)
-    member = next(m for m in archive if m.model_id == best_point.model_id)
-
+    """Pick the highest-accuracy Pareto model of the A4NN records and render it."""
+    pairs = paper_pairs(commons, seed=seed, intensities=(intensity,), standalone=False)
+    _, records, _ = pairs[intensity.label]
+    best_point = max(pareto_frontier(records), key=lambda p: p.fitness)
+    record = next(r for r in records if r.model_id == best_point.model_id)
+    genome = Genome.from_dict(record.genome)
     network = decode_genome(
-        member.genome,
+        genome,
         DecoderConfig(),
         rng=np.random.default_rng(0),
-        name=f"model-{member.model_id}",
+        name=f"model-{record.model_id}",
     )
     return Fig10Result(
-        model_id=member.model_id,
-        fitness=float(member.fitness),
-        flops=int(member.flops),
-        genome_key=member.genome.key(),
+        model_id=record.model_id,
+        fitness=float(record.fitness),
+        flops=int(record.flops),
+        genome_key=genome.key(),
         rendering=render_network(network),
     )
 

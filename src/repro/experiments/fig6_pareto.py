@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.pareto import ParetoPoint, hypervolume_2d, pareto_frontier
+from repro.analysis.pareto import hypervolume_2d, pareto_frontier
 from repro.experiments.configs import DEFAULT_SEED
+from repro.experiments.grid import paper_pairs
 from repro.experiments.reporting import ReportTable, shape_check
-from repro.experiments.runner import get_comparison
+from repro.lineage.commons import DataCommons
 from repro.xfel.intensity import BeamIntensity
 
 __all__ = ["Fig6Result", "run_fig6", "format_fig6"]
@@ -32,17 +33,13 @@ class Fig6Result:
         return max(p.fitness for p in frontier)
 
 
-def run_fig6(*, seed: int = DEFAULT_SEED) -> Fig6Result:
+def run_fig6(commons: DataCommons, *, seed: int = DEFAULT_SEED) -> Fig6Result:
     """Compute both frontiers for all three intensities."""
-    a4nn: dict[str, list[ParetoPoint]] = {}
-    standalone: dict[str, list[ParetoPoint]] = {}
-    for intensity in BeamIntensity:
-        comparison = get_comparison(intensity, seed=seed)
-        a4nn[intensity.label] = pareto_frontier(comparison.a4nn.search.archive)
-        standalone[intensity.label] = pareto_frontier(
-            comparison.standalone.search.archive
-        )
-    return Fig6Result(a4nn=a4nn, standalone=standalone)
+    result = Fig6Result(a4nn={}, standalone={})
+    for label, (_, a4nn, baseline) in paper_pairs(commons, seed=seed).items():
+        result.a4nn[label] = pareto_frontier(a4nn)
+        result.standalone[label] = pareto_frontier(baseline)
+    return result
 
 
 def format_fig6(result: Fig6Result) -> str:

@@ -3,11 +3,9 @@
 The standalone NAS always trains ``100 × 25 = 2,500`` epochs; A4NN's
 early termination cuts that by 13.3% / 34.1% / 30.5% (low / medium /
 high) in the paper.  The paper also runs A4NN on four GPUs and observes
-slightly different epoch counts (1.13-1.2× fewer); since scheduling
-cannot change a deterministic search's epoch demand, we reproduce the
-4-GPU column as an independent run (different seed) — run-to-run
-variation, which is what the paper's own hypothesis ("balance of breadth
-and depth") amounts to for epoch counting.
+slightly different epoch counts (1.13-1.2× fewer); scheduling cannot
+change a deterministic search's epoch demand, so the figure has one
+A4NN column.
 """
 
 from __future__ import annotations
@@ -15,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.configs import DEFAULT_SEED, PAPER_EPOCH_SAVINGS_PERCENT
+from repro.experiments.grid import paper_pairs
 from repro.experiments.reporting import ReportTable, shape_check
-from repro.experiments.runner import get_comparison
+from repro.lineage.commons import DataCommons
 from repro.xfel.intensity import BeamIntensity
 
 __all__ = ["Fig7Result", "run_fig7", "format_fig7"]
@@ -28,35 +27,21 @@ class Fig7Result:
 
     standalone_epochs: dict  # label -> int (always the full budget)
     a4nn_epochs_1gpu: dict   # label -> int
-    a4nn_epochs_4gpu: dict   # label -> int (independent run)
     budget: int
 
-    def saved_percent(self, intensity: str, *, gpus: int = 1) -> float:
-        epochs = (self.a4nn_epochs_1gpu if gpus == 1 else self.a4nn_epochs_4gpu)[intensity]
+    def saved_percent(self, intensity: str) -> float:
+        epochs = self.a4nn_epochs_1gpu[intensity]
         return 100.0 * (self.budget - epochs) / self.budget
 
 
-def run_fig7(*, seed: int = DEFAULT_SEED) -> Fig7Result:
-    """Count epochs for standalone and A4NN (two independent A4NN runs)."""
-    standalone: dict[str, int] = {}
-    one_gpu: dict[str, int] = {}
-    four_gpu: dict[str, int] = {}
-    budget = None
-    for intensity in BeamIntensity:
-        comparison = get_comparison(intensity, seed=seed)
-        second = get_comparison(intensity, seed=seed + 1)
-        budget = comparison.a4nn.config.nas.max_epochs * len(
-            comparison.a4nn.search.archive
-        )
-        standalone[intensity.label] = comparison.standalone.total_epochs_trained
-        one_gpu[intensity.label] = comparison.a4nn.total_epochs_trained
-        four_gpu[intensity.label] = second.a4nn.total_epochs_trained
-    return Fig7Result(
-        standalone_epochs=standalone,
-        a4nn_epochs_1gpu=one_gpu,
-        a4nn_epochs_4gpu=four_gpu,
-        budget=budget,
-    )
+def run_fig7(commons: DataCommons, *, seed: int = DEFAULT_SEED) -> Fig7Result:
+    """Count the epochs standalone and A4NN trained."""
+    result = Fig7Result(standalone_epochs={}, a4nn_epochs_1gpu={}, budget=0)
+    for label, (config, a4nn, baseline) in paper_pairs(commons, seed=seed).items():
+        result.standalone_epochs[label] = sum(r.epochs_trained for r in baseline)
+        result.a4nn_epochs_1gpu[label] = sum(r.epochs_trained for r in a4nn)
+        result.budget = config.nas.max_epochs * len(a4nn)
+    return result
 
 
 def format_fig7(result: Fig7Result) -> str:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.curves import TerminationSummary, termination_histogram
+from repro.analysis.curves import termination_histogram
 from repro.experiments.configs import DEFAULT_SEED, PAPER_CONVERGENCE
+from repro.experiments.grid import paper_pairs
 from repro.experiments.reporting import ReportTable, shape_check
-from repro.experiments.runner import get_comparison
+from repro.lineage.commons import DataCommons
 from repro.xfel.intensity import BeamIntensity
 
 __all__ = ["Fig8Result", "run_fig8", "format_fig8"]
@@ -27,18 +28,13 @@ class Fig8Result:
     max_epochs: int
 
 
-def run_fig8(*, seed: int = DEFAULT_SEED) -> Fig8Result:
-    """Histogram termination epochs of each intensity's A4NN archive."""
-    summaries: dict[str, TerminationSummary] = {}
-    max_epochs = 25
-    for intensity in BeamIntensity:
-        comparison = get_comparison(intensity, seed=seed)
-        max_epochs = comparison.a4nn.config.nas.max_epochs
-        results = [m.result for m in comparison.a4nn.search.archive]
-        summaries[intensity.label] = termination_histogram(
-            results, max_epochs=max_epochs
-        )
-    return Fig8Result(summaries=summaries, max_epochs=max_epochs)
+def run_fig8(commons: DataCommons, *, seed: int = DEFAULT_SEED) -> Fig8Result:
+    """Histogram termination epochs of each intensity's A4NN records."""
+    result = Fig8Result(summaries={}, max_epochs=25)
+    for label, (config, a4nn, _) in paper_pairs(commons, seed=seed, standalone=False).items():
+        result.max_epochs = config.nas.max_epochs
+        result.summaries[label] = termination_histogram(a4nn, max_epochs=result.max_epochs)
+    return result
 
 
 def format_fig8(result: Fig8Result) -> str:

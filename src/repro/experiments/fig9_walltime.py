@@ -15,8 +15,10 @@ from repro.experiments.configs import (
     PAPER_SPEEDUP_4GPU,
     PAPER_WALLTIME_SAVED_HOURS,
 )
+from repro.experiments.grid import paper_pairs
 from repro.experiments.reporting import ReportTable, shape_check
-from repro.experiments.runner import get_comparison
+from repro.lineage.commons import DataCommons
+from repro.scheduler.simulator import simulate_walltime
 from repro.xfel.intensity import BeamIntensity
 
 __all__ = ["Fig9Result", "run_fig9", "format_fig9"]
@@ -38,21 +40,16 @@ class Fig9Result:
         return self.a4nn_1gpu[intensity] / self.a4nn_4gpu[intensity]
 
 
-def run_fig9(*, seed: int = DEFAULT_SEED) -> Fig9Result:
-    """Simulate the three wall-time bars per intensity."""
-    standalone: dict[str, float] = {}
-    one: dict[str, float] = {}
-    four: dict[str, float] = {}
-    util: dict[str, float] = {}
-    for intensity in BeamIntensity:
-        comparison = get_comparison(intensity, seed=seed)
-        standalone[intensity.label] = comparison.standalone.walltime[1].wall_hours
-        one[intensity.label] = comparison.a4nn.walltime[1].wall_hours
-        four[intensity.label] = comparison.a4nn.walltime[4].wall_hours
-        util[intensity.label] = comparison.a4nn.walltime[4].utilization
-    return Fig9Result(
-        standalone_1gpu=standalone, a4nn_1gpu=one, a4nn_4gpu=four, utilization_4gpu=util
-    )
+def run_fig9(commons: DataCommons, *, seed: int = DEFAULT_SEED) -> Fig9Result:
+    """Simulate the three wall-time bars per intensity from the records."""
+    result = Fig9Result({}, {}, {}, {})
+    for label, (config, a4nn, baseline) in paper_pairs(commons, seed=seed).items():
+        four_gpus = simulate_walltime(a4nn, config.nas, 4)
+        result.standalone_1gpu[label] = simulate_walltime(baseline, config.nas, 1).wall_hours
+        result.a4nn_1gpu[label] = simulate_walltime(a4nn, config.nas, 1).wall_hours
+        result.a4nn_4gpu[label] = four_gpus.wall_hours
+        result.utilization_4gpu[label] = four_gpus.utilization
+    return result
 
 
 def format_fig9(result: Fig9Result) -> str:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.configs import DEFAULT_SEED, PAPER_OVERHEAD
+from repro.experiments.grid import paper_config
 from repro.experiments.reporting import ReportTable, shape_check
-from repro.experiments.runner import get_comparison
+from repro.workflow.orchestrator import A4NNOrchestrator
 from repro.xfel.intensity import BeamIntensity
 
 __all__ = ["OverheadResult", "run_overhead", "format_overhead"]
@@ -37,8 +38,8 @@ def run_overhead(
     *, intensity: BeamIntensity = BeamIntensity.MEDIUM, seed: int = DEFAULT_SEED
 ) -> OverheadResult:
     """Aggregate the measured engine overhead from a paper-scale run."""
-    comparison = get_comparison(intensity, seed=seed)
-    archive = comparison.a4nn.search.archive
+    # a run of its own: the variance comes from stopwatch laps no record stores
+    archive = A4NNOrchestrator(paper_config(intensity, seed=seed)).run().search.archive
     total = sum(m.result.engine_overhead_seconds for m in archive)
     interactions = sum(m.result.engine_interactions for m in archive)
     means = [

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 from repro.analysis.compare import RunComparison, compare_runs
 from repro.core.engine import EngineConfig
+from repro.experiments.grid import run_grid
 from repro.experiments.reporting import ReportTable, shape_check
+from repro.lineage.commons import DataCommons
 from repro.nas.search import NSGANetConfig
-from repro.workflow.driver import run_comparison
 from repro.workflow.interfaces import WorkflowConfig
 from repro.xfel.dataset import DatasetConfig
 from repro.xfel.intensity import BeamIntensity
@@ -64,13 +65,13 @@ def real_mode_config(
     )
 
 
-def run_real_mode(config: WorkflowConfig | None = None) -> RealModeResult:
+def run_real_mode(commons: DataCommons, config: WorkflowConfig | None = None) -> RealModeResult:
     """Train everything for real, with and without the engine."""
     config = config or real_mode_config()
-    paired = run_comparison(config)
+    baseline = config.standalone()
+    records = run_grid(commons, [config, baseline])
     comparison = compare_runs(
-        paired.a4nn.tracker.all_records(),
-        paired.standalone.tracker.all_records(),
+        records[config.resolved_run_id()], records[baseline.resolved_run_id()]
     )
     return RealModeResult(
         comparison=comparison,

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.xpsi import PAPER_XPSI_HOURS, XPSIResult, run_xpsi
+from repro.baselines.xpsi import PAPER_XPSI_HOURS, run_xpsi
 from repro.experiments.configs import DEFAULT_SEED, PAPER_TABLE3, PAPER_WALLTIME_HOURS
+from repro.experiments.grid import paper_pairs
 from repro.experiments.reporting import ReportTable, shape_check
-from repro.experiments.runner import get_comparison
+from repro.lineage.commons import DataCommons
+from repro.scheduler.simulator import simulate_walltime
 from repro.xfel.dataset import DatasetConfig, generate_dataset
 from repro.xfel.intensity import BeamIntensity
 
@@ -36,28 +38,19 @@ class Table3Result:
 
 
 def run_table3(
-    *, seed: int = DEFAULT_SEED, xpsi_images_per_class: int = 300
+    commons: DataCommons, *, seed: int = DEFAULT_SEED, xpsi_images_per_class: int = 300
 ) -> Table3Result:
     """Assemble the comparison for all three intensities."""
-    accuracy: dict[str, float] = {}
-    hours1: dict[str, float] = {}
-    hours4: dict[str, float] = {}
-    xpsi: dict[str, XPSIResult] = {}
-    for intensity in BeamIntensity:
-        comparison = get_comparison(intensity, seed=seed)
-        accuracy[intensity.label] = comparison.a4nn.search.population.best_fitness()
-        hours1[intensity.label] = comparison.a4nn.walltime[1].wall_hours
-        hours4[intensity.label] = comparison.a4nn.walltime[4].wall_hours
+    result = Table3Result({}, {}, {}, {})
+    for label, (config, a4nn, _) in paper_pairs(commons, seed=seed, standalone=False).items():
+        result.a4nn_accuracy[label] = max(float(r.fitness) for r in a4nn if not r.quarantined)
+        result.a4nn_hours_1gpu[label] = simulate_walltime(a4nn, config.nas, 1).wall_hours
+        result.a4nn_hours_4gpu[label] = simulate_walltime(a4nn, config.nas, 4).wall_hours
         dataset = generate_dataset(
-            DatasetConfig(intensity=intensity, images_per_class=xpsi_images_per_class)
+            DatasetConfig(intensity=config.intensity, images_per_class=xpsi_images_per_class)
         )
-        xpsi[intensity.label] = run_xpsi(dataset)
-    return Table3Result(
-        a4nn_accuracy=accuracy,
-        a4nn_hours_1gpu=hours1,
-        a4nn_hours_4gpu=hours4,
-        xpsi=xpsi,
-    )
+        result.xpsi[label] = run_xpsi(dataset)
+    return result
 
 
 def format_table3(result: Table3Result) -> str:

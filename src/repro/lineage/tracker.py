@@ -103,8 +103,10 @@ class LineageTracker:
             record.engine_overhead_seconds = result.engine_overhead_seconds
             record.arena_peak_bytes = result.arena_peak_bytes
             record.arena_enabled = result.arena_peak_bytes > 0
-            # fill epoch wall times the trace left empty (surrogate cost model)
-            record.epochs.fill("epoch_seconds", map(float, result.epoch_seconds))
+            # fill the committed attempt's epoch wall times the trace left empty
+            # (surrogate cost model), past the failed attempts' epochs leading it
+            failed = [None] * (len(record.epochs) - result.epochs_trained)
+            record.epochs.fill("epoch_seconds", failed + [float(s) for s in result.epoch_seconds])
         self.records[individual.model_id] = record
         _LOG.debug("recorded model %d (gen %d)", individual.model_id, individual.generation)
         return record

@@ -1,10 +1,10 @@
 """Wall-time simulation of a completed search on an N-GPU cluster.
 
-Takes the per-epoch durations recorded for every evaluated network (real
-measurements in real mode, cost-model draws in surrogate mode) and
-replays them through FIFO scheduling under the release rule the search
-ran under, yielding the wall time the paper plots in Figure 9 for 1 and
-4 GPUs.
+Takes the epoch durations in the record trails of every evaluated
+network (real measurements in real mode, cost-model draws in surrogate
+mode) and replays them through FIFO scheduling under the release rule
+the search ran under, yielding the wall time the paper plots in Figure 9
+for 1 and 4 GPUs.
 
 Paper §2.5: *"We leverage the scheduling algorithms of Ray and use its
 first in, first out (FIFO) dynamic scheduling to assign models to GPUs
@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.nas.population import Individual
-from repro.nas.search import SearchResult
+from repro.lineage.records import ModelRecord
+from repro.nas.search import NSGANetConfig
 
 __all__ = ["WallTimeReport", "fifo_schedule", "simulate_walltime"]
 
@@ -102,55 +102,55 @@ def fifo_schedule(
     return placements, done[-1], sum(busy)
 
 
-def _job_seconds(member: Individual) -> float | None:
-    """A member's training seconds, or ``None`` when it held no worker.
+def _job_seconds(record: ModelRecord) -> float | None:
+    """A model's training seconds, or ``None`` when it held no worker.
 
-    The sum of its recorded epoch durations: the prediction engine's
-    in-situ seconds are wall-clock measurements of the host that ran the
-    search, so they stay out, and a sampled run's schedule is a function
-    of its seed.  Quarantined members contributed no completed training, and
-    zero-budget surrogate skips never occupied a worker at all.
+    The sum of its committed attempt's epoch durations, the last
+    ``epochs_trained`` of its trail (failed attempts' epochs lead it): the
+    prediction engine's in-situ seconds are wall-clock measurements of the
+    host that ran the search, so they stay out, and a sampled run's
+    schedule is a function of its seed.  Quarantined models contributed no
+    completed training, and zero-budget surrogate skips never occupied a
+    worker at all.
     """
-    if member.quarantined or (member.result is None and member.budget_assigned == 0):
+    trained = record.epochs_trained
+    if record.quarantined or (record.budget_assigned == 0 and not trained):
         return None
-    if member.result is None:
-        raise ValueError(f"model {member.model_id} has no training result")
-    epoch_seconds = [float(s) for s in member.epoch_seconds]
-    if len(epoch_seconds) != member.result.epochs_trained:
-        raise ValueError(
-            f"model {member.model_id}: {len(epoch_seconds)} epoch durations "
-            f"for {member.result.epochs_trained} trained epochs"
-        )
-    return sum(epoch_seconds)
+    seconds = record.epochs.column("epoch_seconds")[len(record.epochs) - trained :]
+    if not trained or len(seconds) != trained or None in seconds:
+        raise ValueError(f"model {record.model_id}: {trained} trained epochs lack durations")
+    return sum(seconds)
 
 
-def _waits_for(result: SearchResult) -> list[int]:
-    """The release rule ``result.config`` ran under, as :func:`fifo_schedule` reads it.
+def _waits_for(records: Sequence[ModelRecord], nas: NSGANetConfig) -> list[int]:
+    """The release rule ``nas`` ran under, as :func:`fifo_schedule` reads it.
 
     Barrier: a generation waits for every model before it.  Steady:
     offspring ``g`` is submitted once ``max(1, g - lag + 1)`` models have
     committed, exactly as ``NSGANet._run_steady`` pumps its submissions.
     """
-    config = result.config
-    if config is not None and config.evolution == "steady":
-        lag = config.steady_lag or 1
+    if nas.evolution == "steady":
+        lag = nas.steady_lag or 1
         return [
-            0 if g < config.population_size else max(1, g - lag + 1)
-            for g in range(len(result.archive))
+            0 if g < nas.population_size else max(1, g - lag + 1)
+            for g in range(len(records))
         ]
     first: dict[int, int] = {}
-    return [first.setdefault(m.generation, g) for g, m in enumerate(result.archive)]
+    return [first.setdefault(r.generation, g) for g, r in enumerate(records)]
 
 
-def simulate_walltime(result: SearchResult, n_gpus: int) -> WallTimeReport:
+def simulate_walltime(
+    records: Sequence[ModelRecord], nas: NSGANetConfig, n_gpus: int
+) -> WallTimeReport:
     """Replay a search's training workload on an ``n_gpus`` pool.
 
-    The release rule is the one the search ran under: ``result.config``'s
-    ``evolution`` and (resolved) ``steady_lag``.
+    ``records`` are every model's record trail in model-id order;
+    ``nas`` holds the ``evolution`` and the resolved ``steady_lag`` the
+    search ran under (:meth:`~repro.workflow.orchestrator.
+    A4NNOrchestrator.effective_nas`).
     """
-    archive = result.archive
-    seconds = [_job_seconds(m) for m in archive]
-    placed, wall, busy = fifo_schedule(seconds, n_gpus, _waits_for(result))
+    seconds = [_job_seconds(r) for r in records]
+    placed, wall, busy = fifo_schedule(seconds, n_gpus, _waits_for(records, nas))
     capacity = wall * n_gpus
     return WallTimeReport(
         n_gpus=n_gpus,
@@ -158,8 +158,6 @@ def simulate_walltime(result: SearchResult, n_gpus: int) -> WallTimeReport:
         busy_seconds=busy,
         idle_seconds=capacity - busy,
         utilization=busy / capacity if capacity > 0 else 0.0,
-        total_epochs=sum(
-            m.result.epochs_trained for m, s in zip(archive, seconds) if s is not None
-        ),
-        placements=tuple((m.model_id, *p) for m, p in zip(archive, placed) if p),
+        total_epochs=sum(r.epochs_trained for r, s in zip(records, seconds) if s is not None),
+        placements=tuple((r.model_id, *p) for r, p in zip(records, placed) if p),
     )

@@ -359,8 +359,9 @@ class A4NNOrchestrator:
         finally:
             self.close_pool()
 
+        records = tracker.all_records()
         walltime: dict[int, WallTimeReport] = {
-            n: simulate_walltime(result, n) for n in config.n_gpus
+            n: simulate_walltime(records, nas, n) for n in config.n_gpus
         }
         workflow_result = WorkflowResult(
             config=config,

@@ -1,4 +1,4 @@
-"""Coverage for smaller surfaces: initializers, logging, runner cache."""
+"""Coverage for smaller surfaces: initializers and logging."""
 
 import logging
 
@@ -55,19 +55,3 @@ class TestLogging:
             root.handlers = before
             logging.disable(logging.INFO)
 
-
-class TestRunnerCache:
-    def test_memoized_per_intensity_and_seed(self):
-        """Cache keys are (intensity, seed) — identity for repeats."""
-        from repro.experiments.runner import _cached_comparison
-
-        info_before = _cached_comparison.cache_info()
-        # do not actually run a paper-scale search here; just verify the
-        # lru_cache wiring exists and is keyed as documented
-        assert info_before.maxsize == 32
-
-    def test_clear_cache_resets(self):
-        from repro.experiments.runner import _cached_comparison, clear_cache
-
-        clear_cache()
-        assert _cached_comparison.cache_info().currsize == 0

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, PredictionEngine
+from repro.lineage import EpochRecord, LineageTracker, ModelRecord
 from repro.nas import NSGANet, NSGANetConfig, SurrogateEvaluator
-from repro.scheduler import EpochCostModel, fifo_schedule, simulate_walltime
+from repro.scheduler import EpochCostModel, FaultPolicy, fifo_schedule, simulate_walltime
 from repro.utils.rng import RngStream
+from repro.workflow import A4NNOrchestrator, WorkflowConfig
 from repro.xfel import BeamIntensity
 
 
@@ -93,23 +95,30 @@ class TestFifoScheduling:
 
 
 class TestWallTimeSimulation:
+    NAS = NSGANetConfig(
+        population_size=4, offspring_per_generation=4, generations=3, max_epochs=10
+    )
+
     @pytest.fixture(scope="class")
-    def search_result(self):
-        config = NSGANetConfig(
-            population_size=4, offspring_per_generation=4, generations=3, max_epochs=10
-        )
+    def searched(self):
+        """A search and the record trails its lineage tracker kept."""
         evaluator = SurrogateEvaluator(
             BeamIntensity.MEDIUM,
             PredictionEngine(EngineConfig(e_pred=10)),
             max_epochs=10,
             rng_stream=RngStream(0),
         )
-        return NSGANet(config, evaluator, rng_stream=RngStream(0)).run()
+        tracker = LineageTracker()
+        result = NSGANet(
+            self.NAS, evaluator, rng_stream=RngStream(0), on_individual=tracker.observe_individual
+        ).run()
+        return result, tracker.all_records()
 
-    def test_jobs_grouped_by_generation(self, search_result):
+    def test_jobs_grouped_by_generation(self, searched):
         # four GPUs, four jobs a generation: each generation runs side by
         # side and starts when the slowest job of the one before finishes
-        report = simulate_walltime(search_result, 4)
+        search_result, records = searched
+        report = simulate_walltime(records, self.NAS, 4)
         generation = {m.model_id: m.generation for m in search_result.archive}
         starts: dict = {}
         for model_id, _, start, _ in report.placements:
@@ -122,25 +131,63 @@ class TestWallTimeSimulation:
         assert [starts[g].pop() for g in range(3)] == pytest.approx(expected)
         assert report.wall_seconds == pytest.approx(sum(slowest))
 
-    def test_four_gpus_faster_than_one(self, search_result):
-        w1 = simulate_walltime(search_result, 1)
-        w4 = simulate_walltime(search_result, 4)
+    def test_four_gpus_faster_than_one(self, searched):
+        _, records = searched
+        w1 = simulate_walltime(records, self.NAS, 1)
+        w4 = simulate_walltime(records, self.NAS, 4)
         assert w4.wall_seconds < w1.wall_seconds
         speedup = w1.wall_seconds / w4.wall_seconds
         assert 2.0 < speedup <= 4.0
 
-    def test_single_gpu_fully_utilized(self, search_result):
-        w1 = simulate_walltime(search_result, 1)
+    def test_single_gpu_fully_utilized(self, searched):
+        w1 = simulate_walltime(searched[1], self.NAS, 1)
         assert w1.utilization == pytest.approx(1.0)
         assert w1.idle_seconds == pytest.approx(0.0, abs=1e-6)
 
-    def test_engine_overhead_stays_out_of_simulated_time(self, search_result):
+    def test_engine_overhead_stays_out_of_simulated_time(self, searched):
         # the engine's in-situ seconds are measured wall time: one pool is
         # busy for exactly the recorded epochs, whatever the engine took
+        search_result, records = searched
         assert all(m.result.engine_overhead_seconds > 0 for m in search_result.archive)
-        report = simulate_walltime(search_result, 1)
+        report = simulate_walltime(records, self.NAS, 1)
         assert report.wall_seconds == sum(sum(m.epoch_seconds) for m in search_result.archive)
 
-    def test_total_epochs_match_search(self, search_result):
-        report = simulate_walltime(search_result, 2)
+    def test_only_the_committed_attempt_holds_a_worker(self):
+        # a real-mode trail holds the epochs of its failed attempts first
+        failed = [EpochRecord(e, 10.0, epoch_seconds=100.0) for e in (1, 2, 3)]
+        committed = [EpochRecord(e, 50.0, epoch_seconds=float(e)) for e in (1, 2)]
+        retried = ModelRecord(0, 0, {}, epochs=failed + committed, epochs_trained=2)
+        quarantined = ModelRecord(1, 0, {}, epochs=failed, quarantined=True)
+        skipped = ModelRecord(2, 0, {}, budget_assigned=0)
+        report = simulate_walltime([retried, quarantined, skipped], self.NAS, 2)
+        assert report.placements == ((0, 0, 0.0, 3.0),)
+        assert (report.busy_seconds, report.total_epochs) == (3.0, 2)
+
+    def test_a_sampled_attempt_that_failed_after_training_holds_no_worker(self, monkeypatch):
+        # the failed attempt's epochs lead the trail without seconds; the
+        # committed attempt's cost-model seconds fill the epochs after them
+        evaluate = SurrogateEvaluator.evaluate
+
+        def crash_after_training(self, individual):
+            evaluate(self, individual)
+            if (individual.model_id, individual.eval_attempt) == (1, 0):
+                raise RuntimeError("crashed after training")
+            return individual
+
+        monkeypatch.setattr(SurrogateEvaluator, "evaluate", crash_after_training)
+        config = WorkflowConfig(
+            nas=self.NAS, engine=EngineConfig(e_pred=10), faults=FaultPolicy(max_retries=1)
+        )
+        result = A4NNOrchestrator(config).run()
+        records = result.tracker.all_records()
+        retried = records[1].epochs.column("epoch_seconds")
+        failed = len(retried) - records[1].epochs_trained
+        assert failed > 0 and retried[:failed] == [None] * failed
+        assert retried[failed:] == list(result.search.archive[1].epoch_seconds)
+        report = simulate_walltime(records, self.NAS, 1)
+        assert report.busy_seconds == sum(sum(m.epoch_seconds) for m in result.search.archive)
+
+    def test_total_epochs_match_search(self, searched):
+        search_result, records = searched
+        report = simulate_walltime(records, self.NAS, 2)
         assert report.total_epochs == search_result.total_epochs_trained

@@ -602,5 +602,5 @@ class TestZeroBudgetPath:
             assert not individual.epoch_seconds
         # zero-budget members never occupied a worker: the wall-time
         # simulation must exclude them rather than crash
-        report = simulate_walltime(result.search, 2)
+        report = simulate_walltime(result.tracker.all_records(), config.nas, 2)
         assert report.total_epochs == result.total_epochs_trained

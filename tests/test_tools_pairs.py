@@ -30,9 +30,12 @@ def test_a_failing_run_is_counted_and_left_out_of_the_medians(tmp_path, monkeypa
     metrics = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
     # seed 2's change run fails a check, seed 3's crashes; the rest are correct
     plan = {("change", 2): "check", ("change", 3): "crash"}
+    compiled = []
 
     def fake_run(command, cwd=None, **_):
-        if command[0] in ("git", "tar"):
+        if "compileall" in command:
+            compiled.append(Path(cwd))
+        if command[0] in ("git", "tar") or "compileall" in command:
             return subprocess.CompletedProcess(command, 0, stdout=b"")
         side = "change" if Path(cwd) == change else "parent"
         seed = int(command[command.index("--seed") + 1])
@@ -57,6 +60,8 @@ def test_a_failing_run_is_counted_and_left_out_of_the_medians(tmp_path, monkeypa
                 "--out", str(out)])
 
     printed = capsys.readouterr().out
+    # both trees are compiled once, before the first run
+    assert len(compiled) == 2 and compiled[1] == change != compiled[0]
     assert "parent: 3 runs, 0 incorrect or failing" in printed
     assert "change: 3 runs, 2 incorrect or failing" in printed
     assert ("peak_rss_mb: parent 100 (100-100)  change 90 (90-90)  change better in 1/1"

@@ -65,10 +65,10 @@ def walltime_barrier() -> dict:
     """Every report field and placement, floats as ``repr``, per search and pool size."""
     pinned = {}
     for name, config in BARRIER_SEARCHES.items():
-        search = A4NNOrchestrator(config).run().search
+        records = A4NNOrchestrator(config).run().tracker.all_records()
         pinned[name] = {}
         for n in GPUS:
-            report = simulate_walltime(search, n)
+            report = simulate_walltime(records, config.nas, n)
             pinned[name][str(n)] = {
                 "n_gpus": report.n_gpus,
                 "wall_seconds": repr(report.wall_seconds),

@@ -2,8 +2,11 @@
 
 ``python tools/pairs.py --parent REF --workload NAME --seeds A-B [--out FILE]``
 
-Extracts ``REF`` with ``git archive`` into a temporary directory, then per
-seed runs each tree's own ``bench_spine/run.py --seconds 5 --trace 0`` (the
+Extracts ``REF`` with ``git archive`` into a temporary directory and compiles
+both trees' ``src`` and ``bench_spine`` to bytecode once, so that neither side
+pays for compiling its imports (under ``PYTHONDONTWRITEBYTECODE`` the fresh
+extract would otherwise compile them in every run).  Then per seed it runs
+each tree's own ``bench_spine/run.py --seconds 5 --trace 0`` (the
 parent first on even seeds, this working tree first on odd ones) and appends
 one JSON line per run to FILE.  Prints each ``BENCHMARK.json`` metric's
 medians, quartiles and wins, and ``peak_rss_mb`` by ``executions``: ``run.py``
@@ -68,6 +71,9 @@ def main(argv=None) -> None:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": Path(tmp), "change": ROOT}
+        for tree in trees.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench_spine"],
+                           cwd=tree, check=True)
         for seed in range(first, last + 1):
             order = ("parent", "change")[:: 1 if seed % 2 == 0 else -1]
             for side in order:
