@@ -44,9 +44,10 @@ def run_fig9(commons: DataCommons, *, seed: int = DEFAULT_SEED) -> Fig9Result:
     """Simulate the three wall-time bars per intensity from the records."""
     result = Fig9Result({}, {}, {}, {})
     for label, (config, a4nn, baseline) in paper_pairs(commons, seed=seed).items():
-        four_gpus = simulate_walltime(a4nn, config.nas, 4)
-        result.standalone_1gpu[label] = simulate_walltime(baseline, config.nas, 1).wall_hours
-        result.a4nn_1gpu[label] = simulate_walltime(a4nn, config.nas, 1).wall_hours
+        nas = config.effective_nas()
+        four_gpus = simulate_walltime(a4nn, nas, 4)
+        result.standalone_1gpu[label] = simulate_walltime(baseline, nas, 1).wall_hours
+        result.a4nn_1gpu[label] = simulate_walltime(a4nn, nas, 1).wall_hours
         result.a4nn_4gpu[label] = four_gpus.wall_hours
         result.utilization_4gpu[label] = four_gpus.utilization
     return result

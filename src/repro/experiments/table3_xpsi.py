@@ -44,8 +44,9 @@ def run_table3(
     result = Table3Result({}, {}, {}, {})
     for label, (config, a4nn, _) in paper_pairs(commons, seed=seed, standalone=False).items():
         result.a4nn_accuracy[label] = max(float(r.fitness) for r in a4nn if not r.quarantined)
-        result.a4nn_hours_1gpu[label] = simulate_walltime(a4nn, config.nas, 1).wall_hours
-        result.a4nn_hours_4gpu[label] = simulate_walltime(a4nn, config.nas, 4).wall_hours
+        nas = config.effective_nas()
+        result.a4nn_hours_1gpu[label] = simulate_walltime(a4nn, nas, 1).wall_hours
+        result.a4nn_hours_4gpu[label] = simulate_walltime(a4nn, nas, 4).wall_hours
         dataset = generate_dataset(
             DatasetConfig(intensity=config.intensity, images_per_class=xpsi_images_per_class)
         )

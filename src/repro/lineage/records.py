@@ -216,7 +216,7 @@ class EpochTrail:
         return f"EpochTrail({list(self)!r})"
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelRecord:
     """The full record trail of one neural architecture.
 
@@ -326,7 +326,7 @@ class ModelRecord:
         return max(full - min(int(self.budget_assigned), full), 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """One search run (the commons' top-level entry): its id and its config.
 

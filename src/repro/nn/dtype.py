@@ -12,9 +12,9 @@ The framework-level default remains float64, so a bare ``Conv2D(...)``
 and the gradient checks run in double precision; float64 is also the
 second leg of the dtype checks.
 
-Linter note: this module is the one sanctioned home for narrow-dtype
-names inside ``repro.nn`` — NUM003 (narrow dtype outside the policy) and
-PERF001 (float64-forcing constructs on the hot path) both exempt it.
+A width baked in anywhere else in ``repro.nn`` fails the tests that run
+both dtypes (``tests/test_evalcache.py::TestDtypePolicy``, the float64
+gradient checks), so no lint rule polices the seam.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ def _waits_for(records: Sequence[ModelRecord], nas: NSGANetConfig) -> list[int]:
     committed, exactly as ``NSGANet._run_steady`` pumps its submissions.
     """
     if nas.evolution == "steady":
-        lag = nas.steady_lag or 1
+        lag = nas.steady_lag
         return [
             0 if g < nas.population_size else max(1, g - lag + 1)
             for g in range(len(records))
@@ -146,9 +146,15 @@ def simulate_walltime(
 
     ``records`` are every model's record trail in model-id order;
     ``nas`` holds the ``evolution`` and the resolved ``steady_lag`` the
-    search ran under (:meth:`~repro.workflow.orchestrator.
-    A4NNOrchestrator.effective_nas`).
+    search ran under (:meth:`~repro.workflow.interfaces.
+    WorkflowConfig.effective_nas`).  A steady ``nas`` whose lag is still
+    ``None`` raises :class:`ValueError`: the lag the run used is not in it.
     """
+    if nas.evolution == "steady" and nas.steady_lag is None:
+        raise ValueError(
+            "a steady nas needs its resolved steady_lag: pass "
+            "WorkflowConfig.effective_nas(), not WorkflowConfig.nas"
+        )
     seconds = [_job_seconds(r) for r in records]
     placed, wall, busy = fifo_schedule(seconds, n_gpus, _waits_for(records, nas))
     capacity = wall * n_gpus

@@ -4,8 +4,9 @@ Two independent halves (see README § "Static analysis"):
 
 * a self-hosted per-file AST linter (:mod:`repro.tooling.linter`, rules
   under :mod:`repro.tooling.rules`) enforcing the determinism,
-  concurrency, fault-visibility, dtype-seam and lineage-schema
-  invariants that no test or runtime guard observes; and
+  concurrency, fault-visibility and suppression invariants that no test
+  or runtime guard observes (the record schema is held by the slotted
+  record types, the dtype seam by the dtype-policy tests); and
 * an opt-in runtime sanitizer (:mod:`repro.tooling.sanitizer`) that
   asserts finite activations/gradients/losses, layer shape contracts
   and read-only layer inputs during real training, raising a structured

@@ -1,10 +1,9 @@
-"""Parsed-module and project contexts handed to lint rules.
+"""The parsed-module context handed to lint rules.
 
-Rules never read the filesystem themselves: the linter parses every
-file once into a :class:`ModuleContext` (source, AST, comment tokens)
-and groups them in a :class:`ProjectContext` so cross-file rules (e.g.
-the lineage schema-drift check) can look up sibling modules whether the
-sources came from disk or from in-memory test fixtures.
+Rules never read the filesystem themselves: the linter parses each file
+once into a :class:`ModuleContext` (source, AST, comment tokens), the
+same whether the source came from disk or from an in-memory test
+fixture, and a rule sees that one module and nothing else.
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ from __future__ import annotations
 import ast
 import io
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["ModuleContext", "ProjectContext", "package_path", "module_name"]
+__all__ = ["ModuleContext", "package_path", "module_name"]
 
 _PACKAGE_ROOT = "repro"
 
@@ -73,15 +72,12 @@ class ModuleContext:
         ``repro/...``-rooted POSIX path used for rule scoping.
     source, tree:
         Raw text and parsed AST.
-    project:
-        The owning :class:`ProjectContext` (for cross-file rules).
     """
 
     display_path: str
     pkg_path: str
     source: str
     tree: ast.Module
-    project: "ProjectContext | None" = None
     _comments: "list[tuple[int, int, str]] | None" = None
     _imports: "dict[str, str] | None" = None
 
@@ -184,21 +180,3 @@ class ModuleContext:
         self._comments = found
         return found
 
-
-@dataclass
-class ProjectContext:
-    """The set of modules under analysis in one linter invocation."""
-
-    modules: list[ModuleContext] = field(default_factory=list)
-
-    def add(self, module: ModuleContext) -> ModuleContext:
-        module.project = self
-        self.modules.append(module)
-        return module
-
-    def find(self, suffix: str) -> ModuleContext | None:
-        """The first scanned module at package location ``suffix``."""
-        for module in self.modules:
-            if module.in_location(suffix):
-                return module
-        return None

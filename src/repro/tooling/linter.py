@@ -1,8 +1,8 @@
 """The ``a4nn check`` linter: run the rule catalog over a source tree.
 
-The linter parses every file once, runs every rule on every module it
-applies to, drops findings covered by a justified ``noqa``
-(statement-span aware), and returns sorted diagnostics.  It is
+The linter parses one file at a time, runs every rule that applies to
+it, drops findings covered by a justified ``noqa`` (statement-span
+aware), and returns sorted diagnostics.  It is
 importable (the test suite runs it in-process on ``src/``) and drives
 the ``a4nn check`` CLI subcommand.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.tooling.context import ModuleContext, ProjectContext
+from repro.tooling.context import ModuleContext
 from repro.tooling.diagnostics import Diagnostic, Severity
 from repro.tooling.rules import all_rules, rule_ids
 from repro.tooling.rules.suppressions import suppressed_lines
@@ -78,7 +78,7 @@ def collect_files(paths: Iterable[str | Path]) -> list[Path]:
 
 
 class Linter:
-    """Run the registered rule catalog over a project.
+    """Run the registered rule catalog over source files.
 
     Parameters
     ----------
@@ -95,49 +95,44 @@ class Linter:
                 raise ValueError(f"--select names unknown rule id(s): {sorted(unknown)}")
             chosen = [r for r in chosen if r.rule_id in wanted]
         self.rules = chosen
+        self._known = set(rule_ids())
 
     # -- entry points -----------------------------------------------------------
 
     def lint_paths(self, paths: Iterable[str | Path]) -> CheckResult:
         """Lint files/directories from disk."""
-        sources: dict[str, str] = {}
-        skipped: list[Diagnostic] = []
         files = collect_files(paths)
+        found: list[Diagnostic] = []
         for path in files:
             try:
-                sources[str(path)] = path.read_bytes().decode("utf-8")
+                source = path.read_bytes().decode("utf-8")
             except UnicodeDecodeError as exc:
-                skipped.append(_skip_warning(str(path), exc))
-        return self._lint(sources, n_files=len(files), found=skipped)
+                found.append(_skip_warning(str(path), exc))
+            else:
+                found.extend(self._lint_file(str(path), source))
+        found.sort(key=Diagnostic.sort_key)
+        return CheckResult(diagnostics=found, n_files=len(files))
 
     def lint_sources(self, sources: Mapping[str, str]) -> CheckResult:
         """Lint in-memory ``{virtual_path: source}`` fixtures (tests)."""
-        return self._lint(sources, n_files=len(sources), found=[])
-
-    # -- core -------------------------------------------------------------------
-
-    def _lint(
-        self, sources: Mapping[str, str], *, n_files: int, found: list[Diagnostic]
-    ) -> CheckResult:
-        # every module is parsed before any rule runs: a rule that reads a
-        # sibling module (LIN001's schema) looks it up on module.project
-        project = ProjectContext()
-        for display, source in sources.items():
-            try:
-                project.add(ModuleContext.parse(source, display))
-            except SyntaxError as exc:
-                found.append(_parse_failure(display, source, exc))
-        known = set(rule_ids())
-        for module in project.modules:
-            suppressed = suppressed_lines(module, known)
-            for rule in self.rules:
-                if not rule.applies_to(module):
-                    continue
-                for d in rule.check(module):
-                    if d.rule_id not in suppressed.get(d.line, ()):
-                        found.append(d)
+        found = [d for path, source in sources.items() for d in self._lint_file(path, source)]
         found.sort(key=Diagnostic.sort_key)
-        return CheckResult(diagnostics=found, n_files=n_files)
+        return CheckResult(diagnostics=found, n_files=len(sources))
+
+    def _lint_file(self, display: str, source: str) -> list[Diagnostic]:
+        """Every unsuppressed finding in one file; no rule sees another."""
+        try:
+            module = ModuleContext.parse(source, display)
+        except SyntaxError as exc:
+            return [_parse_failure(display, source, exc)]
+        suppressed = suppressed_lines(module, self._known)
+        return [
+            d
+            for rule in self.rules
+            if rule.applies_to(module)
+            for d in rule.check(module)
+            if d.rule_id not in suppressed.get(d.line, ())
+        ]
 
 
 def _parse_failure(path: str, source: str, exc: SyntaxError) -> Diagnostic:

@@ -1,24 +1,23 @@
-"""Rule protocol and registry for the ``a4nn check`` linter.
+"""Rule base class and registry for the ``a4nn check`` linter.
 
-A rule is a small object with a stable ``rule_id``, a ``category``, a
-one-line ``description``, a location predicate, and a ``check`` that
-yields :class:`~repro.tooling.diagnostics.Diagnostic` objects for one
-parsed module.  Rules register themselves with :func:`register` at
-import time, so adding a rule in a later PR is: write the class in a
-module under ``tooling/rules/``, decorate it, and import the module
-from :func:`load_builtin_rules`.
+A rule is a :class:`BaseRule` subclass with a stable ``rule_id``, a
+``category``, a one-line ``description``, a location predicate, and a
+``check`` that yields :class:`~repro.tooling.diagnostics.Diagnostic`
+objects for one parsed module.  Rules register themselves with
+:func:`register` at import time, so adding a rule is: write the class
+in a module under ``tooling/rules/``, decorate it, and import the
+module from :func:`load_builtin_rules`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator
 
 from repro.tooling.context import ModuleContext
 from repro.tooling.diagnostics import Diagnostic, Severity
 
 __all__ = [
-    "Rule",
     "BaseRule",
     "register",
     "all_rules",
@@ -31,28 +30,12 @@ __all__ = [
 ]
 
 
-@runtime_checkable
-class Rule(Protocol):
-    """What the linter requires of a check."""
-
-    rule_id: str
-    category: str
-    description: str
-
-    def applies_to(self, module: ModuleContext) -> bool:
-        """Whether this rule should run on ``module`` at all."""
-
-    def check(self, module: ModuleContext) -> Iterable[Diagnostic]:
-        """Yield findings for one parsed module."""
-
-
 class BaseRule:
-    """Convenience base: applies everywhere, error severity, ``diag`` helper.
+    """What every rule is: applies everywhere, error severity, ``diag`` helper.
 
-    Rules see one module at a time; one that needs a sibling module
-    (LIN001's record schema) looks it up on ``module.project``.  ``doc``
-    is the README catalog prose — the rule table in README.md is
-    generated from it (``--list-rules --format md``).
+    Rules see one module at a time and nothing else.  ``doc`` is the
+    README catalog prose — the rule table in README.md is generated from
+    it (``--list-rules --format md``).
     """
 
     rule_id: str = ""
@@ -81,7 +64,7 @@ class BaseRule:
         )
 
 
-_REGISTRY: dict[str, Rule] = {}
+_REGISTRY: dict[str, BaseRule] = {}
 
 
 def register(rule_cls: type) -> type:
@@ -99,7 +82,7 @@ def register(rule_cls: type) -> type:
     return rule_cls
 
 
-def all_rules() -> list[Rule]:
+def all_rules() -> list[BaseRule]:
     """Every registered rule, ordered by id."""
     load_builtin_rules()
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
@@ -115,8 +98,6 @@ def load_builtin_rules() -> None:
     from repro.tooling.rules import (  # noqa: F401
         concurrency,
         determinism,
-        lineage,
-        perf,
         safety,
         suppressions,
     )
@@ -131,7 +112,7 @@ def markdown_catalog() -> str:
     """
     lines = ["| rule | category | what it enforces |", "|---|---|---|"]
     for rule in all_rules():
-        prose = (getattr(rule, "doc", "") or rule.description).strip()
+        prose = (rule.doc or rule.description).strip()
         lines.append(f"| `{rule.rule_id}` | {rule.category} | {prose} |")
     return "\n".join(lines)
 
@@ -174,17 +155,3 @@ def dotted_name(node: ast.AST) -> str | None:
         return ".".join(reversed(parts))
     return None
 
-
-def numpy_name(module: ModuleContext, node: ast.AST) -> str | None:
-    """The top-level NumPy name ``node`` refers to, else ``None``.
-
-    ``float32`` for ``np.float32``, for ``xp.float32`` after ``import
-    numpy as xp`` and for a bare ``float32`` after ``from numpy import
-    float32``: the chain's head is resolved through the module's own
-    imports (:meth:`ModuleContext.resolve`), as the DET rules do.
-    """
-    chain = dotted_name(node) if isinstance(node, (ast.Attribute, ast.Name)) else None
-    if chain is None:
-        return None
-    head, _, tail = module.resolve(chain).partition(".")
-    return tail if head == "numpy" and tail else None

@@ -15,12 +15,8 @@ invariants mechanical:
   Clock values leaking into engine/workflow/lineage state make record
   trails differ across replays; all timing must flow through
   :class:`~repro.utils.timing.Stopwatch`.
-* ``DET004`` — no RNG object (seeded or not) parked on a module global
-  outside ``utils/rng.py``.  Module-level generators are shared mutable
-  state: import order changes draw order, spawned workers re-import and
-  silently fork the stream, and two consumers perturb each other.
 
-All three match the *canonical* name of a call — its head resolved
+Both match the *canonical* name of a call — its head resolved
 through the module's own imports (:meth:`ModuleContext.resolve`) — so
 ``from time import perf_counter``, ``import numpy.random as npr`` and
 ``from datetime import datetime as dt`` cannot spell their way past
@@ -30,13 +26,13 @@ them.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.tooling.context import ModuleContext
 from repro.tooling.diagnostics import Diagnostic
-from repro.tooling.rules import BaseRule, dotted_name, register, walk_functions
+from repro.tooling.rules import BaseRule, dotted_name, register
 
-__all__ = ["GlobalRngRule", "WallClockRule", "ModuleGlobalRngRule"]
+__all__ = ["GlobalRngRule", "WallClockRule"]
 
 _CLOCK_CALLS = {
     "time.time",
@@ -63,19 +59,6 @@ _ALLOWED_NP_RANDOM = {
     "SeedSequence",
     "BitGenerator",
 }
-
-#: Canonical call chains that produce an RNG *object* (seeded or not).
-_RNG_FACTORIES = {
-    "numpy.random.default_rng",
-    "numpy.random.RandomState",
-    "numpy.random.Generator",
-    "random.Random",
-    "random.SystemRandom",
-}
-
-#: The project's own generator factories, matched by their final name
-#: however they were imported (``repro.utils`` re-exports them).
-_PROJECT_RNG_FACTORIES = {"derive_rng", "fallback_rng"}
 
 
 def _canonical_call(module: ModuleContext, node: ast.AST) -> str | None:
@@ -109,16 +92,6 @@ def _unseeded_rng_call(module: ModuleContext, node: ast.AST) -> str | None:
                 return f"{chain}() without a seed"
             return None
         return f"{chain}() (stdlib global RNG)"
-    return None
-
-
-def _rng_factory_call(module: ModuleContext, node: ast.AST) -> str | None:
-    """The factory chain when ``node`` constructs an RNG object, else ``None``."""
-    chain = _canonical_call(module, node)
-    if chain is None:
-        return None
-    if chain in _RNG_FACTORIES or chain.rsplit(".", 1)[-1] in _PROJECT_RNG_FACTORIES:
-        return chain
     return None
 
 
@@ -175,66 +148,3 @@ class WallClockRule(BaseRule):
                     "repro.utils.timing (Stopwatch) so replays stay deterministic",
                 )
 
-
-def _global_stores(func: ast.AST) -> Iterator[tuple[str, ast.AST]]:
-    """(name, value) for assignments to ``global``-declared names in ``func``."""
-    declared: set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Global):
-            declared.update(node.names)
-    if not declared:
-        return
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id in declared:
-                    yield target.id, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name) and node.target.id in declared:
-                yield node.target.id, node.value
-
-
-@register
-class ModuleGlobalRngRule(BaseRule):
-    rule_id = "DET004"
-    category = "determinism"
-    description = "RNG object stored on a module global (shared mutable stream state)"
-    doc = (
-        "no RNG objects (seeded or not) stored on module globals anywhere outside "
-        "`utils/rng.py` — module-level generators are shared mutable state that "
-        "forks silently across spawned workers and couples unrelated consumers' "
-        "draw order"
-    )
-
-    def applies_to(self, module: ModuleContext) -> bool:
-        return not module.in_location("utils/rng.py")
-
-    def check(self, module: ModuleContext) -> Iterable[Diagnostic]:
-        for stmt in module.tree.body:
-            if isinstance(stmt, ast.Assign):
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                value = stmt.value
-            else:
-                continue
-            chain = _rng_factory_call(module, value)
-            if chain is not None:
-                yield self.diag(
-                    module,
-                    value,
-                    f"module-level {chain}(...) parks generator state on the "
-                    "module: every importer (and every spawned worker) shares "
-                    "or silently forks the stream; derive generators per "
-                    "consumer from repro.utils.rng",
-                )
-        for func in walk_functions(module.tree):
-            for name, value in _global_stores(func):
-                chain = _rng_factory_call(module, value)
-                if chain is not None:
-                    yield self.diag(
-                        module,
-                        value,
-                        f"storing {chain}(...) into module global {name!r} "
-                        "creates shared mutable stream state; derive "
-                        "generators per consumer from repro.utils.rng",
-                    )

@@ -1,4 +1,4 @@
-"""Numerical-safety rules: swallowed errors, unbounded retries, dtype mixing.
+"""Numerical-safety rules: swallowed errors and unbounded retries.
 
 A corrupted learning curve poisons the fitness estimate silently, so
 numeric code must fail loudly or guard explicitly:
@@ -7,19 +7,11 @@ numeric code must fail loudly or guard explicitly:
   neither re-raises nor logs swallows the very faults the prediction
   engine needs to see.  Narrow the type, re-raise, log — or suppress
   with a justified ``# a4nn: noqa(NUM001) -- reason``.
-* ``NUM003`` — compute precision in ``nn/`` is a *policy*, selected
-  once through :mod:`repro.nn.dtype` and threaded through layer/
-  initializer ``dtype`` parameters.  Hard-coding ``np.float32`` /
-  ``float16`` at a call site silently mixes precision and changes
-  training results between code paths; only the policy module may name
-  narrow dtypes.  The NumPy name is resolved through the module's
-  imports, so ``xp.float32`` after ``import numpy as xp`` and ``float32``
-  after ``from numpy import float32`` are the same reference.
 * ``NUM004`` — a ``while True`` loop that swallows exceptions and loops
   again is an unbounded retry: on a persistent fault it spins forever
   (the hang the fault policy's timeout exists to catch).  Retry logic
   belongs in the fault-policy seam (``scheduler/faults.py``), which
-  bounds attempts and backs off; that module is exempt.
+  bounds attempts; that module is exempt.
 """
 
 from __future__ import annotations
@@ -29,14 +21,12 @@ from typing import Iterable
 
 from repro.tooling.context import ModuleContext
 from repro.tooling.diagnostics import Diagnostic
-from repro.tooling.rules import BaseRule, dotted_name, numpy_name, register
+from repro.tooling.rules import BaseRule, dotted_name, register
 
-__all__ = ["SwallowedExceptRule", "NarrowDtypeRule", "UnboundedRetryRule"]
+__all__ = ["SwallowedExceptRule", "UnboundedRetryRule"]
 
 _BROAD_TYPES = {"Exception", "BaseException"}
 _LOG_METHODS = {"debug", "info", "warning", "warn", "error", "exception", "critical", "log"}
-
-_NARROW_DTYPES = {"float32", "float16", "half", "single"}
 
 
 def _is_broad(handler: ast.ExceptHandler) -> bool:
@@ -139,49 +129,3 @@ class UnboundedRetryRule(BaseRule):
                     "or route through scheduler.faults.FaultPolicy",
                 )
 
-
-@register
-class NarrowDtypeRule(BaseRule):
-    rule_id = "NUM003"
-    category = "numerical-safety"
-    doc = (
-        "no hardcoded narrow dtype names (`float32`/`float16`) inside `nn/` outside "
-        "`nn/dtype.py` — the compute dtype is threaded through `resolve_dtype`, "
-        "never baked into a layer"
-    )
-    description = "hard-coded narrow float dtype in nn/ outside the dtype policy module"
-
-    def applies_to(self, module: ModuleContext) -> bool:
-        # nn/dtype.py is the sanctioned home for narrow-dtype names:
-        # everything else must take dtype as a parameter and resolve it
-        # through the policy (repro.nn.dtype.resolve_dtype)
-        return module.in_location("nn/") and not module.in_location("nn/dtype.py")
-
-    def check(self, module: ModuleContext) -> Iterable[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if numpy_name(module, node) in _NARROW_DTYPES:
-                yield self.diag(
-                    module,
-                    node,
-                    f"{dotted_name(node)} hard-codes a narrow dtype; thread the "
-                    "compute dtype through repro.nn.dtype.resolve_dtype instead",
-                )
-            elif isinstance(node, ast.Call):
-                chain = dotted_name(node.func) or ""
-                is_dtype_site = chain.endswith(".astype")
-                for arg in list(node.args) + [
-                    kw.value for kw in node.keywords if kw.arg == "dtype"
-                ]:
-                    if (
-                        isinstance(arg, ast.Constant)
-                        and isinstance(arg.value, str)
-                        and arg.value in _NARROW_DTYPES
-                        and (is_dtype_site or any(kw.arg == "dtype" for kw in node.keywords))
-                    ):
-                        yield self.diag(
-                            module,
-                            arg,
-                            f"dtype {arg.value!r} hard-codes a narrow dtype; thread "
-                            "the compute dtype through repro.nn.dtype.resolve_dtype "
-                            "instead",
-                        )

@@ -184,6 +184,19 @@ class WorkflowConfig:
         engine_tag = "a4nn" if self.engine is not None else "standalone"
         return f"{engine_tag}_{self.mode}_{self.intensity.label}_seed{self.seed}"
 
+    def effective_nas(self) -> NSGANetConfig:
+        """The NAS settings the run actually uses.
+
+        Steady mode with ``steady_lag=None`` pins the lag to the worker
+        count — the largest window the pool can keep busy.  The stored
+        config records the original ``n_workers``, so a replay, or a
+        wall-time simulation over published records, resolves the same lag.
+        """
+        nas = self.nas
+        if nas.evolution == "steady" and nas.steady_lag is None:
+            nas = replace(nas, steady_lag=self.n_workers)
+        return nas
+
     def standalone(self) -> "WorkflowConfig":
         """A copy with the prediction engine disabled (baseline runs)."""
         return replace(self, engine=None, run_id="")

@@ -11,7 +11,7 @@ wall-time accounting on each requested GPU-pool size.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.engine import PredictionEngine
@@ -276,19 +276,6 @@ class A4NNOrchestrator:
             )
         return self.memoizer if self.memoizer is not None else inner
 
-    def effective_nas(self):
-        """The NAS settings the run actually uses.
-
-        Steady mode with ``steady_lag=None`` pins the lag to the worker
-        count — the largest window the pool can keep busy.  Replays
-        resolve the same lag from the stored config (it records the
-        original ``n_workers``), so the resolution is reproducible.
-        """
-        nas = self.config.nas
-        if nas.evolution == "steady" and nas.steady_lag is None:
-            nas = replace(nas, steady_lag=self.config.n_workers)
-        return nas
-
     def close_pool(self) -> None:
         """Release the stream's worker pool (idempotent; no-op without one).
 
@@ -335,7 +322,7 @@ class A4NNOrchestrator:
         self._run_id = run_id or config.resolved_run_id()
         self._written = set(self._resumed)
         evaluator = self.build_evaluator()
-        nas = self.effective_nas()
+        nas = config.effective_nas()
         _LOG.info(
             "starting %s run: mode=%s intensity=%s seed=%d",
             "A4NN" if config.engine is not None else "standalone NAS",

@@ -121,3 +121,36 @@ class TestReporting:
     def test_shape_check_markers(self):
         assert shape_check("x", True).startswith("[ok]")
         assert shape_check("x", False).startswith("[MISMATCH]")
+
+
+class TestOverhead:
+    def test_lap_variance_in_seconds_squared_reports_as_ms_squared(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.experiments import format_overhead, overhead
+
+        def model(variance, interactions=3):
+            result = SimpleNamespace(
+                engine_overhead_seconds=0.003,
+                engine_interactions=interactions,
+                engine_overhead_mean=1e-3,
+                engine_overhead_variance=variance,
+            )
+            return SimpleNamespace(result=result, epoch_seconds=[20.0])
+
+        # a single interaction has no variance and stays out of the mean
+        archive = [model(1e-7), model(3e-7), model(5.0, interactions=1)]
+
+        class Orchestrator:
+            def __init__(self, config):
+                pass
+
+            def run(self):
+                return SimpleNamespace(search=SimpleNamespace(archive=archive))
+
+        monkeypatch.setattr(overhead, "A4NNOrchestrator", Orchestrator)
+        result = overhead.run_overhead()
+        assert result.variance_ms2 == pytest.approx(0.2)  # mean 2e-7 s² = 0.2 ms²
+        assert result.mean_ms == pytest.approx(1.0)
+        row = next(line for line in format_overhead(result).splitlines() if "variance" in line)
+        assert row.split() == ["variance", "ms²", "per", "epoch", "1.12", "0.20"]

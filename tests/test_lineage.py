@@ -78,6 +78,17 @@ class TestRecords:
         run = RunRecord(run_id="r1", workflow_config={"seed": 3})
         assert RunRecord.from_dict(run.to_dict()) == run
 
+    @pytest.mark.parametrize(
+        "record",
+        [ModelRecord(model_id=0, generation=0, genome={}), RunRecord(run_id="r1", workflow_config={})],
+        ids=["model", "run"],
+    )
+    def test_a_write_outside_the_schema_raises(self, record):
+        # to_dict() publishes declared fields only, so the type refuses
+        # the write instead of letting the commons drop it
+        with pytest.raises(AttributeError):
+            record.cache_leader = 3
+
 
 def epoch_entries(n=3):
     return [

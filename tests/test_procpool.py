@@ -734,7 +734,7 @@ class TestBackendParitySurrogate:
         orchestrator = A4NNOrchestrator(config)
         stream = orchestrator.build_stream(orchestrator.build_evaluator())
         assert orchestrator.pool is None and isinstance(stream.inner, InlineStream)
-        assert orchestrator.effective_nas().steady_lag == 2
+        assert config.effective_nas().steady_lag == 2
         assert_reproduces("steady-off-clean", ("thread", n_workers))
 
 

@@ -1,4 +1,4 @@
-"""The module-state rules: DET004 (parked generators) and CONC001 (run-time writes)."""
+"""The module-state rule: CONC001 (module state written at run time)."""
 
 import textwrap
 
@@ -13,43 +13,6 @@ def lint(sources: dict) -> list:
 
 def rule_hits(diagnostics, rule_id):
     return [d for d in diagnostics if d.rule_id == rule_id]
-
-
-# -- DET004: module-level RNG objects ------------------------------------------
-
-
-def test_det004_flags_module_level_rng_even_seeded():
-    diags = lint({"repro/workflow/state.py": """
-        import numpy as np
-        RNG = np.random.default_rng(42)
-    """})
-    assert len(rule_hits(diags, "DET004")) == 1
-
-
-def test_det004_flags_global_rebind_from_function():
-    diags = lint({"repro/workflow/state.py": """
-        import numpy as np
-        _rng = None
-        def setup(seed):
-            global _rng
-            _rng = np.random.default_rng(seed)
-    """})
-    assert len(rule_hits(diags, "DET004")) == 1
-
-
-def test_det004_allows_function_local_and_rng_module():
-    diags = lint({
-        "repro/utils/rng.py": """
-            import numpy as np
-            _GLOBAL = np.random.default_rng(0)
-        """,
-        "repro/workflow/ok.py": """
-            import numpy as np
-            def fresh(seed):
-                return np.random.default_rng(seed)
-        """,
-    })
-    assert rule_hits(diags, "DET004") == []
 
 
 # -- CONC001: module state written from a function body ------------------------

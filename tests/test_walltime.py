@@ -282,3 +282,16 @@ def test_a_steady_search_reports_the_schedule_it_ran(steady_run):
     assert report.wall_seconds == makespan
     assert report.placements == tuple((g, *p) for g, p in enumerate(placed) if p)
     assert report.busy_seconds == pytest.approx(sum(s for s in seconds if s is not None))
+
+
+def test_published_records_simulate_under_the_lag_the_run_resolved(steady_run):
+    """The stored config's ``nas`` leaves the lag ``None``: simulating with it
+    raises, and ``effective_nas()`` gives back the run's own report."""
+    config = WorkflowConfig.from_dict(steady_run.config.to_dict())
+    records = steady_run.tracker.all_records()
+    assert config.nas.steady_lag is None
+    with pytest.raises(ValueError, match="steady_lag"):
+        simulate_walltime(records, config.nas, 4)
+    assert config.effective_nas().steady_lag == config.n_workers
+    for n, report in steady_run.walltime.items():
+        assert simulate_walltime(records, config.effective_nas(), n) == report
