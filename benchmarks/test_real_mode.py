@@ -16,10 +16,12 @@ def test_real_mode_end_to_end(benchmark, emit_report, commons):
     result = run_once(benchmark, run_real_mode, commons)
     report = emit_report("real_mode", format_real_mode(result))
 
+    comparison = result.comparison
+    a4nn_best, standalone_best = comparison.best_fitness
     # the engine terminated some real training early
-    assert result.epochs_saved_percent > 0
+    assert comparison.epochs_saved_percent > 0
     # without degrading what the search found
-    assert result.a4nn_best >= result.standalone_best - 10.0
+    assert a4nn_best >= standalone_best - 10.0
     # and the networks genuinely learned the classification task
-    assert result.a4nn_best > 60.0
+    assert a4nn_best > 60.0
     assert "MISMATCH" not in report

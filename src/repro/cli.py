@@ -21,20 +21,24 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
+import tempfile
 from pathlib import Path
 
-from repro.analysis import render_run_report
+from repro.analysis import compare_runs, render_run_report
+from repro.experiments.grid import run_grid
 from repro.experiments.reporting import ReportTable
 from repro.lineage import DataCommons, verify_run
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
+from repro.scheduler.simulator import simulate_walltime
 from repro.utils.io import read_json
 from repro.utils.logging import configure_logging
 from repro.utils.timing import format_hours
 from repro.utils.validation import ValidationError
-from repro.workflow import WorkflowConfig, run_comparison, run_workflow
+from repro.workflow import WorkflowConfig, run_workflow
 from repro.xfel import BeamIntensity, DatasetConfig
 
 __all__ = ["main", "build_parser"]
@@ -249,28 +253,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    comparison = run_comparison(config, commons_path=args.commons)
+    if config.engine is None:
+        raise ValidationError("compare needs an engine: its baseline is the config without one")
+    baseline = config.standalone()
+    # a given commons keeps the pair: a second call reads it, searching nothing
+    with (
+        contextlib.nullcontext(args.commons) if args.commons else tempfile.TemporaryDirectory()
+    ) as root:
+        records = run_grid(DataCommons(root), [config, baseline])
+    a4nn, standalone = records[config.resolved_run_id()], records[baseline.resolved_run_id()]
+    comparison = compare_runs(a4nn, standalone)
+    nas = config.effective_nas()
+    a4nn_1, standalone_1 = (simulate_walltime(r, nas, 1) for r in (a4nn, standalone))
     table = ReportTable("metric", "standalone", "A4NN")
-    table.row(
-        "epochs trained",
-        comparison.standalone.total_epochs_trained,
-        comparison.a4nn.total_epochs_trained,
-    )
-    table.row(
-        "wall time 1 gpu (h)",
-        comparison.standalone.walltime[1].wall_hours,
-        comparison.a4nn.walltime[1].wall_hours,
-    )
-    table.row(
-        "best accuracy %",
-        comparison.standalone.search.population.best_fitness(),
-        comparison.a4nn.search.population.best_fitness(),
-    )
+    table.row("epochs trained", comparison.epochs_trained[1], comparison.epochs_trained[0])
+    table.row("wall time 1 gpu (h)", standalone_1.wall_hours, a4nn_1.wall_hours)
+    table.row("best accuracy %", comparison.best_fitness[1], comparison.best_fitness[0])
     print(table.render(f"A4NN vs standalone ({config.intensity.label}, seed {config.seed})"))
     print(f"epochs saved   : {comparison.epochs_saved_percent:.1f}%")
-    print(f"hours saved    : {comparison.walltime_saved_hours(1):.1f} (1 gpu)")
-    if 4 in comparison.a4nn.walltime:
-        print(f"4-gpu speedup  : {comparison.speedup(1, 4):.2f}x")
+    print(f"hours saved    : {standalone_1.wall_hours - a4nn_1.wall_hours:.1f} (1 gpu)")
+    if 4 in config.n_gpus:
+        speedup = a4nn_1.wall_seconds / simulate_walltime(a4nn, nas, 4).wall_seconds
+        print(f"4-gpu speedup  : {speedup:.2f}x")
     return 0
 
 
@@ -363,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(handler=_cmd_run)
 
     compare_parser = subparsers.add_parser(
-        "compare", help="run A4NN and the standalone-NAS baseline"
+        "compare",
+        help="A4NN against the standalone-NAS baseline, from the pair's records "
+        "(--commons keeps them: a later call reads, resumes or refuses them)",
     )
     _add_common_run_flags(compare_parser)
     compare_parser.set_defaults(handler=_cmd_compare)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.experiments.configs import DEFAULT_SEED, PAPER_ENGINE_CONFIG, PAPER_NAS_CONFIG
 from repro.lineage.commons import DataCommons
 from repro.lineage.records import ModelRecord
+from repro.utils.validation import ValidationError
 from repro.workflow.interfaces import WorkflowConfig
 from repro.workflow.orchestrator import A4NNOrchestrator
 from repro.workflow.resume import resume_workflow
@@ -35,7 +36,7 @@ def run_grid(commons: DataCommons, configs) -> dict[str, list[ModelRecord]]:
 
     A listed run is read as it is; an unlisted (killed) one is resumed,
     or run afresh if its initial population never committed; a new one
-    is run.  A run id stored with another config is refused.
+    is run.  A run id stored with another config raises ValidationError.
     """
     listed = set(commons.run_ids())
     grid: dict[str, list[ModelRecord]] = {}
@@ -43,7 +44,7 @@ def run_grid(commons: DataCommons, configs) -> dict[str, list[ModelRecord]]:
         run_id = config.resolved_run_id()
         known = (commons.root / "runs" / run_id / "run.json").is_file()
         if known and WorkflowConfig.from_dict(commons.load_run(run_id).workflow_config) != config:
-            raise ValueError(f"run {run_id!r} in {commons.root} was run with another config")
+            raise ValidationError(f"run {run_id!r} in {commons.root} was run with another config")
         if run_id not in listed:
             if known and len(commons.load_models(run_id)) >= config.nas.population_size:
                 resume_workflow(commons, run_id)

@@ -30,11 +30,6 @@ class RealModeResult:
     """Mini real-mode A4NN-vs-standalone outcome."""
 
     comparison: RunComparison
-    epochs_saved_percent: float
-    a4nn_best: float
-    standalone_best: float
-    max_epochs: int
-    n_models: int
 
 
 def real_mode_config(
@@ -70,41 +65,30 @@ def run_real_mode(commons: DataCommons, config: WorkflowConfig | None = None) ->
     config = config or real_mode_config()
     baseline = config.standalone()
     records = run_grid(commons, [config, baseline])
-    comparison = compare_runs(
-        records[config.resolved_run_id()], records[baseline.resolved_run_id()]
-    )
     return RealModeResult(
-        comparison=comparison,
-        epochs_saved_percent=comparison.epochs_saved_percent,
-        a4nn_best=comparison.best_fitness[0],
-        standalone_best=comparison.best_fitness[1],
-        max_epochs=config.nas.max_epochs,
-        n_models=comparison.n_models[0],
+        compare_runs(records[config.resolved_run_id()], records[baseline.resolved_run_id()])
     )
 
 
 def format_real_mode(result: RealModeResult) -> str:
     """Paired table plus the real-mode shape checks."""
+    comparison = result.comparison
+    a4nn_best, standalone_best = comparison.best_fitness
     table = ReportTable("metric", "standalone", "A4NN")
-    table.row("networks trained", result.comparison.n_models[1], result.comparison.n_models[0])
-    table.row(
-        "epochs trained",
-        result.comparison.epochs_trained[1],
-        result.comparison.epochs_trained[0],
-    )
-    table.row("best accuracy %", result.standalone_best, result.a4nn_best)
+    table.row("networks trained", comparison.n_models[1], comparison.n_models[0])
+    table.row("epochs trained", comparison.epochs_trained[1], comparison.epochs_trained[0])
+    table.row("best accuracy %", standalone_best, a4nn_best)
     checks = [
-        shape_check("engine saved real training epochs", result.epochs_saved_percent > 0),
+        shape_check("engine saved real training epochs", comparison.epochs_saved_percent > 0),
         shape_check(
-            "search quality preserved (within 10%)",
-            result.a4nn_best >= result.standalone_best - 10.0,
+            "search quality preserved (within 10%)", a4nn_best >= standalone_best - 10.0
         ),
-        shape_check("real CNNs learn the task (> 60%)", result.a4nn_best > 60.0),
+        shape_check("real CNNs learn the task (> 60%)", a4nn_best > 60.0),
     ]
     return "\n".join(
         [
             table.render(
-                f"Real-mode validation ({result.n_models} NumPy CNNs actually trained)"
+                f"Real-mode validation ({comparison.n_models[0]} NumPy CNNs actually trained)"
             ),
             *checks,
         ]

@@ -1,20 +1,21 @@
-"""One-call drivers for the common workflow shapes.
+"""One-call driver for a configured run.
 
-Convenience wrappers over :class:`~repro.workflow.orchestrator.
-A4NNOrchestrator` for the runs the paper's evaluation performs: an A4NN
-run, its standalone-NAS baseline, and the paired comparison of both.
+A convenience wrapper over :class:`~repro.workflow.orchestrator.
+A4NNOrchestrator`.  The paper's paired comparison (A4NN against the
+standalone NAS on the same settings and seed) is not run here: it is
+:func:`repro.analysis.compare.compare_runs` over the two runs' published
+records, which :func:`repro.experiments.grid.run_grid` reads or runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.lineage.commons import DataCommons
 from repro.workflow.interfaces import WorkflowConfig
 from repro.workflow.orchestrator import A4NNOrchestrator, WorkflowResult
 
-__all__ = ["run_workflow", "run_standalone", "ComparisonResult", "run_comparison"]
+__all__ = ["run_workflow"]
 
 
 def run_workflow(
@@ -29,58 +30,3 @@ def run_workflow(
         config, commons=commons, checkpoint_dir=checkpoint_dir
     )
     return orchestrator.run()
-
-
-def run_standalone(
-    config: WorkflowConfig,
-    *,
-    commons_path: str | Path | None = None,
-) -> WorkflowResult:
-    """Run the standalone-NAS baseline for ``config`` (engine disabled)."""
-    return run_workflow(config.standalone(), commons_path=commons_path)
-
-
-@dataclass
-class ComparisonResult:
-    """Paired A4NN vs standalone outcome on identical settings and seed."""
-
-    a4nn: WorkflowResult
-    standalone: WorkflowResult
-
-    @property
-    def epochs_saved_percent(self) -> float:
-        """Epoch savings of A4NN relative to the standalone baseline."""
-        baseline = self.standalone.total_epochs_trained
-        return 100.0 * (baseline - self.a4nn.total_epochs_trained) / baseline
-
-    def walltime_saved_hours(self, n_gpus: int = 1) -> float:
-        """Wall-time savings of A4NN on an ``n_gpus`` pool (hours)."""
-        return (
-            self.standalone.walltime[n_gpus].wall_hours
-            - self.a4nn.walltime[n_gpus].wall_hours
-        )
-
-    def speedup(self, from_gpus: int, to_gpus: int) -> float:
-        """A4NN wall-time speedup between two pool sizes."""
-        return (
-            self.a4nn.walltime[from_gpus].wall_seconds
-            / self.a4nn.walltime[to_gpus].wall_seconds
-        )
-
-
-def run_comparison(
-    config: WorkflowConfig,
-    *,
-    commons_path: str | Path | None = None,
-) -> ComparisonResult:
-    """Run A4NN and the standalone baseline with identical settings.
-
-    Both runs share the NAS seed, so they evaluate comparable
-    populations; the only difference is the prediction engine.
-    """
-    if config.engine is None:
-        raise ValueError("comparison needs an engine-enabled config")
-    return ComparisonResult(
-        a4nn=run_workflow(config, commons_path=commons_path),
-        standalone=run_standalone(config, commons_path=commons_path),
-    )

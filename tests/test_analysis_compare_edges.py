@@ -1,7 +1,5 @@
 """Edge-case tests for paired-run comparison analytics."""
 
-import math
-
 import pytest
 
 from repro.analysis import compare_runs
@@ -27,23 +25,16 @@ class TestCompareEdges:
         b = [record(10 + i, 90.0 + i, 100 * (i + 1), rng) for i in range(5)]
         comparison = compare_runs(a, b)
         assert comparison.epochs_saved_percent == 0.0
-        assert comparison.best_fitness_delta == 0.0
-        assert comparison.hypervolume_ratio == pytest.approx(1.0)
+        assert comparison.best_fitness == (94.0, 94.0)
 
-    def test_single_point_frontiers(self, rng):
-        a = [record(0, 95.0, 100, rng)]
-        b = [record(1, 90.0, 100, rng)]
-        comparison = compare_runs(a, b)
-        assert comparison.frontier_sizes == (1, 1)
-        # degenerate shared box: ratio may be nan but must not raise
-        assert isinstance(comparison.hypervolume_ratio, float)
-
-    def test_unevaluated_records_excluded_from_means(self, rng):
+    def test_unevaluated_records_are_counted_but_never_score(self, rng):
         a = [record(0, 95.0, 100, rng), record(1, None, None, rng)]
         b = [record(2, 90.0, 100, rng)]
         comparison = compare_runs(a, b)
-        means_a, _ = comparison.mean_generation_fitness
-        assert means_a[0] == 95.0
+        assert comparison.n_models == (2, 1)
+        assert comparison.best_fitness == (95.0, 90.0)
+        with pytest.raises(ValueError, match="evaluated record"):
+            compare_runs([record(3, None, None, rng)], b)
 
     def test_negative_savings_when_a_trains_more(self, rng):
         a = [record(0, 95.0, 100, rng, epochs=25)]

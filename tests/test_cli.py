@@ -9,7 +9,7 @@ from repro.lineage import DataCommons
 from repro.nas.surrogate import SurrogateConfig
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
 from repro.utils.io import atomic_write_json
-from repro.workflow import WorkflowConfig, run_workflow
+from repro.workflow import A4NNOrchestrator, WorkflowConfig, run_workflow
 
 
 def small_config_dict(intensity="medium", mode="surrogate", seed=5):
@@ -73,7 +73,7 @@ class TestConfigCommand:
         assert payload["dataset"]["intensity"] == "low"
         assert payload["seed"] == 9
 
-        from repro.workflow import WorkflowConfig, run_workflow
+        from repro.workflow import A4NNOrchestrator, WorkflowConfig, run_workflow
 
         rebuilt = WorkflowConfig.from_dict(payload)
         assert rebuilt.intensity.label == "low"
@@ -310,6 +310,54 @@ class TestRunCommand:
         assert code == 0
         assert "epochs saved" in out
         assert "A4NN vs standalone" in out
+
+
+class TestCompareCommand:
+    """``compare`` reads its pair through the seed grid: a given commons keeps it."""
+
+    @staticmethod
+    def compare(tmp_path, capsys, document, *flags):
+        config_path = atomic_write_json(tmp_path / "cfg.json", document)
+        code = main(["compare", "--config", str(config_path), *flags])
+        return code, capsys.readouterr()
+
+    @staticmethod
+    def assert_one_error_line(code, captured, message):
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("a4nn: error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_an_engine_less_config_is_one_error_line(self, tmp_path, capsys):
+        document = dict(small_config_dict(seed=0), engine=None)
+        code, captured = self.compare(tmp_path, capsys, document)
+        self.assert_one_error_line(code, captured, "compare needs an engine")
+
+    def test_one_gpu_rows_whatever_n_gpus_lists(self, tmp_path, capsys):
+        code, default = self.compare(tmp_path, capsys, small_config_dict(seed=0))
+        assert code == 0 and "4-gpu speedup" in default.out
+        document = dict(small_config_dict(seed=0), n_gpus=[2])
+        code, two_gpus = self.compare(tmp_path, capsys, document)
+        assert code == 0
+        assert two_gpus.out.splitlines() == default.out.splitlines()[:-1]
+
+    def test_a_second_call_on_one_commons_searches_nothing(self, tmp_path, capsys, monkeypatch):
+        commons = ("--commons", str(tmp_path / "commons"))
+        code, first = self.compare(tmp_path, capsys, small_config_dict(seed=0), *commons)
+        assert code == 0
+
+        def no_search(self):
+            raise AssertionError("compare searched a published run again")
+
+        monkeypatch.setattr(A4NNOrchestrator, "run", no_search)
+        code, second = self.compare(tmp_path, capsys, small_config_dict(seed=0), *commons)
+        assert code == 0 and second.out == first.out
+
+    def test_another_config_under_a_stored_run_id_is_one_error_line(self, tmp_path, capsys):
+        commons = ("--commons", str(tmp_path / "commons"))
+        assert self.compare(tmp_path, capsys, small_config_dict(seed=0), *commons)[0] == 0
+        document = dict(small_config_dict(seed=0), engine={"e_pred": 12, "tolerance": 0.5})
+        code, captured = self.compare(tmp_path, capsys, document, *commons)
+        self.assert_one_error_line(code, captured, "was run with another config")
 
 
 RUN_ID = "a4nn_surrogate_medium_seed5"  # small_config_dict()'s derived run id

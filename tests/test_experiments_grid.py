@@ -14,6 +14,7 @@ from repro.experiments import grid
 from repro.experiments.fig8_convergence import Fig8Result, format_fig8, run_fig8
 from repro.lineage import DataCommons, reproducible
 from repro.nas.search import NSGANetConfig
+from repro.utils.validation import ValidationError
 from repro.workflow.interfaces import WorkflowConfig
 from repro.workflow.orchestrator import A4NNOrchestrator
 from repro.xfel import BeamIntensity
@@ -102,7 +103,7 @@ def test_a_run_id_stored_with_another_config_is_refused(tmp_path):
     other = WorkflowConfig(
         nas=TINY_NAS, engine=TINY_ENGINE, seed=6, run_id=CONFIG.resolved_run_id()
     )
-    with pytest.raises(ValueError, match="another config"):
+    with pytest.raises(ValidationError, match="another config"):
         grid.run_grid(commons, [other])
 
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analysis import mean_fitness, pareto_frontier, termination_histogram
+from repro.analysis import compare_runs, mean_fitness, pareto_frontier, termination_histogram
 from repro.core.engine import EngineConfig
+from repro.experiments.grid import run_grid
 from repro.lineage import DataCommons, reproducible
 from repro.nas import NSGANetConfig
-from repro.workflow import WorkflowConfig, run_comparison, run_workflow
+from repro.scheduler.simulator import simulate_walltime
+from repro.workflow import WorkflowConfig, run_workflow
 from repro.xfel import BeamIntensity, DatasetConfig
 
 
@@ -26,33 +28,48 @@ def mini_config(intensity, mode="surrogate", seed=11):
 
 class TestSurrogateWorkflowIntegration:
     @pytest.fixture(scope="class")
-    def comparison(self):
-        return run_comparison(mini_config(BeamIntensity.MEDIUM))
+    def pair(self, tmp_path_factory):
+        """The A4NN run live and published, then the pair from the grid,
+        which reads that run back and runs only the standalone baseline."""
+        config = mini_config(BeamIntensity.MEDIUM)
+        root = tmp_path_factory.mktemp("pair")
+        live = run_workflow(config, commons_path=root)
+        records = run_grid(DataCommons(root), [config, config.standalone()])
+        return live, *records.values()
 
-    def test_engine_saves_epochs_without_hurting_best_fitness(self, comparison):
+    def test_engine_saves_epochs_without_hurting_best_fitness(self, pair):
+        _, a4nn, standalone = pair
+        comparison = compare_runs(a4nn, standalone)
         assert comparison.epochs_saved_percent > 0
-        best_a4nn = comparison.a4nn.search.population.best_fitness()
-        best_standalone = comparison.standalone.search.population.best_fitness()
+        best_a4nn, best_standalone = comparison.best_fitness
         # A4NN's best reported fitness stays within a few points
         assert best_a4nn >= best_standalone - 5.0
 
-    def test_walltime_consistent_with_epochs(self, comparison):
-        w1 = comparison.a4nn.walltime[1]
-        assert w1.total_epochs == comparison.a4nn.total_epochs_trained
-        assert comparison.standalone.walltime[1].total_epochs == 12 * 12
+    def test_walltime_consistent_with_epochs(self, pair):
+        live, a4nn, standalone = pair
+        nas = live.config.effective_nas()
+        # the published records schedule exactly as the live run did
+        assert simulate_walltime(a4nn, nas, 1) == live.walltime[1]
+        assert live.walltime[1].total_epochs == live.total_epochs_trained
+        assert simulate_walltime(standalone, nas, 1).total_epochs == 12 * 12
 
-    def test_scaling_monotone_in_gpus(self, comparison):
-        walltimes = [comparison.a4nn.walltime[n].wall_seconds for n in (1, 2, 4)]
+    def test_scaling_monotone_in_gpus(self, pair):
+        live, a4nn, _ = pair
+        nas = live.config.effective_nas()
+        walltimes = [simulate_walltime(a4nn, nas, n).wall_seconds for n in (1, 2, 4)]
         assert walltimes[0] > walltimes[1] > walltimes[2]
 
-    def test_lineage_agrees_with_search(self, comparison):
-        records = comparison.a4nn.tracker.all_records()
-        archive = comparison.a4nn.search.archive
+    def test_lineage_agrees_with_search(self, pair):
+        live, a4nn, _ = pair
+        records = live.tracker.all_records()
+        archive = live.search.archive
         assert len(records) == len(archive)
         for record, member in zip(records, archive):
             assert record.fitness == member.fitness
             assert record.flops == member.flops
             assert len(record.fitness_history) == member.result.epochs_trained
+        # and the grid read back what the live run recorded
+        assert list(map(reproducible, a4nn)) == list(map(reproducible, records))
 
 
 class TestCommonsRoundTripIntegration:

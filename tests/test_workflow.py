@@ -1,22 +1,20 @@
 """Tests for workflow configuration and the orchestrator."""
 
+import dataclasses
 from dataclasses import MISSING, fields
 
 import pytest
 
+from repro.analysis import compare_runs
 from repro.core.engine import EngineConfig
+from repro.experiments.grid import run_grid
 from repro.lineage import DataCommons
 from repro.nas import NSGANetConfig
 from repro.nas.surrogate import SurrogateConfig
 from repro.scheduler.faults import FaultInjectionConfig, FaultPolicy
+from repro.scheduler.simulator import simulate_walltime
 from repro.utils.validation import ValidationError
-from repro.workflow import (
-    A4NNOrchestrator,
-    WorkflowConfig,
-    run_comparison,
-    run_standalone,
-    run_workflow,
-)
+from repro.workflow import A4NNOrchestrator, WorkflowConfig, run_workflow
 from repro.xfel import BeamIntensity, DatasetConfig
 
 
@@ -151,7 +149,7 @@ class TestOrchestrator:
             ) == member.result.prediction_history
 
     def test_standalone_no_engine_records(self):
-        result = run_standalone(small_config())
+        result = run_workflow(small_config().standalone())
         assert result.total_epochs_saved == 0
         record = result.tracker.all_records()[0]
         assert record.engine_parameters is None
@@ -174,24 +172,36 @@ class TestOrchestrator:
 
 
 class TestComparison:
-    def test_paired_runs_differ_only_by_engine(self):
-        comparison = run_comparison(small_config())
-        assert comparison.a4nn.config.engine is not None
-        assert comparison.standalone.config.engine is None
+    """The paired comparison: ``compare_runs`` over the pair ``run_grid`` publishes."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory):
+        config = small_config()
+        commons = DataCommons(tmp_path_factory.mktemp("pair"))
+        records = run_grid(commons, [config, config.standalone()])
+        return config, commons, *records.values()
+
+    def test_paired_runs_differ_only_by_engine(self, pair):
+        config, commons, a4nn, standalone = pair
+        a4nn_config, standalone_config = (
+            WorkflowConfig.from_dict(commons.load_run(run_id).workflow_config)
+            for run_id in (config.resolved_run_id(), config.standalone().resolved_run_id())
+        )
+        assert a4nn_config == config and standalone_config.engine is None
+        assert dataclasses.replace(standalone_config, engine=config.engine) == config
         # same initial genomes (same seed drives both searches)
-        a_keys = [m.genome.key() for m in comparison.a4nn.search.archive[:3]]
-        s_keys = [m.genome.key() for m in comparison.standalone.search.archive[:3]]
-        assert a_keys == s_keys
+        assert [r.genome for r in a4nn[:3]] == [r.genome for r in standalone[:3]]
 
-    def test_savings_metrics(self):
-        comparison = run_comparison(small_config())
-        assert comparison.epochs_saved_percent > 0
-        assert comparison.walltime_saved_hours(1) > 0
-        assert comparison.speedup(1, 4) > 1.5
-
-    def test_requires_engine_config(self):
-        with pytest.raises(ValueError):
-            run_comparison(small_config(engine=False))
+    def test_savings_metrics(self, pair):
+        config, _, a4nn, standalone = pair
+        assert compare_runs(a4nn, standalone).epochs_saved_percent > 0
+        nas = config.effective_nas()
+        a4nn_1, a4nn_4, standalone_1 = (
+            simulate_walltime(records, nas, n).wall_seconds
+            for records, n in ((a4nn, 1), (a4nn, 4), (standalone, 1))
+        )
+        assert a4nn_1 < standalone_1
+        assert a4nn_1 / a4nn_4 > 1.5
 
 
 class TestParallelExecution:
@@ -201,7 +211,5 @@ class TestParallelExecution:
         assert_reproduces("barrier-off-clean", ("thread", 3))
 
     def test_invalid_worker_count_rejected(self):
-        import dataclasses
-
         with pytest.raises(ValidationError):
             dataclasses.replace(small_config(), n_workers=0)
