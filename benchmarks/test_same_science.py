@@ -16,10 +16,9 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.core.engine import PredictionEngine
-from repro.core.plugin import run_training_loop
+from repro.core.plugin import LearningCurveModel, run_training_loop
 from repro.experiments.ablation_functions import curve_bank
 from repro.experiments.reporting import ReportTable
-from repro.nas.surrogate import LearningCurveModel
 from repro.xfel.intensity import BeamIntensity
 
 from tests.trf_oracle import TRFEngine, sse_above

@@ -12,7 +12,8 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.analysis import sparkline
-from repro.core import EngineConfig, PredictionEngine
+from repro.core import EngineConfig, PredictionEngine, run_training_loop
+from repro.core.plugin import LearningCurveModel
 
 
 def simulated_training_curve(n_epochs: int = 25, seed: int = 0) -> np.ndarray:
@@ -31,27 +32,26 @@ def main() -> None:
     curve = simulated_training_curve()
     print("\nfull curve  :", sparkline(curve))
 
-    session = engine.session()
-    for epoch, accuracy in enumerate(curve, start=1):
-        session.observe(accuracy)
-        latest = session.prediction_history[-1] if session.prediction_history else None
+    def report(epoch: int, accuracy: float, prediction: float | None) -> None:
         print(
             f"epoch {epoch:2d}: measured {accuracy:6.2f}%"
-            + (f"   predicted@25 {latest:6.2f}%" if latest is not None else "")
+            + (f"   predicted@25 {prediction:6.2f}%" if prediction is not None else "")
         )
-        if session.converged:
-            print(
-                f"\n>> converged: training terminated at epoch {epoch} "
-                f"({25 - epoch} epochs saved)"
-            )
-            print(f">> engine's final-fitness prediction: {session.final_fitness:.2f}%")
-            print(f">> actual epoch-25 accuracy         : {curve[-1]:.2f}%")
-            break
+
+    # Algorithm 1: train, validate, predict, stop once predictions agree
+    result = run_training_loop(LearningCurveModel(curve), engine, len(curve), epoch_callback=report)
+    if result.terminated_early:
+        print(
+            f"\n>> converged: training terminated at epoch {result.epochs_trained} "
+            f"({result.epochs_saved} epochs saved)"
+        )
+        print(f">> engine's final-fitness prediction: {result.fitness:.2f}%")
+        print(f">> actual epoch-25 accuracy         : {curve[-1]:.2f}%")
     else:
         print("\n>> predictions never stabilized; the full budget was trained")
 
-    print("\nobserved    :", sparkline(session.fitness_history))
-    print("predictions :", sparkline(session.prediction_history))
+    print("\nobserved    :", sparkline(result.fitness_history))
+    print("predictions :", sparkline(result.prediction_history))
 
 
 if __name__ == "__main__":

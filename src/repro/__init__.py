@@ -25,13 +25,14 @@ Architecture Search Using In Situ Analytics for Protein Classification"*
 
 Quick start::
 
-    from repro.core import PredictionEngine
+    from repro.core import PredictionEngine, run_training_loop
+    from repro.core.plugin import LearningCurveModel
     engine = PredictionEngine()          # paper Table 1 defaults
-    session = engine.session()
-    for accuracy in training_curve:       # percent validation accuracy
-        session.observe(accuracy)
-        if session.converged:
-            break                         # early termination
+    result = run_training_loop(          # Algorithm 1 over percent accuracies
+        LearningCurveModel(curve), engine, len(curve),
+        epoch_callback=lambda epoch, accuracy, prediction: print(epoch, prediction),
+    )
+    result.terminated_early, result.fitness   # early stop, predicted fitness
 """
 
 __version__ = "1.0.0"

@@ -13,41 +13,33 @@ Public surface:
 * :func:`~repro.core.fitting.fit_curve` — bounded least-squares fitting
   (variable projection for the separable families, the paper's included).
 * :class:`~repro.core.engine.PredictionEngine` /
-  :class:`~repro.core.engine.EngineConfig` — predictor + analyzer.
-* :class:`~repro.core.analyzer.ConvergenceAnalyzer` — the stability rule.
-* :func:`~repro.core.plugin.run_training_loop` — the paper's Algorithm 1.
+  :class:`~repro.core.engine.EngineConfig` — predictor + analyzer
+  (``PredictionEngine.converged`` is the stability rule).
+* :func:`~repro.core.plugin.run_training_loop` — the paper's Algorithm 1,
+  the one loop that drives the engine (over a fixed curve, through
+  :class:`~repro.core.plugin.LearningCurveModel`).
 * :func:`~repro.core.calibration.measure_engine_behaviour` — Algorithm 1
   over a curve bank, aggregated (the surrogate-regime calibration test
   and both engine ablations).
 """
 
-from repro.core.analyzer import AnalysisResult, ConvergenceAnalyzer
 from repro.core.calibration import EngineBehaviour, measure_engine_behaviour
-from repro.core.engine import EngineConfig, PredictionEngine, PredictionSession
+from repro.core.engine import EngineConfig, PredictionEngine
 from repro.core.fitting import CurveFit, FitError, fit_curve
-from repro.core.parametric import (
-    FUNCTION_REGISTRY,
-    ParametricFunction,
-    get_function,
-    register_function,
-)
+from repro.core.parametric import FUNCTION_REGISTRY, ParametricFunction, get_function
 from repro.core.plugin import TrainableModel, TrainingResult, run_training_loop
 
 __all__ = [
-    "AnalysisResult",
-    "ConvergenceAnalyzer",
     "EngineBehaviour",
     "measure_engine_behaviour",
     "EngineConfig",
     "PredictionEngine",
-    "PredictionSession",
     "CurveFit",
     "FitError",
     "fit_curve",
     "FUNCTION_REGISTRY",
     "ParametricFunction",
     "get_function",
-    "register_function",
     "TrainableModel",
     "TrainingResult",
     "run_training_loop",

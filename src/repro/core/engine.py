@@ -4,34 +4,36 @@ This is the paper's primary contribution (§2.1): a *self-contained,
 externally-controllable* engine that, given the fitness history of a
 partially-trained NN, (1) fits a parametric model to the learning curve
 (*parametric modeling*), (2) extrapolates the fitness expected at epoch
-``e_pred``, and (3) decides via the :class:`~repro.core.analyzer.
-ConvergenceAnalyzer` whether successive extrapolations have stabilized
-(*prediction analyzer*).  The engine never touches model weights or the
-NAS internals — it sees only scalar fitness values — which is what makes
-the workflow composable.
+``e_pred``, and (3) decides whether successive extrapolations have
+stabilized (*prediction analyzer*, :meth:`PredictionEngine.converged`).
+The engine never touches model weights or the NAS internals — it sees
+only scalar fitness values — which is what makes the workflow
+composable.
 
-The constructor signature mirrors the paper's
-``pred_eng(e_pred, F, C_min, r)`` (Algorithm 1, line 1) plus ``N``.
+The constructor takes the paper's ``pred_eng(e_pred, F, C_min, r)``
+(Algorithm 1, line 1) plus ``N`` as one :class:`EngineConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.analyzer import AnalysisResult, ConvergenceAnalyzer
 from repro.core.fitting import CurveFit, fit_curve
 from repro.core.parametric import ParametricFunction, get_function
 from repro.utils.validation import ValidationError, ensure_positive
 
-__all__ = ["PredictionEngine", "EngineConfig", "PredictionSession"]
+__all__ = ["PredictionEngine", "EngineConfig", "STABILITY_METRICS"]
+
+STABILITY_METRICS = ("range", "variance", "std")
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """User-facing engine settings (paper Table 1).
+    """User-facing engine settings (paper Table 1), checked on construction.
 
     Attributes
     ----------
@@ -40,7 +42,7 @@ class EngineConfig:
         (paper: ``"exp3"``, i.e. ``a - b**(c - x)``).
     c_min:
         Minimum number of observed epochs before a prediction is
-        attempted (paper: 3).
+        attempted (paper: 3); at least the family's parameter count.
     e_pred:
         The future epoch whose fitness is predicted; normally the NAS's
         full training budget (paper: 25).
@@ -50,7 +52,13 @@ class EngineConfig:
     tolerance:
         ``r`` — allowed variance among those predictions (paper: 0.5).
     stability_metric:
-        How the analyzer measures instability of the prediction window.
+        How the analyzer measures instability of the prediction window:
+        ``"range"`` (max - min), ``"variance"`` or ``"std"``.  The paper
+        calls ``r`` "the allowed variance in predictions"; implementations
+        of the idea measure any of the three.  ``"range"`` is the default
+        because with ``N = 3, r = 0.5`` it is the paper's described
+        behaviour: three successive predictions within half a percentage
+        point.
     fitness_bounds:
         Valid fitness interval (percent accuracy: 0..100).
     """
@@ -63,6 +71,38 @@ class EngineConfig:
     stability_metric: str = "range"
     fitness_bounds: tuple[float, float] = (0.0, 100.0)
 
+    def __post_init__(self) -> None:
+        if self.c_min < 1:
+            raise ValidationError(f"c_min must be >= 1, got {self.c_min}")
+        ensure_positive(self.e_pred, "e_pred")
+        try:
+            family = get_function(self.function)
+        except KeyError as exc:
+            raise ValidationError(exc.args[0]) from None
+        if self.c_min < family.n_params:
+            # Fewer points than parameters is underdetermined; the fit
+            # layer would refuse anyway, so surface it at configuration.
+            raise ValidationError(
+                f"c_min={self.c_min} is below the {family.name} "
+                f"parameter count {family.n_params}; predictions "
+                f"would be underdetermined"
+            )
+        if self.n_predictions < 2:
+            raise ValidationError(
+                f"n_predictions must be >= 2 to measure stability, got {self.n_predictions}"
+            )
+        if self.stability_metric not in STABILITY_METRICS:
+            raise ValidationError(
+                f"stability_metric must be one of {STABILITY_METRICS}, "
+                f"got {self.stability_metric!r}"
+            )
+        lo, hi = self.fitness_bounds
+        if not lo < hi:
+            raise ValidationError(
+                f"fitness_bounds must satisfy low < high, got {self.fitness_bounds}"
+            )
+        ensure_positive(self.tolerance, "tolerance")
+
     def to_dict(self) -> dict:
         """Serializable snapshot for lineage records."""
         return {**asdict(self), "fitness_bounds": list(self.fitness_bounds)}
@@ -72,36 +112,13 @@ class PredictionEngine:
     """Fitness predictor + convergence analyzer (paper Fig. 1, §2.1).
 
     The engine is stateless with respect to individual NNs: the fitness
-    history ``H`` and prediction history ``P`` are owned by the caller
-    (the workflow orchestrator), exactly as in Algorithm 1.  Use
-    :meth:`session` for a convenience wrapper that owns the histories of
-    one NN.
+    history ``H`` and prediction history ``P`` are owned by the caller,
+    exactly as in Algorithm 1 (:func:`~repro.core.plugin.run_training_loop`).
     """
 
-    def __init__(self, config: EngineConfig | None = None, **overrides) -> None:
-        if config is None:
-            config = EngineConfig(**overrides)
-        elif overrides:
-            raise TypeError("pass either a config object or keyword overrides, not both")
-        if config.c_min < 1:
-            raise ValidationError(f"c_min must be >= 1, got {config.c_min}")
-        ensure_positive(config.e_pred, "e_pred")
-        self.config = config
-        self.function: ParametricFunction = get_function(config.function)
-        if config.c_min < self.function.n_params:
-            # Fewer points than parameters is underdetermined; the fit
-            # layer would refuse anyway, so surface it at configuration.
-            raise ValidationError(
-                f"c_min={config.c_min} is below the {self.function.name} "
-                f"parameter count {self.function.n_params}; predictions "
-                f"would be underdetermined"
-            )
-        self.analyzer = ConvergenceAnalyzer(
-            n_predictions=config.n_predictions,
-            tolerance=config.tolerance,
-            fitness_bounds=config.fitness_bounds,
-            stability_metric=config.stability_metric,
-        )
+    def __init__(self, config: EngineConfig | None = None) -> None:
+        self.config = EngineConfig() if config is None else config
+        self.function: ParametricFunction = get_function(self.config.function)
 
     # -- parametric modeling -------------------------------------------------
 
@@ -135,61 +152,31 @@ class PredictionEngine:
 
     # -- prediction analysis --------------------------------------------------
 
-    def analyze(self, prediction_history: Sequence[float]) -> AnalysisResult:
-        """Full analyzer result over the prediction history ``P``."""
-        return self.analyzer.analyze(prediction_history)
-
     def converged(self, prediction_history: Sequence[float]) -> bool:
-        """Algorithm 1 line 9: ``converged = pred_eng.analyzer(P)``."""
-        return self.analyzer(prediction_history)
+        """Algorithm 1 line 9: ``converged = pred_eng.analyzer(P)``.
 
-    # -- sessions -------------------------------------------------------------
-
-    def session(self) -> "PredictionSession":
-        """A stateful per-NN wrapper owning ``H`` and ``P``."""
-        return PredictionSession(self)
+        Paper §2.1.2: the last ``N`` predictions must all be valid
+        fitness values (finite and inside ``fitness_bounds``), and their
+        spread under ``stability_metric`` must be at most ``r``.  Only
+        the trailing ``N`` entries of ``P`` are inspected.
+        """
+        config = self.config
+        window = prediction_history[-config.n_predictions :]
+        if len(window) < config.n_predictions:
+            return False
+        lo, hi = config.fitness_bounds
+        if not all(math.isfinite(p) and lo <= p <= hi for p in window):
+            return False
+        if config.stability_metric == "range":
+            spread = max(window) - min(window)
+        elif config.stability_metric == "variance":
+            spread = float(np.var(np.asarray(window, dtype=float)))
+        else:
+            spread = float(np.std(np.asarray(window, dtype=float)))
+        return spread <= config.tolerance
 
     def describe(self) -> dict:
         """Engine parameter snapshot for lineage records (paper Table 1)."""
         snapshot = self.config.to_dict()
         snapshot["formula"] = self.function.formula
         return snapshot
-
-
-@dataclass
-class PredictionSession:
-    """Histories ``H`` and ``P`` for a single NN, driven epoch by epoch.
-
-    >>> engine = PredictionEngine()
-    >>> sess = engine.session()
-    >>> for acc in [50.0, 70.0, 80.0, 85.0, 87.5]:
-    ...     state = sess.observe(acc)
-    """
-
-    engine: PredictionEngine
-    fitness_history: list = field(default_factory=list)
-    prediction_history: list = field(default_factory=list)
-    converged: bool = False
-    final_fitness: float | None = None
-
-    @property
-    def epoch(self) -> int:
-        """Number of observed epochs so far (1-based after first observe)."""
-        return len(self.fitness_history)
-
-    def observe(self, fitness: float) -> "PredictionSession":
-        """Record one epoch's measured fitness and update the prediction.
-
-        After convergence the session is frozen; further observations are
-        a programming error because Algorithm 1 terminates training.
-        """
-        if self.converged:
-            raise RuntimeError("session already converged; training should have stopped")
-        self.fitness_history.append(float(fitness))
-        prediction = self.engine.predictor(self.epoch, self.fitness_history)
-        if prediction is not None:
-            self.prediction_history.append(prediction)
-            if self.engine.converged(self.prediction_history):
-                self.converged = True
-                self.final_fitness = self.prediction_history[-1]
-        return self

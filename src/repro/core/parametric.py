@@ -39,7 +39,6 @@ __all__ = [
     "Separable",
     "FUNCTION_REGISTRY",
     "get_function",
-    "register_function",
     "exp3",
     "pow3",
     "log2",
@@ -251,17 +250,8 @@ class ParametricFunction:
         return tuple(np.clip(np.asarray(self.initial_guess(x, y), float), lo + 1e-9, hi - 1e-9))
 
 
-FUNCTION_REGISTRY: dict[str, ParametricFunction] = {}
-
-
-def register_function(func: ParametricFunction) -> ParametricFunction:
-    """Add a family to the global registry (overwrites same-name entries)."""
-    FUNCTION_REGISTRY[func.name] = func  # a4nn: noqa(CONC001) -- import-time registry: a family registered at run time in the parent does not reach spawned workers, which re-import this module
-    return func
-
-
 def get_function(name: str) -> ParametricFunction:
-    """Look up a registered family by name.
+    """Look up a family of :data:`FUNCTION_REGISTRY` by name.
 
     Raises ``KeyError`` with the available names when unknown.
     """
@@ -298,21 +288,19 @@ def _exp3_fn(x, a, b, c):
     return a - np.exp(expo)
 
 
-exp3 = register_function(
-    ParametricFunction(
-        name="exp3",
-        formula="a - b**(c - x)",
-        n_params=3,
-        fn=_exp3_fn,
-        lower=(0.0, 1.0 + 1e-6, -100.0),
-        upper=(_MAX_ASYMPTOTE, 100.0, 100.0),
-        separable=Separable(
-            basis=lambda x, beta: np.exp(-beta * x),
-            k_bounds=lambda beta: (-np.exp(100.0 * beta), -np.exp(-100.0 * beta)),
-            theta=lambda a, k, beta: (a, np.exp(beta), np.log(-k) / beta),
-            nu_bounds=(np.log(1.0 + 1e-6), np.log(100.0)),
-        ),
-    )
+exp3 = ParametricFunction(
+    name="exp3",
+    formula="a - b**(c - x)",
+    n_params=3,
+    fn=_exp3_fn,
+    lower=(0.0, 1.0 + 1e-6, -100.0),
+    upper=(_MAX_ASYMPTOTE, 100.0, 100.0),
+    separable=Separable(
+        basis=lambda x, beta: np.exp(-beta * x),
+        k_bounds=lambda beta: (-np.exp(100.0 * beta), -np.exp(-100.0 * beta)),
+        theta=lambda a, k, beta: (a, np.exp(beta), np.log(-k) / beta),
+        nu_bounds=(np.log(1.0 + 1e-6), np.log(100.0)),
+    ),
 )
 
 
@@ -323,21 +311,19 @@ def _pow3_fn(x, a, b, c):
     return a - b * np.power(np.maximum(x, _EPS), -np.clip(c, _EPS, 10.0))
 
 
-pow3 = register_function(
-    ParametricFunction(
-        name="pow3",
-        formula="a - b * x**(-c)",
-        n_params=3,
-        fn=_pow3_fn,
-        lower=(0.0, _EPS, _EPS),
-        upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE, 10.0),
-        separable=Separable(
-            basis=lambda x, c: np.maximum(x, _EPS) ** -c,
-            k_bounds=lambda c: (-_MAX_ASYMPTOTE, -_EPS),
-            theta=lambda a, k, c: (a, -k, c),
-            nu_bounds=(_EPS, 10.0),
-        ),
-    )
+pow3 = ParametricFunction(
+    name="pow3",
+    formula="a - b * x**(-c)",
+    n_params=3,
+    fn=_pow3_fn,
+    lower=(0.0, _EPS, _EPS),
+    upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE, 10.0),
+    separable=Separable(
+        basis=lambda x, c: np.maximum(x, _EPS) ** -c,
+        k_bounds=lambda c: (-_MAX_ASYMPTOTE, -_EPS),
+        theta=lambda a, k, c: (a, -k, c),
+        nu_bounds=(_EPS, 10.0),
+    ),
 )
 
 
@@ -348,20 +334,18 @@ def _log2_fn(x, a, b):
     return a + b * np.log(np.maximum(x, _EPS))
 
 
-log2 = register_function(
-    ParametricFunction(
-        name="log2",
-        formula="a + b * log(x)",
-        n_params=2,
-        fn=_log2_fn,
-        lower=(-_MAX_ASYMPTOTE, 0.0),
-        upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE),
-        separable=Separable(
-            basis=lambda x, _: np.log(np.maximum(x, _EPS)),
-            k_bounds=lambda _: (0.0, _MAX_ASYMPTOTE),
-            theta=lambda a, k, _: (a, k),
-        ),
-    )
+log2 = ParametricFunction(
+    name="log2",
+    formula="a + b * log(x)",
+    n_params=2,
+    fn=_log2_fn,
+    lower=(-_MAX_ASYMPTOTE, 0.0),
+    upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE),
+    separable=Separable(
+        basis=lambda x, _: np.log(np.maximum(x, _EPS)),
+        k_bounds=lambda _: (0.0, _MAX_ASYMPTOTE),
+        theta=lambda a, k, _: (a, k),
+    ),
 )
 
 
@@ -373,16 +357,14 @@ def _vap_fn(x, a, b, c):
     return np.exp(np.clip(a + b / x + c * np.log(x), -700.0, 700.0))
 
 
-vapor_pressure = register_function(
-    ParametricFunction(
-        name="vapor_pressure",
-        formula="exp(a + b/x + c*log(x))",
-        n_params=3,
-        fn=_vap_fn,
-        initial_guess=lambda x, y: (np.log(max(float(y[-1]), 1.0)), -1.0, 0.01),
-        lower=(-20.0, -100.0, -5.0),
-        upper=(20.0, 100.0, 5.0),
-    )
+vapor_pressure = ParametricFunction(
+    name="vapor_pressure",
+    formula="exp(a + b/x + c*log(x))",
+    n_params=3,
+    fn=_vap_fn,
+    initial_guess=lambda x, y: (np.log(max(float(y[-1]), 1.0)), -1.0, 0.01),
+    lower=(-20.0, -100.0, -5.0),
+    upper=(20.0, 100.0, 5.0),
 )
 
 
@@ -394,16 +376,14 @@ def _mmf_fn(x, a, b, c, d):
     return (a * b + c * xd) / (b + xd)
 
 
-mmf = register_function(
-    ParametricFunction(
-        name="mmf",
-        formula="(a*b + c*x**d) / (b + x**d)",
-        n_params=4,
-        fn=_mmf_fn,
-        initial_guess=lambda x, y: (float(y[0]), 1.0, _asymptote_guess(y), 1.0),
-        lower=(0.0, _EPS, 0.0, _EPS),
-        upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE, _MAX_ASYMPTOTE, 10.0),
-    )
+mmf = ParametricFunction(
+    name="mmf",
+    formula="(a*b + c*x**d) / (b + x**d)",
+    n_params=4,
+    fn=_mmf_fn,
+    initial_guess=lambda x, y: (float(y[0]), 1.0, _asymptote_guess(y), 1.0),
+    lower=(0.0, _EPS, 0.0, _EPS),
+    upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE, _MAX_ASYMPTOTE, 10.0),
 )
 
 
@@ -415,16 +395,14 @@ def _janoschek_fn(x, a, b, c, d):
     return a - (a - b) * np.exp(-np.clip(c, 0.0, 100.0) * xd)
 
 
-janoschek = register_function(
-    ParametricFunction(
-        name="janoschek",
-        formula="a - (a - b) * exp(-c * x**d)",
-        n_params=4,
-        fn=_janoschek_fn,
-        initial_guess=lambda x, y: (_asymptote_guess(y), float(y[0]), 0.3, 1.0),
-        lower=(0.0, 0.0, 0.0, _EPS),
-        upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE, 100.0, 10.0),
-    )
+janoschek = ParametricFunction(
+    name="janoschek",
+    formula="a - (a - b) * exp(-c * x**d)",
+    n_params=4,
+    fn=_janoschek_fn,
+    initial_guess=lambda x, y: (_asymptote_guess(y), float(y[0]), 0.3, 1.0),
+    lower=(0.0, 0.0, 0.0, _EPS),
+    upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE, 100.0, 10.0),
 )
 
 
@@ -436,16 +414,14 @@ def _weibull_fn(x, a, b, c, d):
     return a - (a - b) * np.exp(-np.power(cx, np.clip(d, _EPS, 10.0)))
 
 
-weibull = register_function(
-    ParametricFunction(
-        name="weibull",
-        formula="a - (a - b) * exp(-(c*x)**d)",
-        n_params=4,
-        fn=_weibull_fn,
-        initial_guess=lambda x, y: (_asymptote_guess(y), float(y[0]), 0.2, 1.0),
-        lower=(0.0, 0.0, _EPS, _EPS),
-        upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE, 100.0, 10.0),
-    )
+weibull = ParametricFunction(
+    name="weibull",
+    formula="a - (a - b) * exp(-(c*x)**d)",
+    n_params=4,
+    fn=_weibull_fn,
+    initial_guess=lambda x, y: (_asymptote_guess(y), float(y[0]), 0.2, 1.0),
+    lower=(0.0, 0.0, _EPS, _EPS),
+    upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE, 100.0, 10.0),
 )
 
 
@@ -456,18 +432,22 @@ def _ilog2_fn(x, a, b):
     return a - b / np.log(np.maximum(x, 0.0) + np.e)
 
 
-ilog2 = register_function(
-    ParametricFunction(
-        name="ilog2",
-        formula="a - b / log(x + e)",
-        n_params=2,
-        fn=_ilog2_fn,
-        lower=(0.0, 0.0),
-        upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE),
-        separable=Separable(
-            basis=lambda x, _: 1.0 / np.log(np.maximum(x, 0.0) + np.e),
-            k_bounds=lambda _: (-_MAX_ASYMPTOTE, 0.0),
-            theta=lambda a, k, _: (a, -k),
-        ),
-    )
+ilog2 = ParametricFunction(
+    name="ilog2",
+    formula="a - b / log(x + e)",
+    n_params=2,
+    fn=_ilog2_fn,
+    lower=(0.0, 0.0),
+    upper=(_MAX_ASYMPTOTE, _MAX_ASYMPTOTE),
+    separable=Separable(
+        basis=lambda x, _: 1.0 / np.log(np.maximum(x, 0.0) + np.e),
+        k_bounds=lambda _: (-_MAX_ASYMPTOTE, 0.0),
+        theta=lambda a, k, _: (a, -k),
+    ),
 )
+
+
+#: The eight families by name.
+FUNCTION_REGISTRY: dict[str, ParametricFunction] = {
+    f.name: f for f in (exp3, pow3, log2, vapor_pressure, mmf, janoschek, weibull, ilog2)
+}

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.engine import PredictionEngine
+from repro.core.plugin import LearningCurveModel, run_training_loop
 from repro.experiments.configs import PAPER_ENGINE_CONFIG
 from repro.experiments.reporting import ReportTable
 
@@ -43,27 +44,26 @@ def example_curve(n_epochs: int = 25, *, seed: int = 2) -> np.ndarray:
 
 
 def run_fig2(curve: np.ndarray | None = None) -> Fig2Result:
-    """Drive the Table-1 engine over the example curve, epoch by epoch."""
+    """Drive the Table-1 engine over the example curve with Algorithm 1."""
     curve = example_curve() if curve is None else np.asarray(curve, dtype=float)
-    engine = PredictionEngine(PAPER_ENGINE_CONFIG)
-    session = engine.session()
     predictions: list[tuple[int, float]] = []
-    termination_epoch = None
-    for fitness in curve:
-        session.observe(float(fitness))
-        if session.prediction_history and (
-            not predictions or session.prediction_history[-1] != predictions[-1][1]
-            or len(session.prediction_history) != len(predictions)
-        ):
-            predictions.append((session.epoch, session.prediction_history[-1]))
-        if session.converged:
-            termination_epoch = session.epoch
-            break
+
+    def record(epoch: int, fitness: float, prediction: float | None) -> None:
+        if prediction is not None:
+            predictions.append((epoch, prediction))
+
+    result = run_training_loop(
+        LearningCurveModel(curve),
+        PredictionEngine(PAPER_ENGINE_CONFIG),
+        len(curve),
+        epoch_callback=record,
+    )
+    early = result.terminated_early
     return Fig2Result(
-        fitness_curve=list(curve[: len(session.fitness_history)]),
+        fitness_curve=list(curve[: result.epochs_trained]),
         predictions=predictions,
-        termination_epoch=termination_epoch,
-        final_prediction=session.final_fitness,
+        termination_epoch=result.epochs_trained if early else None,
+        final_prediction=result.fitness if early else None,
         true_final_fitness=float(curve[-1]),
     )
 

@@ -29,7 +29,6 @@ from repro.nas.search import NSGANet, NSGANetConfig, SearchResult
 from repro.nas.surrogate import (
     REGIMES,
     CurveRegime,
-    LearningCurveModel,
     SurrogateEvaluator,
     sample_curve,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SearchResult",
     "REGIMES",
     "CurveRegime",
-    "LearningCurveModel",
     "SurrogateEvaluator",
     "sample_curve",
 ]

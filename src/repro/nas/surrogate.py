@@ -54,7 +54,6 @@ from repro.xfel.intensity import BeamIntensity
 __all__ = [
     "CurveRegime",
     "REGIMES",
-    "LearningCurveModel",
     "SurrogateEvaluator",
     "sample_curve",
     "SurrogateConfig",

@@ -222,6 +222,34 @@ class TestConfigCommand:
         assert WorkflowConfig.from_dict(printed) == WorkflowConfig(**{section: defaults()})
 
 
+class TestEngineSection:
+    @pytest.mark.parametrize("command", ["config", "run"])
+    @pytest.mark.parametrize(
+        "engine,message",
+        [
+            ({"stability_metric": "median"}, "stability_metric must be one of"),
+            ({"tolerance": 0.0}, "tolerance must be positive, got 0.0"),
+            ({"function": "cubic"}, "unknown parametric function 'cubic'; known: exp3,"),
+            ({"n_predictions": 1}, "n_predictions must be >= 2"),
+            ({"fitness_bounds": [100.0, 0.0]}, "fitness_bounds must satisfy low < high"),
+            ({"c_min": 0}, "c_min must be >= 1"),
+            ({"function": "weibull"}, "c_min=3 is below the weibull parameter count 4"),
+        ],
+    )
+    def test_a_bad_engine_section_is_refused_at_load(
+        self, tmp_path, capsys, command, engine, message
+    ):
+        # the engine section is checked as the document loads, so `config`
+        # prints no document that `run` refuses, and an unknown family is
+        # one line, not a traceback
+        path = atomic_write_json(tmp_path / "doc.json", {"engine": engine})
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"a4nn: error: {message}")
+        assert captured.err.count("\n") == 1
+
+
 class TestRunCommand:
     def test_run_with_config_file_and_commons(self, tmp_path, capsys):
         config_path = atomic_write_json(tmp_path / "cfg.json", small_config_dict())

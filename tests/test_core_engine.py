@@ -1,9 +1,14 @@
 """Tests for the prediction engine (paper §2.1, Table 1)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.engine import EngineConfig, PredictionEngine
+from repro.core.engine import STABILITY_METRICS, EngineConfig, PredictionEngine
+from repro.core.plugin import LearningCurveModel, run_training_loop
 from repro.utils.validation import ValidationError
 
 from tests.conftest import make_concave_curve
@@ -23,17 +28,21 @@ class TestEngineConfig:
         assert d["function"] == "exp3"
         assert d["fitness_bounds"] == [0.0, 100.0]
 
-    def test_config_and_overrides_mutually_exclusive(self):
-        with pytest.raises(TypeError):
-            PredictionEngine(EngineConfig(), c_min=4)
-
     def test_c_min_below_param_count_rejected(self):
         with pytest.raises(ValidationError, match="underdetermined"):
-            PredictionEngine(EngineConfig(function="weibull", c_min=3))  # 4 params
+            EngineConfig(function="weibull", c_min=3)  # 4 params
+
+    def test_c_min_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="c_min must be >= 1"):
+            EngineConfig(c_min=0)
 
     def test_invalid_e_pred_rejected(self):
         with pytest.raises(ValidationError):
-            PredictionEngine(EngineConfig(e_pred=0))
+            EngineConfig(e_pred=0)
+
+    def test_unknown_function_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="unknown parametric function 'cubic'"):
+            EngineConfig(function="cubic")
 
 
 class TestPredictor:
@@ -67,59 +76,73 @@ class TestPredictor:
         assert snapshot["e_pred"] == 25
 
 
-class TestSession:
-    def test_converges_on_clean_curve(self):
-        session = PredictionEngine().session()
-        curve = make_concave_curve(25, rate=0.4)
-        for accuracy in curve:
-            session.observe(accuracy)
-            if session.converged:
-                break
-        assert session.converged
-        assert session.epoch < 25  # early termination happened
-        assert session.final_fitness == pytest.approx(95.0, abs=1.0)
-
-    def test_never_converges_on_wild_curve(self):
-        rng = np.random.default_rng(0)
-        session = PredictionEngine().session()
-        for _ in range(25):
-            session.observe(float(rng.uniform(20, 90)))
-        assert not session.converged
-        assert session.final_fitness is None
-
-    def test_observe_after_convergence_raises(self):
-        session = PredictionEngine().session()
-        for accuracy in make_concave_curve(25, rate=0.5):
-            if session.converged:
-                break
-            session.observe(accuracy)
-        assert session.converged
-        with pytest.raises(RuntimeError, match="already converged"):
-            session.observe(99.0)
-
-    def test_histories_grow_consistently(self):
-        session = PredictionEngine().session()
-        curve = make_concave_curve(6)
-        for accuracy in curve:
-            if session.converged:
-                break
-            session.observe(accuracy)
-        assert session.epoch == len(session.fitness_history)
-        # predictions start at epoch c_min = 3
-        assert len(session.prediction_history) == session.epoch - 2
-
-
 class TestAlternativeFunctions:
     @pytest.mark.parametrize("name,c_min", [("pow3", 3), ("ilog2", 2), ("janoschek", 4)])
     def test_engine_works_with_other_families(self, name, c_min):
         engine = PredictionEngine(EngineConfig(function=name, c_min=c_min))
         curve = make_concave_curve(25, rate=0.4)
-        session = engine.session()
-        for accuracy in curve:
-            session.observe(accuracy)
-            if session.converged:
-                break
+        result = run_training_loop(LearningCurveModel(curve), engine, 25)
         # may or may not converge, but must never produce invalid state
-        assert len(session.fitness_history) <= 25
-        for p in session.prediction_history:
+        assert len(result.fitness_history) <= 25
+        for p in result.prediction_history:
             assert np.isfinite(p)
+
+
+def reference_converged(predictions, n_predictions, tolerance, fitness_bounds, stability_metric):
+    """The convergence rule over a NumPy window: the reference ``converged`` must equal."""
+    window = np.asarray(predictions[-n_predictions:], dtype=float)
+    if len(window) < n_predictions:
+        return False
+
+    lo, hi = fitness_bounds
+    invalid = ~np.isfinite(window) | (window < lo) | (window > hi)
+    if np.any(invalid):
+        return False
+
+    if stability_metric == "range":
+        spread = float(window.max() - window.min())
+    elif stability_metric == "variance":
+        spread = float(np.var(window))
+    else:
+        spread = float(np.std(window))
+    return spread <= tolerance
+
+
+EDGE_VALUES = (0.0, 100.0, -0.0, 100.0000001, -1e-9, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def rule_cases(draw):
+    """A prediction history, ``N``, ``r`` (often an exact spread tie), a metric and bounds."""
+    values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-5.0, 105.0))
+    history = draw(st.lists(values, max_size=8))
+    n = draw(st.integers(2, 5))
+    metric = draw(st.sampled_from(STABILITY_METRICS))
+    # unbounded, only finiteness makes a prediction invalid
+    bounds = draw(st.sampled_from([(0.0, 100.0), (-math.inf, math.inf)]))
+    window = np.asarray(history[-n:], dtype=float)
+    with np.errstate(invalid="ignore"):
+        spread = float(
+            {"range": np.ptp, "variance": np.var, "std": np.std}[metric](window)
+            if window.size else math.nan
+        )
+    ties = [
+        r for r in (spread, math.nextafter(spread, math.inf), math.nextafter(spread, 0.0))
+        if math.isfinite(r) and r > 0
+    ]
+    # r = inf accepts any finite spread, so only validity can refuse
+    tolerance = draw(st.one_of(st.sampled_from(ties + [math.inf]), st.floats(1e-9, 200.0)))
+    return history, n, tolerance, metric, bounds
+
+
+class TestConvergedIsTheReferenceRule:
+    @given(rule_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_equal_to_the_reference(self, case):
+        history, n, tolerance, metric, bounds = case
+        config = EngineConfig(
+            n_predictions=n, tolerance=tolerance, stability_metric=metric, fitness_bounds=bounds
+        )
+        assert PredictionEngine(config).converged(history) == reference_converged(
+            history, n, tolerance, bounds, metric
+        )

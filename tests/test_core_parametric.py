@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.parametric import (
-    FUNCTION_REGISTRY,
-    ParametricFunction,
-    exp3,
-    get_function,
-    register_function,
-)
+from repro.core.parametric import FUNCTION_REGISTRY, exp3, get_function
 
 
 class TestRegistry:
@@ -20,27 +14,12 @@ class TestRegistry:
 
     def test_all_expected_families_present(self):
         expected = {"exp3", "pow3", "log2", "vapor_pressure", "mmf", "janoschek", "weibull", "ilog2"}
-        assert expected <= set(FUNCTION_REGISTRY)
+        assert set(FUNCTION_REGISTRY) == expected
+        assert all(FUNCTION_REGISTRY[name].name == name for name in expected)
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="exp3"):
             get_function("nope")
-
-    def test_register_overwrites(self):
-        custom = ParametricFunction(
-            name="exp3",
-            formula="a - b**(c - x)",
-            n_params=3,
-            fn=exp3.fn,
-            initial_guess=exp3.initial_guess,
-            lower=exp3.lower,
-            upper=exp3.upper,
-        )
-        try:
-            assert register_function(custom) is custom
-            assert get_function("exp3") is custom
-        finally:
-            register_function(exp3)
 
 
 class TestExp3:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import PredictionEngine
-from repro.core.plugin import TrainableModel, run_training_loop
-from repro.nas.surrogate import LearningCurveModel
+from repro.core.plugin import LearningCurveModel, TrainableModel, run_training_loop
 
 from tests.conftest import make_concave_curve
 
@@ -81,6 +80,19 @@ class TestEngineLoop:
         assert result.engine_overhead_seconds == pytest.approx(
             result.engine_overhead_mean * result.engine_interactions, rel=1e-6
         )
+
+    def test_converged_fitness_is_near_the_asymptote(self):
+        curve = make_concave_curve(25, rate=0.4)
+        result = run_training_loop(LearningCurveModel(curve), PredictionEngine(), 25)
+        assert result.terminated_early
+        assert result.fitness == pytest.approx(95.0, abs=1.0)
+
+    def test_one_prediction_per_epoch_from_c_min(self):
+        model = CountingModel(make_concave_curve(6))
+        result = run_training_loop(model, PredictionEngine(), 6)
+        # predictions start at epoch c_min = 3; no epoch is trained after a stop
+        assert len(result.prediction_history) == result.epochs_trained - 2
+        assert model.trained == result.epochs_trained
 
     def test_epoch_callback_sees_predictions(self):
         seen = []

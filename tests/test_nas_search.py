@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, PredictionEngine
+from repro.core.plugin import LearningCurveModel
 from repro.nas import (
     Individual,
-    LearningCurveModel,
     NSGANet,
     NSGANetConfig,
     Population,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.pareto import pareto_frontier
-from repro.core.analyzer import ConvergenceAnalyzer
+from repro.core.engine import EngineConfig, PredictionEngine
 from repro.core.fitting import fit_curve
 from repro.core.parametric import get_function
 from repro.nas.genome import Genome, n_connection_bits
@@ -67,18 +67,18 @@ class TestAnalyzerProperties:
     @given(curves)
     @settings(max_examples=80, deadline=None)
     def test_verdict_depends_only_on_window(self, history):
-        analyzer = ConvergenceAnalyzer()
-        full = analyzer(history)
-        windowed = analyzer(history[-analyzer.n_predictions :])
+        engine = PredictionEngine()
+        full = engine.converged(history)
+        windowed = engine.converged(history[-engine.config.n_predictions :])
         assert full == windowed
 
     @given(curves, st.floats(0.01, 5.0))
     @settings(max_examples=60, deadline=None)
     def test_looser_tolerance_never_unconverges(self, history, tolerance):
-        strict = ConvergenceAnalyzer(tolerance=tolerance)
-        loose = ConvergenceAnalyzer(tolerance=tolerance * 2)
-        if strict(history):
-            assert loose(history)
+        strict = PredictionEngine(EngineConfig(tolerance=tolerance))
+        loose = PredictionEngine(EngineConfig(tolerance=tolerance * 2))
+        if strict.converged(history):
+            assert loose.converged(history)
 
 
 class TestFittingProperties:
