@@ -240,8 +240,8 @@ def ridge_lstsq(
         return None
     residual = x @ theta - y
     return RidgeFit(
-        theta=tuple(float(t) for t in theta),
+        theta=tuple(theta.tolist()),
         rmse=float(np.sqrt(np.mean(residual**2))),
         n_points=int(x.shape[0]),
-        gram_inv=tuple(tuple(float(v) for v in row) for row in gram_inv),
+        gram_inv=tuple(map(tuple, gram_inv.tolist())),
     )

@@ -28,7 +28,7 @@ import shutil
 from pathlib import Path
 
 from repro.lineage.records import ModelRecord, RunRecord
-from repro.utils.io import atomic_write_json, read_json
+from repro.utils.io import atomic_write_bytes, atomic_write_json, read_json
 from repro.utils.validation import ValidationError, ensure_plain_name
 
 __all__ = ["DataCommons"]
@@ -54,9 +54,13 @@ class DataCommons:
         atomic_write_json(self.root / "runs" / run.run_id / "run.json", run.to_dict())
 
     def write_model(self, run_id: str, record: ModelRecord) -> Path:
-        """Write one committed model's record trail; returns its path."""
+        """Write one committed model's record trail; returns its path.
+
+        The file is :meth:`ModelRecord.to_json`: the same bytes
+        :func:`atomic_write_json` would write for ``record.to_dict()``.
+        """
         path = self.root / "runs" / run_id / "models" / f"model_{record.model_id:05d}.json"
-        return atomic_write_json(path, record.to_dict())
+        return atomic_write_bytes(path, record.to_json().encode("utf-8"))
 
     def publish_run(self, run_id: str) -> None:
         """List ``run_id``, its model files written, in the manifest: the run is complete."""

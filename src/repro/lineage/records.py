@@ -12,10 +12,12 @@ from __future__ import annotations
 import copy
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
+from repro.utils.io import JsonEncoder
 from repro.utils.validation import ValidationError
 
 __all__ = ["EpochRecord", "EpochTrail", "ModelRecord", "RunRecord"]
@@ -68,6 +70,61 @@ class EpochRecord:
 _EPOCH_FIELDS = tuple(EpochRecord.__dataclass_fields__)
 _entry_values = attrgetter(*_EPOCH_FIELDS)
 _payload_values = itemgetter(*_EPOCH_FIELDS)
+
+# -- the published text -------------------------------------------------------------
+#
+# A model file is ``json.dumps(record.to_dict(), indent=2, sort_keys=True,
+# cls=JsonEncoder)``.  The stdlib's C encoder cannot indent (Python 3.11),
+# so ``dumps`` runs its pure-Python encoder over every value.  These
+# helpers write the same text: plain scalars by their ``repr``, lists and
+# str-keyed dicts at their depth, each epoch column once and each epoch
+# entry through one template.  Any other value (a tuple, a numpy scalar,
+# a dict with other keys, a subclass) goes through the encoder itself,
+# re-indented to its depth: exact, since JSON text holds no raw newline
+# inside a string.
+
+_encode = JsonEncoder(indent=2, sort_keys=True).encode  # json.dumps(..., cls=JsonEncoder)
+# the ``repr`` of a float, int, bool or None is its JSON text but for these
+_PLAIN = frozenset((float, int, bool, type(None)))
+_PLAIN_TEXT = {
+    "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+    "None": "null", "True": "true", "False": "false",
+}
+_SORTED_EPOCH = sorted(range(len(_EPOCH_FIELDS)), key=_EPOCH_FIELDS.__getitem__)
+_ENTRY = (
+    "{"
+    + ",".join(f'\n      "{_EPOCH_FIELDS[i]}": %s' for i in _SORTED_EPOCH)
+    + "\n    }"
+)
+
+
+def _text(value, newline: str) -> str:
+    """``value``'s JSON text where the line holding it starts ``newline``."""
+    kind = type(value)
+    if kind in _PLAIN:
+        text = repr(value)
+        return _PLAIN_TEXT.get(text, text)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_texts(value, inner)) + newline + "]"
+    if kind is dict and set(map(type, value)) == {str}:
+        keys = sorted(value)
+        texts = _texts([value[key] for key in keys], inner)
+        items = [encode_basestring_ascii(key) + ": " + text for key, text in zip(keys, texts)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _encode(value).replace("\n", newline)
+
+
+def _texts(values, newline: str) -> list[str]:
+    """:func:`_text` of each value, a column of plain scalars at once."""
+    if set(map(type, values)) <= _PLAIN:
+        texts = list(map(repr, values))
+        return list(map(_PLAIN_TEXT.get, texts, texts))
+    return [_text(value, newline) for value in values]
 
 
 def _row(entry) -> tuple:
@@ -182,6 +239,17 @@ class EpochTrail:
             ) in self._rows()
         ]
 
+    def _json(self) -> str:
+        """The ``epochs`` value of a model file, at its depth there."""
+        if not self._size:
+            return "[]"
+        columns = [
+            repeat("null", self._size) if column is None else _texts(column, "\n      ")
+            for column in map(self._columns.__getitem__, _SORTED_EPOCH)
+        ]
+        entries = ",\n    ".join([_ENTRY] * self._size) % tuple(chain.from_iterable(zip(*columns)))
+        return "[\n    " + entries + "\n  ]"
+
     def _padded(self) -> Iterator:
         return (repeat(None, self._size) if c is None else c for c in self._columns)
 
@@ -291,6 +359,19 @@ class ModelRecord:
             for name in self.__dataclass_fields__
         }
 
+    def to_json(self) -> str:
+        """The text of this record's model file.
+
+        Byte for byte ``json.dumps(self.to_dict(), indent=2,
+        sort_keys=True, cls=JsonEncoder)``, the commons' published format,
+        written without building the document.
+        """
+        fields = [
+            key + (self.epochs._json() if name == "epochs" else _text(getattr(self, name), "\n  "))
+            for name, key in _MODEL_KEYS
+        ]
+        return "{\n  " + ",\n  ".join(fields) + "\n}"
+
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelRecord":
         """Rebuild a record from its ``to_dict()`` document.
@@ -324,6 +405,9 @@ class ModelRecord:
             return 0
         full = int(self.training_parameters.get("max_epochs", self.max_epochs))
         return max(full - min(int(self.budget_assigned), full), 0)
+
+
+_MODEL_KEYS = tuple((name, f'"{name}": ') for name in sorted(ModelRecord.__dataclass_fields__))
 
 
 @dataclass(slots=True)

@@ -15,7 +15,14 @@ from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["atomic_write_json", "read_json", "atomic_write_npz", "read_npz", "JsonEncoder"]
+__all__ = [
+    "atomic_write_bytes",
+    "atomic_write_json",
+    "read_json",
+    "atomic_write_npz",
+    "read_npz",
+    "JsonEncoder",
+]
 
 
 class JsonEncoder(json.JSONEncoder):
@@ -48,12 +55,17 @@ def _atomic_replace(path: Path, writer) -> None:
         raise
 
 
-def atomic_write_json(path: str | Path, payload: Any, *, indent: int = 2) -> Path:
-    """Serialize ``payload`` to JSON at ``path`` atomically; returns the path."""
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
+    """Write ``data`` to ``path`` atomically; returns the path."""
     path = Path(path)
-    data = json.dumps(payload, indent=indent, sort_keys=True, cls=JsonEncoder).encode("utf-8")
     _atomic_replace(path, lambda fh: fh.write(data))
     return path
+
+
+def atomic_write_json(path: str | Path, payload: Any) -> Path:
+    """Serialize ``payload`` to JSON (indent 2, sorted keys) at ``path`` atomically."""
+    data = json.dumps(payload, indent=2, sort_keys=True, cls=JsonEncoder)
+    return atomic_write_bytes(path, data.encode("utf-8"))
 
 
 def read_json(path: str | Path) -> Any:

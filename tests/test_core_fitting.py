@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.fitting import FitError, fit_curve
+from repro.core.fitting import FitError, RidgeFit, fit_curve, ridge_lstsq
 from repro.core.parametric import get_function
 
 from tests.conftest import make_concave_curve
@@ -76,6 +78,69 @@ class TestFitCurve:
         fn = get_function("exp3")
         fit = fit_curve(fn, np.arange(1, 8), make_concave_curve(7))
         assert fit.n_points == 7
+
+
+def reference_ridge(features, targets, ridge) -> RidgeFit | None:
+    """``ridge_lstsq`` as it converted its arrays one element at a time."""
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    if x.shape[0] == 0 or not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        return None
+    gram = x.T @ x + ridge * np.eye(x.shape[1])
+    try:
+        theta = np.linalg.solve(gram, x.T @ y)
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(gram_inv))):
+        return None
+    residual = x @ theta - y
+    return RidgeFit(
+        theta=tuple(float(t) for t in theta),
+        rmse=float(np.sqrt(np.mean(residual**2))),
+        n_points=int(x.shape[0]),
+        gram_inv=tuple(tuple(float(v) for v in row) for row in gram_inv),
+    )
+
+
+# -0.0, zeros, the tiniest subnormal and huge entries beside ordinary ones
+_ridge_entries = st.one_of(
+    st.sampled_from((-0.0, 0.0, 5e-324, -1e-300, 1e150, -1e154, 1.0)),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def ridge_problems(draw):
+    rows, width = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    features = draw(st.lists(st.lists(_ridge_entries, min_size=width, max_size=width), min_size=rows, max_size=rows))
+    targets = draw(st.lists(_ridge_entries, min_size=rows, max_size=rows))
+    ridge = draw(st.sampled_from((0.0, 1e-300, 1e-3, 1.0, 1e300)))
+    return np.asarray(features, dtype=float).reshape(rows, width), targets, ridge
+
+
+class TestRidgeLstsq:
+    @given(ridge_problems())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_the_fit_is_the_element_by_element_conversion(self, problem):
+        features, targets, ridge = problem
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow to None
+            fit = ridge_lstsq(features, targets, ridge=ridge)
+            reference = reference_ridge(features, targets, ridge)
+        if reference is None:
+            assert fit is None
+            return
+        # repr tells -0.0 from 0.0 and every bit of a float; the types are plain
+        assert repr(fit) == repr(reference)
+        values = (*fit.theta, *(v for row in fit.gram_inv for v in row))
+        assert {type(fit.theta), type(fit.gram_inv), *map(type, fit.gram_inv)} == {tuple}
+        assert {type(v) for v in values} == {float}
+
+    def test_a_negative_zero_coefficient_stays_negative(self):
+        features, targets = [[-1.0, 1.0], [-1.0, 2.0]], [0.0, -0.0]
+        fit = ridge_lstsq(features, targets, ridge=1e-3)
+        assert repr(fit.theta) == "(-0.0, 0.0)"
+        assert repr(fit) == repr(reference_ridge(features, targets, 1e-3))
 
 
 def test_scipy_optimize_is_imported_by_the_first_trust_region_fit_and_not_before():

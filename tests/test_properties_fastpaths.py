@@ -4,7 +4,8 @@ Each fast path keeps the expression or the loop it replaced as the
 reference, here in the tests: the NumPy dominance-matrix NSGA-II
 routines, the batch Pareto mask over an archive prefix, the list-based
 one-in/one-out insert, the decoded network's FLOP count,
-``dataclasses.asdict``, the bytes the parent commit published, the
+``dataclasses.asdict``, the generic JSON encoder over a record's
+``to_dict()``, the bytes the parent commit published, the
 per-call permutation search behind ``PhaseGenome.canonical``, the
 predictor's list of rows refitted from scratch, and the JSON-decoded
 record a commons used to load.
@@ -15,6 +16,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.fitting import ridge_lstsq
 from repro.lineage import DataCommons
-from repro.lineage.records import EpochRecord, ModelRecord, RunRecord
+from repro.lineage.records import EpochRecord, EpochTrail, ModelRecord, RunRecord
 from repro.nas import genome as genome_module
 from repro.nas import surrogate as surrogate_module
 from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops
@@ -42,6 +44,7 @@ from repro.nas.population import Individual
 from repro.nas.search import STEADY_START, NSGANetConfig, steady_insert
 from repro.nas.surrogate import FitnessPredictor, SurrogateConfig
 from repro.nn.flops import network_flops
+from repro.utils.io import JsonEncoder
 from repro.workflow import resume_workflow, run_workflow
 from repro.workflow.interfaces import WorkflowConfig
 from repro.workflow.orchestrator import A4NNOrchestrator
@@ -548,7 +551,7 @@ class TestRecordSerialisation:
 
 
 def commons_bytes(payload: dict) -> str:
-    """The text ``atomic_write_json`` puts in a model file."""
+    """A model file's text for the document ``payload``."""
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -581,6 +584,204 @@ class TestLoadedRecords:
         payload["epochs"][1]["learning_rate"] = 0.1
         with pytest.raises(TypeError, match="learning_rate"):
             ModelRecord.from_dict(payload)
+
+
+# -- the model file's text -----------------------------------------------------------
+
+
+def published_text(record: ModelRecord) -> bytes:
+    """The reference model file: the generic encoder over ``to_dict()``."""
+    document = record.to_dict()
+    return json.dumps(document, indent=2, sort_keys=True, cls=JsonEncoder).encode()
+
+
+_json_strings = st.one_of(
+    st.sampled_from(('say "hi"', "back\\slash", "two\nlines", "tab\tand\r", "Ångström ☃", "")),
+    st.text(max_size=6),
+)
+_json_floats = st.one_of(
+    st.sampled_from((-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-05, 1e16, 5e-324, 1.7976931348623157e308)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    _json_floats,
+    _json_strings,
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**62), 2**62).map(np.int64),
+)
+# containers of those: tuples and int keys too, which JSON writes as lists and strings
+_json_containers = st.one_of(
+    st.lists(_json_scalars, max_size=3),
+    st.lists(_json_scalars, max_size=2).map(tuple),
+    st.dictionaries(_json_strings, _json_scalars, max_size=3),
+    st.dictionaries(st.integers(-5, 5), _json_scalars, min_size=1, max_size=2),
+)
+_json_dicts = st.dictionaries(_json_strings, st.one_of(_json_scalars, _json_containers), max_size=3)
+_checkpoints = st.one_of(
+    st.none(),
+    st.builds(lambda path: {"state": path + ".npz", "architecture": path + ".arch.json"}, _json_strings),
+    st.dictionaries(_json_strings, _json_containers, max_size=2),
+)
+_column_values = st.one_of(st.none(), _json_floats, st.floats(width=32).map(np.float32), st.integers(0, 9))
+
+
+@st.composite
+def epoch_trails(draw):
+    """0-4 entries: None-holed columns, checkpoints, numpy scalars, and
+    epoch numbers that restart (a retried trail) or run 1..n."""
+    size = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        epochs = list(range(1, size + 1))
+    else:
+        epochs = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    # each column all floats, all None or mixed, so every stored form shows up
+    shapes = st.sampled_from((st.none(), _json_floats, _column_values))
+    columns = [draw(st.lists(draw(shapes), min_size=size, max_size=size)) for _ in range(5)]
+    checkpoints = draw(st.lists(_checkpoints, min_size=size, max_size=size))
+    return [EpochRecord(*row) for row in zip(epochs, *columns, checkpoints)]
+
+
+@st.composite
+def model_records(draw):
+    """One of each kind of top-level value: plain and numpy scalars,
+    strings, scalar lists, dicts and lists of dicts."""
+    entries = draw(epoch_trails())
+    fitness = draw(st.one_of(st.none(), _json_floats))
+    return ModelRecord(
+        model_id=draw(st.integers(0, 10**6)),
+        generation=3,
+        genome=draw(_json_dicts),
+        flops=draw(st.one_of(st.none(), st.integers(0, 10**12).map(np.int64))),
+        fitness=fitness,
+        measured_fitness=fitness,
+        terminated_early=draw(st.booleans()),
+        epochs_trained=len(entries),
+        max_epochs=25,
+        fitness_history=draw(st.lists(_column_values, max_size=4)),
+        prediction_history=draw(st.lists(_column_values, max_size=4)),
+        epochs=entries,
+        architecture=draw(st.lists(_json_containers, max_size=2)),
+        engine_parameters={"function": "exp3", "e_pred": 25, "tolerance": 0.5},
+        training_parameters={"mode": "surrogate", "max_epochs": 25},
+        fault=draw(st.one_of(st.none(), _json_dicts)),
+        fault_events=draw(st.lists(_json_dicts, max_size=2)),
+        quarantined=draw(st.booleans()),
+        skip_reason=draw(st.one_of(st.none(), _json_strings)),
+    )
+
+
+def grown(record: ModelRecord) -> ModelRecord:
+    """``record`` with its trail grown by ``append``, as a live tracker's is."""
+    copy = ModelRecord.from_dict(record.to_dict())
+    copy.epochs = EpochTrail()
+    for entry in record.epochs:
+        copy.epochs.append(entry)
+    return copy
+
+
+def special_records() -> list[ModelRecord]:
+    """The shapes a run publishes that a random draw may miss."""
+    cache_hit = dataclasses.replace(
+        full_record(),
+        cache_hit=True,
+        cache_source=2,
+        # a real-mode cache hit: its leader's epoch_seconds, no train_* values
+        epochs=[
+            EpochRecord(epoch=e, validation_accuracy=50.0, epoch_seconds=0.5 * e, prediction=None)
+            for e in (1, 2, 3)
+        ],
+    )
+    quarantined = dataclasses.replace(
+        full_record(),
+        quarantined=True,
+        fitness=0.0,
+        epochs=[],
+        fault={"kind": "numerical", "value": np.float32(np.nan), "step": np.int64(3)},
+    )
+    zero_budget = dataclasses.replace(
+        full_record(),
+        epochs=[],
+        epochs_trained=0,
+        max_epochs=0,
+        budget_assigned=0,
+        skip_reason="predicted_loser",
+        fitness_history=[],
+        prediction_history=[],
+    )
+    retried = dataclasses.replace(
+        full_record(),
+        epochs=[
+            EpochRecord(epoch=e, validation_accuracy=v, train_loss=math.nan)
+            for e, v in ((1, 10.0), (2, -0.0), (1, 11.0), (2, math.inf))
+        ],
+    )
+    return [full_record(), cache_hit, quarantined, zero_budget, retried, ModelRecord(0, 0, {})]
+
+
+class TestModelFileText:
+    """``ModelRecord.to_json`` is the generic encoder's text, byte for byte."""
+
+    def assert_published(self, record: ModelRecord) -> None:
+        expected = published_text(record)
+        assert record.to_json().encode() == expected
+        assert grown(record).to_json().encode() == expected
+        assert ModelRecord.from_dict(record.to_dict()).to_json().encode() == expected
+
+    @pytest.mark.parametrize("index", range(len(special_records())))
+    def test_the_shapes_a_run_publishes(self, index):
+        self.assert_published(special_records()[index])
+
+    @given(model_records())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_any_record(self, record):
+        self.assert_published(record)
+
+    @staticmethod
+    def assert_files_are_the_records(root: Path, run_id: str, live: list[ModelRecord]) -> None:
+        loaded = DataCommons(root).load_models(run_id)
+        assert [r.model_id for r in loaded] == [r.model_id for r in live]
+        for ours, theirs in zip(live, loaded, strict=True):
+            path = root / "runs" / run_id / "models" / f"model_{ours.model_id:05d}.json"
+            written = path.read_bytes()
+            assert published_text(ours) == written
+            assert ours.to_json().encode() == written
+            assert theirs.to_json().encode() == written
+
+    def test_a_sampled_barrier_run_with_faults(self, tmp_path):
+        document = {
+            "nas": {"population_size": 4, "offspring_per_generation": 4, "generations": 3, "max_epochs": 10},
+            "engine": {"e_pred": 10},
+            "faults": {"max_retries": 1},
+            "fault_injection": {"rate": 0.3, "modes": ["crash", "nan"]},
+            "seed": 11,
+        }
+        config = WorkflowConfig.from_dict(document)
+        result = run_workflow(config, commons_path=tmp_path)
+        live = result.tracker.all_records()
+        assert any(r.fault_events for r in live) and any(r.fault for r in live)
+        self.assert_files_are_the_records(tmp_path, config.resolved_run_id(), live)
+
+    def test_a_steady_run(self, tmp_path):
+        config = steady_config(36, "model-text", SurrogateConfig(min_records=4))
+        result = run_workflow(config, commons_path=tmp_path)
+        self.assert_files_are_the_records(tmp_path, config.run_id, result.tracker.all_records())
+
+    def test_a_real_run_with_checkpoints(self, tmp_path):
+        document = {
+            "nas": {"population_size": 3, "offspring_per_generation": 3, "generations": 1, "max_epochs": 2},
+            "engine": {"e_pred": 2},
+            "dataset": {"images_per_class": 8, "image_size": 12},
+            "mode": "real",
+            "seed": 5,
+        }
+        config = WorkflowConfig.from_dict(document)
+        result = run_workflow(config, commons_path=tmp_path / "c", checkpoint_dir=tmp_path / "ck")
+        live = result.tracker.all_records()
+        assert all(entry.checkpoint for r in live for entry in r.epochs)
+        self.assert_files_are_the_records(tmp_path / "c", config.resolved_run_id(), live)
 
 
 # -- published bytes ---------------------------------------------------------------

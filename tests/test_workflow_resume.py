@@ -293,13 +293,17 @@ class TestResumeSteadyWorkflow:
 
         before = {path: state(path) for path in restored}
         written = []
-        original = commons_module.atomic_write_json
 
-        def recording(path, payload, **kwargs):
-            written.append(path.relative_to(commons.root).as_posix())
-            return original(path, payload, **kwargs)
+        def recording(original):
+            def write(path, payload):
+                written.append(path.relative_to(commons.root).as_posix())
+                return original(path, payload)
 
-        monkeypatch.setattr(commons_module, "atomic_write_json", recording)
+            return write
+
+        # model files are written as bytes, run documents and the manifest as JSON
+        for name in ("atomic_write_bytes", "atomic_write_json"):
+            monkeypatch.setattr(commons_module, name, recording(getattr(commons_module, name)))
         assert_resumes_to(commons, run_id, full)
         assert sorted(written) == [
             "manifest.json",
