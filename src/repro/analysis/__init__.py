@@ -17,7 +17,12 @@ from repro.analysis.curves import (
     termination_histogram,
     true_curves,
 )
-from repro.analysis.pareto import ParetoPoint, hypervolume_2d, pareto_frontier
+from repro.analysis.pareto import (
+    ParetoPoint,
+    anytime_hypervolume,
+    hypervolume_2d,
+    pareto_frontier,
+)
 from repro.analysis.progress import SearchProgress, best_so_far, search_progress
 from repro.analysis.queries import (
     SkipReport,
@@ -45,6 +50,7 @@ __all__ = [
     "termination_histogram",
     "true_curves",
     "ParetoPoint",
+    "anytime_hypervolume",
     "hypervolume_2d",
     "pareto_frontier",
     "SearchProgress",

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.nas.nsga2 import pareto_front_mask
 
-__all__ = ["ParetoPoint", "pareto_frontier", "hypervolume_2d"]
+__all__ = ["ParetoPoint", "pareto_frontier", "hypervolume_2d", "anytime_hypervolume"]
 
 
 class ParetoPoint:
@@ -93,3 +93,35 @@ def hypervolume_2d(
         volume += width * max(best_so_far - ref_fitness, 0.0)
     return volume
 
+
+def anytime_hypervolume(
+    records, *, ref: tuple[float, float], fitness: dict | None = None
+) -> list[tuple[int, float]]:
+    """Executed epochs against the archive front's hypervolume, per commit.
+
+    Walks ``records`` in commit (model-id) order and, after each commit,
+    pairs the epochs executed so far with :func:`hypervolume_2d` of the
+    front of every model committed so far, at the fixed reference
+    ``ref = (ref_fitness, ref_flops)`` (``ref_flops`` should be at least
+    every record's FLOPs).  A cache hit trained nothing, so it adds no
+    executed epochs; its result still joins the front.  ``fitness``
+    optionally maps a model id to its true fitness, which then replaces
+    the recorded one.  The curve never decreases and does not depend on
+    the order ``records`` come in.
+    """
+    ref_fitness, ref_flops = ref
+    front: list[ParetoPoint] = []
+    executed = 0
+    curve = []
+    for record in sorted(records, key=lambda r: r.model_id):
+        value = record.fitness if fitness is None else fitness[record.model_id]
+        if value is None or record.flops is None:
+            raise ValueError(f"model {record.model_id} lacks fitness/flops")
+        if not record.cache_hit:
+            executed += record.epochs_trained
+        # the front of the archive is the front of the last front plus the commit
+        front = pareto_frontier([*front, ParetoPoint(record.model_id, value, record.flops)])
+        curve.append(
+            (executed, hypervolume_2d(front, ref_fitness=ref_fitness, ref_flops=ref_flops))
+        )
+    return curve

@@ -29,6 +29,14 @@ from repro.utils.rng import fallback_rng
 __all__ = ["PhaseBlock", "DecoderConfig", "decode_genome", "genome_flops"]
 
 
+# what a node's conv, batch-norm and ReLU write to the two shared blocks
+_NODE_TRANSIENTS = {
+    "conv": {"out": "node_a", "grad_in": "node_a"},
+    "bn": {"out": "node_b", "grad_in": "node_b"},
+    "relu": {"grad_in": "node_a"},
+}
+
+
 class PhaseBlock(Layer):
     """One NSGA-Net phase: a DAG of conv-bn-relu nodes on shared width.
 
@@ -132,11 +140,25 @@ class PhaseBlock(Layer):
         if remaining:
             raise KeyError(f"phase state has unused entries: {sorted(remaining)}")
 
-    def bind_arena(self, arena, owner: str = "") -> None:
-        """Propagate the arena to every sublayer with a dotted owner path."""
-        super().bind_arena(arena, owner)
-        for prefix, layer in self._sublayers():
-            layer.bind_arena(arena, f"{self._arena_owner}.{prefix}")
+    def bind_arena(self, arena, owner: str = "", transients: dict | None = None) -> None:
+        """Propagate the arena to every sublayer with a dotted owner path.
+
+        A node's conv and batch-norm outputs and the gradients its three
+        layers return are node-internal: each is read once, by the next
+        layer of the node (or copied or added into ``ng{p}`` /
+        ``adapted_grad`` by :meth:`backward`), so they alternate between
+        two shared blocks per shape, ``node_a`` and ``node_b``.  Forward
+        is conv → a, batch-norm → b; backward ReLU → a, batch-norm → b,
+        conv → a, so no layer writes the block it reads.  The ReLU
+        output, a node's result, stays the node's own.
+        """
+        super().bind_arena(arena, owner, transients)
+        self.adapter.bind_arena(arena, f"{self._arena_owner}.adapter")
+        for idx, node in enumerate(self.nodes):
+            for part_name, part in zip(_NODE_TRANSIENTS, node):
+                part.bind_arena(
+                    arena, f"{self._arena_owner}.node{idx}.{part_name}", _NODE_TRANSIENTS[part_name]
+                )
 
     # -- computation -------------------------------------------------------------
 
@@ -186,14 +208,14 @@ class PhaseBlock(Layer):
             raise RuntimeError("backward called before a training-mode forward")
         n = self.genome.n_nodes
         dt = grad_out.dtype
-        # a node's running gradient is copied into its own ``ng{j}``
-        # scratch the moment it first arrives, so the in-place ``+=``
-        # below can never alias the scratch of the layer that produced it
+        # a sink feeds no node, so nothing ever adds into its gradient:
+        # it reads ``grad_out`` itself.  Any other node's running gradient
+        # is copied into its own ``ng{j}`` scratch the moment it first
+        # arrives, so the in-place ``+=`` below can never alias the
+        # scratch of the layer that produced it
         node_grads: list = [None] * n
         for j in self._sinks:
-            buf = self._buf(f"ng{j}", grad_out.shape, dt)
-            np.copyto(buf, grad_out)
-            node_grads[j] = buf
+            node_grads[j] = grad_out
         adapted_grad = None
         if self.genome.skip:
             adapted_grad = self._buf("adapted_grad", grad_out.shape, dt)

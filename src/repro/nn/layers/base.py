@@ -15,8 +15,10 @@ before the call returns into :meth:`Layer._tmp` scratch.  A layer bound
 to a :class:`~repro.nn.arena.BufferArena` gets the same pinned arrays
 every batch — its own for ``_buf`` (an output is valid until the
 layer's next ``forward``, a backward cache until the matching
-``backward``), one shared with every other layer for ``_tmp``; an
-unbound layer gets fresh ones and so returns by value.
+``backward``), one shared with every other layer for ``_tmp`` — except
+that a composite binder may mark a result *node-internal*, which
+``_buf`` then puts in shared scratch too; an unbound layer gets fresh
+ones and so returns by value.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ class Layer:
         # where _buf/_tmp scratch lives, never which kernel runs
         self._arena = None
         self._arena_owner: str = ""
+        # _buf name -> shared scratch name, for the results a composite
+        # binder marks node-internal (see bind_arena)
+        self._transients: dict[str, str] = {}
 
     # -- scratch storage -----------------------------------------------------
 
@@ -81,14 +86,18 @@ class Layer:
         """The bound :class:`~repro.nn.arena.BufferArena`, or ``None``."""
         return self._arena
 
-    def bind_arena(self, arena, owner: str = "") -> None:
+    def bind_arena(self, arena, owner: str = "", transients: dict | None = None) -> None:
         """Attach ``arena`` under a unique ``owner`` key.
 
         Composite layers override this to propagate the binding to their
-        sublayers with extended owner paths.
+        sublayers with extended owner paths.  ``transients`` maps a
+        :meth:`_buf` name to a shared scratch name: the binder marks
+        that result node-internal — read once, by the next layer it
+        calls — and routes it so that no layer writes what it reads.
         """
         self._arena = arena
         self._arena_owner = owner or type(self).__name__
+        self._transients = transients or {}
 
     def _buf(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """Uninitialized scratch for a result or a backward cache.
@@ -96,12 +105,19 @@ class Layer:
         Bound, it is the arena's pinned buffer for this layer and
         ``name`` — the same array every batch of that size (a leading
         view of the block the largest batch sized), valid until the
-        layer's next ``forward``.  Unbound, it is a fresh array, so a bare layer
-        hands out by-value results.  The kernels write every element
-        either way; this is the only place the two cases differ.
+        layer's next ``forward``.  A result the binder marked
+        node-internal (see :meth:`bind_arena`) is instead the arena's
+        shared scratch under the name the binder gave it: valid only
+        until the binder's next layer has read it.  Unbound, it is a fresh
+        array, so a bare layer hands out by-value results.  The kernels
+        write every element either way; this is the only place the cases
+        differ.
         """
         if self._arena is None:
             return np.empty(shape, dtype=dtype)
+        shared = self._transients.get(name)
+        if shared is not None:
+            return self._arena.scratch(shared, shape, dtype)
         return self._arena.buffer(self._arena_owner, name, shape, dtype)
 
     def _tmp(self, name: str, shape: tuple, dtype) -> np.ndarray:

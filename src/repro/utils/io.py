@@ -7,9 +7,9 @@ written files would corrupt the commons, so all writes are atomic
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -42,10 +42,22 @@ class JsonEncoder(json.JSONEncoder):
         return super().default(o)
 
 
+# temporaries are named ``.<name>.<pid>.<n>.tmp``: unique per process
+# and, within one, per call (``next`` on a count is atomic under the GIL)
+_TMP_SERIAL = itertools.count()
+
+
 def _atomic_replace(path: Path, writer) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    tmp = Path(tmp_name)
+    # created 0666 so the kernel applies the umask, which ``os.replace``
+    # then keeps (``mkstemp`` creates 0600: every file owner-only)
+    while True:
+        tmp = path.parent / f".{path.name}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:  # left behind by a killed process with this pid
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             writer(fh)

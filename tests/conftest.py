@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import logging
+import signal
 import sys
 from pathlib import Path
 
@@ -15,6 +16,34 @@ except ModuleNotFoundError:  # fall back to the in-repo source tree
 from repro.xfel import BeamIntensity, DatasetConfig, generate_dataset
 
 logging.disable(logging.INFO)
+
+#: seconds one test may run before it fails by name
+TEST_BOUND_S = 60
+
+
+@pytest.fixture(autouse=True)
+def _test_time_bound(request):
+    """Fail a test still running after ``TEST_BOUND_S`` by name.
+
+    A real-time timer raises pytest's ``Failed`` in the main thread, so
+    the run goes on and the summary names the test.  ``Failed`` is a
+    ``BaseException``, so Hypothesis does not shrink on it: it replays
+    the example once and reports a ``FlakyFailure`` carrying this
+    message.  The ``faulthandler_timeout`` stack dump in
+    ``pyproject.toml`` fires later, as a backstop for a test the signal
+    cannot reach.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran past {TEST_BOUND_S} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_BOUND_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

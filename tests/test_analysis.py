@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import (
     ParetoPoint,
+    anytime_hypervolume,
     ascii_curve,
     bit_frequency_profile,
     describe_curve,
@@ -95,6 +96,55 @@ class TestHypervolume:
         points = [ParetoPoint(0, 10.0, 1.0)]
         # width (5-1) * height (10-0) = 40
         assert hypervolume_2d(points, ref_fitness=0.0, ref_flops=5.0) == pytest.approx(40.0)
+
+
+class TestAnytimeHypervolume:
+    REF = (50.0, 1000.0)
+
+    def records(self, rng):
+        # (fitness, flops, epochs trained, cache hit): a dominated commit,
+        # a cache hit of model 1 and a commit that moves the front late
+        rows = [
+            (70.0, 400.0, 25, False),
+            (80.0, 600.0, 12, False),
+            (60.0, 500.0, 7, False),
+            (80.0, 600.0, 12, True),
+            (75.0, 200.0, 25, False),
+            (90.0, 900.0, 3, False),
+        ]
+        return [
+            make_record(i, fit, flops, rng, epochs_trained=epochs, cache_hit=hit)
+            for i, (fit, flops, epochs, hit) in enumerate(rows)
+        ]
+
+    def test_curve_never_decreases_and_counts_only_executed_epochs(self, rng):
+        curve = anytime_hypervolume(self.records(rng), ref=self.REF)
+        epochs, volumes = zip(*curve)
+        assert epochs == (25, 37, 44, 44, 69, 72)  # the cache hit adds none
+        assert all(a <= b for a, b in zip(volumes, volumes[1:]))
+        assert volumes[2] == volumes[1] and volumes[3] == volumes[2]
+        assert volumes[0] == (1000.0 - 400.0) * (70.0 - 50.0)
+
+    def test_ends_at_the_hypervolume_of_the_final_front(self, rng):
+        records = self.records(rng)
+        final = hypervolume_2d(pareto_frontier(records), ref_fitness=50.0, ref_flops=1000.0)
+        assert anytime_hypervolume(records, ref=self.REF)[-1][1] == pytest.approx(final, rel=1e-12)
+
+    def test_does_not_depend_on_the_order_records_come_in(self, rng):
+        records = self.records(rng)
+        curve = anytime_hypervolume(records, ref=self.REF)
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation(len(records))
+            assert anytime_hypervolume([records[i] for i in order], ref=self.REF) == curve
+
+    def test_true_fitness_replaces_the_recorded_one(self, rng):
+        records = self.records(rng)
+        truth = {r.model_id: r.fitness for r in records} | {5: 50.0}  # model 5 was over-predicted
+        curve = anytime_hypervolume(records, ref=self.REF, fitness=truth)
+        assert curve[-1][1] == curve[-2][1] < anytime_hypervolume(records, ref=self.REF)[-1][1]
+        assert anytime_hypervolume([], ref=self.REF) == []
+        with pytest.raises(ValueError, match="lacks fitness"):
+            anytime_hypervolume([make_record(0, None, 10.0, rng)], ref=self.REF)
 
 
 class TestCurveShapes:

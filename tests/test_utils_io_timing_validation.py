@@ -75,6 +75,51 @@ class TestUnchangedJsonIsNotRewritten:
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
+@pytest.fixture
+def umask_022():
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
+
+
+class TestPublishedFilesTakeTheUmask:
+    """Temporaries are created 0666 and the kernel applies the umask,
+    which the rename keeps: other users can read the commons."""
+
+    def test_every_published_file_is_0644_under_umask_022(self, tmp_path, umask_022):
+        from repro.nas import NSGANetConfig
+        from repro.workflow import WorkflowConfig, run_workflow
+        from repro.xfel import DatasetConfig
+
+        config = WorkflowConfig(
+            nas=NSGANetConfig(
+                population_size=3, offspring_per_generation=3, generations=1, max_epochs=4
+            ),
+            engine=None,
+            dataset=DatasetConfig(images_per_class=20, image_size=16),
+            mode="surrogate",
+            seed=5,
+        )
+        run_workflow(config, commons_path=tmp_path)
+        published = [p for p in tmp_path.rglob("*") if p.is_file()]
+        kinds = {"model_*.json" if p.name.startswith("model_") else p.name for p in published}
+        assert kinds == {"manifest.json", "run.json", "model_*.json"}
+        assert {oct(p.stat().st_mode & 0o777) for p in published} == {oct(0o644)}
+        npz = atomic_write_npz(tmp_path / "arrays.npz", {"a": np.arange(3)})
+        assert npz.stat().st_mode & 0o777 == 0o644
+
+    def test_a_stale_temporary_is_stepped_over(self, tmp_path, monkeypatch, umask_022):
+        import itertools
+
+        monkeypatch.setattr("repro.utils.io._TMP_SERIAL", itertools.count())
+        stale = tmp_path / f".doc.json.{os.getpid()}.0.tmp"
+        stale.write_bytes(b"left by a killed writer")
+        path = atomic_write_json(tmp_path / "doc.json", {"v": 1})
+        assert read_json(path) == {"v": 1} and path.stat().st_mode & 0o777 == 0o644
+        assert stale.read_bytes() == b"left by a killed writer"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "doc.json"]
+
+
 class TestAtomicNpz:
     def test_round_trip(self, tmp_path):
         arrays = {"a": np.arange(6).reshape(2, 3), "b": np.ones(4)}
