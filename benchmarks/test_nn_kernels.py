@@ -3,7 +3,8 @@
 Not a paper artifact — these track the training substrate's throughput
 (the guide rule: no optimization without measurement).  Groups: the
 row-column convolution forward/backward, dense GEMM, one full training
-step of a decoded NSGA-Net network, and one engine fit.
+step of a decoded NSGA-Net network, one engine fit and one stacked fit
+of eight histories.
 
 The conv cases are the configuration every workload runs — float32,
 bound to an arena, equal widths, the three shapes the decoder emits at
@@ -12,8 +13,9 @@ cache-warm; inside a network it does not, so the training step runs
 float32 through a ``Trainer``-bound network and pays the cold cost the
 isolated numbers hide (CHANGES.md, PR 23, has both per call).
 
-The two ratio guards at the end hold an elementwise kernel to a multiple
-of the one memory pass it has to make.  Both sides are timed in the same
+The ratio guards at the end hold an elementwise kernel to a multiple of
+the one memory pass it has to make, and a stacked curve fit to a share
+of its rows' fits one at a time.  Both sides are timed in the same
 process (best of 40), so the bound does not depend on the host's speed.
 """
 
@@ -23,6 +25,8 @@ import numpy as np
 import pytest
 
 from repro.core.engine import PredictionEngine
+from repro.core.fitting import fit_curve
+from repro.core.parametric import get_function
 from repro.nas.decoder import DecoderConfig, decode_genome
 from repro.nas.genome import random_genome
 from repro.nn.arena import BufferArena
@@ -108,6 +112,24 @@ def test_engine_fit(benchmark):
     assert result is not None
 
 
+def lockstep_histories() -> np.ndarray:
+    """8 noisy 15-epoch histories, one stacked fit's worth."""
+    return np.array(
+        [
+            make_concave_curve(15, asymptote=88.0 + i, rate=0.2 + 0.04 * i, noise=0.5, seed=i)
+            for i in range(8)
+        ]
+    )
+
+
+@pytest.mark.benchmark(group="nn-kernels")
+def test_engine_fit_lockstep(benchmark):
+    engine = PredictionEngine()
+    histories = lockstep_histories()
+    result = benchmark(lambda: engine.predictor(15, histories))
+    assert len(result) == 8 and None not in result
+
+
 @pytest.mark.parametrize(
     "make_layer,bound",
     [
@@ -127,4 +149,20 @@ def test_forward_stays_within_a_multiple_of_one_memory_pass(make_layer, bound):
     assert forward <= bound * one_pass, (
         f"{type(layer).__name__}.forward took {forward / one_pass:.1f}x one "
         f"np.maximum pass over {shape} (bound {bound}x)"
+    )
+
+
+def test_a_stacked_fit_costs_less_than_its_rows_fitted_alone():
+    # the sampled evaluator fits the models of a lockstep batch in one
+    # call; 0.35-0.38x was measured on a 2-core host
+    function, epochs, histories = get_function("exp3"), np.arange(1.0, 16), lockstep_histories()
+    stacked = min(timeit.repeat(lambda: fit_curve(function, epochs, histories), number=1, repeat=40))
+    alone = min(
+        timeit.repeat(
+            lambda: [fit_curve(function, epochs, row) for row in histories], number=1, repeat=40
+        )
+    )
+    assert stacked <= 0.75 * alone, (
+        f"one stacked fit of {len(histories)} histories took {stacked / alone:.2f}x "
+        f"their fits one at a time (bound 0.75x)"
     )

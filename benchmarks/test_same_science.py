@@ -12,6 +12,7 @@ disagree is listed.
 
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
@@ -31,11 +32,11 @@ N_EPOCHS = 25
 class _KeepsFits:
     """Engine mixin: every fit attempted on the current curve, in order."""
 
-    def fit(self, fitness_history):
-        fit = super().fit(fitness_history)
-        if len(fitness_history) >= self.config.c_min:
-            self.fits.append(fit)
-        return fit
+    def fit(self, fitness_histories):
+        fits = super().fit(fitness_histories)
+        if np.shape(fitness_histories)[1] >= self.config.c_min:
+            self.fits.extend(fits)
+        return fits
 
 
 class Projected(_KeepsFits, PredictionEngine):

@@ -75,7 +75,8 @@ def hypervolume_2d(
 
     The reference point is (``ref_fitness``, ``ref_flops``);
     ``ref_flops`` defaults to the frontier's max FLOPs (making the
-    metric scale-free per frontier unless pinned by the caller).
+    metric scale-free per frontier unless pinned by the caller).  A
+    point at or past ``ref_flops`` dominates nothing inside the box.
     """
     if not points:
         return 0.0
@@ -87,7 +88,7 @@ def hypervolume_2d(
     # sweep from cheap to expensive; each segment contributes width ×
     # (best accuracy achievable at or below that cost − reference)
     for i, p in enumerate(pts):
-        right = pts[i + 1].flops if i + 1 < len(pts) else ref_flops
+        right = min(pts[i + 1].flops, ref_flops) if i + 1 < len(pts) else ref_flops
         best_so_far = max(best_so_far, p.fitness)
         width = max(right - p.flops, 0.0)
         volume += width * max(best_so_far - ref_fitness, 0.0)
@@ -102,8 +103,8 @@ def anytime_hypervolume(
     Walks ``records`` in commit (model-id) order and, after each commit,
     pairs the epochs executed so far with :func:`hypervolume_2d` of the
     front of every model committed so far, at the fixed reference
-    ``ref = (ref_fitness, ref_flops)`` (``ref_flops`` should be at least
-    every record's FLOPs).  A cache hit trained nothing, so it adds no
+    ``ref = (ref_fitness, ref_flops)`` (a model at or past ``ref_flops``
+    adds nothing to it).  A cache hit trained nothing, so it adds no
     executed epochs; its result still joins the front.  ``fitness``
     optionally maps a model id to its true fitness, which then replaces
     the recorded one.  The curve never decreases and does not depend on

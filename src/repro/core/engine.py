@@ -122,33 +122,40 @@ class PredictionEngine:
 
     # -- parametric modeling -------------------------------------------------
 
-    def fit(self, fitness_history: Sequence[float]) -> CurveFit | None:
-        """Fit the parametric family to a fitness history.
+    def fit(self, fitness_histories) -> list[CurveFit | None]:
+        """Fit the parametric family to each row of a stack of fitness histories.
 
-        Epoch numbering is 1-based: ``fitness_history[i]`` is the
-        validation fitness measured after epoch ``i + 1``.
+        Epoch numbering is 1-based: ``fitness_histories[i][j]`` is model
+        ``i``'s validation fitness measured after epoch ``j + 1``.  All
+        rows have one length.
         """
-        n = len(fitness_history)
+        histories = np.asarray(fitness_histories, float)
+        n = histories.shape[1]
         if n < self.config.c_min:
-            return None
-        return fit_curve(self.function, np.arange(1.0, n + 1), np.asarray(fitness_history, float))
+            return [None] * len(histories)
+        return fit_curve(self.function, np.arange(1.0, n + 1), histories)
 
-    def predictor(self, epoch: int, fitness_history: Sequence[float]) -> float | None:
+    def predictor(self, epoch: int, fitness_history) -> list | float | None:
         """Algorithm 1 line 7: ``p_e = pred_eng.predictor(e, H)``.
 
-        Returns the candidate prediction of the fitness at ``e_pred``, or
-        ``None`` when no prediction can be made yet (too few points or a
-        failed fit).  ``epoch`` is accepted for interface fidelity with
-        the paper's pseudocode; the history length is authoritative.
+        ``fitness_history`` is a ``(M, epoch)`` stack, one history per
+        model, fitted in one call; the result is one candidate
+        prediction of the fitness at ``e_pred`` per model, or ``None``
+        for a model no prediction can be made for yet (too few points or
+        a failed fit).  A 1-D history is the stack of one and gets its
+        one prediction back.  ``epoch`` is accepted for interface
+        fidelity with the paper's pseudocode; the history length is
+        authoritative.
         """
-        if epoch != len(fitness_history):
+        histories = np.asarray(fitness_history, float)
+        if histories.ndim == 1:
+            return self.predictor(epoch, histories[None])[0]
+        if epoch != histories.shape[1]:
             raise ValueError(
-                f"epoch {epoch} disagrees with history length {len(fitness_history)}"
+                f"epoch {epoch} disagrees with history length {histories.shape[1]}"
             )
-        fit = self.fit(fitness_history)
-        if fit is None:
-            return None
-        return float(fit.predict(self.config.e_pred))
+        e_pred = self.config.e_pred
+        return [None if fit is None else float(fit.predict(e_pred)) for fit in self.fit(histories)]
 
     # -- prediction analysis --------------------------------------------------
 

@@ -69,36 +69,41 @@ class CurveFit:
 def fit_curve(
     function: ParametricFunction,
     epochs: Sequence[float],
-    fitness: Sequence[float],
+    fitness,
     *,
     strict: bool = False,
-) -> CurveFit | None:
-    """Fit ``function`` to the observed ``(epochs, fitness)`` curve.
+) -> list | CurveFit | None:
+    """Fit ``function`` to each observed ``(epochs, fitness[i])`` curve.
 
     Parameters
     ----------
     function:
         Parametric family to fit.
     epochs, fitness:
-        Observed partial learning curve; must have equal length of at
-        least ``function.n_params`` points (otherwise the system is
-        underdetermined and ``None`` is returned).
+        ``fitness`` is a ``(M, n)`` stack of observed partial learning
+        curves, all measured at the ``n`` ``epochs``; a 1-D ``fitness``
+        is the stack of one.  A curve needs at least
+        ``function.n_params`` points (otherwise the system is
+        underdetermined and its fit is ``None``).
     strict:
         When true, raise :class:`FitError` instead of returning ``None``
-        on failure.
+        for a curve that fails.
 
     Returns
     -------
-    CurveFit or None
+    list of CurveFit or None, or one of them for a 1-D ``fitness``
         ``None`` signals "cannot produce a prediction from this curve";
         callers (the prediction engine) treat it as not-yet-converged.
+        A curve's fit is the one it gets alone, byte for byte.
     """
     x = np.asarray(epochs, dtype=float)
     y = np.asarray(fitness, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
+    if y.ndim == 1 and x.shape == y.shape:
+        return fit_curve(function, x, y[None], strict=strict)[0]
+    if x.ndim != 1 or y.ndim != 2 or y.shape[1:] != x.shape:
         raise ValueError(
-            f"epochs and fitness must be equal-length 1-D sequences, "
-            f"got shapes {x.shape} and {y.shape}"
+            f"epochs and fitness must be equal-length 1-D sequences, or fitness "
+            f"a stack of such rows, got shapes {x.shape} and {y.shape}"
         )
 
     def fail(reason: str) -> None:
@@ -107,11 +112,19 @@ def fit_curve(
         return None
 
     if len(x) < function.n_params:
-        return fail(f"need >= {function.n_params} points, have {len(x)}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        return fail("curve contains non-finite values")
+        return [fail(f"need >= {function.n_params} points, have {len(x)}") for _ in y]
+    finite = np.isfinite(y).all(axis=1) & bool(np.isfinite(x).all())
+    fits: list = [None] * len(y)
+    rows = np.flatnonzero(finite)
+    for i in np.flatnonzero(~finite):
+        fits[i] = fail("curve contains non-finite values")
+    for i, theta in zip(rows, function.guess(x, y[rows]) if len(rows) else ()):
+        fits[i] = _settle(function, x, y[i], theta, fail)
+    return fits
 
-    theta = function.guess(x, y)
+
+def _settle(function: ParametricFunction, x, y, theta, fail) -> CurveFit | None:
+    """The fit of one curve from its ``guess``, or ``fail(reason)``."""
     if theta is None:
         return fail("no finite parameters fit the curve")
     if function.separable is None:

@@ -73,11 +73,12 @@ _RESOLVED = 1e-8
 
 
 def _bounded_lines(phi, y, a_lo, a_hi, k_lo, k_hi):
-    """Least squares ``y ~ a + k * phi[g]`` inside the box, for every row ``g`` at once.
+    """Least squares ``y[i] ~ a + k * phi[i, g]`` inside the box, for every ``(i, g)`` at once.
 
-    For a given ``k`` the best ``a`` is ``mean(y) - k * mean(phi)``
-    clipped to its bounds, which leaves a convex, piecewise-quadratic
-    function of ``k`` alone::
+    ``y`` is a ``(m, n)`` stack of curves and ``phi`` holds ``G``
+    candidate bases for each, shape ``(m, G, n)``.  For a given ``k``
+    the best ``a`` is ``mean(y) - k * mean(phi)`` clipped to its bounds,
+    which leaves a convex, piecewise-quadratic function of ``k`` alone::
 
         var * (k - k_free)**2 + n * dist(mean(y) - k * mean(phi), [a_lo, a_hi])**2
 
@@ -88,27 +89,32 @@ def _bounded_lines(phi, y, a_lo, a_hi, k_lo, k_hi):
     the minimiser of a convex function of one variable to ``[k_lo,
     k_hi]`` is exact.  So the bounded optimum takes three clips and no
     candidate enumeration.  Returns ``(a, k, sse)``, each of shape
-    ``(G,)``; the SSE is summed from the residuals (its closed form
+    ``(m, G)``; the SSE is summed from the residuals (its closed form
     cancels catastrophically on a near-exact fit) and is ``inf`` for a
-    row that produced nothing finite.  The caller silences
+    candidate that produced nothing finite.  The caller silences
     floating-point warnings: a degenerate row divides by zero and is
     discarded here.
+
+    Every reduction runs along one contiguous row of length ``n``, and
+    each curve's slopes are one matrix-vector product of its own, so a
+    curve's numbers do not depend on the other curves of the stack.
     """
-    n = y.size
-    y_mean = y.sum() / n
-    p_mean = phi.sum(axis=1) / n
-    centred = phi - p_mean[:, None]
-    var = np.einsum("gn,gn->g", centred, centred)
+    n = y.shape[1]
+    y_mean = (y.sum(axis=1) / n)[:, None]
+    p_mean = phi.sum(axis=2) / n
+    centred = phi - p_mean[..., None]
+    var = np.einsum("mgn,mgn->mg", centred, centred)
+    slope = np.matmul(centred, (y - y_mean)[..., None])[..., 0]
     # a basis that is constant over the data leaves k unidentified, one
     # that vanishes on it leaves k without effect: take 0
-    k = np.where(var > 0.0, (centred @ (y - y_mean)) / var, 0.0)
+    k = np.where(var > 0.0, slope / var, 0.0)
     a = np.minimum(np.maximum(y_mean - k * p_mean, a_lo), a_hi)
     pull = var + n * p_mean**2
     k = np.where(pull > 0.0, (var * k + n * p_mean * (y_mean - a)) / pull, 0.0)
     k = np.minimum(np.maximum(k, k_lo), k_hi)
     a = np.minimum(np.maximum(y_mean - k * p_mean, a_lo), a_hi)
-    residual = y - a[:, None] - k[:, None] * phi
-    sse = np.einsum("gn,gn->g", residual, residual)
+    residual = y[:, None, :] - a[..., None] - k[..., None] * phi
+    sse = np.einsum("mgn,mgn->mg", residual, residual)
     sse[~np.isfinite(sse)] = np.inf
     return a, k, sse
 
@@ -127,13 +133,13 @@ class Separable:
     ----------
     basis:
         ``basis(x, nu)`` for ``x`` of shape ``(n,)`` and candidates
-        ``nu`` of shape ``(G, 1)``, returning ``(G, n)``; ``nu`` is
+        ``nu`` of shape ``(..., 1)``, returning ``(..., n)``; ``nu`` is
         ``None`` for a family with no nonlinear parameter, which returns
         ``(n,)``.
     k_bounds:
         ``k_bounds(nu) -> (low, high)``: the signed bounds of ``k``
-        implied by the family's public box, per candidate (shape
-        ``(G,)``) or scalar.
+        implied by the family's public box, per candidate (the shape of
+        ``nu`` without its last axis) or scalar.
     theta:
         ``theta(a, k, nu)``: the solution in the family's public
         parametrisation.
@@ -147,45 +153,75 @@ class Separable:
     theta: Callable[..., tuple]
     nu_bounds: tuple | None = None
 
-    def solve(self, x: np.ndarray, y: np.ndarray, a_lo: float, a_hi: float) -> tuple | None:
-        """The bounded least-squares parameters, or ``None`` if nothing finite fits.
+    def solve(self, x: np.ndarray, y: np.ndarray, a_lo: float, a_hi: float) -> list:
+        """The bounded least-squares parameters of each row of ``y`` (``None`` if nothing finite fits).
 
+        ``y`` is a ``(M, n)`` stack of curves sampled at the same ``x``.
         Stateless and without a starting point: a coarse grid over the
         whole of ``nu_bounds`` on a log scale, then repeated zooms into
-        the two cells around each of the deepest dips of the SSE, every
-        candidate of a stage evaluated in one ``(G, n)`` array operation,
-        until the candidates around the best one are indistinguishable
-        or its window is one ulp wide.  The result is a pure function of
-        ``(x, y)``.
+        the two cells around each of the deepest dips of the SSE, until
+        the candidates around a curve's best one are indistinguishable
+        or its window is one ulp wide.  The curves still searching with
+        the same number of windows are evaluated together, every
+        candidate of a stage in one ``(m, G, n)`` array operation; each
+        curve then picks its own dips and decides its own exit.  A
+        curve's result is a pure function of ``(x, y[i])``: the same
+        bytes whatever else is in the stack.
         """
+        n_curves, n = y.shape
         with np.errstate(all="ignore"):
             if self.nu_bounds is None:
-                phi = self.basis(x, None)[None, :]
+                phi = np.broadcast_to(self.basis(x, None), (n_curves, 1, n))
                 a, k, sse = _bounded_lines(phi, y, a_lo, a_hi, *self.k_bounds(None))
-                return self.theta(a[0], k[0], None) if np.isfinite(sse[0]) else None
-            lo, hi = (np.array([bound]) for bound in np.log(self.nu_bounds))
+                return [
+                    self.theta(a[i, 0], k[i, 0], None) if np.isfinite(sse[i, 0]) else None
+                    for i in range(n_curves)
+                ]
+            thetas: list = [None] * n_curves
+            # by window count: the curves searching with that many
+            # windows, and their windows' (lo, hi) on the log scale
+            lo, hi = (np.full((n_curves, 1), bound) for bound in np.log(self.nu_bounds))
+            groups = {1: (np.arange(n_curves), lo, hi)}
             n_cells = len(_STAGE_GRID)
-            for _ in range(_MAX_STAGES):
-                u = lo[:, None] + (hi - lo)[:, None] * _STAGE_GRID
-                nu = np.exp(u).reshape(-1, 1)
-                a, k, sse = _bounded_lines(
-                    self.basis(x, nu), y, a_lo, a_hi, *self.k_bounds(nu[:, 0])
-                )
-                # a dip: no worse than both neighbours inside its window
-                walled = np.full((len(u), n_cells + 2), np.inf)
-                walled[:, 1:-1] = sse.reshape(u.shape)
-                inner = walled[:, 1:-1]
-                dips = np.flatnonzero((inner <= walled[:, :-2]) & (inner <= walled[:, 2:]))
-                dips = dips[np.argsort(sse[dips], kind="stable")[:_WINDOWS]]
-                best = dips[0]
-                if not np.isfinite(sse[best]):
-                    return None
-                window, cell = np.divmod(dips, n_cells)
-                if not inner[window[0]].max() - sse[best] > _RESOLVED * sse[best]:
+            for stage in range(_MAX_STAGES):
+                zoomed: dict = {}
+                for curves, lo, hi in groups.values():
+                    u = lo[..., None] + (hi - lo)[..., None] * _STAGE_GRID
+                    nu = np.exp(u).reshape(len(curves), -1, 1)
+                    a, k, sse = _bounded_lines(
+                        self.basis(x, nu), y[curves], a_lo, a_hi, *self.k_bounds(nu[..., 0])
+                    )
+                    # a dip: no worse than both neighbours inside its window
+                    walled = np.full((*u.shape[:2], n_cells + 2), np.inf)
+                    walled[..., 1:-1] = sse.reshape(u.shape)
+                    inner = walled[..., 1:-1]
+                    is_dip = (inner <= walled[..., :-2]) & (inner <= walled[..., 2:])
+                    for i, curve in enumerate(curves.tolist()):
+                        row = sse[i]
+                        dips = np.flatnonzero(is_dip[i])
+                        dips = dips[np.argsort(row[dips], kind="stable")[:_WINDOWS]]
+                        best = dips[0]
+                        if not np.isfinite(row[best]):
+                            continue
+                        window, cell = np.divmod(dips, n_cells)
+                        spread = inner[i, window[0]].max() - row[best]
+                        if not spread > _RESOLVED * row[best] or stage == _MAX_STAGES - 1:
+                            thetas[curve] = self.theta(a[i, best], k[i, best], nu[i, best, 0])
+                            continue
+                        zoomed.setdefault(len(dips), []).append(
+                            (
+                                curve,
+                                u[i, window, np.maximum(cell - 1, 0)],
+                                u[i, window, np.minimum(cell + 1, n_cells - 1)],
+                            )
+                        )
+                groups = {
+                    count: tuple(np.array(column) for column in zip(*searching))
+                    for count, searching in zoomed.items()
+                }
+                if not groups:
                     break
-                lo = u[window, np.maximum(cell - 1, 0)]
-                hi = u[window, np.minimum(cell + 1, n_cells - 1)]
-            return self.theta(a[best], k[best], nu[best, 0])
+            return thetas
 
 
 @dataclass(frozen=True)
@@ -233,21 +269,29 @@ class ParametricFunction:
             )
         return self.fn(np.asarray(x, dtype=float), *theta)
 
-    def guess(self, x: Sequence[float], y: Sequence[float]) -> tuple | None:
-        """Parameter estimate from the observed partial curve, inside the bounds.
+    def guess(self, x: Sequence[float], y) -> list | tuple | None:
+        """Parameter estimate from each observed partial curve, inside the bounds.
 
-        For a :class:`Separable` family this is the projected
+        ``y`` is a ``(M, n)`` stack of curves sampled at ``x``, and the
+        result a list of one estimate per row; a 1-D ``y`` is the stack
+        of one, and gets its one estimate back.  For a
+        :class:`Separable` family an estimate is the projected
         least-squares solution itself (``None`` when nothing finite
         fits); for the others the family's heuristic, clipped strictly
         inside the bounds so that an iterative fit starts feasible.
         """
         x, y = np.asarray(x, float), np.asarray(y, float)
+        if y.ndim == 1:
+            return self.guess(x, y[None])[0]
         lo = np.asarray(self.lower, float)
         hi = np.asarray(self.upper, float)
         if self.separable is not None:
-            theta = self.separable.solve(x, y, lo[0], hi[0])
-            return None if theta is None else tuple(np.clip(theta, lo, hi))
-        return tuple(np.clip(np.asarray(self.initial_guess(x, y), float), lo + 1e-9, hi - 1e-9))
+            thetas = self.separable.solve(x, y, lo[0], hi[0])
+            return [None if theta is None else tuple(np.clip(theta, lo, hi)) for theta in thetas]
+        return [
+            tuple(np.clip(np.asarray(self.initial_guess(x, row), float), lo + 1e-9, hi - 1e-9))
+            for row in y
+        ]
 
 
 def get_function(name: str) -> ParametricFunction:

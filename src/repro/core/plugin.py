@@ -11,13 +11,14 @@ evaluator (:mod:`repro.nas.surrogate`) and the curve-bank calibration
 
 The loop also measures the engine's own overhead per interaction, which
 the paper reports in §4.3.1 (mean 28.07 ms per interaction, 52.16 s per
-100-model test on their hardware).
+100-model test on their hardware).  Models run in lockstep share one
+stacked fit per epoch, and each is charged an equal share of its time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -25,7 +26,13 @@ from repro.core.engine import PredictionEngine
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import ensure_positive
 
-__all__ = ["TrainableModel", "LearningCurveModel", "TrainingResult", "run_training_loop"]
+__all__ = [
+    "TrainableModel",
+    "LearningCurveModel",
+    "TrainingResult",
+    "run_training_loop",
+    "run_lockstep",
+]
 
 
 @runtime_checkable
@@ -132,7 +139,7 @@ def run_training_loop(
     *,
     epoch_callback=None,
 ) -> TrainingResult:
-    """Execute Algorithm 1 for one NN.
+    """Execute Algorithm 1 for one NN: :func:`run_lockstep` of one.
 
     Parameters
     ----------
@@ -153,46 +160,85 @@ def run_training_loop(
     TrainingResult
         With ``fitness`` set per Algorithm 1's return rule.
     """
-    ensure_positive(max_epochs, "max_epochs")
+    (result,) = run_lockstep([model], engine, [max_epochs], epoch_callbacks=[epoch_callback])
+    return result
 
-    fitness_history: list[float] = []      # H
-    prediction_history: list[float] = []   # P
-    converged = False
-    engine_clock = Stopwatch()
-    last_fitness = 0.0
 
-    for epoch in range(1, int(max_epochs) + 1):
-        model.train()                       # line 4
-        last_fitness = float(model.validate())  # line 5
-        fitness_history.append(last_fitness)    # line 6
+def run_lockstep(
+    models: Sequence[TrainableModel],
+    engine: PredictionEngine | None,
+    budgets: Sequence[int],
+    *,
+    epoch_callbacks: Sequence | None = None,
+) -> list[TrainingResult]:
+    """Execute Algorithm 1 for several NNs side by side, one epoch at a time.
 
-        prediction = None
+    At each epoch every model still training runs lines 4-6, then one
+    ``engine.predictor`` call fits the stacked, equal-length histories
+    of all of them (line 7), and each model appends its own prediction
+    and asks the analyzer (lines 8-9).  A model leaves when it converges
+    or spends its own budget.  A fit is a pure function of its row, so
+    every model's result is the one it gets alone, except the engine
+    clock: each model is charged an equal share of every stacked call it
+    was part of, so the shares sum to the engine's time and
+    ``engine_interactions`` stays one per epoch with the engine.
+
+    ``budgets[i]`` is model ``i``'s ``max_epochs`` and
+    ``epoch_callbacks[i]`` its ``epoch_callback``, as in
+    :func:`run_training_loop`.  Returns one result per model, in order.
+    """
+    budgets = [int(budget) for budget in budgets]
+    for budget in budgets:
+        ensure_positive(budget, "max_epochs")
+    callbacks = list(epoch_callbacks) if epoch_callbacks is not None else [None] * len(models)
+
+    histories: list[list[float]] = [[] for _ in models]    # H per model
+    predictions: list[list[float]] = [[] for _ in models]  # P per model
+    converged = [False] * len(models)
+    clocks = [Stopwatch() for _ in models]
+    call_clock = Stopwatch()
+    running = list(range(len(models)))
+
+    epoch = 0
+    while running:
+        epoch += 1
+        for i in running:
+            models[i].train()                                    # line 4
+            histories[i].append(float(models[i].validate()))     # lines 5-6
+
+        new = [None] * len(running)
         if engine is not None:
-            with engine_clock:
-                prediction = engine.predictor(epoch, fitness_history)  # line 7
-                if prediction is not None:
-                    prediction_history.append(prediction)              # line 8
-                converged = engine.converged(prediction_history)       # line 9
+            with call_clock:
+                new = engine.predictor(epoch, [histories[i] for i in running])  # line 7
+                for i, prediction in zip(running, new):
+                    if prediction is not None:
+                        predictions[i].append(prediction)                  # line 8
+                    converged[i] = engine.converged(predictions[i])        # line 9
+            share = call_clock.laps[-1] / len(running)
+            for i in running:
+                clocks[i].record(share)
 
-        if epoch_callback is not None:
-            epoch_callback(epoch, last_fitness, prediction)
+        for i, prediction in zip(running, new):
+            if callbacks[i] is not None:
+                callbacks[i](epoch, histories[i][-1], prediction)
 
-        if converged:                       # lines 10-14
-            break
+        # lines 10-14: a converged model stops, as does one out of budget
+        running = [i for i in running if not converged[i] and epoch < budgets[i]]
 
     # lines 17-21: converged -> return P[-1]; else return h_e
-    fitness = prediction_history[-1] if converged else last_fitness
-
-    return TrainingResult(
-        fitness=float(fitness),
-        epochs_trained=len(fitness_history),
-        terminated_early=converged,
-        max_epochs=int(max_epochs),
-        fitness_history=tuple(fitness_history),
-        prediction_history=tuple(prediction_history),
-        measured_fitness=last_fitness,
-        engine_overhead_seconds=engine_clock.total,
-        engine_interactions=len(engine_clock.laps),
-        engine_overhead_mean=engine_clock.mean_lap,
-        engine_overhead_variance=engine_clock.lap_variance,
-    )
+    return [
+        TrainingResult(
+            fitness=float(predictions[i][-1] if converged[i] else history[-1]),
+            epochs_trained=len(history),
+            terminated_early=converged[i],
+            max_epochs=budgets[i],
+            fitness_history=tuple(history),
+            prediction_history=tuple(predictions[i]),
+            measured_fitness=history[-1],
+            engine_overhead_seconds=clock.total,
+            engine_interactions=len(clock.laps),
+            engine_overhead_mean=clock.mean_lap,
+            engine_overhead_variance=clock.lap_variance,
+        )
+        for i, (history, clock) in enumerate(zip(histories, clocks))
+    ]

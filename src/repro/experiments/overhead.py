@@ -5,7 +5,10 @@ wall time — a mean of 28.07 ms per interaction with 1.12 ms variance —
 i.e. negligible against epoch times of tens of seconds.  This experiment
 measures our engine's per-interaction overhead the same way: wall time
 of the predictor+analyzer call, accumulated inside Algorithm 1 across a
-full 100-model surrogate run.
+full 100-model surrogate run.  That run fits the models of a generation
+in lockstep, one stacked call per epoch, and each model is charged an
+equal share of every call it was part of: the per-interaction figure is
+that share, the engine's time spread over the models fitted together.
 """
 
 from __future__ import annotations
@@ -88,4 +91,5 @@ def format_overhead(result: OverheadResult) -> str:
             result.mean_ms < 10 * PAPER_OVERHEAD["mean_ms_per_interaction"],
         ),
     ]
-    return "\n".join([table.render("§4.3.1: engine overhead"), *checks])
+    title = "§4.3.1: engine overhead (per interaction: a share of a stacked fit)"
+    return "\n".join([table.render(title), *checks])

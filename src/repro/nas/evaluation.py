@@ -40,6 +40,9 @@ __all__ = [
     "TrainingEvaluator",
     "effective_budget",
     "retry_salt",
+    "evaluate_each",
+    "evaluate_many",
+    "outcome_of",
 ]
 
 
@@ -72,12 +75,54 @@ def effective_budget(individual: Individual, max_epochs: int) -> int:
 
 @runtime_checkable
 class Evaluator(Protocol):
-    """What the search requires of an evaluation backend."""
+    """What the search requires of an evaluation backend.
+
+    An evaluator may also offer ``evaluate_many(individuals)``: evaluate
+    them together and return one outcome per individual, in order, the
+    individual or the exception its attempt raised
+    (:func:`evaluate_many`).
+    """
 
     max_epochs: int
 
     def evaluate(self, individual: Individual) -> Individual:
         """Train/score ``individual`` in place and return it."""
+
+
+def evaluate_each(evaluate, individuals) -> list:
+    """``evaluate`` on one individual after the other.
+
+    The outcome of each is the individual, or the exception its attempt
+    raised; a ``BaseException`` (an interrupt) stops the loop.
+    """
+    outcomes: list = []
+    for individual in individuals:
+        try:
+            outcomes.append(evaluate(individual))
+        except Exception as exc:  # a4nn: noqa(NUM001) -- the attempt's own failure, handed back at its turn for the stream's fault policy
+            outcomes.append(exc)
+    return outcomes
+
+
+def evaluate_many(evaluator, individuals) -> list:
+    """Run ``individuals`` through ``evaluator``: one outcome per individual, in order.
+
+    An evaluator with an ``evaluate_many`` of its own runs them together
+    (the sampled evaluator in lockstep); any other evaluates one after
+    the other (:func:`evaluate_each`).
+    """
+    many = getattr(evaluator, "evaluate_many", None)
+    if many is None:
+        return evaluate_each(evaluator.evaluate, individuals)
+    return many(individuals)
+
+
+def outcome_of(outcomes: list) -> Individual:
+    """The individual of a batch of one, or its attempt's exception, raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class TrainingEvaluator:
@@ -154,6 +199,10 @@ class TrainingEvaluator:
         """FLOPs :meth:`evaluate` will report, known before any training
         (the surrogate budget allocator's dominance test needs them)."""
         return genome_flops(genome, self.decoder_config, canonical=True)
+
+    def evaluate_many(self, individuals: list[Individual]) -> list:
+        """:meth:`evaluate` on each in turn: real training gains nothing from lockstep."""
+        return evaluate_each(self.evaluate, individuals)
 
     def evaluate(self, individual: Individual) -> Individual:
         """Decode, train with the Algorithm-1 loop, and settle the individual."""

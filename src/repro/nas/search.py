@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
-from repro.nas.evaluation import Evaluator, effective_budget
+from repro.nas.evaluation import Evaluator, effective_budget, evaluate_many
 from repro.nas.genome import Genome, random_genome
 from repro.nas.nsga2 import (
     binary_tournament,
@@ -88,13 +88,22 @@ class EvalStream(Protocol):
 
 
 class InlineStream:
-    """No pool: evaluates lazily in the caller's thread, in submission order.
+    """No pool: evaluates in the caller's thread, settling in submission order.
+
+    Evaluation is lazy: the ``settled`` call that reaches an attempt not
+    yet run runs it.  An evaluator with an ``evaluate_many`` gets every
+    queued attempt not yet run with it, together (the sampled evaluator
+    runs them in lockstep); the stream keeps each one's outcome or
+    exception and hands it back at that attempt's turn.  An outcome is a
+    pure function of its attempt, so this settles exactly what
+    one-at-a-time evaluation would.  Any other evaluator is asked for
+    one attempt at a time.
 
     ``policy`` is an optional :class:`~repro.scheduler.faults.FaultPolicy`.
-    Without one, a failed evaluation raises from the ``settled`` call
-    that runs it.  With one, the policy routes the failure: a retry goes
-    back to the head of the queue and runs at once, as it does on
-    :class:`~repro.scheduler.procpool.ProcessWorkerPool`, and a
+    Without one, a failed attempt raises from the ``settled`` call that
+    reaches it.  With one, the policy routes the failure: a retry goes
+    back to the head of the queue, not yet run, and runs at once, as it
+    does on :class:`~repro.scheduler.procpool.ProcessWorkerPool`, and a
     quarantined candidate settles.  A policy with a timeout is refused:
     the attempt runs on the caller's thread, which nothing can stop.
     """
@@ -107,23 +116,32 @@ class InlineStream:
             )
         self._evaluator = evaluator
         self._policy = policy
-        self._queue: deque[Individual] = deque()
+        # [individual, outcome]: the outcome is _NOT_RUN until its attempt ran
+        self._queue: deque[list] = deque()
 
     def submit(self, individual: Individual) -> None:
-        self._queue.append(individual)
+        self._queue.append([individual, _NOT_RUN])
 
     def settled(self) -> Individual:
         if not self._queue:
             raise RuntimeError("no evaluations in flight")
-        individual = self._queue.popleft()
-        try:
-            self._evaluator.evaluate(individual)
-        except Exception as exc:
+        head = self._queue[0]
+        if head[1] is _NOT_RUN:
+            waiting = (
+                [entry for entry in self._queue if entry[1] is _NOT_RUN]
+                if hasattr(self._evaluator, "evaluate_many")
+                else [head]
+            )
+            outcomes = evaluate_many(self._evaluator, [individual for individual, _ in waiting])
+            for entry, outcome in zip(waiting, outcomes):
+                entry[1] = outcome
+        individual, outcome = self._queue.popleft()
+        if isinstance(outcome, Exception):
             if self._policy is None:
-                raise
-            if self._policy.route(individual, individual.eval_attempt, exc):
+                raise outcome
+            if self._policy.route(individual, individual.eval_attempt, outcome):
                 individual.eval_attempt += 1
-                self._queue.appendleft(individual)
+                self._queue.appendleft([individual, _NOT_RUN])
                 return self.settled()
         return individual
 
@@ -132,6 +150,10 @@ class InlineStream:
 
     def finish(self) -> None:
         pass
+
+
+#: the outcome of a queued attempt that has not run yet
+_NOT_RUN = object()
 
 
 class SteadyState(NamedTuple):

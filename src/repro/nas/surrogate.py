@@ -40,10 +40,10 @@ import numpy as np
 
 from repro.core.engine import PredictionEngine
 from repro.core.fitting import RidgeFit, ridge_lstsq
-from repro.core.plugin import LearningCurveModel, run_training_loop
+from repro.core.plugin import LearningCurveModel, run_lockstep
 # decode_genome is not called here any more; bench_spine wraps it by this name
 from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops  # noqa: F401
-from repro.nas.evaluation import effective_budget, retry_salt
+from repro.nas.evaluation import effective_budget, outcome_of, retry_salt
 from repro.nas.genome import Genome, PhaseGenome, n_connection_bits
 from repro.nas.population import Individual
 from repro.scheduler.costmodel import EpochCostModel
@@ -249,28 +249,52 @@ class SurrogateEvaluator:
 
     def evaluate(self, individual: Individual) -> Individual:
         """Sample a curve, run Algorithm 1 on it, and settle the individual."""
-        budget = effective_budget(individual, self.max_epochs)
-        if budget == 0:
-            if not individual.evaluated:
-                raise ValueError(
-                    "zero-budget individual must arrive pre-filled by the "
-                    f"allocator, got model {individual.model_id}"
-                )
-            return individual
-        salt = retry_salt(individual)
-        cost_rng = self.rng_stream.generator(
-            "cost", individual.genome.canonical_key(), self.intensity.label, *salt
+        return outcome_of(self.evaluate_many([individual]))
+
+    def evaluate_many(self, individuals: list[Individual]) -> list:
+        """Sample every curve and run Algorithm 1 on them in lockstep.
+
+        The models share one stacked curve fit per epoch
+        (:func:`~repro.core.plugin.run_lockstep`); each settles exactly
+        as it would alone.  Returns one outcome per individual, in
+        order: the individual, or the ``ValueError`` of a zero-budget
+        one the allocator did not pre-fill.
+        """
+        outcomes: list = list(individuals)
+        runs = []
+        for index, individual in enumerate(individuals):
+            budget = effective_budget(individual, self.max_epochs)
+            if budget == 0:
+                if not individual.evaluated:
+                    outcomes[index] = ValueError(
+                        "zero-budget individual must arrive pre-filled by the "
+                        f"allocator, got model {individual.model_id}"
+                    )
+                continue
+            runs.append((individual, budget, retry_salt(individual)))
+        results = run_lockstep(
+            [LearningCurveModel(self.curve(m.genome, salt)) for m, _, salt in runs],
+            self.engine,
+            [budget for _, budget, _ in runs],
+            epoch_callbacks=[_tracer(m) for m, _, _ in runs],
         )
-        model = LearningCurveModel(self.curve(individual.genome, salt))
+        for (individual, _, salt), result in zip(runs, results):
+            cost_rng = self.rng_stream.generator(
+                "cost", individual.genome.canonical_key(), self.intensity.label, *salt
+            )
+            flops = self.flops_for(individual.genome)
+            seconds = self.cost_model.sample_epoch_seconds(flops, cost_rng, size=result.epochs_trained)
+            individual.settle(replace(result, flops=flops, epoch_seconds=tuple(seconds.tolist())))
+        return outcomes
 
-        def on_epoch(epoch: int, fitness: float, prediction: float | None) -> None:
-            individual.trace.append((epoch, fitness, prediction, None, None))
 
-        result = run_training_loop(model, self.engine, budget, epoch_callback=on_epoch)
-        flops = self.flops_for(individual.genome)
-        seconds = self.cost_model.sample_epoch_seconds(flops, cost_rng, size=result.epochs_trained)
-        individual.settle(replace(result, flops=flops, epoch_seconds=tuple(seconds.tolist())))
-        return individual
+def _tracer(individual: Individual):
+    """The epoch callback that appends each epoch to ``individual``'s trace."""
+
+    def on_epoch(epoch: int, fitness: float, prediction: float | None) -> None:
+        individual.trace.append((epoch, fitness, prediction, None, None))
+
+    return on_epoch
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
+from repro.nas.evaluation import evaluate_many, outcome_of
 from repro.nas.population import Individual
 from repro.tooling.sanitizer import NumericalFault
 from repro.utils.logging import get_logger
@@ -252,30 +253,45 @@ class FaultInjectingEvaluator:
         self.max_epochs = evaluator.max_epochs
 
     def evaluate(self, individual: Individual) -> Individual:
+        return outcome_of(self.evaluate_many([individual]))
+
+    def evaluate_many(self, individuals: list[Individual]) -> list:
+        """Decide every injection first, then run the rest on the inner evaluator.
+
+        One outcome per individual, in order: a sabotaged attempt's
+        exception, or what the inner ``evaluate_many`` settled.
+        """
+        injected = [self._injection(individual) for individual in individuals]
+        spared = [m for m, fault in zip(individuals, injected) if fault is None]
+        ran = iter(evaluate_many(self.evaluator, spared))
+        return [next(ran) if fault is None else fault for fault in injected]
+
+    def _injection(self, individual: Individual) -> Exception | None:
+        """The fault this attempt is sabotaged with (a hang sleeps first), or ``None``."""
         attempt = individual.eval_attempt
         rng = self.rng_stream.generator("inject", individual.model_id, attempt)
-        if rng.random() < self.config.rate:
-            mode = self.config.modes[int(rng.integers(len(self.config.modes)))]
-            _LOG.debug(
-                "injecting %s into model %d attempt %d", mode, individual.model_id, attempt
+        if rng.random() >= self.config.rate:
+            return None
+        mode = self.config.modes[int(rng.integers(len(self.config.modes)))]
+        _LOG.debug(
+            "injecting %s into model %d attempt %d", mode, individual.model_id, attempt
+        )
+        if mode == "hang":
+            time.sleep(self.config.hang_seconds)
+            return InjectedFault(
+                "hang",
+                f"injected hang ({self.config.hang_seconds}s) in model "
+                f"{individual.model_id} attempt {attempt}",
             )
-            if mode == "hang":
-                time.sleep(self.config.hang_seconds)
-                raise InjectedFault(
-                    "hang",
-                    f"injected hang ({self.config.hang_seconds}s) in model "
-                    f"{individual.model_id} attempt {attempt}",
-                )
-            if mode == "nan":
-                raise NumericalFault(
-                    "nonfinite-loss",
-                    f"injected NaN loss in model {individual.model_id} attempt {attempt}",
-                    model=f"model-{individual.model_id}",
-                    epoch=1,
-                    detail={"injected": True},
-                )
-            raise InjectedFault(
-                "crash",
-                f"injected crash in model {individual.model_id} attempt {attempt}",
+        if mode == "nan":
+            return NumericalFault(
+                "nonfinite-loss",
+                f"injected NaN loss in model {individual.model_id} attempt {attempt}",
+                model=f"model-{individual.model_id}",
+                epoch=1,
+                detail={"injected": True},
             )
-        return self.evaluator.evaluate(individual)
+        return InjectedFault(
+            "crash",
+            f"injected crash in model {individual.model_id} attempt {attempt}",
+        )

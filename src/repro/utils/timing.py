@@ -44,9 +44,13 @@ class Stopwatch:
             raise RuntimeError("Stopwatch not running")
         lap = time.perf_counter() - self._started
         self._started = None
+        self.record(lap)
+        return lap
+
+    def record(self, lap: float) -> None:
+        """Add a lap measured elsewhere (a share of a lap timed for several)."""
         self.laps.append(lap)
         self.total += lap
-        return lap
 
     def __enter__(self) -> "Stopwatch":
         return self.start()

@@ -97,6 +97,13 @@ class TestHypervolume:
         # width (5-1) * height (10-0) = 40
         assert hypervolume_2d(points, ref_fitness=0.0, ref_flops=5.0) == pytest.approx(40.0)
 
+    def test_nothing_counts_past_the_reference_flops(self):
+        past = [ParetoPoint(0, 90.0, 5.0), ParetoPoint(1, 95.0, 10.0)]
+        assert hypervolume_2d(past, ref_fitness=50.0, ref_flops=3.0) == 0.0
+        # only the first point's width up to the reference: (3 - 2) * (90 - 50)
+        straddling = [ParetoPoint(0, 90.0, 2.0), ParetoPoint(1, 95.0, 10.0)]
+        assert hypervolume_2d(straddling, ref_fitness=50.0, ref_flops=3.0) == pytest.approx(40.0)
+
 
 class TestAnytimeHypervolume:
     REF = (50.0, 1000.0)

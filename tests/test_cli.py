@@ -462,15 +462,18 @@ class TestVerifyReach:
     ):
         from repro.nas.surrogate import SurrogateEvaluator
 
-        evaluate = SurrogateEvaluator.evaluate
+        evaluate_many = SurrogateEvaluator.evaluate_many
 
-        def crash_after_training(self, individual):  # model 1's first attempt
-            evaluate(self, individual)
-            if (individual.model_id, individual.eval_attempt) == (1, 0):
-                raise RuntimeError("crashed after training")
-            return individual
+        def crash_after_training(self, individuals):  # model 1's first attempt
+            outcomes = evaluate_many(self, individuals)
+            return [
+                RuntimeError("crashed after training")
+                if (individual.model_id, individual.eval_attempt) == (1, 0)
+                else outcome
+                for individual, outcome in zip(individuals, outcomes)
+            ]
 
-        monkeypatch.setattr(SurrogateEvaluator, "evaluate", crash_after_training)
+        monkeypatch.setattr(SurrogateEvaluator, "evaluate_many", crash_after_training)
         document = dict(small_config_dict(), faults={"max_retries": 1})
         run_workflow(WorkflowConfig.from_dict(document), commons_path=tmp_path)
         record = DataCommons(tmp_path).load_models(RUN_ID)[1]

@@ -8,15 +8,21 @@ publishes the same trails on every backend and after a resume is
 ``test_reproducibility.py``'s.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, PredictionEngine
 from repro.core.plugin import TrainingResult
 from repro.lineage import reproducible
 from repro.nas import Individual, random_genome
+from repro.nas.evalcache import MemoizingStream
+from repro.nas.evaluation import outcome_of
 from repro.nas.nsga2 import environmental_selection, pareto_front_mask
 from repro.nas.population import Population
 from repro.nas.search import InlineStream, NSGANet, NSGANetConfig
+from repro.nas.surrogate import SurrogateEvaluator
 from repro.scheduler.faults import (
     QUARANTINE_FITNESS,
     QUARANTINE_FLOPS,
@@ -31,6 +37,7 @@ from repro.utils.validation import ValidationError
 from repro.workflow import WorkflowConfig, run_workflow
 from repro.workflow.orchestrator import A4NNOrchestrator
 from repro.xfel.dataset import DatasetConfig
+from repro.xfel.intensity import BeamIntensity
 
 
 def make_individuals(rng, n, generation=0, first_id=0):
@@ -55,6 +62,42 @@ def evaluate_inline(evaluator, policy, individual):
     stream = InlineStream(evaluator, policy=policy)
     stream.submit(individual)
     return stream.settled()
+
+
+class Batches:
+    """An evaluation chain, recording the attempts of each batch it ran."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.max_epochs = inner.max_epochs
+        self.calls = []
+
+    def evaluate(self, individual):
+        return outcome_of(self.evaluate_many([individual]))
+
+    def evaluate_many(self, individuals):
+        self.calls.append([(m.model_id, m.eval_attempt) for m in individuals])
+        return self.inner.evaluate_many(individuals)
+
+
+class OneAtATime:
+    """An evaluation chain the inline stream can only ask for one attempt at a time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.max_epochs = inner.max_epochs
+        self.calls = []
+
+    def evaluate(self, individual):
+        self.calls.append([(individual.model_id, individual.eval_attempt)])
+        return self.inner.evaluate(individual)
+
+
+def without_timings(result):
+    """``result`` with the engine clock's readings zeroed."""
+    return dataclasses.replace(
+        result, engine_overhead_seconds=0.0, engine_overhead_mean=0.0, engine_overhead_variance=0.0
+    )
 
 
 class FlakyEvaluator:
@@ -135,6 +178,64 @@ class TestInlineFaultRouting:
         assert stream.settled() is first
         assert inner.calls == [(0, 0), (0, 1)]
         assert stream.settled() is second
+
+    def test_lockstep_settles_what_one_at_a_time_settles(self):
+        # Injected crashes (seed 163, rate 0.4): the head's first attempt,
+        # and both attempts of model 2, whose duplicate model 5 waits on it
+        # and is promoted to lead when it is quarantined.
+        def stream(chain):
+            return MemoizingStream(
+                InlineStream(chain, policy=FaultPolicy(max_retries=1)),
+                max_epochs=10,
+                wait_for_leader=True,
+            )
+
+        def settle(make_chain):
+            individuals = make_individuals(np.random.default_rng(5), 6)
+            individuals[5].genome = individuals[2].genome
+            sampled = SurrogateEvaluator(
+                BeamIntensity.HIGH, PredictionEngine(EngineConfig(e_pred=10)), max_epochs=10
+            )
+            chain = make_chain(
+                FaultInjectingEvaluator(
+                    sampled,
+                    FaultInjectionConfig(rate=0.4, modes=("crash",)),
+                    rng_stream=RngStream(163).child("inject"),
+                )
+            )
+            inline = stream(chain)
+            for individual in individuals:
+                inline.submit(individual)
+            order = [inline.settled().model_id for _ in individuals]
+            return chain.calls, order, [
+                (
+                    m.eval_attempt,
+                    m.fault_events,
+                    m.quarantined,
+                    m.cache_hit,
+                    m.trace,
+                    None if m.result is None else repr(without_timings(m.result)),
+                )
+                for m in individuals
+            ]
+
+        batched_calls, *batched = settle(Batches)
+        alone_calls, *alone = settle(OneAtATime)
+        assert batched == alone
+        # a retry and the promoted follower run alone, after the first batch
+        assert batched_calls == [
+            [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], [(0, 1)], [(2, 1)], [(5, 0)]
+        ]
+        assert [call for [call] in alone_calls] == [
+            (0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (3, 0), (4, 0), (5, 0)
+        ]
+        order, outcomes = batched
+        assert order == [0, 1, 2, 3, 4, 5]
+        attempts, events, quarantined, hits = zip(*(row[:4] for row in outcomes))
+        assert attempts == (1, 0, 1, 0, 0, 0)
+        assert [e["action"] for e in events[0] + events[2]] == ["retry", "retry", "quarantine"]
+        assert quarantined == (False, False, True, False, False, False)
+        assert not any(hits)
 
     def test_timeout_hits_hanging_evaluation(self):
         # a thread cannot be killed, so a timeout is refused wherever an

@@ -59,13 +59,13 @@ class TestReplay:
         commons = DataCommons(tmp_path / "full")
         published = commons.load_models(full.run_id)
         evaluated = []
-        evaluate = SurrogateEvaluator.evaluate
+        evaluate_many = SurrogateEvaluator.evaluate_many
 
-        def counted(self, individual):
-            evaluated.append(individual.model_id)
-            return evaluate(self, individual)
+        def counted(self, individuals):
+            evaluated.extend(individual.model_id for individual in individuals)
+            return evaluate_many(self, individuals)
 
-        monkeypatch.setattr(SurrogateEvaluator, "evaluate", counted)
+        monkeypatch.setattr(SurrogateEvaluator, "evaluate_many", counted)
         # (model files on disk, models replayed): the generation of the
         # highest model id on disk is the last one replayed
         for kept, replayed in ((0, 0), (3, 4), (4, 4), (5, 8), (9, 12), (16, 16)):

@@ -7,8 +7,9 @@ one-in/one-out insert, the decoded network's FLOP count,
 ``dataclasses.asdict``, the generic JSON encoder over a record's
 ``to_dict()``, the bytes the parent commit published, the
 per-call permutation search behind ``PhaseGenome.canonical``, the
-predictor's list of rows refitted from scratch, and the JSON-decoded
-record a commons used to load.
+predictor's list of rows refitted from scratch, the JSON-decoded
+record a commons used to load, each curve of a stacked fit fitted
+alone, and Algorithm 1 run for one model at a time.
 """
 
 import collections
@@ -24,13 +25,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fitting import ridge_lstsq
+from repro.core.engine import PredictionEngine
+from repro.core.fitting import fit_curve, ridge_lstsq
+from repro.core.parametric import FUNCTION_REGISTRY
+from repro.core.plugin import LearningCurveModel, TrainingResult, run_lockstep, run_training_loop
 from repro.lineage import DataCommons
 from repro.lineage.records import EpochRecord, EpochTrail, ModelRecord, RunRecord
 from repro.nas import genome as genome_module
 from repro.nas import surrogate as surrogate_module
 from repro.nas.decoder import DecoderConfig, decode_genome, genome_flops
-from repro.nas.genome import Genome, PhaseGenome, n_connection_bits
+from repro.nas.genome import Genome, PhaseGenome, n_connection_bits, random_genome
 from repro.nas.nsga2 import (
     binary_tournament,
     crowding_distance,
@@ -42,12 +46,14 @@ from repro.nas.nsga2 import (
 )
 from repro.nas.population import Individual
 from repro.nas.search import STEADY_START, NSGANetConfig, steady_insert
-from repro.nas.surrogate import FitnessPredictor, SurrogateConfig
+from repro.nas.surrogate import REGIMES, FitnessPredictor, SurrogateConfig, sample_curve
 from repro.nn.flops import network_flops
+from repro.utils import timing as timing_module
 from repro.utils.io import JsonEncoder
 from repro.workflow import resume_workflow, run_workflow
 from repro.workflow.interfaces import WorkflowConfig
 from repro.workflow.orchestrator import A4NNOrchestrator
+from repro.xfel.intensity import BeamIntensity
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -835,3 +841,154 @@ class TestPublishedBytes:
     def test_published_run_is_byte_identical_to_the_parent_commits(self, tmp_path):
         expected = json.loads((FIXTURES / "published_digests.json").read_text())
         assert published_digests(tmp_path) == expected
+
+
+# -- stacked curve fits and Algorithm 1 in lockstep -----------------------------
+
+#: families solved by projection, and the ones fitted by trust region
+_PROJECTED = sorted(name for name, f in FUNCTION_REGISTRY.items() if f.separable is not None)
+_ITERATIVE = sorted(name for name, f in FUNCTION_REGISTRY.items() if f.separable is None)
+
+#: rows a fit cannot use: a gap, an overflow, and values no finite curve fits
+_UNUSABLE = {
+    "nan": lambda n: np.where(np.arange(n) == n // 2, np.nan, 60.0),
+    "inf": lambda n: np.full(n, np.inf),
+    "huge": lambda n: np.resize([1e200, -1e200], n),
+}
+
+
+@st.composite
+def curve_stacks(draw, families, max_rows):
+    """A family, the epochs and a ``(M, n)`` stack of curves measured at them.
+
+    The rows are noisy learning curves, flat ones, exact duplicates of an
+    earlier row, and rows no fit can use; ``n`` runs from one below the
+    family's parameter count (every row underdetermined) to 25.
+    """
+    function = FUNCTION_REGISTRY[draw(st.sampled_from(families))]
+    n = draw(st.integers(function.n_params - 1, 25))
+    epochs = np.arange(1.0, n + 1)
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        kind = draw(st.sampled_from(["curve", "curve", "curve", "flat", "duplicate", *_UNUSABLE]))
+        if kind == "duplicate" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        elif kind in _UNUSABLE:
+            rows.append(_UNUSABLE[kind](n))
+        elif kind == "flat":
+            rows.append(np.full(n, draw(st.sampled_from([0.0, 50.0, 100.0]))))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+            asymptote, start = rng.uniform(70.0, 100.0), rng.uniform(30.0, 65.0)
+            curve = asymptote - (asymptote - start) * np.exp(-rng.uniform(0.05, 0.8) * epochs)
+            rows.append(np.clip(curve + rng.normal(0.0, rng.uniform(0.0, 4.0), n), 0.0, 100.0))
+    return function, epochs, np.array(rows)
+
+
+def fit_text(fit) -> tuple | None:
+    return None if fit is None else (repr(fit.theta), repr(fit.residual_norm), repr(fit.rmse), fit.n_points)
+
+
+class TestStackedFits:
+    """A stack of curves fits each row to the bytes it gets alone."""
+
+    @staticmethod
+    def assert_rows_fit_alone(function, epochs, stack):
+        with np.errstate(all="ignore"):
+            stacked = fit_curve(function, epochs, stack)
+            alone = [fit_curve(function, epochs, row) for row in stack]
+        assert [fit_text(f) for f in stacked] == [fit_text(f) for f in alone]
+
+    @given(curve_stacks(_PROJECTED, max_rows=9))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_projected_families(self, case):
+        self.assert_rows_fit_alone(*case)
+
+    @given(curve_stacks(_ITERATIVE, max_rows=3))
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    def test_trust_region_families(self, case):
+        self.assert_rows_fit_alone(*case)
+
+    @pytest.mark.parametrize("name", sorted(FUNCTION_REGISTRY))
+    def test_failing_rows_beside_fitting_rows(self, name):
+        function = FUNCTION_REGISTRY[name]
+        epochs = np.arange(1.0, 13)
+        curve = make_learning_curve(12)
+        stack = np.array([curve, _UNUSABLE["nan"](12), curve, _UNUSABLE["inf"](12), curve[::-1]])
+        self.assert_rows_fit_alone(function, epochs, stack)
+        fits = fit_curve(function, epochs, stack)
+        assert [fit is None for fit in fits] == [False, True, False, True, False]
+        # one point short of the parameter count: every row is underdetermined
+        few = stack[:, : function.n_params - 1]
+        assert fit_curve(function, epochs[: function.n_params - 1], few) == [None] * len(stack)
+
+
+def make_learning_curve(n: int) -> np.ndarray:
+    epochs = np.arange(1.0, n + 1)
+    return 95.0 - 40.0 * np.exp(-0.3 * epochs) + np.random.default_rng(3).normal(0.0, 0.5, n)
+
+
+@st.composite
+def lockstep_batches(draw):
+    """Sampled curves of one intensity and a budget each, probe budgets included."""
+    intensity = draw(st.sampled_from(list(BeamIntensity)))
+    curves, budgets = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        curves.append(sample_curve(random_genome(rng), REGIMES[intensity], rng, 25))
+        budgets.append(draw(st.one_of(st.sampled_from([1, 2, 3, 25]), st.integers(1, 25))))
+    return curves, budgets
+
+
+def _timings_zeroed(result: TrainingResult) -> TrainingResult:
+    return dataclasses.replace(
+        result, engine_overhead_seconds=0.0, engine_overhead_mean=0.0, engine_overhead_variance=0.0
+    )
+
+
+class TestLockstep:
+    """Algorithm 1 over several models at once: each model's own outcome."""
+
+    @given(lockstep_batches(), st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_each_model_gets_the_result_it_gets_alone(self, batch, with_engine):
+        curves, budgets = batch
+        engine = PredictionEngine() if with_engine else None
+        together = [[] for _ in curves]
+        results = run_lockstep(
+            [LearningCurveModel(curve) for curve in curves],
+            engine,
+            budgets,
+            epoch_callbacks=[lambda *epoch, trail=trail: trail.append(epoch) for trail in together],
+        )
+        for curve, budget, result, trail in zip(curves, budgets, results, together):
+            alone: list = []
+            single = run_training_loop(
+                LearningCurveModel(curve), engine, budget, epoch_callback=lambda *e: alone.append(e)
+            )
+            assert repr(_timings_zeroed(result)) == repr(_timings_zeroed(single))
+            assert repr(trail) == repr(alone)
+            assert result.engine_interactions == (result.epochs_trained if with_engine else 0)
+
+    def test_the_shares_of_a_batch_sum_to_its_engine_time(self, monkeypatch):
+        # the k-th reading of this clock is (k + 1) ms after the one before
+        # it, so every stacked call's lap lasts a different time
+        readings = itertools.count()
+        state = {"now": 0.0}
+
+        def clock() -> float:
+            state["now"] += 1e-3 * (1 + next(readings))
+            return state["now"]
+
+        monkeypatch.setattr(timing_module.time, "perf_counter", clock)
+        rng = np.random.default_rng(7)
+        curves = [sample_curve(random_genome(rng), REGIMES[BeamIntensity.HIGH], rng, 25) for _ in range(6)]
+        budgets = [25, 1, 9, 25, 3, 17]
+        results = run_lockstep([LearningCurveModel(c) for c in curves], PredictionEngine(), budgets)
+        monkeypatch.undo()
+        calls = max(r.epochs_trained for r in results)
+        # call j reads the clock twice, at readings 2j and 2j + 1
+        engine_time = sum(1e-3 * (2 + 2 * j) for j in range(calls))
+        assert sum(r.engine_overhead_seconds for r in results) == pytest.approx(engine_time, rel=1e-12)
+        assert [r.engine_interactions for r in results] == [r.epochs_trained for r in results]
+        assert min(r.epochs_trained for r in results) < calls  # some models left early

@@ -166,15 +166,18 @@ class TestWallTimeSimulation:
     def test_a_sampled_attempt_that_failed_after_training_holds_no_worker(self, monkeypatch):
         # the failed attempt's epochs lead the trail without seconds; the
         # committed attempt's cost-model seconds fill the epochs after them
-        evaluate = SurrogateEvaluator.evaluate
+        evaluate_many = SurrogateEvaluator.evaluate_many
 
-        def crash_after_training(self, individual):
-            evaluate(self, individual)
-            if (individual.model_id, individual.eval_attempt) == (1, 0):
-                raise RuntimeError("crashed after training")
-            return individual
+        def crash_after_training(self, individuals):
+            outcomes = evaluate_many(self, individuals)
+            return [
+                RuntimeError("crashed after training")
+                if (individual.model_id, individual.eval_attempt) == (1, 0)
+                else outcome
+                for individual, outcome in zip(individuals, outcomes)
+            ]
 
-        monkeypatch.setattr(SurrogateEvaluator, "evaluate", crash_after_training)
+        monkeypatch.setattr(SurrogateEvaluator, "evaluate_many", crash_after_training)
         config = WorkflowConfig(
             nas=self.NAS, engine=EngineConfig(e_pred=10), faults=FaultPolicy(max_retries=1)
         )

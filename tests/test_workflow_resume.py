@@ -339,14 +339,14 @@ class TestResumeIsTheLiveRun:
     def test_outcome_that_succeeded_on_retry_is_never_shared(self, tmp_path, monkeypatch):
         # model 2's first attempt fails and its retry succeeds; a retried
         # outcome never enters the cache, so its later duplicates train
-        original = SurrogateEvaluator.evaluate
+        original = SurrogateEvaluator.evaluate_many
 
-        def attempt_zero_of_model_two_fails(self, individual):
-            if individual.model_id == 2 and individual.eval_attempt == 0:
-                raise RuntimeError("attempt 0 fails")
-            return original(self, individual)
+        def attempt_zero_of_model_two_fails(self, individuals):
+            fails = [(m.model_id, m.eval_attempt) == (2, 0) for m in individuals]
+            ran = iter(original(self, [m for m, fail in zip(individuals, fails) if not fail]))
+            return [RuntimeError("attempt 0 fails") if fail else next(ran) for fail in fails]
 
-        monkeypatch.setattr(SurrogateEvaluator, "evaluate", attempt_zero_of_model_two_fails)
+        monkeypatch.setattr(SurrogateEvaluator, "evaluate_many", attempt_zero_of_model_two_fails)
         config = probe_config(1, evolution="barrier", faults=FaultPolicy(max_retries=2))
         full = run_workflow(config, commons_path=tmp_path)
         assert [e["attempt"] for e in full.tracker.records[2].fault_events] == [0]

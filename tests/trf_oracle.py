@@ -77,8 +77,9 @@ def trf_fit(function: ParametricFunction, epochs, fitness) -> CurveFit | None:
 class TRFEngine(PredictionEngine):
     """A :class:`PredictionEngine` whose per-epoch fit is the old solver."""
 
-    def fit(self, fitness_history) -> CurveFit | None:
-        n = len(fitness_history)
+    def fit(self, fitness_histories) -> list:
+        """The old solver's fit of each row of a stack of equal-length histories."""
+        n = np.shape(fitness_histories)[1]
         if n < self.config.c_min:
-            return None
-        return trf_fit(self.function, np.arange(1, n + 1), fitness_history)
+            return [None] * len(fitness_histories)
+        return [trf_fit(self.function, np.arange(1, n + 1), row) for row in fitness_histories]
