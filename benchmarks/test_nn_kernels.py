@@ -14,9 +14,10 @@ float32 through a ``Trainer``-bound network and pays the cold cost the
 isolated numbers hide (CHANGES.md, PR 23, has both per call).
 
 The ratio guards at the end hold an elementwise kernel to a multiple of
-the one memory pass it has to make, and a stacked curve fit to a share
-of its rows' fits one at a time.  Both sides are timed in the same
-process (best of 40), so the bound does not depend on the host's speed.
+the one memory pass it has to make, and a stacked curve fit, and a
+whole stacked engine step, to a share of their rows' one at a time.
+Both sides are timed in the same process (best of 40), so the bound
+does not depend on the host's speed.
 """
 
 import timeit
@@ -165,4 +166,22 @@ def test_a_stacked_fit_costs_less_than_its_rows_fitted_alone():
     assert stacked <= 0.75 * alone, (
         f"one stacked fit of {len(histories)} histories took {stacked / alone:.2f}x "
         f"their fits one at a time (bound 0.75x)"
+    )
+
+
+def test_a_stacked_engine_step_costs_less_than_its_rows_alone():
+    # the whole of Algorithm 1's line 7 for a lockstep batch: the solve,
+    # the settle of its fits and the predictions at e_pred, all on the
+    # stack.  0.25x was measured on a 2-core host (0.31-0.38x while the
+    # settle and the predictions ran row by row); 0.5x is twice that, so
+    # a slow or busy host does not trip it, while a step that stops
+    # sharing its work across the stack (near 1x) fails
+    engine, histories = PredictionEngine(), lockstep_histories()
+    stacked = min(timeit.repeat(lambda: engine.predictor(15, histories), number=1, repeat=40))
+    alone = min(
+        timeit.repeat(lambda: [engine.predictor(15, row) for row in histories], number=1, repeat=40)
+    )
+    assert stacked <= 0.5 * alone, (
+        f"one stacked engine step over {len(histories)} histories took {stacked / alone:.2f}x "
+        f"their steps one at a time (bound 0.5x)"
     )

@@ -142,10 +142,12 @@ class PredictionEngine:
         model, fitted in one call; the result is one candidate
         prediction of the fitness at ``e_pred`` per model, or ``None``
         for a model no prediction can be made for yet (too few points or
-        a failed fit).  A 1-D history is the stack of one and gets its
-        one prediction back.  ``epoch`` is accepted for interface
-        fidelity with the paper's pseudocode; the history length is
-        authoritative.
+        a failed fit).  Every fitted row is evaluated at ``e_pred`` in
+        one call of the family, elementwise, so a row's prediction is
+        the one it gets alone.  A 1-D history is the stack of one and
+        gets its one prediction back.  ``epoch`` is accepted for
+        interface fidelity with the paper's pseudocode; the history
+        length is authoritative.
         """
         histories = np.asarray(fitness_history, float)
         if histories.ndim == 1:
@@ -154,8 +156,13 @@ class PredictionEngine:
             raise ValueError(
                 f"epoch {epoch} disagrees with history length {histories.shape[1]}"
             )
-        e_pred = self.config.e_pred
-        return [None if fit is None else float(fit.predict(e_pred)) for fit in self.fit(histories)]
+        fits = self.fit(histories)
+        fitted = [fit.theta for fit in fits if fit is not None]
+        if not fitted:
+            return fits
+        # every fitted row at e_pred in one family call
+        predictions = iter(self.function(self.config.e_pred, *np.array(fitted).T).tolist())
+        return [None if fit is None else next(predictions) for fit in fits]
 
     # -- prediction analysis --------------------------------------------------
 

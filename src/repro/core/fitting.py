@@ -16,6 +16,12 @@ trust-region least squares, and ``scipy.optimize`` is imported only
 when one of them is first fitted.  Either way a failed or degenerate
 fit is "no prediction available this epoch" rather than an error — the
 engine simply lets training continue.
+
+Models trained in lockstep are fitted as one ``(M, n)`` stack: the
+search, the clip of the estimates, the residuals (one family call), the
+validity checks and the RMSE all run on the whole stack, and every
+reduction runs along a row, so each row's fit is the one it gets alone,
+byte for byte.
 """
 
 from __future__ import annotations
@@ -94,7 +100,10 @@ def fit_curve(
     list of CurveFit or None, or one of them for a 1-D ``fitness``
         ``None`` signals "cannot produce a prediction from this curve";
         callers (the prediction engine) treat it as not-yet-converged.
-        A curve's fit is the one it gets alone, byte for byte.
+        A curve's fit is the one it gets alone, byte for byte: its
+        ``residual_norm`` is its own row's 1-D ``np.linalg.norm``, and
+        under ``strict`` the error raised is the first failing row's,
+        in row order.
     """
     x = np.asarray(epochs, dtype=float)
     y = np.asarray(fitness, dtype=float)
@@ -105,48 +114,59 @@ def fit_curve(
             f"epochs and fitness must be equal-length 1-D sequences, or fitness "
             f"a stack of such rows, got shapes {x.shape} and {y.shape}"
         )
-
-    def fail(reason: str) -> None:
-        if strict:
-            raise FitError(f"cannot fit {function.name}: {reason}")
-        return None
-
     if len(x) < function.n_params:
-        return [fail(f"need >= {function.n_params} points, have {len(x)}") for _ in y]
-    finite = np.isfinite(y).all(axis=1) & bool(np.isfinite(x).all())
-    fits: list = [None] * len(y)
-    rows = np.flatnonzero(finite)
-    for i in np.flatnonzero(~finite):
-        fits[i] = fail("curve contains non-finite values")
-    for i, theta in zip(rows, function.guess(x, y[rows]) if len(rows) else ()):
-        fits[i] = _settle(function, x, y[i], theta, fail)
-    return fits
+        short = f"need >= {function.n_params} points, have {len(x)}"
+        return _outcome(function, [short] * len(y), strict)
 
-
-def _settle(function: ParametricFunction, x, y, theta, fail) -> CurveFit | None:
-    """The fit of one curve from its ``guess``, or ``fail(reason)``."""
-    if theta is None:
-        return fail("no finite parameters fit the curve")
+    finite = (np.isfinite(y).all(axis=1) & np.isfinite(x).all()).tolist()
+    usable = [i for i, ok in enumerate(finite) if ok]
+    theta = np.full((len(y), function.n_params), np.nan)
+    if usable:
+        theta[usable] = function.guess(x, y[usable])
+    reasons: list = [None if ok else "curve contains non-finite values" for ok in finite]
     if function.separable is None:
         # no linear structure declared: the guess is only a start
-        try:
-            theta = _trust_region(function, x, y, theta)
-        except Exception as exc:  # a4nn: noqa(NUM001) -- scipy's failure surface is unbounded; fail() converts to the engine's explicit no-prediction path (or raises under strict=True)
-            return fail(f"optimizer error: {exc}")
-    if not np.all(np.isfinite(theta)):
-        return fail("solver returned non-finite parameters")
+        for i in usable:
+            try:
+                theta[i] = _trust_region(function, x, y[i], theta[i])
+            except Exception as exc:  # a4nn: noqa(NUM001) -- scipy's failure surface is unbounded; the row gets the engine's explicit no-prediction path (or raises under strict=True)
+                theta[i] = np.nan
+                reasons[i] = f"optimizer error: {exc}"
 
-    residual = function.fn(x, *theta) - y
-    if not np.all(np.isfinite(residual)):
-        return fail("fitted curve is non-finite on the data")
+    # every solved row in one family call; each reduction runs along its own row
+    solved = np.flatnonzero(np.isfinite(theta).all(axis=1))
+    residual = function.fn(x, *theta[solved].T[..., None]) - y[solved]
+    fine = np.isfinite(residual).all(axis=1).tolist()
+    rmse = np.sqrt(np.mean(residual**2, axis=1)).tolist()
+    fits: list = [None] * len(y)
+    for j, i in enumerate(solved.tolist()):
+        if fine[j]:
+            fits[i] = CurveFit(
+                function=function,
+                theta=tuple(theta[i].tolist()),
+                residual_norm=float(np.linalg.norm(residual[j])),
+                rmse=rmse[j],
+                n_points=len(x),
+            )
+        else:
+            reasons[i] = "fitted curve is non-finite on the data"
+    for i in usable:
+        if fits[i] is None and reasons[i] is None:
+            # a projection that found nothing is a row of NaN
+            if function.separable is not None and np.isnan(theta[i]).all():
+                reasons[i] = "no finite parameters fit the curve"
+            else:
+                reasons[i] = "solver returned non-finite parameters"
+    return _outcome(function, reasons, strict, fits)
 
-    return CurveFit(
-        function=function,
-        theta=tuple(float(t) for t in theta),
-        residual_norm=float(np.linalg.norm(residual)),
-        rmse=float(np.sqrt(np.mean(residual**2))),
-        n_points=len(x),
-    )
+
+def _outcome(function: ParametricFunction, reasons: list, strict: bool, fits: list | None = None) -> list:
+    """``fits`` (``None`` per row if not given); under ``strict`` the first row's reason raises."""
+    if strict:
+        for reason in reasons:
+            if reason is not None:
+                raise FitError(f"cannot fit {function.name}: {reason}")
+    return fits if fits is not None else [None] * len(reasons)
 
 
 def _trust_region(function: ParametricFunction, x, y, theta0) -> np.ndarray:

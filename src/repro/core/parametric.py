@@ -29,6 +29,7 @@ but that declaration to pick the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -163,10 +164,13 @@ class Separable:
         the candidates around a curve's best one are indistinguishable
         or its window is one ulp wide.  The curves still searching with
         the same number of windows are evaluated together, every
-        candidate of a stage in one ``(m, G, n)`` array operation; each
-        curve then picks its own dips and decides its own exit.  A
-        curve's result is a pure function of ``(x, y[i])``: the same
-        bytes whatever else is in the stack.
+        candidate of a stage in one ``(m, G, n)`` array operation, and
+        what a curve's exit reads comes out of per-group arrays built
+        once per stage: its deepest dips in stable order, the depth of
+        the best, the largest SSE of each window and each cell's
+        neighbours.  Each curve then decides its own exit on Python
+        scalars.  A curve's result is a pure function of ``(x, y[i])``:
+        the same bytes whatever else is in the stack.
         """
         n_curves, n = y.shape
         with np.errstate(all="ignore"):
@@ -184,10 +188,12 @@ class Separable:
             groups = {1: (np.arange(n_curves), lo, hi)}
             n_cells = len(_STAGE_GRID)
             for stage in range(_MAX_STAGES):
+                last = stage == _MAX_STAGES - 1
                 zoomed: dict = {}
                 for curves, lo, hi in groups.values():
                     u = lo[..., None] + (hi - lo)[..., None] * _STAGE_GRID
-                    nu = np.exp(u).reshape(len(curves), -1, 1)
+                    m = len(curves)
+                    nu = np.exp(u).reshape(m, -1, 1)
                     a, k, sse = _bounded_lines(
                         self.basis(x, nu), y[curves], a_lo, a_hi, *self.k_bounds(nu[..., 0])
                     )
@@ -195,24 +201,31 @@ class Separable:
                     walled = np.full((*u.shape[:2], n_cells + 2), np.inf)
                     walled[..., 1:-1] = sse.reshape(u.shape)
                     inner = walled[..., 1:-1]
-                    is_dip = (inner <= walled[..., :-2]) & (inner <= walled[..., 2:])
+                    is_dip = ((inner <= walled[..., :-2]) & (inner <= walled[..., 2:])).reshape(m, -1)
+                    # each curve's dips by depth, ties in cell order, ahead of
+                    # its other cells (NaN sorts last); the deepest is the
+                    # curve's least SSE
+                    order = np.argsort(np.where(is_dip, sse, np.nan), axis=1, kind="stable")
+                    order = order[:, :_WINDOWS].tolist()
+                    n_dips = is_dip.sum(axis=1).tolist()
+                    depths = sse.min(axis=1).tolist()
+                    peaks = inner.max(axis=2).tolist()
+                    cells = u.reshape(m, -1).tolist()
                     for i, curve in enumerate(curves.tolist()):
-                        row = sse[i]
-                        dips = np.flatnonzero(is_dip[i])
-                        dips = dips[np.argsort(row[dips], kind="stable")[:_WINDOWS]]
-                        best = dips[0]
-                        if not np.isfinite(row[best]):
+                        dips, depth = order[i][: n_dips[i]], depths[i]
+                        if not math.isfinite(depth):
                             continue
-                        window, cell = np.divmod(dips, n_cells)
-                        spread = inner[i, window[0]].max() - row[best]
-                        if not spread > _RESOLVED * row[best] or stage == _MAX_STAGES - 1:
+                        if not peaks[i][dips[0] // n_cells] - depth > _RESOLVED * depth or last:
+                            best = dips[0]
                             thetas[curve] = self.theta(a[i, best], k[i, best], nu[i, best, 0])
                             continue
+                        # the two cells around each dip, inside its window
+                        row, firsts = cells[i], [dip - dip % n_cells for dip in dips]
                         zoomed.setdefault(len(dips), []).append(
                             (
                                 curve,
-                                u[i, window, np.maximum(cell - 1, 0)],
-                                u[i, window, np.minimum(cell + 1, n_cells - 1)],
+                                [row[max(dip - 1, first)] for dip, first in zip(dips, firsts)],
+                                [row[min(dip + 1, first + n_cells - 1)] for dip, first in zip(dips, firsts)],
                             )
                         )
                 groups = {
@@ -269,16 +282,17 @@ class ParametricFunction:
             )
         return self.fn(np.asarray(x, dtype=float), *theta)
 
-    def guess(self, x: Sequence[float], y) -> list | tuple | None:
+    def guess(self, x: Sequence[float], y) -> np.ndarray:
         """Parameter estimate from each observed partial curve, inside the bounds.
 
         ``y`` is a ``(M, n)`` stack of curves sampled at ``x``, and the
-        result a list of one estimate per row; a 1-D ``y`` is the stack
-        of one, and gets its one estimate back.  For a
+        result a ``(M, n_params)`` array of one estimate per row; a 1-D
+        ``y`` is the stack of one, and gets its one estimate back.  For a
         :class:`Separable` family an estimate is the projected
-        least-squares solution itself (``None`` when nothing finite
+        least-squares solution itself (a row of NaN when nothing finite
         fits); for the others the family's heuristic, clipped strictly
-        inside the bounds so that an iterative fit starts feasible.
+        inside the bounds so that an iterative fit starts feasible.  The
+        whole stack is clipped at once.
         """
         x, y = np.asarray(x, float), np.asarray(y, float)
         if y.ndim == 1:
@@ -286,12 +300,12 @@ class ParametricFunction:
         lo = np.asarray(self.lower, float)
         hi = np.asarray(self.upper, float)
         if self.separable is not None:
+            none = (np.nan,) * self.n_params
             thetas = self.separable.solve(x, y, lo[0], hi[0])
-            return [None if theta is None else tuple(np.clip(theta, lo, hi)) for theta in thetas]
-        return [
-            tuple(np.clip(np.asarray(self.initial_guess(x, row), float), lo + 1e-9, hi - 1e-9))
-            for row in y
-        ]
+            theta = np.array([none if t is None else t for t in thetas], float)
+            return np.clip(theta.reshape(len(y), self.n_params), lo, hi)
+        theta = np.array([self.initial_guess(x, row) for row in y], float)
+        return np.clip(theta.reshape(len(y), self.n_params), lo + 1e-9, hi - 1e-9)
 
 
 def get_function(name: str) -> ParametricFunction:

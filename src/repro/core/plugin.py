@@ -195,8 +195,8 @@ def run_lockstep(
     histories: list[list[float]] = [[] for _ in models]    # H per model
     predictions: list[list[float]] = [[] for _ in models]  # P per model
     converged = [False] * len(models)
-    clocks = [Stopwatch() for _ in models]
-    call_clock = Stopwatch()
+    # the engine's clock per model; without an engine there is nothing to time
+    clocks = [Stopwatch() for _ in models] if engine is not None else [None] * len(models)
     running = list(range(len(models)))
 
     epoch = 0
@@ -206,21 +206,23 @@ def run_lockstep(
             models[i].train()                                    # line 4
             histories[i].append(float(models[i].validate()))     # lines 5-6
 
-        new = [None] * len(running)
-        if engine is not None:
+        if engine is None:
+            for i in running:
+                if callbacks[i] is not None:
+                    callbacks[i](epoch, histories[i][-1], None)
+        else:
+            call_clock = Stopwatch()
             with call_clock:
                 new = engine.predictor(epoch, [histories[i] for i in running])  # line 7
                 for i, prediction in zip(running, new):
                     if prediction is not None:
                         predictions[i].append(prediction)                  # line 8
                     converged[i] = engine.converged(predictions[i])        # line 9
-            share = call_clock.laps[-1] / len(running)
-            for i in running:
+            share = call_clock.total / len(running)
+            for i, prediction in zip(running, new):
                 clocks[i].record(share)
-
-        for i, prediction in zip(running, new):
-            if callbacks[i] is not None:
-                callbacks[i](epoch, histories[i][-1], prediction)
+                if callbacks[i] is not None:
+                    callbacks[i](epoch, histories[i][-1], prediction)
 
         # lines 10-14: a converged model stops, as does one out of budget
         running = [i for i in running if not converged[i] and epoch < budgets[i]]
@@ -235,10 +237,19 @@ def run_lockstep(
             fitness_history=tuple(history),
             prediction_history=tuple(predictions[i]),
             measured_fitness=history[-1],
-            engine_overhead_seconds=clock.total,
-            engine_interactions=len(clock.laps),
-            engine_overhead_mean=clock.mean_lap,
-            engine_overhead_variance=clock.lap_variance,
+            **_engine_time(clocks[i]),
         )
-        for i, (history, clock) in enumerate(zip(histories, clocks))
+        for i, history in enumerate(histories)
     ]
+
+
+def _engine_time(clock: Stopwatch | None) -> dict:
+    """A result's engine-overhead fields; their defaults when there was no engine."""
+    if clock is None:
+        return {}
+    return {
+        "engine_overhead_seconds": clock.total,
+        "engine_interactions": len(clock.laps),
+        "engine_overhead_mean": clock.mean_lap,
+        "engine_overhead_variance": clock.lap_variance,
+    }

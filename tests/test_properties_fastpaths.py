@@ -8,8 +8,9 @@ one-in/one-out insert, the decoded network's FLOP count,
 ``to_dict()``, the bytes the parent commit published, the
 per-call permutation search behind ``PhaseGenome.canonical``, the
 predictor's list of rows refitted from scratch, the JSON-decoded
-record a commons used to load, each curve of a stacked fit fitted
-alone, and Algorithm 1 run for one model at a time.
+record a commons used to load, each curve of a stacked fit (and each
+row of a stacked prediction) fitted alone, and Algorithm 1 run for one
+model at a time.
 """
 
 import collections
@@ -18,6 +19,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import PredictionEngine
-from repro.core.fitting import fit_curve, ridge_lstsq
-from repro.core.parametric import FUNCTION_REGISTRY
+from repro.core.engine import EngineConfig, PredictionEngine
+from repro.core.fitting import FitError, fit_curve, ridge_lstsq
+from repro.core.parametric import FUNCTION_REGISTRY, ParametricFunction, Separable
 from repro.core.plugin import LearningCurveModel, TrainingResult, run_lockstep, run_training_loop
 from repro.lineage import DataCommons
 from repro.lineage.records import EpochRecord, EpochTrail, ModelRecord, RunRecord
@@ -921,6 +923,122 @@ class TestStackedFits:
         # one point short of the parameter count: every row is underdetermined
         few = stack[:, : function.n_params - 1]
         assert fit_curve(function, epochs[: function.n_params - 1], few) == [None] * len(stack)
+
+
+#: families that fail a chosen check on a chosen row: a projected line
+#: whose solution is non-finite for a low curve and whose fitted curve is
+#: non-finite for a high one, and a trust-region line whose optimizer
+#: refuses the start it gets for a high curve
+_FAILING_LINE = ParametricFunction(
+    name="failing_line",
+    formula="a + b * x",
+    n_params=2,
+    fn=lambda x, a, b: np.where(a > 90.0, np.inf, a + b * x),
+    lower=(-1e3, -1e3),
+    upper=(1e3, 1e3),
+    separable=Separable(
+        basis=lambda x, _: x,
+        k_bounds=lambda _: (-1e3, 1e3),
+        theta=lambda a, k, _: (a, np.nan if a < 10.0 else k),
+    ),
+)
+_FAILING_START = ParametricFunction(
+    name="failing_start",
+    formula="a + b * x",
+    n_params=2,
+    fn=lambda x, a, b: a + b * x,
+    lower=(-1e3, -1e3),
+    upper=(1e3, 1e3),
+    initial_guess=lambda x, y: (np.nan if y[0] > 90.0 else y[0], 0.0),
+)
+
+#: a row of each kind, and the check it fails in each family (None: it fits)
+_ROWS = {
+    "curve": lambda n: make_learning_curve(n) - 40.0,
+    "nan": _UNUSABLE["nan"],
+    "huge": _UNUSABLE["huge"],
+    "low": lambda n: np.full(n, 5.0),
+    "high": lambda n: np.full(n, 95.0),
+}
+_REASONS = {
+    "failing_line": {
+        "curve": None,
+        "nan": "curve contains non-finite values",
+        "huge": "no finite parameters fit the curve",
+        "low": "solver returned non-finite parameters",
+        "high": "fitted curve is non-finite on the data",
+    },
+    "failing_start": {
+        "curve": None,
+        "nan": "curve contains non-finite values",
+        "low": None,
+        "high": "optimizer error: Initial guess is outside of provided bounds",
+    },
+}
+
+
+class TestStackedSettle:
+    """A stack's checks, predictions and strict errors are its rows' own."""
+
+    @staticmethod
+    def assert_rows_predict_alone(engine, stack):
+        epoch = stack.shape[1]
+        with np.errstate(all="ignore"):
+            stacked = engine.predictor(epoch, stack)
+            alone = [engine.predictor(epoch, row) for row in stack]
+        assert repr(stacked) == repr(alone)
+
+    @given(curve_stacks(_PROJECTED, max_rows=9))
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    def test_projected_predictions(self, case):
+        function, _, stack = case
+        engine = PredictionEngine(EngineConfig(function=function.name, c_min=function.n_params))
+        self.assert_rows_predict_alone(engine, stack)
+
+    @given(curve_stacks(_ITERATIVE, max_rows=3))
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    def test_trust_region_predictions(self, case):
+        function, _, stack = case
+        engine = PredictionEngine(EngineConfig(function=function.name, c_min=function.n_params))
+        self.assert_rows_predict_alone(engine, stack)
+
+    @pytest.mark.parametrize("family", [_FAILING_LINE, _FAILING_START], ids=lambda f: f.name)
+    def test_each_row_fails_its_own_check(self, family):
+        epochs = np.arange(1.0, 13)
+        for kind, reason in _REASONS[family.name].items():
+            row = _ROWS[kind](12)
+            if reason is None:
+                assert fit_curve(family, epochs, row, strict=True) is not None
+            else:
+                with pytest.raises(FitError, match=f"^cannot fit {family.name}: {re.escape(reason)}$"):
+                    fit_curve(family, epochs, row, strict=True)
+        stack = np.array([_ROWS[kind](12) for kind in [*_REASONS[family.name], "curve"]])
+        fits = fit_curve(family, epochs, stack)
+        assert [fit is None for fit in fits] == [
+            reason is not None for reason in [*_REASONS[family.name].values(), None]
+        ]
+        # the prediction of each row, failed or not, is the one it gets alone
+        engine = PredictionEngine(EngineConfig(c_min=3))
+        engine.function = family
+        self.assert_rows_predict_alone(engine, stack)
+
+    @given(st.sampled_from([_FAILING_LINE, _FAILING_START]).flatmap(
+        lambda family: st.tuples(st.just(family), st.permutations([*_REASONS[family.name], "curve"]))
+    ))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_strict_raises_the_first_failing_rows_error(self, case):
+        family, kinds = case
+        epochs = np.arange(1.0, 13)
+        stack = np.array([_ROWS[kind](12) for kind in kinds])
+        errors = []
+        for row in stack:
+            try:
+                fit_curve(family, epochs, row, strict=True)
+            except FitError as exc:
+                errors.append(str(exc))
+        with pytest.raises(FitError) as raised:
+            fit_curve(family, epochs, stack, strict=True)
+        assert str(raised.value) == errors[0]
 
 
 def make_learning_curve(n: int) -> np.ndarray:
